@@ -3,10 +3,14 @@
 HD inference is dominated by two matrix products (projection, class
 similarity); a single-sample call wastes almost all of the BLAS / bit-op
 throughput.  :class:`MicroBatcher` closes that gap for a serving
-process: concurrent :meth:`submit` calls are coalesced under a
-condition variable until either ``max_batch_size`` samples are waiting
-or the oldest has waited ``max_latency_ms``, then one worker runs the
-whole batch through the engine at once.  numpy's GEMM and bitwise
+process with a **dispatch-when-idle** rule: a request that finds no
+batch in flight is dispatched at once, so a lone request never waits
+for co-travellers that are not coming.  Requests arriving while a batch
+runs queue up under a condition variable and leave together as the next
+batch — when the running batch finishes, when ``max_batch_size`` are
+waiting, or when the oldest has waited ``max_latency_ms``, whichever
+comes first.  Load itself sets the batch size: the longer a batch takes,
+the more requests the next one carries.  numpy's GEMM and bitwise
 kernels release the GIL, so a small worker pool overlaps batches.
 
 Degradation is explicit rather than emergent:
@@ -78,21 +82,28 @@ class _Request:
 class MicroBatcher:
     """Coalesce concurrent predict calls into engine-sized batches.
 
+    A worker dispatches the queue at once whenever no batch is in
+    flight; otherwise the queue waits for a batch to finish, for
+    ``max_batch_size`` requests, or for ``max_latency_ms``, whichever
+    comes first (the in-flight count lives under the queue's condition
+    variable, and a finishing batch wakes a waiting worker).
+
     Parameters
     ----------
     predict_fn:
         ``(n, F) -> (n,)`` batch classifier — typically
         ``engine.predict_features``.  Duck-typed: anything with that
-        signature works (so :class:`repro.reliability.ResilientPipeline`
-        can sit in between).  May instead return ``(labels, meta)``;
+        signature works.  May instead return ``(labels, meta)``;
         ``meta`` is then attached to every row's result as
         ``(label, meta)`` so callers can tell which engine snapshot
         served the batch.
     max_batch_size:
         Largest batch a worker takes in one bite.
     max_latency_ms:
-        Longest the *oldest* queued request waits for co-travellers
-        before a partial batch is dispatched.
+        Longest the *oldest* queued request waits, while a batch is in
+        flight, before a free worker dispatches it alongside that batch.
+        An idle batcher never waits: the first request dispatches at
+        once.
     workers:
         Worker-thread count; >1 overlaps batches (BLAS releases the GIL).
     shedder:
@@ -128,6 +139,7 @@ class MicroBatcher:
         self._deadline_metric = f"serve.batcher.deadline.model.{safe_label}"
         self._queue: Deque[_Request] = deque()
         self._cv = threading.Condition()
+        self._inflight = 0  # batches taken but not finished (under _cv)
         self._stopping = False
         self._stopped = threading.Event()
         self.stats: Dict[str, int] = {
@@ -288,8 +300,10 @@ class MicroBatcher:
     def _take_batch(self) -> Optional[List[_Request]]:
         """Block until a dispatchable batch exists (or shutdown drains).
 
-        Dispatch condition: ``max_batch_size`` waiting, or the oldest
-        request has aged ``max_latency_s``, or the batcher is draining.
+        Dispatch condition: no batch in flight, or ``max_batch_size``
+        waiting, or the oldest request has aged ``max_latency_s``, or
+        the batcher is draining.  The caller owns the returned batch's
+        in-flight count and must release it (see :meth:`_worker_loop`).
         """
         with self._cv:
             while True:
@@ -304,13 +318,14 @@ class MicroBatcher:
                         request_id=request.request_id))
                 if self._queue:
                     oldest = self._queue[0].enqueued_at
-                    if (len(self._queue) >= self.max_batch_size
+                    if (self._inflight == 0
+                            or len(self._queue) >= self.max_batch_size
                             or now - oldest >= self.max_latency_s
                             or self._stopping):
-                        batch = [self._queue.popleft()
-                                 for _ in range(min(len(self._queue),
-                                                    self.max_batch_size))]
-                        return batch
+                        self._inflight += 1
+                        return [self._queue.popleft()
+                                for _ in range(min(len(self._queue),
+                                                   self.max_batch_size))]
                     self._cv.wait(self.max_latency_s - (now - oldest))
                     continue
                 if self._stopping:
@@ -340,98 +355,108 @@ class MicroBatcher:
                             attrs=attrs, status=status, error=error_text)
 
     def _worker_loop(self) -> None:
-        registry = get_registry()
         while True:
             batch = self._take_batch()
             if batch is None:
                 return
-            live = [r for r in batch
-                    if r.deadline is None or r.deadline > clock()]
-            for request in batch:
-                if request not in live:
-                    request.finish(None, self._deadline_error(
-                        "request expired before dispatch",
-                        request_id=request.request_id))
-            if not live:
-                continue
-            stacked = np.stack([r.features for r in live])
-            wait_ms = 1000.0 * (clock() - live[0].enqueued_at)
-            registry.observe("serve.batcher.batch_size", float(len(live)))
-            registry.observe("serve.batcher.queue_wait_ms", wait_ms)
-            # Request tracing: every traced member gets a queue-wait
-            # span; the *lead* member's context is activated around the
-            # dispatch so the engine/stage spans land in its trace, and
-            # the other members get pre-timed copies of the dispatch
-            # span linked to the shared batch id.
-            hub = _HUB
-            traced: List[_Request] = []
-            if hub.enabled:
-                # One span set per *trace* — a multi-row submit_all puts
-                # several requests with the same context in one batch.
-                seen_traces = set()
-                for request in live:
-                    ctx = request.trace_ctx
-                    if ctx is not None and ctx.trace_id not in seen_traces:
-                        seen_traces.add(ctx.trace_id)
-                        traced.append(request)
-            batch_attrs = None
-            dispatch_ts = 0.0
-            if traced:
-                batch_id = new_span_id()
-                now_perf, dispatch_ts = clock(), time.time()
-                batch_attrs = {"batch_id": batch_id,
-                               "batch_size": len(live),
-                               "members": [r.request_id for r in traced]}
-                for request in traced:
-                    hub.record_span(
-                        "serve.batcher.queue", request.trace_ctx,
-                        start_ts=request.enqueued_ts,
-                        duration_s=now_perf - request.enqueued_at,
-                        attrs={"batch_id": batch_id})
-            t0 = clock()
-            error_text: Optional[str] = None
             try:
-                if traced:
-                    with hub.activate(traced[0].trace_ctx):
-                        with span("serve.batcher.dispatch",
-                                  nbytes=int(stacked.nbytes),
-                                  attrs=batch_attrs):
-                            result = self.predict_fn(stacked)
-                else:
-                    with span("serve.batcher.dispatch",
-                              nbytes=int(stacked.nbytes)):
-                        result = self.predict_fn(stacked)
-                # ``predict_fn`` may tag its batch: a ``(labels, meta)``
-                # return delivers each row as ``(label, meta)``, letting
-                # callers attribute every answer to the engine snapshot
-                # that actually computed it (hot reload swaps engines
-                # *between* batches, not within one).
-                meta = None
-                if isinstance(result, tuple) and len(result) == 2:
-                    result, meta = result
-                labels = np.asarray(result)
-            except BaseException as exc:  # surfaced per request
-                error_text = f"{type(exc).__name__}: {exc}"
-                self._record_follower_dispatch(traced, dispatch_ts,
-                                               clock() - t0, batch_attrs,
-                                               error_text)
+                self._run_batch(batch)
+            finally:
                 with self._cv:
-                    self.stats["errors"] += len(live)
-                registry.inc("serve.batcher.errors", len(live))
-                for request in live:
-                    request.finish(None, exc)
-                continue
+                    self._inflight -= 1
+                    # An idle batcher dispatches at once: wake a worker
+                    # for whatever queued while this batch ran.
+                    self._cv.notify()
+
+    def _run_batch(self, batch: List[_Request]) -> None:
+        registry = get_registry()
+        live = [r for r in batch
+                if r.deadline is None or r.deadline > clock()]
+        for request in batch:
+            if request not in live:
+                request.finish(None, self._deadline_error(
+                    "request expired before dispatch",
+                    request_id=request.request_id))
+        if not live:
+            return
+        stacked = np.stack([r.features for r in live])
+        wait_ms = 1000.0 * (clock() - live[0].enqueued_at)
+        registry.observe("serve.batcher.batch_size", float(len(live)))
+        registry.observe("serve.batcher.queue_wait_ms", wait_ms)
+        # Request tracing: every traced member gets a queue-wait
+        # span; the *lead* member's context is activated around the
+        # dispatch so the engine/stage spans land in its trace, and
+        # the other members get pre-timed copies of the dispatch
+        # span linked to the shared batch id.
+        hub = _HUB
+        traced: List[_Request] = []
+        if hub.enabled:
+            # One span set per *trace* — a multi-row submit_all puts
+            # several requests with the same context in one batch.
+            seen_traces = set()
+            for request in live:
+                ctx = request.trace_ctx
+                if ctx is not None and ctx.trace_id not in seen_traces:
+                    seen_traces.add(ctx.trace_id)
+                    traced.append(request)
+        batch_attrs = None
+        dispatch_ts = 0.0
+        if traced:
+            batch_id = new_span_id()
+            now_perf, dispatch_ts = clock(), time.time()
+            batch_attrs = {"batch_id": batch_id,
+                           "batch_size": len(live),
+                           "members": [r.request_id for r in traced]}
+            for request in traced:
+                hub.record_span(
+                    "serve.batcher.queue", request.trace_ctx,
+                    start_ts=request.enqueued_ts,
+                    duration_s=now_perf - request.enqueued_at,
+                    attrs={"batch_id": batch_id})
+        t0 = clock()
+        error_text: Optional[str] = None
+        try:
+            if traced:
+                with hub.activate(traced[0].trace_ctx):
+                    with span("serve.batcher.dispatch",
+                              nbytes=int(stacked.nbytes),
+                              attrs=batch_attrs):
+                        result = self.predict_fn(stacked)
+            else:
+                with span("serve.batcher.dispatch",
+                          nbytes=int(stacked.nbytes)):
+                    result = self.predict_fn(stacked)
+            # ``predict_fn`` may tag its batch: a ``(labels, meta)``
+            # return delivers each row as ``(label, meta)``, letting
+            # callers attribute every answer to the engine snapshot
+            # that actually computed it (hot reload swaps engines
+            # *between* batches, not within one).
+            meta = None
+            if isinstance(result, tuple) and len(result) == 2:
+                result, meta = result
+            labels = np.asarray(result)
+        except BaseException as exc:  # surfaced per request
+            error_text = f"{type(exc).__name__}: {exc}"
             self._record_follower_dispatch(traced, dispatch_ts,
                                            clock() - t0, batch_attrs,
                                            error_text)
             with self._cv:
-                self.stats["batches"] += 1
-                self.stats["completed"] += len(live)
-            registry.inc("serve.batcher.batches")
-            registry.inc("serve.batcher.completed", len(live))
-            for request, label in zip(live, labels):
-                request.finish(int(label) if meta is None
-                               else (int(label), meta))
+                self.stats["errors"] += len(live)
+            registry.inc("serve.batcher.errors", len(live))
+            for request in live:
+                request.finish(None, exc)
+            return
+        self._record_follower_dispatch(traced, dispatch_ts,
+                                       clock() - t0, batch_attrs,
+                                       error_text)
+        with self._cv:
+            self.stats["batches"] += 1
+            self.stats["completed"] += len(live)
+        registry.inc("serve.batcher.batches")
+        registry.inc("serve.batcher.completed", len(live))
+        for request, label in zip(live, labels):
+            request.finish(int(label) if meta is None
+                           else (int(label), meta))
 
     # ------------------------------------------------------------------
     def shutdown(self, timeout_s: float = 10.0) -> None:

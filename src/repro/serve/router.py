@@ -1,9 +1,9 @@
 """Fleet router: consistent-hash, health-gated request routing.
 
 The front door of the fault-tolerant serving fleet.  A stdlib
-:class:`ThreadingHTTPServer` (same zero-dependency style as
-:mod:`~repro.serve.server`) accepts client requests and forwards them to
-the worker processes a :class:`~repro.serve.fleet.Supervisor` (or
+``ThreadingHTTPServer`` with the handler base the workers use
+(:mod:`~repro.serve.handler`) accepts client requests and forwards them
+to the worker processes a :class:`~repro.serve.fleet.Supervisor` (or
 :class:`~repro.serve.fleet.StaticFleet`) maintains:
 
 * **Consistent hashing.**  Each request body is digested (sha1) and
@@ -31,7 +31,8 @@ the worker processes a :class:`~repro.serve.fleet.Supervisor` (or
   mid-flight.
 
 Endpoints: ``POST /predict`` (routed), ``GET /healthz`` (fleet +
-breaker summary), ``GET /metrics`` (Prometheus text of the router
+breaker summary), ``GET /tracez`` + ``/requestz`` (the router's own
+traces and request log), ``GET /metrics`` (Prometheus text of the router
 process registry — which already carries the supervisor's per-worker
 up/restart gauges, the breaker state gauges, and the router's own
 ``fleet.router.*`` counters and latency quantiles), ``GET /driftz``
@@ -50,21 +51,16 @@ import json
 import signal
 import threading
 import time
-import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..reliability.circuit import CircuitBreaker
 from ..telemetry import (AlertManager, BurnRateTracker, clock,
-                         get_registry, get_request_log, prometheus_text,
-                         request_span)
+                         get_registry, get_request_log, request_span)
 from ..telemetry.reqtrace import HUB as _HUB
 from ..telemetry.reqtrace import TraceContext, _RequestTrace
-from .server import _requestz_payload, _tracez_payload
+from .handler import DISCONNECTS, HTTPServer, JsonHandler, Query, Response
 
 __all__ = ["Router", "HashRing"]
-
-_DISCONNECTS = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
 
 #: Worker answers worth retrying on a different worker (the request is
 #: idempotent): server errors, shed (503), and deadline (504).
@@ -165,7 +161,7 @@ class _WorkerClient:
                 status = response.status
                 will_close = response.will_close
             except (http.client.RemoteDisconnected,
-                    *_DISCONNECTS) as exc:
+                    *DISCONNECTS) as exc:
                 conn.close()
                 if reused:
                     # Stale keep-alive connection, not a worker fault:
@@ -192,118 +188,41 @@ class _WorkerClient:
             conn.close()
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server: "_RouterHTTPServer"
+class _RouterHandler(JsonHandler):
+    """Routes requests to the owning :class:`Router`."""
 
-    #: Trace context echoed on every response (404s and drain-rejects
-    #: included); /predict swaps in its live root-span context.
-    _trace_ctx: Optional[TraceContext] = None
+    requests_metric = "fleet.router.http.requests"
 
-    def _begin_request(self) -> TraceContext:
-        ctx = TraceContext.parse(self.headers.get("traceparent"))
-        if ctx is None:
-            ctx = TraceContext.mint(sampled=False)
-        self._trace_ctx = ctx
-        return ctx
-
-    def _trace_headers(self) -> Dict[str, str]:
-        ctx = self._trace_ctx
-        if ctx is None:
-            return {}
-        return {"X-Trace-Id": ctx.trace_id,
-                "traceparent": ctx.to_traceparent()}
-
-    def _send_json(self, status: int, payload: Dict[str, Any],
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        self._send_raw(status, json.dumps(payload).encode("utf-8"),
-                       "application/json", headers)
-
-    def _send_raw(self, status: int, body: bytes, content_type: str,
-                  headers: Optional[Dict[str, str]] = None) -> None:
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in self._trace_headers().items():
-                self.send_header(name, value)
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except _DISCONNECTS:
-            get_registry().inc("serve.client_disconnect")
-            self.close_connection = True
-
-    def log_message(self, format: str, *args: Any) -> None:
-        get_registry().inc("fleet.router.http.requests")
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+    def route_get(self, path: str, query: Query) -> Optional[Response]:
         app = self.server.app
-        url = urllib.parse.urlsplit(self.path)
-        self._begin_request()
-        if url.path == "/healthz":
+        if path == "/healthz":
             payload = app.health()
-            self._send_json(200 if payload["status"] != "down" else 503,
-                            payload)
-        elif url.path == "/metrics":
-            self._send_raw(200, prometheus_text().encode("utf-8"),
-                           "text/plain; charset=utf-8")
-        elif url.path == "/tracez":
-            self._send_json(*_tracez_payload(url.query))
-        elif url.path == "/requestz":
-            self._send_json(200, _requestz_payload(url.query))
-        elif url.path == "/driftz":
-            self._send_json(200, app.fleet_driftz())
-        elif url.path == "/alertz":
-            self._send_json(200, app.alertz())
-        else:
-            self._send_json(404, {"error": f"no route {self.path!r}"})
+            return (200 if payload["status"] != "down" else 503), payload
+        if path == "/driftz":
+            return 200, app.fleet_driftz()
+        if path == "/alertz":
+            return 200, app.alertz()
+        return None
 
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
+    def route_post(self, path: str, body: bytes) -> Optional[Response]:
         app = self.server.app
-        self._begin_request()
-        length = int(self.headers.get("Content-Length", 0))
-        try:
-            body = self.rfile.read(length)
-        except _DISCONNECTS:
-            get_registry().inc("serve.client_disconnect")
-            self.close_connection = True
-            return
-        if self.path == "/predict":
-            # Root span of the whole distributed request: the routed
-            # worker's server.request hangs under one of this trace's
-            # router.attempt spans.  Closed *before* the response goes
-            # out so an immediate /tracez lookup already sees it.
-            parent = TraceContext.parse(self.headers.get("traceparent"))
-            with _HUB.trace("router.request", parent=parent,
-                            attrs={"path": "/predict"}) as trace:
-                self._trace_ctx = trace.ctx
-                status, data, headers = app.route_predict(body,
-                                                          trace=trace)
-                trace.annotate(status=status)
-                if status >= 500:
-                    trace.set_error(f"HTTP {status}")
-            self._send_raw(status, data, "application/json", headers)
-        elif self.path == "/reload":
-            status, payload = app.broadcast_reload(body)
-            self._send_json(status, payload)
-        else:
-            self._send_json(404, {"error": f"no route {self.path!r}"})
-
-
-class _RouterHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    app: "Router"
-
-    def handle_error(self, request, client_address) -> None:
-        import sys
-        exc = sys.exc_info()[1]
-        if isinstance(exc, _DISCONNECTS):
-            get_registry().inc("serve.client_disconnect")
-            return
-        super().handle_error(request, client_address)
+        if path == "/reload":
+            return app.broadcast_reload(body)
+        if path != "/predict":
+            return None
+        # Root span of the whole distributed request: the routed
+        # worker's server.request hangs under one of this trace's
+        # router.attempt spans.  Closed *before* the response goes out
+        # so an immediate /tracez lookup already sees it.
+        parent = TraceContext.parse(self.headers.get("traceparent"))
+        with _HUB.trace("router.request", parent=parent,
+                        attrs={"path": "/predict"}) as trace:
+            self._trace_ctx = trace.ctx
+            status, data, headers = app.route_predict(body, trace=trace)
+            trace.annotate(status=status)
+            if status >= 500:
+                trace.set_error(f"HTTP {status}")
+        return status, data, headers
 
 
 class Router:
@@ -381,8 +300,7 @@ class Router:
         self._state_lock = threading.Lock()
         self._inflight = 0
         self._idle = threading.Condition()
-        self._httpd = _RouterHTTPServer((host, port), _RouterHandler)
-        self._httpd.app = self
+        self._httpd = HTTPServer((host, port), _RouterHandler, self)
         self._thread: Optional[threading.Thread] = None
         self._started = False
 
@@ -421,15 +339,15 @@ class Router:
     # Request routing
     # ------------------------------------------------------------------
     def route_predict(self, body: bytes,
-                      trace: Optional[_RequestTrace] = None
-                      ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
-        """Route one ``/predict`` body; returns (status, body, headers).
+                      trace: Optional[_RequestTrace] = None) -> Response:
+        """Route one ``/predict`` body; returns (status, payload, headers).
 
-        Non-retryable worker answers (2xx, 4xx) pass through verbatim —
-        they are the worker's verdict on the request, not a worker
-        fault.  ``trace`` (the handler's open root span) threads the
-        request id into error payloads, the request log, and the
-        latency exemplar; each forwarding attempt opens a
+        The payload is the worker's JSON body, or an error dict when no
+        worker answered.  Non-retryable worker answers (2xx, 4xx) pass
+        through verbatim — they are the worker's verdict on the request,
+        not a worker fault.  ``trace`` (the handler's open root span)
+        threads the request id into error payloads, the request log, and
+        the latency exemplar; each forwarding attempt opens a
         ``router.attempt`` child span whose context travels to the
         worker as its ``traceparent``.
         """
@@ -438,10 +356,8 @@ class Router:
         if self.draining:
             registry.inc("fleet.router.draining_rejects")
             self._record_slo(503, 0.0)
-            return (503, json.dumps(
-                {"error": "router is draining", "retryable": True,
-                 "request_id": request_id}
-            ).encode("utf-8"), {"Retry-After": "1"})
+            return (503, {"error": "router is draining", "retryable": True,
+                          "request_id": request_id}, {"Retry-After": "1"})
         with self._idle:
             self._inflight += 1
         t0 = clock()
@@ -490,8 +406,7 @@ class Router:
 
     def _route_predict_inner(self, body: bytes,
                              trace: Optional[_RequestTrace] = None
-                             ) -> Tuple[int, bytes,
-                                        Optional[Dict[str, str]]]:
+                             ) -> Response:
         registry = get_registry()
         registry.inc("fleet.router.requests")
         request_id = trace.trace_id if trace is not None else None
@@ -503,10 +418,9 @@ class Router:
                       if worker_id in healthy]
         if not candidates:
             registry.inc("fleet.router.no_backend")
-            return (503, json.dumps(
-                {"error": "no healthy worker in rotation",
-                 "retryable": True, "request_id": request_id}
-            ).encode("utf-8"), {"Retry-After": "1"})
+            return (503, {"error": "no healthy worker in rotation",
+                          "retryable": True, "request_id": request_id},
+                    {"Retry-After": "1"})
 
         attempts = 0
         last_failure = "all workers refused by circuit breakers"
@@ -561,11 +475,10 @@ class Router:
                 registry.inc("fleet.router.rerouted")
             return status, data, None
         registry.inc("fleet.router.exhausted")
-        return (503, json.dumps(
-            {"error": f"no worker answered after {attempts} attempts "
-                      f"(last: {last_failure})",
-             "retryable": True, "request_id": request_id}
-            ).encode("utf-8"), {"Retry-After": "1"})
+        return (503, {"error": f"no worker answered after {attempts} "
+                               f"attempts (last: {last_failure})",
+                      "retryable": True, "request_id": request_id},
+                {"Retry-After": "1"})
 
     def broadcast_reload(self, body: bytes
                          ) -> Tuple[int, Dict[str, Any]]:

@@ -45,11 +45,12 @@ Endpoints
     the chaos harness.  Only routed when the server was built with
     ``chaos=True`` (or ``REPRO_SERVE_CHAOS=1``); otherwise 404.
 
-Client disconnects (a load generator hanging up mid-response) are
-counted in ``serve.client_disconnect`` instead of dumping stack traces
-to stderr.  ``SIGTERM`` triggers a graceful drain: stop accepting,
-answer everything queued in the micro-batcher, then exit — the same
-code path a fleet supervisor uses to stop a worker.
+``GET /metrics``, ``/tracez`` and ``/requestz``, one-write responses,
+request-id echo, ``Content-Length`` checks and client-disconnect
+counting come from the handler base shared with the fleet router
+(:mod:`~repro.serve.handler`).  ``SIGTERM`` triggers a graceful drain:
+stop accepting, answer everything queued in the micro-batcher, then
+exit — the same code path a fleet supervisor uses to stop a worker.
 """
 
 from __future__ import annotations
@@ -59,21 +60,20 @@ import os
 import signal
 import threading
 import time
-import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..reliability.degrade import (DeadlineExceededError, LoadShedder,
                                    OverloadShedError)
-from ..telemetry import (AlertManager, clock, get_flight_recorder,
-                         get_registry, get_request_log, prometheus_text)
+from ..telemetry import (AlertManager, clock, get_registry,
+                         get_request_log)
 from ..telemetry.reqtrace import HUB as _HUB
 from ..telemetry.reqtrace import TraceContext
 from .batching import MicroBatcher
 from .bundle import BundleError, ModelBundle
 from .engine import EngineSelfCheckError, InferenceEngine
+from .handler import HTTPServer, JsonHandler, Query, Response
 
 __all__ = ["ModelServer", "RequestError", "ReloadError"]
 
@@ -86,197 +86,101 @@ class RequestError(ValueError):
     """Client-side error (malformed JSON / wrong feature shape): HTTP 400."""
 
 
-#: Exceptions raised when the client hangs up mid-request/-response.
-_DISCONNECTS = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
-
-
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     """Routes requests to the owning :class:`ModelServer`."""
 
-    protocol_version = "HTTP/1.1"
-    server: "_HTTPServer"
-
-    #: Request-trace context echoed on every response of the current
-    #: request (set at the top of do_GET/do_POST, refreshed by /predict
-    #: with its live root-span context).
-    _trace_ctx: Optional[TraceContext] = None
-
-    # -- helpers -------------------------------------------------------
-    def _begin_request(self) -> TraceContext:
-        """Adopt the client's traceparent (or mint a request id).
-
-        Every response — including 404/400/503/504/500 — carries
-        ``X-Trace-Id`` + ``traceparent`` headers built from this
-        context, whether or not tracing is enabled.
-        """
-        ctx = TraceContext.parse(self.headers.get("traceparent"))
-        if ctx is None:
-            ctx = TraceContext.mint(sampled=False)
-        self._trace_ctx = ctx
-        return ctx
-
-    def _trace_headers(self) -> Dict[str, str]:
-        ctx = self._trace_ctx
-        if ctx is None:
-            return {}
-        return {"X-Trace-Id": ctx.trace_id,
-                "traceparent": ctx.to_traceparent()}
-
-    def _send_json(self, status: int, payload: Dict[str, Any],
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in self._trace_headers().items():
-                self.send_header(name, value)
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except _DISCONNECTS:
-            # The client is gone; nobody is owed this response.
-            get_registry().inc("serve.client_disconnect")
-            self.close_connection = True
-
-    def _send_text(self, status: int, text: str,
-                   content_type: str = "text/plain; charset=utf-8") -> None:
-        body = text.encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in self._trace_headers().items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except _DISCONNECTS:
-            get_registry().inc("serve.client_disconnect")
-            self.close_connection = True
-
-    def log_message(self, format: str, *args: Any) -> None:
-        # Access logs go to the metrics registry, not stderr (tests and
-        # benchmarks would otherwise drown in per-request lines).
-        get_registry().inc("serve.http.requests")
-
-    # -- routes --------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+    def route_get(self, path: str, query: Query) -> Optional[Response]:
         app = self.server.app
-        url = urllib.parse.urlsplit(self.path)
         # Probe endpoints are *not* traced (a supervisor heartbeats
         # /healthz several times a second — root spans for those would
         # churn the flight recorder), but every response still echoes a
         # request id.
-        self._begin_request()
-        if url.path == "/healthz":
+        if path == "/healthz":
             app._maybe_stall()
-            query = urllib.parse.parse_qs(url.query)
             deep = query.get("deep", ["0"])[-1] not in ("0", "", "false")
             payload = app.health(deep=deep)
-            status = 200 if payload["status"] != "selfcheck_failed" else 500
-            self._send_json(status, payload)
-        elif url.path == "/metrics":
-            self._send_text(200, prometheus_text())
-        elif url.path == "/tracez":
-            self._send_json(*_tracez_payload(url.query))
-        elif url.path == "/requestz":
-            self._send_json(200, _requestz_payload(url.query))
-        elif url.path == "/driftz":
-            self._send_json(200, app.driftz())
-        elif url.path == "/alertz":
-            self._send_json(200, app.alertz())
-        elif url.path == "/onlinez":
-            self._send_json(200, app.onlinez())
-        else:
-            self._send_json(404, {"error": f"no route {self.path!r}"})
+            return (200 if payload["status"] != "selfcheck_failed"
+                    else 500), payload
+        if path == "/driftz":
+            return 200, app.driftz()
+        if path == "/alertz":
+            return 200, app.alertz()
+        if path == "/onlinez":
+            return 200, app.onlinez()
+        return None
 
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
+    def route_post(self, path: str, body: bytes) -> Optional[Response]:
         app = self.server.app
-        self._begin_request()
-        if self.path == "/reload":
-            self._do_reload(app)
-            return
-        if self.path == "/feedback":
-            self._do_feedback(app)
-            return
-        if self.path == "/promote":
-            self._do_promote(app)
-            return
-        if self.path == "/slow" and app.chaos:
-            self._do_slow(app)
-            return
-        if self.path != "/predict":
-            self._send_json(404, {"error": f"no route {self.path!r}"})
-            return
+        if path == "/predict":
+            return self._do_predict(app, body)
+        if path == "/reload":
+            return self._do_reload(app, body)
+        if path == "/feedback":
+            return self._do_feedback(app, body)
+        if path == "/promote":
+            return self._do_promote(app)
+        if path == "/slow" and app.chaos:
+            return self._do_slow(app, body)
+        return None
+
+    def _do_predict(self, app: "ModelServer", body: bytes) -> Response:
         registry = get_registry()
         # Root span of this worker's part of the request.  The client's
         # traceparent (router or external) becomes the parent, so the
         # cross-process stitcher hangs this hop under the router's
         # attempt span.  Works with tracing disabled too — the context
-        # still carries the request id every response echoes.
+        # still carries the request id every response echoes.  The
+        # response is sent AFTER the root span closes, so by the time
+        # the client holds its trace id the flight recorder has already
+        # retained the trace — an immediate /tracez lookup cannot race
+        # the request it is looking for.
         client_parent = TraceContext.parse(self.headers.get("traceparent"))
-        # The response is sent AFTER the root span closes, so by the
-        # time the client holds its trace id the flight recorder has
-        # already retained the trace — an immediate /tracez lookup
-        # cannot race the request it is looking for.
-        response: Optional[Tuple[int, Dict[str, Any],
-                                 Optional[Dict[str, str]]]] = None
+        headers = None
         with _HUB.trace("server.request",
                         parent=client_parent,
                         attrs={"path": "/predict"}) as trace:
             self._trace_ctx = trace.ctx
             t0 = clock()
             n_rows = 0
-            status, error_text = 200, None
             try:
                 app._maybe_stall()
-                length = int(self.headers.get("Content-Length", 0))
-                features = _parse_features(self.rfile.read(length))
+                features = _parse_features(body)
                 n_rows = len(features)
                 labels, models = app.predict_tagged(
                     features, trace_ctx=trace.ctx)
-            except _DISCONNECTS:
-                registry.inc("serve.client_disconnect")
-                trace.set_error("client disconnect")
-                self.close_connection = True
-                return
             except RequestError as exc:
-                status, error_text = 400, str(exc)
                 registry.inc("serve.http.bad_request")
-                response = (400, {"error": str(exc),
-                                  "request_id": trace.trace_id}, None)
+                status, payload = 400, {"error": str(exc),
+                                        "request_id": trace.trace_id}
             except OverloadShedError as exc:
-                status, error_text = 503, str(exc)
                 registry.inc("serve.http.shed")
-                response = (
-                    503, {"error": str(exc), "retryable": True,
-                          "request_id": exc.request_id or trace.trace_id,
-                          "model": exc.model},
-                    {"Retry-After": "1"})
+                status, payload = 503, {
+                    "error": str(exc), "retryable": True,
+                    "request_id": exc.request_id or trace.trace_id,
+                    "model": exc.model}
+                headers = {"Retry-After": "1"}
             except DeadlineExceededError as exc:
-                status, error_text = 504, str(exc)
                 registry.inc("serve.http.deadline")
-                response = (
-                    504, {"error": str(exc), "retryable": True,
-                          "request_id": exc.request_id or trace.trace_id,
-                          "model": exc.model}, None)
+                status, payload = 504, {
+                    "error": str(exc), "retryable": True,
+                    "request_id": exc.request_id or trace.trace_id,
+                    "model": exc.model}
             except Exception as exc:  # engine failure
-                status = 500
-                error_text = f"{type(exc).__name__}: {exc}"
                 registry.inc("serve.http.internal_error")
-                response = (500, {"error": error_text,
-                                  "request_id": trace.trace_id}, None)
+                status, payload = 500, {
+                    "error": f"{type(exc).__name__}: {exc}",
+                    "request_id": trace.trace_id}
             else:
                 if app.online is not None:
                     # Retain single-row request features so feedback can
                     # reference them by request_id instead of re-upload.
                     app.online.remember(trace.trace_id, features)
-                response = (200, {
+                status, payload = 200, {
                     "labels": [int(label) for label in labels],
                     "model": models[0] if len(models) == 1 else models,
                     "request_id": trace.trace_id,
-                }, None)
+                }
+            error_text = payload.get("error")
             latency_ms = 1000.0 * (clock() - t0)
             # The P99 exemplar points at a real recent trace: a slow
             # /metrics scrape can be chased into /tracez directly.
@@ -289,9 +193,9 @@ class _Handler(BaseHTTPRequestHandler):
                 path="/predict", status=status, trace_id=trace.trace_id,
                 latency_ms=round(latency_ms, 3), rows=n_rows,
                 error=error_text)
-        self._send_json(response[0], response[1], headers=response[2])
+        return status, payload, headers
 
-    def _do_reload(self, app: "ModelServer") -> None:
+    def _do_reload(self, app: "ModelServer", body: bytes) -> Response:
         """``POST /reload``: swap in a re-verified bundle (or refuse).
 
         An optional JSON body ``{"bundle": "path.npz"}`` points the
@@ -301,8 +205,6 @@ class _Handler(BaseHTTPRequestHandler):
         """
         registry = get_registry()
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = self.rfile.read(length) if length else b""
             path = None
             if body.strip():
                 try:
@@ -317,14 +219,13 @@ class _Handler(BaseHTTPRequestHandler):
             info = app.reload(path)
         except RequestError as exc:
             registry.inc("serve.http.bad_request")
-            self._send_json(400, {"error": str(exc)})
+            return 400, {"error": str(exc)}
         except ReloadError as exc:
             registry.inc("serve.reload.rejected")
-            self._send_json(409, {"error": str(exc), "reloaded": False})
-        else:
-            self._send_json(200, info)
+            return 409, {"error": str(exc), "reloaded": False}
+        return 200, info
 
-    def _do_feedback(self, app: "ModelServer") -> None:
+    def _do_feedback(self, app: "ModelServer", body: bytes) -> Response:
         """``POST /feedback``: guarded shadow-model update from a label.
 
         Body: ``{"label": k, "features": [...]}`` or ``{"label": k,
@@ -337,32 +238,26 @@ class _Handler(BaseHTTPRequestHandler):
         registry = get_registry()
         registry.inc("serve.feedback.requests")
         if app.online is None:
-            self._send_json(404, {"error": "online learning is not "
-                                           "enabled on this server"})
-            return
+            return 404, {"error": "online learning is not enabled on "
+                                  "this server"}
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+            payload = json.loads(body.decode("utf-8"))
             if not isinstance(payload, dict):
                 raise ValueError("feedback body must be a JSON object")
         except (ValueError, UnicodeDecodeError) as exc:
             registry.inc("serve.feedback.bad_request")
-            self._send_json(400, {"error": f"invalid feedback body: "
-                                           f"{exc}"})
-            return
+            return 400, {"error": f"invalid feedback body: {exc}"}
         try:
-            status, body = app.online.feedback(payload)
+            status, answer = app.online.feedback(payload)
         except Exception as exc:  # defensive: keep the worker alive
             registry.inc("serve.http.internal_error")
-            self._send_json(500, {"error":
-                                  f"{type(exc).__name__}: {exc}"})
-            return
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}
         if status == 400:
             registry.inc("serve.feedback.bad_request")
-        headers = {"Retry-After": "1"} if status == 429 else None
-        self._send_json(status, body, headers=headers)
+        return status, answer, ({"Retry-After": "1"} if status == 429
+                                else None)
 
-    def _do_promote(self, app: "ModelServer") -> None:
+    def _do_promote(self, app: "ModelServer") -> Response:
         """``POST /promote``: run the promotion gates right now.
 
         Evaluation on demand — the gates still apply; this cannot force
@@ -370,73 +265,26 @@ class _Handler(BaseHTTPRequestHandler):
         decision record (also retained on ``/onlinez``).
         """
         if app.online is None:
-            self._send_json(404, {"error": "online learning is not "
-                                           "enabled on this server"})
-            return
+            return 404, {"error": "online learning is not enabled on "
+                                  "this server"}
         try:
-            decision = app.online.try_promote()
+            return 200, app.online.try_promote()
         except Exception as exc:  # defensive: keep the worker alive
             get_registry().inc("serve.http.internal_error")
-            self._send_json(500, {"error":
-                                  f"{type(exc).__name__}: {exc}"})
-            return
-        self._send_json(200, decision)
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}
 
-    def _do_slow(self, app: "ModelServer") -> None:
+    def _do_slow(self, app: "ModelServer", body: bytes) -> Response:
         """``POST /slow`` (chaos builds): wedge the worker for a while."""
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            stall_s = float(payload["stall_s"])
+            stall_s = float(json.loads(body.decode("utf-8"))["stall_s"])
             if not 0.0 <= stall_s <= 120.0:
                 raise ValueError(f"stall_s out of range: {stall_s}")
         except (KeyError, TypeError, ValueError,
                 UnicodeDecodeError) as exc:
-            self._send_json(400, {"error": f'expected {{"stall_s": '
-                                           f's}}: {exc}'})
-            return
+            return 400, {"error": f'expected {{"stall_s": s}}: {exc}'}
         get_registry().inc("serve.chaos.stalls")
         app.stall(stall_s)
-        self._send_json(200, {"stalled_s": stall_s})
-
-
-def _tracez_payload(query: str) -> Tuple[int, Dict[str, Any]]:
-    """``GET /tracez`` body: flight-recorder snapshot or one trace.
-
-    ``?trace_id=<id>`` looks up a retained trace (404 with the retained
-    id list when it aged out); no query returns the recorder snapshot
-    (retained traces sorted slowest-first, active-trace count, stats).
-    Shared by the worker and router handlers.
-    """
-    params = urllib.parse.parse_qs(query)
-    trace_id = params.get("trace_id", [None])[-1]
-    recorder = get_flight_recorder()
-    if trace_id:
-        found = recorder.lookup(trace_id)
-        if found is None:
-            return 404, {"error": f"trace {trace_id!r} not retained",
-                         "retained": recorder.retained_ids()}
-        return 200, found
-    return 200, recorder.snapshot()
-
-
-def _requestz_payload(query: str) -> Dict[str, Any]:
-    """``GET /requestz`` body: the structured request log (newest first).
-
-    ``?limit=N`` bounds the slice, ``?errors=1`` filters to failures,
-    ``?trace_id=<id>`` pulls one request's record.
-    """
-    params = urllib.parse.parse_qs(query)
-    try:
-        limit = int(params.get("limit", ["100"])[-1])
-    except ValueError:
-        limit = 100
-    errors_only = params.get("errors", ["0"])[-1] not in ("0", "", "false")
-    trace_id = params.get("trace_id", [None])[-1]
-    log = get_request_log()
-    return {"requests": log.snapshot(limit=limit, trace_id=trace_id,
-                                     errors_only=errors_only),
-            "appended": log.appended}
+        return 200, {"stalled_s": stall_s}
 
 
 def _parse_features(body: bytes) -> np.ndarray:
@@ -460,26 +308,6 @@ def _parse_features(body: bytes) -> np.ndarray:
     if not np.isfinite(features).all():
         raise RequestError("features contain NaN/Inf")
     return features
-
-
-class _HTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    app: "ModelServer"
-
-    def handle_error(self, request, client_address) -> None:
-        """Count client disconnects instead of spewing tracebacks.
-
-        Anything that escapes the handler's own try/except (e.g. a
-        reset while *reading* the request line) lands here; for real
-        server bugs keep the default stderr traceback.
-        """
-        import sys
-        exc = sys.exc_info()[1]
-        if isinstance(exc, _DISCONNECTS):
-            get_registry().inc("serve.client_disconnect")
-            return
-        super().handle_error(request, client_address)
 
 
 class ModelServer:
@@ -586,8 +414,7 @@ class ModelServer:
                 # here would cycle.
                 from ..online import OnlineLearner
                 self.online = OnlineLearner(self, **opts)
-        self._httpd = _HTTPServer((host, port), _Handler)
-        self._httpd.app = self
+        self._httpd = HTTPServer((host, port), _Handler, self)
         self._thread: Optional[threading.Thread] = None
         self._started = False
 

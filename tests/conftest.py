@@ -1,11 +1,14 @@
 """Shared fixtures for the test suite (serving helpers)."""
 
+import http.client
+import json
 import time
 
 import numpy as np
 import pytest
 
 from repro.serve import BUNDLE_VERSION, ModelBundle
+from repro.serve.handler import JsonHandler
 from repro.telemetry import config_fingerprint, git_info
 from repro.utils.rng import fresh_rng
 
@@ -55,3 +58,100 @@ def _synthetic_bundle(dim=512, features=32, classes=6, seed=0,
 def synthetic_bundle():
     """Factory fixture: ``synthetic_bundle(dim=..., ...)`` → ModelBundle."""
     return _synthetic_bundle
+
+
+# ----------------------------------------------------------------------
+# HTTP wire helpers (worker and router handler tests)
+# ----------------------------------------------------------------------
+class _RecordingWriter:
+    """A handler's ``wfile`` that logs every write before passing it on."""
+
+    def __init__(self, wfile, log):
+        self._wfile = wfile
+        self._log = log
+
+    def write(self, data):
+        self._log.append(bytes(data))
+        return self._wfile.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._wfile, name)
+
+
+@pytest.fixture
+def handler_writes(monkeypatch):
+    """Every ``wfile.write`` of every request handler, in order."""
+    log = []
+    setup = JsonHandler.setup
+
+    def recording_setup(self):
+        setup(self)
+        self.wfile = _RecordingWriter(self.wfile, log)
+
+    monkeypatch.setattr(JsonHandler, "setup", recording_setup)
+    return log
+
+
+def whole_response_status(chunk):
+    """Status of a write that holds one complete HTTP response.
+
+    Fails unless the chunk is a status line, headers, and exactly the
+    ``Content-Length`` bytes of body.
+    """
+    head, sep, body = chunk.partition(b"\r\n\r\n")
+    assert sep, f"write without a header block: {chunk[:60]!r}"
+    lines = head.decode("latin-1").split("\r\n")
+    assert lines[0].startswith("HTTP/1.1 "), lines[0]
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    assert int(headers["Content-Length"]) == len(body), headers
+    return int(lines[0].split()[1])
+
+
+def keepalive_predict_ms(address, body, count=20):
+    """Client-side ms of ``count`` sequential /predict on one connection."""
+    conn = http.client.HTTPConnection(*address, timeout=10)
+    times = []
+    try:
+        for _ in range(count):
+            t0 = time.perf_counter()
+            conn.request("POST", "/predict", body,
+                         {"Content-Type": "application/json"})
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+            times.append(1000.0 * (time.perf_counter() - t0))
+    finally:
+        conn.close()
+    return times
+
+
+def post_with_content_length(address, value):
+    """POST /predict announcing ``Content-Length: value`` and no body.
+
+    Returns ``(status, headers, body, closed)`` where ``closed`` is
+    whether the server hung up after answering.
+    """
+    conn = http.client.HTTPConnection(*address, timeout=5)
+    try:
+        conn.putrequest("POST", "/predict")
+        conn.putheader("Content-Length", value)
+        conn.endheaders()
+        response = conn.getresponse()
+        body = response.read()
+        return (response.status, dict(response.getheaders()), body,
+                response.will_close)
+    finally:
+        conn.close()
+
+
+def http_status(address, method, path, payload=None):
+    """Status of one request on a fresh connection (4xx/5xx included)."""
+    conn = http.client.HTTPConnection(*address, timeout=10)
+    try:
+        body = None if payload is None else json.dumps(payload).encode()
+        conn.request(method, path, body)
+        response = conn.getresponse()
+        response.read()
+        return response.status
+    finally:
+        conn.close()

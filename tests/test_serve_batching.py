@@ -1,5 +1,6 @@
 """Micro-batcher: coalescing, deadlines, shedding, graceful shutdown."""
 
+import sys
 import threading
 import time
 
@@ -66,6 +67,70 @@ class TestCoalescing:
             elapsed = time.monotonic() - t0
         assert label == 1
         assert elapsed < 2.0, "latency flush did not fire"
+
+    def test_lone_submit_dispatches_at_once(self):
+        """An idle batcher does not wait out ``max_latency_ms``."""
+        with MicroBatcher(argmax_fn, max_latency_ms=500.0,
+                          workers=1) as batcher:
+            t0 = time.monotonic()
+            label = batcher.submit(np.array([0.0, 3.0, 1.0]))
+            elapsed = time.monotonic() - t0
+        assert label == 1
+        assert elapsed < 0.1, f"idle dispatch took {elapsed:.3f}s"
+
+    def test_requests_queued_in_flight_leave_as_one_batch(self):
+        fn = RecordingFn(delay_s=0.05)
+        rng = np.random.default_rng(4)
+        features = rng.standard_normal((5, 6))
+        with MicroBatcher(fn, max_batch_size=16, max_latency_ms=1000.0,
+                          workers=2) as batcher:
+            threads = [threading.Thread(target=batcher.submit, args=(row,))
+                       for row in features]
+            # The lead finds the batcher idle and leaves alone (well
+            # inside the 1 s window); the rest queue during its 50 ms
+            # in flight.
+            threads[0].start()
+            deadline = time.monotonic() + 0.5
+            while not fn.batch_sizes and time.monotonic() < deadline:
+                time.sleep(0.001)
+            for thread in threads[1:]:
+                thread.start()
+            for thread in threads:
+                thread.join(5.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert fn.batch_sizes[0] == 1
+        assert max(fn.batch_sizes[1:]) > 1, fn.batch_sizes
+        assert sum(fn.batch_sizes) == len(features)
+
+    def test_idle_again_after_contention(self):
+        """After a storm of concurrent submits on more workers than
+        cores, a lone request still dispatches at once: a lost update of
+        the in-flight count would leave it waiting out the 500 ms cap."""
+        fn = RecordingFn(delay_s=0.001)
+        rng = np.random.default_rng(5)
+        features = rng.standard_normal((64, 6))
+        results = [None] * len(features)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MicroBatcher(fn, max_batch_size=4, max_latency_ms=500.0,
+                              workers=4) as batcher:
+                def submit(i):
+                    results[i] = batcher.submit(features[i])
+                threads = [threading.Thread(target=submit, args=(i,))
+                           for i in range(len(features))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                t0 = time.monotonic()
+                batcher.submit(features[0])
+                elapsed = time.monotonic() - t0
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [int(v) for v in argmax_fn(features)]
+        assert elapsed < 0.1, f"idle dispatch took {elapsed:.3f}s"
 
     def test_concurrent_submits_are_correct(self):
         fn = RecordingFn(delay_s=0.002)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import statistics
 import urllib.error
 import urllib.request
 
@@ -11,6 +12,9 @@ import pytest
 from repro.serve import (HashRing, InferenceEngine, ModelServer, Router,
                          StaticFleet, free_port)
 from repro.telemetry import get_registry
+
+from .conftest import (http_status, keepalive_predict_ms,
+                       post_with_content_length, whole_response_status)
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures")
@@ -211,6 +215,56 @@ class TestRouting:
         fleet, _, _ = fleet_servers
         with pytest.raises(ValueError):
             Router(fleet, max_attempts=0)
+
+
+class TestWire:
+    """Router responses are one write each, like the workers' (a routed
+    request is two responses: the worker's, then the router's)."""
+
+    @pytest.mark.parametrize("method, path, payload, statuses", [
+        ("POST", "/predict", {"features": [0.0] * 32}, [200, 200]),
+        ("POST", "/predict", {"features": "nope"}, [400, 400]),
+        ("GET", "/nope", None, [404]),
+        ("GET", "/metrics", None, [200]),
+    ])
+    def test_one_write_per_response(self, fleet_servers, handler_writes,
+                                    method, path, payload, statuses):
+        fleet, _, _ = fleet_servers
+        with Router(fleet, port=0) as router:
+            status = http_status(router.address, method, path, payload)
+        assert status == statuses[-1]
+        assert [whole_response_status(c)
+                for c in handler_writes] == statuses
+
+    def test_one_write_for_no_backend_503(self, fleet_servers,
+                                          handler_writes):
+        fleet, _, _ = fleet_servers
+        fleet.set_healthy("w0", False)
+        fleet.set_healthy("w1", False)
+        with Router(fleet, port=0) as router:
+            assert http_status(router.address, "POST", "/predict",
+                               {"features": [0.0] * 32}) == 503
+        assert [whole_response_status(c)
+                for c in handler_writes] == [503]
+
+    def test_keepalive_predict_median_under_20ms(self, fleet_servers):
+        fleet, _, _ = fleet_servers
+        body = json.dumps({"features": [0.0] * 32}).encode()
+        with Router(fleet, port=0) as router:
+            times = keepalive_predict_ms(router.address, body)
+        assert statistics.median(times) < 20.0, times
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_hostile_content_length_is_400_unread(self, fleet_servers,
+                                                  value):
+        fleet, _, _ = fleet_servers
+        with Router(fleet, port=0) as router:
+            status, headers, body, closed = post_with_content_length(
+                router.address, value)
+            assert status == 400
+            assert json.loads(body)["request_id"] == headers["X-Trace-Id"]
+            assert closed
+            assert http_status(router.address, "GET", "/healthz") == 200
 
 
 class TestBroadcastReload:

@@ -2,6 +2,7 @@
 
 import json
 import socket
+import statistics
 import struct
 import threading
 import time
@@ -15,6 +16,9 @@ from repro.data import make_dataset
 from repro.learn import VanillaHD
 from repro.serve import InferenceEngine, ModelBundle, ModelServer
 from repro.telemetry import get_registry
+
+from .conftest import (http_status, keepalive_predict_ms,
+                       post_with_content_length, whole_response_status)
 
 
 def counter(name):
@@ -164,6 +168,77 @@ class TestDegradationMapping:
         finally:
             gated.gate.set()
             server.stop()
+
+
+def wait_for(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class TestWire:
+    """Each response is one write, so a keep-alive client never waits
+    out a delayed ACK; a hostile Content-Length is refused unread."""
+
+    @pytest.fixture()
+    def server(self, synthetic_bundle):
+        engine = InferenceEngine(synthetic_bundle(seed=25))
+        with ModelServer(engine, port=0) as server:
+            yield server
+
+    @pytest.mark.parametrize("method, path, payload, status", [
+        ("POST", "/predict", {"features": [0.0] * 32}, 200),
+        ("POST", "/predict", {"features": "nope"}, 400),
+        ("GET", "/nope", None, 404),
+        ("GET", "/metrics", None, 200),
+    ])
+    def test_one_write_per_response(self, server, handler_writes, method,
+                                    path, payload, status):
+        assert http_status(server.address, method, path, payload) == status
+        assert [whole_response_status(c) for c in handler_writes] == [status]
+
+    def test_one_write_for_shed_503(self, synthetic_bundle, handler_writes):
+        gated = GatedEngine(InferenceEngine(synthetic_bundle(seed=26)))
+        server = ModelServer(gated, port=0, workers=1, high_watermark=1,
+                             timeout_s=10.0).start()
+        body = {"features": [0.0] * 32}
+        threads = [threading.Thread(
+            target=http_status,
+            args=(server.address, "POST", "/predict", body))
+            for _ in range(2)]
+        try:
+            # The first request is in flight at the gate, the second
+            # queued: the third crosses the watermark.
+            threads[0].start()
+            wait_for(lambda: server.batcher.stats["submitted"] == 1
+                     and server.batcher.depth == 0)
+            threads[1].start()
+            wait_for(lambda: server.batcher.depth == 1)
+            assert http_status(server.address, "POST", "/predict",
+                               body) == 503
+            assert [whole_response_status(c)
+                    for c in handler_writes] == [503]
+        finally:
+            gated.gate.set()
+            for thread in threads:
+                thread.join(10.0)
+            server.stop()
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_keepalive_predict_median_under_20ms(self, server):
+        body = json.dumps({"features": [0.0] * 32}).encode()
+        times = keepalive_predict_ms(server.address, body)
+        assert statistics.median(times) < 20.0, times
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_hostile_content_length_is_400_unread(self, server, value):
+        status, headers, body, closed = post_with_content_length(
+            server.address, value)
+        assert status == 400
+        assert json.loads(body)["request_id"] == headers["X-Trace-Id"]
+        assert closed
+        assert http_status(server.address, "GET", "/healthz") == 200
 
 
 class TestLifecycle:
