@@ -7,6 +7,9 @@ pip install -e . --no-build-isolation 2>/dev/null || python setup.py develop
 python scripts/pretrain_teachers.py
 python scripts/warm_features.py
 pytest tests/ 2>&1 | tee test_output.txt
+# Benchmark smoke test (~25 s): every workload of bench/run.py, traced
+# and untraced, must keep its output contract (see bench/README.md).
+python3 -m pytest bench -q
 # Benchmark invocations append per-benchmark ledger entries via
 # benchmarks/conftest.py (results/ledger/benchmarks.jsonl); the
 # --benchmark-json dump is additionally ingested into the run ledger

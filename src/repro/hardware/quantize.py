@@ -15,6 +15,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..pipeline.stages import max_pool_2x2
+
 __all__ = ["QuantizedTensor", "quantize_symmetric", "QuantizedNSHD"]
 
 
@@ -96,9 +98,7 @@ class QuantizedNSHD:
             return features_scaled
         x = features_scaled.reshape(-1, *manifold.feature_shape)
         if manifold.pooling:
-            n, c, h, w = x.shape
-            x = x[:, :, :h // 2 * 2, :w // 2 * 2]
-            x = x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+            x = max_pool_2x2(x)
         pooled = x.reshape(len(x), -1)
         q_in = quantize_symmetric(pooled, self.bits)
         # Integer GEMM with a single rescale, DPU style.

@@ -215,9 +215,8 @@ class _HDPipeline:
 
         Returns ``(start_epoch, saved_history)``; a missing checkpoint
         under ``resume=True`` silently starts fresh (first run of a
-        to-be-resumed job), while a *corrupt* one raises so callers (or
-        :class:`repro.reliability.ResilientPipeline`) can decide how to
-        degrade.
+        to-be-resumed job), while a *corrupt* one raises so the caller
+        can decide how to degrade.
         """
         if not resume:
             return 0, None

@@ -52,7 +52,7 @@ __all__ = [
     "ExtractStage", "FlattenStage", "ScaleStage", "ManifoldReduceStage",
     "EncodeStage", "FusedEncodeStage", "ScalePoolStage",
     "ClassifyStage", "PackedClassifyStage",
-    "cosine_similarities", "clamped_norms", "encoder_spec",
+    "cosine_similarities", "clamped_norms", "max_pool_2x2", "encoder_spec",
     "register_stage", "stage_from_spec", "STAGE_TYPES",
 ]
 
@@ -93,6 +93,19 @@ def cosine_similarities(class_matrix: np.ndarray, queries: np.ndarray,
     query_norms = np.linalg.norm(queries, axis=1, keepdims=True)
     query_norms = np.where(query_norms < _NORM_FLOOR, 1.0, query_norms)
     return (queries @ class_matrix.T) / (query_norms * class_norms[None, :])
+
+
+def max_pool_2x2(x: np.ndarray) -> np.ndarray:
+    """Crop-to-even 2×2 / stride-2 max-pool of an ``(n, c, h, w)`` array.
+
+    The elementwise max of the four strided phase views: the same
+    values as ``F.max_pool2d(kernel=2)`` on the cropped input, NaN
+    included, without materializing a 6-D reduction.
+    """
+    h, w = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
+    top = np.maximum(x[:, :, 0:h:2, 0:w:2], x[:, :, 0:h:2, 1:w:2])
+    bottom = np.maximum(x[:, :, 1:h:2, 0:w:2], x[:, :, 1:h:2, 1:w:2])
+    return np.maximum(top, bottom, out=top)
 
 
 # ----------------------------------------------------------------------
@@ -331,9 +344,10 @@ class ManifoldReduceStage(Stage):
     """Manifold compression Ψ: crop-to-even max-pool (window 2) + FC.
 
     Numerically identical to ``F.max_pool2d(kernel=2)`` + ``F.linear``
-    on the same operands (max over the same four elements, then the same
-    ``pooled @ Wᵀ + b`` BLAS call) — proven bit-exact against the
-    autograd path by the golden fixtures and the engine-parity tests.
+    on the same operands (:func:`max_pool_2x2` takes the max over the
+    same four elements, then the same ``pooled @ Wᵀ + b`` BLAS call) —
+    proven bit-exact against the autograd path by the golden fixtures
+    and the engine-parity tests.
 
     The weight/bias *providers* are zero-argument callables so a live
     stage built from a :class:`~repro.learn.manifold.ManifoldLearner`
@@ -372,9 +386,7 @@ class ManifoldReduceStage(Stage):
         c, h, w = self.feature_shape
         x = features.reshape(-1, c, h, w)
         if self.pooling:
-            n = len(x)
-            x = x[:, :, :h // 2 * 2, :w // 2 * 2]
-            x = x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+            x = max_pool_2x2(x)
         pooled = x.reshape(len(x), -1)
         out = pooled @ self.weight.T
         bias = self.bias
@@ -704,9 +716,9 @@ class ScalePoolStage(Stage):
     per-position affine map with distinct ``μ/σ`` per position, and
     ``max`` does not commute with it — so the pass folds the pool
     *down* out of :class:`ManifoldReduceStage` into the scale step
-    instead.  That fold is **bit-exact**: the identical crop / reshape
-    / ``max`` expressions run on the identical operands in the same
-    order; only the stage boundary moves.  The win is that the
+    instead.  That fold is **bit-exact**: both stages pool through the
+    one :func:`max_pool_2x2` helper on the identical operands; only the
+    stage boundary moves.  The win is that the
     full-width scaled intermediate dies immediately after pooling
     (4× smaller downstream batch rows) and the reduce stage degenerates
     to a plain GEMM.
@@ -729,12 +741,8 @@ class ScalePoolStage(Stage):
                  ) -> np.ndarray:
         scaled = self.scaler.transform(
             np.asarray(batch, dtype=np.float64))
-        c, h, w = self.feature_shape
-        x = scaled.reshape(-1, c, h, w)
-        n = len(x)
-        x = x[:, :, :h // 2 * 2, :w // 2 * 2]
-        x = x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
-        return x.reshape(n, -1)
+        x = max_pool_2x2(scaled.reshape(-1, *self.feature_shape))
+        return x.reshape(len(x), -1)
 
     def spec(self) -> Dict[str, Any]:
         return {"type": self.stage_type, "name": self.name,

@@ -9,8 +9,6 @@ Implements the robustness story around the paper's HD pipelines:
   checkpoint truncation).
 * :mod:`~repro.reliability.report` — the accuracy-vs-bit-flip-rate
   robustness sweep for NSHD / BaselineHD / VanillaHD.
-* :mod:`~repro.reliability.resilient` — :class:`ResilientPipeline`,
-  bounded retry with batch splitting and checkpoint-corruption fallback.
 * :mod:`~repro.reliability.degrade` — serving-side overload
   degradation: :class:`LoadShedder` watermark admission control plus the
   shed/deadline error types surfaced by :mod:`repro.serve`.
@@ -29,7 +27,6 @@ from .guards import (POLICIES, NumericsError, NumericsGuard,
                      NumericsWarning)
 from .report import (DEFAULT_RATES, bit_flip_curve, bit_flip_sweep,
                      format_sweep, sweep_systems)
-from .resilient import ResilientPipeline
 
 __all__ = [
     "POLICIES", "NumericsError", "NumericsGuard", "NumericsWarning",
@@ -38,7 +35,6 @@ __all__ = [
     "flip_bits", "truncate_file",
     "DEFAULT_RATES", "bit_flip_curve", "bit_flip_sweep", "format_sweep",
     "sweep_systems",
-    "ResilientPipeline",
     "LoadShedder", "OverloadShedError", "DeadlineExceededError",
     "ServingDegradedError",
     "CircuitBreaker", "CircuitOpenError",

@@ -1,7 +1,6 @@
 """Per-dependency circuit breakers for the serving fleet.
 
-PR 1's :class:`ResilientPipeline` retries a *call*; the
-:class:`~repro.reliability.degrade.LoadShedder` protects a *queue*; this
+The :class:`~repro.reliability.degrade.LoadShedder` protects a *queue*; this
 module protects a *dependency*.  When one backend of the serving fleet
 (a worker process behind the router) starts failing, retrying it for
 every request doubles the damage: each attempt burns a client's latency

@@ -1,10 +1,9 @@
 """Overload degradation: admission control and serving-side errors.
 
-PR 1's :class:`ResilientPipeline` keeps a *single* predict call alive
-through transient faults; this module adds the complementary policy for
-a *stream* of requests — when the serving queue backs up faster than the
-workers drain it, the correct degradation is to shed load early (fail
-fast with a retryable error) instead of letting every request time out.
+This module is the degradation policy for a *stream* of requests: when
+the serving queue backs up faster than the workers drain it, the correct
+degradation is to shed load early (fail fast with a retryable error)
+instead of letting every request time out.
 
 :class:`LoadShedder` implements hysteresis admission control: once queue
 depth crosses ``high_watermark`` new requests are rejected until depth

@@ -13,7 +13,8 @@ everything they have in common:
   ``X-Trace-Id`` + ``traceparent``: the client's traceparent or a
   freshly minted request id.
 * **Request bodies.**  ``Content-Length`` is parsed once, here; a
-  non-numeric or negative value answers 400 without reading the body.
+  non-numeric or negative value answers 400, and one above
+  :data:`MAX_BODY_BYTES` answers 413, without reading the body.
 * **Read-only observability routes.**  ``GET /metrics``, ``/tracez``
   and ``/requestz`` read process-global state and are answered the same
   way in every process.
@@ -37,7 +38,12 @@ from ..telemetry import (get_flight_recorder, get_registry, get_request_log,
                          prometheus_text)
 from ..telemetry.reqtrace import TraceContext
 
-__all__ = ["DISCONNECTS", "HTTPServer", "JsonHandler", "Query", "Response"]
+__all__ = ["DISCONNECTS", "HTTPServer", "JsonHandler", "MAX_BODY_BYTES",
+           "Query", "Response"]
+
+#: Largest request body read (64 MiB): a 1024-feature ``/predict`` of
+#: 1000 rows is about 20 MB of JSON.  Larger bodies answer 413 unread.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Exceptions raised when the client hangs up mid-request/-response.
 DISCONNECTS = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
@@ -90,13 +96,12 @@ class JsonHandler(BaseHTTPRequestHandler):
         ctx = self._begin_request()
         length = self.headers.get("Content-Length", "0").strip()
         if not (length.isascii() and length.isdigit()):
-            # The body's extent is unknown, so it is left unread and the
-            # connection closed: its next bytes are not a request.
-            self.close_connection = True
-            self._respond((400, {"error": f"invalid Content-Length "
-                                          f"{length!r}",
-                                 "request_id": ctx.trace_id},
-                           {"Connection": "close"}))
+            self._refuse_body(ctx, 400, f"invalid Content-Length {length!r}")
+            return
+        if int(length) > MAX_BODY_BYTES:
+            # Reading it would allocate the announced size up front.
+            self._refuse_body(ctx, 413, f"request body of {length} bytes "
+                                        f"exceeds {MAX_BODY_BYTES}")
             return
         try:
             body = self.rfile.read(int(length))
@@ -104,6 +109,15 @@ class JsonHandler(BaseHTTPRequestHandler):
             self._disconnected()
             return
         self._respond(self.route_post(self.path, body))
+
+    def _refuse_body(self, ctx: TraceContext, status: int,
+                     message: str) -> None:
+        """Answer without reading the body, then close the connection:
+        the body's unread bytes are not a request."""
+        self.close_connection = True
+        self._respond((status, {"error": message,
+                                "request_id": ctx.trace_id},
+                       {"Connection": "close"}))
 
     # -- responses -----------------------------------------------------
     def _begin_request(self) -> TraceContext:

@@ -37,10 +37,12 @@ frozen at export time:
     saturation_fraction` of each encoded query batch — input overflow
     or a broken scaler shows up as dimensions hogging magnitude.
 
-Everything is numpy + stdlib, O(window) memory, and vectorized so the
-per-request cost stays far below the encode GEMM (the
-``scripts/check_quality.sh`` gate bounds the serve-P99 overhead at
-< 5%).
+Everything is numpy + stdlib and O(window) memory.  A batch enters the
+window in one vectorized update (``np.bincount`` moves for the evicted
+and the new rows).  On 1024 features and a 2-vCPU VM, a 256-row batch
+costs about 4 ms and a single row about 0.3 ms, which is then mostly
+the per-feature PSI refresh.  The ``scripts/check_quality.sh`` gate
+bounds the serve-P99 overhead at < 5%.
 """
 
 from __future__ import annotations
@@ -80,30 +82,28 @@ def population_stability_index(expected, actual,
     if expected.shape != actual.shape:
         raise ValueError(f"shape mismatch: {expected.shape} vs "
                          f"{actual.shape}")
-    e_sum, a_sum = float(expected.sum()), float(actual.sum())
-    if expected.size == 0 or e_sum <= 0 or a_sum <= 0:
+    if expected.size == 0:
         return 0.0
-    e = np.clip(expected / e_sum, epsilon, None)
-    a = np.clip(actual / a_sum, epsilon, None)
-    e /= e.sum()
-    a /= a.sum()
-    return float(np.sum((a - e) * np.log(a / e)))
+    return float(_psi_rows(_proportions(expected[None], epsilon),
+                           _proportions(actual[None], epsilon))[0])
 
 
-def _psi_rows(expected: np.ndarray, actual: np.ndarray,
-              epsilon: float = 1e-4) -> np.ndarray:
-    """Row-wise PSI for ``(F, B)`` expected/actual count matrices."""
-    e_sum = expected.sum(axis=1, keepdims=True)
-    a_sum = actual.sum(axis=1, keepdims=True)
-    valid = (e_sum > 0) & (a_sum > 0)
-    e = np.clip(np.divide(expected, np.where(e_sum > 0, e_sum, 1.0)),
+def _proportions(counts: np.ndarray, epsilon: float = 1e-4) -> tuple:
+    """``(proportions, has_mass)`` of an ``(F, B)`` count matrix: rows
+    normalized, floored at ``epsilon`` and renormalized.  A drift
+    monitor computes its baseline's side once, not on every refresh."""
+    total = counts.sum(axis=1, keepdims=True)
+    p = np.clip(np.divide(counts, np.where(total > 0, total, 1.0)),
                 epsilon, None)
-    a = np.clip(np.divide(actual, np.where(a_sum > 0, a_sum, 1.0)),
-                epsilon, None)
-    e /= e.sum(axis=1, keepdims=True)
-    a /= a.sum(axis=1, keepdims=True)
+    p /= p.sum(axis=1, keepdims=True)
+    return p, total.ravel() > 0
+
+
+def _psi_rows(expected: tuple, actual: tuple) -> np.ndarray:
+    """Row-wise PSI of two :func:`_proportions` results."""
+    (e, e_mass), (a, a_mass) = expected, actual
     psi = np.sum((a - e) * np.log(a / e), axis=1)
-    return np.where(valid.ravel(), psi, 0.0)
+    return np.where(e_mass & a_mass, psi, 0.0)
 
 
 def _quantile_dict(values: np.ndarray) -> Dict[str, float]:
@@ -195,11 +195,14 @@ class QualityBaseline:
         return int(self.bin_edges.shape[1]) + 1
 
     def bin_indices(self, features: np.ndarray) -> np.ndarray:
-        """Per-feature bin index of each row: ``(n, F)`` ints in
-        ``[0, n_bins)`` (vectorized: one broadcast comparison)."""
+        """Per-feature bin index of each row: ``(n, F)`` int16 in
+        ``[0, n_bins)``.  NaN compares false everywhere (bin 0)."""
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return (features[:, :, None]
-                >= self.bin_edges[None, :, :]).sum(axis=2)
+        # Edges as (n_bins - 1, F) rows: the count runs over the middle
+        # axis, whole contiguous feature rows at a time; summing over a
+        # short trailing edge axis is about 6x slower.
+        edges = np.ascontiguousarray(self.bin_edges.T)
+        return (features[:, None, :] >= edges).sum(axis=1, dtype=np.int16)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -379,6 +382,10 @@ class DriftMonitor:
         self._feat_ring = np.zeros((self.window, f), dtype=np.float64)
         self._label_ring = np.full(self.window, -1, dtype=np.int64)
         self._counts = np.zeros((f, baseline.n_bins), dtype=np.float64)
+        # Flat ``_counts`` index of (feature, bin) is bin + this offset.
+        self._bin_offsets = np.arange(f) * baseline.n_bins
+        self._expected = _proportions(baseline.expected)
+        self._priors = _proportions(baseline.class_priors[None])
         self._label_counts = np.zeros(baseline.num_classes,
                                       dtype=np.float64)
         self._feat_sum = np.zeros(f, dtype=np.float64)
@@ -414,10 +421,11 @@ class DriftMonitor:
                 f"features have {features.shape[1]} columns, baseline "
                 f"sketch has {self.baseline.num_features}")
         bins = self.baseline.bin_indices(features)
+        served = np.full(n, -1, dtype=np.int64)
         if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64).ravel()
+            labels = np.asarray(labels, dtype=np.int64).ravel()[:n]
+            served[:labels.shape[0]] = labels
         registry = self._registry()
-        arange_f = np.arange(self.baseline.num_features)
 
         margin_rows = conf_rows = None
         if similarities is not None:
@@ -428,31 +436,26 @@ class DriftMonitor:
                                              self.sat_factor)
 
         with self._lock:
-            for i in range(n):
-                pos = self._pos
-                if self._size == self.window:
-                    # Evict the overwritten row from the running stats.
-                    self._counts[arange_f, self._bin_ring[pos]] -= 1.0
-                    self._feat_sum -= self._feat_ring[pos]
-                    old_label = self._label_ring[pos]
-                    if old_label >= 0:
-                        if old_label < self._label_counts.shape[0]:
-                            self._label_counts[old_label] -= 1.0
-                        self._labeled -= 1
-                self._bin_ring[pos] = bins[i]
-                self._feat_ring[pos] = features[i]
-                self._counts[arange_f, bins[i]] += 1.0
-                self._feat_sum += features[i]
-                label = int(labels[i]) if labels is not None \
-                    and i < labels.shape[0] else -1
-                self._label_ring[pos] = label
-                if label >= 0:
-                    if label < self._label_counts.shape[0]:
-                        self._label_counts[label] += 1.0
-                    self._labeled += 1
-                self._pos = (pos + 1) % self.window
-                if self._size < self.window:
-                    self._size += 1
+            # Only the last ``keep`` rows survive the batch; earlier ones
+            # would be written and overwritten within this call, so they
+            # never touch the running stats.  The slots they land in are
+            # evicted first, where occupied.
+            keep = min(n, self.window)
+            slots = (self._pos + n - keep + np.arange(keep)) % self.window
+            old = slots[slots < self._size]
+            self._tally_locked(self._bin_ring[old], self._feat_ring[old],
+                               self._label_ring[old], -1)
+            tail = slice(n - keep, n)
+            self._bin_ring[slots] = bins[tail]
+            self._feat_ring[slots] = features[tail]
+            self._label_ring[slots] = served[tail]
+            self._tally_locked(bins[tail], features[tail], served[tail], 1)
+            self._pos = (self._pos + n) % self.window
+            self._size = min(self._size + n, self.window)
+            if not np.isfinite(self._feat_sum).all():
+                # NaN − NaN is NaN, so evicting a non-finite row cannot
+                # clean the running sum; rebuild it from the window.
+                self._feat_sum = self._feat_ring[:self._size].sum(axis=0)
             self.samples += n
             if saturation is not None:
                 self._last["saturation"] = float(saturation)
@@ -479,6 +482,21 @@ class DriftMonitor:
             registry.observe_many(f"{self.prefix}.confidence",
                                   conf_rows)
 
+    def _tally_locked(self, bins: np.ndarray, features: np.ndarray,
+                      labels: np.ndarray, sign: int) -> None:
+        """Add (``sign=1``) or remove (``sign=-1``) rows from the running
+        window stats (caller holds the lock)."""
+        if not len(bins):
+            return
+        cells = np.bincount((bins + self._bin_offsets).ravel(),
+                            minlength=self._counts.size)
+        self._counts += sign * cells.reshape(self._counts.shape)
+        self._feat_sum += sign * features.sum(axis=0)
+        k = self._label_counts.shape[0]
+        self._label_counts += sign * np.bincount(
+            labels[(labels >= 0) & (labels < k)], minlength=k)
+        self._labeled += sign * int(np.count_nonzero(labels >= 0))
+
     def _refresh_locked(self) -> None:
         """Recompute the headline scalars (caller holds the lock)."""
         if self._size < self.min_samples:
@@ -487,15 +505,15 @@ class DriftMonitor:
                               feature_zscore_max=0.0,
                               prediction_psi=0.0)
             return
-        psi = _psi_rows(self.baseline.expected, self._counts)
+        psi = _psi_rows(self._expected, _proportions(self._counts))
         self._feature_psi = psi
         win_mean = self._feat_sum / self._size
         z = (win_mean - self.baseline.feature_mean) \
             / (self.baseline.feature_std / math.sqrt(self._size))
         pred_psi = 0.0
         if self._labeled >= self.min_samples:
-            pred_psi = population_stability_index(
-                self.baseline.class_priors, self._label_counts)
+            pred_psi = _psi_rows(
+                self._priors, _proportions(self._label_counts[None]))[0]
         self._last.update(
             feature_psi_max=float(psi.max()) if psi.size else 0.0,
             feature_psi_mean=float(psi.mean()) if psi.size else 0.0,

@@ -14,6 +14,7 @@ from repro.pipeline import (STAGE_TYPES, ClassifyStage, EncodeStage,
                             StageError, StageGraph, clamped_norms,
                             cosine_similarities, encoder_spec,
                             register_stage, stage_from_spec)
+from repro.pipeline.stages import max_pool_2x2
 from repro.utils.rng import fresh_rng
 
 
@@ -46,6 +47,20 @@ class TestSharedMath:
             cosine_similarities(matrix, queries),
             cosine_similarities(matrix, queries,
                                 class_norms=clamped_norms(matrix)))
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4, 4), (2, 3, 5, 7),
+                                       (4, 2, 2, 3), (1, 1, 3, 2)])
+    def test_max_pool_matches_reshape_max(self, rng, shape):
+        x = rng.standard_normal(shape)
+        x.flat[::5] = np.nan  # NaN propagates through every window
+        n, c, h, w = shape
+        cropped = x[:, :, :h // 2 * 2, :w // 2 * 2]
+        expected = cropped.reshape(n, c, h // 2, 2, w // 2, 2).max(
+            axis=(3, 5))
+        pooled = max_pool_2x2(x)
+        assert pooled.shape == expected.shape
+        np.testing.assert_array_equal(pooled, expected)
+        assert np.isnan(pooled).any()
 
 
 # ----------------------------------------------------------------------

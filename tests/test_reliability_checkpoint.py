@@ -20,7 +20,7 @@ from repro.models import create_model
 from repro.nn.serialize import (MANIFEST_KEY, CheckpointError, load_manifest,
                                 load_module, load_state, save_module,
                                 save_state)
-from repro.reliability import ResilientPipeline, truncate_file
+from repro.reliability import truncate_file
 from repro.utils.rng import fresh_rng, get_rng_state, set_rng_state
 
 
@@ -298,108 +298,3 @@ class TestKillAndResume:
         wrong_class = make_nshd(model)
         with pytest.raises(CheckpointError, match="BaselineHD"):
             wrong_class.load_checkpoint(ckpt)
-
-
-# ----------------------------------------------------------------------
-# ResilientPipeline: degradation + retry-by-splitting
-# ----------------------------------------------------------------------
-
-class TestResilientPipeline:
-    def test_load_or_degrade_restores_good_checkpoint(self, tiny_task,
-                                                      tmp_path):
-        model, x_tr, y_tr = tiny_task
-        ckpt = str(tmp_path / "good.npz")
-        pipeline = BaselineHD(model, layer_index=21, dim=128, seed=7)
-        pipeline.fit(x_tr, y_tr, epochs=2, batch_size=32,
-                     checkpoint_path=ckpt)
-        resilient = ResilientPipeline(
-            BaselineHD(model, layer_index=21, dim=128, seed=7))
-        assert resilient.load_or_degrade(ckpt) == "restored"
-        assert not resilient.degraded
-        np.testing.assert_array_equal(resilient.predict(x_tr[:8]),
-                                      pipeline.predict(x_tr[:8]))
-
-    def test_load_or_degrade_falls_back_on_corruption(self, tiny_task,
-                                                      tmp_path):
-        model, x_tr, y_tr = tiny_task
-        ckpt = str(tmp_path / "bad.npz")
-        trained = BaselineHD(model, layer_index=21, dim=128, seed=7)
-        trained.fit(x_tr, y_tr, epochs=2, batch_size=32,
-                    checkpoint_path=ckpt)
-        truncate_file(ckpt, 0.3)
-
-        raw = trained.extractor.extract(x_tr)
-        resilient = ResilientPipeline(
-            BaselineHD(model, layer_index=21, dim=128, seed=7),
-            fallback_epochs=3)
-        assert resilient.load_or_degrade(ckpt, raw_features=raw,
-                                         labels=y_tr) == "degraded"
-        assert resilient.degraded
-        predictions = resilient.predict(x_tr)
-        assert predictions.shape == (len(x_tr),)
-        assert set(np.unique(predictions)) <= set(range(4))
-        # the degraded direct-projection model still actually learned
-        assert resilient.accuracy(x_tr, y_tr) > 1.0 / 4
-
-    def test_load_or_degrade_without_data_propagates(self, tiny_task,
-                                                     tmp_path):
-        model, x_tr, y_tr = tiny_task
-        ckpt = str(tmp_path / "bad2.npz")
-        pipeline = BaselineHD(model, layer_index=21, dim=128, seed=7)
-        pipeline.fit(x_tr, y_tr, epochs=1, batch_size=32,
-                     checkpoint_path=ckpt)
-        truncate_file(ckpt, 0.3)
-        with pytest.raises(CheckpointError):
-            ResilientPipeline(
-                BaselineHD(model, layer_index=21, dim=128, seed=7)
-            ).load_or_degrade(ckpt)
-
-    def test_retry_splitting_isolates_poisoned_samples(self):
-        class Flaky:
-            """Predicts labels but refuses any batch containing a
-            poisoned sample index."""
-
-            dim = 16
-            num_classes = 2
-
-            def __init__(self, poisoned):
-                self.poisoned = set(poisoned)
-                self.calls = 0
-
-            def predict(self, batch):
-                self.calls += 1
-                ids = np.asarray(batch).astype(np.int64).ravel()
-                if self.poisoned & set(ids.tolist()):
-                    raise FloatingPointError("poisoned sample")
-                return ids % 2
-
-        flaky = Flaky(poisoned={5, 11})
-        resilient = ResilientPipeline(flaky, max_splits=6,
-                                      fallback_label=-1)
-        samples = np.arange(16).reshape(16, 1).astype(np.float64)
-        out = resilient.predict(samples)
-        expected = np.arange(16) % 2
-        expected[[5, 11]] = -1
-        np.testing.assert_array_equal(out, expected)
-        assert resilient.stats["failed_samples"] == 2
-        assert resilient.stats["splits"] > 0
-
-    def test_zero_splits_fails_whole_batch(self):
-        class AlwaysBad:
-            def predict(self, batch):
-                raise ValueError("boom")
-
-        resilient = ResilientPipeline(AlwaysBad(), max_splits=0,
-                                      fallback_label=9)
-        out = resilient.predict(np.zeros((4, 2)))
-        np.testing.assert_array_equal(out, np.full(4, 9))
-        assert resilient.stats["failed_samples"] == 4
-
-    def test_keyboard_interrupt_propagates(self):
-        class Interrupted:
-            def predict(self, batch):
-                raise KeyboardInterrupt
-
-        resilient = ResilientPipeline(Interrupted())
-        with pytest.raises(KeyboardInterrupt):
-            resilient.predict(np.zeros((2, 2)))

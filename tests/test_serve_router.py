@@ -11,6 +11,7 @@ import pytest
 
 from repro.serve import (HashRing, InferenceEngine, ModelServer, Router,
                          StaticFleet, free_port)
+from repro.serve.handler import MAX_BODY_BYTES
 from repro.telemetry import get_registry
 
 from .conftest import (http_status, keepalive_predict_ms,
@@ -265,6 +266,20 @@ class TestWire:
             assert json.loads(body)["request_id"] == headers["X-Trace-Id"]
             assert closed
             assert http_status(router.address, "GET", "/healthz") == 200
+
+    @pytest.mark.parametrize("value", [str(MAX_BODY_BYTES + 1), "9" * 30])
+    def test_oversized_content_length_is_413_unread(self, fleet_servers,
+                                                    value):
+        fleet, servers, _ = fleet_servers
+        with Router(fleet, port=0) as router:
+            status, headers, body, closed = post_with_content_length(
+                router.address, value)
+            assert status == 413
+            assert json.loads(body)["request_id"] == headers["X-Trace-Id"]
+            assert headers["Connection"] == "close" and closed
+            assert http_status(router.address, "GET", "/healthz") == 200
+        # Refused at the router: no worker saw the request.
+        assert all(s.batcher.stats["submitted"] == 0 for s in servers)
 
 
 class TestBroadcastReload:

@@ -15,6 +15,7 @@ import pytest
 from repro.data import make_dataset
 from repro.learn import VanillaHD
 from repro.serve import InferenceEngine, ModelBundle, ModelServer
+from repro.serve.handler import MAX_BODY_BYTES
 from repro.telemetry import get_registry
 
 from .conftest import (http_status, keepalive_predict_ms,
@@ -238,6 +239,16 @@ class TestWire:
         assert status == 400
         assert json.loads(body)["request_id"] == headers["X-Trace-Id"]
         assert closed
+        assert http_status(server.address, "GET", "/healthz") == 200
+
+    @pytest.mark.parametrize("value", [str(MAX_BODY_BYTES + 1), "9" * 30])
+    def test_oversized_content_length_is_413_unread(self, server, value):
+        # No body follows the header: reading it would hang the client.
+        status, headers, body, closed = post_with_content_length(
+            server.address, value)
+        assert status == 413
+        assert json.loads(body)["request_id"] == headers["X-Trace-Id"]
+        assert headers["Connection"] == "close" and closed
         assert http_status(server.address, "GET", "/healthz") == 200
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.quality import (BASELINE_VERSION, DriftMonitor,
@@ -11,6 +13,44 @@ from repro.telemetry.quality import (BASELINE_VERSION, DriftMonitor,
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _observe_per_row(monitor, features, labels=None):
+    """Reference window update: fold a batch in one row at a time.
+
+    This is the ring update ``DriftMonitor.observe`` performed before it
+    was vectorized; the equivalence property below holds the batch
+    update to it.  Only the window state is touched (no gauges).
+    """
+    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    bins = monitor.baseline.bin_indices(features)
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.int64).ravel()
+    arange_f = np.arange(monitor.baseline.num_features)
+    for i in range(features.shape[0]):
+        pos = monitor._pos
+        if monitor._size == monitor.window:
+            monitor._counts[arange_f, monitor._bin_ring[pos]] -= 1.0
+            monitor._feat_sum -= monitor._feat_ring[pos]
+            old_label = monitor._label_ring[pos]
+            if old_label >= 0:
+                if old_label < monitor._label_counts.shape[0]:
+                    monitor._label_counts[old_label] -= 1.0
+                monitor._labeled -= 1
+        monitor._bin_ring[pos] = bins[i]
+        monitor._feat_ring[pos] = features[i]
+        monitor._counts[arange_f, bins[i]] += 1.0
+        monitor._feat_sum += features[i]
+        label = int(labels[i]) if labels is not None \
+            and i < labels.shape[0] else -1
+        monitor._label_ring[pos] = label
+        if label >= 0:
+            if label < monitor._label_counts.shape[0]:
+                monitor._label_counts[label] += 1.0
+            monitor._labeled += 1
+        monitor._pos = (pos + 1) % monitor.window
+        if monitor._size < monitor.window:
+            monitor._size += 1
 
 
 @pytest.fixture()
@@ -100,6 +140,22 @@ class TestQualityBaseline:
         bins = baseline.bin_indices(probes)
         assert (bins[0] == 0).all()
         assert (bins[1] == baseline.n_bins - 1).all()
+
+    def test_bin_indices_match_broadcast_form_on_non_finite(self,
+                                                            baseline):
+        rng = _rng(5)
+        probes = rng.normal(size=(200, 6))
+        specials = np.array([np.nan, np.inf, -np.inf])
+        mask = rng.random(probes.shape) < 0.3
+        probes[mask] = rng.choice(specials, size=int(mask.sum()))
+        probes[:9] = baseline.bin_edges.T  # values tied on every edge
+        expected = (probes[:, :, None]
+                    >= baseline.bin_edges[None, :, :]).sum(axis=2)
+        bins = baseline.bin_indices(probes)
+        np.testing.assert_array_equal(bins, expected)
+        assert (bins[np.isnan(probes)] == 0).all()
+        assert (bins[probes == np.inf] == baseline.n_bins - 1).all()
+        assert (bins[probes == -np.inf] == 0).all()
 
     def test_dict_round_trip(self, baseline):
         data = baseline.to_dict()
@@ -236,3 +292,93 @@ class TestDriftMonitor:
         monitor, _ = self._monitor(baseline)
         facts = monitor.describe()
         assert facts["window"] == 256 and facts["samples"] == 0
+
+    def test_non_finite_row_leaves_the_zscore_with_the_window(
+            self, baseline):
+        monitor, registry = self._monitor(baseline, window=16,
+                                          min_samples=16)
+        rng = _rng(4)
+        poisoned = rng.normal(size=(16, 6))
+        poisoned[3, 2] = np.nan
+        monitor.observe(poisoned)
+        assert np.isnan(monitor.snapshot()["feature"]["zscore_max"])
+        for _ in range(10):
+            monitor.observe(rng.normal(size=(16, 6)))
+        zscore = monitor.snapshot()["feature"]["zscore_max"]
+        assert np.isfinite(zscore)
+        assert registry.get("quality.feature.zscore_max").value == zscore
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_rows_leave_the_zscore_with_the_window(self, baseline):
+        monitor, _ = self._monitor(baseline, window=8, min_samples=8)
+        rng = _rng(6)
+        rows = rng.normal(size=(8, 6))
+        rows[0, 0], rows[1, 0] = np.inf, -np.inf
+        monitor.observe(rows)
+        for _ in range(3):
+            monitor.observe(rng.normal(size=(3, 6)))
+        assert np.isfinite(monitor.snapshot()["feature"]["zscore_max"])
+
+
+@st.composite
+def _batch_plans(draw):
+    """A window size and a sequence of (rows, label mode, seed) batches."""
+    window = draw(st.sampled_from([1, 7, 64, 100]))
+    batches = draw(st.lists(
+        st.tuples(st.integers(0, 3 * window + 5),
+                  st.sampled_from(["none", "short", "full"]),
+                  st.integers(0, 2 ** 32 - 1)),
+        min_size=1, max_size=6))
+    return window, batches
+
+
+class TestVectorizedObserve:
+    """``observe`` folds a batch in one update, equal to the row loop."""
+
+    @pytest.fixture(scope="class")
+    def tied_baseline(self):
+        # Integer-valued training data: the decile edges repeat and live
+        # values below are drawn on them, so ``>=`` ties are exercised.
+        rng = _rng(11)
+        return QualityBaseline.from_training(
+            rng.integers(0, 6, size=(400, 5)).astype(np.float64),
+            labels=rng.integers(0, 4, size=400), num_classes=4)
+
+    @staticmethod
+    def _batch(baseline, n, mode, seed):
+        rng = _rng(seed)
+        f = baseline.num_features
+        on_edge = baseline.bin_edges[np.arange(f),
+                                     rng.integers(0, baseline.n_bins - 1,
+                                                  size=(n, f))]
+        features = np.where(rng.random((n, f)) < 0.5, on_edge,
+                            rng.normal(2.5, 2.0, size=(n, f)))
+        # Labels include -1 (unlabeled) and >= k (outside the priors).
+        labels = rng.integers(-1, baseline.num_classes + 2, size=n)
+        if mode == "none":
+            labels = None
+        elif mode == "short":
+            labels = labels[:int(rng.integers(0, n + 1))]
+        return features, labels
+
+    @settings(max_examples=60, deadline=None)
+    @given(plan=_batch_plans())
+    def test_batch_update_equals_per_row_loop(self, tied_baseline, plan):
+        window, batches = plan
+        fast = DriftMonitor(tied_baseline, window=window, min_samples=1,
+                            registry=MetricsRegistry())
+        slow = DriftMonitor(tied_baseline, window=window, min_samples=1,
+                            registry=MetricsRegistry())
+        for n, mode, seed in batches:
+            features, labels = self._batch(tied_baseline, n, mode, seed)
+            fast.observe(features, labels=labels)
+            _observe_per_row(slow, features, labels=labels)
+            for name in ("_counts", "_bin_ring", "_feat_ring",
+                         "_label_ring", "_label_counts"):
+                np.testing.assert_array_equal(getattr(fast, name),
+                                              getattr(slow, name),
+                                              err_msg=name)
+            assert (fast._labeled, fast._pos, fast._size) == \
+                (slow._labeled, slow._pos, slow._size)
+            np.testing.assert_allclose(fast._feat_sum, slow._feat_sum,
+                                       rtol=1e-9, atol=1e-9)
