@@ -15,11 +15,6 @@ For each requested pipeline (NSHD / BaselineHD / VanillaHD) this script:
 5. writes a per-commit ``BENCH_<shortsha>.json`` trajectory file under
    ``results/bench/`` (all records + the gate verdict).
 
-Trajectory files lived at the repo root before results/bench/ existed;
-:func:`find_bench_trajectory` resolves a short SHA against the new
-directory first and falls back to the legacy root-level path, so
-tooling keeps reading pre-relocation commits.
-
 Exit status is nonzero when any gate fails, so CI can block the merge.
 ``--ingest-benchmark-json`` additionally converts a pytest-benchmark
 ``--benchmark-json`` output into ledger entries (kind ``benchmark``) so
@@ -39,13 +34,10 @@ Usage (fresh checkout, CPU, well under a minute)::
     python scripts/bench_gate.py --inject-slowdown encode:3.0  # must fail
     python scripts/bench_gate.py --compile          # compiler A/B gate
 
-``--compile`` adds a graph-compiler A/B run (``kind="compile"``): the
-re-fit/A-B-eval workflow (repeated evaluation of the same batch) is
-timed interpreted-cold vs with the digest-keyed
-:class:`~repro.pipeline.StageCache` attached, and an exported bundle is
-served interpreted vs compiled (all fusion passes).  The cached path
-must be at least ``--min-compile-speedup`` (default 1.3×) faster — a
-hard floor on top of the usual median+MAD ledger gate.
+``--compile`` adds a graph-compiler A/B run (``kind="compile"``): an
+exported bundle is served interpreted vs compiled (all fusion passes),
+the two must agree bit-exactly, and both timings go through the usual
+median+MAD ledger gate.
 """
 
 import argparse
@@ -75,19 +67,15 @@ PIPELINES = ("nshd", "baselinehd", "vanillahd")
 #: Schema version of the BENCH_<shortsha>.json trajectory file.
 BENCH_SCHEMA_VERSION = 1
 
-#: Where per-commit trajectory files live (repo root before PR 8).
+#: Where per-commit trajectory files live.
 BENCH_DIR = os.path.join(REPO_ROOT, "results", "bench")
 
 
 def find_bench_trajectory(short_sha: str):
-    """Resolve a commit's trajectory file, preferring ``results/bench/``
-    and falling back to the legacy repo-root location; None if absent."""
-    name = f"BENCH_{short_sha}.json"
-    for candidate in (os.path.join(BENCH_DIR, name),
-                      os.path.join(REPO_ROOT, name)):
-        if os.path.exists(candidate):
-            return candidate
-    return None
+    """Path of a commit's ``results/bench/`` trajectory file; None if
+    absent."""
+    path = os.path.join(BENCH_DIR, f"BENCH_{short_sha}.json")
+    return path if os.path.exists(path) else None
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -123,15 +111,12 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="test fixture: multiply one stage's measured "
                              "time before gating (record is NOT appended)")
     parser.add_argument("--compile", action="store_true",
-                        help="add a graph-compiler A/B run (stage-cached "
-                             "eval + compiled serve engine vs interpreted"
-                             "), ledgered as kind=\"compile\"")
+                        help="add a graph-compiler A/B run (compiled vs "
+                             "interpreted serve engine), ledgered as "
+                             "kind=\"compile\"")
     parser.add_argument("--compile-iters", type=int, default=3,
                         help="evaluation repetitions per arm of the "
                              "--compile A/B (default 3)")
-    parser.add_argument("--min-compile-speedup", type=float, default=1.3,
-                        help="hard floor on the stage-cached eval "
-                             "speedup (default 1.3)")
     parser.add_argument("--ingest-benchmark-json", default=None,
                         help="pytest-benchmark --benchmark-json output to "
                              "convert into ledger entries")
@@ -209,14 +194,11 @@ def run_pipeline(name: str, args: argparse.Namespace, data, model
 def run_compile_bench(args: argparse.Namespace, data, model):
     """Graph-compiler A/B → a ``kind="compile"`` ledger record.
 
-    Trains one NSHD pipeline, then times the re-fit/A-B-eval workflow
-    (``--compile-iters`` evaluations of the same test batch) with and
-    without the digest-keyed stage cache, and an exported bundle served
-    interpreted vs compiled (all fusion passes).  Both compiled arms
-    must agree bit-exactly with their interpreted counterparts.
-    Returns ``(record, cached_speedup)``.
+    Trains one NSHD pipeline, exports it, and times
+    ``--compile-iters`` evaluations of the test batch on the bundle
+    served interpreted vs compiled (all fusion passes).  The compiled
+    engine must agree bit-exactly with the interpreted one.
     """
-    from repro.pipeline import StageCache  # noqa: E402 (lazy: --compile only)
     from repro.serve import InferenceEngine, ModelBundle  # noqa: E402
 
     x_tr, y_tr, x_te, y_te = data
@@ -235,19 +217,6 @@ def run_compile_bench(args: argparse.Namespace, data, model):
             fn()
         return telemetry.clock() - start
 
-    # Arm 1: the A/B-eval workflow, interpreted-cold vs stage-cached.
-    baseline = np.asarray(pipeline.predict(x_te))
-    uncached_s = timed(lambda: pipeline.predict(x_te))
-    pipeline.set_stage_cache(StageCache())
-    cached_pred = np.asarray(pipeline.predict(x_te))
-    cached_s = timed(lambda: pipeline.predict(x_te))
-    cache_info = pipeline.stage_cache.info()
-    pipeline.set_stage_cache(None)
-    if not np.array_equal(cached_pred, baseline):
-        raise SystemExit("stage-cached predictions != uncached")
-    cached_speedup = uncached_s / max(cached_s, 1e-9)
-
-    # Arm 2: exported bundle served interpreted vs compiled.
     raw = pipeline.extractor.extract(x_te)
     with tempfile.TemporaryDirectory() as tmp:
         bundle_path = os.path.join(tmp, "compile_bench.npz")
@@ -278,17 +247,14 @@ def run_compile_bench(args: argparse.Namespace, data, model):
         wall_s=wall_s, final_accuracy=history["train_acc"][-1],
         test_accuracy=test_acc, history=history)
     record.stage_times.update({
-        "eval_uncached": uncached_s, "eval_cached": cached_s,
         "serve_interpreted": interp_s, "serve_compiled": compiled_s,
     })
     record.extra["compile"] = {
-        "cached_speedup": cached_speedup,
         "serve_speedup": interp_s / max(compiled_s, 1e-9),
-        "stage_cache": cache_info,
         "passes_applied": compiled.compile_passes,
         "executor_plan": compiled.executor_plan,
     }
-    return record, cached_speedup
+    return record
 
 
 def ingest_benchmark_json(path: str, ledger: RunLedger, append: bool
@@ -385,7 +351,7 @@ def main(argv=None) -> int:
         print(f"[{name}] test_acc={acc} wall={record.wall_s:.2f}s {stages}")
 
     if args.compile:
-        record, speedup = run_compile_bench(args, data, model)
+        record = run_compile_bench(args, data, model)
         if not args.no_gate:
             report = regress.gate_run(ledger, record)
             reports.append(report)
@@ -393,23 +359,15 @@ def main(argv=None) -> int:
             print(report.to_markdown())
             print()
             failed = failed or not report.passed
-        floor = float(args.min_compile_speedup)
-        if speedup < floor:
-            print(f"COMPILE GATE FAILED: stage-cached eval speedup "
-                  f"{speedup:.2f}x < required {floor:.2f}x",
-                  file=sys.stderr)
-            failed = True
         if not args.no_append:
             ledger.append(record)
         records.append(record)
         info = record.extra["compile"]
         stages = ", ".join(
             f"{k}={record.stage_times[k]:.3f}s" for k in
-            ("eval_uncached", "eval_cached", "serve_interpreted",
-             "serve_compiled"))
-        print(f"[compile] cached_speedup={speedup:.2f}x "
-              f"serve_speedup={info['serve_speedup']:.2f}x "
-              f"(floor {floor:.2f}x) {stages}")
+            ("serve_interpreted", "serve_compiled"))
+        print(f"[compile] serve_speedup={info['serve_speedup']:.2f}x "
+              f"{stages}")
 
     if args.ingest_benchmark_json:
         bench_records = ingest_benchmark_json(

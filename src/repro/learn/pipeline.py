@@ -72,16 +72,6 @@ class _HDPipeline:
     num_classes: int
     _train_rng: np.random.Generator
 
-    #: Optional :class:`repro.pipeline.StageCache` shared across eval /
-    #: re-fit calls — outputs of frozen upstream stages (extract,
-    #: encode) are memoized under state+input digests, so repeated
-    #: A/B-eval sweeps skip the heavy GEMMs.  ``None`` disables.
-    stage_cache = None
-
-    def set_stage_cache(self, cache) -> None:
-        """Attach (or clear, with ``None``) a shared stage cache."""
-        self.stage_cache = cache
-
     def compiled(self, passes: str = "all", executors=None) -> StageGraph:
         """Frozen, compiled snapshot of the live graph.
 
@@ -98,8 +88,7 @@ class _HDPipeline:
 
     def encode(self, images: np.ndarray) -> np.ndarray:
         """Query hypervectors for a batch of NCHW images."""
-        return self.graph.run(images, stop="classify",
-                              cache=self.stage_cache)
+        return self.graph.run(images, stop="classify")
 
     def predict(self, images: np.ndarray) -> np.ndarray:
         encoded = self.encode(images)
@@ -360,7 +349,7 @@ class NSHD(_HDPipeline):
     def predict_features(self, raw_features: np.ndarray) -> np.ndarray:
         """Predict from precomputed extractor features."""
         encoded = self.graph.run(raw_features, start="scale",
-                                 stop="classify", cache=self.stage_cache)
+                                 stop="classify")
         return np.asarray(self.graph.call("classify", encoded))
 
     def accuracy_features(self, raw_features: np.ndarray,
@@ -378,8 +367,7 @@ class NSHD(_HDPipeline):
         logits are cached up front, which is the efficiency argument of
         Sec. VI-A (no CNN backpropagation anywhere in NSHD training).
         """
-        raw_features = self.graph.call("extract", images,
-                                       cache=self.stage_cache)
+        raw_features = self.graph.call("extract", images)
         teacher_logits = (self.teacher.logits(images)
                           if self.use_distillation else None)
         return self.fit_features(raw_features, labels, teacher_logits,
@@ -533,7 +521,7 @@ class BaselineHD(_HDPipeline):
     def predict_features(self, raw_features: np.ndarray) -> np.ndarray:
         """Predict from precomputed extractor features."""
         encoded = self.graph.run(raw_features, start="scale",
-                                 stop="classify", cache=self.stage_cache)
+                                 stop="classify")
         return np.asarray(self.graph.call("classify", encoded))
 
     def accuracy_features(self, raw_features: np.ndarray,
@@ -545,8 +533,7 @@ class BaselineHD(_HDPipeline):
             batch_size: int = 64, checkpoint_path: Optional[str] = None,
             checkpoint_every: int = 1, resume: bool = False,
             callbacks: Optional[List] = None) -> Dict[str, List[float]]:
-        raw_features = self.graph.call("extract", images,
-                                       cache=self.stage_cache)
+        raw_features = self.graph.call("extract", images)
         return self.fit_features(raw_features, labels,
                                  epochs=epochs, batch_size=batch_size,
                                  checkpoint_path=checkpoint_path,
@@ -571,8 +558,7 @@ class BaselineHD(_HDPipeline):
             scaled = self.scaler.transform(raw_features)
         else:
             scaled = self.scaler.fit_transform(raw_features)
-        encoded = self.graph.call("encode", scaled,
-                                  cache=self.stage_cache)
+        encoded = self.graph.call("encode", scaled)
         return self._trainer_fit_checkpointed(
             encoded, labels, epochs, batch_size, start_epoch, saved_history,
             checkpoint_path, checkpoint_every, callbacks=callbacks)
@@ -615,8 +601,7 @@ class VanillaHD(_HDPipeline):
             features = self.scaler.transform(flat)
         else:
             features = self.scaler.fit_transform(flat)
-        encoded = self.graph.call("encode", features,
-                                  cache=self.stage_cache)
+        encoded = self.graph.call("encode", features)
         return self._trainer_fit_checkpointed(
             encoded, labels, epochs, batch_size, start_epoch, saved_history,
             checkpoint_path, checkpoint_every, callbacks=callbacks)

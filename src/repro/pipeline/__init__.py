@@ -8,18 +8,16 @@ graphs.  See ``docs/STAGE_GRAPH.md`` for the protocol and serialization
 layout.
 
 The compiler layer (``compile_graph``) rewrites frozen graphs with
-fusion passes (:mod:`repro.pipeline.passes`), binds pluggable per-stage
-executors (:mod:`repro.pipeline.executors`), and the digest-keyed
-:class:`StageCache` (:mod:`repro.pipeline.cache`) memoizes stage
-outputs across re-fit / A/B-eval workflows.
+fusion passes (:mod:`repro.pipeline.passes`) and binds pluggable
+per-stage executors (:mod:`repro.pipeline.executors`); it alone decides
+where the packed classify executor may run.
 """
 
-from .cache import StageCache, array_digest, canonical_json, stage_digest
 from .compile import (CompileError, CompilePlan, CompileResult,
-                      compile_graph, resolve_passes)
+                      auto_executors, compile_graph, resolve_passes)
 from .executors import (EXECUTORS, ExecutorStage, StageExecutor,
                         register_executor)
-from .graph import StageGraph
+from .graph import StageGraph, canonical_json
 from .passes import PASSES, fuse_pool, fuse_scale_encode, register_pass
 from .stages import (STAGE_TYPES, ClassifyStage, EncodeStage, ExtractStage,
                      FeatureScaler, FlattenStage, FusedEncodeStage,
@@ -37,8 +35,8 @@ __all__ = [
     "register_stage", "stage_from_spec", "STAGE_TYPES",
     # compiler layer
     "compile_graph", "CompileError", "CompilePlan", "CompileResult",
-    "resolve_passes", "PASSES", "register_pass",
+    "resolve_passes", "auto_executors", "PASSES", "register_pass",
     "fuse_scale_encode", "fuse_pool",
     "EXECUTORS", "StageExecutor", "ExecutorStage", "register_executor",
-    "StageCache", "canonical_json", "array_digest", "stage_digest",
+    "canonical_json",
 ]

@@ -32,7 +32,7 @@ from .passes import PASSES
 from .stages import StageError
 
 __all__ = ["CompileError", "CompilePlan", "CompileResult",
-           "compile_graph", "resolve_passes"]
+           "auto_executors", "compile_graph", "resolve_passes"]
 
 PassSpec = Union[None, str, Sequence[str]]
 ExecutorSpec = Union[None, str, Dict[str, str]]
@@ -65,32 +65,38 @@ def resolve_passes(passes: PassSpec) -> List[str]:
     return names
 
 
+def _queries_bipolar(graph: StageGraph) -> bool:
+    """Packed classify packs the *queries* too: every encode stage in
+    the graph must hard-quantize."""
+    encoders = [stage for stage in graph.stages
+                if getattr(stage, "encoder_type", None) is not None]
+    return bool(encoders) and all(
+        getattr(stage, "quantize", False) for stage in encoders)
+
+
+def auto_executors(graph: StageGraph) -> Dict[str, str]:
+    """The ``"auto"`` executor plan: packed classify wherever it
+    applies, nothing else."""
+    if not _queries_bipolar(graph):
+        return {}
+    packed = EXECUTORS["packed"]
+    return {stage.name: "packed" for stage in graph.stages
+            if packed.applicable(stage)}
+
+
 def _resolve_executors(graph: StageGraph, executors: ExecutorSpec
                        ) -> Dict[str, str]:
     """Normalize an executor request to ``{stage name → executor name}``.
 
-    ``"auto"`` selects the packed classify path where applicable (the
-    engine's historical auto-enable rule) and nothing else.  Explicit
-    maps are validated: the stage must exist in the *compiled* graph
-    and the executor must be registered and applicable.
+    ``"auto"`` is :func:`auto_executors`.  Explicit maps are validated:
+    the stage must exist in the *compiled* graph and the executor must
+    be registered and applicable (``packed`` also needs quantizing
+    encoders, as under ``"auto"``).
     """
     if executors is None:
         return {}
     if executors == "auto":
-        # Packed classify needs bipolar *queries* too: only auto-enable
-        # when every encode stage in the graph hard-quantizes.
-        encoders = [stage for stage in graph.stages
-                    if getattr(stage, "encoder_type", None) is not None]
-        queries_bipolar = bool(encoders) and all(
-            getattr(stage, "quantize", False) for stage in encoders)
-        if not queries_bipolar:
-            return {}
-        plan = {}
-        packed = EXECUTORS["packed"]
-        for stage in graph.stages:
-            if packed.applicable(stage):
-                plan[stage.name] = "packed"
-        return plan
+        return auto_executors(graph)
     if not isinstance(executors, dict):
         raise CompileError(
             f"executors must be None, 'auto', or a {{stage: executor}} "
@@ -110,6 +116,11 @@ def _resolve_executors(graph: StageGraph, executors: ExecutorSpec
         stage = graph.stage(stage_name)
         if not executor.applicable(stage):
             raise CompileError(executor.why_not(stage))
+        if executor_name == "packed" and not _queries_bipolar(graph):
+            raise CompileError(
+                "executor 'packed' requires a quantizing encoder (the "
+                "queries must be bipolar to bit-pack); this graph's "
+                "encoder emits continuous hypervectors")
         plan[stage_name] = executor_name
     return plan
 

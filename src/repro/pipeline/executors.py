@@ -4,8 +4,8 @@ An *executor* is an execution strategy for a stage — same math, same
 serialization, different kernel.  The compiler binds executors at
 freeze/compile time by wrapping stages in :class:`ExecutorStage`
 subclasses that delegate everything serialization-related
-(``spec`` / ``state_arrays`` / ``load_arrays`` / ``span_name`` /
-``cacheable``) to the wrapped stage and only override ``__call__`` —
+(``spec`` / ``state_arrays`` / ``load_arrays`` / ``span_name``) to
+the wrapped stage and only override ``__call__`` —
 so a compiled graph's topology is byte-identical to the uncompiled
 one, and the wrappers never appear in a persisted artifact.
 
@@ -17,11 +17,11 @@ Shipped executors (registry :data:`EXECUTORS`):
   from the single-call GEMM at the last ulp (BLAS blocking differs by
   tile height), so the parity gate asserts *labels* bit-exact and raw
   encodings within float tolerance;
-* ``packed`` — the uint64 XOR-popcount classify path, promoted from an
-  ``InferenceEngine`` special-case into a first-class executor.  Only
-  applicable to a frozen classify stage over a bipolar class matrix
-  (where it ranks identically to float cosine: integer dots, no
-  rounding).
+* ``packed`` — the uint64 XOR-popcount classify path.  Only applicable
+  to a frozen classify stage over a bipolar class matrix (where it
+  ranks identically to float cosine: integer dots, no rounding); the
+  compiler additionally requires every encode stage to quantize, since
+  the queries are bit-packed too.
 """
 
 from __future__ import annotations
@@ -80,10 +80,6 @@ class ExecutorStage(Stage):
     @property
     def span_name(self) -> str:
         return self.inner.span_name
-
-    @property
-    def cacheable(self) -> bool:  # type: ignore[override]
-        return bool(getattr(self.inner, "cacheable", True))
 
     def spec(self) -> Dict[str, Any]:
         return self.inner.spec()

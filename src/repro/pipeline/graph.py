@@ -26,19 +26,45 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..telemetry import request_span, span
 from ..telemetry.reqtrace import HUB as _HUB
-from .cache import StageCache, canonical_json
 from .stages import Stage, StageError, stage_from_spec
 
-__all__ = ["StageGraph"]
+__all__ = ["StageGraph", "canonical_json"]
 
 #: Version of the serialized topology layout (bump on breaking change).
 TOPOLOGY_VERSION = 1
+
+
+def _canonical(obj: Any) -> Any:
+    """Normalize scalars so equal values always serialize identically."""
+    if isinstance(obj, dict):
+        return {str(key): _canonical(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(value) for value in obj]
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        if math.isnan(value) or math.isinf(value):
+            raise ValueError("canonical JSON cannot encode NaN/Inf")
+        return value + 0.0  # collapses -0.0 to 0.0
+    raise TypeError(
+        f"cannot canonicalize {type(obj).__name__} values for JSON")
+
+
+def canonical_json(obj: Any) -> str:
+    """Deterministic JSON emit: sorted keys, compact separators,
+    numpy scalars coerced, ``-0.0`` normalized, NaN/Inf rejected."""
+    return json.dumps(_canonical(obj), sort_keys=True,
+                      separators=(",", ":"), allow_nan=False)
 
 
 class StageGraph:
@@ -104,34 +130,21 @@ class StageGraph:
         return self._index[name]
 
     def call(self, name: str, batch: np.ndarray,
-             ctx: Optional[dict] = None,
-             cache: Optional[StageCache] = None) -> np.ndarray:
+             ctx: Optional[dict] = None) -> np.ndarray:
         """Run a single stage *with* its telemetry span.
 
         This is what training loops use for per-batch stage execution —
         the span stream is identical to the hand-instrumented
-        pre-refactor loops.  With a :class:`StageCache` the stage's
-        output is memoized under ``sha1(input digest + stage digest)``;
-        a hit still emits the span (with near-zero duration — that is
-        the truthful accounting for skipped work).
+        pre-refactor loops.
         """
         stage = self.stage(name)
         with span(stage.span_name,
                   nbytes=int(np.asarray(batch).nbytes)):
-            if cache is not None and getattr(stage, "cacheable", True):
-                key = cache.extend_key(cache.input_key(batch), stage)
-                hit = cache.lookup(key)
-                if hit is not None:
-                    return hit
-                out = stage(batch, ctx)
-                cache.store(key, out)
-                return out
             return stage(batch, ctx)
 
     def run(self, batch: np.ndarray, start: Optional[str] = None,
             stop: Optional[str] = None, ctx: Optional[dict] = None,
-            instrument: bool = False,
-            cache: Optional[StageCache] = None) -> np.ndarray:
+            instrument: bool = False) -> np.ndarray:
         """Execute stages ``[start, stop)`` (``stop`` exclusive) in order.
 
         ``instrument=True`` wraps each stage in its ``stage.*`` telemetry
@@ -144,23 +157,10 @@ class StageGraph:
         hub-only span — per-request stage latency shows up in the flight
         recorder / trace files without touching the aggregate ledger's
         stage accounting.
-
-        With a :class:`StageCache` each cacheable stage's output is
-        memoized under the running digest chain ``sha1(... + stage
-        digest)`` seeded from the input batch digest; hits skip the
-        stage (and its spans) entirely — no work, no accounting.
         """
         out = batch
         traced = _HUB.enabled and _HUB.current() is not None
-        key = cache.input_key(batch) if cache is not None else b""
         for stage in self._slice(start, stop):
-            if cache is not None:
-                key = cache.extend_key(key, stage)
-                if getattr(stage, "cacheable", True):
-                    hit = cache.lookup(key)
-                    if hit is not None:
-                        out = hit
-                        continue
             if instrument:
                 with span(stage.span_name,
                           nbytes=int(np.asarray(out).nbytes)):
@@ -174,8 +174,6 @@ class StageGraph:
                     out = stage(out, ctx)
             else:
                 out = stage(out, ctx)
-            if cache is not None and getattr(stage, "cacheable", True):
-                cache.store(key, out)
         return out
 
     # -- serialization -------------------------------------------------

@@ -183,10 +183,6 @@ class Stage:
     #: Topology discriminator (set by subclasses; used by the registry).
     stage_type: str = ""
 
-    #: Whether a :class:`~repro.pipeline.cache.StageCache` may memoize
-    #: this stage's output (the cheap classify stages opt out).
-    cacheable: bool = True
-
     def __init__(self, name: str):
         if not name:
             raise ValueError("stages must be named")
@@ -804,7 +800,6 @@ class ClassifyStage(Stage):
 
     stage_type = "classify"
     span_name = "stage.similarity"  # historical telemetry name
-    cacheable = False  # argmax over cached encodings is already cheap
 
     def __init__(self, matrix_fn: Callable[[], np.ndarray],
                  frozen: bool = False, name: str = "classify"):
@@ -872,14 +867,14 @@ class PackedClassifyStage(Stage):
     The serving fast path: class hypervectors packed to uint64 words,
     queries packed per call, similarity = XOR + popcount.  Ranks
     identically to the float cosine path for bipolar operands (integer
-    dots, no rounding).  Derived from a frozen :class:`ClassifyStage` at
-    engine-load time — it is an execution *variant*, not a separate
-    topology entry, so it is not registered for serialization.
+    dots, no rounding).  Derived from a frozen :class:`ClassifyStage`
+    when the compiler binds the ``packed`` executor — it is an
+    execution *variant*, not a separate topology entry, so it is not
+    registered for serialization.
     """
 
     stage_type = "classify_packed"
     span_name = "stage.similarity"
-    cacheable = False
 
     def __init__(self, packed_classes: np.ndarray, dim: int,
                  name: str = "classify_packed"):

@@ -21,17 +21,15 @@ MicroBatcher / LoadShedder / engine knobs::
 
     [engine]
     cache_size = 256
-    use_packed = true        # omit for auto-selection
     build_extractor = true
     quality = true           # omit: auto-on when the bundle has a baseline
     quality_window = 512
 
     [compile]
     passes = "all"           # "all", "none", or a list of pass names
-    stage_cache = 64         # digest-keyed stage-output cache entries
     [compile.executors]      # or executors = "auto"
     encode = "threaded"
-    classify = "packed"
+    classify = "packed"      # omit for auto-selection; --no-packed pins numpy
 
     [online]
     rule = "online"          # "mass" (dense) or "online" (sparse)
@@ -90,10 +88,10 @@ __all__ = ["main", "build_server", "build_fleet", "load_config",
 _SERVER_KEYS = ("host", "port")
 _BATCHER_KEYS = ("max_batch_size", "max_latency_ms", "workers",
                  "high_watermark", "timeout_s")
-_ENGINE_KEYS = ("cache_size", "use_packed", "build_extractor", "selfcheck",
-                "quality", "quality_window")
+_ENGINE_KEYS = ("cache_size", "build_extractor", "selfcheck", "quality",
+                "quality_window")
 _ALERT_KEYS = ("interval_s", "rules")
-_COMPILE_KEYS = ("passes", "executors", "stage_cache")
+_COMPILE_KEYS = ("passes", "executors")
 _ONLINE_KEYS = ONLINE_OPTION_KEYS
 
 
@@ -111,10 +109,9 @@ def load_config(path: str) -> Dict[str, Any]:
     :func:`~repro.telemetry.alerts.load_alert_rules` (so a malformed
     rule also fails at startup) and lands as ``alert_rules`` /
     ``alert_interval_s``.  The ``[compile]`` section maps onto the
-    engine's graph-compiler knobs (``passes`` / ``executors`` /
-    ``stage_cache``; see :func:`repro.pipeline.compile_graph`) and
-    lands as ``compile_passes`` / ``compile_executors`` /
-    ``compile_stage_cache``.
+    engine's graph-compiler knobs (``passes`` / ``executors``; see
+    :func:`repro.pipeline.compile_graph`) and lands as
+    ``compile_passes`` / ``compile_executors``.
     """
     import tomllib
     with open(path, "rb") as handle:
@@ -145,8 +142,6 @@ def load_config(path: str) -> Dict[str, Any]:
                 flat["compile_passes"] = value["passes"]
             if "executors" in value:
                 flat["compile_executors"] = value["executors"]
-            if "stage_cache" in value:
-                flat["compile_stage_cache"] = int(value["stage_cache"])
             continue
         if key == "online":
             if not isinstance(value, dict):
@@ -260,8 +255,6 @@ def build_server(args: argparse.Namespace) -> ModelServer:
     }
     if args.no_packed:
         engine_options["use_packed"] = False
-    elif "use_packed" in config:
-        engine_options["use_packed"] = bool(config["use_packed"])
     if args.no_extractor:
         engine_options["build_extractor"] = False
     elif "build_extractor" in config:
@@ -276,9 +269,6 @@ def build_server(args: argparse.Namespace) -> ModelServer:
         engine_options["passes"] = config["compile_passes"]
     if "compile_executors" in config:
         engine_options["executors"] = config["compile_executors"]
-    if "compile_stage_cache" in config:
-        engine_options["stage_cache_size"] = int(
-            config["compile_stage_cache"])
 
     ModelBundle.verify(args.bundle)
     engine = InferenceEngine.from_path(args.bundle, **engine_options)

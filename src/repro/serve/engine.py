@@ -12,11 +12,10 @@ serving concerns:
 * an LRU cache keyed by the sha1 of each sample's raw feature bytes that
   memoizes encoded hypervectors, so repeated queries skip the projection
   GEMM entirely (``serve.cache.hits`` / ``serve.cache.misses``);
-* automatic selection of the **bit-packed XOR-popcount fast path**
-  (:class:`repro.pipeline.PackedClassifyStage`) when the bundle's class
-  matrix is bipolar (``binarize=True`` export) and the encoder emits
-  bipolar queries — it ranks identically to the float cosine stage for
-  bipolar operands (integer dots, no rounding);
+* the ``use_packed`` switch onto the compiler's **bit-packed
+  XOR-popcount** ``packed`` classify executor — whether it may run, and
+  whether ``"auto"`` picks it, is decided by
+  :func:`repro.pipeline.compile_graph` alone;
 * a load-time :meth:`selfcheck` proving the packed stage agrees with the
   float reference kernels on random probes;
 * request/sample counters and ``serve.*`` spans for the telemetry layer.
@@ -37,8 +36,8 @@ import numpy as np
 
 from ..hd.similarity import classify
 from ..pipeline import (ClassifyStage, CompileError, ExtractStage,
-                        FlattenStage, StageCache, compile_graph)
-from ..telemetry import get_registry, request_span, span
+                        FlattenStage, auto_executors, compile_graph)
+from ..telemetry import get_registry, span
 from ..telemetry.quality import DriftMonitor, QualityBaseline
 from ..utils.rng import fresh_rng
 from .bundle import BundleError, ModelBundle
@@ -96,9 +95,10 @@ class InferenceEngine:
     bundle:
         A validated :class:`ModelBundle` (``validate()`` is called here).
     use_packed:
-        Force (True) or forbid (False) the bit-packed XOR-popcount path;
-        default ``None`` auto-enables it when the class matrix is
-        strictly bipolar.  Forcing it on a non-binary bundle raises.
+        Pin the classify executor to ``packed`` (True) or ``numpy``
+        (False); default ``None`` keeps an explicit classify executor
+        and otherwise takes the compiler's ``"auto"`` pick.  A packed
+        request the compiler refuses raises :class:`BundleError`.
     cache_size:
         LRU capacity (entries) for encoded hypervectors; 0 disables.
     build_extractor:
@@ -124,15 +124,8 @@ class InferenceEngine:
         (``info["compile"]``); pre-compile bundles default to none.
     executors:
         Executor assignment: ``"auto"``, a ``{stage name → executor
-        name}`` map, or ``None`` for the bundle's plan.  The classify
-        entry interacts with ``use_packed``: an explicit ``use_packed``
-        always wins, an explicit classify executor settles the default,
-        otherwise the historical auto-enable rule applies.
-    stage_cache_size:
-        Entry capacity of the digest-keyed :class:`StageCache` placed
-        under ``encode_features`` batch runs; 0 (default) disables it
-        (the per-sample encoded LRU already covers the request path —
-        the stage cache pays off for repeated *batch* eval workloads).
+        name}`` map, or ``None`` for the bundle's plan.  Its classify
+        entry yields to an explicit ``use_packed``.
     """
 
     def __init__(self, bundle: ModelBundle,
@@ -143,14 +136,14 @@ class InferenceEngine:
                  quality: Optional[bool] = None,
                  quality_window: int = 512,
                  passes=None,
-                 executors=None,
-                 stage_cache_size: int = 0):
+                 executors=None):
         bundle.validate()
         self.bundle = bundle
         info = bundle.info
         self.dim = int(info["dim"])
         self.num_classes = int(info["num_classes"])
         self.pipeline_name = str(info["pipeline"])
+        self._encoder_type = str(info["encoder"]["type"])  # validated
 
         # -- the executable: one frozen stage graph --------------------
         base = bundle.build_graph(build_extractor=build_extractor)
@@ -164,39 +157,15 @@ class InferenceEngine:
             raise BundleError(
                 f"bundle graph must end in a classify stage, got "
                 f"{type(classify_stage).__name__}")
-        encode_stage = next(
-            (stage for stage in base.stages
-             if getattr(stage, "encoder_type", None) is not None), None)
-        if encode_stage is None:
-            raise BundleError("bundle graph has no encode stage")
-        self._encoder_type = encode_stage.encoder_type
-        self._encoder_quantize = bool(encode_stage.quantize)
 
-        # -- packed fast-path selection (now an executor binding) ------
-        binary = bundle.binary_classes
-        classify_name = classify_stage.name
+        # -- classify executor: use_packed pins it, else compile decides
         exec_map = (dict(executors) if isinstance(executors, dict)
                     else {})
-        if use_packed is None:
-            explicit = exec_map.get(classify_name)
-            if explicit is not None:
-                use_packed = explicit == "packed"
-            else:
-                use_packed = binary and self._encoder_quantize \
-                    and self._encoder_type == "random_projection"
-        if use_packed and not binary:
-            raise BundleError(
-                "use_packed=True requires a bipolar class matrix — "
-                "export the bundle with binarize=True")
-        if use_packed and not self._encoder_quantize:
-            raise BundleError(
-                "use_packed=True requires a quantizing encoder (the "
-                "queries must be bipolar to bit-pack); this bundle's "
-                "encoder emits continuous hypervectors")
-        if use_packed:
-            exec_map[classify_name] = "packed"
-        elif exec_map.get(classify_name) == "packed":
-            del exec_map[classify_name]
+        if use_packed is not None:
+            exec_map[classify_stage.name] = ("packed" if use_packed
+                                             else "numpy")
+        elif classify_stage.name not in exec_map:
+            exec_map.update(auto_executors(base))
 
         try:
             result = compile_graph(base, passes=passes,
@@ -209,11 +178,10 @@ class InferenceEngine:
         self.executor_plan = dict(result.executor_plan)
 
         # The float classify stage (for similarities / drift monitor)
-        # and the executor actually answering requests.
-        self._classify_exec = self.graph.stages[-1]
-        self._classify = getattr(self._classify_exec, "inner",
-                                 self._classify_exec)
-        self._packed_stage = getattr(self._classify_exec, "packed", None)
+        # and, when bound, the packed stage answering requests.
+        classify_exec = self.graph.stages[-1]
+        self._classify = getattr(classify_exec, "inner", classify_exec)
+        self._packed_stage = getattr(classify_exec, "packed", None)
         self.use_packed = self._packed_stage is not None
 
         # Feature interface: the first stage after extract/flatten (the
@@ -230,8 +198,6 @@ class InferenceEngine:
                           else None)
 
         self._cache = _EncodedLRU(cache_size) if cache_size > 0 else None
-        self._stage_cache = (StageCache(max_entries=stage_cache_size)
-                             if stage_cache_size > 0 else None)
 
         # -- streaming drift monitor (training baseline in manifest) ---
         baseline_dict = info.get("quality_baseline")
@@ -269,23 +235,6 @@ class InferenceEngine:
         """
         return self._classify.class_matrix
 
-    # -- packed-stage plumbing (kept for API/test compatibility) -------
-    @property
-    def _class_matrix(self) -> np.ndarray:
-        return self._classify.class_matrix
-
-    @property
-    def _packed_classes(self) -> Optional[np.ndarray]:
-        return (None if self._packed_stage is None
-                else self._packed_stage.packed_classes)
-
-    @_packed_classes.setter
-    def _packed_classes(self, value: np.ndarray) -> None:
-        if self._packed_stage is None:
-            raise BundleError("engine has no packed fast path")
-        self._packed_stage.packed_classes = np.asarray(value,
-                                                       dtype=np.uint64)
-
     # ------------------------------------------------------------------
     def encode_features(self, raw_features: np.ndarray) -> np.ndarray:
         """Query hypervectors for ``(n, F)`` raw features (LRU-cached).
@@ -300,8 +249,7 @@ class InferenceEngine:
             with span("serve.encode", nbytes=int(raw_features.nbytes)):
                 return self.graph.run(raw_features,
                                       start=self._feature_entry,
-                                      stop=self._classify_name,
-                                      cache=self._stage_cache)
+                                      stop=self._classify_name)
 
         keys = [hashlib.sha1(np.ascontiguousarray(row).tobytes()).digest()
                 for row in raw_features]
@@ -320,8 +268,7 @@ class InferenceEngine:
             with span("serve.encode", nbytes=int(misses.nbytes)):
                 fresh = self.graph.run(misses,
                                        start=self._feature_entry,
-                                       stop=self._classify_name,
-                                       cache=self._stage_cache)
+                                       stop=self._classify_name)
             for j, i in enumerate(miss_idx):
                 encoded[i] = fresh[j]
                 self._cache.put(keys[i], fresh[j].copy())
@@ -347,15 +294,8 @@ class InferenceEngine:
         registry.inc("serve.samples", len(raw_features))
         with span("serve.predict", nbytes=int(raw_features.nbytes)):
             encoded = self.encode_features(raw_features)
-            # The classify stage runs outside graph.run (the encoded
-            # LRU sits between), so give it its own request-trace stage
-            # span — every StageGraph stage shows up per request.  The
-            # stage itself is whatever executor compile() bound (float
-            # cosine or the packed XOR-popcount wrapper).
-            stage = self._classify_exec
-            with request_span(getattr(stage, "span_name",
-                                      "stage.similarity")):
-                labels = np.asarray(stage(encoded))
+            labels = np.asarray(self.graph.run(
+                encoded, start=self._classify_name))
             if self.quality is not None:
                 self._observe_quality(raw_features, labels, encoded)
             return labels
@@ -404,7 +344,7 @@ class InferenceEngine:
         rng = fresh_rng((seed, "serve-selfcheck"))
         hvs = np.where(rng.random((probes, self.dim)) < 0.5, -1.0, 1.0)
         got = self._packed_stage(hvs)
-        want_dot = classify(self._class_matrix, hvs, metric="dot")
+        want_dot = classify(self.class_matrix, hvs, metric="dot")
         want_cos = np.asarray(self._classify(hvs))
         if not np.array_equal(got, want_dot):
             raise EngineSelfCheckError(
@@ -422,11 +362,6 @@ class InferenceEngine:
             return {"entries": 0, "hits": 0, "misses": 0, "max_entries": 0}
         return self._cache.info()
 
-    def stage_cache_info(self) -> Optional[Dict[str, Any]]:
-        """Digest-keyed stage-cache stats; ``None`` when disabled."""
-        return (None if self._stage_cache is None
-                else self._stage_cache.info())
-
     def describe(self) -> Dict[str, Any]:
         """Engine facts for /healthz and logs."""
         return {
@@ -440,8 +375,7 @@ class InferenceEngine:
             "has_manifold": "reduce" in self.graph,
             "cache": self.cache_info(),
             "compile": {"passes": list(self.compile_passes),
-                        "executors": dict(self.executor_plan),
-                        "stage_cache": self.stage_cache_info()},
+                        "executors": dict(self.executor_plan)},
             "quality": (None if self.quality is None
                         else self.quality.describe()),
             "config_fingerprint": self.bundle.info.get(

@@ -530,10 +530,6 @@ class ModelServer:
             cache_info = getattr(self.engine, "cache_info", None)
             cache = cache_info() if callable(cache_info) else {}
             lookups = cache.get("hits", 0) + cache.get("misses", 0)
-            stage_cache_info = getattr(self.engine, "stage_cache_info",
-                                       None)
-            stage_cache = (stage_cache_info()
-                           if callable(stage_cache_info) else None)
             payload["engine_vitals"] = {
                 "cache_hit_rate": (cache["hits"] / lookups
                                    if lookups else None),
@@ -546,10 +542,6 @@ class ModelServer:
                                                "compile_passes", [])),
                 "executor_plan": dict(getattr(self.engine,
                                               "executor_plan", {})),
-                "stage_cache_hit_rate": (
-                    None if stage_cache is None
-                    else stage_cache.get("hit_rate")),
-                "stage_cache": stage_cache,
                 "last_reload_ts": self.last_reload_ts,
                 "started_at": self.started_at,
                 "uptime_s": time.time() - self.started_at,

@@ -1,4 +1,4 @@
-"""Tests for the stage-graph compiler: passes, executors, caching."""
+"""Tests for the stage-graph compiler: passes, executors, plans."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from repro.learn.manifold import ManifoldLearner
 from repro.pipeline import (EXECUTORS, PASSES, ClassifyStage, CompileError,
                             CompilePlan, EncodeStage, FeatureScaler,
                             FusedEncodeStage, ManifoldReduceStage,
-                            ScalePoolStage, ScaleStage, StageCache,
-                            StageError, StageGraph, canonical_json,
+                            ScalePoolStage, ScaleStage, StageError,
+                            StageGraph, canonical_json,
                             compile_graph, resolve_passes, stage_from_spec)
 from repro.learn.pipeline import VanillaHD
 from repro.serve import ModelBundle
@@ -236,6 +236,16 @@ class TestExecutors:
         with pytest.raises(CompileError, match="unknown stage"):
             compile_graph(frozen, executors={"scale": "threaded"})
 
+    def test_packed_rejects_unquantized_queries(self, rng):
+        # Binarized classes but a continuous encoder: the queries cannot
+        # be bit-packed, so an explicit packed request fails at compile
+        # time instead of on every run.
+        frozen, _ = _scale_encode_graph(rng, kind="nonlinear",
+                                        quantize=False)
+        with pytest.raises(CompileError, match="quantizing encoder"):
+            compile_graph(frozen, passes=None,
+                          executors={"classify": "packed"})
+
     def test_auto_selects_packed_for_quantizing_graph(self, rng):
         frozen, batch = _scale_encode_graph(rng)
         result = compile_graph(frozen, passes=None, executors="auto")
@@ -249,98 +259,6 @@ class TestExecutors:
         frozen, _ = _scale_encode_graph(rng, quantize=False)
         result = compile_graph(frozen, passes=None, executors="auto")
         assert result.executor_plan == {}
-
-
-# ----------------------------------------------------------------------
-# Stage cache
-# ----------------------------------------------------------------------
-class TestStageCache:
-    def test_second_run_hits(self, rng):
-        frozen, batch = _scale_encode_graph(rng)
-        cache = StageCache()
-        first = frozen.run(batch, cache=cache)
-        assert cache.hits == 0 and cache.misses == 2  # scale, encode
-        second = frozen.run(batch, cache=cache)
-        assert cache.hits == 2  # classify is not cacheable
-        np.testing.assert_array_equal(second, first)
-
-    def test_different_input_misses(self, rng):
-        frozen, batch = _scale_encode_graph(rng)
-        cache = StageCache()
-        frozen.run(batch, cache=cache)
-        frozen.run(batch + 1.0, cache=cache)
-        assert cache.hits == 0
-
-    def test_weight_change_invalidates(self, rng):
-        frozen, batch = _scale_encode_graph(rng)
-        cache = StageCache()
-        before = frozen.run(batch, cache=cache)
-        encode = frozen.stage("encode")
-        encode.encoder.projection = -encode.encoder.projection
-        after = frozen.run(batch, cache=cache)
-        assert cache.hits <= 1  # scale may hit; encode chain must not
-        assert not np.array_equal(after, before)
-
-    def test_call_caches_single_stage(self, rng):
-        frozen, batch = _scale_encode_graph(rng)
-        cache = StageCache()
-        first = frozen.call("scale", batch, cache=cache)
-        second = frozen.call("scale", batch, cache=cache)
-        assert cache.hits == 1
-        np.testing.assert_array_equal(second, first)
-
-    def test_classify_not_cached(self, rng):
-        frozen, batch = _scale_encode_graph(rng)
-        cache = StageCache()
-        encoded = frozen.run(batch, stop="classify")
-        frozen.call("classify", encoded, cache=cache)
-        frozen.call("classify", encoded, cache=cache)
-        assert cache.hits == 0 and len(cache) == 0
-
-    def test_entry_bound_evicts_lru(self, rng):
-        frozen, batch = _scale_encode_graph(rng)
-        cache = StageCache(max_entries=1)
-        frozen.run(batch, cache=cache)
-        assert len(cache) == 1
-        assert cache.evictions >= 1
-
-    def test_oversized_value_not_stored(self):
-        cache = StageCache(max_entries=4, max_bytes=64)
-        cache.store(b"key", np.zeros(1024))
-        assert len(cache) == 0
-
-    def test_byte_bound_evicts(self):
-        cache = StageCache(max_entries=16, max_bytes=2048)
-        for i in range(4):
-            cache.store(bytes([i]) * 4, np.zeros(128))  # 1 KiB each
-        assert len(cache) <= 2
-        assert cache.evictions >= 2
-
-    def test_info_and_hit_rate(self, rng):
-        frozen, batch = _scale_encode_graph(rng)
-        cache = StageCache()
-        frozen.run(batch, cache=cache)
-        frozen.run(batch, cache=cache)
-        info = cache.info()
-        assert info["hits"] == 2 and info["misses"] == 2
-        assert info["hit_rate"] == pytest.approx(0.5)
-        assert cache.hit_rate() == pytest.approx(0.5)
-        cache.clear()
-        assert len(cache) == 0 and cache.info()["bytes"] == 0
-
-    def test_metrics_emitted(self, rng):
-        get_registry().reset()
-        frozen, batch = _scale_encode_graph(rng)
-        cache = StageCache()
-        frozen.run(batch, cache=cache)
-        frozen.run(batch, cache=cache)
-        snapshot = get_registry().snapshot()
-        assert snapshot["stagecache.hits"]["value"] == 2
-        assert snapshot["stagecache.misses"]["value"] == 2
-
-    def test_rejects_nonpositive_entries(self):
-        with pytest.raises(ValueError):
-            StageCache(max_entries=0)
 
 
 # ----------------------------------------------------------------------
@@ -516,40 +434,14 @@ class TestServeIntegration:
                             build_extractor=False, use_packed=True,
                             passes="all")
 
-    def test_engine_stage_cache(self, synthetic_bundle):
-        engine = InferenceEngine(synthetic_bundle(),
-                                 build_extractor=False, cache_size=0,
-                                 stage_cache_size=8)
-        x = self._features()
-        first = engine.predict_features(x)
-        second = engine.predict_features(x)
-        np.testing.assert_array_equal(second, first)
-        info = engine.stage_cache_info()
-        assert info["hits"] > 0
-
-    def test_stage_cache_info_none_when_disabled(self, synthetic_bundle):
-        engine = InferenceEngine(synthetic_bundle(),
-                                 build_extractor=False)
-        assert engine.stage_cache_info() is None
-
     def test_deep_health_reports_compile_vitals(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle(),
                                  build_extractor=False, cache_size=0,
-                                 passes="all", stage_cache_size=4)
+                                 passes="all")
         with ModelServer(engine, port=0, workers=1) as server:
             vitals = server.health(deep=True)["engine_vitals"]
         assert vitals["compile_passes"] == ["fuse_scale_encode"]
         assert isinstance(vitals["executor_plan"], dict)
-        assert vitals["stage_cache"]["max_entries"] == 4
-        assert vitals["stage_cache_hit_rate"] is not None
-
-    def test_deep_health_without_stage_cache(self, synthetic_bundle):
-        engine = InferenceEngine(synthetic_bundle(),
-                                 build_extractor=False)
-        with ModelServer(engine, port=0, workers=1) as server:
-            vitals = server.health(deep=True)["engine_vitals"]
-        assert vitals["stage_cache"] is None
-        assert vitals["stage_cache_hit_rate"] is None
 
 
 class TestPipelineIntegration:
@@ -579,35 +471,22 @@ class TestPipelineIntegration:
         np.testing.assert_array_equal(graph.run(images),
                                       pipe.predict(images))
 
-    def test_pipeline_stage_cache_hits_on_refit_style_sweep(self):
-        pipe, images = self._fitted_vanilla()
-        want = pipe.predict(images)
-        cache = StageCache()
-        pipe.set_stage_cache(cache)
-        try:
-            pipe.predict(images)
-            got = pipe.predict(images)
-        finally:
-            pipe.set_stage_cache(None)
-        np.testing.assert_array_equal(got, want)
-        assert cache.hits > 0
-
 
 class TestCompileConfig:
     def test_compile_section_flattens(self, tmp_path):
         path = tmp_path / "serve.toml"
-        path.write_text('[compile]\npasses = "all"\nstage_cache = 32\n'
+        path.write_text('[compile]\npasses = "all"\n'
                         '[compile.executors]\nencode = "threaded"\n')
         config = load_config(str(path))
         assert config["compile_passes"] == "all"
         assert config["compile_executors"] == {"encode": "threaded"}
-        assert config["compile_stage_cache"] == 32
 
     def test_unknown_compile_key_rejected(self, tmp_path):
         path = tmp_path / "serve.toml"
-        path.write_text('[compile]\njit = true\n')
-        with pytest.raises(ValueError, match=r"compile\.jit"):
-            load_config(str(path))
+        for key in ("jit", "stage_cache"):
+            path.write_text(f'[compile]\n{key} = 1\n')
+            with pytest.raises(ValueError, match=rf"compile\.{key}"):
+                load_config(str(path))
 
     def test_unknown_section_error_lists_compile(self, tmp_path):
         path = tmp_path / "serve.toml"

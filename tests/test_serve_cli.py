@@ -23,11 +23,13 @@ class TestLoadConfig:
         path.write_text(
             '[server]\nhost = "0.0.0.0"\nport = 9000\n'
             "[batcher]\nmax_batch_size = 64\nworkers = 3\n"
-            "[engine]\ncache_size = 128\nuse_packed = true\n")
+            "[engine]\ncache_size = 128\n"
+            '[compile.executors]\nclassify = "packed"\n')
         config = load_config(str(path))
         assert config == {"host": "0.0.0.0", "port": 9000,
                           "max_batch_size": 64, "workers": 3,
-                          "cache_size": 128, "use_packed": True}
+                          "cache_size": 128,
+                          "compile_executors": {"classify": "packed"}}
 
     def test_flat_layout(self, tmp_path):
         path = tmp_path / "serve.toml"
@@ -43,15 +45,17 @@ class TestLoadConfig:
 
     def test_unknown_key_raises(self, tmp_path):
         path = tmp_path / "serve.toml"
-        path.write_text("[server]\nportt = 8000\n")
-        with pytest.raises(ValueError, match="portt"):
-            load_config(str(path))
+        for section, key in (("server", "portt"), ("engine", "use_packed")):
+            path.write_text(f"[{section}]\n{key} = 1\n")
+            with pytest.raises(ValueError, match=key):
+                load_config(str(path))
 
     def test_unknown_flat_key_raises(self, tmp_path):
         path = tmp_path / "serve.toml"
-        path.write_text("prot = 8000\n")
-        with pytest.raises(ValueError, match="prot"):
-            load_config(str(path))
+        for key in ("prot", "use_packed", "stage_cache"):
+            path.write_text(f"{key} = 1\n")
+            with pytest.raises(ValueError, match=key):
+                load_config(str(path))
 
 
 def _args(bundle, **overrides):

@@ -47,7 +47,8 @@ class TestPackedPath:
     def test_selfcheck_catches_corruption(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle())
         assert engine.selfcheck()
-        engine._packed_classes = np.roll(engine._packed_classes, 1, axis=0)
+        packed = engine.graph.stage("classify").packed
+        packed.packed_classes = np.roll(packed.packed_classes, 1, axis=0)
         with pytest.raises(EngineSelfCheckError):
             engine.selfcheck()
 
