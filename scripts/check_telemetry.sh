@@ -9,9 +9,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== telemetry suite: metrics, tracing, profiler, exporters, integration =="
+echo "== telemetry suite: metrics, spans (aggregate + request), profiler, exporters, integration =="
 python -m pytest tests/test_telemetry_metrics.py \
                  tests/test_telemetry_tracing.py \
+                 tests/test_telemetry_reqtrace.py \
                  tests/test_telemetry_profiler.py \
                  tests/test_telemetry_exporters.py \
                  tests/test_telemetry_integration.py -q

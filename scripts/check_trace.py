@@ -26,8 +26,10 @@ Every process exports its spans as JSONL (``trace-<service>-<pid>
 
 It also exercises the live observability surface (``/tracez`` lookup,
 ``/requestz`` log, trace-id echo on 404/400 errors) and gates the
-tracing-**disabled** span overhead at < 5% (best of 3), so the
-always-on hub hook stays effectively free when tracing is off.
+tracing-**disabled** span overhead at < 5% (best of 3): the unified
+span with the hub dormant against the aggregate-only reference span in
+``scripts/trace_overhead.py``, so the request side of every span stays
+effectively free when tracing is off.
 
 Wired into ``scripts/run_all.sh`` via ``scripts/check_trace.sh``.
 """
@@ -48,10 +50,10 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from serve_bench import synthetic_bundle  # noqa: E402
+from trace_overhead import disabled_request_trace_overhead  # noqa: E402
 
 from repro.serve import Router, Supervisor  # noqa: E402
 from repro.telemetry import (disable_request_tracing,  # noqa: E402
-                             disabled_request_trace_overhead,
                              enable_request_tracing, read_trace_jsonl,
                              render_trace_tree, stitch_traces)
 from repro.utils.rng import fresh_rng  # noqa: E402
@@ -71,7 +73,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--overhead-limit", type=float, default=1.05,
                         help="tracing-disabled span cost ceiling "
-                             "(hooked/baseline, median of 3)")
+                             "(unified/aggregate-only, best of 3)")
     parser.add_argument("--skip-overhead", action="store_true",
                         help="skip the microbenchmark (loaded CI hosts)")
     return parser.parse_args(argv)
@@ -118,8 +120,8 @@ def main(argv=None) -> int:
 
     # -- overhead gate first, while the hub is still dormant ----------
     if not args.skip_overhead:
-        # Gate on the best of 3 calls: the dormant hook's true cost is
-        # a lower bound of every run — scheduler noise only inflates.
+        # Gate on the best of 3 calls: the dormant request side's true
+        # cost is a lower bound of every run — noise only inflates.
         ratios = sorted(disabled_request_trace_overhead()
                         for _ in range(3))
         check(ratios[0] < args.overhead_limit,

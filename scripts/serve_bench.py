@@ -72,13 +72,13 @@ from repro.serve import InferenceEngine, ModelBundle, ModelServer  # noqa: E402
 from repro.serve.batching import MicroBatcher  # noqa: E402
 from repro.serve.bundle import BUNDLE_VERSION  # noqa: E402
 from repro.telemetry import (disable_request_tracing,  # noqa: E402
-                             disabled_request_trace_overhead,
                              enable_request_tracing, get_flight_recorder,
                              render_trace_tree)
 from repro.telemetry import regress  # noqa: E402
 from repro.telemetry.ledger import (RunLedger, RunRecord,  # noqa: E402
                                     config_fingerprint, git_info)
 from repro.utils.rng import fresh_rng  # noqa: E402
+from trace_overhead import disabled_request_trace_overhead  # noqa: E402
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -460,7 +460,7 @@ def main(argv=None) -> int:
         disabled_ratio = disabled_request_trace_overhead()
         print(f"http traced : {traced_loop['throughput_rps']:>10.1f} "
               f"req/s   (tracing on, {tracing_overhead:.3f}x untraced "
-              f"rps; dormant-hook span overhead "
+              f"rps; dormant-hub span overhead "
               f"{disabled_ratio:.3f}x)")
         report_traces(traced_loop)
 

@@ -18,8 +18,10 @@ Telemetry: the graph runner is the single place that emits ``stage.*``
 spans.  Training loops run stages with ``instrument=True`` (preserving
 the historical ``stage.extract`` / ``stage.manifold`` / ``stage.encode``
 / ``stage.similarity`` span stream the run ledger and regression gate
-key on); inference/eval paths pass ``instrument=False``, matching the
-pre-refactor behaviour where predict did not emit per-stage spans.
+key on); inference/eval paths pass ``instrument=False``, which keeps
+the stage spans out of the aggregate tree (matching the pre-refactor
+behaviour where predict did not emit per-stage spans) but still records
+them into an active request trace.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from ..telemetry import request_span, span
-from ..telemetry.reqtrace import HUB as _HUB
+from ..telemetry import span
 from .stages import Stage, StageError, stage_from_spec
 
 __all__ = ["StageGraph", "canonical_json"]
@@ -147,32 +148,17 @@ class StageGraph:
             instrument: bool = False) -> np.ndarray:
         """Execute stages ``[start, stop)`` (``stop`` exclusive) in order.
 
-        ``instrument=True`` wraps each stage in its ``stage.*`` telemetry
-        span; the default ``False`` matches the historical inference
-        paths, which did not emit per-stage spans (keeping ledger stage
-        accounting comparable across the refactor).
-
-        Independently of ``instrument``, when a *request trace* is
-        active on the calling thread each stage is recorded as a
-        hub-only span — per-request stage latency shows up in the flight
-        recorder / trace files without touching the aggregate ledger's
-        stage accounting.
+        Each stage runs in its ``stage.*`` span.  ``instrument`` decides
+        only whether that span also enters the aggregate tree: the
+        default ``False`` matches the historical inference paths, which
+        did not emit per-stage spans (keeping ledger stage accounting
+        comparable across the refactor).  Inside an active request
+        trace, the span is recorded into the request either way, once.
         """
         out = batch
-        traced = _HUB.enabled and _HUB.current() is not None
         for stage in self._slice(start, stop):
-            if instrument:
-                with span(stage.span_name,
-                          nbytes=int(np.asarray(out).nbytes)):
-                    if traced:
-                        with request_span(stage.span_name):
-                            out = stage(out, ctx)
-                    else:
-                        out = stage(out, ctx)
-            elif traced:
-                with request_span(stage.span_name):
-                    out = stage(out, ctx)
-            else:
+            with span(stage.span_name, nbytes=int(np.asarray(out).nbytes),
+                      aggregate=instrument):
                 out = stage(out, ctx)
         return out
 

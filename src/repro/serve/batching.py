@@ -416,16 +416,10 @@ class MicroBatcher:
         t0 = clock()
         error_text: Optional[str] = None
         try:
-            if traced:
-                with hub.activate(traced[0].trace_ctx):
-                    with span("serve.batcher.dispatch",
-                              nbytes=int(stacked.nbytes),
-                              attrs=batch_attrs):
-                        result = self.predict_fn(stacked)
-            else:
-                with span("serve.batcher.dispatch",
-                          nbytes=int(stacked.nbytes)):
-                    result = self.predict_fn(stacked)
+            with hub.activate(traced[0].trace_ctx if traced else None), \
+                    span("serve.batcher.dispatch",
+                         nbytes=int(stacked.nbytes), attrs=batch_attrs):
+                result = self.predict_fn(stacked)
             # ``predict_fn`` may tag its batch: a ``(labels, meta)``
             # return delivers each row as ``(label, meta)``, letting
             # callers attribute every answer to the engine snapshot

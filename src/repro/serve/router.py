@@ -55,9 +55,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..reliability.circuit import CircuitBreaker
 from ..telemetry import (AlertManager, BurnRateTracker, clock,
-                         get_registry, get_request_log, request_span)
+                         get_registry, get_request_log, span)
 from ..telemetry.reqtrace import HUB as _HUB
-from ..telemetry.reqtrace import TraceContext, _RequestTrace
+from ..telemetry.reqtrace import TraceContext
 from .handler import DISCONNECTS, HTTPServer, JsonHandler, Query, Response
 
 __all__ = ["Router", "HashRing"]
@@ -339,7 +339,7 @@ class Router:
     # Request routing
     # ------------------------------------------------------------------
     def route_predict(self, body: bytes,
-                      trace: Optional[_RequestTrace] = None) -> Response:
+                      trace: Optional[span] = None) -> Response:
         """Route one ``/predict`` body; returns (status, payload, headers).
 
         The payload is the worker's JSON body, or an error dict when no
@@ -405,7 +405,7 @@ class Router:
                                self.slo_latency.slow_window_s))
 
     def _route_predict_inner(self, body: bytes,
-                             trace: Optional[_RequestTrace] = None
+                             trace: Optional[span] = None
                              ) -> Response:
         registry = get_registry()
         registry.inc("fleet.router.requests")
@@ -435,8 +435,8 @@ class Router:
             if attempts:
                 registry.inc("fleet.router.retries")
                 backoff_s = self.retry_backoff_s * (2.0 ** (attempts - 1))
-                with request_span("router.retry_backoff",
-                                  backoff_s=backoff_s):
+                with span("router.retry_backoff",
+                          attrs={"backoff_s": backoff_s}, aggregate=False):
                     time.sleep(backoff_s)
             attempts += 1
             client = self._client(worker_id, healthy[worker_id])
@@ -445,8 +445,9 @@ class Router:
             # (failover retries become sibling attempts in the tree).
             # With tracing disabled the root context still travels —
             # the worker echoes the same request id either way.
-            with request_span("router.attempt", worker=worker_id,
-                              attempt=attempts) as attempt_span:
+            with span("router.attempt",
+                      attrs={"worker": worker_id, "attempt": attempts},
+                      aggregate=False) as attempt_span:
                 fwd_ctx = attempt_span.ctx or root_ctx
                 fwd_headers = None
                 if fwd_ctx is not None:

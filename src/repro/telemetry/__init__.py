@@ -6,9 +6,12 @@ beyond numpy + stdlib, importable from every other layer):
 * :mod:`~repro.telemetry.metrics` — process-global
   :class:`MetricsRegistry` of counters, gauges and streaming histograms
   (P² quantiles: p50/p95/p99 without storing samples).
-* :mod:`~repro.telemetry.tracing` — nestable :class:`span` context
-  managers building a hierarchical timing tree with a thread-local
-  current-span stack; :func:`clock` is the shared monotonic clock.
+* :mod:`~repro.telemetry.tracing` — one nestable :class:`span`
+  context manager on one thread-local frame stack, with two outputs: a
+  hierarchical aggregate timing tree per :class:`Tracer`, and — inside
+  an active request — per-request span records for the
+  :mod:`~repro.telemetry.reqtrace` hub (trace contexts, sampling, sinks,
+  JSONL export); :func:`clock` is the shared monotonic clock.
 * :mod:`~repro.telemetry.profiler` — :class:`Profiler` hooking the
   autograd engine for per-op / per-layer forward+backward time and
   FLOP/MAC estimates; near-zero overhead while disabled.
@@ -87,11 +90,8 @@ from .report import (diagnostics_section, format_table, render_report,
                      sparkline, stage_breakdown, trend_section)
 from .reqtrace import (TRACE_EVENT_TYPE, SpanRecord, TraceContext, TraceHub,
                        TraceJsonlWriter, build_span_tree, get_hub,
-                       new_span_id, request_span, request_tracing_active,
-                       sample_trace, trace_file_for)
-from .tracing import (SpanNode, Tracer, add_bytes, clock, current_span,
-                      disabled_request_trace_overhead, get_tracer,
-                      set_tracer, span)
+                       new_span_id, sample_trace, trace_file_for)
+from .tracing import SpanNode, Tracer, clock, get_tracer, set_tracer, span
 
 __all__ = [
     # metrics
@@ -99,13 +99,11 @@ __all__ = [
     "BurnRateTracker", "get_registry", "set_registry", "use_registry",
     "DEFAULT_QUANTILES",
     # tracing
-    "SpanNode", "Tracer", "span", "get_tracer", "set_tracer",
-    "current_span", "add_bytes", "clock",
-    "disabled_request_trace_overhead",
+    "SpanNode", "Tracer", "span", "get_tracer", "set_tracer", "clock",
     # request tracing
     "TraceContext", "SpanRecord", "TraceHub", "TraceJsonlWriter",
-    "request_span", "get_hub", "request_tracing_active", "sample_trace",
-    "build_span_tree", "trace_file_for", "new_span_id", "TRACE_EVENT_TYPE",
+    "get_hub", "sample_trace", "build_span_tree", "trace_file_for",
+    "new_span_id", "TRACE_EVENT_TYPE",
     # flight recorder + request log
     "FlightRecorder", "RequestLog", "get_flight_recorder",
     "get_request_log", "enable_request_tracing", "disable_request_tracing",

@@ -1,10 +1,12 @@
 """Per-request distributed tracing: trace contexts, span records, hub.
 
-The aggregate span tree in :mod:`~repro.telemetry.tracing` answers
-"where does the wall time go *on average*" — it collapses every request
-into one tree of totals.  This module answers the complementary
-question: "where did the time of *this specific request* go", across
-process boundaries.  It is the substrate for the serving fleet's
+The aggregate span tree answers "where does the wall time go *on
+average*" — it collapses every request into one tree of totals.  The
+per-request output of the same spans answers "where did the time of
+*this specific request* go", across process boundaries.  Both come
+from :class:`~repro.telemetry.tracing.span`, whose frames live on one
+per-thread stack in :mod:`~repro.telemetry.tracing`; this module holds
+the request side around it, the substrate for the serving fleet's
 end-to-end tracing (router → worker → micro-batcher → stage graph):
 
 * :class:`TraceContext` — a W3C ``traceparent``-compatible identity
@@ -14,23 +16,21 @@ end-to-end tracing (router → worker → micro-batcher → stage graph):
 * :class:`SpanRecord` — one *completed* span occurrence with wall-clock
   start (``time.time``, comparable across processes), duration, status,
   and free-form attributes.
-* :class:`TraceHub` — the process-global collector: thread-local
-  context stacks (so spans opened on a worker thread parent correctly),
-  pluggable span sinks (JSONL writer, flight recorder) and trace-end
-  sinks (fired when a request-root span closes).
+* :class:`TraceHub` — the process-global collector: configuration and
+  sampling, request-root frames (:meth:`TraceHub.trace`) and adopted
+  contexts (:meth:`TraceHub.activate`, so spans opened on a worker
+  thread parent correctly), pluggable span sinks (JSONL writer, flight
+  recorder) and trace-end sinks (fired when a request-root span
+  closes).
 * :class:`TraceJsonlWriter` — append-only per-process JSONL sink for
   *sampled* traces; :func:`repro.telemetry.stitch_traces` reassembles
   the cross-process span trees from several processes' files.
 
-Everything here is stdlib-only and imports nothing from the rest of the
-package — :mod:`~repro.telemetry.tracing` hooks into the hub, not the
-other way around, keeping the telemetry layer cycle-free.
-
-The hub is dormant by default: with ``HUB.enabled`` False a
-:class:`request_span` costs one attribute check (gated <5% on the
-serving hot path by ``scripts/check_trace.sh``), and :meth:`TraceHub.trace`
-still yields a usable context — requests always get an id to echo even
-when nothing is recorded.
+Everything here is stdlib-only.  The hub is dormant by default: with
+``HUB.enabled`` False a span pays one attribute check for its request
+output (gated <5% on the serving hot path by ``scripts/check_trace.sh``),
+and :meth:`TraceHub.trace` still yields a usable context — requests
+always get an id to echo even when nothing is recorded.
 """
 
 from __future__ import annotations
@@ -40,12 +40,13 @@ import os
 import re
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from contextlib import nullcontext
+from typing import Any, Callable, ContextManager, Dict, List, Optional
 
 __all__ = [
     "TraceContext", "SpanRecord", "TraceHub", "TraceJsonlWriter",
-    "request_span", "get_hub", "request_tracing_active", "sample_trace",
-    "build_span_tree", "trace_file_for", "new_span_id", "TRACE_EVENT_TYPE",
+    "get_hub", "sample_trace", "build_span_tree", "trace_file_for",
+    "new_span_id", "TRACE_EVENT_TYPE",
 ]
 
 #: ``type`` discriminator of per-request span events in JSONL files
@@ -55,8 +56,6 @@ TRACE_EVENT_TYPE = "trace_span"
 _TRACEPARENT_RE = re.compile(
     r"^(?P<version>[0-9a-f]{2})-(?P<trace_id>[0-9a-f]{32})-"
     r"(?P<span_id>[0-9a-f]{16})-(?P<flags>[0-9a-f]{2})$")
-
-_perf = time.perf_counter
 
 
 def _rand_hex(nbytes: int) -> str:
@@ -203,97 +202,6 @@ class SpanRecord:
                 f"{self.duration_s * 1000:.2f}ms, {self.status})")
 
 
-class _OpenSpan:
-    """Handle for a span between :meth:`TraceHub.enter` and ``finish``."""
-
-    __slots__ = ("name", "ctx", "parent_id", "attrs", "start_ts", "t0",
-                 "status", "error")
-
-    def __init__(self, name: str, ctx: TraceContext, parent_id: str,
-                 attrs: Optional[Dict[str, Any]]):
-        self.name = name
-        self.ctx = ctx
-        self.parent_id = parent_id
-        self.attrs = dict(attrs) if attrs else {}
-        self.start_ts = time.time()
-        self.t0 = _perf()
-        self.status = "ok"
-        self.error: Optional[str] = None
-
-
-class _RequestTrace:
-    """Context manager for a request-*root* span (see :meth:`TraceHub.trace`).
-
-    Always yields a usable :attr:`ctx` (so callers can echo the trace id
-    on every response); only records and fires trace-end sinks when the
-    hub is enabled.
-    """
-
-    __slots__ = ("hub", "name", "ctx", "parent", "attrs", "_open",
-                 "status", "error")
-
-    def __init__(self, hub: "TraceHub", name: str,
-                 parent: Optional[TraceContext],
-                 attrs: Optional[Dict[str, Any]]):
-        self.hub = hub
-        self.name = name
-        self.parent = parent
-        self.attrs = dict(attrs) if attrs else {}
-        if parent is not None:
-            self.ctx = parent.child()
-            if not hub.enabled:
-                self.ctx.sampled = False
-        else:
-            ctx = TraceContext.mint()
-            ctx.sampled = (hub.enabled
-                           and sample_trace(ctx.trace_id, hub.sample_rate))
-            self.ctx = ctx
-        self._open: Optional[_OpenSpan] = None
-        self.status = "ok"
-        self.error: Optional[str] = None
-
-    # ------------------------------------------------------------------
-    def set_error(self, error: str) -> None:
-        self.status = "error"
-        self.error = str(error)
-
-    def annotate(self, **attrs: Any) -> None:
-        self.attrs.update(attrs)
-
-    @property
-    def trace_id(self) -> str:
-        return self.ctx.trace_id
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "_RequestTrace":
-        if self.hub.enabled:
-            handle = _OpenSpan(
-                self.name, self.ctx,
-                self.parent.span_id if self.parent is not None else "",
-                None)
-            self.hub._stack().append(handle)
-            self._open = handle
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        handle = self._open
-        if handle is None:
-            return
-        self._open = None
-        if exc is not None and self.status == "ok":
-            self.set_error(f"{exc_type.__name__}: {exc}")
-        handle.attrs.update(self.attrs)
-        handle.status = self.status
-        handle.error = self.error
-        # finish() pops the handle off the thread-local stack (plus any
-        # leaked inner spans) before closing — without the pop every
-        # traced request would leave a stale _OpenSpan behind on
-        # long-lived server threads.
-        record = self.hub.finish(handle)
-        if record is not None:
-            self.hub._end_trace(record)
-
-
 class TraceHub:
     """Process-global request-trace collector (one per process).
 
@@ -306,7 +214,6 @@ class TraceHub:
         self.enabled = False
         self.service = "proc"
         self.sample_rate = 1.0
-        self._local = threading.local()
         self._sink_lock = threading.Lock()
         self._span_sinks: List[Callable[[SpanRecord], None]] = []
         self._trace_sinks: List[Callable[[SpanRecord], None]] = []
@@ -345,91 +252,43 @@ class TraceHub:
         self.service = "proc"
         self.sample_rate = 1.0
         self.clear_sinks()
-        self._local = threading.local()
 
     # ------------------------------------------------------------------
-    # Context stack
+    # Request frames (on the one span stack of :mod:`.tracing`)
     # ------------------------------------------------------------------
-    def _stack(self) -> List[Any]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
     def current(self) -> Optional[TraceContext]:
-        """The calling thread's innermost active context (or None)."""
-        stack = getattr(self._local, "stack", None)
-        if not stack:
-            return None
-        top = stack[-1]
-        return top if isinstance(top, TraceContext) else top.ctx
+        """The calling thread's innermost active context (None while the
+        hub is dormant or outside any request)."""
+        return _tracing._current_context() if self.enabled else None
 
-    def activate(self, ctx: Optional[TraceContext]) -> "_Activation":
+    def activate(self, ctx: Optional[TraceContext]) -> ContextManager:
         """Adopt ``ctx`` as the calling thread's current context.
 
         This is how a batcher worker thread picks up the submitting
         request's context so engine/stage spans land in its trace.
+        ``None`` adopts nothing.
         """
-        return _Activation(self, ctx)
+        if ctx is None:
+            return nullcontext()
+        return _tracing._context_frame(ctx)
 
-    # ------------------------------------------------------------------
-    # Span lifecycle
-    # ------------------------------------------------------------------
     def trace(self, name: str, parent: Optional[TraceContext] = None,
-              attrs: Optional[Dict[str, Any]] = None) -> _RequestTrace:
+              attrs: Optional[Dict[str, Any]] = None) -> "_tracing.span":
         """Open a request-root span (fires trace-end sinks on close).
 
-        Works with the hub disabled too: the returned handle still
-        carries a minted (unsampled, unrecorded) :class:`TraceContext`,
-        so servers can echo a request id unconditionally.
+        Works with the hub disabled too: the returned span still carries
+        a minted (unsampled, unrecorded) :class:`TraceContext`, so
+        servers can echo a request id unconditionally.
         """
-        return _RequestTrace(self, name, parent, attrs)
-
-    def enter(self, name: str,
-              attrs: Optional[Dict[str, Any]] = None) -> Optional[_OpenSpan]:
-        """Open a child span under the thread's current context.
-
-        Returns ``None`` when the hub is disabled or no request is
-        active on this thread — callers skip ``finish`` in that case.
-        """
-        if not self.enabled:
-            return None
-        stack = self._stack()
-        if not stack:
-            return None
-        top = stack[-1]
-        parent_ctx = top if isinstance(top, TraceContext) else top.ctx
-        handle = _OpenSpan(name, parent_ctx.child(), parent_ctx.span_id,
-                           attrs)
-        stack.append(handle)
-        return handle
-
-    def finish(self, handle: Optional[_OpenSpan],
-               exc: Optional[BaseException] = None) -> Optional[SpanRecord]:
-        if handle is None:
-            return None
-        if exc is not None and handle.status == "ok":
-            handle.status = "error"
-            handle.error = f"{type(exc).__name__}: {exc}"
-        stack = self._stack()
-        # Pop back to the handle even if inner spans leaked.
-        while stack and stack[-1] is not handle:
-            stack.pop()
-        if stack:
-            stack.pop()
-        return self._close(handle)
-
-    def _close(self, handle: _OpenSpan) -> SpanRecord:
-        record = SpanRecord(
-            name=handle.name, trace_id=handle.ctx.trace_id,
-            span_id=handle.ctx.span_id, parent_id=handle.parent_id,
-            service=self.service, start_ts=handle.start_ts,
-            duration_s=_perf() - handle.t0, status=handle.status,
-            error=handle.error, attrs=handle.attrs,
-            sampled=handle.ctx.sampled)
-        self.emit(record)
-        return record
+        if parent is not None:
+            ctx = parent.child()
+            ctx.sampled = ctx.sampled and self.enabled
+        else:
+            ctx = TraceContext.mint()
+            ctx.sampled = (self.enabled
+                           and sample_trace(ctx.trace_id, self.sample_rate))
+        return _tracing._context_frame(
+            ctx, name, parent.span_id if parent is not None else "", attrs)
 
     def record_span(self, name: str, parent: TraceContext,
                     start_ts: float, duration_s: float,
@@ -482,75 +341,6 @@ class TraceHub:
                 f"sample_rate={self.sample_rate})")
 
 
-class _Activation:
-    """Context manager adopting a foreign :class:`TraceContext`."""
-
-    __slots__ = ("hub", "ctx", "_pushed")
-
-    def __init__(self, hub: TraceHub, ctx: Optional[TraceContext]):
-        self.hub = hub
-        self.ctx = ctx
-        self._pushed = False
-
-    def __enter__(self) -> "_Activation":
-        if self.ctx is not None and self.hub.enabled:
-            self.hub._stack().append(self.ctx)
-            self._pushed = True
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if not self._pushed:
-            return
-        self._pushed = False
-        stack = self.hub._stack()
-        while stack and stack[-1] is not self.ctx:
-            stack.pop()
-        if stack:
-            stack.pop()
-
-
-class request_span:
-    """Record a span into the active *request* trace only.
-
-    Unlike :class:`~repro.telemetry.tracing.span` this does **not**
-    touch the aggregate span tree — it is for per-request detail the
-    aggregate accounting intentionally omits (e.g. per-stage spans on
-    the serving path, which the ledger's stage series must not absorb).
-    Near-free when the hub is dormant or no request is active.
-    """
-
-    __slots__ = ("name", "attrs", "_open")
-
-    def __init__(self, name: str, **attrs: Any):
-        self.name = name
-        self.attrs = attrs or None
-        self._open: Optional[_OpenSpan] = None
-
-    def annotate(self, **attrs: Any) -> None:
-        if self._open is not None:
-            self._open.attrs.update(attrs)
-
-    def set_error(self, error: str) -> None:
-        if self._open is not None:
-            self._open.status = "error"
-            self._open.error = str(error)
-
-    @property
-    def ctx(self) -> Optional[TraceContext]:
-        return self._open.ctx if self._open is not None else None
-
-    def __enter__(self) -> "request_span":
-        if HUB.enabled:
-            self._open = HUB.enter(self.name, self.attrs)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        handle = self._open
-        if handle is not None:
-            self._open = None
-            HUB.finish(handle, exc)
-
-
 # ----------------------------------------------------------------------
 # Process-global hub
 # ----------------------------------------------------------------------
@@ -562,11 +352,6 @@ HUB = TraceHub()
 def get_hub() -> TraceHub:
     """The process-global request-trace hub."""
     return HUB
-
-
-def request_tracing_active() -> bool:
-    """Whether the calling thread is inside an enabled request trace."""
-    return HUB.enabled and HUB.current() is not None
 
 
 # ----------------------------------------------------------------------
@@ -640,3 +425,8 @@ def build_span_tree(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         node["children"].sort(key=lambda n: n["span"].get("start_ts", 0.0))
     roots.sort(key=lambda n: n["span"].get("start_ts", 0.0))
     return roots
+
+
+# The span stack lives in tracing.py, which imports HUB from this module;
+# imported last so either module can be imported first.
+from . import tracing as _tracing  # noqa: E402

@@ -1,22 +1,33 @@
-"""Hierarchical tracing spans: where does the wall time go?
+"""Tracing spans: where does the wall time go, overall and per request?
 
-``with span("stage.encode", nbytes=batch.nbytes): ...`` pushes a node
-onto a *thread-local* span stack and accumulates (wall time, call count,
-bytes processed) into a process-global span *tree* shared by all
-threads.  Nested / reentrant spans simply become children, so the tree
-mirrors the dynamic call structure:
+``with span("stage.encode", nbytes=batch.nbytes): ...`` pushes a frame
+onto the calling thread's span stack (the only span stack in the
+package).  Closing the frame feeds two outputs:
 
-    pipeline.fit
-      epoch
-        stage.manifold
-        stage.encode
-          hd.encode.random_projection
-        stage.update
-          stage.similarity
+* the **aggregate tree** of a :class:`Tracer` (process-global by
+  default): wall time, call count and bytes per tree position, shared by
+  all threads.  Nested / reentrant spans become children, so the tree
+  mirrors the dynamic call structure::
 
-Every node knows its *self time* (total minus children), which is what
-the stage-level breakdown in the run report uses so that nested stages
-never double-count.
+      pipeline.fit
+        epoch
+          stage.manifold
+          stage.encode
+            hd.encode.random_projection
+          stage.update
+            stage.similarity
+
+  Every node knows its *self time* (total minus children), which is what
+  the stage-level breakdown in the run report uses so that nested stages
+  never double-count.
+* a per-request :class:`~repro.telemetry.reqtrace.SpanRecord`, sent to
+  the request-trace hub's sinks when the hub is enabled and the thread
+  is inside a request (``HUB.trace`` / ``HUB.activate`` frames).
+
+``span(..., aggregate=False)`` keeps only the second output.  A frame's
+tree parent is the innermost open frame of the *same* tracer, so a
+private tracer's spans interleaved with the global tracer's still build
+their own tree.
 
 The clock is :func:`time.perf_counter`, exported as :func:`clock` so
 other modules (e.g. per-epoch timing in the pipelines' ``history``)
@@ -30,10 +41,10 @@ import time
 from typing import Any, Dict, List, Optional
 
 from .reqtrace import HUB as _HUB
+from .reqtrace import SpanRecord, TraceContext
 
 __all__ = ["SpanNode", "Tracer", "span", "get_tracer", "set_tracer",
-           "current_span", "add_bytes", "clock",
-           "disabled_request_trace_overhead"]
+           "clock"]
 
 #: Monotonic clock shared by spans and the per-epoch history timings.
 clock = time.perf_counter
@@ -91,39 +102,25 @@ class SpanNode:
 
 
 class Tracer:
-    """Owner of one span tree + the per-thread current-span stacks.
+    """Owner of one aggregate span tree.
 
-    All threads share the same tree root; each thread has its own stack,
-    so concurrent spans from worker threads land as siblings without
-    interleaving.  Tree mutation happens under a single lock — spans are
-    batch-scale (milliseconds), so the microsecond-scale lock is noise.
+    All threads share the tree; open spans live on each thread's own
+    frame stack, so concurrent spans from worker threads land as
+    siblings without interleaving.  Tree mutation happens under a single
+    lock — spans are batch-scale (milliseconds), so the
+    microsecond-scale lock is noise.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.root = SpanNode("<root>")
         self._lock = threading.Lock()
-        self._local = threading.local()
 
-    # ------------------------------------------------------------------
-    def _stack(self) -> List[SpanNode]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = [self.root]
-            self._local.stack = stack
-        return stack
-
-    def current(self) -> SpanNode:
-        """The innermost open span of the calling thread (or the root)."""
-        return self._stack()[-1]
-
-    # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Drop the tree.  Open spans keep recording into the old tree;
-        call between runs, not mid-span."""
+        """Drop the tree.  Open spans finish into the old tree; spans
+        opened after the reset land under the new root."""
         with self._lock:
             self.root = SpanNode("<root>")
-        self._local = threading.local()
 
     def aggregate(self) -> Dict[str, Dict[str, float]]:
         """Collapse the tree by span *name* across all positions.
@@ -194,6 +191,24 @@ class Tracer:
                 f"top_spans={sorted(self.root.children)})")
 
 
+class _Frames(threading.local):
+    """The calling thread's stack of open :class:`span` frames."""
+
+    def __init__(self):
+        self.frames: List[span] = []
+
+
+_LOCAL = _Frames()
+
+
+def _current_context() -> Optional[TraceContext]:
+    """The innermost request context on the calling thread's stack."""
+    for frame in reversed(_LOCAL.frames):
+        if frame.ctx is not None:
+            return frame.ctx
+    return None
+
+
 class span:
     """Nestable, reentrant timing context manager.
 
@@ -207,73 +222,141 @@ class span:
     tracer:
         Defaults to the process-global tracer.
     attrs:
-        Free-form attributes for the *request-trace* copy of this span
-        (see below); the aggregate tree ignores them.
+        Free-form attributes of the per-request record; the aggregate
+        tree ignores them.
+    aggregate:
+        ``False`` leaves the aggregate tree alone: the span is recorded
+        only into the active request trace (per-request detail, such as
+        the serving path's stage spans, that the ledger's stage
+        accounting must not absorb).
 
-    A disabled tracer makes ``span`` a near-no-op (one attribute check).
-
-    When the process request-trace hub
-    (:data:`repro.telemetry.reqtrace.HUB`) is enabled and the calling
-    thread is inside an active request, the span is *dual-recorded*: in
-    addition to the aggregate tree it emits a per-request
-    :class:`~repro.telemetry.reqtrace.SpanRecord` under the request's
-    trace id.  With the hub dormant (the default) this costs one extra
-    attribute check.
+    Inside an active request (hub enabled), :attr:`ctx` is the span's
+    own trace context, and :meth:`annotate` / :meth:`set_error` shape
+    its record.  With the hub dormant and nothing to aggregate (disabled
+    tracer or ``aggregate=False``) the span pushes no frame at all.
     """
 
-    __slots__ = ("name", "nbytes", "tracer", "attrs", "_node", "_t0",
-                 "_req")
+    __slots__ = ("name", "nbytes", "tracer", "attrs", "aggregate", "ctx",
+                 "parent_id", "status", "error", "_root", "_node", "_t0",
+                 "_start_ts", "_ends_trace")
 
     def __init__(self, name: str, nbytes: int = 0,
                  tracer: Optional[Tracer] = None,
-                 attrs: Optional[Dict[str, Any]] = None):
+                 attrs: Optional[Dict[str, Any]] = None,
+                 aggregate: bool = True):
         self.name = name
         self.nbytes = int(nbytes)
         self.tracer = tracer
         self.attrs = attrs
-        self._node: Optional[SpanNode] = None
-        self._req = None
+        self.aggregate = aggregate
+        self.ctx: Optional[TraceContext] = None
 
     def add_bytes(self, nbytes: int) -> None:
         self.nbytes += int(nbytes)
 
+    def annotate(self, **attrs: Any) -> None:
+        """Add attributes to the request record (the ``attrs`` dict the
+        span was built with is never mutated)."""
+        self.attrs = {**self.attrs, **attrs} if self.attrs else attrs
+
+    def set_error(self, error: str) -> None:
+        self.status = "error"
+        self.error = str(error)
+
+    @property
+    def trace_id(self) -> Optional[str]:
+        return self.ctx.trace_id if self.ctx is not None else None
+
+    # ------------------------------------------------------------------
     def __enter__(self) -> "span":
-        if _HUB.enabled:
-            self._req = _HUB.enter(self.name, self.attrs)
         tracer = self.tracer or _GLOBAL_TRACER
-        if not tracer.enabled:
-            self._node = None
+        if self.aggregate and tracer.enabled:
+            frames = _LOCAL.frames
+            # Tree parent: the innermost open frame of this tracer's tree.
+            root = parent = tracer.root
+            if frames:
+                for frame in reversed(frames):
+                    if frame._root is root:
+                        parent = frame._node
+                        break
+            with tracer._lock:
+                self._node = parent.child(self.name)
+            self._root = root
+            self.tracer = tracer
+            if _HUB.enabled:
+                self._open_request()
+        elif _HUB.enabled and self._open_request():
+            frames = _LOCAL.frames
+            self._root = self._node = None
+        else:
             return self
-        self.tracer = tracer
-        stack = tracer._stack()
-        with tracer._lock:
-            node = stack[-1].child(self.name)
-        stack.append(node)
-        self._node = node
+        frames.append(self)
         self._t0 = clock()
         return self
 
+    def _open_request(self) -> bool:
+        """Take this frame's request identity: its given context (the
+        frames of ``HUB.trace`` / ``HUB.activate``), else a child of the
+        innermost enclosing one.  False outside any request."""
+        given = self.ctx is not None
+        if not given:
+            parent = _current_context()
+            if parent is None:
+                return False
+            self.ctx = parent.child()
+            self.parent_id = parent.span_id
+        self._ends_trace = given  # a named given context is a request root
+        self.status, self.error = "ok", None
+        self._start_ts = time.time()
+        return True
+
     def __exit__(self, exc_type, exc, tb) -> None:
-        req = self._req
-        if req is not None:
-            self._req = None
-            _HUB.finish(req, exc)
-        node = self._node
-        if node is None:
-            return
+        frames = _LOCAL.frames
+        if self not in frames:
+            return  # never pushed: nothing to record
         elapsed = clock() - self._t0
-        tracer = self.tracer
-        stack = tracer._stack()
-        # Pop back to this span's parent even if inner spans leaked.
-        while stack[-1] is not node and len(stack) > 1:
-            stack.pop()
-        if stack[-1] is node:
-            stack.pop()
-        with tracer._lock:
-            node.calls += 1
-            node.total_s += elapsed
-            node.bytes += self.nbytes
-        self._node = None
+        # Pop back past this frame even if inner spans leaked.
+        while frames.pop() is not self:
+            pass
+        node = self._node
+        if node is not None:
+            with self.tracer._lock:
+                node.calls += 1
+                node.total_s += elapsed
+                node.bytes += self.nbytes
+        if self.ctx is not None and self.name is not None:
+            self._emit(elapsed, exc)
+
+    def _emit(self, elapsed: float, exc: Optional[BaseException]) -> None:
+        if exc is not None and self.status == "ok":
+            self.set_error(f"{type(exc).__name__}: {exc}")
+        ctx = self.ctx
+        record = SpanRecord(
+            name=self.name, trace_id=ctx.trace_id, span_id=ctx.span_id,
+            parent_id=self.parent_id, service=_HUB.service,
+            start_ts=self._start_ts, duration_s=elapsed,
+            status=self.status, error=self.error,
+            attrs=dict(self.attrs) if self.attrs else None,
+            sampled=ctx.sampled)
+        _HUB.emit(record)
+        if self._ends_trace:
+            _HUB._end_trace(record)
+
+
+def _context_frame(ctx: TraceContext, name: Optional[str] = None,
+                   parent_id: str = "",
+                   attrs: Optional[Dict[str, Any]] = None) -> span:
+    """A request-only frame around a *given* context.
+
+    Named, it is a request-root span (``HUB.trace``) that also fires the
+    hub's trace-end sinks on close; nameless, it only makes ``ctx`` the
+    thread's current context (``HUB.activate``) and records nothing.
+    Either pushes a frame only while the hub is enabled.
+    """
+    frame = span(name, attrs=attrs, aggregate=False)
+    frame.ctx = ctx
+    frame.parent_id = parent_id
+    return frame
 
 
 # ----------------------------------------------------------------------
@@ -293,111 +376,3 @@ def set_tracer(tracer: Tracer) -> Tracer:
     previous = _GLOBAL_TRACER
     _GLOBAL_TRACER = tracer
     return previous
-
-
-def current_span() -> SpanNode:
-    """The calling thread's innermost open span node (or the root)."""
-    return _GLOBAL_TRACER.current()
-
-
-def add_bytes(nbytes: int) -> None:
-    """Attribute processed bytes to the innermost open span."""
-    tracer = _GLOBAL_TRACER
-    if not tracer.enabled:
-        return
-    node = tracer.current()
-    if node.parent is None:
-        return  # no open span
-    with tracer._lock:
-        node.bytes += int(nbytes)
-
-
-# ----------------------------------------------------------------------
-# Dormant request-tracing overhead probe
-# ----------------------------------------------------------------------
-class _BaselineSpan:
-    """The pre-request-tracing :class:`span` (no hub hook).
-
-    Kept verbatim as the baseline for
-    :func:`disabled_request_trace_overhead`: the measured ratio is
-    exactly the cost the dormant hub check adds to every aggregate span
-    on the serving hot path.
-    """
-
-    __slots__ = ("name", "nbytes", "tracer", "_node", "_t0")
-
-    def __init__(self, name: str, nbytes: int = 0,
-                 tracer: Optional[Tracer] = None):
-        self.name = name
-        self.nbytes = int(nbytes)
-        self.tracer = tracer
-        self._node: Optional[SpanNode] = None
-
-    def __enter__(self) -> "_BaselineSpan":
-        tracer = self.tracer or _GLOBAL_TRACER
-        if not tracer.enabled:
-            self._node = None
-            return self
-        self.tracer = tracer
-        stack = tracer._stack()
-        with tracer._lock:
-            node = stack[-1].child(self.name)
-        stack.append(node)
-        self._node = node
-        self._t0 = clock()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        node = self._node
-        if node is None:
-            return
-        elapsed = clock() - self._t0
-        tracer = self.tracer
-        stack = tracer._stack()
-        while stack[-1] is not node and len(stack) > 1:
-            stack.pop()
-        if stack[-1] is node:
-            stack.pop()
-        with tracer._lock:
-            node.calls += 1
-            node.total_s += elapsed
-            node.bytes += self.nbytes
-        self._node = None
-
-
-def disabled_request_trace_overhead(iters: int = 20000,
-                                    repeats: int = 5) -> float:
-    """Span cost with the dormant hub hook relative to the baseline span.
-
-    Times ``iters`` empty ``with span(...)`` bodies (aggregate tracer
-    enabled — the realistic serving configuration) against the same
-    loop over the hook-free :class:`_BaselineSpan`, with the
-    request-trace hub forced dormant.  Hooked and baseline repeats are
-    *interleaved* so both sample the same scheduler/frequency noise,
-    and the min over repeats is taken per class — noise can only
-    inflate a timing, never deflate it.  The serving overhead gate
-    (``scripts/check_trace.sh``) requires the best of a few calls to
-    stay under 1.05, mirroring the profiler's
-    :func:`~repro.telemetry.profiler.disabled_overhead_ratio` gate.
-    """
-    tracer = Tracer(enabled=True)
-
-    def time_once(span_cls) -> float:
-        t0 = clock()
-        for _ in range(iters):
-            with span_cls("overhead.probe", tracer=tracer):
-                pass
-        return clock() - t0
-
-    was_enabled = _HUB.enabled
-    _HUB.enabled = False
-    try:
-        time_once(span)  # warmup (bytecode/alloc caches)
-        time_once(_BaselineSpan)
-        hooked = baseline = float("inf")
-        for _ in range(repeats):
-            hooked = min(hooked, time_once(span))
-            baseline = min(baseline, time_once(_BaselineSpan))
-    finally:
-        _HUB.enabled = was_enabled
-    return hooked / baseline if baseline > 0 else 1.0

@@ -375,10 +375,13 @@ class TestStageGraph:
         assert {"stage.scale", "stage.encode",
                 "stage.similarity"} <= names
 
-    def test_run_instrumented_records_request_stage_spans(self, rng):
-        # Per-request stage spans are recorded whenever a request trace
-        # is active, independently of `instrument` (which controls only
-        # the aggregate ledger spans).
+    _STAGE_SPANS = ("stage.scale", "stage.encode", "stage.similarity")
+
+    def _request_traced_run(self, rng, instrument):
+        """Stage span names of one traced ``graph.run``: (per-request
+        record counts, aggregate top-level names)."""
+        from collections import Counter
+
         from repro.telemetry.reqtrace import get_hub
 
         graph, data = _tiny_graph(rng)
@@ -390,15 +393,27 @@ class TestStageGraph:
 
         def run():
             with hub.trace("req"):
-                graph.run(data, instrument=True)
+                graph.run(data, instrument=instrument)
 
         try:
             aggregate = self._traced(run)
         finally:
             hub.reset()
-        expected = {"stage.scale", "stage.encode", "stage.similarity"}
-        assert expected <= {s.name for s in request_spans}
-        assert expected <= aggregate
+        counts = Counter(s.name for s in request_spans)
+        return {name: counts[name] for name in self._STAGE_SPANS}, aggregate
+
+    def test_run_instrumented_records_request_stage_spans(self, rng):
+        # Per-request stage spans are recorded whenever a request trace
+        # is active, exactly once per stage: `instrument` adds only the
+        # aggregate ledger spans, never a second request record.
+        counts, aggregate = self._request_traced_run(rng, instrument=True)
+        assert counts == dict.fromkeys(self._STAGE_SPANS, 1)
+        assert set(self._STAGE_SPANS) <= aggregate
+
+    def test_run_uninstrumented_records_request_stage_spans(self, rng):
+        counts, aggregate = self._request_traced_run(rng, instrument=False)
+        assert counts == dict.fromkeys(self._STAGE_SPANS, 1)
+        assert not set(self._STAGE_SPANS) & aggregate
 
 
 class TestTopologyRoundTrip:

@@ -1,16 +1,18 @@
 """Request tracing substrate: traceparent, hub, sinks, span trees."""
 
 import json
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.telemetry import (FlightRecorder, RequestLog, SpanRecord,
                              TraceContext, TraceJsonlWriter,
                              build_span_tree, get_hub, new_span_id,
-                             read_trace_jsonl, request_span,
-                             request_tracing_active, sample_trace,
+                             read_trace_jsonl, sample_trace, span,
                              stitch_traces, trace_file_for)
+from repro.telemetry.tracing import _LOCAL
 
 HUB = get_hub()
 
@@ -106,15 +108,14 @@ class TestHubLifecycle:
             assert not trace.ctx.sampled
             assert hub.current() is None
         assert spans == []
-        assert not request_tracing_active()
+        assert hub.current() is None
 
     def test_root_and_children_parentage(self, enabled_hub):
         hub, spans, roots = enabled_hub
         with hub.trace("server.request") as trace:
             assert hub.current() is trace.ctx
-            assert request_tracing_active()
-            with request_span("inner.a"):
-                with request_span("inner.b"):
+            with span("inner.a", aggregate=False):
+                with span("inner.b", aggregate=False):
                     pass
         by_name = {s.name: s for s in spans}
         assert set(by_name) == {"server.request", "inner.a", "inner.b"}
@@ -128,20 +129,27 @@ class TestHubLifecycle:
         assert roots and roots[0] is root
 
     def test_repeated_traces_leave_no_stack_residue(self, enabled_hub):
-        # Regression: the root trace must pop its handle off the
+        # Regression: the root trace must pop its frame off the
         # thread-local stack on exit — server threads are long-lived
         # (keep-alive, persistent router→worker connections) and would
-        # otherwise leak one _OpenSpan per request, with late spans
-        # attaching to dead traces.
-        hub, _, roots = enabled_hub
+        # otherwise leak one frame per request, with late spans
+        # attaching to dead traces.  Holds when the request fails, too.
+        hub, spans, roots = enabled_hub
         for _ in range(5):
             with hub.trace("req"):
-                with request_span("stage.x"):
+                with span("stage.x", aggregate=False):
                     pass
-        assert hub._stack() == []
+        for _ in range(5):
+            with pytest.raises(RuntimeError):
+                with hub.trace("req") as trace:
+                    with hub.activate(trace.ctx):
+                        with span("stage.x"):
+                            raise RuntimeError("boom")
+        assert _LOCAL.frames == []
         assert hub.current() is None
-        assert not request_tracing_active()
-        assert len(roots) == 5
+        assert len(roots) == 10
+        assert [r.status for r in roots] == ["ok"] * 5 + ["error"] * 5
+        assert sum(s.name == "stage.x" for s in spans) == 10
 
     def test_parent_propagation_across_hops(self, enabled_hub):
         hub, spans, _ = enabled_hub
@@ -156,7 +164,7 @@ class TestHubLifecycle:
         hub, spans, roots = enabled_hub
         with pytest.raises(ValueError):
             with hub.trace("req"):
-                with request_span("child"):
+                with span("child", aggregate=False):
                     raise ValueError("boom")
         child, root = spans
         assert child.status == "error" and "boom" in child.error
@@ -192,7 +200,7 @@ class TestHubLifecycle:
         def worker(ctx):
             with hub.activate(ctx):
                 seen["current"] = hub.current()
-                with request_span("batch.dispatch"):
+                with span("batch.dispatch", aggregate=False):
                     pass
             seen["after"] = hub.current()
 
@@ -206,11 +214,52 @@ class TestHubLifecycle:
         assert dispatch.trace_id == trace.trace_id
         assert dispatch.parent_id == trace.ctx.span_id
 
+    def test_concurrent_requests_stay_in_their_own_traces(self,
+                                                         enabled_hub):
+        # One frame stack per thread carries both outputs: under rapid
+        # thread switching every record still parents inside its own
+        # trace, and every thread's stack ends empty.
+        hub, spans, roots = enabled_hub
+        leftovers = []
+        start = threading.Barrier(4)
+
+        def worker():
+            start.wait(timeout=10)
+            for _ in range(100):
+                with hub.trace("req"):
+                    with span("outer"):
+                        time.sleep(0)  # release the GIL mid-request
+                        with span("inner", aggregate=False):
+                            pass
+            leftovers.append(list(_LOCAL.frames))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert leftovers == [[]] * 4
+        assert len(roots) == 400 and len(spans) == 1200
+        by_id = {s.span_id: s for s in spans}
+        for record in spans:
+            if record.name != "req":
+                parent = by_id[record.parent_id]
+                assert parent.trace_id == record.trace_id
+                assert parent.name == {"outer": "req",
+                                       "inner": "outer"}[record.name]
+
     def test_request_span_without_active_request(self, enabled_hub):
         hub, spans, _ = enabled_hub
-        with request_span("orphan") as handle:
+        with span("orphan", aggregate=False) as handle:
             assert handle.ctx is None
         assert spans == []
+        assert _LOCAL.frames == []
 
     def test_broken_sink_never_fails_the_request(self, enabled_hub):
         hub, spans, _ = enabled_hub
@@ -363,7 +412,7 @@ class TestFlightRecorder:
                                trace_dir=str(tmp_path))
         try:
             with hub.trace("req") as trace:
-                with request_span("inner"):
+                with span("inner", aggregate=False):
                     pass
             # Sampling gates the JSONL export, NOT the recorder.
             found = get_flight_recorder().lookup(trace.trace_id)

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from repro.telemetry import SpanNode, Tracer, span
+from repro.telemetry import SpanNode, Tracer, set_tracer, span
+from repro.telemetry.tracing import _LOCAL
 
 
 def sleep_span(tracer, name, seconds=0.0):
@@ -63,8 +64,10 @@ class TestSpanTree:
                 raise RuntimeError("x")
         node = tracer.root.children["boom"]
         assert node.calls == 1
-        # The stack popped back to the root.
-        assert tracer.current() is tracer.root
+        # The stack popped back to empty: the next span is top-level.
+        assert _LOCAL.frames == []
+        sleep_span(tracer, "after")
+        assert set(tracer.root.children) == {"boom", "after"}
 
     def test_disabled_tracer_is_noop(self):
         tracer = Tracer(enabled=False)
@@ -77,6 +80,31 @@ class TestSpanTree:
         sleep_span(tracer, "a")
         tracer.reset()
         assert tracer.root.children == {}
+
+    def test_spans_opened_after_reset_land_under_new_root(self):
+        tracer = Tracer()
+        with span("outer", tracer=tracer):
+            tracer.reset()
+            sleep_span(tracer, "inner")
+        assert set(tracer.root.children) == {"inner"}
+
+    def test_interleaved_tracers_build_separate_trees(self):
+        # A private tracer's spans around and inside global-tracer spans
+        # (how the benchmark's wrappers time the program) nest only
+        # under their own tracer's frames.
+        private, global_tracer = Tracer(), Tracer()
+        previous = set_tracer(global_tracer)
+        try:
+            with span("outer", tracer=private):
+                with span("global"):
+                    with span("inner", tracer=private):
+                        pass
+        finally:
+            set_tracer(previous)
+        assert [e["path"] for e in private.to_events()] == [
+            "outer", "outer/inner"]
+        assert [e["path"] for e in global_tracer.to_events()] == ["global"]
+        assert set(private.aggregate()) == {"outer", "inner"}
 
 
 class TestAggregation:
