@@ -39,9 +39,12 @@ def main():
     nshd.fit(x_train, y_train, epochs=1)
     early_hvs = nshd.encode(x_test)
     early_sep = cluster_separation(early_hvs, y_test)
-    nshd.fit_features(nshd.extractor.extract(x_train), y_train,
-                      nshd.teacher.logits(x_train), epochs=11,
-                      initialize=False)
+    # One trunk pass: the teacher continues from the cut-layer features.
+    train_features = nshd.extractor.extract(x_train)
+    nshd.fit_features(train_features, y_train,
+                      nshd.teacher.logits(
+                          train_features, after=nshd.extractor.layer_index),
+                      epochs=11, initialize=False)
     final_hvs = nshd.encode(x_test)
     final_sep = cluster_separation(final_hvs, y_test)
 

@@ -2,6 +2,8 @@
 # Tier-2 stage-graph parity gate: prove on a freshly trained model that
 # the single stage-graph program serves every consumer identically.
 #   * train a small NSHD end-to-end (fresh CNN, fresh HD fit);
+#   * single-pass fit (teacher continues from the cut-layer features)
+#     == fit_features(extract(x), y, model.logits(x)), bit-exactly;
 #   * pipeline.predict (live graph) == frozen-topology replay
 #     (graph.topology() + state_arrays() -> StageGraph.from_topology);
 #   * checkpoint round-trip: save_checkpoint persists the graph section,
@@ -50,6 +52,23 @@ pipeline.fit(x_tr, y_tr, epochs=2)
 labels = np.asarray(pipeline.predict(x_te))
 raw = pipeline.extractor.extract(x_te)
 print(f"trained NSHD: {pipeline.graph.describe()}")
+
+# 0. One trunk pass == two-pass reference: fit's teacher continues from
+#    the cut-layer features; the model must equal one trained on the
+#    full-pass teacher logits.
+reference = NSHD(model, layer_index=21, dim=256, reduced_features=16,
+                 seed=0)
+reference.fit_features(reference.extractor.extract(x_tr), y_tr,
+                       model.logits(x_tr), epochs=2)
+np.testing.assert_array_equal(pipeline.trainer.class_matrix,
+                              reference.trainer.class_matrix)
+fitted, expected = (pipeline.manifold.state_dict(),
+                    reference.manifold.state_dict())
+assert fitted.keys() == expected.keys()
+for key in fitted:
+    np.testing.assert_array_equal(fitted[key], expected[key], err_msg=key)
+print("single-pass fit == extract + full-pass teacher reference "
+      "(bit-exact)")
 
 # 1. Frozen-topology replay == live graph.
 frozen = StageGraph.from_topology(pipeline.graph.topology(),

@@ -165,7 +165,7 @@ def cached_features(model_name: str, dataset_key: str,
     if needed or "train_logits" not in stored:
         model = get_teacher(model_name, dataset_key)
         model.eval()
-        last = model.num_feature_layers() - 1
+        deepest = layers[-1]
         for split, images in (("train", x_tr), ("test", x_te)):
             feats = {layer: [] for layer in layers}
             logits = []
@@ -173,14 +173,14 @@ def cached_features(model_name: str, dataset_key: str,
                 for start in range(0, len(images), 64):
                     x = Tensor(images[start:start + 64])
                     # One trunk pass serves every cut layer AND the
-                    # teacher logits (continue through head+classifier).
-                    outs = model.features_at_multi(x, layers + (last,))
+                    # teacher logits (continue from the deepest cut).
+                    outs = model.features_at_multi(x, layers)
                     for layer in layers:
                         out = outs[layer]
                         feats[layer].append(
                             out.data.reshape(out.shape[0], -1))
                     logits.append(
-                        model.classifier(model.head(outs[last])).data)
+                        model.forward_from(outs[deepest], deepest).data)
             for layer in layers:
                 stored[f"{split}_{layer}"] = np.concatenate(feats[layer])
             stored[f"{split}_logits"] = np.concatenate(logits)

@@ -363,13 +363,17 @@ class NSHD(_HDPipeline):
             callbacks: Optional[List] = None) -> Dict[str, List[float]]:
         """Train class hypervectors (and the manifold FC) jointly.
 
-        The frozen CNN runs exactly once per image: features and teacher
-        logits are cached up front, which is the efficiency argument of
-        Sec. VI-A (no CNN backpropagation anywhere in NSHD training).
+        The frozen CNN runs exactly once per image: the extractor runs
+        layers 0..k, the teacher continues from those features through
+        the rest of the CNN, and both are cached up front.  That is the
+        efficiency argument of Sec. VI-A (no CNN backpropagation anywhere
+        in NSHD training).
         """
         raw_features = self.graph.call("extract", images)
-        teacher_logits = (self.teacher.logits(images)
-                          if self.use_distillation else None)
+        teacher_logits = None
+        if self.use_distillation:
+            teacher_logits = self.teacher.logits(
+                raw_features, after=self.extractor.layer_index)
         return self.fit_features(raw_features, labels, teacher_logits,
                                  epochs=epochs, batch_size=batch_size,
                                  verbose=verbose, callbacks=callbacks)

@@ -9,7 +9,7 @@ extractor can be cut at any index, exactly as NSHD does.
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -109,19 +109,37 @@ class IndexedCNN(nn.Module):
 
     # ------------------------------------------------------------------
     def forward(self, x: Tensor) -> Tensor:
-        x = self.features(x)
-        x = self.head(x)
-        return self.classifier(x)
+        return self.forward_from(x, -1)
 
-    def logits(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        """Inference logits for an NCHW numpy batch (no tape)."""
+    def forward_from(self, x: Tensor, layer_index: int) -> Tensor:
+        """Finish the forward pass from the trunk output at ``layer_index``.
+
+        Runs ``features[layer_index + 1:]``, then ``head`` and
+        ``classifier``; ``layer_index = -1`` starts from the image.
+        """
+        for layer in self.features[layer_index + 1:]:
+            x = layer(x)
+        return self.classifier(self.head(x))
+
+    def logits(self, x: np.ndarray, batch_size: int = 64,
+               after: int = -1) -> np.ndarray:
+        """Inference logits (no tape).
+
+        ``x`` is an NCHW batch of images, or with ``after >= 0`` the flat
+        ``(n, F)`` trunk outputs of layer ``after`` (what
+        :meth:`FeatureExtractor.extract` returns), in which case only the
+        layers after the cut run.
+        """
+        shape = self.feature_shape(after) if after != -1 else None
         was_training = self.training
         self.eval()
         outputs = []
         with nn.no_grad():
             for start in range(0, len(x), batch_size):
-                out = self.forward(Tensor(x[start:start + batch_size]))
-                outputs.append(out.data)
+                chunk = x[start:start + batch_size]
+                if shape is not None:
+                    chunk = chunk.reshape((len(chunk),) + shape)
+                outputs.append(self.forward_from(Tensor(chunk), after).data)
         self.train(was_training)
         return np.concatenate(outputs, axis=0)
 

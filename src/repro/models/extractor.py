@@ -1,15 +1,20 @@
 """Feature extractor (truncated CNN) and teacher (uncut CNN) wrappers.
 
-NSHD's symbolization uses the *frozen* pretrained CNN twice (Sec. III–V):
+NSHD's symbolization uses the *frozen* pretrained CNN in two roles
+(Sec. III–V):
 
 * the truncated trunk up to a chosen layer index extracts features that
   feed the manifold learner and the HD encoder;
 * the *uncut* model acts as the knowledge-distillation teacher whose
   softened logits drive Algorithm 1.
 
-Both views share the same weights; neither is ever updated by NSHD
-training ("NSHD uses the weights pretrained in the original CNN model
-without any modification", Sec. VI-A).
+Training runs the trunk once per image: the teacher continues from the
+cut-layer features the extractor already produced
+(``TeacherModel.logits(features, after=layer_index)``), so layers
+0..layer_index are never evaluated twice.  Both roles share the same
+weights; neither is ever updated by NSHD training ("NSHD uses the
+weights pretrained in the original CNN model without any modification",
+Sec. VI-A).
 """
 
 from __future__ import annotations
@@ -68,8 +73,10 @@ class TeacherModel:
         self.model = model
         self.num_classes = model.num_classes
 
-    def logits(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        return self.model.logits(images, batch_size)
+    def logits(self, images: np.ndarray, batch_size: int = 64,
+               after: int = -1) -> np.ndarray:
+        """Teacher logits; see :meth:`IndexedCNN.logits` for ``after``."""
+        return self.model.logits(images, batch_size, after=after)
 
     def soft_labels(self, images: np.ndarray, temperature: float = 1.0,
                     batch_size: int = 64) -> np.ndarray:

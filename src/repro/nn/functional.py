@@ -180,7 +180,9 @@ def adaptive_avg_pool2d(x: Tensor, output_size: int = 1) -> Tensor:
     if output_size != 1:
         raise NotImplementedError("only global average pooling is supported")
     n, c, h, w = x.shape
-    out = x.data.mean(axis=(2, 3), keepdims=True)
+    # Sum in C order whatever the layout (conv outputs are channels-last
+    # strided), so the mean does not depend on how x was produced.
+    out = np.ascontiguousarray(x.data).mean(axis=(2, 3), keepdims=True)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(np.broadcast_to(grad / (h * w), x.shape))

@@ -1,4 +1,4 @@
-"""Shared fixtures for the test suite (serving helpers)."""
+"""Shared fixtures for the test suite (gradient and serving helpers)."""
 
 import http.client
 import json
@@ -11,6 +11,22 @@ from repro.serve import BUNDLE_VERSION, ModelBundle
 from repro.serve.handler import JsonHandler
 from repro.telemetry import config_fingerprint, git_info
 from repro.utils.rng import fresh_rng
+
+
+def numeric_grad(fn, x, eps=1e-6):
+    """Central-difference gradient of scalar ``fn`` wrt array ``x``."""
+    grad = np.zeros_like(x)
+    flat = x.reshape(-1)
+    grad_flat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        plus = fn(x)
+        flat[i] = orig - eps
+        minus = fn(x)
+        flat[i] = orig
+        grad_flat[i] = (plus - minus) / (2 * eps)
+    return grad
 
 
 def _synthetic_bundle(dim=512, features=32, classes=6, seed=0,

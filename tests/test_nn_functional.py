@@ -6,20 +6,7 @@ import pytest
 from repro.nn import Tensor
 from repro.nn import functional as F
 
-
-def numeric_grad(fn, x, eps=1e-6):
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    grad_flat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        plus = fn(x)
-        flat[i] = orig - eps
-        minus = fn(x)
-        flat[i] = orig
-        grad_flat[i] = (plus - minus) / (2 * eps)
-    return grad
+from .conftest import numeric_grad
 
 
 def reference_conv2d(x, w, b, stride, padding, groups=1):

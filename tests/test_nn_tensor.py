@@ -5,21 +5,7 @@ import pytest
 
 from repro.nn import Tensor, concatenate, no_grad, stack
 
-
-def numeric_grad(fn, x, eps=1e-6):
-    """Central-difference gradient of scalar fn wrt array x."""
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    grad_flat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        plus = fn(x)
-        flat[i] = orig - eps
-        minus = fn(x)
-        flat[i] = orig
-        grad_flat[i] = (plus - minus) / (2 * eps)
-    return grad
+from .conftest import numeric_grad
 
 
 class TestBasics:
