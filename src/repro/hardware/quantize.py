@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..pipeline.stages import max_pool_2x2
+from ..nn.functional import strided_max_pool
 
 __all__ = ["QuantizedTensor", "quantize_symmetric", "QuantizedNSHD"]
 
@@ -98,7 +98,7 @@ class QuantizedNSHD:
             return features_scaled
         x = features_scaled.reshape(-1, *manifold.feature_shape)
         if manifold.pooling:
-            x = max_pool_2x2(x)
+            x = strided_max_pool(x)
         pooled = x.reshape(len(x), -1)
         q_in = quantize_symmetric(pooled, self.bits)
         # Integer GEMM with a single rescale, DPU style.

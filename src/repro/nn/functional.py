@@ -1,10 +1,13 @@
 """Differentiable neural-network operations (conv, pool, losses).
 
 All functions take and return :class:`repro.nn.tensor.Tensor` values and
-participate in the autograd tape.  Convolution is implemented with an
-im2col lowering so that the heavy lifting is a single GEMM, which is the
-same lowering most deep-learning frameworks (and the DPU cost model in
-``repro.hardware``) assume.
+participate in the autograd tape.  Convolution is an im2col lowering
+followed by ``np.matmul``: one BLAS GEMM per image and group, in the
+forward and in both backward products.  That is the lowering most
+deep-learning frameworks (and the DPU cost model in ``repro.hardware``)
+assume.  Max pooling takes the elementwise max of strided views
+(:func:`strided_max_pool`, shared with the serving stages); only its
+backward builds the im2col windows to find each window's first maximum.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ __all__ = [
     "im2col_indices", "conv2d", "max_pool2d", "avg_pool2d",
     "adaptive_avg_pool2d", "linear", "relu", "relu6", "silu", "sigmoid",
     "softmax", "log_softmax", "cross_entropy", "kl_div_with_logits",
-    "dropout", "batch_norm2d", "conv_output_size",
+    "dropout", "batch_norm2d", "conv_output_size", "strided_max_pool",
 ]
 
 
@@ -95,20 +98,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     cols, out_h, out_w = im2col_indices(x.data, kernel, stride, padding)
     group_out = out_c // groups
     ck2 = group_in * kernel * kernel
+    hw = out_h * out_w
     w_mat = weight.data.reshape(groups, group_out, ck2)
-    cols_g = cols.reshape(n, groups, ck2, out_h * out_w)
-    # (g, go, ck2) @ (n, g, ck2, hw) -> (n, g, go, hw)
-    out = np.einsum("gok,ngkl->ngol", w_mat, cols_g, optimize=True)
+    # (g, go, ck2) @ (n, g, ck2, hw): one BLAS GEMM per image and group.
+    out = np.matmul(w_mat, cols.reshape(n, groups, ck2, hw))
     out = out.reshape(n, out_c, out_h, out_w)
     if bias is not None:
-        out = out + bias.data.reshape(1, out_c, 1, 1)
+        out += bias.data.reshape(1, out_c, 1, 1)
 
     parents = [x, weight] + ([bias] if bias is not None else [])
     x_data = x.data  # retained for the backward; cols are recomputed there
-    del cols, cols_g  # the k^2-times-larger buffers must not be captured
+    del cols  # the k^2-times-larger buffer must not be captured
 
     def backward(grad: np.ndarray) -> None:
-        grad_g = grad.reshape(n, groups, group_out, out_h * out_w)
+        grad_g = grad.reshape(n, groups, group_out, hw)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
@@ -117,39 +120,60 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             # the activation size, and deep models would otherwise hold
             # one per conv layer simultaneously.
             re_cols, _, _ = im2col_indices(x_data, kernel, stride, padding)
-            re_cols = re_cols.reshape(n, groups, ck2, out_h * out_w)
-            grad_w = np.einsum("ngol,ngkl->gok", grad_g, re_cols,
-                               optimize=True)
+            re_cols = re_cols.reshape(n, groups, ck2, hw)
+            # (n, g, go, hw) @ (n, g, hw, ck2), summed over the images
+            grad_w = np.matmul(grad_g, re_cols.swapaxes(2, 3)).sum(axis=0)
             weight._accumulate(grad_w.reshape(weight.shape))
         if x.requires_grad:
-            grad_cols = np.einsum("gok,ngol->ngkl", weight.data.reshape(
-                groups, group_out, ck2), grad_g, optimize=True)
-            grad_cols = grad_cols.reshape(n, groups * ck2, out_h * out_w)
+            # (g, ck2, go) @ (n, g, go, hw) -> (n, g, ck2, hw)
+            grad_cols = np.matmul(w_mat.swapaxes(1, 2), grad_g)
+            grad_cols = grad_cols.reshape(n, groups * ck2, hw)
             x._accumulate(_col2im(grad_cols, x.shape, kernel, stride, padding))
 
     return Tensor._make(out, parents, backward)
 
 
+def strided_max_pool(x: np.ndarray, kernel: int = 2,
+                     stride: Optional[int] = None) -> np.ndarray:
+    """Unpadded max-pool of an ``(n, c, h, w)`` array.
+
+    The elementwise max of the ``kernel²`` strided phase views: the same
+    values as the max over each im2col window, NaN included, without
+    materializing the windows.  Windows that do not fit are dropped, so
+    the default 2×2 / stride-2 pool crops odd H/W to even.
+    """
+    stride = kernel if stride is None else stride
+    out_h = conv_output_size(x.shape[2], kernel, stride, 0)
+    out_w = conv_output_size(x.shape[3], kernel, stride, 0)
+    views = [x[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride]
+             for i in range(kernel) for j in range(kernel)]
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(out, view, out=out)
+    return out
+
+
 def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None,
                padding: int = 0) -> Tensor:
-    """Max pooling over an NCHW tensor."""
+    """Max pooling over an NCHW tensor; padding is ``-inf``, as in PyTorch."""
     stride = kernel if stride is None else stride
     n, c, h, w = x.shape
-    cols, out_h, out_w = im2col_indices(
-        x.data.reshape(n * c, 1, h, w), kernel, stride, padding)
-    # cols: (n*c, k*k, out_h*out_w)
-    arg = cols.argmax(axis=1)
-    out = np.take_along_axis(cols, arg[:, None, :], axis=1)[:, 0, :]
-    out = out.reshape(n, c, out_h, out_w)
-    cols_shape = cols.shape
-    del cols  # only the argmax indices are needed for the backward
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    x_pad = np.pad(x.data, pad, constant_values=-np.inf) if padding else x.data
+    out = strided_max_pool(x_pad, kernel, stride)
 
     def backward(grad: np.ndarray) -> None:
-        grad_flat = grad.reshape(n * c, 1, out_h * out_w)
-        grad_cols = np.zeros(cols_shape)
-        np.put_along_axis(grad_cols, arg[:, None, :], grad_flat, axis=1)
-        grad_x = _col2im(grad_cols, (n * c, 1, h, w), kernel, stride, padding)
-        x._accumulate(grad_x.reshape(x.shape))
+        # Only the backward builds the windows: each window's gradient
+        # goes to its first maximum.
+        flat_shape = (n * c, 1) + x_pad.shape[2:]
+        cols, _, _ = im2col_indices(x_pad.reshape(flat_shape), kernel,
+                                    stride, 0)
+        grad_cols = np.zeros(cols.shape)
+        np.put_along_axis(grad_cols, cols.argmax(axis=1)[:, None],
+                          grad.reshape(n * c, 1, -1), axis=1)
+        grad_x = _col2im(grad_cols, flat_shape, kernel, stride, 0)
+        x._accumulate(grad_x[:, :, padding:padding + h,
+                             padding:padding + w].reshape(x.shape))
 
     return Tensor._make(out, (x,), backward)
 
@@ -180,8 +204,8 @@ def adaptive_avg_pool2d(x: Tensor, output_size: int = 1) -> Tensor:
     if output_size != 1:
         raise NotImplementedError("only global average pooling is supported")
     n, c, h, w = x.shape
-    # Sum in C order whatever the layout (conv outputs are channels-last
-    # strided), so the mean does not depend on how x was produced.
+    # Sum in C order whatever the layout, so the mean does not depend on
+    # how x was produced.
     out = np.ascontiguousarray(x.data).mean(axis=(2, 3), keepdims=True)
 
     def backward(grad: np.ndarray) -> None:
@@ -285,10 +309,12 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         mean = running_mean
         var = running_var
 
-    mean_b = mean.reshape(1, -1, 1, 1)
     inv_std = 1.0 / np.sqrt(var.reshape(1, -1, 1, 1) + eps)
-    x_hat = (x.data - mean_b) * inv_std
-    out = gamma.data.reshape(1, -1, 1, 1) * x_hat + beta.data.reshape(1, -1, 1, 1)
+    # In place, in the order of (x - mean) * inv_std and gamma * x_hat + beta.
+    x_hat = np.subtract(x.data, mean.reshape(1, -1, 1, 1))
+    x_hat *= inv_std
+    out = np.multiply(gamma.data.reshape(1, -1, 1, 1), x_hat)
+    out += beta.data.reshape(1, -1, 1, 1)
 
     n, c, h, w = x.shape
     m = n * h * w

@@ -45,6 +45,7 @@ from ..hd.encoders import (Encoder, NonlinearEncoder,
 from ..hd.hypervector import hard_quantize
 from ..hd.similarity import packed_classify
 from ..models.extractor import FeatureExtractor
+from ..nn.functional import strided_max_pool
 from ..telemetry import get_registry, span
 
 __all__ = [
@@ -52,7 +53,7 @@ __all__ = [
     "ExtractStage", "FlattenStage", "ScaleStage", "ManifoldReduceStage",
     "EncodeStage", "FusedEncodeStage", "ScalePoolStage",
     "ClassifyStage", "PackedClassifyStage",
-    "cosine_similarities", "clamped_norms", "max_pool_2x2", "encoder_spec",
+    "cosine_similarities", "clamped_norms", "encoder_spec",
     "register_stage", "stage_from_spec", "STAGE_TYPES",
 ]
 
@@ -93,19 +94,6 @@ def cosine_similarities(class_matrix: np.ndarray, queries: np.ndarray,
     query_norms = np.linalg.norm(queries, axis=1, keepdims=True)
     query_norms = np.where(query_norms < _NORM_FLOOR, 1.0, query_norms)
     return (queries @ class_matrix.T) / (query_norms * class_norms[None, :])
-
-
-def max_pool_2x2(x: np.ndarray) -> np.ndarray:
-    """Crop-to-even 2×2 / stride-2 max-pool of an ``(n, c, h, w)`` array.
-
-    The elementwise max of the four strided phase views: the same
-    values as ``F.max_pool2d(kernel=2)`` on the cropped input, NaN
-    included, without materializing a 6-D reduction.
-    """
-    h, w = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
-    top = np.maximum(x[:, :, 0:h:2, 0:w:2], x[:, :, 0:h:2, 1:w:2])
-    bottom = np.maximum(x[:, :, 1:h:2, 0:w:2], x[:, :, 1:h:2, 1:w:2])
-    return np.maximum(top, bottom, out=top)
 
 
 # ----------------------------------------------------------------------
@@ -340,10 +328,10 @@ class ManifoldReduceStage(Stage):
     """Manifold compression Ψ: crop-to-even max-pool (window 2) + FC.
 
     Numerically identical to ``F.max_pool2d(kernel=2)`` + ``F.linear``
-    on the same operands (:func:`max_pool_2x2` takes the max over the
-    same four elements, then the same ``pooled @ Wᵀ + b`` BLAS call) —
-    proven bit-exact against the autograd path by the golden fixtures
-    and the engine-parity tests.
+    on the same operands (both pool through
+    :func:`~repro.nn.functional.strided_max_pool`, then the same
+    ``pooled @ Wᵀ + b`` BLAS call) — proven bit-exact against the
+    autograd path by the golden fixtures and the engine-parity tests.
 
     The weight/bias *providers* are zero-argument callables so a live
     stage built from a :class:`~repro.learn.manifold.ManifoldLearner`
@@ -382,7 +370,7 @@ class ManifoldReduceStage(Stage):
         c, h, w = self.feature_shape
         x = features.reshape(-1, c, h, w)
         if self.pooling:
-            x = max_pool_2x2(x)
+            x = strided_max_pool(x)
         pooled = x.reshape(len(x), -1)
         out = pooled @ self.weight.T
         bias = self.bias
@@ -713,7 +701,7 @@ class ScalePoolStage(Stage):
     ``max`` does not commute with it — so the pass folds the pool
     *down* out of :class:`ManifoldReduceStage` into the scale step
     instead.  That fold is **bit-exact**: both stages pool through the
-    one :func:`max_pool_2x2` helper on the identical operands; only the
+    one :func:`strided_max_pool` helper on the identical operands; only the
     stage boundary moves.  The win is that the
     full-width scaled intermediate dies immediately after pooling
     (4× smaller downstream batch rows) and the reduce stage degenerates
@@ -737,7 +725,7 @@ class ScalePoolStage(Stage):
                  ) -> np.ndarray:
         scaled = self.scaler.transform(
             np.asarray(batch, dtype=np.float64))
-        x = max_pool_2x2(scaled.reshape(-1, *self.feature_shape))
+        x = strided_max_pool(scaled.reshape(-1, *self.feature_shape))
         return x.reshape(len(x), -1)
 
     def spec(self) -> Dict[str, Any]:

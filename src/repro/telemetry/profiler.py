@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn import tensor as _tensor_mod
+from .report import format_table
 
 __all__ = ["OpStat", "LayerStat", "Profiler", "get_active_profiler",
            "disabled_overhead_ratio"]
@@ -241,30 +242,28 @@ class Profiler:
         return events
 
     def format_top_ops(self, k: int = 10) -> str:
-        """Fixed-width table of the hottest autograd ops."""
-        header = (f"{'op':<16}{'calls':>8}{'fwd_s':>10}{'bwd_s':>10}"
-                  f"{'total_s':>10}{'GFLOP':>10}{'MB':>10}")
-        lines = [header, "-" * len(header)]
-        for stat in self.top_ops(k):
-            lines.append(
-                f"{stat.name:<16}{stat.calls:>8}{stat.forward_s:>10.4f}"
-                f"{stat.backward_s:>10.4f}{stat.total_s:>10.4f}"
-                f"{stat.flops / 1e9:>10.3f}{stat.bytes / 1e6:>10.1f}")
+        """Markdown table of the hottest autograd ops (as in the run report).
+
+        ``GFLOP/s`` is the forward rate: a GEMM op far below BLAS speed
+        stands out there.
+        """
         if not self.ops:
-            lines.append("(no ops recorded)")
-        return "\n".join(lines)
+            return "(no ops recorded)"
+        return format_table(
+            ["op", "calls", "fwd_s", "bwd_s", "total_s", "GFLOP", "GFLOP/s",
+             "MB"],
+            [[o.name, o.calls, o.forward_s, o.backward_s, o.total_s,
+              o.flops / 1e9, o.flops / o.forward_s / 1e9 if o.forward_s
+              else 0.0, o.bytes / 1e6] for o in self.top_ops(k)])
 
     def format_top_layers(self, k: int = 10) -> str:
-        header = (f"{'layer':<20}{'calls':>8}{'fwd_s':>10}{'MMAC':>10}"
-                  f"{'params':>10}")
-        lines = [header, "-" * len(header)]
-        for stat in self.top_layers(k):
-            lines.append(
-                f"{stat.name:<20}{stat.calls:>8}{stat.forward_s:>10.4f}"
-                f"{stat.macs / 1e6:>10.2f}{stat.params:>10}")
+        """Markdown table of the slowest leaf-module kinds."""
         if not self.layers:
-            lines.append("(no layers recorded)")
-        return "\n".join(lines)
+            return "(no layers recorded)"
+        return format_table(
+            ["layer", "calls", "fwd_s", "MMAC", "params"],
+            [[l.name, l.calls, l.forward_s, l.macs / 1e6, l.params]
+             for l in self.top_layers(k)])
 
     def reset(self) -> None:
         with self._lock:

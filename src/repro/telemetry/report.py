@@ -295,27 +295,11 @@ def render_report(registry: Optional[MetricsRegistry] = None,
 
     # ------------------------------------------------------------------
     if profiler is not None:
-        sections.append(f"## Top-{top_k} hottest autograd ops")
-        sections.append("")
-        ops = profiler.top_ops(top_k)
-        if ops:
-            sections.append(format_table(
-                ["op", "calls", "fwd_s", "bwd_s", "total_s", "GFLOP", "MB"],
-                [[o.name, o.calls, o.forward_s, o.backward_s, o.total_s,
-                  o.flops / 1e9, o.bytes / 1e6] for o in ops]))
-        else:
-            sections.append("(no ops recorded — was the profiler enabled?)")
-        sections.append("")
-
-        layers = profiler.top_layers(top_k)
-        if layers:
-            sections.append("## Per-layer forward cost")
-            sections.append("")
-            sections.append(format_table(
-                ["layer", "calls", "fwd_s", "MMAC", "params"],
-                [[l.name, l.calls, l.forward_s, l.macs / 1e6, l.params]
-                 for l in layers]))
-            sections.append("")
+        sections += [f"## Top-{top_k} hottest autograd ops", "",
+                     profiler.format_top_ops(top_k), ""]
+        if profiler.layers:
+            sections += ["## Per-layer forward cost", "",
+                         profiler.format_top_layers(top_k), ""]
 
     # ------------------------------------------------------------------
     snapshot = registry.snapshot()

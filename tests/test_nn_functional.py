@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 
 from .conftest import numeric_grad
@@ -31,6 +33,45 @@ def reference_conv2d(x, w, b, stride, padding, groups=1):
             if b is not None:
                 out[ni, o] += b[o]
     return out
+
+
+def reference_max_pool2d(x, kernel, stride, padding):
+    """im2col + argmax max-pool over the ``-inf``-padded input."""
+    n, c = x.shape[:2]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                constant_values=-np.inf)
+    cols, out_h, out_w = F.im2col_indices(
+        xp.reshape(n * c, 1, *xp.shape[2:]), kernel, stride, 0)
+    arg = cols.argmax(axis=1)
+    out = np.take_along_axis(cols, arg[:, None, :], axis=1)[:, 0, :]
+    return out.reshape(n, c, out_h, out_w)
+
+
+def reference_max_pool2d_grad(x, grad, kernel, stride, padding):
+    """Route each window's gradient to its first maximum (NaN counts as one)."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                constant_values=-np.inf)
+    gp = np.zeros_like(xp)
+    for ni in range(n):
+        for ci in range(c):
+            for i in range(grad.shape[2]):
+                for j in range(grad.shape[3]):
+                    window = xp[ni, ci, i * stride:i * stride + kernel,
+                                j * stride:j * stride + kernel]
+                    r, q = divmod(int(np.argmax(window)), kernel)
+                    gp[ni, ci, i * stride + r, j * stride + q] += \
+                        grad[ni, ci, i, j]
+    return gp[:, :, padding:padding + h, padding:padding + w]
+
+
+def reference_batch_norm2d(x, gamma, beta, mean, var, eps=1e-5):
+    """The four-temporary batch-norm expression ``F.batch_norm2d`` replaced."""
+    mean_b = mean.reshape(1, -1, 1, 1)
+    inv_std = 1.0 / np.sqrt(var.reshape(1, -1, 1, 1) + eps)
+    x_hat = (x - mean_b) * inv_std
+    out = gamma.reshape(1, -1, 1, 1) * x_hat + beta.reshape(1, -1, 1, 1)
+    return out, x_hat, inv_std
 
 
 class TestConv2d:
@@ -120,6 +161,51 @@ class TestConv2d:
         np.testing.assert_allclose(wt.grad, numeric_grad(fn_w, w.copy()),
                                    rtol=1e-4, atol=1e-6)
 
+    def test_grouped_gradients(self):
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(2, 4, 5, 5))
+        w = rng.normal(size=(6, 2, 3, 3))
+        b = rng.normal(size=6)
+        xt = Tensor(x.copy(), requires_grad=True)
+        wt = Tensor(w.copy(), requires_grad=True)
+        out = F.conv2d(xt, wt, Tensor(b), stride=2, padding=1, groups=2)
+        (out * out).sum().backward()
+
+        def fn_x(a):
+            return float((reference_conv2d(a, w, b, 2, 1, 2) ** 2).sum())
+
+        def fn_w(a):
+            return float((reference_conv2d(x, a, b, 2, 1, 2) ** 2).sum())
+        np.testing.assert_allclose(xt.grad, numeric_grad(fn_x, x.copy()),
+                                   rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(wt.grad, numeric_grad(fn_w, w.copy()),
+                                   rtol=1e-4, atol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_forward_matches_reference_property(self, data):
+        c = data.draw(st.integers(1, 4), label="in_channels")
+        groups = data.draw(st.sampled_from(
+            [g for g in (1, 2, c) if c % g == 0]), label="groups")
+        out_c = groups * data.draw(st.integers(1, 3), label="out_per_group")
+        kernel = data.draw(st.integers(1, 3), label="kernel")
+        stride = data.draw(st.integers(1, 2), label="stride")
+        padding = data.draw(st.integers(0, 2), label="padding")
+        n = data.draw(st.integers(1, 3), label="n")
+        h = data.draw(st.integers(3, 9), label="h")
+        w = data.draw(st.integers(3, 9), label="w")
+        with_bias = data.draw(st.booleans(), label="bias")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        x = rng.normal(size=(n, c, h, w))
+        weight = rng.normal(size=(out_c, c // groups, kernel, kernel))
+        bias = rng.normal(size=out_c) if with_bias else None
+        out = F.conv2d(Tensor(x), Tensor(weight),
+                       Tensor(bias) if with_bias else None,
+                       stride=stride, padding=padding, groups=groups)
+        expected = reference_conv2d(x, weight, bias, stride, padding, groups)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-10,
+                                   atol=1e-12)
+
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError):
             F.conv2d(Tensor(np.zeros((1, 3, 4, 4))),
@@ -149,6 +235,61 @@ class TestPooling:
         x = np.arange(9.0).reshape(1, 1, 3, 3)
         out = F.max_pool2d(Tensor(x), kernel=2, stride=1)
         np.testing.assert_allclose(out.data[0, 0], [[4, 5], [7, 8]])
+
+    def test_max_pool_pads_with_neg_inf(self):
+        # PyTorch semantics: a border window of negatives returns its
+        # maximum, not the zero of a constant pad.
+        x = -1.0 - np.arange(25.0).reshape(1, 1, 5, 5)
+        out = F.max_pool2d(Tensor(x), kernel=3, padding=1)
+        np.testing.assert_array_equal(out.data[0, 0],
+                                      [[-1.0, -3.0], [-11.0, -13.0]])
+
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (2, 1), (3, 2),
+                                               (3, 3)])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    def test_max_pool_matches_im2col_argmax(self, kernel, stride, padding,
+                                            requires_grad):
+        rng = np.random.default_rng(kernel * 10 + stride + padding)
+        x = rng.normal(size=(2, 3, 7, 9))
+        x[0, 1, 2, :] = np.nan   # a NaN row poisons every window it meets
+        x[1, 0, :, 4] = np.nan
+        t = Tensor(x, requires_grad=requires_grad)
+        if requires_grad:
+            out = F.max_pool2d(t, kernel, stride, padding)
+        else:
+            with no_grad():
+                out = F.max_pool2d(t, kernel, stride, padding)
+        expected = reference_max_pool2d(x, kernel, stride, padding)
+        assert out.shape == expected.shape
+        np.testing.assert_array_equal(out.data, expected)
+        assert np.isnan(out.data).any()
+        assert out.requires_grad == requires_grad
+        if requires_grad:
+            grad = rng.normal(size=out.shape)
+            out.backward(grad)
+            # Overlapping windows add up in another order than the loop.
+            np.testing.assert_allclose(
+                t.grad,
+                reference_max_pool2d_grad(x, grad, kernel, stride, padding),
+                rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(2, 2, 0), (2, 1, 0),
+                                                       (3, 2, 1), (3, 1, 1)])
+    def test_max_pool_ties_route_to_first_element(self, kernel, stride,
+                                                  padding):
+        t = Tensor(np.full((1, 2, 5, 5), 3.0), requires_grad=True)
+        out = F.max_pool2d(t, kernel, stride, padding)
+        grad = np.arange(1.0, out.data.size + 1).reshape(out.shape)
+        out.backward(grad)
+        expected = np.zeros(t.shape)
+        for i in range(out.shape[2]):
+            for j in range(out.shape[3]):
+                # first in-image element of the window, row-major
+                r = max(i * stride - padding, 0)
+                q = max(j * stride - padding, 0)
+                expected[:, :, r, q] += grad[:, :, i, j]
+        np.testing.assert_array_equal(t.grad, expected)
 
     def test_avg_pool_forward(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
@@ -316,3 +457,38 @@ class TestBatchNorm:
         np.testing.assert_allclose(beta.grad, np.full(2, 12.0))
         # gamma gradient = sum of normalized values = 0 per channel
         np.testing.assert_allclose(gamma.grad, np.zeros(2), atol=1e-10)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_bit_identical_to_four_temporaries(self, training):
+        rng = np.random.default_rng(17)
+        x = rng.normal(1.0, 2.0, size=(6, 3, 5, 4))
+        gamma_arr = rng.normal(size=3) + 1.0
+        beta_arr = rng.normal(size=3)
+        rm, rv = rng.normal(size=3), rng.random(3) + 0.5
+        if training:
+            mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        else:
+            mean, var = rm.copy(), rv.copy()
+        xt = Tensor(x, requires_grad=True)
+        gamma = Tensor(gamma_arr, requires_grad=True)
+        beta = Tensor(beta_arr, requires_grad=True)
+        out = F.batch_norm2d(xt, gamma, beta, rm, rv, training=training)
+        ref, x_hat, inv_std = reference_batch_norm2d(x, gamma_arr, beta_arr,
+                                                     mean, var)
+        np.testing.assert_array_equal(out.data, ref)
+
+        grad = rng.normal(size=x.shape)
+        out.backward(grad)
+        g = gamma_arr.reshape(1, -1, 1, 1)
+        if training:
+            m = x.size // x.shape[1]
+            grad_xhat = grad * g
+            sum_g = grad_xhat.sum(axis=(0, 2, 3), keepdims=True)
+            sum_gx = (grad_xhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
+            grad_x = (grad_xhat - sum_g / m - x_hat * sum_gx / m) * inv_std
+        else:
+            grad_x = grad * g * inv_std
+        np.testing.assert_array_equal(xt.grad, grad_x)
+        np.testing.assert_array_equal(gamma.grad,
+                                      (grad * x_hat).sum(axis=(0, 2, 3)))
+        np.testing.assert_array_equal(beta.grad, grad.sum(axis=(0, 2, 3)))

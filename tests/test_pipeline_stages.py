@@ -14,7 +14,7 @@ from repro.pipeline import (STAGE_TYPES, ClassifyStage, EncodeStage,
                             StageError, StageGraph, clamped_norms,
                             cosine_similarities, encoder_spec,
                             register_stage, stage_from_spec)
-from repro.pipeline.stages import max_pool_2x2
+from repro.nn.functional import strided_max_pool
 from repro.utils.rng import fresh_rng
 
 
@@ -57,7 +57,7 @@ class TestSharedMath:
         cropped = x[:, :, :h // 2 * 2, :w // 2 * 2]
         expected = cropped.reshape(n, c, h // 2, 2, w // 2, 2).max(
             axis=(3, 5))
-        pooled = max_pool_2x2(x)
+        pooled = strided_max_pool(x)
         assert pooled.shape == expected.shape
         np.testing.assert_array_equal(pooled, expected)
         assert np.isnan(pooled).any()

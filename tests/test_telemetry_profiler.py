@@ -63,6 +63,29 @@ class TestOpRecording:
         assert conv.calls == 1
         assert conv.flops == out.data.size * 3 * 3 * 3
 
+    def test_trunk_ops_in_table_with_rate(self):
+        rng = np.random.default_rng(6)
+        with Profiler() as prof:
+            x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+            conv = F.conv2d(x, Tensor(rng.normal(size=(6, 1, 3, 3))), None,
+                            padding=1, groups=3)
+            bn = F.batch_norm2d(conv, Tensor(np.ones(6)), Tensor(np.zeros(6)),
+                                np.zeros(6), np.ones(6), training=False)
+            pool = F.max_pool2d(bn, 2)
+        # Fig. 5 accounting: a MAC per weight tap, one op per output element.
+        assert prof.ops["conv2d"].flops == conv.data.size * 1 * 3 * 3
+        assert prof.ops["batch_norm2d"].flops == bn.data.size
+        assert prof.ops["max_pool2d"].flops == pool.data.size
+        table = [[cell.strip() for cell in line.strip("|").split("|")]
+                 for line in prof.format_top_ops().splitlines()]
+        assert table[0] == ["op", "calls", "fwd_s", "bwd_s", "total_s",
+                            "GFLOP", "GFLOP/s", "MB"]
+        rows = {row[0]: row for row in table[2:]}
+        assert {"conv2d", "batch_norm2d", "max_pool2d"} <= set(rows)
+        conv_stat = prof.ops["conv2d"]
+        assert float(rows["conv2d"][6]) == pytest.approx(
+            conv_stat.flops / conv_stat.forward_s / 1e9, rel=1e-2, abs=1e-4)
+
     def test_total_and_top_ops(self):
         with Profiler() as prof:
             a = Tensor(np.ones((16, 16)))
