@@ -1,15 +1,11 @@
 """Pytest configuration for the benchmark harness.
 
 Ensures the benchmarks directory itself is importable (for ``helpers``)
-and keeps pytest-benchmark output compact.
-
-Ledger integration (PR 3): every benchmark run is stamped with the
-machine/environment fingerprint (python, numpy, BLAS backend, CPU count)
-and the repro seed so recorded timings are comparable across commits —
-the fingerprint lands in each benchmark's ``extra_info`` and in
-pytest-benchmark's ``machine_info`` — and, on session finish, each
-benchmark's stats are appended to the run ledger under
-``results/ledger/benchmarks.jsonl`` (disable with ``REPRO_NO_LEDGER=1``).
+and keeps pytest-benchmark output compact.  Every benchmark run is
+stamped with the machine/environment fingerprint (python, numpy, BLAS
+backend, CPU count) and the repro seed — in each benchmark's
+``extra_info`` and in pytest-benchmark's ``machine_info`` — so recorded
+timings say where they were measured.
 """
 
 import os
@@ -54,39 +50,3 @@ def _benchmark_extra_info(request):
             pass
     yield
 
-
-def pytest_sessionfinish(session, exitstatus):
-    """Append each recorded benchmark to the run ledger (best effort)."""
-    if os.environ.get("REPRO_NO_LEDGER"):
-        return
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    benchmarks = getattr(bench_session, "benchmarks", None)
-    if not benchmarks:
-        return
-    try:
-        from repro.telemetry.ledger import RunLedger, RunRecord
-        ledger = RunLedger(directory=os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "results", "ledger"), filename="benchmarks.jsonl")
-        for bench in benchmarks:
-            stats = getattr(bench, "stats", None)
-            if stats is None:
-                continue
-            summary = {key: float(getattr(stats, key))
-                       for key in ("min", "max", "mean", "median", "stddev")
-                       if getattr(stats, key, None) is not None}
-            record = RunRecord(
-                pipeline=bench.name, kind="benchmark",
-                config={"fullname": bench.fullname,
-                        "group": bench.group,
-                        "params": getattr(bench, "params", None)},
-                seed=REPRO_SEED,
-                wall_s=summary.get("median"),
-                stage_times=({"benchmark": summary["median"]}
-                             if "median" in summary else {}),
-                metrics={"stats": {"type": "gauge", **summary}},
-                extra={"extra_info": dict(getattr(bench, "extra_info", {}))})
-            ledger.append(record)
-    except Exception:
-        # The ledger is observability, not a gate on the benchmarks run.
-        pass

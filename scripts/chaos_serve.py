@@ -33,12 +33,7 @@ Request tracing is enabled on the router for the whole run: every
 response echoes an ``X-Trace-Id``, the load generator records it, and
 the post-mortem prints the 10 slowest plus every failed request with
 their span trees pulled from the router's flight recorder.
-
-The run is appended to the run ledger (``kind="fleet"``) with per-phase
-latency quantiles, fault/recovery facts, the captured trace ids, and
-SLO burn-rate gauges, and gated against the rolling median+MAD baseline
-like every other tiered check (``scripts/check_fleet.sh`` wires this
-into ``run_all.sh``).
+``scripts/check_fleet.sh`` wires this into ``run_all.sh``.
 
 Usage::
 
@@ -63,24 +58,23 @@ _SRC = os.path.join(REPO_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from serve_bench import report_traces, synthetic_bundle  # noqa: E402
+from synthetic import synthetic_bundle  # noqa: E402
 
 from repro import telemetry  # noqa: E402
 from repro.serve import InferenceEngine, Router, Supervisor  # noqa: E402
 from repro.telemetry import (disable_request_tracing,  # noqa: E402
                              enable_request_tracing, get_flight_recorder,
-                             regress)
-from repro.telemetry.ledger import RunLedger, RunRecord  # noqa: E402
+                             render_trace_tree)
 from repro.utils.rng import fresh_rng  # noqa: E402
 
-#: Load-phase names (also the per-phase latency buckets in the ledger).
+#: Load-phase names (also the per-phase latency buckets).
 PHASES = ("baseline", "chaos", "recovery")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         description="chaos-test the serving fleet (kill/hang/poison "
-                    "under load), assert the SLO, ledger the result")
+                    "under load), assert the SLO")
     parser.add_argument("--workers", type=int, default=4,
                         help="fleet size (needs >= 4 for the schedule)")
     parser.add_argument("--clients", type=int, default=8,
@@ -96,10 +90,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--min-success", type=float, default=0.99,
                         help="overall request success-rate floor")
-    parser.add_argument("--ledger-dir",
-                        default=os.path.join(REPO_ROOT, "results", "ledger"))
-    parser.add_argument("--no-append", action="store_true")
-    parser.add_argument("--no-gate", action="store_true")
     parser.add_argument("--json-out", default=None)
     return parser.parse_args(argv)
 
@@ -207,11 +197,38 @@ class LoadGenerator:
 
     def traced(self) -> dict:
         """Slowest-10 and all failed requests with their trace ids,
-        in the shape :func:`serve_bench.report_traces` expects."""
+        in the shape :func:`report_traces` expects."""
         with self._lock:
             slowest = sorted(self._traced,
                              key=lambda r: -(r[0] or 0.0))[:10]
             return {"slowest": slowest, "failed": list(self._failed)}
+
+
+def report_traces(traced: dict) -> None:
+    """Print the slowest/failed requests with flight-recorder lookups."""
+    recorder = get_flight_recorder()
+
+    def describe(lat_ms, status, trace_id) -> None:
+        lat = f"{lat_ms:8.2f}ms" if lat_ms is not None else "   (conn)"
+        print(f"  {lat}  HTTP {status or '---'}  trace={trace_id}")
+        found = recorder.lookup(trace_id) if trace_id else None
+        if found is None:
+            print("            (not retained by the flight recorder)")
+            return
+        print(f"            retained_for={','.join(found['retained_for'])} "
+              f"spans={len(found['spans'])}")
+        for line in render_trace_tree(found["tree"]).splitlines():
+            print(f"            {line}")
+
+    print(f"\nslowest {len(traced['slowest'])} traced requests:")
+    for lat_ms, status, trace_id in traced["slowest"]:
+        describe(lat_ms, status, trace_id)
+    if traced["failed"]:
+        print(f"\nfailed traced requests ({len(traced['failed'])}):")
+        for lat_ms, status, trace_id in traced["failed"]:
+            describe(lat_ms, status, trace_id)
+    else:
+        print("\nno failed traced requests")
 
 
 def post_worker(url: str, path: str, payload: dict,
@@ -286,8 +303,6 @@ def main(argv=None) -> int:
         breaker_options={"failure_threshold": 3, "min_requests": 8,
                          "recovery_timeout_s": 0.5})
 
-    t_start = telemetry.clock()
-    phase_walls = {}
     load = None
     try:
         supervisor.start()
@@ -308,13 +323,10 @@ def main(argv=None) -> int:
         load = LoadGenerator(host, port, payloads, args.clients).start()
 
         # Phase 1: baseline --------------------------------------------
-        t0 = telemetry.clock()
         time.sleep(args.phase_s)
-        phase_walls["baseline"] = telemetry.clock() - t0
 
         # Phase 2: chaos -----------------------------------------------
         load.phase = "chaos"
-        t0 = telemetry.clock()
         kill_id, hang_id, poison_id = "w0", "w1", "w2"
 
         dead_pid = supervisor.kill_worker(kill_id)
@@ -351,13 +363,10 @@ def main(argv=None) -> int:
         check(wait_until(healed, args.heal_timeout_s),
               f"fleet healed within {args.heal_timeout_s:.0f}s "
               f"(both faulted workers restarted, all up)")
-        phase_walls["chaos"] = telemetry.clock() - t0
 
         # Phase 3: recovery --------------------------------------------
         load.phase = "recovery"
-        t0 = telemetry.clock()
         time.sleep(args.phase_s)
-        phase_walls["recovery"] = telemetry.clock() - t0
         load.stop()
 
         # -- post-mortem assertions ------------------------------------
@@ -421,7 +430,6 @@ def main(argv=None) -> int:
         supervisor.stop()
         disable_request_tracing()
         shutil.rmtree(workdir, ignore_errors=True)
-    wall_s = telemetry.clock() - t_start
 
     for name in PHASES:
         s = summary[name]
@@ -432,68 +440,13 @@ def main(argv=None) -> int:
           f"breaker opens={opens} closes={closes} "
           f"success={success_rate:.4%}")
 
-    snapshot = telemetry.get_registry().snapshot()
-
-    def counter(name: str) -> float:
-        entry = snapshot.get(name) or {}
-        return float(entry.get("value", 0.0))
-
-    gauge = counter  # gauges snapshot to the same {"value": ...} shape
-
-    config = {
-        "workers": args.workers, "clients": args.clients,
-        "phase_s": args.phase_s, "dim": args.dim,
-        "features": args.features, "classes": args.classes,
-        "seed": args.seed,
-    }
-    record = RunRecord.capture(pipeline="fleet", kind="fleet",
-                               config=config, seed=args.seed,
-                               wall_s=wall_s)
-    record.stage_times.update(
-        {f"fleet.{name}": phase_walls[name] for name in PHASES})
-    record.extra["fleet"] = {
-        "success_rate": success_rate,
-        "requests": total,
-        "failed": total - total_ok,
-        "phases": summary,
-        "restarts": description["restarts"],
-        "breaker_opens": opens,
-        "breaker_closes": closes,
-        "router": {
-            "retries": counter("fleet.router.retries"),
-            "rerouted": counter("fleet.router.rerouted"),
-            "connect_errors": counter("fleet.router.connect_errors"),
-            "breaker_skips": counter("fleet.router.breaker_skips"),
-            "exhausted": counter("fleet.router.exhausted"),
-        },
-        "traces": {
-            "slowest": [[lat, status, tid]
-                        for lat, status, tid in traced["slowest"]],
-            "failed": [[lat, status, tid]
-                       for lat, status, tid in traced["failed"]],
-            "recorder_retained": len(get_flight_recorder().retained_ids()),
-        },
-        "slo_burn": {
-            "availability_fast": gauge("fleet.slo.availability.burn_fast"),
-            "availability_slow": gauge("fleet.slo.availability.burn_slow"),
-            "latency_fast": gauge("fleet.slo.latency.burn_fast"),
-            "latency_slow": gauge("fleet.slo.latency.burn_slow"),
-        },
-        "slo_failures": list(failures),
-    }
-
-    ledger = RunLedger(args.ledger_dir)
-    gate_failed = False
-    if not args.no_gate:
-        report = regress.gate_run(ledger, record)
-        print()
-        print(report.to_markdown())
-        gate_failed = not report.passed
-    if not args.no_append:
-        ledger.append(record)
-        print(f"\nappended fleet record to {ledger.path}")
-
     if args.json_out:
+        config = {
+            "workers": args.workers, "clients": args.clients,
+            "phase_s": args.phase_s, "dim": args.dim,
+            "features": args.features, "classes": args.classes,
+            "seed": args.seed,
+        }
         with open(args.json_out, "w") as handle:
             json.dump({"summary": summary, "config": config,
                        "success_rate": success_rate,
@@ -510,9 +463,6 @@ def main(argv=None) -> int:
               file=sys.stderr)
         for label in failures:
             print(f"  - {label}", file=sys.stderr)
-        return 1
-    if gate_failed:
-        print("REGRESSION GATE FAILED", file=sys.stderr)
         return 1
     print("\nchaos SLO held")
     return 0

@@ -9,9 +9,8 @@
 # then assert the SLO: >= 99% request success, at least one circuit
 # breaker opened and closed again, both faulted workers restarted and
 # re-entered rotation, recovery P99 back near baseline, and routed
-# answers bit-exact with a local engine on the same bundle.
-# The run lands in the ledger (kind="fleet") and is gated against the
-# rolling median+MAD baseline (see scripts/chaos_serve.py).
+# answers bit-exact with a local engine on the same bundle
+# (see scripts/chaos_serve.py).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

@@ -14,7 +14,7 @@ section and drives five phases:
    existing ``/reload`` hot swap) must bring served accuracy back to
    ≥ 90% of the clean reference within a bounded feedback budget.  The
    per-generation retention of the *untouched* classes is the
-   replay-free forgetting curve (ledgered, lands in EXPERIMENTS.md);
+   replay-free forgetting curve (printed, lands in EXPERIMENTS.md);
 3. **poison**: a stream with random wrong labels must NEVER promote —
    the shadow cannot beat the live model on the equally-mislabelled
    validation ring, so the accuracy gate rejects every evaluation and
@@ -32,9 +32,6 @@ section and drives five phases:
    be 200 and carry a model fingerprint that is exactly the old or the
    new one — zero torn responses.
 
-Outcomes land in a ``kind="online"``
-:class:`~repro.telemetry.ledger.RunRecord`, median+MAD trend-gated
-against the rolling ledger baseline and appended to ``results/ledger/``.
 Wired into ``scripts/run_all.sh`` via ``scripts/check_online.sh``.
 """
 
@@ -46,7 +43,6 @@ import shutil
 import sys
 import tempfile
 import threading
-import time
 
 import numpy as np
 
@@ -55,14 +51,12 @@ _SRC = os.path.join(REPO_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from serve_bench import synthetic_bundle  # noqa: E402
+from synthetic import synthetic_bundle  # noqa: E402
 
 from repro import telemetry  # noqa: E402
 from repro.hd.hypervector import hard_quantize  # noqa: E402
 from repro.serve import InferenceEngine  # noqa: E402
 from repro.serve.__main__ import _parse_args, build_server  # noqa: E402
-from repro.telemetry import regress  # noqa: E402
-from repro.telemetry.ledger import RunLedger, RunRecord  # noqa: E402
 from repro.telemetry.quality import QualityBaseline  # noqa: E402
 from repro.utils.rng import fresh_rng  # noqa: E402
 
@@ -119,11 +113,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--inject-poison", action="store_true",
                         help="self-check: run ONLY the poison phase and "
                              "require it to be rejected")
-    parser.add_argument("--ledger-dir",
-                        default=os.path.join(REPO_ROOT, "results",
-                                             "ledger"))
-    parser.add_argument("--no-append", action="store_true",
-                        help="gate only; do not grow the ledger")
     return parser.parse_args(argv)
 
 
@@ -243,8 +232,6 @@ def main(argv=None) -> int:
             failures.append(label)
 
     workdir = tempfile.mkdtemp(prefix="check_online_")
-    t_start = time.time()
-    results = {"phases": {}}
     k = args.classes
     try:
         clusters = Clusters(args)
@@ -267,7 +254,6 @@ def main(argv=None) -> int:
             check(clean_acc >= 0.95,
                   f"clustered bundle serves its own distribution "
                   f"(clean accuracy {clean_acc:.3f} >= 0.95)")
-            results["phases"]["clean"] = {"accuracy": clean_acc}
 
             # feedback can reference a served request by id
             host, port = server.address
@@ -340,15 +326,6 @@ def main(argv=None) -> int:
                       f"(gen {point['generation']}): overall "
                       f"{point['accuracy']:.3f}, untouched "
                       f"{point['untouched_accuracy']:.3f}")
-            results["phases"]["recovery"] = {
-                "clean_accuracy": clean_acc,
-                "shifted_accuracy_before": pre_acc,
-                "shifted_accuracy_after": post_acc,
-                "untouched_retention": retained,
-                "feedback_to_recover": recovered_at,
-                "generations": status_body["generation"],
-                "forgetting_curve": curve,
-            }
             server.stop()
 
         # -- phase 3: poisoned stream must never promote -------------
@@ -379,11 +356,6 @@ def main(argv=None) -> int:
               f"(reasons={decision['reasons']})")
         check(before_fp == after_fp and onlinez(server)["generation"] == 0,
               "live model fingerprint untouched by the poison stream")
-        results["phases"]["poison"] = {
-            "rounds": args.poison_rounds,
-            "rejections": rejections,
-            "last_reasons": decision["reasons"],
-        }
         server.stop()
         if args.inject_poison:
             print("\n--inject-poison self-check: poisoned stream was "
@@ -427,13 +399,6 @@ def main(argv=None) -> int:
               f"promoted baseline priors cover the new class "
               f"({len(priors)} == {k + 1}) so /driftz skew cannot "
               f"permanently fire")
-        results["phases"]["class_incremental"] = {
-            "new_class_accuracy": new_acc,
-            "old_class_accuracy": old_acc,
-            "bit_exact_parity": bool(np.array_equal(new_matrix[:k],
-                                                    old_rows)),
-            "priors": len(priors),
-        }
         server.stop()
 
         # -- phase 5: atomic promotion under concurrent load ---------
@@ -483,38 +448,9 @@ def main(argv=None) -> int:
         check(fingerprints <= {old_fp, new_fp},
               f"every response fingerprint is exactly the old or new "
               f"model ({len(fingerprints)} distinct)")
-        results["phases"]["atomic"] = {
-            "requests": len(statuses),
-            "torn": len(torn),
-            "fingerprints": len(fingerprints),
-            "promoted": promoted,
-        }
         server.stop()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-
-    # -- ledger: trend-gate recovery latency like bench_gate ---------
-    config = {"gate": "check_online", "dim": args.dim,
-              "features": args.features, "classes": args.classes,
-              "noise": args.noise, "budget": args.feedback_budget,
-              "seed": args.seed}
-    recovery = results["phases"].get("recovery", {})
-    record = RunRecord(pipeline="serve-online", kind="online",
-                       config=config, seed=args.seed,
-                       wall_s=time.time() - t_start,
-                       final_accuracy=recovery.get(
-                           "shifted_accuracy_after"),
-                       test_accuracy=recovery.get("untouched_retention"),
-                       extra={"online": results})
-    ledger = RunLedger(args.ledger_dir)
-    report = regress.gate_run(ledger, record)
-    print()
-    print(report.to_markdown())
-    if not report.passed:
-        failures.append("ledger median+MAD gate")
-    if not args.no_append:
-        ledger.append(record)
-        print(f"\nledgered kind=online run under {ledger.path}")
 
     if failures:
         print(f"\nONLINE GATE FAILED: {len(failures)} assertion(s):",

@@ -12,9 +12,7 @@
 #     of clean accuracy within budget (with a replay-free forgetting
 #     curve), feed a poisoned stream that must never promote, add a
 #     brand-new class online with bit-exact parity for existing rows,
-#     and hammer /predict across a promotion with zero torn responses;
-#   * ledgered as kind="online" and median/MAD trend-gated like the
-#     bench pipelines.
+#     and hammer /predict across a promotion with zero torn responses.
 # `bash scripts/check_online.sh --inject-poison` runs only the
 # poison-rejection self-check (see scripts/check_online.py).
 set -euo pipefail

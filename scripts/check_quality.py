@@ -12,19 +12,13 @@ load generator through four phases:
 2. **covariate shift**: the generator switches to ``mean+3, 2σ``
    features; the ``feature-drift`` rule
    (``quality.feature.psi_max > 0.25``) must reach ``firing`` within a
-   bounded number of requests (detection latency is printed and
-   ledgered);
+   bounded number of requests (detection latency is printed);
 3. **label skew**: a fresh server is flooded with near-duplicates of a
    single row, so every prediction lands in one class; the
    ``prediction-skew`` rule (``quality.prediction.psi > 1.0``) must
    fire within the budget;
 4. **overhead**: interleaved HTTP P99 of a monitors-on vs monitors-off
    server over the same bundle; the best-of-3 ratio must stay < 5%.
-
-The phase outcomes and the P99 pair are captured as a
-``kind="quality"`` :class:`~repro.telemetry.ledger.RunRecord`, gated
-against the rolling ledger baseline (median + MAD, same detector as
-``bench_gate``), and appended to ``results/ledger/``.
 
 Wired into ``scripts/run_all.sh`` via ``scripts/check_quality.sh``.
 """
@@ -45,13 +39,11 @@ _SRC = os.path.join(REPO_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from serve_bench import synthetic_bundle  # noqa: E402
+from synthetic import synthetic_bundle  # noqa: E402
 
 from repro import telemetry  # noqa: E402
 from repro.serve import InferenceEngine  # noqa: E402
 from repro.serve.__main__ import _parse_args, build_server  # noqa: E402
-from repro.telemetry import regress  # noqa: E402
-from repro.telemetry.ledger import RunLedger, RunRecord  # noqa: E402
 from repro.telemetry.quality import QualityBaseline  # noqa: E402
 from repro.utils.rng import fresh_rng  # noqa: E402
 
@@ -109,11 +101,6 @@ def parse_args(argv=None) -> argparse.Namespace:
                              "(best of 3 interleaved runs)")
     parser.add_argument("--skip-overhead", action="store_true",
                         help="skip the P99 comparison (loaded CI hosts)")
-    parser.add_argument("--ledger-dir",
-                        default=os.path.join(REPO_ROOT, "results",
-                                             "ledger"))
-    parser.add_argument("--no-append", action="store_true",
-                        help="gate only; do not grow the ledger")
     return parser.parse_args(argv)
 
 
@@ -221,8 +208,6 @@ def main(argv=None) -> int:
             failures.append(label)
 
     workdir = tempfile.mkdtemp(prefix="check_quality_")
-    t_start = time.time()
-    quality = {"scenarios": {}, "overhead": None}
     try:
         bundle_path = baselined_bundle_path(workdir, args)
         rng = fresh_rng((args.seed, "check-quality-load"))
@@ -243,7 +228,6 @@ def main(argv=None) -> int:
               f"(psi_max={psi:.3f} < 0.25)")
         check(firing(server) == [],
               "no alerts firing on clean traffic")
-        quality["scenarios"]["clean"] = {"psi_max": psi, "firing": []}
 
         # -- phase 2: covariate shift → feature-drift fires ----------
         shifted = lambda: 3.0 + 2.0 * clean(args.batch)  # noqa: E731
@@ -256,10 +240,6 @@ def main(argv=None) -> int:
         top = drift.get("feature", {}).get("top", [])
         check(bool(top), f"/driftz names the drifting features "
                          f"(top={top[:3]})")
-        quality["scenarios"]["covariate_shift"] = {
-            "requests_to_firing": detect,
-            "rows_per_request": args.batch,
-            "psi_max": drift.get("feature", {}).get("psi_max")}
         server.stop()
 
         # -- phase 3: label skew → prediction-skew fires -------------
@@ -278,14 +258,10 @@ def main(argv=None) -> int:
                   for row in alerts.get("rules", [])}
         check(states.get("prediction-skew") == "firing",
               f"/alertz reports the state machine (states={states})")
-        quality["scenarios"]["label_skew"] = {
-            "requests_to_firing": detect,
-            "rows_per_request": args.batch}
         server.stop()
         server = None
 
         # -- phase 4: monitors must be effectively free --------------
-        p99_on = p99_off = ratio = None
         if not args.skip_overhead:
             telemetry.get_registry().reset()
             on = boot(bundle_path, ALERTS_TOML, workdir, "on")
@@ -310,37 +286,8 @@ def main(argv=None) -> int:
             finally:
                 on.stop()
                 off.stop()
-            quality["overhead"] = {"p99_on_s": p99_on,
-                                   "p99_off_s": p99_off,
-                                   "ratio": ratio,
-                                   "limit": args.overhead_limit}
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-
-    # -- ledger: trend-gate the overhead pair like bench_gate --------
-    config = {"gate": "check_quality", "dim": args.dim,
-              "features": args.features, "classes": args.classes,
-              "batch": args.batch, "budget": args.budget,
-              "overhead_requests": args.overhead_requests,
-              "seed": args.seed}
-    stage_times = {}
-    if quality["overhead"]:
-        stage_times = {"serve_p99_quality_on": p99_on,
-                       "serve_p99_quality_off": p99_off}
-    record = RunRecord(pipeline="serve-quality", kind="quality",
-                       config=config, seed=args.seed,
-                       wall_s=time.time() - t_start,
-                       stage_times=stage_times,
-                       extra={"quality": quality})
-    ledger = RunLedger(args.ledger_dir)
-    report = regress.gate_run(ledger, record)
-    print()
-    print(report.to_markdown())
-    if not report.passed:
-        failures.append("ledger median+MAD gate")
-    if not args.no_append:
-        ledger.append(record)
-        print(f"\nledgered kind=quality run under {ledger.path}")
 
     if failures:
         print(f"\nQUALITY GATE FAILED: {len(failures)} assertion(s):",

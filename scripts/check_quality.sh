@@ -10,8 +10,7 @@
 #     generator, and assert the declared alerts reach `firing` within
 #     a bounded request budget while clean traffic raises none;
 #   * overhead gate: monitors-on vs monitors-off serve P99 must stay
-#     within 5% (best of 3 interleaved runs), ledgered + median/MAD
-#     trend-gated like the bench pipelines.
+#     within 5% (best of 3 interleaved runs).
 # (see scripts/check_quality.py)
 set -euo pipefail
 cd "$(dirname "$0")/.."

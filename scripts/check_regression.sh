@@ -1,45 +1,47 @@
 #!/bin/bash
-# Tier-2 perf-regression gate: run the smoke pipelines through
-# scripts/bench_gate.py against the committed run ledger under
-# results/ledger/.  Behaviour:
-#   * first run on a fresh checkout (no / short ledger history)
-#     bootstraps the baseline and PASSES;
-#   * with >= 3 comparable runs in the ledger, a stage time, accuracy or
-#     wall-clock outside the rolling median+MAD tolerance band FAILS
-#     (nonzero exit), printing the markdown comparison report;
-#   * a BENCH_<shortsha>.json trajectory file is (re)written under
-#     results/bench/ (legacy root-level files from older commits are
-#     still readable) and a ledger entry is appended for this commit.
-# A self-check then verifies the gate's teeth: with an established
-# baseline, a synthetic 3x slowdown injected into one stage must FAIL.
+# Tier-2 benchmark gate: scripts/bench_gate.py runs bench/run.py (three
+# untraced runs per workload at fixed seeds, one traced run), writes
+# results/bench/BENCH_<short sha>.json and gates every (workload,
+# end-to-end metric) against the newest committed BENCH file with
+# bench/compare.py's verdicts: regressed fails (nonzero exit),
+# unresolved is printed, and a base measured in another environment
+# skips the gate.
+# A self-check then verifies the gate's teeth on the fresh file: gated
+# against itself it passes; with train latency_p50_ms x1.5 in every run
+# it must come back regressed with a nonzero status.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== regression gate: smoke pipelines vs results/ledger =="
+echo "== benchmark gate: bench/run.py vs the newest committed BENCH file =="
 python scripts/bench_gate.py
 
-# Teeth check: only meaningful once the baseline is established (>= 3
-# runs of the nshd smoke config *from this environment* in the ledger —
-# the gate keys baselines on the env digest, so runs recorded on another
-# machine bootstrap instead of gating).
 echo
-echo "== gate self-check: injected 3x extract slowdown must fail =="
-history="$(python - <<'EOF'
-from repro.telemetry.ledger import RunLedger, env_digest
-print(len(RunLedger().query(pipeline="nshd", env_digest=env_digest())))
+echo "== gate self-check: train latency x1.5 must regress =="
+python - <<'EOF'
+import copy
+import json
+import sys
+
+sys.path.insert(0, "scripts")
+import bench_gate  # noqa: E402
+
+with open(bench_gate.bench_path()) as handle:
+    fresh = json.load(handle)
+assert bench_gate.print_gate(bench_gate.gate(fresh, fresh)) == 0, \
+    "the fresh BENCH file fails the gate against itself"
+
+slowed = copy.deepcopy(fresh)
+for run in slowed["runs"]:
+    if run["workload"] == "train":
+        run["metrics"]["latency_p50_ms"]["value"] *= 1.5
+section = bench_gate.gate(fresh, slowed)
+verdicts = {(row["workload"], row["metric"]): row["verdict"]
+            for row in section["rows"]}
+assert verdicts[("train", "latency_p50_ms")] == "regressed", verdicts
+assert bench_gate.print_gate(section) != 0, "a regressed row passed the gate"
+print("injected x1.5 train latency correctly rejected")
 EOF
-)"
-if [ "$history" -ge 3 ]; then
-    if python scripts/bench_gate.py --pipelines nshd \
-            --inject-slowdown extract:3.0 > /dev/null 2>&1; then
-        echo "ERROR: injected 3x slowdown passed the gate" >&2
-        exit 1
-    fi
-    echo "injected slowdown correctly rejected"
-else
-    echo "skipped (ledger has $history nshd runs; need >= 3)"
-fi
 
 echo
 echo "regression checks passed"

@@ -7,8 +7,8 @@
 #     counters in Prometheus text format;
 #   * overload shedding maps to HTTP 503 (watermark admission control);
 #   * clean shutdown (queue drained, workers joined, port released).
-# Then runs scripts/serve_bench.py with the >= 3x batched-speedup gate
-# and appends the serve record to the run ledger.
+# Serving throughput and latency are measured by bench/run.py
+# (batch_eval, worker_mixed, fleet_open; see scripts/check_regression.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -24,7 +24,7 @@ import numpy as np
 
 sys.path.insert(0, "src")
 sys.path.insert(0, "scripts")
-from serve_bench import synthetic_bundle  # noqa: E402
+from synthetic import synthetic_bundle  # noqa: E402
 
 from repro.serve import InferenceEngine, ModelServer  # noqa: E402
 
@@ -114,10 +114,6 @@ assert shed > 0, "overload never shed despite watermark 1"
 print(f"overload shedding engaged ({shed}/8 shed)")
 print("serve HTTP round-trip: OK (clean shutdown)")
 EOF
-
-echo
-echo "== serve bench: batched speedup gate (>= 3x single-sample loop) =="
-python scripts/serve_bench.py --min-speedup 3.0
 
 echo
 echo "serve checks passed"

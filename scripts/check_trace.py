@@ -49,7 +49,7 @@ _SRC = os.path.join(REPO_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from serve_bench import synthetic_bundle  # noqa: E402
+from synthetic import synthetic_bundle  # noqa: E402
 from trace_overhead import disabled_request_trace_overhead  # noqa: E402
 
 from repro.serve import Router, Supervisor  # noqa: E402

@@ -7,9 +7,7 @@ wall-time breakdown (extract → manifold → encode → similarity → update)
 and the top-k hottest autograd ops, and writes three artifacts:
 
 * ``report.md`` — the rendered console/markdown run report, including
-  the per-epoch HD drift/saturation sparkline trends and (when a run
-  ledger exists, or ``--ledger`` appends to one) cross-run sparkline
-  trends of the stage self-times and accuracies;
+  the per-epoch HD drift/saturation sparkline trends;
 * ``run.jsonl`` — every metric, span and profiler record as JSONL;
 * ``metrics.prom`` — Prometheus-style text exposition.
 
@@ -50,12 +48,6 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=os.path.join("results", "profile"),
                         help="output directory for report/JSONL/Prometheus")
-    parser.add_argument("--ledger", action="store_true",
-                        help="append this run to the ledger under "
-                             "--ledger-dir before rendering trends")
-    parser.add_argument("--ledger-dir",
-                        default=telemetry.DEFAULT_LEDGER_DIR,
-                        help="run-ledger directory for the trend section")
     return parser.parse_args()
 
 
@@ -91,29 +83,9 @@ def main() -> None:
     registry.set_gauge("run.test_acc", test_acc)
     registry.set_gauge("run.wall_s", time.time() - t0)
 
-    config = {"classes": args.classes, "train": args.train,
-              "test": args.test, "dim": args.dim, "reduced": args.reduced,
-              "cnn_epochs": args.cnn_epochs, "hd_epochs": args.hd_epochs,
-              "model": args.model, "width": args.width,
-              "layer_index": args.layer_index}
-    ledger = telemetry.RunLedger(args.ledger_dir)
-    if args.ledger:
-        record = telemetry.RunRecord.capture(
-            pipeline="NSHD", kind="profile", config=config, seed=args.seed,
-            wall_s=time.time() - t0,
-            final_accuracy=history["train_acc"][-1],
-            test_accuracy=test_acc, history=history,
-            diagnostics=diag.summary())
-        ledger.append(record)
-        print(f"appended run {record.run_id} to {ledger.path}")
-
     report = telemetry.render_report(
         profiler=profiler, top_k=args.top_k,
         title="Profiled NSHD training run",
-        ledger=ledger if os.path.exists(ledger.path) else None,
-        pipeline="NSHD",
-        config_fingerprint=(telemetry.config_fingerprint(config)
-                            if args.ledger else None),
         diagnostics=diag.summary())
     print(report)
     print(f"final train_acc={history['train_acc'][-1]:.3f} "

@@ -10,19 +10,14 @@ pytest tests/ 2>&1 | tee test_output.txt
 # Benchmark smoke test (~25 s): every workload of bench/run.py, traced
 # and untraced, must keep its output contract (see bench/README.md).
 python3 -m pytest bench -q
-# Benchmark invocations append per-benchmark ledger entries via
-# benchmarks/conftest.py (results/ledger/benchmarks.jsonl); the
-# --benchmark-json dump is additionally ingested into the run ledger
-# below so the figure benchmarks share the regression trajectory.
+# Figure/table benchmarks (pytest-benchmark).
 pytest benchmarks/ --benchmark-only \
     --benchmark-json results/benchmark_run.json 2>&1 | tee bench_output.txt
-python scripts/bench_gate.py --no-run \
-    --ingest-benchmark-json results/benchmark_run.json
-# Perf-regression gate: smoke pipelines vs the committed run ledger
-# (bootstraps and passes on first run; see scripts/check_regression.sh).
+# Benchmark gate: bench/run.py into results/bench/BENCH_<sha>.json, gated
+# against the newest committed BENCH file (see scripts/check_regression.sh).
 bash scripts/check_regression.sh
 # Serving subsystem: HTTP round-trip, packed/float agreement, overload
-# shedding, and the >= 3x batched-speedup gate (see scripts/check_serve.sh).
+# shedding and clean shutdown (see scripts/check_serve.sh).
 bash scripts/check_serve.sh
 # Stage-graph parity: train -> freeze -> checkpoint -> serve agreement on
 # a freshly trained model (see scripts/check_stage_parity.sh).
@@ -47,4 +42,4 @@ bash scripts/check_online.sh
 # Docs/dashboards lint: every metric name registered in src/repro/ must
 # be documented in docs/OBSERVABILITY.md (and vice versa).
 python scripts/check_metric_names.py
-echo "Results tables are under results/, run ledger under results/ledger/"
+echo "Results tables are under results/, BENCH files under results/bench/"

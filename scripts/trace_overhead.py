@@ -7,8 +7,7 @@ a span that only builds the aggregate tree (what ``span`` did before
 request tracing existed).  The ratio is the cost the request side adds
 to every span on the serving hot path while tracing is off.
 
-Imported by ``scripts/check_trace.py`` (gate: best of 3 below 1.05) and
-``scripts/serve_bench.py`` (reported next to the traced throughput).
+Imported by ``scripts/check_trace.py`` (gate: best of 3 below 1.05).
 """
 
 import threading

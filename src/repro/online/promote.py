@@ -96,8 +96,7 @@ class PromotionController:
         ``{"promote": bool, "reasons": [failed gate names],
         "checks": {gate: {"passed", ...detail}}, "evaluation": ring
         accuracies, "health": shadow matrix health}`` — the record is
-        JSON-safe and is surfaced verbatim on ``/onlinez`` and in the
-        promotion ledger entries.
+        JSON-safe and is surfaced verbatim on ``/onlinez``.
         """
         registry = get_registry()
         registry.inc("online.promotion.evaluations")

@@ -17,8 +17,8 @@ executable description of an NSHD-family model:
 Telemetry: the graph runner is the single place that emits ``stage.*``
 spans.  Training loops run stages with ``instrument=True`` (preserving
 the historical ``stage.extract`` / ``stage.manifold`` / ``stage.encode``
-/ ``stage.similarity`` span stream the run ledger and regression gate
-key on); inference/eval paths pass ``instrument=False``, which keeps
+/ ``stage.similarity`` span stream the run report's stage breakdown
+keys on); inference/eval paths pass ``instrument=False``, which keeps
 the stage spans out of the aggregate tree (matching the pre-refactor
 behaviour where predict did not emit per-stage spans) but still records
 them into an active request trace.
@@ -151,9 +151,10 @@ class StageGraph:
         Each stage runs in its ``stage.*`` span.  ``instrument`` decides
         only whether that span also enters the aggregate tree: the
         default ``False`` matches the historical inference paths, which
-        did not emit per-stage spans (keeping ledger stage accounting
-        comparable across the refactor).  Inside an active request
-        trace, the span is recorded into the request either way, once.
+        did not emit per-stage spans (keeping the run report's stage
+        accounting comparable across the refactor).  Inside an active
+        request trace, the span is recorded into the request either way,
+        once.
         """
         out = batch
         for stage in self._slice(start, stop):

@@ -379,7 +379,6 @@ class MicroBatcher:
                     request_id=request.request_id))
         if not live:
             return
-        stacked = np.stack([r.features for r in live])
         wait_ms = 1000.0 * (clock() - live[0].enqueued_at)
         registry.observe("serve.batcher.batch_size", float(len(live)))
         registry.observe("serve.batcher.queue_wait_ms", wait_ms)
@@ -416,6 +415,9 @@ class MicroBatcher:
         t0 = clock()
         error_text: Optional[str] = None
         try:
+            # Rows of different widths cannot stack: that batch fails its
+            # own requests below, and the worker lives on.
+            stacked = np.stack([r.features for r in live])
             with hub.activate(traced[0].trace_ctx if traced else None), \
                     span("serve.batcher.dispatch",
                          nbytes=int(stacked.nbytes), attrs=batch_attrs):

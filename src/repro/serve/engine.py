@@ -193,6 +193,10 @@ class InferenceEngine:
         names = self.graph.names
         self._feature_entry = names[1] if self._has_front else names[0]
         self._classify_name = names[-1]
+        #: Raw features per row: the input width of the feature-entry
+        #: (scale) stage, one μ/σ per feature — F, not the encoder's F̂
+        #: when a manifold stage reduces in between.
+        self.in_features = len(bundle.arrays["scaler.mean"])
         self.extractor = (first_inner.extractor
                           if isinstance(first_inner, ExtractStage)
                           else None)

@@ -144,7 +144,7 @@ class _Handler(JsonHandler):
             n_rows = 0
             try:
                 app._maybe_stall()
-                features = _parse_features(body)
+                features = _parse_features(body, app.engine.in_features)
                 n_rows = len(features)
                 labels, models = app.predict_tagged(
                     features, trace_ctx=trace.ctx)
@@ -287,8 +287,9 @@ class _Handler(JsonHandler):
         return 200, {"stalled_s": stall_s}
 
 
-def _parse_features(body: bytes) -> np.ndarray:
-    """Decode and shape-check the /predict request body."""
+def _parse_features(body: bytes, width: int) -> np.ndarray:
+    """Decode and shape-check the /predict request body (``width``
+    raw features per row)."""
     try:
         payload = json.loads(body.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
@@ -305,6 +306,9 @@ def _parse_features(body: bytes) -> np.ndarray:
         raise RequestError(
             f"features must be a (n, F) matrix, got shape "
             f"{features.shape}")
+    if features.shape[1] != width:
+        raise RequestError(f"features have {features.shape[1]} columns, "
+                           f"the model takes {width}")
     if not np.isfinite(features).all():
         raise RequestError("features contain NaN/Inf")
     return features

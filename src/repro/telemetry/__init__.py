@@ -21,14 +21,9 @@ beyond numpy + stdlib, importable from every other layer):
 * :mod:`~repro.telemetry.report` — rendered console/markdown run report
   with the extract → manifold → encode → similarity → update stage
   breakdown and the top-k hottest ops.
-* :mod:`~repro.telemetry.ledger` — *persistent* run records: a
-  :class:`RunRecord` (git SHA, config fingerprint, env/BLAS info, seed,
-  per-stage wall time, accuracies, guard counters, HD diagnostics)
-  appended atomically to a JSONL :class:`RunLedger` under
-  ``results/ledger/``, with query/diff APIs.
-* :mod:`~repro.telemetry.regress` — rolling-baseline (median + MAD)
-  perf/accuracy regression detection over the ledger, with a markdown
-  comparison report (``scripts/bench_gate.py`` is the CLI gate).
+* :mod:`~repro.telemetry.ledger` — provenance of a measurement: git
+  state (:func:`git_info`), environment (:func:`env_fingerprint`) and
+  config digests (:func:`config_fingerprint`).
 * :mod:`~repro.telemetry.diagnostics` — per-epoch HD model
   introspection (class-hypervector drift, bipolar saturation fraction,
   class-confusability matrix, similarity-margin quantiles) via
@@ -51,11 +46,9 @@ Quickstart::
     diag = telemetry.DiagnosticsCallback()
     with telemetry.Profiler() as prof:
         nshd.fit(x_train, y_train, epochs=5, callbacks=[diag])
-    print(telemetry.render_report(profiler=prof))
+    print(telemetry.render_report(profiler=prof,
+                                  diagnostics=diag.summary()))
     telemetry.export_jsonl("run.jsonl", profiler=prof)
-    record = telemetry.RunRecord.capture(
-        "nshd", config={"dim": 3000}, diagnostics=diag.summary())
-    telemetry.RunLedger().append(record)
 """
 
 from .alerts import (ALERT_KINDS, ALERT_STATES, AlertManager, AlertRule,
@@ -72,9 +65,7 @@ from .exporters import (NONFINITE_KEY, collect_events, decode_non_finite,
 from .flight import (FlightRecorder, RequestLog, disable_request_tracing,
                      enable_request_tracing, get_flight_recorder,
                      get_request_log, tracing_env_options)
-from .ledger import (DEFAULT_LEDGER_DIR, LEDGER_SCHEMA_VERSION, RunLedger,
-                     RunRecord, config_fingerprint, diff_records,
-                     diff_report, env_digest, env_fingerprint, git_info)
+from .ledger import config_fingerprint, env_fingerprint, git_info
 from .metrics import (DEFAULT_QUANTILES, BurnRateTracker, Counter, Gauge,
                       Histogram, MetricsRegistry, P2Quantile, get_registry,
                       set_registry, use_registry)
@@ -82,12 +73,8 @@ from .profiler import (LayerStat, OpStat, Profiler, disabled_overhead_ratio,
                        get_active_profiler)
 from .quality import (BASELINE_VERSION, DEFAULT_BINS, DriftMonitor,
                       QualityBaseline, population_stability_index)
-from .regress import (DEFAULT_ACCURACY_SPEC, DEFAULT_STAGE_SPEC,
-                      DEFAULT_WALL_SPEC, CheckResult, GateReport, GateSpec,
-                      check_series, gate_run, mad, rolling_baseline,
-                      tolerance, with_threshold)
 from .report import (diagnostics_section, format_table, render_report,
-                     sparkline, stage_breakdown, trend_section)
+                     sparkline, stage_breakdown)
 from .reqtrace import (TRACE_EVENT_TYPE, SpanRecord, TraceContext, TraceHub,
                        TraceJsonlWriter, build_span_tree, get_hub,
                        new_span_id, sample_trace, trace_file_for)
@@ -118,15 +105,9 @@ __all__ = [
     "read_trace_jsonl", "stitch_traces", "render_trace_tree",
     # report
     "format_table", "render_report", "stage_breakdown", "sparkline",
-    "trend_section", "diagnostics_section",
-    # ledger
-    "RunRecord", "RunLedger", "LEDGER_SCHEMA_VERSION",
-    "DEFAULT_LEDGER_DIR", "git_info", "env_fingerprint", "env_digest",
-    "config_fingerprint", "diff_records", "diff_report",
-    # regress
-    "GateSpec", "CheckResult", "GateReport", "mad", "rolling_baseline",
-    "tolerance", "check_series", "gate_run", "with_threshold",
-    "DEFAULT_STAGE_SPEC", "DEFAULT_ACCURACY_SPEC", "DEFAULT_WALL_SPEC",
+    "diagnostics_section",
+    # provenance
+    "git_info", "env_fingerprint", "config_fingerprint",
     # diagnostics
     "DiagnosticsCallback", "class_drift", "saturation_fraction",
     "confusability_matrix", "confusability_summary", "margin_quantiles",

@@ -25,7 +25,7 @@ paper's Fig. 11 t-SNE explainability argument):
 (duck-typed — importing :mod:`repro.learn` here would cycle, since every
 trainer imports telemetry) and records one diagnostics dict per epoch;
 :meth:`DiagnosticsCallback.summary` is what
-:class:`repro.telemetry.ledger.RunRecord` persists.
+:func:`repro.telemetry.render_report` renders as per-epoch trends.
 """
 
 from __future__ import annotations
@@ -165,9 +165,8 @@ def margin_quantiles(registry: Optional[MetricsRegistry] = None,
 
     Returns an empty dict when the histogram does not exist yet (e.g.
     before the first training batch) **or has received no samples** —
-    an empty P² histogram summarises to NaN quantiles, and splatting
-    NaNs into a ledger record poisons downstream median/MAD gating —
-    so callers can splat the result safely either way.
+    an empty P² histogram summarises to NaN quantiles — so callers can
+    splat the result into a JSON summary safely either way.
     """
     registry = registry if registry is not None else get_registry()
     if name not in registry:
@@ -194,13 +193,13 @@ class DiagnosticsCallback:
 
         diag = DiagnosticsCallback()
         trainer.fit(H, y, callbacks=[diag])
-        record = RunRecord.capture(..., diagnostics=diag.summary())
+        print(render_report(diagnostics=diag.summary()))
 
     Per epoch it stores drift / saturation / confusability / margin
     quantiles (``records``), publishes the headline scalars as gauges
     (``hd.drift_total``, ``hd.saturation_fraction``,
     ``hd.confusability_max``), and keeps the final full confusability
-    matrix for the run record.
+    matrix for the summary.
     """
 
     def __init__(self, trainer=None, sat_factor: float = 3.0,

@@ -1,27 +1,10 @@
-"""Persistent run ledger: every training/benchmark run leaves a record.
+"""Provenance of a measurement: git state, environment and config digests.
 
-PR 2's telemetry evaporates with the process; this module makes it
-durable.  A :class:`RunRecord` snapshots one run — git SHA, config +
-fingerprint, environment (python/numpy/BLAS/CPU), seed, the per-stage
-wall-time breakdown from the ``stage.*`` spans, final and per-epoch
-accuracy, guard counters, the full metrics snapshot, and the HD drift
-diagnostics from :mod:`repro.telemetry.diagnostics` — and a
-:class:`RunLedger` appends it to an **append-only JSONL** file under
-``results/ledger/``.
-
-Writes are atomic in the PR-1 checkpoint style (temp file in the target
-directory, fsync, ``os.replace``): a process killed mid-append can never
-leave a truncated line under the ledger name, so the committed trajectory
-is always parseable.  Non-finite values ride the exporters' lossless
-JSON codec (:func:`repro.telemetry.exporters.encode_non_finite`).
-
-Schema evolution: :meth:`RunRecord.from_dict` preserves **unknown keys**
-(they land in :attr:`RunRecord.extra` and are re-emitted by
-:meth:`RunRecord.to_dict`), so a ledger written by a newer build loses
-nothing when read — and re-written — by an older one.
-
-The regression gate (:mod:`repro.telemetry.regress`) queries this ledger
-for rolling baselines; ``scripts/bench_gate.py`` is the CLI surface.
+``scripts/bench_gate.py`` stamps every BENCH file with :func:`git_info`
+and :func:`env_fingerprint` (two BENCH files are gated against each
+other only when their environments match), and ``bench/run.py`` names
+its output after :func:`git_info`; model bundles carry a
+:func:`config_fingerprint` of their training configuration.
 """
 
 from __future__ import annotations
@@ -32,48 +15,21 @@ import os
 import platform
 import subprocess
 import sys
-import tempfile
-import time
-import uuid
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from .exporters import decode_non_finite, encode_non_finite
-from .metrics import MetricsRegistry, get_registry
-from .report import STAGE_ORDER, format_table, stage_breakdown
-from .tracing import Tracer, get_tracer
+from .exporters import encode_non_finite
 
-__all__ = ["RunRecord", "RunLedger", "LEDGER_SCHEMA_VERSION",
-           "DEFAULT_LEDGER_DIR", "git_info", "env_fingerprint",
-           "env_digest", "config_fingerprint", "diff_records",
-           "diff_report"]
-
-#: Version stamped into every ledger record.
-LEDGER_SCHEMA_VERSION = 1
-
-#: Default ledger location, relative to the repository root.
-DEFAULT_LEDGER_DIR = os.path.join("results", "ledger")
-
-#: RunRecord fields the dataclass knows about; everything else read from
-#: disk is preserved verbatim in :attr:`RunRecord.extra`.
-_KNOWN_FIELDS = (
-    "schema_version", "run_id", "timestamp", "kind", "pipeline", "git",
-    "config", "config_fingerprint", "env", "seed", "wall_s", "stage_times",
-    "stage_calls", "final_accuracy", "test_accuracy", "history", "guards",
-    "metrics", "diagnostics",
-)
+__all__ = ["git_info", "env_fingerprint", "config_fingerprint"]
 
 
-# ----------------------------------------------------------------------
-# Environment / provenance capture
-# ----------------------------------------------------------------------
 def git_info(cwd: Optional[str] = None) -> Dict[str, object]:
     """Best-effort ``{"sha", "short_sha", "branch", "dirty"}`` of ``cwd``.
 
     Degrades to ``sha="unknown"`` outside a git checkout (or without a
-    git binary) instead of raising — ledger writes must never fail on
-    provenance capture.
+    git binary) instead of raising — recording a measurement must never
+    fail on provenance capture.
     """
     def _git(*args: str) -> Optional[str]:
         try:
@@ -112,9 +68,9 @@ def _blas_info() -> str:
 def env_fingerprint() -> Dict[str, object]:
     """Machine/environment identity for cross-commit comparability.
 
-    Two ledger entries (or pytest-benchmark records) are only comparable
-    when this fingerprint matches: interpreter, numpy + BLAS backend,
-    CPU count, platform triple and machine architecture.
+    Two benchmark records are only comparable when this fingerprint
+    matches: interpreter, numpy + BLAS backend, CPU count, platform
+    triple and machine architecture.
     """
     return {
         "python": platform.python_version(),
@@ -128,441 +84,12 @@ def env_fingerprint() -> Dict[str, object]:
     }
 
 
-def env_digest(env: Optional[Dict[str, object]] = None) -> str:
-    """Stable 12-hex-char digest of an environment fingerprint.
-
-    Hashes the :func:`env_fingerprint` dict (or the current one when
-    ``env`` is None) canonically, giving baseline queries a compact
-    equality key: two runs are perf-comparable only when interpreter,
-    numpy + BLAS backend, CPU count and platform all match.  The
-    regression gate keys its baselines on this **in addition to** the
-    pipeline + config fingerprint, so a ledger carried across machines
-    bootstraps a fresh baseline instead of gating against alien timings.
-    """
-    if env is None:
-        env = env_fingerprint()
-    canonical = json.dumps(encode_non_finite(dict(env)), sort_keys=True,
-                           separators=(",", ":"), allow_nan=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-
-
 def config_fingerprint(config: Dict[str, object]) -> str:
     """Stable 12-hex-char digest of a run configuration dict.
 
     Key order does not matter; non-finite floats are encoded via the
     exporters' codec so any JSON-serializable config hashes cleanly.
-    Baseline queries match on this: only runs with the *same* config
-    fingerprint are compared by the regression gate.
     """
     canonical = json.dumps(encode_non_finite(config), sort_keys=True,
                            separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-
-
-# ----------------------------------------------------------------------
-# RunRecord
-# ----------------------------------------------------------------------
-class RunRecord:
-    """One run's durable record (see module docstring for the fields).
-
-    Constructed either directly, via :meth:`capture` (which pulls stage
-    times and metrics from the live telemetry state), or via
-    :meth:`from_dict` when reading the ledger back.
-    """
-
-    def __init__(self, pipeline: str, kind: str = "pipeline",
-                 config: Optional[Dict[str, object]] = None,
-                 seed: Optional[int] = None,
-                 wall_s: Optional[float] = None,
-                 stage_times: Optional[Dict[str, float]] = None,
-                 stage_calls: Optional[Dict[str, int]] = None,
-                 final_accuracy: Optional[float] = None,
-                 test_accuracy: Optional[float] = None,
-                 history: Optional[Dict[str, List[float]]] = None,
-                 guards: Optional[Dict[str, float]] = None,
-                 metrics: Optional[Dict[str, Dict[str, object]]] = None,
-                 diagnostics: Optional[Dict[str, object]] = None,
-                 git: Optional[Dict[str, object]] = None,
-                 env: Optional[Dict[str, object]] = None,
-                 run_id: Optional[str] = None,
-                 timestamp: Optional[float] = None,
-                 schema_version: int = LEDGER_SCHEMA_VERSION,
-                 extra: Optional[Dict[str, object]] = None):
-        self.schema_version = int(schema_version)
-        self.run_id = run_id or uuid.uuid4().hex[:16]
-        self.timestamp = float(timestamp if timestamp is not None
-                               else time.time())
-        self.kind = kind
-        self.pipeline = pipeline
-        self.config = dict(config or {})
-        self.config_fingerprint = config_fingerprint(self.config)
-        self.git = dict(git) if git is not None else git_info()
-        self.env = dict(env) if env is not None else env_fingerprint()
-        self.seed = seed
-        self.wall_s = None if wall_s is None else float(wall_s)
-        self.stage_times = {str(k): float(v)
-                            for k, v in (stage_times or {}).items()}
-        self.stage_calls = {str(k): int(v)
-                            for k, v in (stage_calls or {}).items()}
-        self.final_accuracy = (None if final_accuracy is None
-                               else float(final_accuracy))
-        self.test_accuracy = (None if test_accuracy is None
-                              else float(test_accuracy))
-        self.history = {key: [float(v) for v in values]
-                        for key, values in (history or {}).items()}
-        self.guards = {str(k): float(v) for k, v in (guards or {}).items()}
-        self.metrics = dict(metrics or {})
-        self.diagnostics = dict(diagnostics or {})
-        #: Unknown keys read from disk (schema evolution; round-tripped).
-        self.extra = dict(extra or {})
-
-    @property
-    def env_digest(self) -> str:
-        """Digest of this record's environment fingerprint (see
-        :func:`env_digest`)."""
-        return env_digest(self.env)
-
-    @property
-    def compacted(self) -> bool:
-        """Whether :meth:`RunLedger.compact` stripped this record's full
-        metrics/diagnostics snapshots."""
-        return bool(self.extra.get("compacted"))
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def capture(cls, pipeline: str,
-                config: Optional[Dict[str, object]] = None,
-                seed: Optional[int] = None,
-                wall_s: Optional[float] = None,
-                final_accuracy: Optional[float] = None,
-                test_accuracy: Optional[float] = None,
-                history: Optional[Dict[str, List[float]]] = None,
-                diagnostics: Optional[Dict[str, object]] = None,
-                registry: Optional[MetricsRegistry] = None,
-                tracer: Optional[Tracer] = None,
-                kind: str = "pipeline",
-                **kwargs) -> "RunRecord":
-        """Build a record from the live telemetry state.
-
-        Stage wall times come from the tracer's ``stage.*`` spans
-        (stage-relative self time, the same accounting as the run
-        report); ``guard.*`` counters and the full metrics snapshot come
-        from the registry.
-        """
-        registry = registry if registry is not None else get_registry()
-        tracer = tracer if tracer is not None else get_tracer()
-        stage_times: Dict[str, float] = {}
-        stage_calls: Dict[str, int] = {}
-        for row in stage_breakdown(tracer):
-            stage_times[row["stage"]] = float(row["self_s"])
-            stage_calls[row["stage"]] = int(row["calls"])
-        snapshot = registry.snapshot()
-        guards = {name: float(entry.get("value", 0.0))
-                  for name, entry in snapshot.items()
-                  if name.startswith("guard.")
-                  and entry["type"] in ("counter", "gauge")}
-        return cls(pipeline=pipeline, kind=kind, config=config, seed=seed,
-                   wall_s=wall_s, stage_times=stage_times,
-                   stage_calls=stage_calls, final_accuracy=final_accuracy,
-                   test_accuracy=test_accuracy, history=history,
-                   guards=guards, metrics=snapshot,
-                   diagnostics=diagnostics, **kwargs)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form; unknown keys from :attr:`extra` are merged
-        back so re-serializing a record loses nothing."""
-        out: Dict[str, object] = {
-            "schema_version": self.schema_version,
-            "run_id": self.run_id,
-            "timestamp": self.timestamp,
-            "kind": self.kind,
-            "pipeline": self.pipeline,
-            "git": self.git,
-            "config": self.config,
-            "config_fingerprint": self.config_fingerprint,
-            "env": self.env,
-            "seed": self.seed,
-            "wall_s": self.wall_s,
-            "stage_times": self.stage_times,
-            "stage_calls": self.stage_calls,
-            "final_accuracy": self.final_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "history": self.history,
-            "guards": self.guards,
-            "metrics": self.metrics,
-            "diagnostics": self.diagnostics,
-        }
-        for key, value in self.extra.items():
-            if key not in out:
-                out[key] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RunRecord":
-        """Inverse of :meth:`to_dict`; unknown keys are preserved in
-        :attr:`extra` instead of being dropped."""
-        data = dict(data)
-        extra = {key: value for key, value in data.items()
-                 if key not in _KNOWN_FIELDS}
-        stored_fp = data.get("config_fingerprint")
-        record = cls(
-            pipeline=data.get("pipeline", "unknown"),
-            kind=data.get("kind", "pipeline"),
-            config=data.get("config") or {},
-            seed=data.get("seed"),
-            wall_s=data.get("wall_s"),
-            stage_times=data.get("stage_times") or {},
-            stage_calls=data.get("stage_calls") or {},
-            final_accuracy=data.get("final_accuracy"),
-            test_accuracy=data.get("test_accuracy"),
-            history=data.get("history") or {},
-            guards=data.get("guards") or {},
-            metrics=data.get("metrics") or {},
-            diagnostics=data.get("diagnostics") or {},
-            git=data.get("git") or {},
-            env=data.get("env") or {},
-            run_id=data.get("run_id"),
-            timestamp=data.get("timestamp"),
-            schema_version=data.get("schema_version",
-                                    LEDGER_SCHEMA_VERSION),
-            extra=extra,
-        )
-        if stored_fp is not None:
-            # Trust the stored fingerprint (the writing build may hash a
-            # config superset this build does not reconstruct).
-            record.config_fingerprint = stored_fp
-        return record
-
-    def __repr__(self) -> str:
-        acc = ("-" if self.final_accuracy is None
-               else f"{self.final_accuracy:.3f}")
-        return (f"RunRecord({self.pipeline}@{self.git.get('short_sha')}, "
-                f"id={self.run_id}, acc={acc}, "
-                f"stages={sorted(self.stage_times)})")
-
-
-# ----------------------------------------------------------------------
-# RunLedger
-# ----------------------------------------------------------------------
-def _atomic_write_text(path: str, text: str) -> None:
-    """PR-1-style atomic write: temp sibling + fsync + ``os.replace``."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".tmp-", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
-class RunLedger:
-    """Append-only JSONL store of :class:`RunRecord`\\ s.
-
-    One file per ledger (default ``results/ledger/runs.jsonl``); appends
-    rewrite the file atomically so readers never observe a torn line.
-    Malformed lines (hand edits, merges) raise on read with the line
-    number rather than silently vanishing.
-    """
-
-    def __init__(self, directory: str = DEFAULT_LEDGER_DIR,
-                 filename: str = "runs.jsonl"):
-        self.directory = directory
-        self.filename = filename
-
-    @property
-    def path(self) -> str:
-        return os.path.join(self.directory, self.filename)
-
-    # ------------------------------------------------------------------
-    def append(self, record: RunRecord) -> str:
-        """Atomically append one record; returns the ledger path."""
-        line = json.dumps(encode_non_finite(record.to_dict()),
-                          sort_keys=True, allow_nan=False)
-        existing = ""
-        if os.path.exists(self.path):
-            with open(self.path) as handle:
-                existing = handle.read()
-            if existing and not existing.endswith("\n"):
-                existing += "\n"
-        _atomic_write_text(self.path, existing + line + "\n")
-        return self.path
-
-    def records(self) -> List[RunRecord]:
-        """Every record in append order (empty list when no ledger yet)."""
-        if not os.path.exists(self.path):
-            return []
-        out: List[RunRecord] = []
-        with open(self.path) as handle:
-            for line_no, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = decode_non_finite(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{self.path}:{line_no}: invalid "
-                                     f"ledger line: {exc}") from exc
-                out.append(RunRecord.from_dict(data))
-        return out
-
-    def __len__(self) -> int:
-        return len(self.records())
-
-    # ------------------------------------------------------------------
-    def query(self, pipeline: Optional[str] = None,
-              config_fingerprint: Optional[str] = None,
-              kind: Optional[str] = None,
-              env_digest: Optional[str] = None,
-              limit: Optional[int] = None) -> List[RunRecord]:
-        """Filtered records (append order); ``limit`` keeps the newest.
-
-        ``env_digest`` restricts to runs whose environment fingerprint
-        hashes to the given digest (see :func:`env_digest`) — the key
-        the regression gate uses so cross-machine records never serve as
-        perf baselines for each other.
-        """
-        out = [r for r in self.records()
-               if (pipeline is None or r.pipeline == pipeline)
-               and (config_fingerprint is None
-                    or r.config_fingerprint == config_fingerprint)
-               and (kind is None or r.kind == kind)
-               and (env_digest is None or r.env_digest == env_digest)]
-        if limit is not None:
-            out = out[-limit:]
-        return out
-
-    def compact(self, window: int = 10) -> int:
-        """Strip bulky snapshots from records outside the gate window.
-
-        The regression gate only ever reads the newest ``window`` runs
-        per ``(pipeline, config_fingerprint, kind)`` group, yet every
-        record carries the *full* metrics registry snapshot and the HD
-        diagnostics — by far the heaviest fields.  ``compact`` drops
-        ``metrics`` and ``diagnostics`` from records older than the
-        window (per group), keeps every scalar the gate and the series
-        APIs use (``stage_times``, accuracies, ``wall_s``, ``history``,
-        provenance), marks them with ``extra["compacted"] = True``, and
-        rewrites the ledger atomically.
-
-        Returns the number of records compacted in this call.  The
-        operation is idempotent and append-order-preserving.
-        """
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        records = self.records()
-        if not records:
-            return 0
-        # Newest `window` run_ids per group stay intact.
-        groups: Dict[tuple, List[str]] = {}
-        for record in records:
-            key = (record.pipeline, record.config_fingerprint, record.kind)
-            groups.setdefault(key, []).append(record.run_id)
-        keep = {run_id
-                for ids in groups.values() for run_id in ids[-window:]}
-        compacted = 0
-        for record in records:
-            if record.run_id in keep or record.compacted:
-                continue
-            if record.metrics or record.diagnostics:
-                record.metrics = {}
-                record.diagnostics = {}
-                record.extra["compacted"] = True
-                compacted += 1
-        if compacted:
-            lines = [json.dumps(encode_non_finite(r.to_dict()),
-                                sort_keys=True, allow_nan=False)
-                     for r in records]
-            _atomic_write_text(self.path, "\n".join(lines) + "\n")
-        return compacted
-
-    def last(self, pipeline: Optional[str] = None,
-             config_fingerprint: Optional[str] = None
-             ) -> Optional[RunRecord]:
-        matches = self.query(pipeline=pipeline,
-                             config_fingerprint=config_fingerprint)
-        return matches[-1] if matches else None
-
-    def stage_series(self, stage: str, pipeline: Optional[str] = None,
-                     config_fingerprint: Optional[str] = None
-                     ) -> List[float]:
-        """Historical self-times of one stage (regression baseline)."""
-        return [r.stage_times[stage]
-                for r in self.query(pipeline, config_fingerprint)
-                if stage in r.stage_times]
-
-    def metric_series(self, field: str, pipeline: Optional[str] = None,
-                      config_fingerprint: Optional[str] = None
-                      ) -> List[float]:
-        """Historical values of a scalar record field (``final_accuracy``,
-        ``test_accuracy``, ``wall_s``)."""
-        out: List[float] = []
-        for record in self.query(pipeline, config_fingerprint):
-            value = getattr(record, field, None)
-            if value is not None:
-                out.append(float(value))
-        return out
-
-
-# ----------------------------------------------------------------------
-# Diff / comparison
-# ----------------------------------------------------------------------
-def diff_records(a: RunRecord, b: RunRecord) -> Dict[str, object]:
-    """Structured per-stage / accuracy delta between two records.
-
-    Returns ``{"stages": {name: {"a", "b", "delta", "ratio"}},
-    "final_accuracy": {...}, "test_accuracy": {...}, "wall_s": {...}}``;
-    stages missing on either side are reported with ``None``.
-    """
-    def _pair(x: Optional[float], y: Optional[float]) -> Dict[str, object]:
-        delta = None if x is None or y is None else y - x
-        ratio = (None if not x or y is None else y / x)
-        return {"a": x, "b": y, "delta": delta, "ratio": ratio}
-
-    stages: Dict[str, Dict[str, object]] = {}
-    names = [s[len("stage."):] for s in STAGE_ORDER]
-    names += sorted((set(a.stage_times) | set(b.stage_times))
-                    - set(names))
-    for name in names:
-        if name in a.stage_times or name in b.stage_times:
-            stages[name] = _pair(a.stage_times.get(name),
-                                 b.stage_times.get(name))
-    return {
-        "a_run": a.run_id, "b_run": b.run_id,
-        "a_sha": a.git.get("short_sha"), "b_sha": b.git.get("short_sha"),
-        "stages": stages,
-        "final_accuracy": _pair(a.final_accuracy, b.final_accuracy),
-        "test_accuracy": _pair(a.test_accuracy, b.test_accuracy),
-        "wall_s": _pair(a.wall_s, b.wall_s),
-    }
-
-
-def diff_report(a: RunRecord, b: RunRecord) -> str:
-    """Markdown comparison table of two runs (stages + accuracy)."""
-    diff = diff_records(a, b)
-    rows: List[List[object]] = []
-
-    def _fmt(value: Optional[float]) -> object:
-        return float("nan") if value is None else float(value)
-
-    for name, pair in diff["stages"].items():
-        rows.append([f"stage.{name}", _fmt(pair["a"]), _fmt(pair["b"]),
-                     _fmt(pair["delta"]), _fmt(pair["ratio"])])
-    for field in ("final_accuracy", "test_accuracy", "wall_s"):
-        pair = diff[field]
-        if pair["a"] is not None or pair["b"] is not None:
-            rows.append([field, _fmt(pair["a"]), _fmt(pair["b"]),
-                         _fmt(pair["delta"]), _fmt(pair["ratio"])])
-    header = (f"Run diff: `{diff['a_sha']}`/{a.run_id} → "
-              f"`{diff['b_sha']}`/{b.run_id}")
-    table = format_table(["metric", "a", "b", "delta", "ratio"], rows)
-    return f"{header}\n\n{table}"

@@ -8,10 +8,6 @@ tree, profiler — into a single markdown document with:
 * the top-k hottest autograd ops (forward + backward time, FLOPs);
 * per-layer forward costs;
 * a metrics summary table (counters, gauges, histogram quantiles);
-* cross-run **sparkline trends** from the run ledger
-  (:meth:`~repro.telemetry.ledger.RunLedger.stage_series` /
-  :meth:`~repro.telemetry.ledger.RunLedger.metric_series`) when a ledger
-  is passed;
 * per-epoch HD drift / saturation trends from
   ``DiagnosticsCallback.summary()`` when diagnostics are passed;
 * the raw span tree for drill-down.
@@ -29,7 +25,7 @@ from .metrics import MetricsRegistry, get_registry
 from .tracing import Tracer, get_tracer
 
 __all__ = ["format_table", "stage_breakdown", "sparkline",
-           "trend_section", "diagnostics_section", "render_report"]
+           "diagnostics_section", "render_report"]
 
 #: Canonical pipeline stage order for the breakdown table (paper Fig. 5's
 #: extract → manifold → encode → similarity → update decomposition).
@@ -173,42 +169,6 @@ def sparkline(values: Sequence[float], width: Optional[int] = None) -> str:
     return "".join(out)
 
 
-def _series_row(name: str, series: Sequence[float],
-                width: int) -> List[object]:
-    delta = (series[-1] - series[-2] if len(series) >= 2 else math.nan)
-    return [name, len(series), float(series[-1]), float(delta),
-            sparkline(series, width)]
-
-
-def trend_section(ledger, pipeline: Optional[str] = None,
-                  config_fingerprint: Optional[str] = None,
-                  fields: Sequence[str] = ("final_accuracy",
-                                           "test_accuracy", "wall_s"),
-                  width: int = 32) -> Optional[str]:
-    """Cross-run sparkline table from a :class:`RunLedger`.
-
-    One row per non-empty series: every canonical stage's historical
-    self-time (:meth:`RunLedger.stage_series`) plus the scalar record
-    fields (:meth:`RunLedger.metric_series`).  ``delta`` is last-minus-
-    previous so a regression is visible without reading the glyphs.
-    Returns ``None`` when the ledger has no matching series — the report
-    simply omits the section instead of rendering an empty table.
-    """
-    rows: List[List[object]] = []
-    for span_name in STAGE_ORDER:
-        stage = span_name[len("stage."):]
-        series = ledger.stage_series(stage, pipeline, config_fingerprint)
-        if series:
-            rows.append(_series_row(span_name, series, width))
-    for field in fields:
-        series = ledger.metric_series(field, pipeline, config_fingerprint)
-        if series:
-            rows.append(_series_row(field, series, width))
-    if not rows:
-        return None
-    return format_table(["series", "runs", "last", "delta", "trend"], rows)
-
-
 def diagnostics_section(diagnostics: Dict[str, object],
                         width: int = 32) -> Optional[str]:
     """Per-epoch HD drift / saturation sparkline table.
@@ -262,18 +222,12 @@ def render_report(registry: Optional[MetricsRegistry] = None,
                   profiler=None,
                   top_k: int = 10,
                   title: str = "Telemetry run report",
-                  ledger=None,
-                  pipeline: Optional[str] = None,
-                  config_fingerprint: Optional[str] = None,
                   diagnostics: Optional[Dict[str, object]] = None) -> str:
     """Assemble the full markdown run report.
 
-    ``ledger`` (a :class:`repro.telemetry.ledger.RunLedger`) adds a
-    cross-run sparkline trend section (optionally filtered by
-    ``pipeline`` / ``config_fingerprint``); ``diagnostics`` (a
-    ``DiagnosticsCallback.summary()`` dict) adds the per-epoch HD
-    drift/saturation trend section.  Both are optional and omitted from
-    the document when empty, so existing callers are unaffected.
+    ``diagnostics`` (a ``DiagnosticsCallback.summary()`` dict) adds the
+    per-epoch HD drift/saturation trend section; it is omitted from the
+    document when empty.
     """
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()
@@ -321,16 +275,6 @@ def render_report(registry: Optional[MetricsRegistry] = None,
         sections.append("")
 
     # ------------------------------------------------------------------
-    if ledger is not None:
-        trends = trend_section(ledger, pipeline=pipeline,
-                               config_fingerprint=config_fingerprint)
-        if trends is not None:
-            scope = pipeline if pipeline else "all pipelines"
-            sections.append(f"## Ledger trends ({scope}, oldest → newest)")
-            sections.append("")
-            sections.append(trends)
-            sections.append("")
-
     if diagnostics is not None:
         diag = diagnostics_section(diagnostics)
         if diag is not None:

@@ -227,7 +227,7 @@ class span:
     aggregate:
         ``False`` leaves the aggregate tree alone: the span is recorded
         only into the active request trace (per-request detail, such as
-        the serving path's stage spans, that the ledger's stage
+        the serving path's stage spans, that the run report's stage
         accounting must not absorb).
 
     Inside an active request (hub enabled), :attr:`ctx` is the span's

@@ -33,9 +33,9 @@ def _synthetic_bundle(dim=512, features=32, classes=6, seed=0,
                       binary=True):
     """Structurally-valid in-memory bundle with random weights.
 
-    Mirrors ``scripts/serve_bench.synthetic_bundle`` (tests must not
-    import from scripts): a bipolar random projection + bipolar class
-    matrix exercises exactly the packed fast path's code shape.  With
+    Mirrors ``scripts/synthetic.synthetic_bundle`` on its own RNG
+    stream: a bipolar random projection + bipolar class matrix
+    exercises exactly the packed fast path's code shape.  With
     ``binary=False`` the class matrix is Gaussian, which forces the
     engine onto the float cosine path.
     """

@@ -216,6 +216,53 @@ class TestDegradation:
         assert shed, "watermark-1 queue never shed under a stalled worker"
         assert batcher.stats["shed"] == len(shed)
 
+    def test_mixed_width_batch_fails_its_members_only(self):
+        """Rows of different widths coalesced into one batch cannot be
+        stacked: their submitters get the error, and the single worker
+        survives to answer the next request."""
+        gate = threading.Event()
+
+        def gated(batch):
+            gate.wait(5.0)
+            return argmax_fn(batch)
+
+        def wait_for(predicate):
+            deadline = time.monotonic() + 5.0
+            while not predicate():
+                assert time.monotonic() < deadline, "condition never held"
+                time.sleep(0.001)
+
+        errors = {}
+
+        def submit(width):
+            try:
+                batcher.submit(np.ones(width))
+            except Exception as exc:
+                errors[width] = exc
+
+        with MicroBatcher(gated, max_batch_size=8, max_latency_ms=1000.0,
+                          workers=1, default_timeout_s=3.0) as batcher:
+            # The lead occupies the worker at the gate; the 4- and 3-wide
+            # rows queue behind it and leave as one batch.
+            lead = threading.Thread(target=batcher.submit,
+                                    args=(np.ones(4),))
+            lead.start()
+            wait_for(lambda: batcher.stats["submitted"] == 1
+                     and batcher.depth == 0)
+            threads = [threading.Thread(target=submit, args=(width,))
+                       for width in (4, 3)]
+            for thread in threads:
+                thread.start()
+            wait_for(lambda: batcher.depth == 2)
+            gate.set()
+            for thread in [lead] + threads:
+                thread.join(5.0)
+            assert not any(t.is_alive() for t in [lead] + threads)
+            assert sorted(errors) == [3, 4]
+            assert all(isinstance(exc, ValueError)
+                       for exc in errors.values()), errors
+            assert batcher.submit(np.array([0.0, 3.0, 1.0])) == 1
+
     def test_engine_error_propagates_to_submitter(self):
         def broken(batch):
             raise RuntimeError("engine on fire")

@@ -183,6 +183,15 @@ class TestRouting:
                 post(router.url + "/predict", {"features": "nope"})
             assert excinfo.value.code == 400
 
+    def test_wrong_width_passes_through_as_400(self, fleet_servers):
+        """A row the model cannot take is the client's error on every
+        worker: the router passes the 400 on instead of retrying it."""
+        fleet, servers, _ = fleet_servers
+        with Router(fleet, port=0) as router:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(router.url + "/predict", {"features": [[0.0] * 31]})
+            assert excinfo.value.code == 400
+
     def test_health_status_degraded_and_down(self, fleet_servers):
         fleet, servers, _ = fleet_servers
         with Router(fleet, port=0) as router:

@@ -1,6 +1,7 @@
 """HTTP model server: routing, error mapping, e2e pipeline parity."""
 
 import json
+import os
 import socket
 import statistics
 import struct
@@ -20,6 +21,9 @@ from repro.telemetry import get_registry
 
 from .conftest import (http_status, keepalive_predict_ms,
                        post_with_content_length, whole_response_status)
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "fixtures")
 
 
 def counter(name):
@@ -46,6 +50,7 @@ class GatedEngine:
     def __init__(self, engine):
         self.engine = engine
         self.bundle = engine.bundle
+        self.in_features = engine.in_features
         self.gate = threading.Event()
 
     def predict_features(self, features):
@@ -109,6 +114,34 @@ class TestRoutes:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post(server.url + "/predict", payload)
         assert excinfo.value.code == 400
+
+    def test_wrong_width_is_400_with_request_id(self, server):
+        before = counter("serve.http.bad_request")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(server.url + "/predict", {"features": [[0.0] * 31]})
+        assert excinfo.value.code == 400
+        payload = json.loads(excinfo.value.read())
+        assert payload["request_id"] == excinfo.value.headers["X-Trace-Id"]
+        assert counter("serve.http.bad_request") == before + 1
+
+    def test_width_is_the_raw_feature_width(self):
+        """NSHD's scale stage takes F = 1024 raw features and its
+        encoder F̂ = 16 reduced ones: /predict accepts F wide rows."""
+        bundle = ModelBundle.load(
+            os.path.join(FIXTURES, "golden_nshd_bundle_packed.npz"))
+        with np.load(os.path.join(FIXTURES, "golden_inputs.npz")) as archive:
+            raw = archive["nshd.raw_features"][:4]
+        reduced = bundle.info["encoder"]["in_features"]
+        engine = InferenceEngine(bundle, build_extractor=False)
+        assert engine.in_features == raw.shape[1] != reduced
+        with ModelServer(engine, port=0) as server:
+            out = post(server.url + "/predict", {"features": raw.tolist()})
+            assert out["labels"] == [int(label) for label in
+                                     engine.predict_features(raw)]
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(server.url + "/predict",
+                     {"features": raw[:, :reduced].tolist()})
+            assert excinfo.value.code == 400
 
     def test_invalid_json_400(self, server):
         request = urllib.request.Request(
@@ -273,6 +306,7 @@ class BrokenSelfcheckEngine:
     def __init__(self, engine):
         self.engine = engine
         self.bundle = engine.bundle
+        self.in_features = engine.in_features
         self.use_packed = engine.use_packed
 
     def predict_features(self, features):

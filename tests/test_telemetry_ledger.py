@@ -1,36 +1,9 @@
-"""Run ledger: RunRecord round-trips, schema evolution, ledger queries."""
+"""Provenance helpers: git state, environment and config fingerprints."""
 
-import json
 import math
 import os
 
-import numpy as np
-import pytest
-
-from repro.telemetry import (MetricsRegistry, Tracer, config_fingerprint,
-                             diff_records, diff_report, env_fingerprint,
-                             git_info, span, use_registry)
-from repro.telemetry.ledger import RunLedger, RunRecord
-
-
-def make_record(pipeline="nshd", dim=400, acc=0.8, extract=1.0, **kwargs):
-    return RunRecord(
-        pipeline=pipeline,
-        config={"dim": dim, "seed": 0},
-        seed=0, wall_s=2.0,
-        stage_times={"extract": extract, "encode": 0.01, "similarity": 0.002,
-                     "update": 0.005},
-        stage_calls={"extract": 1, "encode": 10, "similarity": 30,
-                     "update": 30},
-        final_accuracy=acc, test_accuracy=acc - 0.1,
-        history={"train_acc": [0.5, acc], "epoch_time": [0.4, 0.35]},
-        guards={"guard.nan_batches": 0.0},
-        diagnostics={"final": {"drift_total": 0.25,
-                               "saturation_fraction": 0.01}},
-        git={"sha": "f" * 40, "short_sha": "f" * 10, "branch": "main",
-             "dirty": False},
-        env={"python": "3.11", "numpy": "2.0"},
-        **kwargs)
+from repro.telemetry import config_fingerprint, env_fingerprint, git_info
 
 
 class TestFingerprints:
@@ -60,134 +33,3 @@ class TestFingerprints:
     def test_git_info_degrades_outside_repo(self, tmp_path):
         info = git_info(str(tmp_path))
         assert info["sha"] == "unknown"
-
-
-class TestRunRecord:
-    def test_round_trip(self):
-        record = make_record()
-        restored = RunRecord.from_dict(record.to_dict())
-        assert restored.to_dict() == record.to_dict()
-        assert restored.pipeline == "nshd"
-        assert restored.stage_times["extract"] == 1.0
-        assert restored.config_fingerprint == record.config_fingerprint
-
-    def test_unknown_keys_preserved(self):
-        data = make_record().to_dict()
-        data["future_field"] = {"nested": [1, 2, 3]}
-        data["another_new_scalar"] = 7
-        restored = RunRecord.from_dict(data)
-        assert restored.extra["future_field"] == {"nested": [1, 2, 3]}
-        out = restored.to_dict()
-        assert out["future_field"] == {"nested": [1, 2, 3]}
-        assert out["another_new_scalar"] == 7
-        # Round-trip again: nothing decays.
-        assert RunRecord.from_dict(out).to_dict() == out
-
-    def test_stored_fingerprint_wins(self):
-        data = make_record().to_dict()
-        data["config_fingerprint"] = "deadbeef0123"
-        assert (RunRecord.from_dict(data).config_fingerprint
-                == "deadbeef0123")
-
-    def test_capture_pulls_stages_and_guards(self):
-        tracer = Tracer()
-        with span("stage.extract", tracer=tracer):
-            with span("stage.encode", tracer=tracer):
-                pass
-        with use_registry() as registry:
-            registry.inc("guard.nan_batches", 2)
-            registry.set_gauge("train.train_acc", 0.9)
-            record = RunRecord.capture(
-                "nshd", config={"dim": 16}, tracer=tracer,
-                final_accuracy=0.9)
-        assert set(record.stage_times) == {"extract", "encode"}
-        assert record.guards == {"guard.nan_batches": 2.0}
-        assert "train.train_acc" in record.metrics
-        assert record.final_accuracy == 0.9
-
-    def test_run_ids_unique(self):
-        assert make_record().run_id != make_record().run_id
-
-
-class TestRunLedger:
-    def test_append_and_read(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "ledger"))
-        assert ledger.records() == []
-        assert len(ledger) == 0
-        ledger.append(make_record(acc=0.7))
-        ledger.append(make_record(acc=0.8))
-        records = ledger.records()
-        assert len(records) == 2
-        assert [r.final_accuracy for r in records] == [0.7, 0.8]
-        # File is valid JSONL line by line.
-        with open(ledger.path) as handle:
-            for line in handle:
-                json.loads(line)
-
-    def test_non_finite_survives_ledger(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
-        record = make_record()
-        record.diagnostics["final"]["drift_relative"] = math.nan
-        ledger.append(record)
-        restored = ledger.records()[-1]
-        assert math.isnan(restored.diagnostics["final"]["drift_relative"])
-
-    def test_query_filters(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
-        ledger.append(make_record(pipeline="nshd", dim=400))
-        ledger.append(make_record(pipeline="nshd", dim=3000))
-        ledger.append(make_record(pipeline="vanillahd", dim=400))
-        assert len(ledger.query(pipeline="nshd")) == 2
-        fp = config_fingerprint({"dim": 400, "seed": 0})
-        assert len(ledger.query(config_fingerprint=fp)) == 2
-        assert len(ledger.query(pipeline="nshd",
-                                config_fingerprint=fp)) == 1
-        assert ledger.last(pipeline="vanillahd").pipeline == "vanillahd"
-        assert ledger.last(pipeline="missing") is None
-
-    def test_series_helpers(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
-        for extract, acc in ((1.0, 0.7), (1.1, 0.75), (0.9, 0.72)):
-            ledger.append(make_record(extract=extract, acc=acc))
-        assert ledger.stage_series("extract") == [1.0, 1.1, 0.9]
-        assert ledger.metric_series("final_accuracy") == [0.7, 0.75, 0.72]
-
-    def test_append_preserves_existing_lines(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
-        ledger.append(make_record(acc=0.5))
-        first = open(ledger.path).read()
-        ledger.append(make_record(acc=0.6))
-        assert open(ledger.path).read().startswith(first)
-
-    def test_corrupt_line_raises_with_line_number(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
-        ledger.append(make_record())
-        with open(ledger.path, "a") as handle:
-            handle.write("{broken\n")
-        with pytest.raises(ValueError, match=":2:"):
-            ledger.records()
-
-
-class TestDiff:
-    def test_diff_records_structure(self):
-        a = make_record(extract=1.0, acc=0.7)
-        b = make_record(extract=2.0, acc=0.8)
-        diff = diff_records(a, b)
-        assert diff["stages"]["extract"]["delta"] == pytest.approx(1.0)
-        assert diff["stages"]["extract"]["ratio"] == pytest.approx(2.0)
-        assert diff["final_accuracy"]["delta"] == pytest.approx(0.1)
-
-    def test_diff_handles_missing_stage(self):
-        a = make_record()
-        b = make_record()
-        del b.stage_times["extract"]
-        diff = diff_records(a, b)
-        assert diff["stages"]["extract"]["b"] is None
-        assert diff["stages"]["extract"]["delta"] is None
-
-    def test_diff_report_markdown(self):
-        report = diff_report(make_record(extract=1.0),
-                             make_record(extract=3.0))
-        assert "stage.extract" in report
-        assert "| metric" in report
-        assert "final_accuracy" in report

@@ -1,31 +1,10 @@
-"""Sparkline trend rendering: report sparklines, ledger trends,
-per-epoch HD diagnostics sections."""
-
-import math
+"""Sparkline trend rendering: report sparklines and per-epoch HD
+diagnostics sections."""
 
 import numpy as np
-import pytest
 
-from repro.telemetry import (DiagnosticsCallback, MetricsRegistry, RunLedger,
-                             RunRecord, Tracer, diagnostics_section,
-                             render_report, sparkline, trend_section)
-
-
-def _record(i, pipeline="NSHD", **kwargs):
-    defaults = dict(
-        pipeline=pipeline,
-        config={"dim": 128},
-        seed=0,
-        wall_s=10.0 + i,
-        stage_times={"extract": 1.0 + 0.25 * i, "encode": 0.5},
-        stage_calls={"extract": 3, "encode": 3},
-        final_accuracy=0.80 + 0.01 * i,
-        test_accuracy=0.75,
-        git={"sha": "deadbeef", "short_sha": "deadbeef"},
-        env={"python": "3"},
-    )
-    defaults.update(kwargs)
-    return RunRecord(**defaults)
+from repro.telemetry import (DiagnosticsCallback, MetricsRegistry, Tracer,
+                             diagnostics_section, render_report, sparkline)
 
 
 class TestSparkline:
@@ -67,51 +46,6 @@ class TestSparkline:
     def test_extremes_map_to_extreme_glyphs(self):
         line = sparkline([0.0, 100.0])
         assert line[0] == "▁" and line[-1] == "█"
-
-
-class TestTrendSection:
-    def test_empty_ledger_returns_none(self, tmp_path):
-        assert trend_section(RunLedger(str(tmp_path))) is None
-
-    def test_stage_and_metric_rows(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
-        for i in range(5):
-            ledger.append(_record(i))
-        table = trend_section(ledger, pipeline="NSHD")
-        assert "stage.extract" in table
-        assert "stage.encode" in table
-        assert "final_accuracy" in table
-        assert "wall_s" in table
-        # no manifold/similarity rows: those series are empty
-        assert "stage.manifold" not in table
-        # glyphs present
-        assert any(g in table for g in "▁▂▃▄▅▆▇█")
-
-    def test_delta_is_last_minus_previous(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
-        for i in range(3):
-            ledger.append(_record(i))
-        table = trend_section(ledger)
-        extract_row = next(line for line in table.splitlines()
-                           if "stage.extract" in line)
-        assert "0.2500" in extract_row
-
-    def test_pipeline_filter(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
-        ledger.append(_record(0, pipeline="NSHD"))
-        ledger.append(_record(1, pipeline="VanillaHD"))
-        table = trend_section(ledger, pipeline="VanillaHD")
-        row = next(line for line in table.splitlines()
-                   if "stage.extract" in line)
-        cells = [cell.strip() for cell in row.split("|")]
-        # only the VanillaHD run counts toward the series
-        assert cells[2] == "1"
-
-    def test_single_run_has_nan_delta(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
-        ledger.append(_record(0))
-        table = trend_section(ledger)
-        assert table is not None  # single-point series still render
 
 
 class TestDiagnosticsSection:
@@ -169,35 +103,18 @@ class TestDiagnosticsSection:
 
 
 class TestRenderReportWiring:
-    def test_sections_present_when_sources_given(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
-        for i in range(3):
-            ledger.append(_record(i))
+    def test_sections_present_when_sources_given(self):
         report = render_report(
             registry=MetricsRegistry(), tracer=Tracer(),
-            ledger=ledger, pipeline="NSHD",
             diagnostics=TestDiagnosticsSection._summary())
-        assert "## Ledger trends" in report
         assert "## HD diagnostics (per-epoch)" in report
 
     def test_sections_absent_by_default(self):
         report = render_report(registry=MetricsRegistry(), tracer=Tracer())
-        assert "Ledger trends" not in report
         assert "HD diagnostics" not in report
 
-    def test_empty_sources_are_omitted_not_rendered_empty(self, tmp_path):
+    def test_empty_sources_are_omitted_not_rendered_empty(self):
         report = render_report(
             registry=MetricsRegistry(), tracer=Tracer(),
-            ledger=RunLedger(str(tmp_path / "missing")),
             diagnostics={"per_epoch": []})
-        assert "Ledger trends" not in report
         assert "HD diagnostics" not in report
-
-    def test_config_fingerprint_filter(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
-        ledger.append(_record(0, config={"dim": 128}))
-        ledger.append(_record(1, config={"dim": 999}))
-        fp = ledger.records()[0].config_fingerprint
-        report = render_report(registry=MetricsRegistry(), tracer=Tracer(),
-                               ledger=ledger, config_fingerprint=fp)
-        assert "## Ledger trends" in report
