@@ -17,8 +17,9 @@ load generator through four phases:
    single row, so every prediction lands in one class; the
    ``prediction-skew`` rule (``quality.prediction.psi > 1.0``) must
    fire within the budget;
-4. **overhead**: interleaved HTTP P99 of a monitors-on vs monitors-off
-   server over the same bundle; the best-of-3 ratio must stay < 5%.
+4. **overhead**: HTTP P99 of a monitors-on vs a monitors-off server
+   over the same bundle, the two taking turns request by request so
+   both see the same host; the best-of-3 ratio must stay < 5%.
 
 Wired into ``scripts/run_all.sh`` via ``scripts/check_quality.sh``.
 """
@@ -94,11 +95,11 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="max faulty requests before the alert "
                              "must be firing")
     parser.add_argument("--baseline-rows", type=int, default=2048)
-    parser.add_argument("--overhead-requests", type=int, default=150,
-                        help="requests per overhead measurement run")
+    parser.add_argument("--overhead-requests", type=int, default=600,
+                        help="requests per server per overhead round")
     parser.add_argument("--overhead-limit", type=float, default=1.05,
                         help="quality-on / quality-off P99 ceiling "
-                             "(best of 3 interleaved runs)")
+                             "(best of 3 alternating rounds)")
     parser.add_argument("--skip-overhead", action="store_true",
                         help="skip the P99 comparison (loaded CI hosts)")
     return parser.parse_args(argv)
@@ -183,19 +184,23 @@ def requests_to_firing(server, make_batch, alert, budget, batch):
     return None
 
 
-def measure_p99(server, rows, batch):
-    """Per-request wall times over /predict → P99 seconds."""
-    host, port = server.address
-    times = []
-    for start in range(0, len(rows), batch):
-        chunk = rows[start:start + batch].tolist()
-        t0 = time.perf_counter()
-        status, _ = http_json(host, port, "POST", "/predict",
-                              {"features": chunk})
-        times.append(time.perf_counter() - t0)
-        if status != 200:
-            raise SystemExit(f"/predict answered {status}")
-    return float(np.percentile(times, 99))
+def measure_p99(servers, rows):
+    """One single-row /predict per row on each server → P99 seconds per
+    server.  The servers take turns request by request, the first one
+    alternating, so a neighbour busy for part of the round slows both
+    alike."""
+    times = [[] for _ in servers]
+    order = list(range(len(servers)))
+    for i, row in enumerate(rows):
+        payload = {"features": [row.tolist()]}
+        for k in order if i % 2 else order[::-1]:
+            host, port = servers[k].address
+            t0 = time.perf_counter()
+            status, _ = http_json(host, port, "POST", "/predict", payload)
+            times[k].append(time.perf_counter() - t0)
+            if status != 200:
+                raise SystemExit(f"/predict answered {status}")
+    return [float(np.percentile(samples, 99)) for samples in times]
 
 
 def main(argv=None) -> int:
@@ -268,12 +273,10 @@ def main(argv=None) -> int:
             off = boot(bundle_path, QUIET_TOML, workdir, "off")
             try:
                 rows = clean(args.overhead_requests)
-                measure_p99(on, rows, 1)   # warm both paths
-                measure_p99(off, rows, 1)
+                measure_p99([on, off], rows[:50])  # warm both paths
                 ratios = []
                 for _ in range(3):
-                    a = measure_p99(on, rows, 1)
-                    b = measure_p99(off, rows, 1)
+                    a, b = measure_p99([on, off], rows)
                     ratios.append((a / b, a, b))
                 ratios.sort()
                 ratio, p99_on, p99_off = ratios[0]

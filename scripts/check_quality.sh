@@ -10,7 +10,8 @@
 #     generator, and assert the declared alerts reach `firing` within
 #     a bounded request budget while clean traffic raises none;
 #   * overhead gate: monitors-on vs monitors-off serve P99 must stay
-#     within 5% (best of 3 interleaved runs).
+#     within 5% (best of 3 rounds in which the two servers take turns
+#     request by request).
 # (see scripts/check_quality.py)
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,39 +50,69 @@ class EngineSelfCheckError(RuntimeError):
 
 
 class _EncodedLRU:
-    """Thread-safe LRU of encoded hypervectors keyed by feature digest."""
+    """Thread-safe LRU of encoded hypervectors keyed by feature digest.
+
+    Rows live in one ``(max_entries, dim)`` array; the ordered map holds
+    each key's row slot.  A batch takes one lock for its lookups and one
+    for its stores, and leaves the LRU as if its rows were looked up,
+    then stored, one at a time."""
 
     def __init__(self, max_entries: int):
         self.max_entries = int(max_entries)
-        self._data: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
+        self._slots: "OrderedDict[bytes, int]" = OrderedDict()
+        self._rows: Optional[np.ndarray] = None
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: bytes) -> Optional[np.ndarray]:
+    def get_many(self, keys: List[bytes]
+                 ) -> Tuple[Optional[np.ndarray], List[int]]:
+        """``(encoded, misses)``: an ``(n, dim)`` array holding every hit
+        row (None when nothing hit) and the positions that missed."""
+        hit_pos, hit_slots, misses = [], [], []
         with self._lock:
-            value = self._data.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
+            for i, key in enumerate(keys):
+                slot = self._slots.get(key)
+                if slot is None:
+                    misses.append(i)
+                else:
+                    self._slots.move_to_end(key)
+                    hit_pos.append(i)
+                    hit_slots.append(slot)
+            self.hits += len(hit_pos)
+            self.misses += len(misses)
+            if not hit_pos:
+                return None, misses
+            hits = self._rows[hit_slots]  # a copy, taken under the lock
+        if not misses:
+            return hits, misses
+        encoded = np.empty((len(keys), hits.shape[1]), dtype=hits.dtype)
+        encoded[hit_pos] = hits
+        return encoded, misses
 
-    def put(self, key: bytes, value: np.ndarray) -> None:
+    def put_many(self, keys: List[bytes], rows: np.ndarray) -> None:
+        """Store ``rows[j]`` under ``keys[j]``, in order."""
+        writes: Dict[int, int] = {}  # slot -> row; a later row wins
         with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.max_entries:
-                self._data.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
+            if self._rows is None:
+                self._rows = np.empty((self.max_entries, rows.shape[1]),
+                                      dtype=rows.dtype)
+            for j, key in enumerate(keys):
+                slot = self._slots.pop(key, None)  # re-inserted at the end
+                if slot is None:
+                    slot = len(self._slots)
+                    if slot == self.max_entries:  # full: reuse the oldest's
+                        slot = self._slots.popitem(last=False)[1]
+                self._slots[key] = slot
+                writes[slot] = j
+            if len(writes) == len(keys):
+                self._rows[list(writes)] = rows
+            else:
+                self._rows[list(writes)] = rows[list(writes.values())]
 
     def info(self) -> Dict[str, int]:
         with self._lock:
-            return {"entries": len(self._data), "hits": self.hits,
+            return {"entries": len(self._slots), "hits": self.hits,
                     "misses": self.misses,
                     "max_entries": self.max_entries}
 
@@ -248,34 +278,25 @@ class InferenceEngine:
         """
         raw_features = np.atleast_2d(
             np.asarray(raw_features, dtype=np.float64))
-        registry = get_registry()
-        if self._cache is None:
-            with span("serve.encode", nbytes=int(raw_features.nbytes)):
-                return self.graph.run(raw_features,
-                                      start=self._feature_entry,
-                                      stop=self._classify_name)
-
-        keys = [hashlib.sha1(np.ascontiguousarray(row).tobytes()).digest()
-                for row in raw_features]
-        encoded = np.empty((len(raw_features), self.dim), dtype=np.float64)
-        miss_idx = []
-        for i, key in enumerate(keys):
-            hit = self._cache.get(key)
-            if hit is None:
-                miss_idx.append(i)
-            else:
-                encoded[i] = hit
-        registry.inc("serve.cache.hits", len(keys) - len(miss_idx))
-        registry.inc("serve.cache.misses", len(miss_idx))
-        if miss_idx:
-            misses = raw_features[miss_idx]
-            with span("serve.encode", nbytes=int(misses.nbytes)):
-                fresh = self.graph.run(misses,
-                                       start=self._feature_entry,
-                                       stop=self._classify_name)
-            for j, i in enumerate(miss_idx):
-                encoded[i] = fresh[j]
-                self._cache.put(keys[i], fresh[j].copy())
+        encoded = None  # the rows the LRU had; None when none did
+        if self._cache is not None:
+            keys = [hashlib.sha1(np.ascontiguousarray(row).tobytes())
+                    .digest() for row in raw_features]
+            encoded, misses = self._cache.get_many(keys)
+            registry = get_registry()
+            registry.inc("serve.cache.hits", len(keys) - len(misses))
+            registry.inc("serve.cache.misses", len(misses))
+            if encoded is not None and not misses:
+                return encoded
+        fresh_rows = raw_features if encoded is None else raw_features[misses]
+        with span("serve.encode", nbytes=int(fresh_rows.nbytes)):
+            fresh = self.graph.run(fresh_rows, start=self._feature_entry,
+                                   stop=self._classify_name)
+        if self._cache is not None:
+            self._cache.put_many([keys[i] for i in misses], fresh)
+        if encoded is None:
+            return fresh
+        encoded[misses] = fresh
         return encoded
 
     def similarities(self, encoded: np.ndarray) -> np.ndarray:

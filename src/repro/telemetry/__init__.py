@@ -5,7 +5,8 @@ beyond numpy + stdlib, importable from every other layer):
 
 * :mod:`~repro.telemetry.metrics` — process-global
   :class:`MetricsRegistry` of counters, gauges and streaming histograms
-  (P² quantiles: p50/p95/p99 without storing samples).
+  (log-bucket quantiles within 1 % relative error: p50/p95/p99 without
+  storing samples).
 * :mod:`~repro.telemetry.tracing` — one nestable :class:`span`
   context manager on one thread-local frame stack, with two outputs: a
   hierarchical aggregate timing tree per :class:`Tracer`, and — inside
@@ -67,7 +68,7 @@ from .flight import (FlightRecorder, RequestLog, disable_request_tracing,
                      get_request_log, tracing_env_options)
 from .ledger import config_fingerprint, env_fingerprint, git_info
 from .metrics import (DEFAULT_QUANTILES, BurnRateTracker, Counter, Gauge,
-                      Histogram, MetricsRegistry, P2Quantile, get_registry,
+                      Histogram, MetricsRegistry, get_registry,
                       set_registry, use_registry)
 from .profiler import (LayerStat, OpStat, Profiler, disabled_overhead_ratio,
                        get_active_profiler)
@@ -82,7 +83,7 @@ from .tracing import SpanNode, Tracer, clock, get_tracer, set_tracer, span
 
 __all__ = [
     # metrics
-    "Counter", "Gauge", "Histogram", "P2Quantile", "MetricsRegistry",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "BurnRateTracker", "get_registry", "set_registry", "use_registry",
     "DEFAULT_QUANTILES",
     # tracing

@@ -83,7 +83,12 @@ def saturation_fraction(matrix: np.ndarray, factor: float = 3.0) -> float:
     rms = float(np.sqrt(np.mean(np.square(matrix))))
     if rms == 0.0 or not math.isfinite(rms):
         return 0.0
-    return float(np.mean(np.abs(matrix) > factor * rms))
+    limit = factor * rms
+    # In a bipolar batch every |entry| equals the RMS, so nothing exceeds
+    # a limit of factor ≥ 1 times it: two reductions settle that.
+    if matrix.max() <= limit and matrix.min() >= -limit:
+        return 0.0
+    return float(np.mean(np.abs(matrix) > limit))
 
 
 def confusability_matrix(class_matrix: np.ndarray) -> np.ndarray:
@@ -165,7 +170,7 @@ def margin_quantiles(registry: Optional[MetricsRegistry] = None,
 
     Returns an empty dict when the histogram does not exist yet (e.g.
     before the first training batch) **or has received no samples** —
-    an empty P² histogram summarises to NaN quantiles — so callers can
+    an empty histogram summarises to NaN quantiles — so callers can
     splat the result into a JSON summary safely either way.
     """
     registry = registry if registry is not None else get_registry()

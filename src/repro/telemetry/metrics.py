@@ -7,11 +7,12 @@ snapshot the whole run.  Everything here is numpy + stdlib only — the
 telemetry layer must be importable from every other layer of the code
 base without creating import cycles.
 
-Histograms estimate p50/p95/p99 *without storing samples* using the P²
-(piecewise-parabolic) streaming quantile algorithm of Jain & Chlamtac
-(CACM 1985): five markers per tracked quantile, O(1) memory and O(1)
-update, accurate to a few percent of quantile rank on the distributions
-that show up in training telemetry (timings, norms, margins).
+Histograms estimate p50/p95/p99 *without storing samples* from fixed
+log buckets, in the style of DDSketch (Masson et al., VLDB 2019): ``x ≠ 0``
+counts in bucket ``ceil(log_γ |x|)`` of its sign, ``γ = (1 + α)/(1 − α)``,
+and zero in a bucket of its own, so every estimate is within ``α·|x|``
+(α = 1 %) of the order statistic ``x`` it stands for, at any magnitude.
+``observe_many`` folds an array with one ``np.log`` and one ``np.unique``.
 """
 
 from __future__ import annotations
@@ -21,19 +22,59 @@ import math
 import threading
 import time
 from collections import deque
-from typing import (Callable, Deque, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Deque, Dict, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "P2Quantile", "MetricsRegistry",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "BurnRateTracker", "get_registry", "set_registry", "use_registry",
-    "DEFAULT_QUANTILES",
+    "DEFAULT_QUANTILES", "ALPHA",
 ]
 
-#: Quantiles tracked by default by every :class:`Histogram`.
+#: Quantiles every :class:`Histogram` summary reports.
 DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
+
+#: Relative accuracy of every :class:`Histogram` quantile estimate.
+ALPHA = 0.01
+_GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
+_INV_LOG_GAMMA = 1.0 / math.log(_GAMMA)
+#: A bucket's *ordinal* is ``_OFFSET + ceil(log_γ x)`` for ``x > 0``, its
+#: negation for ``x < 0`` and 0 for zero.  ``|ceil(log_γ |x|)|`` stays
+#: below 37,300 for every finite double, subnormals included, so the
+#: ordinals sort in the order of the values they hold.
+_OFFSET = 1 << 16
+#: ``observe_many`` of fewer values loops over ``observe``: below this
+#: size the vector fold's fixed NumPy-call cost exceeds the scalar path.
+_FOLD_MIN_VALUES = 32
+
+
+def _ordinal(value: float) -> int:
+    """Bucket ordinal of one finite value."""
+    if value == 0.0:
+        return 0
+    index = math.ceil(math.log(abs(value)) * _INV_LOG_GAMMA) + _OFFSET
+    return index if value > 0.0 else -index
+
+
+def _ordinals(values: np.ndarray) -> np.ndarray:
+    """Bucket ordinals of an array of finite values."""
+    with np.errstate(divide="ignore"):
+        index = np.ceil(np.log(np.abs(values)) * _INV_LOG_GAMMA) + _OFFSET
+    return np.where(values == 0.0, 0.0,
+                    np.copysign(index, values)).astype(np.int64)
+
+
+def _bucket_value(ordinal: int) -> float:
+    """The value a bucket reports: ``(1 + α)·γ^(i−1)`` for the bucket
+    ``(γ^(i−1), γ^i]``, within ``α`` of everything it holds.  It is
+    built from the lower edge, which lies below a value the bucket
+    holds, so the power never overflows."""
+    if ordinal == 0:
+        return 0.0
+    value = (1.0 + ALPHA) * _GAMMA ** (abs(ordinal) - _OFFSET - 1)
+    return value if ordinal > 0 else -value
 
 
 class Counter:
@@ -105,134 +146,38 @@ class Gauge:
         return f"Gauge({self.name}={self._value})"
 
 
-class P2Quantile:
-    """Streaming quantile estimator (P² algorithm, Jain & Chlamtac 1985).
-
-    Five markers track the running minimum, the q/2, q and (1+q)/2
-    quantiles and the running maximum; marker heights are adjusted with a
-    piecewise-parabolic (hence P²) interpolation as observations stream
-    in.  Memory is O(1) regardless of stream length.
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments",
-                 "_initial")
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile must be in (0, 1)")
-        self.q = q
-        self._initial: List[float] = []
-        self._heights: Optional[List[float]] = None
-        self._positions = [1, 2, 3, 4, 5]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q,
-                         5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    # ------------------------------------------------------------------
-    def observe(self, x: float) -> None:
-        x = float(x)
-        if self._heights is None:
-            self._initial.append(x)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                self._heights = list(self._initial)
-            return
-
-        h = self._heights
-        n = self._positions
-        # Locate the marker cell containing x (adjusting extremes).
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            for i in range(1, 4):
-                if x >= h[i]:
-                    k = i
-        for i in range(k + 1, 5):
-            n[i] += 1
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-
-        # Adjust the three interior markers toward their desired positions.
-        for i in range(1, 4):
-            d = self._desired[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1) or \
-                    (d <= -1.0 and n[i - 1] - n[i] < -1):
-                d = 1 if d > 0 else -1
-                candidate = self._parabolic(i, d)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, d)
-                n[i] += d
-
-    def _parabolic(self, i: int, d: int) -> float:
-        h, n = self._heights, self._positions
-        num1 = (n[i] - n[i - 1] + d) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-        num2 = (n[i + 1] - n[i] - d) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        return h[i] + d * (num1 + num2) / (n[i + 1] - n[i - 1])
-
-    def _linear(self, i: int, d: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + d * (h[i + d] - h[i]) / (n[i + d] - n[i])
-
-    # ------------------------------------------------------------------
-    @property
-    def count(self) -> int:
-        if self._heights is None:
-            return len(self._initial)
-        return self._positions[4]
-
-    def value(self) -> float:
-        """Current quantile estimate (NaN until the first observation)."""
-        if self._heights is not None:
-            return self._heights[2]
-        if not self._initial:
-            return math.nan
-        # Fewer than 5 samples: exact interpolated quantile.
-        return float(np.quantile(np.asarray(self._initial), self.q))
-
-
 class Histogram:
-    """Streaming summary: count/sum/min/max + P² quantile estimates.
+    """Streaming summary: exact count/sum/min/max + log-bucket quantiles.
+
+    The estimate of ``q`` is the value of the bucket holding the order
+    statistic of rank ``ceil(q·count)``, clamped to ``[min, max]`` (so a
+    lone sample is exact).  Non-finite samples are skipped.
 
     Observations may carry an **exemplar** trace id
-    (``observe(12.3, exemplar="4bf9…")``, OpenMetrics-style): for every
-    tracked quantile whose current estimate the sample reaches, the
-    sample's ``{value, trace_id, ts}`` is remembered — so the P99 bucket
-    of ``serve.latency_ms`` always points at a real recent trace a
-    debugger can look up in the flight recorder.  Exemplars only appear
-    in :meth:`summary` (and downstream exporters) when at least one was
-    recorded, keeping train-time metric snapshots byte-identical.
+    (``observe(12.3, exemplar="4bf9…")``, OpenMetrics-style).  Each bucket
+    keeps its newest exemplar ``{value, trace_id, ts}``; a quantile
+    reports the newest one at or above its bucket — so the P99 of
+    ``serve.latency_ms`` points at a real recent trace at least as slow,
+    which a debugger can look up in the flight recorder.  Exemplars only
+    appear in :meth:`summary` (and downstream exporters) when at least
+    one was recorded, keeping train-time metric snapshots byte-identical.
     """
 
     kind = "histogram"
-    __slots__ = ("name", "quantiles", "_estimators", "count", "sum",
-                 "min", "max", "_lock", "_exemplars")
+    __slots__ = ("name", "count", "sum", "min", "max", "_buckets",
+                 "_exemplars", "_lock")
 
-    def __init__(self, name: str,
-                 quantiles: Sequence[float] = DEFAULT_QUANTILES):
+    def __init__(self, name: str):
         self.name = name
-        self.quantiles = tuple(quantiles)
-        if not self.quantiles:
-            raise ValueError("need at least one tracked quantile")
-        self._estimators = {q: P2Quantile(q) for q in self.quantiles}
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
         self._lock = threading.Lock()
-        self._exemplars: Dict[str, Dict[str, float]] = {}
+        self.reset()
 
     def observe(self, value: float,
                 exemplar: Optional[str] = None) -> None:
         value = float(value)
         if not math.isfinite(value):
-            return  # non-finite samples would wedge the marker invariants
+            return
+        ordinal = _ordinal(value)
         with self._lock:
             self.count += 1
             self.sum += value
@@ -240,65 +185,104 @@ class Histogram:
                 self.min = value
             if value > self.max:
                 self.max = value
-            for estimator in self._estimators.values():
-                estimator.observe(value)
+            self._buckets[ordinal] = self._buckets.get(ordinal, 0) + 1
             if exemplar:
-                for q in self.quantiles:
-                    estimate = self._estimators[q].value()
-                    if math.isnan(estimate) or value >= estimate:
-                        self._exemplars[f"p{q * 100:g}"] = {
-                            "value": value, "trace_id": str(exemplar),
-                            "ts": time.time()}
+                # Re-insert, so the dict's order is the order of recency.
+                self._exemplars.pop(ordinal, None)
+                self._exemplars[ordinal] = {
+                    "value": value, "trace_id": str(exemplar),
+                    "ts": time.time()}
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if values.size < _FOLD_MIN_VALUES:
+            for value in values.tolist():
+                self.observe(value)
+            return
+        values = values[np.isfinite(values)]
+        if not values.size:
+            return
+        ordinals, counts = np.unique(_ordinals(values), return_counts=True)
+        total = float(values.sum())
+        low, high = float(values.min()), float(values.max())
+        with self._lock:
+            self.count += int(values.size)
+            self.sum += total
+            self.min = min(self.min, low)
+            self.max = max(self.max, high)
+            buckets = self._buckets
+            for ordinal, n in zip(ordinals.tolist(), counts.tolist()):
+                buckets[ordinal] = buckets.get(ordinal, 0) + n
+
+    def _estimates_locked(self, quantiles: Sequence[float]
+                          ) -> List[Tuple[float, int]]:
+        """``(estimate, bucket ordinal)`` per quantile, from one pass over
+        the sorted buckets (caller holds the lock; ``count > 0``)."""
+        ordinals = sorted(self._buckets)
+        cumulative = np.cumsum([self._buckets[o] for o in ordinals])
+        ranks = [max(1, math.ceil(q * self.count)) for q in quantiles]
+        out = []
+        for pick in np.searchsorted(cumulative, ranks).tolist():
+            ordinal = ordinals[pick]
+            estimate = min(max(_bucket_value(ordinal), self.min), self.max)
+            out.append((estimate, ordinal))
+        return out
+
+    def quantile(self, q: float) -> float:
+        """Estimate of quantile ``q`` in (0, 1); NaN before any sample."""
+        if not 0.0 < q < 1.0:
+            raise ValueError(f"quantile must be in (0, 1), got {q!r}")
+        with self._lock:
+            if not self.count:
+                return math.nan
+            return self._estimates_locked([q])[0][0]
 
     def exemplars(self) -> Dict[str, Dict[str, float]]:
         """Per-quantile exemplar copies (empty when none recorded)."""
-        with self._lock:
-            return {key: dict(val) for key, val in self._exemplars.items()}
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        for value in np.asarray(list(values), dtype=np.float64).ravel():
-            self.observe(value)
-
-    def quantile(self, q: float) -> float:
-        if q not in self._estimators:
-            raise KeyError(
-                f"histogram {self.name!r} does not track q={q} "
-                f"(tracked: {self.quantiles})")
-        return self._estimators[q].value()
+        return self.summary().get("exemplars", {})
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else math.nan
 
     def summary(self) -> Dict[str, float]:
-        out = {
-            "count": float(self.count),
-            "sum": self.sum,
-            "mean": self.mean,
-            "min": self.min if self.count else math.nan,
-            "max": self.max if self.count else math.nan,
-        }
-        for q in self.quantiles:
-            out[f"p{q * 100:g}"] = self._estimators[q].value()
-        # Snapshot under the lock: observe() may be inserting new
-        # quantile keys while a /metrics scrape iterates.
-        exemplars = self.exemplars()
+        # One snapshot under the lock: a /metrics scrape racing observe()
+        # must not pair a count with a sum from another moment.
+        with self._lock:
+            count = self.count
+            out = {
+                "count": float(count),
+                "sum": self.sum,
+                "mean": self.sum / count if count else math.nan,
+                "min": self.min if count else math.nan,
+                "max": self.max if count else math.nan,
+            }
+            estimates = (self._estimates_locked(DEFAULT_QUANTILES) if count
+                         else [(math.nan, 0)] * len(DEFAULT_QUANTILES))
+            exemplars = {}
+            for q, (estimate, ordinal) in zip(DEFAULT_QUANTILES, estimates):
+                key = f"p{q * 100:g}"
+                out[key] = estimate
+                for at, exemplar in reversed(self._exemplars.items()):
+                    if at >= ordinal:
+                        exemplars[key] = dict(exemplar)
+                        break
         if exemplars:
             out["exemplars"] = exemplars
         return out
 
     def reset(self) -> None:
         with self._lock:
-            self._estimators = {q: P2Quantile(q) for q in self.quantiles}
             self.count = 0
             self.sum = 0.0
             self.min = math.inf
             self.max = -math.inf
-            self._exemplars = {}
+            self._buckets: Dict[int, int] = {}
+            self._exemplars: Dict[int, Dict[str, float]] = {}
 
     def __repr__(self) -> str:
         return (f"Histogram({self.name}, count={self.count}, "
-                f"p50={self.quantile(0.5) if 0.5 in self._estimators else '?'})")
+                f"p50={self.quantile(0.5)})")
 
 
 class MetricsRegistry:
@@ -332,11 +316,9 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, lambda: Gauge(name), "gauge")
 
-    def histogram(self, name: str,
-                  quantiles: Sequence[float] = DEFAULT_QUANTILES
-                  ) -> Histogram:
-        return self._get_or_create(
-            name, lambda: Histogram(name, quantiles), "histogram")
+    def histogram(self, name: str) -> Histogram:
+        return self._get_or_create(name, lambda: Histogram(name),
+                                   "histogram")
 
     # Convenience one-liners used by instrumented call sites ------------
     def inc(self, name: str, amount: float = 1.0) -> None:
@@ -349,7 +331,7 @@ class MetricsRegistry:
                 exemplar: Optional[str] = None) -> None:
         self.histogram(name).observe(value, exemplar=exemplar)
 
-    def observe_many(self, name: str, values: Iterable[float]) -> None:
+    def observe_many(self, name: str, values: Sequence[float]) -> None:
         self.histogram(name).observe_many(values)
 
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ frozen at export time:
   - **prediction skew**: PSI of the windowed predicted-label
     distribution against the training class priors (label-skew faults,
     a stuck class, or a poisoned reload all show up here);
-  - **confidence / margin**: P² streaming histograms
+  - **confidence / margin**: log-bucket streaming histograms
     (``quality.margin`` / ``quality.confidence``) of the top-1
     similarity and top1−top2 margin — eroding margins are the earliest
     symptom of a model losing separability on live traffic;
@@ -39,10 +39,12 @@ frozen at export time:
 
 Everything is numpy + stdlib and O(window) memory.  A batch enters the
 window in one vectorized update (``np.bincount`` moves for the evicted
-and the new rows).  On 1024 features and a 2-vCPU VM, a 256-row batch
-costs about 4 ms and a single row about 0.3 ms, which is then mostly
-the per-feature PSI refresh.  The ``scripts/check_quality.sh`` gate
-bounds the serve-P99 overhead at < 5%.
+and the new rows).  On 1024 features, D = 3000 and a 2-vCPU VM, a
+256-row :meth:`DriftMonitor.observe` costs about 7 ms: window update
+≈ 5 ms, saturation gauge ≈ 1.3 ms, both histograms ≈ 0.1 ms (the
+engine's similarity pass feeding it adds ≈ 2.3 ms).  A single row costs
+about 0.4 ms, mostly the per-feature PSI refresh.  The
+``scripts/check_quality.sh`` gate bounds the serve-P99 overhead at < 5%.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 """Inference engine: packed/float agreement, caching, pipeline parity."""
 
+import hashlib
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.learn import VanillaHD
 from repro.learn.mass import normalized_similarity
 from repro.serve import (BundleError, EngineSelfCheckError, InferenceEngine,
                          ModelBundle)
+from repro.telemetry import use_registry
 from repro.utils.rng import fresh_rng
 
 
@@ -89,6 +93,81 @@ class TestCache:
         rng = fresh_rng((5, "engine-evict"))
         engine.predict_features(rng.standard_normal((20, 32)))
         assert engine.cache_info()["entries"] == 4
+
+    def test_batch_path_matches_the_per_row_loop(self, synthetic_bundle):
+        """Partial hits, duplicate rows within a batch and batches larger
+        than the cache leave the same LRU as a lookup-then-store loop
+        over the rows, one at a time (the reference kept below)."""
+
+        class RowLRU:
+            def __init__(self, max_entries):
+                self.max_entries = max_entries
+                self.data = OrderedDict()
+                self.hits = self.misses = 0
+
+            def get(self, key):
+                value = self.data.get(key)
+                if value is None:
+                    self.misses += 1
+                    return None
+                self.data.move_to_end(key)
+                self.hits += 1
+                return value
+
+            def put(self, key, value):
+                self.data[key] = value
+                self.data.move_to_end(key)
+                while len(self.data) > self.max_entries:
+                    self.data.popitem(last=False)
+
+        def row_loop_encode(lru, encode, raw):
+            keys = [hashlib.sha1(row.tobytes()).digest() for row in raw]
+            encoded = np.empty((len(raw), encode(raw[:1]).shape[1]))
+            miss_idx = []
+            for i, key in enumerate(keys):
+                hit = lru.get(key)
+                if hit is None:
+                    miss_idx.append(i)
+                else:
+                    encoded[i] = hit
+            if miss_idx:
+                fresh = encode(raw[miss_idx])
+                for j, i in enumerate(miss_idx):
+                    encoded[i] = fresh[j]
+                    lru.put(keys[i], fresh[j].copy())
+            return encoded
+
+        bundle = synthetic_bundle()
+        uncached = InferenceEngine(bundle, cache_size=0)
+        rng = fresh_rng((7, "engine-batch-lru"))
+        pool = rng.standard_normal((40, 32))
+        batches = [pool[:6],
+                   pool[[0, 6, 6, 1, 7, 0]],       # hits, in-batch dupes
+                   pool[8:30],                      # > cache: self-evicts
+                   pool[[29, 3, 28, 8, 9, 29]],
+                   pool[30:40][[0, 1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 1]],
+                   pool[[35, 36]], pool[:0]]
+        for size in (5, 16):
+            with use_registry() as registry:
+                engine = InferenceEngine(bundle, cache_size=size)
+                reference = RowLRU(size)
+                for batch in batches:
+                    got = engine.encode_features(batch)
+                    want = row_loop_encode(reference,
+                                           uncached.encode_features, batch)
+                    np.testing.assert_array_equal(got, want)
+                cache = engine._cache
+                assert list(cache._slots) == list(reference.data)
+                for key, slot in cache._slots.items():
+                    np.testing.assert_array_equal(cache._rows[slot],
+                                                  reference.data[key])
+                assert engine.cache_info() == {
+                    "entries": len(reference.data), "hits": reference.hits,
+                    "misses": reference.misses, "max_entries": size}
+                assert registry.counter("serve.cache.hits").value \
+                    == reference.hits
+                assert registry.counter("serve.cache.misses").value \
+                    == reference.misses
 
     def test_cache_disabled(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle(), cache_size=0)

@@ -72,6 +72,28 @@ class TestSaturation:
         with pytest.raises(ValueError, match="factor"):
             saturation_fraction(np.ones((2, 2)), factor=0.0)
 
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 3.0])
+    def test_matches_the_threshold_pass(self, factor):
+        """The early exit returns exactly what the full |m| > limit
+        pass (kept here as the reference) returns."""
+        def reference(matrix):
+            rms = float(np.sqrt(np.mean(np.square(matrix))))
+            if rms == 0.0 or not math.isfinite(rms):
+                return 0.0
+            return float(np.mean(np.abs(matrix) > factor * rms))
+
+        rng = np.random.default_rng(11)
+        gaussian = rng.standard_normal((256, 300))
+        with_nan = gaussian.copy()
+        with_nan[3, 7] = np.nan
+        saturated = np.sign(gaussian)
+        saturated[:, :4] *= 50.0
+        negative_spike = np.ones((8, 50))
+        negative_spike[2, 3] = -1000.0
+        for matrix in (gaussian, np.sign(gaussian), np.zeros((16, 32)),
+                       with_nan, saturated, negative_spike):
+            assert saturation_fraction(matrix, factor) == reference(matrix)
+
 
 class TestConfusability:
     def test_orthogonal_classes(self):

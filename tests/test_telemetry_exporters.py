@@ -258,6 +258,28 @@ class TestExemplars:
         for key in ('quantile="0.5"', 'quantile="0.95"'):
             assert entry["exemplars"][key]["trace_id"] == self.TRACE_ID
 
+    def test_parse_round_trips_log_bucket_summary(self):
+        registry = MetricsRegistry()
+        rng = np.random.default_rng(7)
+        registry.observe_many("serve.latency_ms",
+                              rng.lognormal(1.0, 0.5, size=1000))
+        registry.observe("serve.latency_ms", 40.0, exemplar=self.TRACE_ID)
+        text = prometheus_text(registry)
+        assert "_bucket" not in text
+        summary = registry.snapshot()["serve.latency_ms"]
+        entry = parse_prometheus(text)["repro_serve_latency_ms"]
+        assert entry["type"] == "summary"
+        quantiles = [f'quantile="{q:g}"' for q in (0.5, 0.95, 0.99)]
+        want = {key: summary[f"p{q}"]
+                for key, q in zip(quantiles, ("50", "95", "99"))}
+        want.update(sum=summary["sum"], count=summary["count"])
+        # The text form keeps six significant digits.
+        assert entry["samples"] == pytest.approx(want, rel=1e-5)
+        assert set(entry["exemplars"]) == set(quantiles)
+        for key in quantiles:
+            assert entry["exemplars"][key]["trace_id"] == self.TRACE_ID
+            assert entry["exemplars"][key]["value"] == 40.0
+
     def test_no_exemplar_no_syntax(self):
         registry = MetricsRegistry()
         registry.observe_many("plain.hist", [1.0, 2.0, 3.0])
