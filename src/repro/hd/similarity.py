@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..telemetry import get_registry, span
-from .backend import pack_bipolar, packed_dot
+from .backend import packed_dot
 
 __all__ = ["dot_similarity", "cosine_similarity", "hamming_similarity",
            "packed_hamming_similarity", "packed_classify", "classify"]
@@ -131,38 +131,19 @@ def packed_classify(packed_classes: np.ndarray, packed_queries: np.ndarray,
     return np.asarray(sims.argmax(axis=-1))
 
 
-def _packed_metric(class_matrix: np.ndarray,
-                   queries: np.ndarray) -> np.ndarray:
-    """``classify(..., metric="packed")``: pack on the fly, then XOR-popcount.
-
-    Requires strictly bipolar operands (``pack_bipolar`` raises
-    otherwise).  Returns similarities shaped like the other metrics.
-    """
-    class_matrix = np.asarray(class_matrix)
-    queries = np.asarray(queries)
-    dim = class_matrix.shape[-1]
-    single = queries.ndim == 1
-    packed_classes = pack_bipolar(class_matrix)
-    packed_queries = pack_bipolar(np.atleast_2d(queries))
-    sims = packed_hamming_similarity(packed_classes, packed_queries, dim)
-    return sims[0] if single else sims
-
-
 def classify(class_matrix: np.ndarray, queries: np.ndarray,
              metric: str = "dot") -> np.ndarray:
     """Inference: ``argmax_k δ(C_k, H)`` for each query.
 
     This is the paper's inference procedure (Sec. III): compute the query
     hypervector's similarity against all class hypervectors and pick the
-    most similar class.  ``metric="packed"`` routes through the bit-packed
-    XOR-popcount kernel (bipolar operands only); it ranks identically to
-    ``"dot"`` for bipolar hypervectors.
+    most similar class.  The bit-packed XOR-popcount path, which ranks
+    like ``"dot"`` on bipolar hypervectors, is :func:`packed_classify`.
     """
     metrics = {
         "dot": dot_similarity,
         "cosine": cosine_similarity,
         "hamming": hamming_similarity,
-        "packed": _packed_metric,
     }
     if metric not in metrics:
         raise ValueError(f"unknown metric {metric!r}; expected one of "

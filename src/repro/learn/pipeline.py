@@ -72,20 +72,6 @@ class _HDPipeline:
     num_classes: int
     _train_rng: np.random.Generator
 
-    def compiled(self, passes: str = "all", executors=None) -> StageGraph:
-        """Frozen, compiled snapshot of the live graph.
-
-        Freezes the current training state via ``topology()`` /
-        ``state_arrays()`` (passes must not run on live graphs — they
-        fold the weights they see), then applies the compiler; see
-        :func:`repro.pipeline.compile_graph`.
-        """
-        from ..pipeline import compile_graph
-        frozen = StageGraph.from_topology(self.graph.topology(),
-                                          self.graph.state_arrays())
-        return compile_graph(frozen, passes=passes,
-                             executors=executors).graph
-
     def encode(self, images: np.ndarray) -> np.ndarray:
         """Query hypervectors for a batch of NCHW images."""
         return self.graph.run(images, stop="classify")

@@ -42,7 +42,7 @@ import numpy as np
 from ..hd.backend import pack_bipolar
 from ..hd.encoders import (Encoder, NonlinearEncoder,
                            RandomProjectionEncoder)
-from ..hd.hypervector import hard_quantize
+from ..hd.hypervector import hard_quantize, is_bipolar
 from ..hd.similarity import packed_classify
 from ..models.extractor import FeatureExtractor
 from ..nn.functional import strided_max_pool
@@ -52,7 +52,7 @@ __all__ = [
     "Stage", "StageError", "FeatureScaler",
     "ExtractStage", "FlattenStage", "ScaleStage", "ManifoldReduceStage",
     "EncodeStage", "FusedEncodeStage", "ScalePoolStage",
-    "ClassifyStage", "PackedClassifyStage",
+    "ClassifyStage", "PackedClassifyStage", "packed_refusal",
     "cosine_similarities", "clamped_norms", "encoder_spec",
     "register_stage", "stage_from_spec", "STAGE_TYPES",
 ]
@@ -529,21 +529,21 @@ class EncodeStage(Stage):
 
 @register_stage
 class FusedEncodeStage(Stage):
-    """Scale ∘ Encode folded into one affine GEMM (compiler-generated).
+    """Scale ∘ Encode folded into one affine GEMM.
 
-    Produced by the ``fuse_scale_encode`` pass: standardization
+    Built by :meth:`from_scale_encode`: standardization
     ``(x − μ)/σ`` followed by a projection GEMM is itself affine, so
     the projection matrix is pre-scaled per input feature
     (``P̂ = P / σ[:, None]``) and the constant term becomes an additive
     offset (``o = −(μ/σ) @ P``) — one GEMM per batch instead of a
     subtract/divide sweep over the full feature width plus a GEMM.
+    No export or serving path produces it; it stays registered so a
+    topology naming ``encode_fused`` still loads.
 
-    Float tolerance (documented + gated): the regrouping changes the
-    floating-point evaluation order, so *raw* encodings agree with the
-    unfused graph only to ~1e-9 relative; *quantized* (±1) encodings
-    and predicted labels are verified exactly by
-    ``compile_graph(verify_batch=...)``, the compile test-suite, and
-    ``scripts/check_stage_parity.sh``.
+    Float tolerance: the regrouping changes the floating-point
+    evaluation order, so *raw* encodings agree with the unfused graph
+    only to ~1e-9 relative; *quantized* (±1) encodings and predicted
+    labels agree exactly (``tests/test_pipeline_stages.py``).
     """
 
     stage_type = "encode_fused"
@@ -693,19 +693,20 @@ class FusedEncodeStage(Stage):
 
 @register_stage
 class ScalePoolStage(Stage):
-    """Standardize-then-max-pool fused stage (compiler-generated).
+    """Standardize-then-max-pool fused stage.
 
-    Produced by the ``fuse_pool`` pass.  The pool cannot legally cross
+    Built by :meth:`from_scale_reduce`.  The pool cannot legally cross
     the scale stage upward into *extract* — standardization is a
     per-position affine map with distinct ``μ/σ`` per position, and
-    ``max`` does not commute with it — so the pass folds the pool
+    ``max`` does not commute with it — so the fold moves the pool
     *down* out of :class:`ManifoldReduceStage` into the scale step
     instead.  That fold is **bit-exact**: both stages pool through the
     one :func:`strided_max_pool` helper on the identical operands; only the
     stage boundary moves.  The win is that the
     full-width scaled intermediate dies immediately after pooling
     (4× smaller downstream batch rows) and the reduce stage degenerates
-    to a plain GEMM.
+    to a plain GEMM.  No export or serving path produces it; it stays
+    registered so a topology naming ``scale_pool`` still loads.
     """
 
     stage_type = "scale_pool"
@@ -855,9 +856,9 @@ class PackedClassifyStage(Stage):
     The serving fast path: class hypervectors packed to uint64 words,
     queries packed per call, similarity = XOR + popcount.  Ranks
     identically to the float cosine path for bipolar operands (integer
-    dots, no rounding).  Derived from a frozen :class:`ClassifyStage`
-    when the compiler binds the ``packed`` executor — it is an
-    execution *variant*, not a separate topology entry, so it is not
+    dots, no rounding).  The serving engine derives it from a frozen
+    :class:`ClassifyStage` where :func:`packed_refusal` allows — it is
+    an execution *variant*, not a separate topology entry, so it is not
     registered for serialization.
     """
 
@@ -891,3 +892,27 @@ class PackedClassifyStage(Stage):
                       name: str = "classify_packed"
                       ) -> "PackedClassifyStage":
         return cls.from_class_matrix(stage.class_matrix, name=name)
+
+
+def packed_refusal(stages: Sequence[Stage]) -> Optional[str]:
+    """Why a frozen graph's classify stage cannot be packed, or ``None``.
+
+    Packed classify ranks like float cosine only on bipolar operands:
+    the last stage must be a frozen classify stage over a bipolar class
+    matrix, and every encode stage must hard-quantize, because the
+    queries are bit-packed too.
+    """
+    classify = stages[-1]
+    if not (isinstance(classify, ClassifyStage) and classify.frozen):
+        return (f"packed classify needs a frozen classify stage; the "
+                f"graph ends in {classify!r}")
+    if not is_bipolar(np.asarray(classify.class_matrix)):
+        return ("packed classify requires a bipolar class matrix — "
+                "export the bundle with binarize=True")
+    encoders = [stage for stage in stages
+                if getattr(stage, "encoder_type", None) is not None]
+    if not encoders or not all(stage.quantize for stage in encoders):
+        return ("packed classify requires a quantizing encoder (the "
+                "queries must be bipolar to bit-pack); this graph's "
+                "encoder emits continuous hypervectors")
+    return None

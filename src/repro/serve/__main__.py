@@ -25,12 +25,6 @@ MicroBatcher / LoadShedder / engine knobs::
     quality = true           # omit: auto-on when the bundle has a baseline
     quality_window = 512
 
-    [compile]
-    passes = "all"           # "all", "none", or a list of pass names
-    [compile.executors]      # or executors = "auto"
-    encode = "threaded"
-    classify = "packed"      # omit for auto-selection; --no-packed pins numpy
-
     [online]
     rule = "online"          # "mass" (dense) or "online" (sparse)
     max_update_norm = 1.0    # per-class L2 cap per feedback sample
@@ -91,7 +85,6 @@ _BATCHER_KEYS = ("max_batch_size", "max_latency_ms", "workers",
 _ENGINE_KEYS = ("cache_size", "build_extractor", "selfcheck", "quality",
                 "quality_window")
 _ALERT_KEYS = ("interval_s", "rules")
-_COMPILE_KEYS = ("passes", "executors")
 _ONLINE_KEYS = ONLINE_OPTION_KEYS
 
 
@@ -99,19 +92,15 @@ def load_config(path: str) -> Dict[str, Any]:
     """Read a TOML config file into a flat ``{key: value}`` dict.
 
     Accepts both sectioned (``[server]`` / ``[batcher]`` / ``[engine]``
-    / ``[compile]`` / ``[alerts]`` / ``[online]``) and flat layouts;
-    unknown keys raise
-    so typos fail loudly instead of silently serving with defaults.
-    The ``[online]`` section lands verbatim as ``online_options`` (the
-    :class:`~repro.online.OnlineLearner` kwargs — enables ``POST
-    /feedback`` continual learning).  The ``[alerts]``
+    / ``[alerts]`` / ``[online]``) and flat layouts; unknown keys and
+    sections raise so typos fail loudly instead of silently serving
+    with defaults.  The ``[online]`` section lands verbatim as
+    ``online_options`` (the :class:`~repro.online.OnlineLearner` kwargs
+    — enables ``POST /feedback`` continual learning).  The ``[alerts]``
     section is parsed through
     :func:`~repro.telemetry.alerts.load_alert_rules` (so a malformed
     rule also fails at startup) and lands as ``alert_rules`` /
-    ``alert_interval_s``.  The ``[compile]`` section maps onto the
-    engine's graph-compiler knobs (``passes`` / ``executors``; see
-    :func:`repro.pipeline.compile_graph`) and lands as
-    ``compile_passes`` / ``compile_executors``.
+    ``alert_interval_s``.
     """
     import tomllib
     with open(path, "rb") as handle:
@@ -131,18 +120,6 @@ def load_config(path: str) -> Dict[str, Any]:
             if "interval_s" in value:
                 flat["alert_interval_s"] = float(value["interval_s"])
             continue
-        if key == "compile":
-            if not isinstance(value, dict):
-                raise ValueError(f"[compile] must be a table in {path!r}")
-            for sub in value:
-                if sub not in _COMPILE_KEYS:
-                    raise ValueError(
-                        f"unknown config key compile.{sub} in {path!r}")
-            if "passes" in value:
-                flat["compile_passes"] = value["passes"]
-            if "executors" in value:
-                flat["compile_executors"] = value["executors"]
-            continue
         if key == "online":
             if not isinstance(value, dict):
                 raise ValueError(f"[online] must be a table in {path!r}")
@@ -157,7 +134,7 @@ def load_config(path: str) -> Dict[str, Any]:
                 raise ValueError(
                     f"unknown config section [{key}] in {path!r}; "
                     "expected [server], [batcher], [engine], "
-                    "[compile], [alerts], or [online]")
+                    "[alerts], or [online]")
             for sub, subvalue in value.items():
                 if sub not in known:
                     raise ValueError(
@@ -265,10 +242,6 @@ def build_server(args: argparse.Namespace) -> ModelServer:
         engine_options["quality"] = bool(config["quality"])
     if "quality_window" in config:
         engine_options["quality_window"] = int(config["quality_window"])
-    if "compile_passes" in config:
-        engine_options["passes"] = config["compile_passes"]
-    if "compile_executors" in config:
-        engine_options["executors"] = config["compile_executors"]
 
     ModelBundle.verify(args.bundle)
     engine = InferenceEngine.from_path(args.bundle, **engine_options)

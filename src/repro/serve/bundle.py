@@ -23,6 +23,10 @@ deployment transforms can be applied at export time:
 structurally validates the arrays against the provenance block, so a
 serving process can refuse a torn or mismatched artifact before it ever
 answers a request.
+
+Older exports may carry an ``info["compile"]`` plan.  It is ignored:
+the engine serves the stored topology, and every pass such a plan could
+name left the predicted labels unchanged.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from ..hardware.quantize import QuantizedTensor, quantize_symmetric
 from ..hd.hypervector import hard_quantize, is_bipolar
 from ..nn.serialize import (CheckpointError, load_state_with_manifest,
                             manifest_section, save_state)
-from ..pipeline import (CompileError, CompilePlan, StageError, StageGraph)
+from ..pipeline import StageError, StageGraph
 from ..telemetry import (config_fingerprint, decode_non_finite,
                          encode_non_finite, git_info)
 
@@ -82,9 +86,7 @@ class ModelBundle:
                       baseline_features: Optional[np.ndarray] = None,
                       baseline_labels: Optional[np.ndarray] = None,
                       baseline_sample: int = 2048,
-                      baseline_bins: int = 10,
-                      compile_passes=None,
-                      compile_executors=None) -> "ModelBundle":
+                      baseline_bins: int = 10) -> "ModelBundle":
         """Capture a trained pipeline's inference closure.
 
         Parameters
@@ -119,18 +121,6 @@ class ModelBundle:
             baseline rows; the sketches only need O(1k) rows.
         baseline_bins:
             Number of PSI bins in the per-feature sketches.
-        compile_passes / compile_executors:
-            The serving compile plan to persist under
-            ``info["compile"]``: ``compile_passes`` is ``"all"`` or a
-            list of registered pass names, ``compile_executors`` is
-            ``"auto"`` or a ``{stage name → executor name}`` map (see
-            :func:`repro.pipeline.compile_graph`).  The **arrays stay
-            uncompiled/canonical** — compilation happens at engine
-            build time, so the same bundle can be served interpreted or
-            compiled.  Unknown names are rejected here, at export time.
-            Bundles exported without a plan (including every
-            pre-compile bundle) decode to the empty plan: passes
-            default to none.
         """
         scaler = getattr(pipeline, "scaler", None)
         if scaler is None or scaler.mean is None:
@@ -170,14 +160,6 @@ class ModelBundle:
             "quantize_bits": int(quantize_bits) if quantize_bits else None,
             "graph": topology,
         }
-
-        if compile_passes is not None or compile_executors is not None:
-            try:
-                plan = CompilePlan(passes=compile_passes,
-                                   executors=compile_executors)
-            except CompileError as exc:
-                raise BundleError(f"invalid compile plan: {exc}") from exc
-            info["compile"] = plan.to_dict()
 
         info["encoder"] = dict(specs["encode"]["encoder"])
         if "extract" in specs:
@@ -451,6 +433,17 @@ class ModelBundle:
                 "provenance claims a binarized class matrix but the "
                 "stored values are not bipolar")
 
+        # The width chain: extractor → scaler → manifold → encoder.  A
+        # scaler of the wrong width would be reshaped by the reduce
+        # stage into more (or fewer) rows than were sent.
+        mean = np.asarray(self.arrays["scaler.mean"])
+        std = np.asarray(self.arrays["scaler.std"])
+        if mean.ndim != 1 or mean.shape != std.shape:
+            raise BundleError(
+                f"scaler.mean {mean.shape} and scaler.std {std.shape} "
+                f"must be 1-D and of one length")
+        width = len(mean)
+
         manifold = info.get("manifold")
         if manifold is not None:
             weight = self.manifold_weight()
@@ -462,6 +455,17 @@ class ModelBundle:
                     f"provenance says {expected}")
             if manifold.get("has_bias"):
                 self._require("manifold.bias")
+            if expected[0] != in_features:
+                raise BundleError(
+                    f"manifold emits {expected[0]} features but the "
+                    f"encoder takes {in_features}")
+            stage, takes = "manifold", int(np.prod(manifold["feature_shape"]))
+        else:
+            stage, takes = "encoder", in_features
+        if width != takes:
+            raise BundleError(
+                f"scaler standardizes {width} features but the {stage} "
+                f"after it takes {takes}")
 
         extractor = info.get("extractor")
         if extractor is not None:
@@ -469,6 +473,12 @@ class ModelBundle:
                 raise BundleError(
                     "provenance declares an extractor but the bundle "
                     "carries no model.* arrays")
+            shape = extractor.get("feature_shape")
+            if shape is not None and int(np.prod(shape)) != width:
+                raise BundleError(
+                    f"extractor emits {int(np.prod(shape))} features "
+                    f"(shape {list(shape)}) but the scaler standardizes "
+                    f"{width}")
 
     @staticmethod
     def _pooled_count(manifold_info: Dict[str, Any]) -> int:
@@ -565,16 +575,6 @@ class ModelBundle:
         except StageError as exc:
             raise BundleError(
                 f"bundle stage graph could not be built: {exc}") from exc
-
-    def compile_plan(self) -> CompilePlan:
-        """The persisted serving compile plan (empty for pre-compile
-        bundles: no passes, no executors — they serve interpreted
-        exactly as before)."""
-        try:
-            return CompilePlan.from_dict(self.info.get("compile"))
-        except CompileError as exc:
-            raise BundleError(
-                f"bundle carries an invalid compile plan: {exc}") from exc
 
     @property
     def binary_classes(self) -> bool:

@@ -12,10 +12,10 @@ serving concerns:
 * an LRU cache keyed by the sha1 of each sample's raw feature bytes that
   memoizes encoded hypervectors, so repeated queries skip the projection
   GEMM entirely (``serve.cache.hits`` / ``serve.cache.misses``);
-* the ``use_packed`` switch onto the compiler's **bit-packed
-  XOR-popcount** ``packed`` classify executor — whether it may run, and
-  whether ``"auto"`` picks it, is decided by
-  :func:`repro.pipeline.compile_graph` alone;
+* the ``use_packed`` switch onto the **bit-packed XOR-popcount**
+  :class:`~repro.pipeline.PackedClassifyStage`, which replaces the
+  float classify stage wherever :func:`repro.pipeline.packed_refusal`
+  allows it;
 * a load-time :meth:`selfcheck` proving the packed stage agrees with the
   float reference kernels on random probes;
 * request/sample counters and ``serve.*`` spans for the telemetry layer.
@@ -35,8 +35,8 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..hd.similarity import classify
-from ..pipeline import (ClassifyStage, CompileError, ExtractStage,
-                        FlattenStage, auto_executors, compile_graph)
+from ..pipeline import (ClassifyStage, ExtractStage, FlattenStage,
+                        PackedClassifyStage, StageGraph, packed_refusal)
 from ..telemetry import get_registry, span
 from ..telemetry.quality import DriftMonitor, QualityBaseline
 from ..utils.rng import fresh_rng
@@ -125,10 +125,10 @@ class InferenceEngine:
     bundle:
         A validated :class:`ModelBundle` (``validate()`` is called here).
     use_packed:
-        Pin the classify executor to ``packed`` (True) or ``numpy``
-        (False); default ``None`` keeps an explicit classify executor
-        and otherwise takes the compiler's ``"auto"`` pick.  A packed
-        request the compiler refuses raises :class:`BundleError`.
+        Classify with the packed XOR-popcount stage (True) or the float
+        cosine stage (False); default ``None`` packs exactly where
+        :func:`~repro.pipeline.packed_refusal` finds no reason not to.
+        True on a graph it refuses raises :class:`BundleError`.
     cache_size:
         LRU capacity (entries) for encoded hypervectors; 0 disables.
     build_extractor:
@@ -147,15 +147,6 @@ class InferenceEngine:
         without a baseline raises :class:`BundleError`.
     quality_window:
         Rolling-window size (rows) for the drift monitor.
-    passes:
-        Compile passes to apply to the frozen graph: ``"all"``,
-        ``"none"``, or a list of registered pass names.  Default
-        ``None`` uses the bundle's persisted plan
-        (``info["compile"]``); pre-compile bundles default to none.
-    executors:
-        Executor assignment: ``"auto"``, a ``{stage name → executor
-        name}`` map, or ``None`` for the bundle's plan.  Its classify
-        entry yields to an explicit ``use_packed``.
     """
 
     def __init__(self, bundle: ModelBundle,
@@ -164,9 +155,7 @@ class InferenceEngine:
                  build_extractor: bool = True,
                  selfcheck: bool = True,
                  quality: Optional[bool] = None,
-                 quality_window: int = 512,
-                 passes=None,
-                 executors=None):
+                 quality_window: int = 512):
         bundle.validate()
         self.bundle = bundle
         info = bundle.info
@@ -176,60 +165,39 @@ class InferenceEngine:
         self._encoder_type = str(info["encoder"]["type"])  # validated
 
         # -- the executable: one frozen stage graph --------------------
-        base = bundle.build_graph(build_extractor=build_extractor)
-        plan = bundle.compile_plan()
-        if passes is None:
-            passes = list(plan.passes)
-        if executors is None:
-            executors = plan.executors
-        classify_stage = base.stages[-1]
-        if not isinstance(classify_stage, ClassifyStage):
+        graph = bundle.build_graph(build_extractor=build_extractor)
+        # The float classify stage answers similarities (and the drift
+        # monitor) even when the packed stage answers requests.
+        self._classify = graph.stages[-1]
+        if not isinstance(self._classify, ClassifyStage):
             raise BundleError(
                 f"bundle graph must end in a classify stage, got "
-                f"{type(classify_stage).__name__}")
+                f"{type(self._classify).__name__}")
+        refusal = packed_refusal(graph.stages)
+        if use_packed and refusal is not None:
+            raise BundleError(f"use_packed=True refused: {refusal}")
+        self.use_packed = (refusal is None if use_packed is None
+                           else bool(use_packed))
+        self._packed_stage: Optional[PackedClassifyStage] = None
+        if self.use_packed:
+            self._packed_stage = PackedClassifyStage.from_classify(
+                self._classify, name=self._classify.name)
+            graph = StageGraph(graph.stages[:-1] + [self._packed_stage],
+                               name=graph.name)
+        self.graph = graph
 
-        # -- classify executor: use_packed pins it, else compile decides
-        exec_map = (dict(executors) if isinstance(executors, dict)
-                    else {})
-        if use_packed is not None:
-            exec_map[classify_stage.name] = ("packed" if use_packed
-                                             else "numpy")
-        elif classify_stage.name not in exec_map:
-            exec_map.update(auto_executors(base))
-
-        try:
-            result = compile_graph(base, passes=passes,
-                                   executors=exec_map)
-        except CompileError as exc:
-            raise BundleError(f"bundle graph failed to compile: "
-                              f"{exc}") from exc
-        self.graph = result.graph
-        self.compile_passes = list(result.passes_applied)
-        self.executor_plan = dict(result.executor_plan)
-
-        # The float classify stage (for similarities / drift monitor)
-        # and, when bound, the packed stage answering requests.
-        classify_exec = self.graph.stages[-1]
-        self._classify = getattr(classify_exec, "inner", classify_exec)
-        self._packed_stage = getattr(classify_exec, "packed", None)
-        self.use_packed = self._packed_stage is not None
-
-        # Feature interface: the first stage after extract/flatten (the
-        # fuse passes may have renamed or removed interior stages).
-        first = self.graph.stages[0]
-        first_inner = getattr(first, "inner", first)
-        self._has_front = isinstance(first_inner,
-                                     (ExtractStage, FlattenStage))
-        names = self.graph.names
+        # Feature interface: the first stage after extract/flatten.
+        first = graph.stages[0]
+        self._has_front = isinstance(first, (ExtractStage, FlattenStage))
+        names = graph.names
         self._feature_entry = names[1] if self._has_front else names[0]
         self._classify_name = names[-1]
         #: Raw features per row: the input width of the feature-entry
         #: (scale) stage, one μ/σ per feature — F, not the encoder's F̂
         #: when a manifold stage reduces in between.
         self.in_features = len(bundle.arrays["scaler.mean"])
-        self.extractor = (first_inner.extractor
-                          if isinstance(first_inner, ExtractStage)
-                          else None)
+        self.extractor = (first.extractor
+                          if isinstance(first, ExtractStage) else None)
 
         self._cache = _EncodedLRU(cache_size) if cache_size > 0 else None
 
@@ -399,8 +367,6 @@ class InferenceEngine:
             "has_extractor": self.extractor is not None,
             "has_manifold": "reduce" in self.graph,
             "cache": self.cache_info(),
-            "compile": {"passes": list(self.compile_passes),
-                        "executors": dict(self.executor_plan)},
             "quality": (None if self.quality is None
                         else self.quality.describe()),
             "config_fingerprint": self.bundle.info.get(

@@ -542,10 +542,6 @@ class ModelServer:
                                             False)),
                 "quality_monitor": getattr(self.engine, "quality",
                                            None) is not None,
-                "compile_passes": list(getattr(self.engine,
-                                               "compile_passes", [])),
-                "executor_plan": dict(getattr(self.engine,
-                                              "executor_plan", {})),
                 "last_reload_ts": self.last_reload_ts,
                 "started_at": self.started_at,
                 "uptime_s": time.time() - self.started_at,

@@ -9,11 +9,12 @@ from repro.hd.similarity import classify, packed_classify
 from repro.learn.manifold import ManifoldLearner
 from repro.learn.mass import normalized_similarity
 from repro.pipeline import (STAGE_TYPES, ClassifyStage, EncodeStage,
-                            FeatureScaler, FlattenStage, ManifoldReduceStage,
-                            PackedClassifyStage, ScaleStage, Stage,
-                            StageError, StageGraph, clamped_norms,
+                            FeatureScaler, FlattenStage, FusedEncodeStage,
+                            ManifoldReduceStage, PackedClassifyStage,
+                            ScalePoolStage, ScaleStage, Stage, StageError,
+                            StageGraph, canonical_json, clamped_norms,
                             cosine_similarities, encoder_spec,
-                            register_stage, stage_from_spec)
+                            packed_refusal, register_stage, stage_from_spec)
 from repro.nn.functional import strided_max_pool
 from repro.utils.rng import fresh_rng
 
@@ -490,3 +491,203 @@ class TestTopologyRoundTrip:
         graph.load_arrays(arrays)
         after = graph.run(data)
         assert not np.array_equal(before, after)
+
+
+def _freeze(graph):
+    return StageGraph.from_topology(graph.topology(),
+                                    graph.state_arrays())
+
+
+def _scale_encode_graph(rng, kind="random_projection", quantize=True,
+                        features=12, dim=128, classes=5, rows=40,
+                        binary_classes=True):
+    """Frozen ``scale → encode → classify`` graph + a matching batch."""
+    batch = rng.standard_normal((rows, features)) * 2.0 + 1.0
+    scaler = FeatureScaler().fit(batch)
+    if kind == "random_projection":
+        encoder = RandomProjectionEncoder(features, dim,
+                                          rng=fresh_rng(3),
+                                          quantize=quantize)
+    else:
+        encoder = NonlinearEncoder(features, dim, rng=fresh_rng(3),
+                                   quantize=quantize)
+    if binary_classes:
+        matrix = np.where(fresh_rng(4).random((classes, dim)) < 0.5,
+                          -1.0, 1.0)
+    else:
+        matrix = fresh_rng(4).standard_normal((classes, dim))
+    graph = StageGraph([ScaleStage(scaler), EncodeStage(encoder),
+                        ClassifyStage(lambda: matrix, frozen=True)])
+    return _freeze(graph), batch
+
+
+def _scale_pool_graph(rng, shape=(4, 6, 6), out_features=5, rows=20):
+    """Frozen ``scale → reduce(pooling)`` graph + a matching batch."""
+    flat = int(np.prod(shape))
+    batch = rng.standard_normal((rows, flat)) * 1.5 - 0.25
+    scaler = FeatureScaler().fit(batch)
+    learner = ManifoldLearner(shape, out_features=out_features,
+                              rng=fresh_rng(11))
+    graph = StageGraph([ScaleStage(scaler),
+                        ManifoldReduceStage.from_learner(learner)])
+    return _freeze(graph), batch
+
+
+def _fuse_scale_encode(graph):
+    """The graph with its leading ``scale → encode`` folded into one."""
+    scale, encode, *rest = graph.stages
+    fused = FusedEncodeStage.from_scale_encode(scale, encode)
+    return StageGraph([fused, *rest], name=graph.name)
+
+
+def _fuse_pool(graph):
+    """The graph with its leading ``scale → reduce`` pool moved into
+    the scale step and the reduce stage re-shaped to the pooled input."""
+    scale, reduce, *rest = graph.stages
+    c, h, w = reduce.feature_shape
+    weight, bias = reduce.weight, reduce.bias
+    plain = ManifoldReduceStage((c, h // 2, w // 2), reduce.out_features,
+                                pooling=False, weight_fn=lambda: weight,
+                                bias_fn=lambda: bias, name=reduce.name)
+    return StageGraph([ScalePoolStage.from_scale_reduce(scale, reduce),
+                       plain, *rest], name=graph.name)
+
+
+# ----------------------------------------------------------------------
+# Fused stages (registered topology types)
+# ----------------------------------------------------------------------
+class TestFusedEncodeStage:
+    @pytest.mark.parametrize("kind", ["random_projection", "nonlinear"])
+    def test_labels_bit_exact(self, rng, kind):
+        frozen, batch = _scale_encode_graph(rng, kind=kind)
+        fused = _fuse_scale_encode(frozen)
+        assert isinstance(fused.stages[0], FusedEncodeStage)
+        assert fused.names == ["encode", "classify"]
+        np.testing.assert_array_equal(fused.run(batch), frozen.run(batch))
+
+    @pytest.mark.parametrize("kind", ["random_projection", "nonlinear"])
+    def test_raw_encodings_within_tolerance(self, rng, kind):
+        frozen, batch = _scale_encode_graph(rng, kind=kind,
+                                            quantize=False)
+        fused = _fuse_scale_encode(frozen)
+        np.testing.assert_allclose(fused.run(batch, stop="classify"),
+                                   frozen.run(batch, stop="classify"),
+                                   rtol=1e-9, atol=1e-9)
+
+    def test_unfitted_scale_rejected(self):
+        encoder = RandomProjectionEncoder(6, 32, rng=fresh_rng(1))
+        with pytest.raises(StageError, match="unfitted"):
+            FusedEncodeStage.from_scale_encode(ScaleStage(),
+                                               EncodeStage(encoder))
+
+    def test_topology_roundtrips(self, rng):
+        frozen, batch = _scale_encode_graph(rng, kind="nonlinear")
+        fused = _fuse_scale_encode(frozen)
+        rebuilt = _freeze(fused)
+        assert isinstance(rebuilt.stages[0], FusedEncodeStage)
+        np.testing.assert_array_equal(rebuilt.run(batch), fused.run(batch))
+
+
+class TestScalePoolStage:
+    def test_bit_exact(self, rng):
+        frozen, batch = _scale_pool_graph(rng)
+        fused = _fuse_pool(frozen)
+        assert isinstance(fused.stages[0], ScalePoolStage)
+        assert fused.names == frozen.names  # boundary moves only
+        assert not fused.stage("reduce").pooling
+        np.testing.assert_array_equal(fused.run(batch), frozen.run(batch))
+
+    def test_odd_spatial_dims_bit_exact(self, rng):
+        frozen, batch = _scale_pool_graph(rng, shape=(2, 5, 7))
+        np.testing.assert_array_equal(_fuse_pool(frozen).run(batch),
+                                      frozen.run(batch))
+
+    def test_topology_roundtrips(self, rng):
+        frozen, batch = _scale_pool_graph(rng)
+        fused = _fuse_pool(frozen)
+        rebuilt = _freeze(fused)
+        assert isinstance(rebuilt.stages[0], ScalePoolStage)
+        np.testing.assert_array_equal(rebuilt.run(batch), fused.run(batch))
+
+
+# ----------------------------------------------------------------------
+# The packed-classify rule
+# ----------------------------------------------------------------------
+class TestPackedRefusal:
+    def test_allows_quantizing_bipolar_graph(self, rng):
+        frozen, _ = _scale_encode_graph(rng)
+        assert packed_refusal(frozen.stages) is None
+
+    def test_packed_graph_bit_exact(self, rng):
+        frozen, batch = _scale_encode_graph(rng)
+        packed = StageGraph(frozen.stages[:-1] + [
+            PackedClassifyStage.from_classify(frozen.stages[-1],
+                                              name="classify")])
+        np.testing.assert_array_equal(packed.run(batch), frozen.run(batch))
+
+    def test_refuses_nonbipolar_classes(self, rng):
+        frozen, _ = _scale_encode_graph(rng, binary_classes=False)
+        assert "bipolar" in packed_refusal(frozen.stages)
+
+    def test_refuses_unquantized_queries(self, rng):
+        # Binarized classes but a continuous encoder: the queries cannot
+        # be bit-packed.
+        frozen, _ = _scale_encode_graph(rng, kind="nonlinear",
+                                        quantize=False)
+        assert "quantizing encoder" in packed_refusal(frozen.stages)
+
+    def test_refuses_live_classify(self, rng):
+        frozen, _ = _scale_encode_graph(rng)
+        matrix = frozen.stages[-1].class_matrix
+        live = ClassifyStage(lambda: matrix, frozen=False)
+        assert "frozen" in packed_refusal(frozen.stages[:-1] + [live])
+
+
+# ----------------------------------------------------------------------
+# Canonical topology emit
+# ----------------------------------------------------------------------
+class TestCanonicalJson:
+    def test_sorted_compact_and_coerced(self):
+        out = canonical_json({"b": np.int64(1), "a": np.float64(2.0)})
+        assert out == '{"a":2.0,"b":1}'
+
+    def test_negative_zero_normalized(self):
+        assert canonical_json(-0.0) == canonical_json(0.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            canonical_json(float("nan"))
+
+    def test_unencodable_type_rejected(self):
+        with pytest.raises(TypeError):
+            canonical_json(object())
+
+    def test_topology_json_deterministic(self, rng):
+        a, _ = _scale_encode_graph(rng)
+        b = _freeze(a)
+        assert a.topology_json() == b.topology_json()
+        assert a.topology_digest() == b.topology_digest()
+        assert len(a.topology_digest()) == 40
+
+    def test_topology_digest_tracks_spec_changes(self, rng):
+        a, _ = _scale_encode_graph(rng, dim=64)
+        b, _ = _scale_encode_graph(rng, dim=128)
+        assert a.topology_digest() != b.topology_digest()
+
+
+# ----------------------------------------------------------------------
+# Error-message satellites
+# ----------------------------------------------------------------------
+class TestErrorMessages:
+    def test_unknown_stage_type_lists_registered(self):
+        with pytest.raises(StageError, match="encode_fused"):
+            stage_from_spec({"type": "quantum", "name": "q"}, {})
+
+    def test_unknown_encoder_type_lists_supported(self):
+        spec = {"type": "encode", "name": "encode",
+                "encoder": {"type": "holographic", "in_features": 4,
+                            "dim": 8}}
+        with pytest.raises(StageError,
+                           match="random_projection.*nonlinear"
+                                 "|nonlinear.*random_projection"):
+            stage_from_spec(spec, {})

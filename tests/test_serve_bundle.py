@@ -1,5 +1,7 @@
 """Model bundles: export from pipelines, round-trip, verification."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,68 @@ class TestValidate:
         bundle.info["encoder"] = {"type": "mystery"}
         with pytest.raises(BundleError, match="unknown encoder"):
             bundle.validate()
+
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "fixtures")
+NSHD_BUNDLE = os.path.join(FIXTURES, "golden_nshd_bundle_packed.npz")
+
+
+def _verify_edited(tmp_path, edit, source=NSHD_BUNDLE):
+    """Save an edited copy of a bundle and ``verify`` it from disk."""
+    bundle = ModelBundle.load(source)
+    edit(bundle.arrays, bundle.info)
+    path = str(tmp_path / "edited.npz")
+    bundle.save(path)
+    return ModelBundle.verify(path)
+
+
+class TestValidateWidthChain:
+    """Extractor → scaler → manifold → encoder widths must agree: the
+    reduce stage reshapes whatever the scaler emits, so a wrong width
+    would be served as the wrong number of rows."""
+
+    def test_scaler_wider_than_manifold(self, tmp_path):
+        def edit(arrays, info):
+            for key in ("scaler.mean", "scaler.std"):
+                arrays[key] = np.tile(arrays[key], 2)
+        with pytest.raises(BundleError, match="manifold after it takes"):
+            _verify_edited(tmp_path, edit)
+
+    def test_scaler_mean_and_std_lengths_differ(self, tmp_path):
+        def edit(arrays, info):
+            arrays["scaler.std"] = arrays["scaler.std"][:-1]
+        with pytest.raises(BundleError, match="one length"):
+            _verify_edited(tmp_path, edit)
+
+    def test_scaler_not_one_dimensional(self, tmp_path):
+        def edit(arrays, info):
+            for key in ("scaler.mean", "scaler.std"):
+                arrays[key] = arrays[key].reshape(1, -1)
+        with pytest.raises(BundleError, match="1-D"):
+            _verify_edited(tmp_path, edit)
+
+    def test_scaler_width_differs_from_encoder(self, synthetic_bundle,
+                                               tmp_path):
+        source = str(tmp_path / "synthetic.npz")
+        synthetic_bundle(features=32).save(source)
+
+        def edit(arrays, info):
+            for key in ("scaler.mean", "scaler.std"):
+                arrays[key] = np.concatenate([arrays[key], [0.0]])
+        with pytest.raises(BundleError, match="encoder after it takes 32"):
+            _verify_edited(tmp_path, edit, source=source)
+
+    def test_extractor_width_differs_from_scaler(self, tmp_path):
+        def edit(arrays, info):
+            info["extractor"]["feature_shape"] = [32, 4, 4]
+        with pytest.raises(BundleError, match="extractor emits 512"):
+            _verify_edited(tmp_path, edit)
+
+    def test_manifold_output_differs_from_encoder(self, tmp_path):
+        def edit(arrays, info):
+            arrays["manifold.weight"] = arrays["manifold.weight"][:8]
+            arrays["manifold.bias"] = arrays["manifold.bias"][:8]
+            info["manifold"]["out_features"] = 8
+        with pytest.raises(BundleError, match="manifold emits 8"):
+            _verify_edited(tmp_path, edit)

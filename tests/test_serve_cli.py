@@ -23,13 +23,11 @@ class TestLoadConfig:
         path.write_text(
             '[server]\nhost = "0.0.0.0"\nport = 9000\n'
             "[batcher]\nmax_batch_size = 64\nworkers = 3\n"
-            "[engine]\ncache_size = 128\n"
-            '[compile.executors]\nclassify = "packed"\n')
+            "[engine]\ncache_size = 128\n")
         config = load_config(str(path))
         assert config == {"host": "0.0.0.0", "port": 9000,
                           "max_batch_size": 64, "workers": 3,
-                          "cache_size": 128,
-                          "compile_executors": {"classify": "packed"}}
+                          "cache_size": 128}
 
     def test_flat_layout(self, tmp_path):
         path = tmp_path / "serve.toml"
@@ -40,8 +38,31 @@ class TestLoadConfig:
     def test_unknown_section_raises(self, tmp_path):
         path = tmp_path / "serve.toml"
         path.write_text("[cluster]\nsize = 3\n")
-        with pytest.raises(ValueError, match=r"unknown config section"):
+        with pytest.raises(ValueError,
+                           match=r"unknown config section \[cluster\]"):
             load_config(str(path))
+
+    def test_legacy_compile_section_rejected(self, tmp_path):
+        # The [compile] section older configs carried, verbatim.
+        path = tmp_path / "serve.toml"
+        path.write_text('[compile]\npasses = "all"\n'
+                        '[compile.executors]\nencode = "threaded"\n')
+        with pytest.raises(ValueError,
+                           match=r"unknown config section \[compile\]"):
+            load_config(str(path))
+
+    def test_compile_keys_rejected(self, tmp_path):
+        # Neither any key under [compile] nor the flat keys it used to
+        # produce is accepted.
+        path = tmp_path / "serve.toml"
+        for key in ("jit", "stage_cache"):
+            path.write_text(f"[compile]\n{key} = 1\n")
+            with pytest.raises(ValueError, match=r"section \[compile\]"):
+                load_config(str(path))
+        for key in ("compile_passes", "compile_executors"):
+            path.write_text(f'{key} = "all"\n')
+            with pytest.raises(ValueError, match=key):
+                load_config(str(path))
 
     def test_unknown_key_raises(self, tmp_path):
         path = tmp_path / "serve.toml"

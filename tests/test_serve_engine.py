@@ -39,6 +39,26 @@ class TestPackedPath:
         with pytest.raises(BundleError, match="bipolar"):
             InferenceEngine(synthetic_bundle(binary=False), use_packed=True)
 
+    def test_use_packed_tristate(self, synthetic_bundle):
+        # None picks packed where allowed, False forces float, True
+        # forces packed or refuses.
+        assert InferenceEngine(synthetic_bundle()).use_packed
+        assert not InferenceEngine(synthetic_bundle(),
+                                   use_packed=False).use_packed
+        assert InferenceEngine(synthetic_bundle(), use_packed=True).use_packed
+        with pytest.raises(BundleError):
+            InferenceEngine(synthetic_bundle(binary=False), use_packed=True)
+
+    def test_forcing_packed_on_unquantized_encoder_raises(
+            self, synthetic_bundle):
+        # Binarized classes but a continuous encoder: the queries cannot
+        # be bit-packed, so an explicit packed request fails at load.
+        bundle = synthetic_bundle()
+        bundle.info["encoder"]["quantize"] = False
+        assert not InferenceEngine(bundle).use_packed
+        with pytest.raises(BundleError, match="quantizing encoder"):
+            InferenceEngine(bundle, use_packed=True)
+
     def test_packed_bitexact_with_float_engine(self, synthetic_bundle):
         bundle = synthetic_bundle(dim=640, features=24, classes=7, seed=3)
         packed = InferenceEngine(bundle, cache_size=0)
@@ -51,10 +71,30 @@ class TestPackedPath:
     def test_selfcheck_catches_corruption(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle())
         assert engine.selfcheck()
-        packed = engine.graph.stage("classify").packed
+        packed = engine.graph.stage("classify")
         packed.packed_classes = np.roll(packed.packed_classes, 1, axis=0)
         with pytest.raises(EngineSelfCheckError):
             engine.selfcheck()
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_legacy_compile_plan_is_ignored(self, synthetic_bundle, binary,
+                                            tmp_path):
+        """An ``info["compile"]`` plan from an older export changes
+        neither the labels nor the packed choice."""
+        plain = synthetic_bundle(binary=binary)
+        legacy = synthetic_bundle(binary=binary)
+        # The plan exactly as older exports persisted it.
+        legacy.info["compile"] = {'passes': 'all',
+                                  'executors': {'encode': 'threaded'}}
+        path = str(tmp_path / "legacy.npz")
+        legacy.save(path)
+        features = fresh_rng((8, "engine-legacy-plan")).standard_normal(
+            (64, 32))
+        want = InferenceEngine(plain, cache_size=0)
+        got = InferenceEngine.from_path(path, cache_size=0)
+        assert got.use_packed == want.use_packed == binary
+        np.testing.assert_array_equal(got.predict_features(features),
+                                      want.predict_features(features))
 
 
 class TestFloatPath:
