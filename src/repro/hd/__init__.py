@@ -17,13 +17,15 @@ from .hypervector import (bind, bundle, expected_overlap_std, hard_quantize,
                           is_bipolar, permute, random_bipolar, random_gaussian)
 from .similarity import (classify, cosine_similarity, dot_similarity,
                          hamming_similarity, packed_classify,
+                         packed_cosine_similarity,
                          packed_hamming_similarity)
 
 __all__ = [
     "bind", "bundle", "permute", "hard_quantize", "is_bipolar",
     "random_bipolar", "random_gaussian", "expected_overlap_std",
     "dot_similarity", "cosine_similarity", "hamming_similarity", "classify",
-    "packed_hamming_similarity", "packed_classify",
+    "packed_cosine_similarity", "packed_hamming_similarity",
+    "packed_classify",
     "Encoder", "RandomProjectionEncoder", "NonlinearEncoder",
     "IDLevelEncoder", "LSHEncoder",
     "pack_bipolar", "unpack_bipolar", "packed_dot", "popcount",

@@ -13,7 +13,8 @@ from ..telemetry import get_registry, span
 from .backend import packed_dot
 
 __all__ = ["dot_similarity", "cosine_similarity", "hamming_similarity",
-           "packed_hamming_similarity", "packed_classify", "classify"]
+           "packed_cosine_similarity", "packed_hamming_similarity",
+           "packed_classify", "classify"]
 
 
 def _count_queries(class_matrix: np.ndarray, queries: np.ndarray) -> None:
@@ -80,18 +81,19 @@ def hamming_similarity(class_matrix: np.ndarray,
     return (dots / dim + 1.0) / 2.0
 
 
-def packed_hamming_similarity(packed_classes: np.ndarray,
-                              packed_queries: np.ndarray,
-                              dim: int) -> np.ndarray:
-    """Normalized Hamming similarity from **bit-packed** operands.
+def packed_cosine_similarity(packed_classes: np.ndarray,
+                             packed_queries: np.ndarray,
+                             dim: int) -> np.ndarray:
+    """Cosine similarity ``dot / D`` from **bit-packed** bipolar operands.
 
     The serving fast path (Schmuck et al., "Hardware Optimizations of
     Dense Binary HD Computing"): bipolar hypervectors packed into uint64
     words via :func:`repro.hd.backend.pack_bipolar`; the similarity sweep
-    is XOR + popcount with no multiplications.  For bipolar vectors the
-    result equals :func:`hamming_similarity` on the unpacked operands
-    *exactly* — ``dot = D − 2·popcount(xor)`` is integer arithmetic, so
-    ranking agrees bit-for-bit with :func:`dot_similarity`.
+    is XOR + popcount with no multiplications.  ``dot = D − 2·popcount
+    (xor)`` is integer arithmetic, so ranking agrees bit-for-bit with
+    :func:`dot_similarity` on the unpacked operands, and each value is
+    the float cosine of two ±1 vectors (both norms are √D) to within a
+    few ulps.
 
     Parameters
     ----------
@@ -104,7 +106,7 @@ def packed_hamming_similarity(packed_classes: np.ndarray,
 
     Returns
     -------
-    ``(n, k)`` (or ``(k,)``) similarities in ``[0, 1]``.
+    ``(n, k)`` (or ``(k,)``) similarities in ``[-1, 1]``.
     """
     single = np.asarray(packed_queries).ndim == 1
     queries = np.atleast_2d(np.asarray(packed_queries, dtype=np.uint64))
@@ -115,8 +117,19 @@ def packed_hamming_similarity(packed_classes: np.ndarray,
     registry.inc("hd.similarity.packed_bitops", n * k * classes.shape[1])
     with span("hd.similarity.packed", nbytes=int(queries.nbytes)):
         dots = packed_dot(queries, classes, dim)
-    sims = (dots / dim + 1.0) / 2.0
+    sims = dots / dim
     return sims[0] if single else sims
+
+
+def packed_hamming_similarity(packed_classes: np.ndarray,
+                              packed_queries: np.ndarray,
+                              dim: int) -> np.ndarray:
+    """Normalized Hamming similarity in ``[0, 1]`` from bit-packed
+    operands: ``(cosine + 1) / 2`` of
+    :func:`packed_cosine_similarity`, equal to
+    :func:`hamming_similarity` on the unpacked bipolar operands."""
+    return (packed_cosine_similarity(packed_classes, packed_queries,
+                                     dim) + 1.0) / 2.0
 
 
 def packed_classify(packed_classes: np.ndarray, packed_queries: np.ndarray,
@@ -127,7 +140,7 @@ def packed_classify(packed_classes: np.ndarray, packed_queries: np.ndarray,
     the unpacked bipolar operands (ties break to the lowest class index
     in both, since packed dots are exact integers).
     """
-    sims = packed_hamming_similarity(packed_classes, packed_queries, dim)
+    sims = packed_cosine_similarity(packed_classes, packed_queries, dim)
     return np.asarray(sims.argmax(axis=-1))
 
 

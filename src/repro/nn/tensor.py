@@ -405,13 +405,17 @@ class Tensor:
     def sign_ste(self) -> "Tensor":
         """Sign with a straight-through estimator gradient.
 
-        Forward: ``sign(x)`` (zeros map to +1 so outputs are bipolar).
+        Forward: ``sign(x)`` (zeros map to +1 so outputs are bipolar;
+        NaN maps to -1).
         Backward: identity gradient clipped to ``|x| <= 1``, the standard
         straight-through estimator used for binary neural networks
         (Courbariaux et al., BinaryNet) and adopted by NSHD's manifold
         training (Sec. V-C of the paper).
         """
-        data = np.where(self.data >= 0, 1.0, -1.0)
+        # The serving quantizer's expression (repro.hd.hypervector.
+        # hard_quantize; importing it would cycle through telemetry), so
+        # a trained manifold and the served encoder agree bit for bit.
+        data = (self.data >= 0) * 2.0 - 1.0
         mask = np.abs(self.data) <= 1.0
 
         def backward(grad: np.ndarray) -> None:

@@ -12,7 +12,9 @@ variant); this module is now the **only** implementation.
 A :class:`Stage` is a named, serializable unit of computation:
 
 * ``stage(batch, ctx)`` maps an ``(n, …)`` numpy batch to the next
-  representation;
+  representation; the optional ``ctx`` dict is shared by every stage of
+  one ``StageGraph.run``, and a classify stage leaves the ``(n, k)``
+  score matrix it ranked there as ``ctx["similarities"]``;
 * ``spec()`` returns the JSON-serializable *topology* entry (type +
   hyperparameters, no weights) used to rebuild the stage;
 * ``state_arrays()`` / ``load_arrays()`` move the stage's weights in and
@@ -35,6 +37,7 @@ enforce this against predictions recorded before the refactor.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -43,7 +46,7 @@ from ..hd.backend import pack_bipolar
 from ..hd.encoders import (Encoder, NonlinearEncoder,
                            RandomProjectionEncoder)
 from ..hd.hypervector import hard_quantize, is_bipolar
-from ..hd.similarity import packed_classify
+from ..hd.similarity import packed_cosine_similarity
 from ..models.extractor import FeatureExtractor
 from ..nn.functional import strided_max_pool
 from ..telemetry import get_registry, span
@@ -222,7 +225,7 @@ class FlattenStage(Stage):
     def __call__(self, batch: np.ndarray, ctx: Optional[dict] = None
                  ) -> np.ndarray:
         batch = np.asarray(batch)
-        return batch.reshape(len(batch), -1)
+        return batch.reshape(len(batch), math.prod(batch.shape[1:]))
 
     @classmethod
     def from_spec(cls, spec: Dict[str, Any],
@@ -371,7 +374,7 @@ class ManifoldReduceStage(Stage):
         x = features.reshape(-1, c, h, w)
         if self.pooling:
             x = strided_max_pool(x)
-        pooled = x.reshape(len(x), -1)
+        pooled = x.reshape(len(x), math.prod(x.shape[1:]))
         out = pooled @ self.weight.T
         bias = self.bias
         if bias is not None:
@@ -810,7 +813,10 @@ class ClassifyStage(Stage):
 
     def __call__(self, batch: np.ndarray, ctx: Optional[dict] = None
                  ) -> np.ndarray:
-        return np.asarray(self.similarities(batch).argmax(axis=1))
+        sims = self.similarities(batch)
+        if ctx is not None:
+            ctx["similarities"] = sims
+        return np.asarray(sims.argmax(axis=1))
 
     def spec(self) -> Dict[str, Any]:
         return {"type": self.stage_type, "name": self.name,
@@ -856,10 +862,10 @@ class PackedClassifyStage(Stage):
     The serving fast path: class hypervectors packed to uint64 words,
     queries packed per call, similarity = XOR + popcount.  Ranks
     identically to the float cosine path for bipolar operands (integer
-    dots, no rounding).  The serving engine derives it from a frozen
-    :class:`ClassifyStage` where :func:`packed_refusal` allows — it is
-    an execution *variant*, not a separate topology entry, so it is not
-    registered for serialization.
+    dots, no rounding); its scores are cosines, ``dots / D``.  The
+    serving engine derives it from a frozen :class:`ClassifyStage` where
+    :func:`packed_refusal` allows — it is an execution *variant*, not a
+    separate topology entry, so it is not registered for serialization.
     """
 
     stage_type = "classify_packed"
@@ -874,7 +880,11 @@ class PackedClassifyStage(Stage):
     def __call__(self, batch: np.ndarray, ctx: Optional[dict] = None
                  ) -> np.ndarray:
         packed = pack_bipolar(np.atleast_2d(batch))
-        return packed_classify(self.packed_classes, packed, self.dim)
+        sims = packed_cosine_similarity(self.packed_classes, packed,
+                                        self.dim)
+        if ctx is not None:
+            ctx["similarities"] = sims
+        return np.asarray(sims.argmax(axis=1))
 
     def spec(self) -> Dict[str, Any]:
         return {"type": self.stage_type, "name": self.name,

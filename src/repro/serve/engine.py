@@ -166,8 +166,8 @@ class InferenceEngine:
 
         # -- the executable: one frozen stage graph --------------------
         graph = bundle.build_graph(build_extractor=build_extractor)
-        # The float classify stage answers similarities (and the drift
-        # monitor) even when the packed stage answers requests.
+        # The float classify stage answers similarities() even when the
+        # packed stage answers requests.
         self._classify = graph.stages[-1]
         if not isinstance(self._classify, ClassifyStage):
             raise BundleError(
@@ -287,22 +287,26 @@ class InferenceEngine:
         registry.inc("serve.samples", len(raw_features))
         with span("serve.predict", nbytes=int(raw_features.nbytes)):
             encoded = self.encode_features(raw_features)
+            # The classify stage leaves the scores it ranked in ctx: the
+            # drift monitor reads those instead of classifying again.
+            ctx: Dict[str, np.ndarray] = {}
             labels = np.asarray(self.graph.run(
-                encoded, start=self._classify_name))
-            if self.quality is not None:
-                self._observe_quality(raw_features, labels, encoded)
+                encoded, start=self._classify_name, ctx=ctx))
+            if self.quality is not None and len(labels):
+                self._observe_quality(raw_features, labels, encoded,
+                                      ctx["similarities"])
             return labels
 
     def _observe_quality(self, raw_features: np.ndarray,
-                         labels: np.ndarray,
-                         encoded: np.ndarray) -> None:
+                         labels: np.ndarray, encoded: np.ndarray,
+                         similarities: np.ndarray) -> None:
         """Feed the drift monitor; a monitor bug must never fail serving."""
         try:
             with span("serve.quality",
                       nbytes=int(raw_features.nbytes)):
-                sims = self._classify.similarities(encoded)
                 self.quality.observe(raw_features, labels=labels,
-                                     similarities=sims, encoded=encoded)
+                                     similarities=similarities,
+                                     encoded=encoded)
         except Exception:
             get_registry().inc("quality.monitor_errors")
 

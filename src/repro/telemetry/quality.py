@@ -39,11 +39,14 @@ frozen at export time:
 
 Everything is numpy + stdlib and O(window) memory.  A batch enters the
 window in one vectorized update (``np.bincount`` moves for the evicted
-and the new rows).  On 1024 features, D = 3000 and a 2-vCPU VM, a
-256-row :meth:`DriftMonitor.observe` costs about 7 ms: window update
-≈ 5 ms, saturation gauge ≈ 1.3 ms, both histograms ≈ 0.1 ms (the
-engine's similarity pass feeding it adds ≈ 2.3 ms).  A single row costs
-about 0.4 ms, mostly the per-feature PSI refresh.  The
+and the new rows); the PSI and z-score are recomputed from the tallies
+only when read, or once per ``min_samples`` observed rows.  The
+similarities come from the engine's own classify pass, so feeding the
+monitor costs no second classify.  On 1024 features, D = 3000 and a
+2-vCPU VM, a 256-row :meth:`DriftMonitor.observe` costs about 6 ms:
+binning ≈ 1.5 ms, the window tallies ≈ 3.3 ms, saturation gauge
+≈ 0.8 ms, refresh ≈ 0.2 ms, both histograms ≈ 0.1 ms.  A single row
+costs about 0.15 ms (0.45 ms when every row refreshed).  The
 ``scripts/check_quality.sh`` gate bounds the serve-P99 overhead at < 5%.
 """
 
@@ -106,6 +109,14 @@ def _psi_rows(expected: tuple, actual: tuple) -> np.ndarray:
     (e, e_mass), (a, a_mass) = expected, actual
     psi = np.sum((a - e) * np.log(a / e), axis=1)
     return np.where(e_mass & a_mass, psi, 0.0)
+
+
+def _top_features(psi: np.ndarray, k: int = 5) -> List[Dict[str, float]]:
+    """The ``k`` entries of a per-feature PSI row with the largest
+    positive PSI, descending."""
+    order = np.argsort(psi)[::-1][:max(0, int(k))]
+    return [{"feature": int(i), "psi": float(psi[i])}
+            for i in order if psi[i] > 0.0]
 
 
 def _quantile_dict(values: np.ndarray) -> Dict[str, float]:
@@ -344,10 +355,17 @@ class DriftMonitor:
 
     Thread-safe; every serving thread calls :meth:`observe` with the
     raw features (scaler inputs), predicted labels, and optionally the
-    similarity matrix and encoded hypervectors of a batch.  After each
-    update the headline scalars are republished as ``quality.*``
-    gauges, so the alert rules engine (and Prometheus scrapes) always
-    see the current window:
+    similarity matrix and encoded hypervectors of a batch.  ``observe``
+    only tallies the batch into the window.  The headline scalars (the
+    PSI and z-score rows below) are recomputed from those tallies and
+    republished as ``quality.*`` gauges when something reads them —
+    :meth:`snapshot` (``/driftz``) and :meth:`top_features` are always
+    current — and by ``observe`` once at least ``min_samples`` rows have
+    arrived since the last refresh.  The gauges the alert rules engine
+    and Prometheus scrapes read therefore lag the window by fewer than
+    ``min_samples`` rows; a batch of ``min_samples`` rows or more
+    refreshes them on its own.  The sample counter, window fill,
+    histograms and saturation gauge are published on every call:
 
     ====================================  =============================
     metric                                meaning
@@ -363,8 +381,9 @@ class DriftMonitor:
     ``quality.encoded.saturation``        saturation of last batch
     ====================================  =============================
 
-    Gauges stay 0 until ``min_samples`` rows are in the window, so a
-    cold start cannot fire a drift alert off three requests.
+    The PSI and z-score gauges stay 0 until ``min_samples`` rows are in
+    the window, so a cold start cannot fire a drift alert off three
+    requests.
     """
 
     def __init__(self, baseline: QualityBaseline, window: int = 512,
@@ -394,6 +413,9 @@ class DriftMonitor:
         self._pos = 0
         self._size = 0
         self._labeled = 0
+        # Rows observed since the last refresh; infinite until the first,
+        # so the first batch publishes the (cold-start zero) gauges.
+        self._stale = math.inf
         self.samples = 0
         self._last = {"feature_psi_max": 0.0, "feature_psi_mean": 0.0,
                       "feature_zscore_max": 0.0, "prediction_psi": 0.0,
@@ -414,7 +436,9 @@ class DriftMonitor:
         served predictions; ``similarities`` the ``(n, k)`` matrix (for
         margin/confidence histograms); ``encoded`` the query
         hypervectors (for the saturation gauge).  Everything except
-        ``features`` is optional.
+        ``features`` is optional.  The headline gauges are refreshed here
+        only once ``min_samples`` rows have arrived since the last
+        refresh (see the class docstring).
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         n = features.shape[0]
@@ -461,21 +485,17 @@ class DriftMonitor:
             self.samples += n
             if saturation is not None:
                 self._last["saturation"] = float(saturation)
-            self._refresh_locked()
-            snapshot = dict(self._last)
+            self._stale += n
+            headline = None
+            if self._stale >= self.min_samples:
+                headline = self._refresh_locked()
             size = self._size
 
         registry.inc(f"{self.prefix}.samples", n)
         registry.set_gauge(f"{self.prefix}.window_fill",
                            size / self.window)
-        registry.set_gauge(f"{self.prefix}.feature.psi_max",
-                           snapshot["feature_psi_max"])
-        registry.set_gauge(f"{self.prefix}.feature.psi_mean",
-                           snapshot["feature_psi_mean"])
-        registry.set_gauge(f"{self.prefix}.feature.zscore_max",
-                           snapshot["feature_zscore_max"])
-        registry.set_gauge(f"{self.prefix}.prediction.psi",
-                           snapshot["prediction_psi"])
+        if headline is not None:
+            self._publish(registry, headline)
         if saturation is not None:
             registry.set_gauge(f"{self.prefix}.encoded.saturation",
                                float(saturation))
@@ -499,14 +519,16 @@ class DriftMonitor:
             labels[(labels >= 0) & (labels < k)], minlength=k)
         self._labeled += sign * int(np.count_nonzero(labels >= 0))
 
-    def _refresh_locked(self) -> None:
-        """Recompute the headline scalars (caller holds the lock)."""
+    def _refresh_locked(self) -> Dict[str, float]:
+        """Recompute the headline scalars from the window tallies and
+        return a copy of them (caller holds the lock)."""
+        self._stale = 0
         if self._size < self.min_samples:
             self._feature_psi[:] = 0.0
             self._last.update(feature_psi_max=0.0, feature_psi_mean=0.0,
                               feature_zscore_max=0.0,
                               prediction_psi=0.0)
-            return
+            return dict(self._last)
         psi = _psi_rows(self._expected, _proportions(self._counts))
         self._feature_psi = psi
         win_mean = self._feat_sum / self._size
@@ -521,25 +543,42 @@ class DriftMonitor:
             feature_psi_mean=float(psi.mean()) if psi.size else 0.0,
             feature_zscore_max=float(np.abs(z).max()) if z.size else 0.0,
             prediction_psi=float(pred_psi))
+        return dict(self._last)
+
+    def _publish(self, registry: MetricsRegistry,
+                 headline: Dict[str, float]) -> None:
+        """Set the four headline gauges from a refresh's scalars."""
+        registry.set_gauge(f"{self.prefix}.feature.psi_max",
+                           headline["feature_psi_max"])
+        registry.set_gauge(f"{self.prefix}.feature.psi_mean",
+                           headline["feature_psi_mean"])
+        registry.set_gauge(f"{self.prefix}.feature.zscore_max",
+                           headline["feature_zscore_max"])
+        registry.set_gauge(f"{self.prefix}.prediction.psi",
+                           headline["prediction_psi"])
 
     # ------------------------------------------------------------------
+    # Readers refresh first (and republish the headline gauges), so what
+    # they return describes the window as of the call.
     def top_features(self, k: int = 5) -> List[Dict[str, float]]:
         """The ``k`` features with the worst window PSI (descending)."""
         with self._lock:
+            last = self._refresh_locked()
             psi = self._feature_psi.copy()
-        order = np.argsort(psi)[::-1][:max(0, int(k))]
-        return [{"feature": int(i), "psi": float(psi[i])}
-                for i in order if psi[i] > 0.0]
+        self._publish(self._registry(), last)
+        return _top_features(psi, k)
 
     def snapshot(self) -> Dict[str, Any]:
         """``/driftz`` payload: window stats + baseline facts."""
         with self._lock:
-            last = dict(self._last)
+            last = self._refresh_locked()
+            psi = self._feature_psi.copy()
             size = self._size
             labeled = self._labeled
             label_counts = self._label_counts.copy()
             samples = self.samples
         registry = self._registry()
+        self._publish(registry, last)
         margins: Dict[str, Any] = {}
         confidences: Dict[str, Any] = {}
         for name, out in ((f"{self.prefix}.margin", margins),
@@ -565,7 +604,7 @@ class DriftMonitor:
                 "psi_max": last["feature_psi_max"],
                 "psi_mean": last["feature_psi_mean"],
                 "zscore_max": last["feature_zscore_max"],
-                "top": self.top_features(),
+                "top": _top_features(psi),
             },
             "prediction": {
                 "psi": last["prediction_psi"],
@@ -602,6 +641,7 @@ class DriftMonitor:
             self._pos = 0
             self._size = 0
             self._labeled = 0
+            self._stale = math.inf
             self.samples = 0
             self._last = {"feature_psi_max": 0.0,
                           "feature_psi_mean": 0.0,

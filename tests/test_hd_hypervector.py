@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import hd
+from repro.nn import Tensor
 
 
 def rng(seed=0):
@@ -86,6 +87,23 @@ class TestAlgebra:
     def test_hard_quantize(self):
         np.testing.assert_allclose(hd.hard_quantize(np.array([-0.2, 0.0, 3.0])),
                                    [-1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("dtype, width", [(np.float64, 64),
+                                              (np.float32, 32)])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_property_quantizers_match_where(self, dtype, width, data):
+        """The serving quantizer and the manifold's ``sign_ste`` forward
+        are both ``np.where(x >= 0, 1.0, -1.0)``, bit for bit."""
+        values = data.draw(st.lists(st.floats(width=width), max_size=48))
+        x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf] + values,
+                     dtype=dtype)
+        x = x[data.draw(st.permutations(range(len(x))))]
+        want = np.where(x >= 0, 1.0, -1.0)
+        for got in (hd.hard_quantize(x), Tensor(x).sign_ste().data):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
 
     @given(st.integers(min_value=2, max_value=64),
            st.integers(min_value=0, max_value=2 ** 31 - 1))

@@ -1,6 +1,7 @@
 """Inference engine: packed/float agreement, caching, pipeline parity."""
 
 import hashlib
+import os
 from collections import OrderedDict
 
 import numpy as np
@@ -12,7 +13,11 @@ from repro.learn.mass import normalized_similarity
 from repro.serve import (BundleError, EngineSelfCheckError, InferenceEngine,
                          ModelBundle)
 from repro.telemetry import use_registry
+from repro.telemetry.quality import QualityBaseline
 from repro.utils.rng import fresh_rng
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "fixtures")
 
 
 @pytest.fixture(scope="module")
@@ -272,3 +277,33 @@ class TestFromPath:
         features = rng.standard_normal((12, 32))
         np.testing.assert_array_equal(engine.predict_features(features),
                                       reference.predict_features(features))
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("use_packed", [None, False])
+    @pytest.mark.parametrize("cache_size", [0, 256])
+    @pytest.mark.parametrize("quality", [False, True])
+    def test_empty_batch_serves_no_labels(self, use_packed, cache_size,
+                                          quality):
+        """A ``(0, F)`` batch through the golden NSHD bundle (scale →
+        reduce → encode → classify) returns no labels and leaves the
+        drift monitor untouched; the next batch serves as before."""
+        bundle = ModelBundle.load(
+            os.path.join(FIXTURES, "golden_nshd_bundle_packed.npz"))
+        with np.load(os.path.join(FIXTURES, "golden_inputs.npz")) as golden:
+            raw = golden["nshd.raw_features"]
+            want = golden["nshd.packed_labels"]
+        if quality:
+            bundle.info["quality_baseline"] = QualityBaseline.from_training(
+                raw, num_classes=bundle.info["num_classes"]).to_dict()
+        with use_registry():
+            engine = InferenceEngine(bundle, use_packed=use_packed,
+                                     cache_size=cache_size,
+                                     quality=quality)
+            labels = engine.predict_features(np.empty((0, raw.shape[1])))
+            assert labels.shape == (0,)
+            assert labels.dtype.kind == "i"
+            if quality:
+                assert engine.quality.samples == 0
+            np.testing.assert_array_equal(engine.predict_features(raw),
+                                          want)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.data import make_dataset
 from repro.learn import VanillaHD
+from repro.pipeline import stages
 from repro.serve import BundleError, InferenceEngine, ModelBundle, ModelServer
 from repro.serve.__main__ import _parse_args, build_server, load_config
 from repro.serve.fleet import StaticFleet
@@ -168,6 +169,80 @@ class TestEngineWiring:
                 np.random.default_rng(0).normal(size=(4, 16)))
             assert len(labels) == 4
             assert registry.get("quality.monitor_errors").value == 1
+
+
+class TestClassifyOnce:
+    """``predict_features`` ranks each batch once; the drift monitor is
+    fed the score matrix the classify stage ranked."""
+
+    @staticmethod
+    def _spy(engine):
+        fed = []
+        observe = engine.quality.observe
+
+        def spy(*args, **kwargs):
+            fed.append(kwargs["similarities"])
+            return observe(*args, **kwargs)
+        engine.quality.observe = spy
+        return fed
+
+    @pytest.mark.parametrize("use_packed", [None, False])
+    def test_one_classify_pass_per_call(self, monkeypatch, use_packed):
+        engine = InferenceEngine(bundle_with_baseline(seed=4),
+                                 build_extractor=False,
+                                 use_packed=use_packed)
+        assert engine.use_packed is (use_packed is None)
+        calls = {"cosine_similarities": 0, "packed_cosine_similarity": 0}
+        for name in calls:
+            kernel = getattr(stages, name)
+
+            def counted(*args, _kernel=kernel, _name=name, **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+            monkeypatch.setattr(stages, name, counted)
+        rng = np.random.default_rng(4)
+        for rows in (64, 1, 3):
+            engine.predict_features(rng.normal(size=(rows, 16)))
+        ran = ("packed_cosine_similarity" if engine.use_packed
+               else "cosine_similarities")
+        assert calls[ran] == 3
+        assert sum(calls.values()) == 3
+        assert engine.quality.samples == 68
+
+    def test_packed_scores_match_the_float_engine(self):
+        bundle = bundle_with_baseline(seed=5)
+        x = np.random.default_rng(5).normal(size=(200, 16))
+        fed, summaries = {}, {}
+        for use_packed in (True, False):
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                engine = InferenceEngine(bundle, build_extractor=False,
+                                         use_packed=use_packed)
+                fed[use_packed] = self._spy(engine)
+                engine.predict_features(x[:64])
+                engine.predict_features(x[64:])
+            summaries[use_packed] = {
+                name: registry.get(f"quality.{name}").summary()
+                for name in ("confidence", "margin")}
+        for packed, floating in zip(fed[True], fed[False]):
+            np.testing.assert_allclose(packed, floating, rtol=0,
+                                       atol=1e-12)
+        for name in ("confidence", "margin"):
+            packed, floating = summaries[True][name], summaries[False][name]
+            assert packed["count"] == floating["count"] == 200
+            for key in ("mean", "min", "max", "p50", "p95", "p99"):
+                assert abs(packed[key] - floating[key]) <= 1e-12, \
+                    (name, key)
+
+    def test_float_engine_feeds_the_ranked_matrix(self):
+        engine = InferenceEngine(bundle_with_baseline(seed=6),
+                                 build_extractor=False, use_packed=False)
+        fed = self._spy(engine)
+        x = np.random.default_rng(6).normal(size=(32, 16))
+        labels = engine.predict_features(x)
+        want = engine.similarities(engine.encode_features(x))
+        np.testing.assert_array_equal(fed[0], want)
+        np.testing.assert_array_equal(labels, want.argmax(axis=1))
 
 
 @pytest.fixture

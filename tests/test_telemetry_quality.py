@@ -1,11 +1,15 @@
 """Streaming quality telemetry: baselines, PSI, drift monitors."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, load_alert_rules
+from repro.telemetry.alerts import AlertManager
 from repro.telemetry.quality import (BASELINE_VERSION, DriftMonitor,
                                      QualityBaseline,
                                      population_stability_index)
@@ -318,6 +322,130 @@ class TestDriftMonitor:
         for _ in range(3):
             monitor.observe(rng.normal(size=(3, 6)))
         assert np.isfinite(monitor.snapshot()["feature"]["zscore_max"])
+
+
+def _window_psi_max(baseline, rows):
+    """Reference ``feature.psi_max`` of a window holding ``rows``, from
+    the public PSI function, one feature at a time."""
+    bins = baseline.bin_indices(rows)
+    return max(population_stability_index(
+        baseline.expected[f],
+        np.bincount(bins[:, f], minlength=baseline.n_bins))
+        for f in range(baseline.num_features))
+
+
+class TestRefreshOnRead:
+    """``observe`` only tallies; readers see the window as of the call,
+    and the gauges lag it by fewer than ``min_samples`` rows."""
+
+    WINDOW, MIN = 128, 16
+
+    def _stream(self, baseline, rows):
+        """Feed ``rows`` one at a time; yield ``(monitor, registry, i,
+        reference psi_max of the window after row i)``."""
+        registry = MetricsRegistry()
+        monitor = DriftMonitor(baseline, window=self.WINDOW,
+                               min_samples=self.MIN, registry=registry)
+        for i in range(len(rows)):
+            monitor.observe(rows[i])
+            window = rows[max(0, i + 1 - self.WINDOW):i + 1]
+            psi = (_window_psi_max(baseline, window)
+                   if len(window) >= self.MIN else 0.0)
+            yield monitor, registry, i, psi
+
+    @staticmethod
+    def _drifting_rows(n, seed):
+        rng = _rng(seed)
+        rows = rng.normal(size=(n, 6))
+        rows[n // 3:] += np.linspace(0.0, 3.0, n - n // 3)[:, None]
+        return rows
+
+    def test_snapshot_is_always_fresh(self, baseline):
+        rows = self._drifting_rows(300, seed=8)
+        for monitor, _, i, want in self._stream(baseline, rows):
+            snap = monitor.snapshot()
+            assert snap["samples"] == i + 1
+            assert snap["feature"]["psi_max"] == pytest.approx(
+                want, rel=1e-9, abs=1e-12)
+            top = [entry["psi"] for entry in monitor.top_features(1)]
+            assert top == ([] if want == 0.0
+                           else [pytest.approx(want, rel=1e-9)])
+
+    def test_gauges_lag_fewer_than_min_samples_rows(self, baseline):
+        rows = self._drifting_rows(300, seed=9)
+        history = []
+        refreshes = 0
+        last = None
+        for monitor, registry, i, want in self._stream(baseline, rows):
+            history.append(want)
+            gauge = registry.get("quality.feature.psi_max").value
+            if gauge != last:
+                refreshes += 1
+                last = gauge
+            recent = history[max(0, i + 1 - self.MIN):]
+            assert any(gauge == pytest.approx(value, rel=1e-9, abs=1e-12)
+                       for value in recent), i
+        # One refresh per MIN rows, not one per row.
+        assert 300 // self.MIN - 2 <= refreshes <= 300 // self.MIN + 1
+
+    def test_single_row_stream_fires_feature_drift_within_a_window(
+            self, baseline):
+        """check_quality's rule and window (256 rows, 64 to warm up),
+        fed single rows: a clean window stays quiet, and a covariate
+        shift fires before it has filled the window."""
+        rules = load_alert_rules([{"name": "feature-drift",
+                                   "metric": "quality.feature.psi_max",
+                                   "op": ">", "threshold": 0.25}])
+        registry = MetricsRegistry()
+        monitor = DriftMonitor(baseline, window=256, min_samples=64,
+                               registry=registry)
+        alerts = AlertManager(rules, registry=registry)
+        rng = _rng(10)
+        for row in rng.normal(size=(256, 6)):
+            monitor.observe(row)
+        alerts.evaluate()
+        assert alerts.firing() == []
+        for shifted in range(1, 257):
+            monitor.observe(3.0 + 2.0 * rng.normal(size=6))
+            alerts.evaluate()
+            if alerts.firing():
+                break
+        assert alerts.firing() == ["feature-drift"]
+        assert shifted < 256
+
+    def test_concurrent_observe_and_read(self, baseline):
+        """Threads observing single rows while others read: no row is
+        lost from the tallies, and a last read publishes what it saw."""
+        registry = MetricsRegistry()
+        monitor = DriftMonitor(baseline, window=self.WINDOW,
+                               min_samples=self.MIN, registry=registry)
+        rows = self._drifting_rows(4 * 150, seed=12)
+
+        def feed(part):
+            for i, row in enumerate(part):
+                monitor.observe(row, labels=[i % 4])
+                if i % 25 == 0:
+                    monitor.snapshot()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=feed, args=(rows[k::4],))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert monitor.samples == 600
+        np.testing.assert_array_equal(monitor._counts.sum(axis=1),
+                                      self.WINDOW)
+        assert monitor._labeled == self.WINDOW
+        snap = monitor.snapshot()
+        assert registry.get("quality.feature.psi_max").value == \
+            snap["feature"]["psi_max"]
 
 
 @st.composite
