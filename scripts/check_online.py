@@ -54,6 +54,7 @@ if _SRC not in sys.path:
 from synthetic import synthetic_bundle  # noqa: E402
 
 from repro import telemetry  # noqa: E402
+from repro.hd.backend import unpack_bipolar  # noqa: E402
 from repro.hd.hypervector import hard_quantize  # noqa: E402
 from repro.serve import InferenceEngine  # noqa: E402
 from repro.serve.__main__ import _parse_args, build_server  # noqa: E402
@@ -171,14 +172,15 @@ def clustered_bundle_path(workdir, args, clusters) -> str:
                               args.seed)
     engine = InferenceEngine(bundle, build_extractor=False)
     classes = np.vstack([
-        hard_quantize(np.asarray(engine.encode_features(
-            clusters.sample(label, 64))).mean(axis=0))
+        hard_quantize(unpack_bipolar(engine.encode_features(
+            clusters.sample(label, 64)), engine.dim).mean(axis=0))
         for label in range(args.classes)])
     bundle.arrays["classes"] = classes
     # Rebuild so the baseline sees the *clustered* class matrix.
     engine = InferenceEngine(bundle, build_extractor=False)
     train, _ = clusters.mixed(range(args.classes), 64)
-    sims = np.asarray(engine.similarities(engine.encode_features(train)))
+    sims = np.asarray(engine.similarities(
+        unpack_bipolar(engine.encode_features(train), engine.dim)))
     bundle.info["quality_baseline"] = QualityBaseline.from_training(
         train, labels=np.argmax(sims, axis=1),
         num_classes=args.classes, similarities=sims).to_dict()

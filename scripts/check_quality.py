@@ -43,6 +43,7 @@ if _SRC not in sys.path:
 from synthetic import synthetic_bundle  # noqa: E402
 
 from repro import telemetry  # noqa: E402
+from repro.hd.backend import unpack_bipolar  # noqa: E402
 from repro.serve import InferenceEngine  # noqa: E402
 from repro.serve.__main__ import _parse_args, build_server  # noqa: E402
 from repro.telemetry.quality import QualityBaseline  # noqa: E402
@@ -133,7 +134,8 @@ def baselined_bundle_path(workdir, args) -> str:
     engine = InferenceEngine(bundle, build_extractor=False)
     rng = fresh_rng((args.seed, "check-quality-baseline"))
     train = rng.standard_normal((args.baseline_rows, args.features))
-    sims = np.asarray(engine.similarities(engine.encode_features(train)))
+    sims = np.asarray(engine.similarities(
+        unpack_bipolar(engine.encode_features(train), engine.dim)))
     bundle.info["quality_baseline"] = QualityBaseline.from_training(
         train, labels=np.argmax(sims, axis=1),
         num_classes=args.classes, similarities=sims).to_dict()

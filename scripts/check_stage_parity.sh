@@ -12,7 +12,8 @@
 #     == pipeline.predict, from raw features and from images;
 #   * packed round-trip: binarized bundle's XOR-popcount path == its own
 #     float path bit-exactly (same bipolar operands, same ranking), from
-#     raw features and from images.
+#     raw features and from images, and from images served twice by a
+#     cached packed engine (the second pass all LRU hits).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -109,10 +110,17 @@ with tempfile.TemporaryDirectory() as tmp:
                                          cache_size=0)
     np.testing.assert_array_equal(packed.predict_features(raw),
                                   floating.predict_features(raw))
-    np.testing.assert_array_equal(packed.predict(x_te),
-                                  floating.predict(x_te))
+    want = floating.predict(x_te)
+    np.testing.assert_array_equal(packed.predict(x_te), want)
+    # A cached packed engine serves the images twice: the first pass
+    # fills its LRU with sign words, the second reads every row from it.
+    cached = InferenceEngine.from_path(packed_path)
+    for expected_hits in (0, len(x_te)):
+        np.testing.assert_array_equal(cached.predict(x_te), want)
+        assert cached.cache_info()["hits"] == expected_hits, \
+            cached.cache_info()
     print("packed XOR-popcount path == float path on binarized bundle "
-          "(features and images)")
+          "(features, images, and images twice through the LRU)")
 
 print("stage parity: OK")
 EOF

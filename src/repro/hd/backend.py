@@ -17,8 +17,8 @@ from typing import Dict
 
 import numpy as np
 
-__all__ = ["pack_bipolar", "unpack_bipolar", "packed_dot", "popcount",
-           "MemoryLedger"]
+__all__ = ["pack_signs", "pack_bipolar", "unpack_bipolar", "packed_dot",
+           "popcount", "MemoryLedger"]
 
 _WORD_BITS = 64
 
@@ -36,6 +36,22 @@ def popcount(words: np.ndarray) -> np.ndarray:
     return _POPCOUNT_TABLE[as_bytes].sum(axis=-1)
 
 
+def pack_signs(bits: np.ndarray) -> np.ndarray:
+    """Pack a boolean ``(n, D)`` matrix into ``(n, ceil(D/64))`` words.
+
+    Bit ``i`` of a row is bit ``i % 64`` of word ``i // 64``; the tail
+    of the last word is zero.  The padding to whole words is added to
+    the packed bytes, not to the ``D`` booleans.
+    """
+    bits = np.atleast_2d(np.asarray(bits, dtype=bool))
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    pad = (-packed.shape[1]) % (_WORD_BITS // 8)
+    if pad:
+        packed = np.concatenate(
+            [packed, np.zeros((len(packed), pad), dtype=np.uint8)], axis=1)
+    return packed.view(np.uint64)
+
+
 def pack_bipolar(hvs: np.ndarray) -> np.ndarray:
     """Pack bipolar hypervectors ``(n, D)`` into ``(n, ceil(D/64))`` words.
 
@@ -44,15 +60,7 @@ def pack_bipolar(hvs: np.ndarray) -> np.ndarray:
     hvs = np.atleast_2d(np.asarray(hvs))
     if not np.all(np.abs(hvs) == 1.0):
         raise ValueError("pack_bipolar requires components in {-1, +1}")
-    bits = (hvs > 0).astype(np.uint8)
-    n, dim = bits.shape
-    pad = (-dim) % _WORD_BITS
-    if pad:
-        bits = np.concatenate([bits, np.zeros((n, pad), dtype=np.uint8)],
-                              axis=1)
-    # np.packbits is big-endian per byte; view as uint64 afterwards.
-    packed_bytes = np.packbits(bits, axis=1, bitorder="little")
-    return packed_bytes.view(np.uint64)
+    return pack_signs(hvs > 0)
 
 
 def unpack_bipolar(packed: np.ndarray, dim: int) -> np.ndarray:

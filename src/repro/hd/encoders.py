@@ -107,14 +107,14 @@ class RandomProjectionEncoder(Encoder):
         return encoder
 
     def encode(self, features: np.ndarray) -> np.ndarray:
-        features = self._check(features)
-        with self._telemetry_span(features):
-            raw = features @ self.projection
-            return hard_quantize(raw) if self.quantize else raw
+        raw = self.encode_raw(features)
+        return hard_quantize(raw) if self.quantize else raw
 
     def encode_raw(self, features: np.ndarray) -> np.ndarray:
-        """Pre-``sign`` bundle values (needed by the manifold STE path)."""
-        return self._check(features) @ self.projection
+        """Pre-``sign`` bundle values ``V @ P``."""
+        features = self._check(features)
+        with self._telemetry_span(features):
+            return features @ self.projection
 
     def decode(self, hypervectors: np.ndarray) -> np.ndarray:
         """Approximately invert the projection (paper Sec. V-C).
@@ -178,11 +178,15 @@ class NonlinearEncoder(Encoder):
         return encoder
 
     def encode(self, features: np.ndarray) -> np.ndarray:
+        raw = self.encode_raw(features)
+        return hard_quantize(raw) if self.quantize else raw
+
+    def encode_raw(self, features: np.ndarray) -> np.ndarray:
+        """Pre-``sign`` values ``cos(V·B + b) · sin(V·B)``."""
         features = self._check(features)
         with self._telemetry_span(features):
             proj = features @ self.basis
-            raw = np.cos(proj + self.phase) * np.sin(proj)
-            return hard_quantize(raw) if self.quantize else raw
+            return np.cos(proj + self.phase) * np.sin(proj)
 
     def macs_per_sample(self) -> int:
         return self.in_features * self.dim

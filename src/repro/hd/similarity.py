@@ -13,8 +13,7 @@ from ..telemetry import get_registry, span
 from .backend import packed_dot
 
 __all__ = ["dot_similarity", "cosine_similarity", "hamming_similarity",
-           "packed_cosine_similarity", "packed_hamming_similarity",
-           "packed_classify", "classify"]
+           "packed_cosine_similarity", "classify"]
 
 
 def _count_queries(class_matrix: np.ndarray, queries: np.ndarray) -> None:
@@ -88,7 +87,8 @@ def packed_cosine_similarity(packed_classes: np.ndarray,
 
     The serving fast path (Schmuck et al., "Hardware Optimizations of
     Dense Binary HD Computing"): bipolar hypervectors packed into uint64
-    words via :func:`repro.hd.backend.pack_bipolar`; the similarity sweep
+    words via :func:`repro.hd.backend.pack_signs` (or
+    :func:`~repro.hd.backend.pack_bipolar`); the similarity sweep
     is XOR + popcount with no multiplications.  ``dot = D − 2·popcount
     (xor)`` is integer arithmetic, so ranking agrees bit-for-bit with
     :func:`dot_similarity` on the unpacked operands, and each value is
@@ -121,37 +121,15 @@ def packed_cosine_similarity(packed_classes: np.ndarray,
     return sims[0] if single else sims
 
 
-def packed_hamming_similarity(packed_classes: np.ndarray,
-                              packed_queries: np.ndarray,
-                              dim: int) -> np.ndarray:
-    """Normalized Hamming similarity in ``[0, 1]`` from bit-packed
-    operands: ``(cosine + 1) / 2`` of
-    :func:`packed_cosine_similarity`, equal to
-    :func:`hamming_similarity` on the unpacked bipolar operands."""
-    return (packed_cosine_similarity(packed_classes, packed_queries,
-                                     dim) + 1.0) / 2.0
-
-
-def packed_classify(packed_classes: np.ndarray, packed_queries: np.ndarray,
-                    dim: int) -> np.ndarray:
-    """``argmax_k`` over packed XOR-popcount similarities.
-
-    Ranks identically to ``classify(classes, queries, metric="dot")`` on
-    the unpacked bipolar operands (ties break to the lowest class index
-    in both, since packed dots are exact integers).
-    """
-    sims = packed_cosine_similarity(packed_classes, packed_queries, dim)
-    return np.asarray(sims.argmax(axis=-1))
-
-
 def classify(class_matrix: np.ndarray, queries: np.ndarray,
              metric: str = "dot") -> np.ndarray:
     """Inference: ``argmax_k δ(C_k, H)`` for each query.
 
     This is the paper's inference procedure (Sec. III): compute the query
     hypervector's similarity against all class hypervectors and pick the
-    most similar class.  The bit-packed XOR-popcount path, which ranks
-    like ``"dot"`` on bipolar hypervectors, is :func:`packed_classify`.
+    most similar class.  On bipolar hypervectors the argmax of
+    :func:`packed_cosine_similarity` over the bit-packed operands ranks
+    like ``"dot"`` (ties break to the lowest class index in both).
     """
     metrics = {
         "dot": dot_similarity,

@@ -38,6 +38,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..hd.backend import unpack_bipolar
 from ..learn.mass import normalized_similarity
 from ..reliability.guards import NumericsGuard
 from ..telemetry import get_registry
@@ -193,8 +194,11 @@ class OnlineLearner:
                                   "(one row)"}
         if not np.isfinite(row).all():
             return 400, {"error": "features contain NaN/Inf"}
+        engine = self.engine
         try:
-            encoded = self.engine.encode_features(row)
+            encoded = engine.encode_features(row)
+            if engine.use_packed:
+                encoded = unpack_bipolar(encoded, engine.dim)
             status = self.shadow.ingest(encoded, label)
         except FeedbackError as exc:
             return 400, {"error": str(exc)}

@@ -37,12 +37,13 @@ enforce this against predictions recorded before the refactor.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..hd.backend import pack_bipolar
+from ..hd.backend import pack_bipolar, pack_signs
 from ..hd.encoders import (Encoder, NonlinearEncoder,
                            RandomProjectionEncoder)
 from ..hd.hypervector import hard_quantize, is_bipolar
@@ -448,8 +449,30 @@ def encoder_spec(encoder: Encoder) -> Dict[str, Any]:
             "quantize": bool(encoder.quantize)}
 
 
+class _SignWords:
+    """:meth:`packed` for the encode stages."""
+
+    #: Emit ``uint64`` sign words instead of ±1 floats (see :meth:`packed`).
+    emits_words = False
+
+    def packed(self):
+        """A copy of this stage that emits each hypervector as ``uint64``
+        words, ``pack_signs(pre_sign >= 0)``, with no float ±1 matrix in
+        between.  Bit ``i`` is set exactly where
+        :func:`~repro.hd.hypervector.hard_quantize` gives +1 (NaN
+        included), so a packed classify ranks them like the float path.
+        """
+        if not self.quantize:
+            raise StageError(
+                f"stage {self.name!r} does not quantize; its continuous "
+                "hypervectors cannot be bit-packed")
+        stage = copy.copy(self)
+        stage.emits_words = True
+        return stage
+
+
 @register_stage
-class EncodeStage(Stage):
+class EncodeStage(_SignWords, Stage):
     """Feature → hypervector map Φ (random projection or nonlinear).
 
     Wraps a live :class:`~repro.hd.encoders.Encoder`, so the encoder
@@ -467,6 +490,8 @@ class EncodeStage(Stage):
 
     def __call__(self, batch: np.ndarray, ctx: Optional[dict] = None
                  ) -> np.ndarray:
+        if self.emits_words:
+            return pack_signs(self.encoder.encode_raw(batch) >= 0)
         return self.encoder.encode(batch)
 
     @property
@@ -531,7 +556,7 @@ class EncodeStage(Stage):
 
 
 @register_stage
-class FusedEncodeStage(Stage):
+class FusedEncodeStage(_SignWords, Stage):
     """Scale ∘ Encode folded into one affine GEMM.
 
     Built by :meth:`from_scale_encode`: standardization
@@ -604,6 +629,8 @@ class FusedEncodeStage(Stage):
                 raw = np.cos(proj + self.phase) * np.sin(proj)
             else:
                 raw = proj
+            if self.emits_words:
+                return pack_signs(raw >= 0)
             return hard_quantize(raw) if self.quantize else raw
 
     def spec(self) -> Dict[str, Any]:
@@ -859,13 +886,15 @@ class ClassifyStage(Stage):
 class PackedClassifyStage(Stage):
     """Bit-packed XOR-popcount classifier (bipolar operands only).
 
-    The serving fast path: class hypervectors packed to uint64 words,
-    queries packed per call, similarity = XOR + popcount.  Ranks
-    identically to the float cosine path for bipolar operands (integer
-    dots, no rounding); its scores are cosines, ``dots / D``.  The
-    serving engine derives it from a frozen :class:`ClassifyStage` where
-    :func:`packed_refusal` allows — it is an execution *variant*, not a
-    separate topology entry, so it is not registered for serialization.
+    The serving fast path: class hypervectors packed to uint64 words
+    once, queries arriving as the ``uint64`` words of a packed encode
+    stage (:meth:`EncodeStage.packed`), similarity = XOR + popcount.
+    Ranks identically to the float cosine path for bipolar operands
+    (integer dots, no rounding); its scores are cosines, ``dots / D``.
+    The serving engine derives it from a frozen :class:`ClassifyStage`
+    where :func:`packed_refusal` allows — it is an execution *variant*,
+    not a separate topology entry, so it is not registered for
+    serialization.
     """
 
     stage_type = "classify_packed"
@@ -879,8 +908,12 @@ class PackedClassifyStage(Stage):
 
     def __call__(self, batch: np.ndarray, ctx: Optional[dict] = None
                  ) -> np.ndarray:
-        packed = pack_bipolar(np.atleast_2d(batch))
-        sims = packed_cosine_similarity(self.packed_classes, packed,
+        words = np.atleast_2d(batch)
+        if words.dtype != np.uint64:
+            raise StageError(
+                f"packed classify reads uint64 sign words, got "
+                f"{words.dtype}; pack bipolar queries with pack_bipolar")
+        sims = packed_cosine_similarity(self.packed_classes, words,
                                         self.dim)
         if ctx is not None:
             ctx["similarities"] = sims
@@ -905,12 +938,12 @@ class PackedClassifyStage(Stage):
 
 
 def packed_refusal(stages: Sequence[Stage]) -> Optional[str]:
-    """Why a frozen graph's classify stage cannot be packed, or ``None``.
+    """Why a frozen graph cannot run packed end to end, or ``None``.
 
     Packed classify ranks like float cosine only on bipolar operands:
     the last stage must be a frozen classify stage over a bipolar class
-    matrix, and every encode stage must hard-quantize, because the
-    queries are bit-packed too.
+    matrix, and the encode stage feeding it must hard-quantize, because
+    its :meth:`~EncodeStage.packed` copy emits the queries as bits.
     """
     classify = stages[-1]
     if not (isinstance(classify, ClassifyStage) and classify.frozen):
@@ -919,9 +952,8 @@ def packed_refusal(stages: Sequence[Stage]) -> Optional[str]:
     if not is_bipolar(np.asarray(classify.class_matrix)):
         return ("packed classify requires a bipolar class matrix — "
                 "export the bundle with binarize=True")
-    encoders = [stage for stage in stages
-                if getattr(stage, "encoder_type", None) is not None]
-    if not encoders or not all(stage.quantize for stage in encoders):
+    encode = stages[-2] if len(stages) > 1 else None
+    if not (isinstance(encode, _SignWords) and encode.quantize):
         return ("packed classify requires a quantizing encoder (the "
                 "queries must be bipolar to bit-pack); this graph's "
                 "encoder emits continuous hypervectors")

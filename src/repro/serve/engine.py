@@ -9,13 +9,16 @@ engine itself contains **no stage math**: no scaling, no manifold
 reduction, no encoding, no similarity expressions — it adds exactly the
 serving concerns:
 
-* an LRU cache keyed by the sha1 of each sample's raw feature bytes that
-  memoizes encoded hypervectors, so repeated queries skip the projection
-  GEMM entirely (``serve.cache.hits`` / ``serve.cache.misses``);
-* the ``use_packed`` switch onto the **bit-packed XOR-popcount**
-  :class:`~repro.pipeline.PackedClassifyStage`, which replaces the
-  float classify stage wherever :func:`repro.pipeline.packed_refusal`
-  allows it;
+* an LRU cache that memoizes the encoded rows of each sample, so
+  repeated queries skip the projection GEMM entirely
+  (``serve.cache.hits`` / ``serve.cache.misses``).  It is keyed by one
+  vectorized 64-bit hash per raw feature row and exact: a hit needs the
+  stored raw row to equal the query bit for bit;
+* the ``use_packed`` switch onto a graph that is **packed end to end**
+  wherever :func:`repro.pipeline.packed_refusal` allows it: the encode
+  stage's :meth:`~repro.pipeline.EncodeStage.packed` copy emits each
+  query as ``uint64`` sign words, the LRU stores those words, and the
+  XOR-popcount :class:`~repro.pipeline.PackedClassifyStage` scores them;
 * a load-time :meth:`selfcheck` proving the packed stage agrees with the
   float reference kernels on random probes;
 * request/sample counters and ``serve.*`` spans for the telemetry layer.
@@ -27,13 +30,13 @@ equivalent topology from the legacy provenance fields.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..hd.backend import pack_bipolar
 from ..hd.similarity import classify
 from ..pipeline import (ClassifyStage, ExtractStage, FlattenStage,
                         PackedClassifyStage, StageGraph, packed_refusal)
@@ -49,52 +52,86 @@ class EngineSelfCheckError(RuntimeError):
     """The packed fast path disagreed with the reference kernel."""
 
 
+#: Seeds the fixed odd multipliers of the LRU's row hash.
+_HASH_SEED = 0x5EED_1A55
+
+
 class _EncodedLRU:
-    """Thread-safe LRU of encoded hypervectors keyed by feature digest.
+    """Thread-safe LRU of encoded rows, exact on the raw feature bytes.
 
-    Rows live in one ``(max_entries, dim)`` array; the ordered map holds
-    each key's row slot.  A batch takes one lock for its lookups and one
-    for its stores, and leaves the LRU as if its rows were looked up,
-    then stored, one at a time."""
+    A row's key is one 64-bit hash, computed for a whole batch at once:
+    a multiply-and-sum, modulo 2**64, of the ``uint64`` view of its
+    ``width`` raw float64 values with fixed odd multipliers, plus one of
+    the words' high 32-bit halves with a second set.  A product moves
+    only the bits at and above the multiplied bit, so without the
+    second sum a sign bit would reach only the key's top bit, and rows
+    differing in an even number of signs (``0.0`` and ``-0.0`` rows, for
+    one) would share a key.
 
-    def __init__(self, max_entries: int):
+    Each entry keeps its raw row beside its encoding, and a lookup hits
+    only when that row equals the query word for word: a hash collision
+    costs a miss, never a wrong encoding.  Rows with the same NaN bits
+    hit.  Raw and encoded rows live in one ``(max_entries, ·)`` array each;
+    the ordered map holds each key's row slot.  A batch takes one lock
+    for its lookups and one for its stores, and leaves the LRU as if its
+    rows were looked up, then stored, one at a time."""
+
+    def __init__(self, max_entries: int, width: int):
         self.max_entries = int(max_entries)
-        self._slots: "OrderedDict[bytes, int]" = OrderedDict()
+        self.width = int(width)
+        rng = np.random.default_rng(_HASH_SEED)
+        self._low, self._high = rng.integers(
+            0, 2 ** 64, size=(2, self.width), dtype=np.uint64) | np.uint64(1)
+        self._slots: "OrderedDict[int, int]" = OrderedDict()
+        self._raw: Optional[np.ndarray] = None
         self._rows: Optional[np.ndarray] = None
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def get_many(self, keys: List[bytes]
-                 ) -> Tuple[Optional[np.ndarray], List[int]]:
-        """``(encoded, misses)``: an ``(n, dim)`` array holding every hit
-        row (None when nothing hit) and the positions that missed."""
-        hit_pos, hit_slots, misses = [], [], []
-        with self._lock:
-            for i, key in enumerate(keys):
-                slot = self._slots.get(key)
-                if slot is None:
-                    misses.append(i)
-                else:
-                    self._slots.move_to_end(key)
-                    hit_pos.append(i)
-                    hit_slots.append(slot)
-            self.hits += len(hit_pos)
-            self.misses += len(misses)
-            if not hit_pos:
-                return None, misses
-            hits = self._rows[hit_slots]  # a copy, taken under the lock
-        if not misses:
-            return hits, misses
-        encoded = np.empty((len(keys), hits.shape[1]), dtype=hits.dtype)
-        encoded[hit_pos] = hits
-        return encoded, misses
+    def keys(self, raw: np.ndarray) -> List[int]:
+        """One key per row of an ``(n, width)`` ``uint64`` view."""
+        return (raw @ self._low
+                + (raw >> np.uint64(32)) @ self._high).tolist()
 
-    def put_many(self, keys: List[bytes], rows: np.ndarray) -> None:
-        """Store ``rows[j]`` under ``keys[j]``, in order."""
+    def get_many(self, keys: List[int], raw: np.ndarray
+                 ) -> Tuple[Optional[np.ndarray], List[int]]:
+        """``(encoded, misses)``: an ``(n, ·)`` array holding every hit
+        row (None when nothing hit) and the positions that missed."""
+        with self._lock:
+            slots = [self._slots.get(key) for key in keys]
+            found = [i for i, slot in enumerate(slots) if slot is not None]
+            hit_pos = []
+            if found:
+                same = (self._raw[[slots[i] for i in found]]
+                        == raw[found]).all(axis=1)
+                hit_pos = [i for i, equal in zip(found, same.tolist())
+                           if equal]
+            for i in hit_pos:
+                self._slots.move_to_end(keys[i])
+            self.hits += len(hit_pos)
+            self.misses += len(keys) - len(hit_pos)
+            if not hit_pos:
+                return None, list(range(len(keys)))
+            # A copy, taken under the lock.
+            hits = self._rows[[slots[i] for i in hit_pos]]
+        if len(hit_pos) == len(keys):
+            return hits, []
+        hit = np.zeros(len(keys), dtype=bool)
+        hit[hit_pos] = True
+        encoded = np.empty((len(keys), hits.shape[1]), dtype=hits.dtype)
+        encoded[hit] = hits
+        return encoded, np.flatnonzero(~hit).tolist()
+
+    def put_many(self, keys: List[int], raw: np.ndarray,
+                 rows: np.ndarray) -> None:
+        """Store ``rows[j]`` for raw row ``raw[j]`` under ``keys[j]``, in
+        order."""
         writes: Dict[int, int] = {}  # slot -> row; a later row wins
         with self._lock:
             if self._rows is None:
+                self._raw = np.empty((self.max_entries, self.width),
+                                     dtype=np.uint64)
                 self._rows = np.empty((self.max_entries, rows.shape[1]),
                                       dtype=rows.dtype)
             for j, key in enumerate(keys):
@@ -105,10 +142,14 @@ class _EncodedLRU:
                         slot = self._slots.popitem(last=False)[1]
                 self._slots[key] = slot
                 writes[slot] = j
+            dest = list(writes)
             if len(writes) == len(keys):
-                self._rows[list(writes)] = rows
+                self._raw[dest] = raw
+                self._rows[dest] = rows
             else:
-                self._rows[list(writes)] = rows[list(writes.values())]
+                src = list(writes.values())
+                self._raw[dest] = raw[src]
+                self._rows[dest] = rows[src]
 
     def info(self) -> Dict[str, int]:
         with self._lock:
@@ -125,12 +166,13 @@ class InferenceEngine:
     bundle:
         A validated :class:`ModelBundle` (``validate()`` is called here).
     use_packed:
-        Classify with the packed XOR-popcount stage (True) or the float
-        cosine stage (False); default ``None`` packs exactly where
+        Run the graph packed end to end — sign-word encode, XOR-popcount
+        classify — (True) or encode to floats and classify with the
+        float cosine stage (False); default ``None`` packs exactly where
         :func:`~repro.pipeline.packed_refusal` finds no reason not to.
         True on a graph it refuses raises :class:`BundleError`.
     cache_size:
-        LRU capacity (entries) for encoded hypervectors; 0 disables.
+        LRU capacity (entries) for encoded rows; 0 disables.
     build_extractor:
         Keep the truncated-CNN ``extract`` stage in the graph so
         :meth:`predict` accepts raw NCHW images.  Disable for servers
@@ -182,8 +224,9 @@ class InferenceEngine:
         if self.use_packed:
             self._packed_stage = PackedClassifyStage.from_classify(
                 self._classify, name=self._classify.name)
-            graph = StageGraph(graph.stages[:-1] + [self._packed_stage],
-                               name=graph.name)
+            graph = StageGraph(graph.stages[:-2] + [
+                graph.stages[-2].packed(), self._packed_stage],
+                name=graph.name)
         self.graph = graph
 
         # Feature interface: the first stage after extract/flatten.
@@ -199,7 +242,8 @@ class InferenceEngine:
         self.extractor = (first.extractor
                           if isinstance(first, ExtractStage) else None)
 
-        self._cache = _EncodedLRU(cache_size) if cache_size > 0 else None
+        self._cache = (_EncodedLRU(cache_size, self.in_features)
+                       if cache_size > 0 else None)
 
         # -- streaming drift monitor (training baseline in manifest) ---
         baseline_dict = info.get("quality_baseline")
@@ -239,18 +283,24 @@ class InferenceEngine:
 
     # ------------------------------------------------------------------
     def encode_features(self, raw_features: np.ndarray) -> np.ndarray:
-        """Query hypervectors for ``(n, F)`` raw features (LRU-cached).
+        """The classify stage's input for ``(n, F)`` raw features.
 
         Executes the graph's ``scale → (reduce) → encode`` slice; the
-        LRU sits in front of it, keyed per sample.
+        LRU sits in front of it, keyed per sample.  On a packed engine
+        (:attr:`use_packed`) each row is ``ceil(D/64)`` ``uint64`` sign
+        words, and ``unpack_bipolar(words, engine.dim)`` gives the ±1
+        hypervectors; otherwise each row is the encoder's ``D`` floats.
         """
         raw_features = np.atleast_2d(
             np.asarray(raw_features, dtype=np.float64))
+        cache = self._cache
+        if cache is not None and raw_features.shape[1] != cache.width:
+            cache = None  # no stored row can equal these
         encoded = None  # the rows the LRU had; None when none did
-        if self._cache is not None:
-            keys = [hashlib.sha1(np.ascontiguousarray(row).tobytes())
-                    .digest() for row in raw_features]
-            encoded, misses = self._cache.get_many(keys)
+        if cache is not None:
+            words = np.ascontiguousarray(raw_features).view(np.uint64)
+            keys = cache.keys(words)
+            encoded, misses = cache.get_many(keys, words)
             registry = get_registry()
             registry.inc("serve.cache.hits", len(keys) - len(misses))
             registry.inc("serve.cache.misses", len(misses))
@@ -260,15 +310,21 @@ class InferenceEngine:
         with span("serve.encode", nbytes=int(fresh_rows.nbytes)):
             fresh = self.graph.run(fresh_rows, start=self._feature_entry,
                                    stop=self._classify_name)
-        if self._cache is not None:
-            self._cache.put_many([keys[i] for i in misses], fresh)
+        if cache is not None:
+            if encoded is None:
+                cache.put_many(keys, words, fresh)
+            else:
+                cache.put_many([keys[i] for i in misses], words[misses],
+                               fresh)
         if encoded is None:
             return fresh
         encoded[misses] = fresh
         return encoded
 
     def similarities(self, encoded: np.ndarray) -> np.ndarray:
-        """Cosine similarities from the frozen classify stage.
+        """Cosine similarities of float hypervectors ``(n, D)`` from the
+        frozen classify stage (unpack a packed engine's
+        :meth:`encode_features` words first).
 
         Bit-exact with :func:`repro.learn.mass.normalized_similarity`
         (same canonical expression in
@@ -330,8 +386,10 @@ class InferenceEngine:
         """Prove the packed path agrees with the reference kernels.
 
         Draws random bipolar probe hypervectors and checks (1) the
-        XOR-popcount classify stage returns the same labels as the float
-        dot-product :func:`repro.hd.similarity.classify`, and (2) the
+        XOR-popcount classify stage, fed the probes packed with
+        :func:`~repro.hd.backend.pack_bipolar`, returns the same labels
+        as the float dot-product :func:`repro.hd.similarity.classify`,
+        and (2) the
         frozen cosine classify stage agrees as well (for bipolar class
         matrices all three rank identically).  Raises
         :class:`EngineSelfCheckError` on any disagreement.
@@ -340,7 +398,7 @@ class InferenceEngine:
             return True
         rng = fresh_rng((seed, "serve-selfcheck"))
         hvs = np.where(rng.random((probes, self.dim)) < 0.5, -1.0, 1.0)
-        got = self._packed_stage(hvs)
+        got = self._packed_stage(pack_bipolar(hvs))
         want_dot = classify(self.class_matrix, hvs, metric="dot")
         want_cos = np.asarray(self._classify(hvs))
         if not np.array_equal(got, want_dot):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hd import (MemoryLedger, dot_similarity, pack_bipolar, packed_dot,
-                      popcount, random_bipolar, unpack_bipolar)
+from repro.hd import (MemoryLedger, dot_similarity, pack_bipolar, pack_signs,
+                      packed_dot, popcount, random_bipolar, unpack_bipolar)
 
 
 class TestPacking:
@@ -37,6 +37,31 @@ class TestPacking:
     def test_property_roundtrip(self, dim, seed):
         hvs = random_bipolar(2, dim, np.random.default_rng(seed))
         np.testing.assert_allclose(unpack_bipolar(pack_bipolar(hvs), dim), hvs)
+
+    @staticmethod
+    def _bit_padded_reference(hvs):
+        """The bit-padding packer ``pack_bipolar`` used before it was
+        built on ``pack_signs``."""
+        bits = (hvs > 0).astype(np.uint8)
+        pad = (-bits.shape[1]) % 64
+        bits = np.concatenate(
+            [bits, np.zeros((len(bits), pad), dtype=np.uint8)], axis=1)
+        return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+    @given(st.sampled_from([1, 63, 64, 65, 127, 3000]),
+           st.integers(min_value=0, max_value=5),
+           st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_bit_padded_packer(self, dim, rows, seed):
+        hvs = np.where(np.random.default_rng(seed).random((rows, dim))
+                       < 0.5, -1.0, 1.0)
+        packed = pack_bipolar(hvs)
+        assert packed.dtype == np.uint64
+        assert packed.shape == (rows, -(-dim // 64))
+        np.testing.assert_array_equal(packed,
+                                      self._bit_padded_reference(hvs))
+        np.testing.assert_array_equal(pack_signs(hvs > 0), packed)
+        np.testing.assert_array_equal(unpack_bipolar(packed, dim), hvs)
 
 
 class TestPackedDot:

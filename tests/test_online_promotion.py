@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.hd.backend import unpack_bipolar
 from repro.online import OnlineLearner, PromotionController, ShadowModel
 from repro.serve import BundleError, InferenceEngine, ModelBundle
 from repro.telemetry import MetricsRegistry, use_registry
@@ -196,7 +197,8 @@ def baselined_bundle(seed=0, classes=4):
     engine = InferenceEngine(bundle, build_extractor=False)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(256, FEATURES))
-    sims = np.asarray(engine.similarities(engine.encode_features(x)))
+    sims = np.asarray(engine.similarities(
+        unpack_bipolar(engine.encode_features(x), engine.dim)))
     bundle.info["quality_baseline"] = QualityBaseline.from_training(
         x, labels=np.argmax(sims, axis=1), num_classes=classes,
         similarities=sims).to_dict()
@@ -357,6 +359,33 @@ class TestLearnerFlow:
             {"label": 0, "features": [0.0] * (FEATURES + 1)})[0] == 400
         assert learner.feedback(
             {"label": 99, "features": [0.0] * FEATURES})[0] == 400
+
+    def test_packed_engine_feedback_matches_float_engine(self, tmp_path):
+        """Feedback encoded by a packed engine (sign words, unpacked by
+        the learner) trains the shadow exactly as a float engine's
+        hypervectors do."""
+        fixtures = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "fixtures")
+        bundle = ModelBundle.load(
+            os.path.join(fixtures, "golden_nshd_bundle_packed.npz"))
+        with np.load(os.path.join(fixtures, "golden_inputs.npz")) as golden:
+            raw = golden["nshd.raw_features"]
+            labels = golden["y_te"]
+        shadows = {}
+        for use_packed in (True, False):
+            server, learner = learner_on(bundle, tmp_path)
+            server.engine = InferenceEngine(bundle, build_extractor=False,
+                                            use_packed=use_packed)
+            for row, label in zip(raw, labels):
+                status, body = learner.feedback(
+                    {"label": int(label), "features": row.tolist()})
+                assert status == 200, body
+            assert learner.shadow.applied > 0
+            shadows[use_packed] = (learner.shadow.snapshot(),
+                                   *learner.shadow.validation_set())
+        for got, want in zip(shadows[True], shadows[False]):
+            np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(shadows[True][0], bundle.class_matrix())
 
     def test_remember_recall_bounded(self, tmp_path):
         bundle = _synthetic_bundle(dim=DIM, features=FEATURES,

@@ -218,3 +218,27 @@ class TestNewBundles:
         raw = golden[f"{name}.raw_features"]
         np.testing.assert_array_equal(engine.predict_features(raw),
                                       golden[f"{name}.packed_labels"])
+
+
+# ----------------------------------------------------------------------
+# 5. Every golden bundle serves its recorded labels in every engine mode
+# ----------------------------------------------------------------------
+class TestServedLabels:
+    @pytest.mark.parametrize("config", [{}, {"cache_size": 0},
+                                        {"use_packed": False}],
+                             ids=["default", "no_cache", "float"])
+    @pytest.mark.parametrize("name", ["nshd", "nshd_packed", "baselinehd",
+                                      "baselinehd_packed", "vanillahd"])
+    def test_bundle_serves_recorded_labels(self, golden, name, config):
+        pipeline, _, packed = name.partition("_")
+        path = _fixture(f"golden_{pipeline}_bundle"
+                        f"{'_packed' if packed else ''}.npz")
+        engine = InferenceEngine(ModelBundle.load(path), **config)
+        assert engine.use_packed == bool(packed and "use_packed" not in config)
+        want = golden[f"{pipeline}.{'packed' if packed else 'engine'}_labels"]
+        raw = golden[f"{pipeline}.raw_features"]
+        for _ in range(2):  # cold, then (where cached) every row a hit
+            np.testing.assert_array_equal(engine.predict_features(raw), want)
+        cached = config.get("cache_size") != 0
+        assert engine.cache_info()["hits"] == (len(raw) if cached else 0)
+        np.testing.assert_array_equal(engine.predict(golden["x_te"]), want)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.hd.backend import pack_bipolar
+from repro.hd.backend import pack_bipolar, unpack_bipolar
 from repro.hd.encoders import NonlinearEncoder, RandomProjectionEncoder
-from repro.hd.similarity import classify, packed_classify
+from repro.hd.similarity import classify
 from repro.learn.manifold import ManifoldLearner
 from repro.learn.mass import normalized_similarity
 from repro.pipeline import (STAGE_TYPES, ClassifyStage, EncodeStage,
@@ -171,6 +171,39 @@ class TestEncodeStage:
         assert clone.quantize == stage.quantize
         assert clone.encoder_type == stage.encoder_type
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["random_projection", "nonlinear"])
+    @pytest.mark.parametrize("dim", [1, 63, 64, 65, 130])
+    def test_packed_copy_emits_the_quantized_signs(self, rng, kind, dim):
+        """Bit i of the packed copy's words is set exactly where the
+        float stage gives +1: zero, -0.0, NaN and ±Inf rows included."""
+        if kind == "random_projection":
+            encoder = RandomProjectionEncoder(6, dim, rng=fresh_rng(3))
+        else:
+            encoder = NonlinearEncoder(6, dim, rng=fresh_rng(3),
+                                       quantize=True)
+        stage = EncodeStage(encoder)
+        features = rng.standard_normal((9, 6))
+        features[1] = np.nan
+        features[2] = 0.0
+        features[3] = -0.0
+        features[4, 0] = np.inf
+        features[5, 2] = -np.inf
+        words = stage.packed()(features)
+        assert type(stage.packed()) is EncodeStage
+        assert words.dtype == np.uint64
+        assert words.shape == (9, -(-dim // 64))
+        np.testing.assert_array_equal(words, pack_bipolar(stage(features)))
+        np.testing.assert_array_equal(unpack_bipolar(words, dim),
+                                      stage(features))
+        assert not stage.emits_words  # the copy packs, not the stage
+
+    def test_packed_copy_needs_a_quantizing_encoder(self):
+        stage = EncodeStage(RandomProjectionEncoder(6, 32, rng=fresh_rng(3),
+                                                    quantize=False))
+        with pytest.raises(StageError, match="does not quantize"):
+            stage.packed()
+
     def test_from_arrays_does_not_rerandomize(self):
         encoder = RandomProjectionEncoder(4, 16, rng=fresh_rng(9))
         rebuilt = RandomProjectionEncoder.from_arrays(encoder.projection)
@@ -237,9 +270,16 @@ class TestPackedClassifyStage:
         matrix = np.where(rng.random((5, 256)) < 0.5, -1.0, 1.0)
         queries = np.where(rng.random((16, 256)) < 0.5, -1.0, 1.0)
         stage = PackedClassifyStage.from_class_matrix(matrix)
-        np.testing.assert_array_equal(stage(queries),
+        np.testing.assert_array_equal(stage(pack_bipolar(queries)),
                                       classify(matrix, queries,
                                                metric="dot"))
+
+    def test_refuses_float_queries(self, rng):
+        # It reads sign words only: a ±1 float matrix is not repacked.
+        matrix = np.where(rng.random((3, 64)) < 0.5, -1.0, 1.0)
+        stage = PackedClassifyStage.from_class_matrix(matrix)
+        with pytest.raises(StageError, match="uint64"):
+            stage(matrix)
 
     def test_from_classify(self, rng):
         matrix = np.where(rng.random((3, 64)) < 0.5, -1.0, 1.0)
@@ -620,9 +660,20 @@ class TestPackedRefusal:
 
     def test_packed_graph_bit_exact(self, rng):
         frozen, batch = _scale_encode_graph(rng)
-        packed = StageGraph(frozen.stages[:-1] + [
+        packed = StageGraph(frozen.stages[:-2] + [
+            frozen.stages[-2].packed(),
             PackedClassifyStage.from_classify(frozen.stages[-1],
                                               name="classify")])
+        np.testing.assert_array_equal(packed.run(batch), frozen.run(batch))
+
+    @pytest.mark.parametrize("kind", ["random_projection", "nonlinear"])
+    def test_packed_fused_graph_bit_exact(self, rng, kind):
+        frozen, batch = _scale_encode_graph(rng, kind=kind)
+        fused = _fuse_scale_encode(frozen)
+        assert packed_refusal(fused.stages) is None
+        packed = StageGraph([fused.stages[0].packed(),
+                             PackedClassifyStage.from_classify(
+                                 fused.stages[1], name="classify")])
         np.testing.assert_array_equal(packed.run(batch), frozen.run(batch))
 
     def test_refuses_nonbipolar_classes(self, rng):

@@ -1,6 +1,5 @@
 """Inference engine: packed/float agreement, caching, pipeline parity."""
 
-import hashlib
 import os
 from collections import OrderedDict
 
@@ -8,10 +7,12 @@ import numpy as np
 import pytest
 
 from repro.data import make_dataset
+from repro.hd.backend import unpack_bipolar
 from repro.learn import VanillaHD
 from repro.learn.mass import normalized_similarity
 from repro.serve import (BundleError, EngineSelfCheckError, InferenceEngine,
                          ModelBundle)
+from repro.serve.engine import _EncodedLRU
 from repro.telemetry import use_registry
 from repro.telemetry.quality import QualityBaseline
 from repro.utils.rng import fresh_rng
@@ -102,6 +103,27 @@ class TestPackedPath:
                                       want.predict_features(features))
 
 
+    @pytest.mark.parametrize("cache_size", [0, 16])
+    def test_encode_features_returns_sign_words(self, synthetic_bundle,
+                                                cache_size):
+        """A packed engine's classify input is the encoder's sign bits:
+        ceil(D/64) uint64 words a row, the float engine's ±1 rows
+        packed."""
+        bundle = synthetic_bundle(dim=130, features=32)
+        packed = InferenceEngine(bundle, cache_size=cache_size)
+        floating = InferenceEngine(bundle, use_packed=False,
+                                   cache_size=cache_size)
+        features = fresh_rng((12, "engine-words")).standard_normal((9, 32))
+        for _ in range(2):  # cold, then (when cached) all hits
+            words = packed.encode_features(features)
+            assert words.dtype == np.uint64 and words.shape == (9, 3)
+            np.testing.assert_array_equal(
+                unpack_bipolar(words, 130),
+                floating.encode_features(features))
+        assert packed.graph.stage("encode").emits_words
+        assert not floating.graph.stage("encode").emits_words
+
+
 class TestFloatPath:
     def test_similarities_match_trainer_kernel(self, synthetic_bundle):
         bundle = synthetic_bundle(binary=False)
@@ -166,8 +188,10 @@ class TestCache:
                     self.data.popitem(last=False)
 
         def row_loop_encode(lru, encode, raw):
-            keys = [hashlib.sha1(row.tobytes()).digest() for row in raw]
-            encoded = np.empty((len(raw), encode(raw[:1]).shape[1]))
+            keys = [row.tobytes() for row in raw]  # exact keys
+            sample = encode(raw[:1])
+            encoded = np.empty((len(raw), sample.shape[1]),
+                               dtype=sample.dtype)
             miss_idx = []
             for i, key in enumerate(keys):
                 hit = lru.get(key)
@@ -202,8 +226,11 @@ class TestCache:
                                            uncached.encode_features, batch)
                     np.testing.assert_array_equal(got, want)
                 cache = engine._cache
-                assert list(cache._slots) == list(reference.data)
-                for key, slot in cache._slots.items():
+                assert [cache._raw[slot].tobytes()
+                        for slot in cache._slots.values()] \
+                    == list(reference.data)
+                for key, slot in zip(reference.data,
+                                     cache._slots.values()):
                     np.testing.assert_array_equal(cache._rows[slot],
                                                   reference.data[key])
                 assert engine.cache_info() == {
@@ -213,6 +240,59 @@ class TestCache:
                     == reference.hits
                 assert registry.counter("serve.cache.misses").value \
                     == reference.misses
+
+    def test_forced_collisions_cost_misses_not_labels(
+            self, synthetic_bundle, monkeypatch):
+        """Every row hashed to one key: the LRU holds one entry, and a
+        lookup hits only when that entry's raw row equals the query."""
+        monkeypatch.setattr(_EncodedLRU, "keys",
+                            lambda self, raw: [0] * len(raw))
+        bundle = synthetic_bundle()
+        uncached = InferenceEngine(bundle, cache_size=0)
+        pool = fresh_rng((9, "engine-collide")).standard_normal((8, 32))
+        with use_registry() as registry:
+            engine = InferenceEngine(bundle, cache_size=16)
+            # (batch, hits): the entry holds the last row stored.
+            for batch, hits in ((pool, 0), (pool, 1), (pool[[3]], 0),
+                                (pool[[3, 3]], 2), (pool[[4, 3]], 1)):
+                before = engine.cache_info()["hits"]
+                np.testing.assert_array_equal(
+                    engine.predict_features(batch),
+                    uncached.predict_features(batch))
+                assert engine.cache_info()["hits"] - before == hits
+            assert engine.cache_info() == {"entries": 1, "hits": 4,
+                                           "misses": 17, "max_entries": 16}
+            assert registry.counter("serve.cache.misses").value == 17
+        np.testing.assert_array_equal(engine._cache._raw[0],
+                                      pool[4].view(np.uint64))
+        np.testing.assert_array_equal(engine._cache._rows[:1],
+                                      uncached.encode_features(pool[4]))
+
+    def test_nan_and_duplicate_rows_hit(self, synthetic_bundle):
+        bundle = synthetic_bundle()
+        rows = fresh_rng((10, "engine-nan")).standard_normal((4, 32))
+        rows[1] = np.nan
+        rows[2, 5] = np.nan
+        batch = rows[[0, 1, 2, 1, 3, 0]]
+        uncached = InferenceEngine(bundle, cache_size=0)
+        engine = InferenceEngine(bundle, cache_size=16)
+        want = uncached.predict_features(batch)
+        # In-batch duplicates are looked up before the batch is stored.
+        np.testing.assert_array_equal(engine.predict_features(batch), want)
+        np.testing.assert_array_equal(engine.predict_features(batch), want)
+        assert engine.cache_info() == {"entries": 4, "hits": 6,
+                                       "misses": 6, "max_entries": 16}
+
+    def test_signed_zero_rows_are_distinct_keys(self, synthetic_bundle):
+        engine = InferenceEngine(synthetic_bundle(), cache_size=16)
+        zero = np.zeros((1, 32))
+        labels = [engine.predict_features(row)
+                  for row in (zero, -zero, zero, -zero)]
+        assert np.signbit(-zero).all()
+        for got in labels[1:]:
+            np.testing.assert_array_equal(got, labels[0])
+        assert engine.cache_info() == {"entries": 2, "hits": 2,
+                                       "misses": 2, "max_entries": 16}
 
     def test_cache_disabled(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle(), cache_size=0)

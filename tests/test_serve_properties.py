@@ -11,8 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hd import (classify, pack_bipolar, packed_classify,
-                      packed_hamming_similarity)
+from repro.hd import classify, pack_bipolar, packed_cosine_similarity
 from repro.serve import InferenceEngine, MicroBatcher
 from repro.utils.rng import fresh_rng
 
@@ -40,8 +39,9 @@ class TestPackedKernelProperties:
         rng = fresh_rng((seed, "packed-rank"))
         class_matrix = random_bipolar(rng, (classes, dim))
         hvs = random_bipolar(rng, (queries, dim))
-        got = packed_classify(pack_bipolar(class_matrix),
-                              pack_bipolar(hvs), dim)
+        sims = packed_cosine_similarity(pack_bipolar(class_matrix),
+                                        pack_bipolar(hvs), dim)
+        got = sims.argmax(axis=-1)
         want = classify(class_matrix, hvs, metric="dot")
         np.testing.assert_array_equal(got, want)
 
@@ -49,13 +49,14 @@ class TestPackedKernelProperties:
            st.integers(min_value=1, max_value=300))
     @settings(max_examples=30, deadline=None)
     def test_property_hamming_recovers_exact_dot(self, seed, dim):
-        """δ_ham = 1 - h/D implies dot = D(2δ_ham - 1) exactly."""
+        """The packed cosine is dot / D, so D · cosine recovers the
+        integer dot (D − 2·Hamming distance) exactly."""
         rng = fresh_rng((seed, "packed-dot"))
         a = random_bipolar(rng, (3, dim))
         b = random_bipolar(rng, (5, dim))
-        sims = packed_hamming_similarity(pack_bipolar(a), pack_bipolar(b),
-                                         dim)
-        dots = dim * (2.0 * sims - 1.0)  # (queries, classes) orientation
+        sims = packed_cosine_similarity(pack_bipolar(a), pack_bipolar(b),
+                                        dim)
+        dots = dim * sims  # (queries, classes) orientation
         np.testing.assert_allclose(dots, b @ a.T, atol=1e-9)
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))

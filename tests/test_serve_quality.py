@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.data import make_dataset
+from repro.hd.backend import unpack_bipolar
 from repro.learn import VanillaHD
 from repro.pipeline import stages
 from repro.serve import BundleError, InferenceEngine, ModelBundle, ModelServer
@@ -49,7 +50,8 @@ def bundle_with_baseline(seed=0, features=16, classes=4, train=512):
     engine = InferenceEngine(bundle, build_extractor=False)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(train, features))
-    sims = np.asarray(engine.similarities(engine.encode_features(x)))
+    sims = np.asarray(engine.similarities(
+        unpack_bipolar(engine.encode_features(x), engine.dim)))
     bundle.info["quality_baseline"] = QualityBaseline.from_training(
         x, labels=np.argmax(sims, axis=1), num_classes=classes,
         similarities=sims).to_dict()

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry import MetricsRegistry, load_alert_rules
+from repro.hd.backend import pack_bipolar, unpack_bipolar
+from repro.telemetry import MetricsRegistry, load_alert_rules, quality
 from repro.telemetry.alerts import AlertManager
+from repro.telemetry.diagnostics import saturation_fraction
 from repro.telemetry.quality import (BASELINE_VERSION, DriftMonitor,
                                      QualityBaseline,
                                      population_stability_index)
@@ -265,6 +267,26 @@ class TestDriftMonitor:
         snap = monitor.snapshot()
         assert snap["margin"]["live"]["count"] == 64
         assert snap["saturation"] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("sat_factor", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("dim", [1, 65, 130])
+    def test_packed_words_saturation_without_a_scan(
+            self, baseline, monkeypatch, sat_factor, dim):
+        """Sign words are bipolar rows: their gauge equals the float
+        scan of the unpacked rows, and no scan runs."""
+        words = pack_bipolar(np.sign(_rng(5).normal(size=(64, dim))))
+        want = saturation_fraction(unpack_bipolar(words, dim), sat_factor)
+        monitor, registry = self._monitor(baseline, sat_factor=sat_factor)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("packed words were scanned")
+
+        monkeypatch.setattr(quality, "saturation_fraction", no_scan)
+        for _ in range(2):  # published on every call
+            registry.set_gauge("quality.encoded.saturation", -1.0)
+            monitor.observe(_rng(0).normal(size=(64, 6)), encoded=words)
+            assert registry.get("quality.encoded.saturation").value == want
+        assert monitor.snapshot()["saturation"] == want
 
     def test_feature_count_mismatch_raises(self, baseline):
         monitor, _ = self._monitor(baseline)
