@@ -4,12 +4,11 @@
 #   * train a small NSHD end-to-end (fresh CNN, fresh HD fit);
 #   * single-pass fit (teacher continues from the cut-layer features)
 #     == fit_features(extract(x), y, model.logits(x)), bit-exactly;
-#   * pipeline.predict (live graph) == frozen-topology replay
-#     (graph.topology() + state_arrays() -> StageGraph.from_topology);
-#   * checkpoint round-trip: save_checkpoint persists the graph section,
-#     a fresh pipeline restored from it predicts bit-exactly;
+#   * checkpoint round-trip: a fresh pipeline restored from
+#     save_checkpoint predicts bit-exactly;
 #   * serve round-trip: exported float bundle served by InferenceEngine
-#     == pipeline.predict, from raw features and from images;
+#     (its graph built from the bundle's provenance fields) ==
+#     pipeline.predict, from raw features and from images;
 #   * packed round-trip: binarized bundle's XOR-popcount path == its own
 #     float path bit-exactly (same bipolar operands, same ranking), from
 #     raw features and from images, and from images served twice by a
@@ -18,7 +17,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== stage parity: train -> freeze -> checkpoint -> serve =="
+echo "== stage parity: train -> checkpoint -> serve =="
 python - <<'EOF'
 import os
 import sys
@@ -31,9 +30,6 @@ sys.path.insert(0, "src")
 from repro.data import make_dataset, normalize_images  # noqa: E402
 from repro.learn import NSHD  # noqa: E402
 from repro.models import create_model, train_cnn  # noqa: E402
-from repro.nn.serialize import (GRAPH_SECTION, load_manifest,  # noqa: E402
-                                manifest_section)
-from repro.pipeline import StageGraph  # noqa: E402
 from repro.serve import InferenceEngine, ModelBundle  # noqa: E402
 
 x_tr, y_tr, x_te, y_te = make_dataset(num_classes=4, num_train=96,
@@ -69,37 +65,29 @@ for key in fitted:
 print("single-pass fit == extract + full-pass teacher reference "
       "(bit-exact)")
 
-# 1. Frozen-topology replay == live graph.
-frozen = StageGraph.from_topology(pipeline.graph.topology(),
-                                  pipeline.graph.state_arrays())
-np.testing.assert_array_equal(frozen.run(np.asarray(x_te)), labels)
-print("frozen topology replay == live pipeline (bit-exact)")
-
 with tempfile.TemporaryDirectory() as tmp:
-    # 2. Checkpoint round-trip carries the graph section and restores.
+    # 1. Checkpoint round-trip restores the trained model.
     ckpt = os.path.join(tmp, "parity_ckpt.npz")
     pipeline.save_checkpoint(ckpt, epoch=2)
-    section = manifest_section(load_manifest(ckpt), GRAPH_SECTION)
-    assert section is not None, "checkpoint missing graph topology"
     restored = NSHD(model, layer_index=21, dim=256, reduced_features=16,
                     seed=0)
     restored.load_checkpoint(ckpt)
     np.testing.assert_array_equal(restored.predict(x_te), labels)
-    print("checkpoint round-trip (with graph section) == trained model")
+    print("checkpoint round-trip == trained model")
 
-    # 3. Serve round-trip: float bundle through the graph executor.
+    # 2. Serve round-trip: float bundle through the graph executor.
     float_path = os.path.join(tmp, "parity_bundle.npz")
     ModelBundle.from_pipeline(pipeline,
                               config={"gate": "stage_parity"}).save(
                                   float_path)
     engine = InferenceEngine.from_path(float_path, cache_size=0)
     assert engine.graph.names == pipeline.graph.names, \
-        "served topology != training topology"
+        "served stages != training stages"
     np.testing.assert_array_equal(engine.predict_features(raw), labels)
     np.testing.assert_array_equal(engine.predict(x_te), labels)
     print("served float bundle == pipeline.predict (features and images)")
 
-    # 4. Packed round-trip: XOR-popcount path == the same bundle's
+    # 3. Packed round-trip: XOR-popcount path == the same bundle's
     #    float path, bit-exactly.
     packed_path = os.path.join(tmp, "parity_bundle_packed.npz")
     ModelBundle.from_pipeline(pipeline, config={"gate": "stage_parity"},

@@ -19,10 +19,11 @@ Since the stage-graph refactor, each pipeline **builds a live
 share weights with the training objects (scaler, manifold learner, MASS
 trainer), so the graph always reflects the current training state.  All
 inference (``encode`` / ``predict`` / ``predict_features``) executes the
-graph; the training loops run individual stages through the graph runner
-(which owns the ``stage.*`` telemetry spans); and checkpoints persist
-``graph.topology()`` in a manifest section so any consumer can rebuild
-the execution plan without knowing the pipeline class.
+graph; and the training loops run individual stages through the graph
+runner (which owns the ``stage.*`` telemetry spans).  Checkpoints hold
+training state only: the pipeline class that restores one builds its own
+graph, and a serve bundle describes its model through
+:meth:`repro.serve.ModelBundle.from_pipeline`.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 from ..hd.encoders import NonlinearEncoder, RandomProjectionEncoder
 from ..models.base import IndexedCNN
 from ..models.extractor import FeatureExtractor, TeacherModel
-from ..nn.serialize import (GRAPH_SECTION, CheckpointError,
-                            load_state_with_manifest, save_state)
+from ..nn.serialize import (CheckpointError, load_state_with_manifest,
+                            save_state)
 from ..pipeline import (ClassifyStage, EncodeStage, ExtractStage,
                         FeatureScaler, FlattenStage, ManifoldReduceStage,
                         ScaleStage, StageGraph)
@@ -88,9 +89,8 @@ class _HDPipeline:
     # CRC-verified (see repro.nn.serialize); they carry every mutable
     # piece of training state — class hypervectors, scaler statistics,
     # manifold FC + Adam moments when present, the shuffle RNG state, and
-    # the epoch counter — so a killed run resumes *bit-exactly*.  The
-    # graph topology rides along in a ``"graph"`` manifest section
-    # (absent from pre-refactor checkpoints, which still load).
+    # the epoch counter — so a killed run resumes *bit-exactly*.  A
+    # ``"graph"`` manifest section written by older checkpoints is ignored.
     # ------------------------------------------------------------------
     def _checkpoint_arrays(self) -> Dict[str, np.ndarray]:
         arrays = {f"trainer.{name}": value
@@ -144,9 +144,7 @@ class _HDPipeline:
             "history": {key: [float(v) for v in values]
                         for key, values in (history or {}).items()},
         }
-        save_state(self._checkpoint_arrays(), path, meta=meta,
-                   sections={GRAPH_SECTION:
-                             {"topology": self.graph.topology()}})
+        save_state(self._checkpoint_arrays(), path, meta=meta)
 
     def load_checkpoint(self, path: str
                         ) -> Tuple[int, Dict[str, List[float]]]:

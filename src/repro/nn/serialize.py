@@ -10,7 +10,11 @@ bit-corrupted checkpoints are detected at load time with a
 :class:`CheckpointError` instead of silently producing a garbage model.
 
 Archives written by older versions of this module (no manifest) still
-load; they simply skip integrity verification.
+load; they simply skip integrity verification.  Named manifest sections
+(:func:`manifest_section`) carry a subsystem's own JSON, such as a model
+bundle's ``"bundle"`` provenance; a reader ignores the sections it does
+not know, such as the ``"graph"`` topology some older pipeline
+checkpoints carry.
 """
 
 from __future__ import annotations
@@ -28,17 +32,11 @@ from .layers import Module
 __all__ = [
     "save_state", "load_state", "load_state_with_manifest", "load_manifest",
     "manifest_section", "save_module", "load_module", "CheckpointError",
-    "MANIFEST_KEY", "FORMAT_VERSION", "GRAPH_SECTION",
+    "MANIFEST_KEY", "FORMAT_VERSION",
 ]
 
 #: Reserved archive member holding the JSON manifest (uint8 payload).
 MANIFEST_KEY = "__manifest__"
-
-#: Manifest section carrying a serialized stage-graph topology
-#: (``{"topology": StageGraph.topology()}``).  Written by pipeline
-#: checkpoints and model bundles; absent from pre-refactor archives,
-#: which remain loadable (consumers fall back to legacy synthesis).
-GRAPH_SECTION = "graph"
 
 #: Current checkpoint manifest format version.
 FORMAT_VERSION = 1

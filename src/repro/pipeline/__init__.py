@@ -2,9 +2,9 @@
 
 ``repro.pipeline`` owns the NSHD stage math (extract → scale → reduce →
 encode → classify) exactly once.  The ``repro.learn`` pipelines build
-live graphs for training, checkpoints and serve bundles persist graph
-topology + per-stage arrays, and the serving engine executes frozen
-graphs.  See ``docs/STAGE_GRAPH.md`` for the protocol and serialization
+live graphs for training, serve bundles store the stages' arrays and
+descriptions, and the serving engine executes the frozen graph a bundle
+builds.  See ``docs/STAGE_GRAPH.md`` for the protocol and the on-disk
 layout.
 
 :func:`packed_refusal` is the one rule for where the bit-packed
@@ -12,13 +12,13 @@ layout.
 stage.
 """
 
-from .graph import StageGraph, canonical_json
-from .stages import (STAGE_TYPES, ClassifyStage, EncodeStage, ExtractStage,
+from .graph import StageGraph
+from .stages import (ClassifyStage, EncodeStage, ExtractStage,
                      FeatureScaler, FlattenStage, FusedEncodeStage,
                      ManifoldReduceStage, PackedClassifyStage,
                      ScalePoolStage, ScaleStage, Stage, StageError,
                      clamped_norms, cosine_similarities, encoder_spec,
-                     packed_refusal, register_stage, stage_from_spec)
+                     packed_refusal)
 
 __all__ = [
     "Stage", "StageGraph", "StageError", "FeatureScaler",
@@ -26,6 +26,4 @@ __all__ = [
     "EncodeStage", "FusedEncodeStage", "ScalePoolStage",
     "ClassifyStage", "PackedClassifyStage", "packed_refusal",
     "cosine_similarities", "clamped_norms", "encoder_spec",
-    "register_stage", "stage_from_spec", "STAGE_TYPES",
-    "canonical_json",
 ]

@@ -7,10 +7,11 @@ executable description of an NSHD-family model:
 * the ``repro.learn`` pipelines build **live** graphs whose stages share
   weights with the training objects (ManifoldLearner, MASS trainer), so
   ``graph.run`` always reflects the current training state;
-* checkpoints and serve bundles persist ``graph.topology()`` (a list of
-  JSON stage specs) next to ``graph.state_arrays()`` (the flat weight
-  archive with the historical key names), and ``StageGraph.from_topology``
-  rebuilds a **frozen** graph from the two;
+* serve bundles store ``graph.state_arrays()`` (the flat weight archive
+  with the historical key names) next to the extract, reduce and encode
+  stages' ``spec()`` descriptions, and
+  :meth:`repro.serve.ModelBundle.build_graph` builds a **frozen** graph
+  from the two;
 * the serving engine is a thin executor around a frozen graph — it calls
   ``run``/``call`` and adds caching/batching, never math.
 
@@ -26,50 +27,18 @@ them into an active request trace.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..telemetry import span
-from .stages import Stage, StageError, stage_from_spec
+from .stages import Stage, StageError
 
-__all__ = ["StageGraph", "canonical_json"]
-
-#: Version of the serialized topology layout (bump on breaking change).
-TOPOLOGY_VERSION = 1
-
-
-def _canonical(obj: Any) -> Any:
-    """Normalize scalars so equal values always serialize identically."""
-    if isinstance(obj, dict):
-        return {str(key): _canonical(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(value) for value in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if math.isnan(value) or math.isinf(value):
-            raise ValueError("canonical JSON cannot encode NaN/Inf")
-        return value + 0.0  # collapses -0.0 to 0.0
-    raise TypeError(
-        f"cannot canonicalize {type(obj).__name__} values for JSON")
-
-
-def canonical_json(obj: Any) -> str:
-    """Deterministic JSON emit: sorted keys, compact separators,
-    numpy scalars coerced, ``-0.0`` normalized, NaN/Inf rejected."""
-    return json.dumps(_canonical(obj), sort_keys=True,
-                      separators=(",", ":"), allow_nan=False)
+__all__ = ["StageGraph"]
 
 
 class StageGraph:
-    """An ordered, named, serializable composition of stages."""
+    """An ordered, named composition of stages."""
 
     def __init__(self, stages: Sequence[Stage], name: str = "graph"):
         stages = list(stages)
@@ -163,28 +132,7 @@ class StageGraph:
                 out = stage(out, ctx)
         return out
 
-    # -- serialization -------------------------------------------------
-    def topology(self) -> Dict[str, Any]:
-        """JSON-serializable graph description (specs only, no weights)."""
-        return {"version": TOPOLOGY_VERSION, "name": self.name,
-                "stages": [stage.spec() for stage in self.stages]}
-
-    def topology_json(self) -> str:
-        """Canonical topology emit — byte-stable across processes.
-
-        Sorted keys, compact separators, numpy scalars coerced to
-        Python, ``-0.0`` normalized, NaN/Inf rejected: two processes
-        holding the same graph always emit identical bytes, so
-        :meth:`topology_digest` is a stable cross-process cache /
-        fingerprint key.
-        """
-        return canonical_json(self.topology())
-
-    def topology_digest(self) -> str:
-        """sha1 hex digest of :meth:`topology_json` (stable identity)."""
-        return hashlib.sha1(
-            self.topology_json().encode("utf-8")).hexdigest()
-
+    # -- export --------------------------------------------------------
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """Merged per-stage weight arrays (historical flat key names)."""
         merged: Dict[str, np.ndarray] = {}
@@ -195,24 +143,3 @@ class StageGraph:
                         f"stage {stage.name!r} re-defines array {key!r}")
                 merged[key] = value
         return merged
-
-    def load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        for stage in self.stages:
-            stage.load_arrays(arrays)
-
-    @classmethod
-    def from_topology(cls, topology: Dict[str, Any],
-                      arrays: Dict[str, np.ndarray]) -> "StageGraph":
-        """Rebuild a frozen graph from a persisted topology + archive."""
-        if isinstance(topology, str):
-            topology = json.loads(topology)
-        version = int(topology.get("version", 1))
-        if version > TOPOLOGY_VERSION:
-            raise StageError(
-                f"graph topology version {version} is newer than this "
-                f"build supports ({TOPOLOGY_VERSION})")
-        specs = topology.get("stages") or []
-        if not specs:
-            raise StageError("graph topology has no stages")
-        stages = [stage_from_spec(spec, arrays) for spec in specs]
-        return cls(stages, name=topology.get("name", "graph"))

@@ -9,24 +9,26 @@ four separate times (the three ``repro.learn`` pipelines, the serving
 engine, the checkpoint writer, and the bundle exporter each hardcoded a
 variant); this module is now the **only** implementation.
 
-A :class:`Stage` is a named, serializable unit of computation:
+A :class:`Stage` is a named unit of computation:
 
 * ``stage(batch, ctx)`` maps an ``(n, …)`` numpy batch to the next
   representation; the optional ``ctx`` dict is shared by every stage of
   one ``StageGraph.run``, and a classify stage leaves the ``(n, k)``
   score matrix it ranked there as ``ctx["similarities"]``;
-* ``spec()`` returns the JSON-serializable *topology* entry (type +
-  hyperparameters, no weights) used to rebuild the stage;
-* ``state_arrays()`` / ``load_arrays()`` move the stage's weights in and
-  out of flat ``{name: ndarray}`` dicts using the historical checkpoint
-  and bundle key names (``scaler.mean``, ``encoder.projection``,
-  ``manifold.weight``, ``model.*``, ``classes``), so pre-refactor
-  archives remain loadable without translation.
+* ``state_arrays()`` exports the stage's weights as a flat
+  ``{name: ndarray}`` dict under the historical checkpoint and bundle
+  key names (``scaler.mean``, ``encoder.projection``,
+  ``manifold.weight``, ``model.*``, ``classes``);
+* the extract, reduce and encode stages also describe themselves with
+  ``spec()``: the bundle's ``info["extractor"]``, ``info["manifold"]``
+  and ``info["encoder"]`` fields.  Those fields and the arrays are the
+  whole on-disk model; :meth:`repro.serve.ModelBundle.build_graph`
+  builds the frozen stages back from them.
 
 Stages are either **live** (sharing weights with training objects —
 :class:`~repro.learn.manifold.ManifoldLearner`, the MASS trainer — so a
 graph built by a pipeline always reflects the current training state) or
-**frozen** (owning immutable arrays loaded from a bundle; frozen
+**frozen** (owning immutable arrays built from a bundle; frozen
 classifiers cache their clamped class norms, which are constant).
 
 Bit-exactness contract: every stage reproduces the pre-refactor float
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -58,10 +60,9 @@ __all__ = [
     "EncodeStage", "FusedEncodeStage", "ScalePoolStage",
     "ClassifyStage", "PackedClassifyStage", "packed_refusal",
     "cosine_similarities", "clamped_norms", "encoder_spec",
-    "register_stage", "stage_from_spec", "STAGE_TYPES",
 ]
 
-#: Encoder kinds the encode stages can (de)serialize.
+#: Encoder kinds the encode stages can describe.
 ENCODER_TYPES = ("nonlinear", "random_projection")
 
 _DEGENERATE_STD = 1e-8
@@ -69,7 +70,7 @@ _NORM_FLOOR = 1e-12
 
 
 class StageError(RuntimeError):
-    """A stage spec is unknown, malformed, or missing its arrays."""
+    """A stage or stage graph is malformed or misused."""
 
 
 # ----------------------------------------------------------------------
@@ -138,42 +139,8 @@ class FeatureScaler:
         return self.fit(features).transform(features)
 
 
-# ----------------------------------------------------------------------
-# Stage registry
-# ----------------------------------------------------------------------
-#: Registered stage types: ``spec["type"] → Stage subclass``.
-STAGE_TYPES: Dict[str, Type["Stage"]] = {}
-
-
-def register_stage(cls: Type["Stage"]) -> Type["Stage"]:
-    """Class decorator adding a stage type to the topology registry."""
-    STAGE_TYPES[cls.stage_type] = cls
-    return cls
-
-
-def stage_from_spec(spec: Dict[str, Any],
-                    arrays: Dict[str, np.ndarray]) -> "Stage":
-    """Rebuild one stage from its topology entry plus its weight arrays.
-
-    ``arrays`` uses the flat historical key names (see module docstring);
-    each stage picks out the keys it owns.  Unknown types raise
-    :class:`StageError` so a bundle written by a newer build fails
-    loudly instead of mis-executing.
-    """
-    stage_type = spec.get("type")
-    cls = STAGE_TYPES.get(stage_type)
-    if cls is None:
-        raise StageError(
-            f"unknown stage type {stage_type!r}; this build supports "
-            f"{sorted(STAGE_TYPES)}")
-    return cls.from_spec(spec, arrays)
-
-
 class Stage:
-    """Protocol/base for named, serializable pipeline stages."""
-
-    #: Topology discriminator (set by subclasses; used by the registry).
-    stage_type: str = ""
+    """Protocol/base for named pipeline stages."""
 
     def __init__(self, name: str):
         if not name:
@@ -190,22 +157,9 @@ class Stage:
                  ) -> np.ndarray:
         raise NotImplementedError
 
-    # -- serialization -------------------------------------------------
-    def spec(self) -> Dict[str, Any]:
-        """JSON-serializable topology entry (no weights)."""
-        return {"type": self.stage_type, "name": self.name}
-
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """This stage's weights under their archive key names."""
         return {}
-
-    def load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Restore weights from a flat archive dict (picks own keys)."""
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any],
-                  arrays: Dict[str, np.ndarray]) -> "Stage":
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -214,11 +168,8 @@ class Stage:
 # ----------------------------------------------------------------------
 # Concrete stages
 # ----------------------------------------------------------------------
-@register_stage
 class FlattenStage(Stage):
     """Reshape ``(n, …)`` inputs to ``(n, F)`` (VanillaHD's raw pixels)."""
-
-    stage_type = "flatten"
 
     def __init__(self, name: str = "flatten"):
         super().__init__(name)
@@ -228,17 +179,9 @@ class FlattenStage(Stage):
         batch = np.asarray(batch)
         return batch.reshape(len(batch), math.prod(batch.shape[1:]))
 
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any],
-                  arrays: Dict[str, np.ndarray]) -> "FlattenStage":
-        return cls(spec.get("name", "flatten"))
 
-
-@register_stage
 class ExtractStage(Stage):
     """Frozen truncated-CNN feature extraction (NCHW images → ``(n, F)``)."""
-
-    stage_type = "extract"
 
     def __init__(self, extractor: FeatureExtractor, name: str = "extract"):
         super().__init__(name)
@@ -249,9 +192,9 @@ class ExtractStage(Stage):
         return self.extractor.extract(np.asarray(batch))
 
     def spec(self) -> Dict[str, Any]:
+        """The bundle's ``info["extractor"]`` description."""
         model = self.extractor.model
         return {
-            "type": self.stage_type, "name": self.name,
             "model": model.name,
             "layer_index": int(self.extractor.layer_index),
             "num_classes": int(model.num_classes),
@@ -264,35 +207,9 @@ class ExtractStage(Stage):
         return {f"model.{key}": np.asarray(value)
                 for key, value in self.extractor.model.state_dict().items()}
 
-    def load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        state = {key[len("model."):]: value
-                 for key, value in arrays.items()
-                 if key.startswith("model.")}
-        if not state:
-            raise StageError(
-                f"stage {self.name!r} found no model.* arrays to load")
-        self.extractor.model.load_state_dict(state)
 
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any],
-                  arrays: Dict[str, np.ndarray]) -> "ExtractStage":
-        from ..models.registry import create_model
-        model = create_model(spec["model"],
-                             num_classes=int(spec["num_classes"]),
-                             width_mult=float(spec.get("width_mult", 1.0)),
-                             image_size=int(spec["image_size"]))
-        stage = cls(FeatureExtractor(model, int(spec["layer_index"])),
-                    name=spec.get("name", "extract"))
-        stage.load_arrays(arrays)
-        model.eval()
-        return stage
-
-
-@register_stage
 class ScaleStage(Stage):
     """Standardization ``(x − μ) / σ`` with training-set statistics."""
-
-    stage_type = "scale"
 
     def __init__(self, scaler: Optional[FeatureScaler] = None,
                  name: str = "scale"):
@@ -310,24 +227,7 @@ class ScaleStage(Stage):
         return {"scaler.mean": np.asarray(self.scaler.mean),
                 "scaler.std": np.asarray(self.scaler.std)}
 
-    def load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        if "scaler.mean" not in arrays:
-            raise StageError(
-                f"stage {self.name!r} requires scaler.mean/scaler.std")
-        self.scaler.mean = np.asarray(arrays["scaler.mean"],
-                                      dtype=np.float64)
-        self.scaler.std = np.asarray(arrays["scaler.std"],
-                                     dtype=np.float64)
 
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any],
-                  arrays: Dict[str, np.ndarray]) -> "ScaleStage":
-        stage = cls(name=spec.get("name", "scale"))
-        stage.load_arrays(arrays)
-        return stage
-
-
-@register_stage
 class ManifoldReduceStage(Stage):
     """Manifold compression Ψ: crop-to-even max-pool (window 2) + FC.
 
@@ -343,7 +243,6 @@ class ManifoldReduceStage(Stage):
     frozen stage returns its loaded arrays.
     """
 
-    stage_type = "reduce"
     span_name = "stage.manifold"  # historical telemetry name
 
     def __init__(self, feature_shape: Sequence[int], out_features: int,
@@ -383,8 +282,8 @@ class ManifoldReduceStage(Stage):
         return out
 
     def spec(self) -> Dict[str, Any]:
+        """The bundle's ``info["manifold"]`` description."""
         return {
-            "type": self.stage_type, "name": self.name,
             "feature_shape": [int(s) for s in self.feature_shape],
             "out_features": int(self.out_features),
             "pooling": bool(self.pooling),
@@ -399,16 +298,6 @@ class ManifoldReduceStage(Stage):
             arrays["manifold.bias"] = np.asarray(bias, dtype=np.float64)
         return arrays
 
-    def load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        if "manifold.weight" not in arrays:
-            raise StageError(
-                f"stage {self.name!r} requires manifold.weight")
-        weight = np.asarray(arrays["manifold.weight"], dtype=np.float64)
-        bias = arrays.get("manifold.bias")
-        bias = None if bias is None else np.asarray(bias, dtype=np.float64)
-        self._weight_fn = lambda: weight
-        self._bias_fn = (lambda: bias) if bias is not None else None
-
     @classmethod
     def from_learner(cls, learner, name: str = "reduce"
                      ) -> "ManifoldReduceStage":
@@ -422,15 +311,6 @@ class ManifoldReduceStage(Stage):
                    weight_fn=lambda: np.asarray(learner.fc.weight.data,
                                                 dtype=np.float64),
                    bias_fn=bias_fn, name=name)
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any],
-                  arrays: Dict[str, np.ndarray]) -> "ManifoldReduceStage":
-        stage = cls(spec["feature_shape"], int(spec["out_features"]),
-                    bool(spec.get("pooling")), weight_fn=lambda: None,
-                    name=spec.get("name", "reduce"))
-        stage.load_arrays(arrays)
-        return stage
 
 
 def encoder_spec(encoder: Encoder) -> Dict[str, Any]:
@@ -471,7 +351,6 @@ class _SignWords:
         return stage
 
 
-@register_stage
 class EncodeStage(_SignWords, Stage):
     """Feature → hypervector map Φ (random projection or nonlinear).
 
@@ -480,8 +359,6 @@ class EncodeStage(_SignWords, Stage):
     frozen stages rebuild the encoder from stored arrays via the
     ``from_arrays`` constructors without re-randomizing.
     """
-
-    stage_type = "encode"
 
     def __init__(self, encoder: Encoder, name: str = "encode"):
         super().__init__(name)
@@ -503,8 +380,8 @@ class EncodeStage(_SignWords, Stage):
         return bool(self.encoder.quantize)
 
     def spec(self) -> Dict[str, Any]:
-        return {"type": self.stage_type, "name": self.name,
-                "encoder": encoder_spec(self.encoder)}
+        """The bundle's ``info["encoder"]`` description."""
+        return encoder_spec(self.encoder)
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         if isinstance(self.encoder, RandomProjectionEncoder):
@@ -515,47 +392,7 @@ class EncodeStage(_SignWords, Stage):
                 "encoder.phase": np.asarray(self.encoder.phase,
                                             dtype=np.float64)}
 
-    def load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        quantize = self.encoder.quantize
-        if isinstance(self.encoder, RandomProjectionEncoder):
-            if "encoder.projection" not in arrays:
-                raise StageError(
-                    f"stage {self.name!r} requires encoder.projection")
-            self.encoder = RandomProjectionEncoder.from_arrays(
-                arrays["encoder.projection"], quantize=quantize)
-        else:
-            if "encoder.basis" not in arrays:
-                raise StageError(
-                    f"stage {self.name!r} requires encoder.basis/phase")
-            self.encoder = NonlinearEncoder.from_arrays(
-                arrays["encoder.basis"], arrays["encoder.phase"],
-                quantize=quantize)
 
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any],
-                  arrays: Dict[str, np.ndarray]) -> "EncodeStage":
-        enc = spec.get("encoder") or {}
-        quantize = bool(enc.get("quantize", True))
-        if enc.get("type") == "random_projection":
-            if "encoder.projection" not in arrays:
-                raise StageError("encode stage requires encoder.projection")
-            encoder: Encoder = RandomProjectionEncoder.from_arrays(
-                arrays["encoder.projection"], quantize=quantize)
-        elif enc.get("type") == "nonlinear":
-            if "encoder.basis" not in arrays or "encoder.phase" not in arrays:
-                raise StageError(
-                    "encode stage requires encoder.basis and encoder.phase")
-            encoder = NonlinearEncoder.from_arrays(
-                arrays["encoder.basis"], arrays["encoder.phase"],
-                quantize=quantize)
-        else:
-            raise StageError(
-                f"unknown encoder type {enc.get('type')!r}; this build "
-                f"supports {sorted(ENCODER_TYPES)}")
-        return cls(encoder, name=spec.get("name", "encode"))
-
-
-@register_stage
 class FusedEncodeStage(_SignWords, Stage):
     """Scale ∘ Encode folded into one affine GEMM.
 
@@ -565,8 +402,8 @@ class FusedEncodeStage(_SignWords, Stage):
     (``P̂ = P / σ[:, None]``) and the constant term becomes an additive
     offset (``o = −(μ/σ) @ P``) — one GEMM per batch instead of a
     subtract/divide sweep over the full feature width plus a GEMM.
-    No export or serving path produces it; it stays registered so a
-    topology naming ``encode_fused`` still loads.
+    Nothing exports or serves it, so it has no serialization; it stays
+    only as a traced target of ``bench/spans.py``.
 
     Float tolerance: the regrouping changes the floating-point
     evaluation order, so *raw* encodings agree with the unfused graph
@@ -574,7 +411,6 @@ class FusedEncodeStage(_SignWords, Stage):
     labels agree exactly (``tests/test_pipeline_stages.py``).
     """
 
-    stage_type = "encode_fused"
     span_name = "stage.encode"  # the fused stage is the encode step
 
     def __init__(self, kind: str, matrix: np.ndarray, offset: np.ndarray,
@@ -597,7 +433,6 @@ class FusedEncodeStage(_SignWords, Stage):
         if self.kind == "nonlinear" and self.phase is None:
             raise StageError("fused nonlinear encode requires a phase")
         self.quantize = bool(quantize)
-        self.fused_from = ["scale", "encode"]
 
     @property
     def in_features(self) -> int:
@@ -633,63 +468,6 @@ class FusedEncodeStage(_SignWords, Stage):
                 return pack_signs(raw >= 0)
             return hard_quantize(raw) if self.quantize else raw
 
-    def spec(self) -> Dict[str, Any]:
-        return {"type": self.stage_type, "name": self.name,
-                "encoder": {"type": self.kind,
-                            "in_features": self.in_features,
-                            "dim": self.dim,
-                            "quantize": bool(self.quantize)},
-                "fused": list(self.fused_from)}
-
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        if self.kind == "random_projection":
-            arrays = {"encoder.projection": self.matrix}
-        else:
-            arrays = {"encoder.basis": self.matrix,
-                      "encoder.phase": self.phase}
-        arrays["encoder.offset"] = self.offset
-        return arrays
-
-    def load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        matrix_key = ("encoder.projection"
-                      if self.kind == "random_projection"
-                      else "encoder.basis")
-        if matrix_key not in arrays or "encoder.offset" not in arrays:
-            raise StageError(
-                f"stage {self.name!r} requires {matrix_key} and "
-                "encoder.offset")
-        self.matrix = np.asarray(arrays[matrix_key], dtype=np.float64)
-        self.offset = np.asarray(arrays["encoder.offset"],
-                                 dtype=np.float64)
-        if self.kind == "nonlinear":
-            if "encoder.phase" not in arrays:
-                raise StageError(
-                    f"stage {self.name!r} requires encoder.phase")
-            self.phase = np.asarray(arrays["encoder.phase"],
-                                    dtype=np.float64)
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any],
-                  arrays: Dict[str, np.ndarray]) -> "FusedEncodeStage":
-        enc = spec.get("encoder") or {}
-        kind = enc.get("type")
-        if kind not in ENCODER_TYPES:
-            raise StageError(
-                f"unknown encoder type {kind!r}; this build supports "
-                f"{sorted(ENCODER_TYPES)}")
-        matrix_key = ("encoder.projection" if kind == "random_projection"
-                      else "encoder.basis")
-        if matrix_key not in arrays or "encoder.offset" not in arrays:
-            raise StageError(
-                f"fused encode stage requires {matrix_key} and "
-                "encoder.offset")
-        stage = cls(kind, arrays[matrix_key], arrays["encoder.offset"],
-                    phase=arrays.get("encoder.phase"),
-                    quantize=bool(enc.get("quantize", True)),
-                    name=spec.get("name", "encode"))
-        stage.fused_from = list(spec.get("fused") or ["scale", "encode"])
-        return stage
-
     @classmethod
     def from_scale_encode(cls, scale: "ScaleStage", encode: "EncodeStage"
                           ) -> "FusedEncodeStage":
@@ -714,14 +492,11 @@ class FusedEncodeStage(_SignWords, Stage):
             raise StageError(
                 f"scale stage is fitted for {mean.shape[0]} features but "
                 f"the encoder expects {base.shape[0]}")
-        stage = cls(kind, base / std[:, None], -(mean / std) @ base,
-                    phase=phase, quantize=bool(encode.quantize),
-                    name=encode.name)
-        stage.fused_from = [scale.name, encode.name]
-        return stage
+        return cls(kind, base / std[:, None], -(mean / std) @ base,
+                   phase=phase, quantize=bool(encode.quantize),
+                   name=encode.name)
 
 
-@register_stage
 class ScalePoolStage(Stage):
     """Standardize-then-max-pool fused stage.
 
@@ -735,11 +510,10 @@ class ScalePoolStage(Stage):
     stage boundary moves.  The win is that the
     full-width scaled intermediate dies immediately after pooling
     (4× smaller downstream batch rows) and the reduce stage degenerates
-    to a plain GEMM.  No export or serving path produces it; it stays
-    registered so a topology naming ``scale_pool`` still loads.
+    to a plain GEMM.  Nothing exports or serves it, so it has no
+    serialization; it stays only as a traced target of ``bench/spans.py``.
     """
 
-    stage_type = "scale_pool"
     span_name = "stage.scale"  # the fused stage is the scale step
 
     def __init__(self, feature_shape: Sequence[int],
@@ -750,7 +524,6 @@ class ScalePoolStage(Stage):
             raise ValueError("feature_shape must be (C, H, W)")
         self.feature_shape = tuple(int(s) for s in feature_shape)
         self.scaler = scaler if scaler is not None else FeatureScaler()
-        self.fused_from = ["scale", "reduce"]
 
     def __call__(self, batch: np.ndarray, ctx: Optional[dict] = None
                  ) -> np.ndarray:
@@ -758,34 +531,6 @@ class ScalePoolStage(Stage):
             np.asarray(batch, dtype=np.float64))
         x = strided_max_pool(scaled.reshape(-1, *self.feature_shape))
         return x.reshape(len(x), -1)
-
-    def spec(self) -> Dict[str, Any]:
-        return {"type": self.stage_type, "name": self.name,
-                "feature_shape": [int(s) for s in self.feature_shape],
-                "fused": list(self.fused_from)}
-
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        if self.scaler.mean is None:
-            return {}
-        return {"scaler.mean": np.asarray(self.scaler.mean),
-                "scaler.std": np.asarray(self.scaler.std)}
-
-    def load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        if "scaler.mean" not in arrays:
-            raise StageError(
-                f"stage {self.name!r} requires scaler.mean/scaler.std")
-        self.scaler.mean = np.asarray(arrays["scaler.mean"],
-                                      dtype=np.float64)
-        self.scaler.std = np.asarray(arrays["scaler.std"],
-                                     dtype=np.float64)
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any],
-                  arrays: Dict[str, np.ndarray]) -> "ScalePoolStage":
-        stage = cls(spec["feature_shape"], name=spec.get("name", "scale"))
-        stage.load_arrays(arrays)
-        stage.fused_from = list(spec.get("fused") or ["scale", "reduce"])
-        return stage
 
     @classmethod
     def from_scale_reduce(cls, scale: "ScaleStage",
@@ -800,12 +545,9 @@ class ScalePoolStage(Stage):
         frozen = FeatureScaler()
         frozen.mean = np.asarray(scale.scaler.mean, dtype=np.float64)
         frozen.std = np.asarray(scale.scaler.std, dtype=np.float64)
-        stage = cls(reduce.feature_shape, scaler=frozen, name=scale.name)
-        stage.fused_from = [scale.name, reduce.name]
-        return stage
+        return cls(reduce.feature_shape, scaler=frozen, name=scale.name)
 
 
-@register_stage
 class ClassifyStage(Stage):
     """Cosine-similarity argmax over the class-hypervector matrix.
 
@@ -817,7 +559,6 @@ class ClassifyStage(Stage):
     bit-for-bit.
     """
 
-    stage_type = "classify"
     span_name = "stage.similarity"  # historical telemetry name
 
     def __init__(self, matrix_fn: Callable[[], np.ndarray],
@@ -845,21 +586,9 @@ class ClassifyStage(Stage):
             ctx["similarities"] = sims
         return np.asarray(sims.argmax(axis=1))
 
-    def spec(self) -> Dict[str, Any]:
-        return {"type": self.stage_type, "name": self.name,
-                "metric": "cosine"}
-
     def state_arrays(self) -> Dict[str, np.ndarray]:
         return {"classes": np.asarray(self.class_matrix,
                                       dtype=np.float64)}
-
-    def load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        if "classes" not in arrays:
-            raise StageError(f"stage {self.name!r} requires classes")
-        matrix = np.asarray(arrays["classes"], dtype=np.float64)
-        self._matrix_fn = lambda: matrix
-        self.frozen = True
-        self._norms = clamped_norms(matrix)
 
     @classmethod
     def from_trainer(cls, trainer, name: str = "classify"
@@ -874,14 +603,6 @@ class ClassifyStage(Stage):
         matrix = np.asarray(matrix, dtype=np.float64)
         return cls(lambda: matrix, frozen=True, name=name)
 
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any],
-                  arrays: Dict[str, np.ndarray]) -> "ClassifyStage":
-        if "classes" not in arrays:
-            raise StageError("classify stage requires classes")
-        return cls.from_matrix(arrays["classes"],
-                               name=spec.get("name", "classify"))
-
 
 class PackedClassifyStage(Stage):
     """Bit-packed XOR-popcount classifier (bipolar operands only).
@@ -892,12 +613,10 @@ class PackedClassifyStage(Stage):
     Ranks identically to the float cosine path for bipolar operands
     (integer dots, no rounding); its scores are cosines, ``dots / D``.
     The serving engine derives it from a frozen :class:`ClassifyStage`
-    where :func:`packed_refusal` allows — it is an execution *variant*,
-    not a separate topology entry, so it is not registered for
-    serialization.
+    where :func:`packed_refusal` allows — it is an execution *variant*
+    of the bundle's classify stage, never stored.
     """
 
-    stage_type = "classify_packed"
     span_name = "stage.similarity"
 
     def __init__(self, packed_classes: np.ndarray, dim: int,
@@ -918,10 +637,6 @@ class PackedClassifyStage(Stage):
         if ctx is not None:
             ctx["similarities"] = sims
         return np.asarray(sims.argmax(axis=1))
-
-    def spec(self) -> Dict[str, Any]:
-        return {"type": self.stage_type, "name": self.name,
-                "dim": self.dim}
 
     @classmethod
     def from_class_matrix(cls, matrix: np.ndarray,

@@ -6,7 +6,11 @@ inference needs — CNN extractor weights, manifold FC, projection (or
 nonlinear basis), class hypervectors, scaler statistics — captured into a
 single atomic, CRC-verified archive (:mod:`repro.nn.serialize`) together
 with a JSON provenance block (git SHA, config fingerprint, creation
-time, pipeline topology) stored as the ``"bundle"`` manifest section.
+time) stored as the ``"bundle"`` manifest section.  The block's
+``extractor``, ``manifold`` and ``encoder`` fields are the only
+description of the model's stages: :meth:`ModelBundle.validate` checks
+the arrays against them, and :meth:`ModelBundle.build_graph` builds the
+served stage graph from them.
 
 Bundles are *frozen*: they carry no optimizer state, no RNG state, no
 training history — exactly the inference closure and nothing else.  Two
@@ -24,9 +28,10 @@ structurally validates the arrays against the provenance block, so a
 serving process can refuse a torn or mismatched artifact before it ever
 answers a request.
 
-Older exports may carry an ``info["compile"]`` plan.  It is ignored:
-the engine serves the stored topology, and every pass such a plan could
-name left the predicted labels unchanged.
+Older exports may carry a stored stage topology (``info["graph"]``) and
+a compile plan (``info["compile"]``).  Both are ignored: the topology
+only repeated the provenance fields, and every pass a plan could name
+left the predicted labels unchanged.
 """
 
 from __future__ import annotations
@@ -38,10 +43,15 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..hardware.quantize import QuantizedTensor, quantize_symmetric
+from ..hd.encoders import NonlinearEncoder, RandomProjectionEncoder
 from ..hd.hypervector import hard_quantize, is_bipolar
+from ..models.extractor import FeatureExtractor
+from ..models.registry import create_model
 from ..nn.serialize import (CheckpointError, load_state_with_manifest,
                             manifest_section, save_state)
-from ..pipeline import StageError, StageGraph
+from ..pipeline import (ClassifyStage, EncodeStage, ExtractStage,
+                        FeatureScaler, FlattenStage, ManifoldReduceStage,
+                        ScaleStage, Stage, StageGraph)
 from ..telemetry import (config_fingerprint, decode_non_finite,
                          encode_non_finite, git_info)
 
@@ -56,11 +66,6 @@ BUNDLE_SECTION = "bundle"
 
 class BundleError(RuntimeError):
     """A model bundle is missing, malformed, or incompatible."""
-
-
-def _spec_fields(spec: Dict[str, Any], *fields: str) -> Dict[str, Any]:
-    """Project a stage spec onto the legacy ``info`` field names."""
-    return {field: spec[field] for field in fields if field in spec}
 
 
 class ModelBundle:
@@ -138,14 +143,10 @@ class ModelBundle:
                 "pipeline has no StageGraph — bundle export requires a "
                 "graph-building pipeline (NSHD / BaselineHD / VanillaHD)")
 
-        # The graph is the single source of truth: its per-stage arrays
-        # (historical flat key names) become the payload, its topology
-        # rides in ``info["graph"]``, and the legacy info fields are
-        # projections of the stage specs so pre-refactor consumers keep
-        # reading the same provenance shape.
+        # The graph's per-stage arrays (historical flat key names) are
+        # the payload, and its extract, reduce and encode stages describe
+        # themselves in the provenance fields build_graph() reads back.
         arrays: Dict[str, np.ndarray] = dict(graph.state_arrays())
-        topology = graph.topology()
-        specs = {spec["name"]: spec for spec in topology["stages"]}
 
         info: Dict[str, Any] = {
             "bundle_version": BUNDLE_VERSION,
@@ -158,26 +159,18 @@ class ModelBundle:
             "config_fingerprint": config_fingerprint(dict(config or {})),
             "binarized": bool(binarize),
             "quantize_bits": int(quantize_bits) if quantize_bits else None,
-            "graph": topology,
+            "encoder": graph.stage("encode").spec(),
         }
-
-        info["encoder"] = dict(specs["encode"]["encoder"])
-        if "extract" in specs:
-            info["extractor"] = _spec_fields(
-                specs["extract"], "model", "layer_index", "num_classes",
-                "image_size", "width_mult", "feature_shape")
+        if "extract" in graph:
+            info["extractor"] = graph.stage("extract").spec()
         else:
             info["extractor"] = None
             info["image_size"] = int(getattr(pipeline, "num_features", 0))
-        if "reduce" in specs:
-            info["manifold"] = _spec_fields(
-                specs["reduce"], "feature_shape", "out_features",
-                "pooling", "has_bias")
-        else:
-            info["manifold"] = None
+        info["manifold"] = (graph.stage("reduce").spec()
+                            if "reduce" in graph else None)
 
         # -- deployment transforms (quantize / binarize) ---------------
-        if "reduce" in specs and quantize_bits:
+        if "reduce" in graph and quantize_bits:
             weight = arrays.pop("manifold.weight")
             arrays.update(quantize_symmetric(
                 weight, quantize_bits).to_arrays("manifold.weight"))
@@ -420,6 +413,11 @@ class ModelBundle:
                 raise BundleError(
                     f"encoder.basis has shape {shape}, provenance says "
                     f"({in_features}, {dim})")
+            phase = tuple(self.arrays["encoder.phase"].shape)
+            if phase != (dim,):
+                raise BundleError(
+                    f"encoder.phase has shape {phase}, provenance says "
+                    f"({dim},)")
         else:
             raise BundleError(f"unknown encoder type {enc.get('type')!r}")
 
@@ -455,6 +453,11 @@ class ModelBundle:
                     f"provenance says {expected}")
             if manifold.get("has_bias"):
                 self._require("manifold.bias")
+            bias = self.manifold_bias()
+            if bias is not None and bias.shape != expected[:1]:
+                raise BundleError(
+                    f"manifold.bias has shape {bias.shape}, provenance "
+                    f"says {expected[:1]}")
             if expected[0] != in_features:
                 raise BundleError(
                     f"manifold emits {expected[0]} features but the "
@@ -520,61 +523,66 @@ class ModelBundle:
     # ------------------------------------------------------------------
     # Stage graph
     # ------------------------------------------------------------------
-    def graph_topology(self) -> Dict[str, Any]:
-        """The bundle's stage-graph topology.
-
-        New-format bundles carry it verbatim in ``info["graph"]``;
-        pre-refactor bundles (no ``graph`` key) get an equivalent
-        topology synthesized from the legacy ``encoder`` / ``extractor``
-        / ``manifold`` provenance fields — the compatibility shim that
-        keeps every old artifact loadable and servable.
-        """
-        topology = self.info.get("graph")
-        if topology:
-            return topology
-        info = self.info
-        stages: List[Dict[str, Any]] = []
-        extractor = info.get("extractor")
-        if extractor is not None:
-            stages.append({"type": "extract", "name": "extract",
-                           **extractor})
-        else:
-            stages.append({"type": "flatten", "name": "flatten"})
-        stages.append({"type": "scale", "name": "scale"})
-        manifold = info.get("manifold")
-        if manifold is not None:
-            stages.append({"type": "reduce", "name": "reduce", **manifold})
-        stages.append({"type": "encode", "name": "encode",
-                       "encoder": dict(info.get("encoder") or {})})
-        stages.append({"type": "classify", "name": "classify",
-                       "metric": "cosine"})
-        return {"version": 1,
-                "name": str(info.get("pipeline", "bundle")).lower(),
-                "stages": stages}
-
     def build_graph(self, build_extractor: bool = True) -> StageGraph:
         """Frozen, executable :class:`StageGraph` for this bundle.
 
-        Quantized payloads (int8 class matrix / manifold weight) are
-        dequantized into the float arrays the stages expect; with
-        ``build_extractor=False`` the (expensive to rebuild) CNN extract
-        stage is dropped so the graph starts at the feature interface.
+        Built from the provenance fields :meth:`validate` checks: extract
+        (or flatten), scale, reduce when ``info["manifold"]`` is set,
+        encode, and a frozen classify stage.  Quantized payloads (int8
+        class matrix / manifold weight) are dequantized into the float
+        arrays the stages expect; with ``build_extractor=False`` the
+        (expensive to rebuild) CNN extract stage is dropped so the graph
+        starts at the feature interface.  Any failure raises
+        :class:`BundleError`.
         """
-        topology = dict(self.graph_topology())
-        specs = list(topology.get("stages") or [])
-        if not build_extractor:
-            specs = [spec for spec in specs if spec.get("type") != "extract"]
-        topology["stages"] = specs
-
-        resolved: Dict[str, np.ndarray] = dict(self.arrays)
-        resolved["classes"] = self.class_matrix()
-        if any(spec.get("type") == "reduce" for spec in specs):
-            resolved["manifold.weight"] = self.manifold_weight()
+        info, arrays = self.info, self.arrays
         try:
-            return StageGraph.from_topology(topology, resolved)
-        except StageError as exc:
+            stages: List[Stage] = []
+            extractor = info.get("extractor")
+            if extractor is None:
+                stages.append(FlattenStage())
+            elif build_extractor:
+                model = create_model(
+                    extractor["model"],
+                    num_classes=int(extractor["num_classes"]),
+                    width_mult=float(extractor.get("width_mult", 1.0)),
+                    image_size=int(extractor["image_size"]))
+                stage = ExtractStage(
+                    FeatureExtractor(model, int(extractor["layer_index"])))
+                model.load_state_dict(self.model_state())
+                model.eval()
+                stages.append(stage)
+            scaler = FeatureScaler()
+            scaler.mean = np.asarray(arrays["scaler.mean"], dtype=np.float64)
+            scaler.std = np.asarray(arrays["scaler.std"], dtype=np.float64)
+            stages.append(ScaleStage(scaler))
+            manifold = info.get("manifold")
+            if manifold is not None:
+                weight, bias = self.manifold_weight(), self.manifold_bias()
+                stages.append(ManifoldReduceStage(
+                    manifold["feature_shape"], int(manifold["out_features"]),
+                    bool(manifold.get("pooling")), weight_fn=lambda: weight,
+                    bias_fn=None if bias is None else lambda: bias))
+            enc = info["encoder"]
+            quantize = bool(enc.get("quantize", True))
+            if enc["type"] == "random_projection":
+                encoder = RandomProjectionEncoder.from_arrays(
+                    arrays["encoder.projection"], quantize=quantize)
+            elif enc["type"] == "nonlinear":
+                encoder = NonlinearEncoder.from_arrays(
+                    arrays["encoder.basis"], arrays["encoder.phase"],
+                    quantize=quantize)
+            else:
+                raise BundleError(f"unknown encoder type {enc['type']!r}")
+            stages.append(EncodeStage(encoder))
+            stages.append(ClassifyStage.from_matrix(self.class_matrix()))
+            return StageGraph(
+                stages, name=str(info.get("pipeline", "bundle")).lower())
+        except BundleError:
+            raise
+        except Exception as exc:
             raise BundleError(
-                f"bundle stage graph could not be built: {exc}") from exc
+                f"bundle stage graph could not be built: {exc!r}") from exc
 
     @property
     def binary_classes(self) -> bool:

@@ -23,9 +23,10 @@ serving concerns:
   float reference kernels on random probes;
 * request/sample counters and ``serve.*`` spans for the telemetry layer.
 
-Pre-refactor bundles (no ``info["graph"]`` topology) are served through
-the same code path: :meth:`ModelBundle.build_graph` synthesizes the
-equivalent topology from the legacy provenance fields.
+Every bundle is served through the same code path:
+:meth:`ModelBundle.build_graph` builds the frozen stages from the
+provenance fields :meth:`ModelBundle.validate` checks, so a bundle that
+fails either is refused with :class:`BundleError` before it serves.
 """
 
 from __future__ import annotations

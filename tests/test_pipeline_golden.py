@@ -6,11 +6,12 @@ enforces the refactor's central promise on every later revision:
 
 * re-fitting the three pipelines from the frozen CNN weights reproduces
   the pre-refactor predictions and encoded hypervectors **bit-exactly**;
-* legacy checkpoints (no graph-topology manifest section) still restore;
+* legacy checkpoints still restore, and so do checkpoints that carry
+  the ``"graph"`` topology section later builds wrote;
 * pre-refactor serve bundles (no ``info["graph"]``) serve bit-exactly
-  through the synthesized-topology compat shim — float *and* packed;
-* newly written checkpoints/bundles carry the graph topology and
-  round-trip through the graph executor.
+  from their provenance fields — float *and* packed;
+* newly written bundles carry no stored topology, round-trip through
+  the graph executor, and a stored ``info["graph"]`` changes no label.
 """
 
 import json
@@ -20,10 +21,13 @@ import numpy as np
 import pytest
 
 from repro.data import make_dataset, normalize_images
+from repro.hardware.quantize import QuantizedTensor
 from repro.learn import NSHD, BaselineHD, VanillaHD
 from repro.models import create_model
-from repro.nn.serialize import (GRAPH_SECTION, load_manifest, load_state,
-                                manifest_section)
+from repro.nn.serialize import (load_manifest, load_state,
+                                load_state_with_manifest, manifest_section,
+                                save_state)
+from repro.pipeline import ClassifyStage, ManifoldReduceStage, StageGraph
 from repro.serve import InferenceEngine, ModelBundle
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -33,10 +37,43 @@ with open(os.path.join(FIXTURES, "golden_spec.json")) as _handle:
     SPEC = json.load(_handle)
 
 PIPELINES = ("nshd", "baselinehd", "vanillahd")
+BUNDLES = ("nshd", "nshd_packed", "baselinehd", "baselinehd_packed",
+           "vanillahd")
 
 
 def _fixture(name):
     return os.path.join(FIXTURES, f"{name}")
+
+
+def _bundle_fixture(name):
+    """(path, recorded-labels key) of a golden bundle in ``BUNDLES``."""
+    pipeline, _, packed = name.partition("_")
+    path = _fixture(f"golden_{pipeline}_bundle"
+                    f"{'_packed' if packed else ''}.npz")
+    return path, f"{pipeline}.{'packed' if packed else 'engine'}_labels"
+
+
+def _stored_topology(info, scale="scale", encode="encode"):
+    """An ``info["graph"]`` block in the layout exports used to write."""
+    front = ({"type": "extract", "name": "extract", **info["extractor"]}
+             if info["extractor"] else {"type": "flatten", "name": "flatten"})
+    reduce = ([{"type": "reduce", "name": "reduce", **info["manifold"]}]
+              if info["manifold"] else [])
+    return {"version": 1, "name": info["pipeline"].lower(),
+            "stages": [front, {"type": scale, "name": "scale"}, *reduce,
+                       {"type": encode, "name": "encode",
+                        "encoder": info["encoder"]},
+                       {"type": "classify", "name": "classify",
+                        "metric": "cosine"}]}
+
+
+STORED_TOPOLOGIES = {
+    "current": _stored_topology,
+    "stale": lambda info: {"version": 99, "name": "stale",
+                           "stages": [{"type": "quantum", "name": "q"}]},
+    "fused": lambda info: _stored_topology(info, scale="scale_pool",
+                                           encode="encode_fused"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -133,21 +170,35 @@ class TestLegacyCheckpoints:
     @pytest.mark.parametrize("name", PIPELINES)
     def test_golden_checkpoint_has_no_graph_section(self, name):
         manifest = load_manifest(_fixture(f"golden_{name}_ckpt.npz"))
-        assert manifest_section(manifest, GRAPH_SECTION) is None
+        assert manifest_section(manifest, "graph") is None
 
     @pytest.mark.parametrize("name", PIPELINES)
-    def test_new_checkpoints_persist_topology(self, refit, tmp_path,
-                                              name):
-        path = str(tmp_path / f"{name}.npz")
-        refit[name].save_checkpoint(path, epoch=SPEC["epochs"])
-        section = manifest_section(load_manifest(path), GRAPH_SECTION)
-        assert section is not None
-        stages = [spec["name"] for spec in section["topology"]["stages"]]
-        assert stages == refit[name].graph.names
+    def test_old_graph_section_restores(self, cnn, refit, golden,
+                                        tmp_path, name):
+        new = str(tmp_path / "new.npz")
+        refit[name].save_checkpoint(new, epoch=SPEC["epochs"])
+        state, manifest = load_state_with_manifest(new)
+        assert manifest_section(manifest, "graph") is None
+        # The section earlier builds wrote next to the training state.
+        old = str(tmp_path / "old.npz")
+        stages = [{"type": stage, "name": stage}
+                  for stage in refit[name].graph.names]
+        save_state(state, old, meta=manifest["meta"],
+                   sections={"graph": {"topology": {
+                       "version": 1, "name": name, "stages": stages}}})
+        pipeline = _fresh_pipeline(name, cnn)
+        epoch, _ = pipeline.load_checkpoint(old)
+        assert epoch == SPEC["epochs"]
+        np.testing.assert_array_equal(pipeline.trainer.class_matrix,
+                                      refit[name].trainer.class_matrix)
+        np.testing.assert_array_equal(pipeline.encode(golden["x_te"]),
+                                      refit[name].encode(golden["x_te"]))
+        np.testing.assert_array_equal(pipeline.predict(golden["x_te"]),
+                                      golden[f"{name}.labels"])
 
 
 # ----------------------------------------------------------------------
-# 3. Legacy (pre-refactor) bundles serve through the shim
+# 3. Legacy (pre-refactor) bundles serve from their provenance fields
 # ----------------------------------------------------------------------
 class TestLegacyBundles:
     @pytest.mark.parametrize("name", PIPELINES)
@@ -189,7 +240,7 @@ class TestLegacyBundles:
 
 
 # ----------------------------------------------------------------------
-# 4. Post-refactor bundles carry topology and round-trip
+# 4. New bundles round-trip; a stored topology changes nothing
 # ----------------------------------------------------------------------
 class TestNewBundles:
     @pytest.mark.parametrize("name", PIPELINES)
@@ -199,7 +250,7 @@ class TestNewBundles:
         path = str(tmp_path / f"{name}_bundle.npz")
         bundle = ModelBundle.from_pipeline(pipeline,
                                            config={"golden": name})
-        assert "graph" in bundle.info  # topology persisted
+        assert "graph" not in bundle.info  # provenance fields only
         bundle.save(path)
         engine = InferenceEngine.from_path(path, cache_size=0)
         raw = golden[f"{name}.raw_features"]
@@ -218,6 +269,54 @@ class TestNewBundles:
         raw = golden[f"{name}.raw_features"]
         np.testing.assert_array_equal(engine.predict_features(raw),
                                       golden[f"{name}.packed_labels"])
+
+    @pytest.mark.parametrize("name", PIPELINES)
+    def test_int8_bundle_round_trip(self, refit, golden, tmp_path, name):
+        pipeline = refit[name]
+        path = str(tmp_path / f"{name}_int8.npz")
+        ModelBundle.from_pipeline(pipeline, quantize_bits=8).save(path)
+        bundle = ModelBundle.load(path)
+        assert "classes.q" in bundle.arrays
+        engine = InferenceEngine(bundle, cache_size=0)
+        # Reference: the live graph with the int8 weights dequantized.
+        swap = {"classify": ClassifyStage.from_matrix(
+            QuantizedTensor.from_arrays(bundle.arrays,
+                                        "classes").dequantize())}
+        if "reduce" in pipeline.graph:
+            live = pipeline.graph.stage("reduce")
+            weight = QuantizedTensor.from_arrays(
+                bundle.arrays, "manifold.weight").dequantize()
+            swap["reduce"] = ManifoldReduceStage(
+                live.feature_shape, live.out_features, live.pooling,
+                weight_fn=lambda: weight, bias_fn=lambda: live.bias)
+        reference = StageGraph([swap.get(stage.name, stage)
+                                for stage in pipeline.graph])
+        np.testing.assert_array_equal(engine.predict(golden["x_te"]),
+                                      reference.run(golden["x_te"]))
+
+    @pytest.mark.parametrize("stored", sorted(STORED_TOPOLOGIES))
+    @pytest.mark.parametrize("name", BUNDLES)
+    def test_stored_topology_is_ignored(self, golden, tmp_path, name,
+                                        stored):
+        """A bundle carrying ``info["graph"]`` — as exports wrote it, a
+        stale one, or one naming the fused stages — serves exactly what
+        the same bundle without the key serves."""
+        source, want = _bundle_fixture(name)
+        bundle = ModelBundle.load(source)
+        bundle.info["graph"] = STORED_TOPOLOGIES[stored](bundle.info)
+        path = str(tmp_path / "stored.npz")
+        bundle.save(path)
+        with_key = InferenceEngine.from_path(path, cache_size=0)
+        assert "graph" in with_key.bundle.info
+        without = InferenceEngine(ModelBundle.load(source), cache_size=0)
+        assert with_key.graph.names == without.graph.names
+        assert with_key.use_packed == without.use_packed
+        pipeline = name.partition("_")[0]
+        raw = golden[f"{pipeline}.raw_features"]
+        np.testing.assert_array_equal(with_key.predict_features(raw),
+                                      without.predict_features(raw))
+        np.testing.assert_array_equal(with_key.predict_features(raw),
+                                      golden[want])
 
 
 # ----------------------------------------------------------------------

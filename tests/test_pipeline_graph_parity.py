@@ -138,30 +138,6 @@ class TestGraphParityProperties:
             tail = graph.run(head, start=cut)
             np.testing.assert_array_equal(tail, full)
 
-    @given(seeds, st.integers(min_value=2, max_value=12),
-           st.integers(min_value=8, max_value=96),
-           st.integers(min_value=2, max_value=6), st.booleans())
-    @settings(max_examples=25, deadline=None)
-    def test_property_topology_round_trip_is_identity(
-            self, seed, f, dim, classes, quantize):
-        """from_topology(topology(), state_arrays()) reproduces every
-        intermediate representation bit-exactly."""
-        graph, _, _, _, rng = self._graph(seed, f, dim, classes,
-                                          quantize=quantize)
-        rebuilt = StageGraph.from_topology(graph.topology(),
-                                           graph.state_arrays())
-        queries = _features(rng, 5, f)
-        np.testing.assert_array_equal(rebuilt.run(queries),
-                                      graph.run(queries))
-        np.testing.assert_array_equal(
-            rebuilt.run(queries, stop="classify"),
-            graph.run(queries, stop="classify"))
-        sims_a = rebuilt.stage("classify").similarities(
-            graph.run(queries, stop="classify"))
-        sims_b = graph.stage("classify").similarities(
-            graph.run(queries, stop="classify"))
-        np.testing.assert_array_equal(sims_a, sims_b)
-
     @given(seeds, st.integers(min_value=2, max_value=8),
            st.integers(min_value=2, max_value=5))
     @settings(max_examples=20, deadline=None)

@@ -1,4 +1,4 @@
-"""Unit tests for the stage library and StageGraph serialization."""
+"""Unit tests for the stage library and the StageGraph runner."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,12 @@ from repro.hd.encoders import NonlinearEncoder, RandomProjectionEncoder
 from repro.hd.similarity import classify
 from repro.learn.manifold import ManifoldLearner
 from repro.learn.mass import normalized_similarity
-from repro.pipeline import (STAGE_TYPES, ClassifyStage, EncodeStage,
-                            FeatureScaler, FlattenStage, FusedEncodeStage,
+from repro.pipeline import (ClassifyStage, EncodeStage, FeatureScaler,
+                            FlattenStage, FusedEncodeStage,
                             ManifoldReduceStage, PackedClassifyStage,
-                            ScalePoolStage, ScaleStage, Stage, StageError,
-                            StageGraph, canonical_json, clamped_norms,
-                            cosine_similarities, encoder_spec,
-                            packed_refusal, register_stage, stage_from_spec)
+                            ScalePoolStage, ScaleStage, StageError,
+                            StageGraph, clamped_norms, cosine_similarities,
+                            encoder_spec, packed_refusal)
 from repro.nn.functional import strided_max_pool
 from repro.utils.rng import fresh_rng
 
@@ -73,12 +72,6 @@ class TestFlattenStage:
         batch = rng.standard_normal((5, 3, 8, 8))
         assert stage(batch).shape == (5, 192)
 
-    def test_roundtrip(self):
-        stage = FlattenStage()
-        clone = stage_from_spec(stage.spec(), {})
-        assert isinstance(clone, FlattenStage)
-        assert clone.name == stage.name
-
 
 class TestScaleStage:
     def test_matches_feature_scaler(self, rng):
@@ -88,18 +81,8 @@ class TestScaleStage:
         np.testing.assert_array_equal(stage(features),
                                       scaler.transform(features))
 
-    def test_roundtrip(self, rng):
-        features = rng.standard_normal((10, 4))
-        stage = ScaleStage(FeatureScaler().fit(features))
-        clone = stage_from_spec(stage.spec(), stage.state_arrays())
-        np.testing.assert_array_equal(clone(features), stage(features))
-
     def test_unfitted_scaler_has_no_arrays(self):
         assert ScaleStage().state_arrays() == {}
-
-    def test_missing_arrays_raise(self):
-        with pytest.raises(StageError, match="scaler.mean"):
-            stage_from_spec({"type": "scale", "name": "scale"}, {})
 
 
 class TestManifoldReduceStage:
@@ -127,14 +110,6 @@ class TestManifoldReduceStage:
         assert not np.array_equal(before, after)
         np.testing.assert_array_equal(after, learner.transform(features))
 
-    def test_roundtrip(self, rng):
-        learner = ManifoldLearner((2, 4, 4), out_features=3,
-                                  rng=fresh_rng(2))
-        stage = ManifoldReduceStage.from_learner(learner)
-        clone = stage_from_spec(stage.spec(), stage.state_arrays())
-        features = rng.standard_normal((5, 32))
-        np.testing.assert_array_equal(clone(features), stage(features))
-
     def test_bad_feature_shape(self):
         with pytest.raises(ValueError, match="C, H, W"):
             ManifoldReduceStage((4, 4), 2, True, weight_fn=lambda: None)
@@ -157,19 +132,6 @@ class TestEncodeStage:
         np.testing.assert_array_equal(stage(features),
                                       encoder.encode(features))
         assert stage.encoder_type == "nonlinear"
-
-    @pytest.mark.parametrize("make", [
-        lambda: RandomProjectionEncoder(6, 32, rng=fresh_rng(3)),
-        lambda: RandomProjectionEncoder(6, 32, rng=fresh_rng(3), quantize=False),
-        lambda: NonlinearEncoder(6, 32, rng=fresh_rng(3)),
-    ])
-    def test_roundtrip(self, rng, make):
-        stage = EncodeStage(make())
-        clone = stage_from_spec(stage.spec(), stage.state_arrays())
-        features = rng.standard_normal((4, 6))
-        np.testing.assert_array_equal(clone(features), stage(features))
-        assert clone.quantize == stage.quantize
-        assert clone.encoder_type == stage.encoder_type
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("kind", ["random_projection", "nonlinear"])
@@ -209,11 +171,6 @@ class TestEncodeStage:
         rebuilt = RandomProjectionEncoder.from_arrays(encoder.projection)
         np.testing.assert_array_equal(rebuilt.projection,
                                       encoder.projection)
-
-    def test_unknown_encoder_type_raises(self):
-        with pytest.raises(StageError, match="unknown encoder type"):
-            stage_from_spec({"type": "encode", "name": "encode",
-                             "encoder": {"type": "fourier"}}, {})
 
     def test_unsupported_encoder_instance_raises(self):
         class WeirdEncoder:
@@ -256,14 +213,6 @@ class TestClassifyStage:
         assert stage._norms is not None
         np.testing.assert_array_equal(stage._norms, clamped_norms(matrix))
 
-    def test_roundtrip(self, rng):
-        matrix = rng.standard_normal((4, 64))
-        stage = ClassifyStage.from_matrix(matrix)
-        clone = stage_from_spec(stage.spec(), stage.state_arrays())
-        queries = rng.standard_normal((5, 64))
-        np.testing.assert_array_equal(clone.similarities(queries),
-                                      stage.similarities(queries))
-
 
 class TestPackedClassifyStage:
     def test_matches_float_dot_on_bipolar(self, rng):
@@ -287,42 +236,6 @@ class TestPackedClassifyStage:
         stage = PackedClassifyStage.from_classify(frozen)
         np.testing.assert_array_equal(stage.packed_classes,
                                       pack_bipolar(matrix))
-
-    def test_not_registered_for_topology(self):
-        # An execution variant, not a persisted stage type.
-        assert "classify_packed" not in STAGE_TYPES
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_builtin_types_registered(self):
-        for stage_type in ("flatten", "extract", "scale", "reduce",
-                           "encode", "classify"):
-            assert stage_type in STAGE_TYPES
-
-    def test_unknown_type_raises(self):
-        with pytest.raises(StageError, match="unknown stage type"):
-            stage_from_spec({"type": "quantum", "name": "q"}, {})
-
-    def test_register_stage_decorator(self):
-        @register_stage
-        class NoopStage(Stage):
-            stage_type = "test_noop"
-
-            def __call__(self, batch, ctx=None):
-                return batch
-
-            @classmethod
-            def from_spec(cls, spec, arrays):
-                return cls(spec.get("name", "noop"))
-
-        try:
-            stage = stage_from_spec({"type": "test_noop", "name": "n"}, {})
-            assert isinstance(stage, NoopStage)
-        finally:
-            del STAGE_TYPES["test_noop"]
 
 
 # ----------------------------------------------------------------------
@@ -457,50 +370,7 @@ class TestStageGraph:
         assert not set(self._STAGE_SPANS) & aggregate
 
 
-class TestTopologyRoundTrip:
-    def test_full_round_trip_is_bit_exact(self, rng):
-        graph, data = _tiny_graph(rng)
-        rebuilt = StageGraph.from_topology(graph.topology(),
-                                           graph.state_arrays())
-        assert rebuilt.names == graph.names
-        assert rebuilt.name == graph.name
-        np.testing.assert_array_equal(rebuilt.run(data), graph.run(data))
-        np.testing.assert_array_equal(
-            rebuilt.run(data, stop="classify"),
-            graph.run(data, stop="classify"))
-
-    def test_json_round_trip(self, rng):
-        graph, data = _tiny_graph(rng)
-        rebuilt = StageGraph.from_topology(graph.topology_json(),
-                                           graph.state_arrays())
-        np.testing.assert_array_equal(rebuilt.run(data), graph.run(data))
-
-    def test_manifold_graph_round_trip(self, rng):
-        learner = ManifoldLearner((2, 4, 4), out_features=5,
-                                  rng=fresh_rng(7))
-        scaler = FeatureScaler().fit(rng.standard_normal((10, 32)))
-        graph = StageGraph([
-            ScaleStage(scaler),
-            ManifoldReduceStage.from_learner(learner),
-            EncodeStage(RandomProjectionEncoder(5, 32, rng=fresh_rng(1))),
-            ClassifyStage.from_matrix(rng.standard_normal((3, 32))),
-        ], name="manifold")
-        data = rng.standard_normal((6, 32))
-        rebuilt = StageGraph.from_topology(graph.topology(),
-                                           graph.state_arrays())
-        np.testing.assert_array_equal(rebuilt.run(data), graph.run(data))
-
-    def test_newer_version_rejected(self, rng):
-        graph, _ = _tiny_graph(rng)
-        topology = graph.topology()
-        topology["version"] = 999
-        with pytest.raises(StageError, match="newer"):
-            StageGraph.from_topology(topology, graph.state_arrays())
-
-    def test_empty_topology_rejected(self):
-        with pytest.raises(StageError, match="no stages"):
-            StageGraph.from_topology({"version": 1, "stages": []}, {})
-
+class TestStateArrays:
     def test_state_arrays_use_historical_keys(self, rng):
         learner = ManifoldLearner((2, 4, 4), out_features=5,
                                   rng=fresh_rng(7))
@@ -521,21 +391,6 @@ class TestTopologyRoundTrip:
                             ScaleStage(scaler, name="b")])
         with pytest.raises(StageError, match="re-defines"):
             graph.state_arrays()
-
-    def test_load_arrays_refreshes_weights(self, rng):
-        graph, data = _tiny_graph(rng)
-        arrays = graph.state_arrays()
-        arrays = {k: np.asarray(v).copy() for k, v in arrays.items()}
-        arrays["classes"] = np.roll(arrays["classes"], 1, axis=0)
-        before = graph.run(data)
-        graph.load_arrays(arrays)
-        after = graph.run(data)
-        assert not np.array_equal(before, after)
-
-
-def _freeze(graph):
-    return StageGraph.from_topology(graph.topology(),
-                                    graph.state_arrays())
 
 
 def _scale_encode_graph(rng, kind="random_projection", quantize=True,
@@ -558,11 +413,11 @@ def _scale_encode_graph(rng, kind="random_projection", quantize=True,
         matrix = fresh_rng(4).standard_normal((classes, dim))
     graph = StageGraph([ScaleStage(scaler), EncodeStage(encoder),
                         ClassifyStage(lambda: matrix, frozen=True)])
-    return _freeze(graph), batch
+    return graph, batch
 
 
 def _scale_pool_graph(rng, shape=(4, 6, 6), out_features=5, rows=20):
-    """Frozen ``scale → reduce(pooling)`` graph + a matching batch."""
+    """A ``scale → reduce(pooling)`` graph + a matching batch."""
     flat = int(np.prod(shape))
     batch = rng.standard_normal((rows, flat)) * 1.5 - 0.25
     scaler = FeatureScaler().fit(batch)
@@ -570,7 +425,7 @@ def _scale_pool_graph(rng, shape=(4, 6, 6), out_features=5, rows=20):
                               rng=fresh_rng(11))
     graph = StageGraph([ScaleStage(scaler),
                         ManifoldReduceStage.from_learner(learner)])
-    return _freeze(graph), batch
+    return graph, batch
 
 
 def _fuse_scale_encode(graph):
@@ -594,7 +449,7 @@ def _fuse_pool(graph):
 
 
 # ----------------------------------------------------------------------
-# Fused stages (registered topology types)
+# Fused stages
 # ----------------------------------------------------------------------
 class TestFusedEncodeStage:
     @pytest.mark.parametrize("kind", ["random_projection", "nonlinear"])
@@ -620,13 +475,6 @@ class TestFusedEncodeStage:
             FusedEncodeStage.from_scale_encode(ScaleStage(),
                                                EncodeStage(encoder))
 
-    def test_topology_roundtrips(self, rng):
-        frozen, batch = _scale_encode_graph(rng, kind="nonlinear")
-        fused = _fuse_scale_encode(frozen)
-        rebuilt = _freeze(fused)
-        assert isinstance(rebuilt.stages[0], FusedEncodeStage)
-        np.testing.assert_array_equal(rebuilt.run(batch), fused.run(batch))
-
 
 class TestScalePoolStage:
     def test_bit_exact(self, rng):
@@ -641,13 +489,6 @@ class TestScalePoolStage:
         frozen, batch = _scale_pool_graph(rng, shape=(2, 5, 7))
         np.testing.assert_array_equal(_fuse_pool(frozen).run(batch),
                                       frozen.run(batch))
-
-    def test_topology_roundtrips(self, rng):
-        frozen, batch = _scale_pool_graph(rng)
-        fused = _fuse_pool(frozen)
-        rebuilt = _freeze(fused)
-        assert isinstance(rebuilt.stages[0], ScalePoolStage)
-        np.testing.assert_array_equal(rebuilt.run(batch), fused.run(batch))
 
 
 # ----------------------------------------------------------------------
@@ -692,53 +533,3 @@ class TestPackedRefusal:
         matrix = frozen.stages[-1].class_matrix
         live = ClassifyStage(lambda: matrix, frozen=False)
         assert "frozen" in packed_refusal(frozen.stages[:-1] + [live])
-
-
-# ----------------------------------------------------------------------
-# Canonical topology emit
-# ----------------------------------------------------------------------
-class TestCanonicalJson:
-    def test_sorted_compact_and_coerced(self):
-        out = canonical_json({"b": np.int64(1), "a": np.float64(2.0)})
-        assert out == '{"a":2.0,"b":1}'
-
-    def test_negative_zero_normalized(self):
-        assert canonical_json(-0.0) == canonical_json(0.0)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            canonical_json(float("nan"))
-
-    def test_unencodable_type_rejected(self):
-        with pytest.raises(TypeError):
-            canonical_json(object())
-
-    def test_topology_json_deterministic(self, rng):
-        a, _ = _scale_encode_graph(rng)
-        b = _freeze(a)
-        assert a.topology_json() == b.topology_json()
-        assert a.topology_digest() == b.topology_digest()
-        assert len(a.topology_digest()) == 40
-
-    def test_topology_digest_tracks_spec_changes(self, rng):
-        a, _ = _scale_encode_graph(rng, dim=64)
-        b, _ = _scale_encode_graph(rng, dim=128)
-        assert a.topology_digest() != b.topology_digest()
-
-
-# ----------------------------------------------------------------------
-# Error-message satellites
-# ----------------------------------------------------------------------
-class TestErrorMessages:
-    def test_unknown_stage_type_lists_registered(self):
-        with pytest.raises(StageError, match="encode_fused"):
-            stage_from_spec({"type": "quantum", "name": "q"}, {})
-
-    def test_unknown_encoder_type_lists_supported(self):
-        spec = {"type": "encode", "name": "encode",
-                "encoder": {"type": "holographic", "in_features": 4,
-                            "dim": 8}}
-        with pytest.raises(StageError,
-                           match="random_projection.*nonlinear"
-                                 "|nonlinear.*random_projection"):
-            stage_from_spec(spec, {})

@@ -8,7 +8,8 @@ import pytest
 from repro.data import make_dataset
 from repro.learn import VanillaHD
 from repro.nn.serialize import save_state
-from repro.serve import BUNDLE_VERSION, BundleError, ModelBundle
+from repro.serve import (BUNDLE_VERSION, BundleError, InferenceEngine,
+                         ModelBundle, ModelServer, ReloadError)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +152,8 @@ class TestValidate:
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures")
 NSHD_BUNDLE = os.path.join(FIXTURES, "golden_nshd_bundle_packed.npz")
+NSHD_FLOAT_BUNDLE = os.path.join(FIXTURES, "golden_nshd_bundle.npz")
+VANILLA_BUNDLE = os.path.join(FIXTURES, "golden_vanillahd_bundle.npz")
 
 
 def _verify_edited(tmp_path, edit, source=NSHD_BUNDLE):
@@ -211,3 +214,45 @@ class TestValidateWidthChain:
             info["manifold"]["out_features"] = 8
         with pytest.raises(BundleError, match="manifold emits 8"):
             _verify_edited(tmp_path, edit)
+
+
+class TestValidateShapes:
+    """Arrays that would broadcast instead of failing are refused, and
+    a graph that cannot be built is a :class:`BundleError`."""
+
+    def test_one_element_manifold_bias(self, tmp_path):
+        def edit(arrays, info):
+            arrays["manifold.bias"] = arrays["manifold.bias"][:1]
+        with pytest.raises(BundleError, match="manifold.bias has shape"):
+            _verify_edited(tmp_path, edit, source=NSHD_FLOAT_BUNDLE)
+
+    def test_short_encoder_phase(self, tmp_path):
+        def edit(arrays, info):
+            arrays["encoder.phase"] = arrays["encoder.phase"][:-1]
+        with pytest.raises(BundleError, match="encoder.phase has shape"):
+            _verify_edited(tmp_path, edit, source=VANILLA_BUNDLE)
+
+    def test_short_encoder_phase_reload_keeps_engine(self, tmp_path):
+        bundle = ModelBundle.load(VANILLA_BUNDLE)
+        bundle.arrays["encoder.phase"] = bundle.arrays["encoder.phase"][:-1]
+        bad = str(tmp_path / "short_phase.npz")
+        bundle.save(bad)
+        engine = InferenceEngine.from_path(VANILLA_BUNDLE, cache_size=0)
+        features = np.random.default_rng(0).standard_normal(
+            (3, engine.in_features))
+        want = [int(label) for label in engine.predict_features(features)]
+        with ModelServer(engine, port=0, workers=1,
+                         bundle_path=VANILLA_BUNDLE) as server:
+            with pytest.raises(ReloadError, match="encoder.phase"):
+                server.reload(bad)
+            assert server.engine is engine
+            assert server.reloads == 0
+            assert server.predict(features) == want
+
+    def test_unbuildable_extractor_is_a_bundle_error(self, tmp_path):
+        bundle = ModelBundle.load(NSHD_FLOAT_BUNDLE)
+        bundle.info["extractor"]["model"] = "no-such-model"
+        bundle.validate()  # the widths still agree
+        with pytest.raises(BundleError, match="could not be built"):
+            InferenceEngine(bundle)
+
