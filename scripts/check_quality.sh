@@ -11,7 +11,10 @@
 #     a bounded request budget while clean traffic raises none;
 #   * overhead gate: monitors-on vs monitors-off serve P99 must stay
 #     within 5% (best of 3 rounds in which the two servers take turns
-#     request by request).
+#     request by request);
+#   * the same shift/skew budget at 1024 features and 256-row requests,
+#     the shape of the bench's batch_eval calls (the default run sends
+#     64-row batches of 32 features).
 # (see scripts/check_quality.py)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,6 +27,10 @@ python -m pytest -q tests/test_telemetry_quality.py \
 echo
 echo "== quality check: live drift-injection gate (shift / skew / overhead) =="
 python scripts/check_quality.py
+
+echo
+echo "== quality check: live gate on wide batches (F=1024, 256 rows) =="
+python scripts/check_quality.py --features 1024 --batch 256 --skip-overhead
 
 echo
 echo "quality checks passed"

@@ -63,6 +63,10 @@ STOPPED = "stopped"
 
 #: /healthz statuses that count as "ready to take traffic".
 _READY_STATUSES = ("ok", "shedding")
+#: Probe cadence while a worker is starting, when shorter than
+#: ``probe_interval_s``: a worker is up within this long of answering
+#: its first ``/healthz``, not within a whole probe interval.
+_STARTING_PROBE_S = 0.05
 
 
 class FleetError(RuntimeError):
@@ -132,8 +136,10 @@ class Supervisor:
     ports:
         Explicit worker ports; default allocates free ones.
     probe_interval_s / probe_timeout_s:
-        Heartbeat cadence and per-probe timeout.  The timeout is the
-        hang detector: a wedged worker cannot answer ``/healthz``.
+        Heartbeat cadence and per-probe timeout.  While a worker is
+        starting, the fleet is probed every 50 ms when the interval is
+        longer.  The timeout is the hang detector: a wedged worker
+        cannot answer ``/healthz``.
     hang_probe_limit:
         Consecutive failed probes (process still alive) before the
         worker is declared hung and SIGKILLed.
@@ -309,7 +315,11 @@ class Supervisor:
     def _monitor_loop(self) -> None:
         while not self._stop_event.is_set():
             self.tick()
-            self._stop_event.wait(self.probe_interval_s)
+            with self._lock:
+                starting = any(w.state == STARTING for w in self.workers)
+            self._stop_event.wait(
+                min(self.probe_interval_s, _STARTING_PROBE_S) if starting
+                else self.probe_interval_s)
 
     # ------------------------------------------------------------------
     # One monitor pass (public for deterministic unit tests)

@@ -40,24 +40,26 @@ frozen at export time:
     follows from ``sat_factor`` alone, with no pass over the rows.
 
 Everything is numpy + stdlib and O(window) memory.  A batch enters the
-window in one vectorized update (``np.bincount`` moves for the evicted
-and the new rows); the PSI and z-score are recomputed from the tallies
-only when read, or once per ``min_samples`` observed rows.  The
-similarities come from the engine's own classify pass, so feeding the
-monitor costs no second classify.  On 1024 features, D = 3000 and a
-2-vCPU VM, a 256-row :meth:`DriftMonitor.observe` costs about 6 ms:
-binning ≈ 1.5 ms, the window tallies ≈ 3.3 ms, saturation gauge
-≈ 0.8 ms on float hypervectors (nothing on packed words), refresh
-≈ 0.2 ms, both histograms ≈ 0.1 ms.  A single row
-costs about 0.15 ms (0.45 ms when every row refreshed).  The
-``scripts/check_quality.sh`` gate bounds the serve-P99 overhead at < 5%.
+window in one vectorized update: one compare against the decile edges
+bins its rows, the ring stores each row's flat ``(feature, bin)`` cells,
+and ``_counts`` moves once by the batch's ``np.bincount`` minus the
+evicted rows'.  A batch of at least ``n_bins`` rows keeps its tally, so
+when it leaves the window whole it costs no recount.  The PSI and
+z-score are recomputed from the tallies only when read, or once per
+``min_samples`` observed rows.  The similarities come from the engine's
+own classify pass, so feeding the monitor costs no second classify.  On
+1024 features, window 512, 10 classes and a 2-vCPU VM, a 256-row
+:meth:`DriftMonitor.observe` costs about 3.6-4.5 ms and a single row
+about 0.07 ms (also on 32 features).  The ``scripts/check_quality.sh``
+gate bounds the serve-P99 overhead at < 5%.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -73,6 +75,10 @@ BASELINE_VERSION = 1
 
 #: Default number of per-feature quantile bins for the PSI sketch.
 DEFAULT_BINS = 10
+
+#: Label tallies of fewer rows loop in Python: below this the NumPy
+#: calls' fixed cost exceeds the loop.
+_SCALAR_LABELS = 16
 
 
 def population_stability_index(expected, actual,
@@ -196,6 +202,10 @@ class QualityBaseline:
             raise ValueError(
                 f"expected has shape {self.expected.shape}, want "
                 f"({self.num_features}, {self.n_bins})")
+        # Edges as (n_bins - 1, F) rows: bin_indices compares whole
+        # contiguous feature rows at a time, and the count runs over the
+        # middle axis; a short trailing edge axis is about 6x slower.
+        self._edge_rows = np.ascontiguousarray(self.bin_edges.T)
 
     # ------------------------------------------------------------------
     @property
@@ -214,11 +224,8 @@ class QualityBaseline:
         """Per-feature bin index of each row: ``(n, F)`` int16 in
         ``[0, n_bins)``.  NaN compares false everywhere (bin 0)."""
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        # Edges as (n_bins - 1, F) rows: the count runs over the middle
-        # axis, whole contiguous feature rows at a time; summing over a
-        # short trailing edge axis is about 6x slower.
-        edges = np.ascontiguousarray(self.bin_edges.T)
-        return (features[:, None, :] >= edges).sum(axis=1, dtype=np.int16)
+        return (features[:, None, :] >= self._edge_rows).sum(
+            axis=1, dtype=np.int16)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -402,12 +409,22 @@ class DriftMonitor:
         self.sat_factor = float(sat_factor)
         self.prefix = str(prefix)
         f = baseline.num_features
-        self._bin_ring = np.zeros((self.window, f), dtype=np.int16)
+        self._counts = np.zeros((f, baseline.n_bins), dtype=np.float64)
+        # Each row's flat ``_counts`` cell per feature, bin + this offset,
+        # so evicting a row is a bincount of its stored cells.
+        cell = np.int16 if self._counts.size <= 2 ** 15 else np.int32
+        self._bin_offsets = (np.arange(f) * baseline.n_bins).astype(cell)
+        self._bin_ring = np.zeros((self.window, f), dtype=cell)
         self._feat_ring = np.zeros((self.window, f), dtype=np.float64)
         self._label_ring = np.full(self.window, -1, dtype=np.int64)
-        self._counts = np.zeros((f, baseline.n_bins), dtype=np.float64)
-        # Flat ``_counts`` index of (feature, bin) is bin + this offset.
-        self._bin_offsets = np.arange(f) * baseline.n_bins
+        # The window's rows as one run per batch, oldest first:
+        # ``[rows, tally]``, the tally (as in ``_counts``) kept for runs
+        # of at least n_bins rows, so they leave without a recount.  At
+        # most window / n_bins + 1 runs keep one, so the tallies take
+        # about a quarter of ``_feat_ring``'s memory at most (half for
+        # windows of 2**15 rows or more).
+        self._runs: Deque[list] = collections.deque()
+        self._tally_dtype = np.int16 if self.window < 2 ** 15 else np.int32
         self._expected = _proportions(baseline.expected)
         self._priors = _proportions(baseline.class_priors[None])
         self._label_counts = np.zeros(baseline.num_classes,
@@ -451,11 +468,25 @@ class DriftMonitor:
             raise ValueError(
                 f"features have {features.shape[1]} columns, baseline "
                 f"sketch has {self.baseline.num_features}")
-        bins = self.baseline.bin_indices(features)
-        served = np.full(n, -1, dtype=np.int64)
+        # Only the last ``keep`` rows survive the batch; earlier ones
+        # would be written and overwritten within this call, so they
+        # never touch the running stats.
+        keep = min(n, self.window)
+        kept = features[n - keep:]
+        cells = self.baseline.bin_indices(kept).astype(
+            self._bin_ring.dtype, copy=False)
+        cells += self._bin_offsets
+        added = np.bincount(cells.ravel(), minlength=self._counts.size
+                            ).reshape(self._counts.shape)
+        # A batch of n_bins rows or more keeps its tally, to leave the
+        # window without a recount.
+        tally = (added.astype(self._tally_dtype)
+                 if keep >= self._counts.shape[1] else None)
+        served = np.full(keep, -1, dtype=np.int64)
         if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64).ravel()[:n]
+            labels = np.asarray(labels, dtype=np.int64).ravel()[n - keep:n]
             served[:labels.shape[0]] = labels
+        fresh_sum = kept.sum(axis=0)
         registry = self._registry()
 
         margin_rows = conf_rows = None
@@ -473,20 +504,23 @@ class DriftMonitor:
                 saturation = saturation_fraction(encoded, self.sat_factor)
 
         with self._lock:
-            # Only the last ``keep`` rows survive the batch; earlier ones
-            # would be written and overwritten within this call, so they
-            # never touch the running stats.  The slots they land in are
-            # evicted first, where occupied.
-            keep = min(n, self.window)
-            slots = (self._pos + n - keep + np.arange(keep)) % self.window
-            old = slots[slots < self._size]
-            self._tally_locked(self._bin_ring[old], self._feat_ring[old],
-                               self._label_ring[old], -1)
-            tail = slice(n - keep, n)
-            self._bin_ring[slots] = bins[tail]
-            self._feat_ring[slots] = features[tail]
-            self._label_ring[slots] = served[tail]
-            self._tally_locked(bins[tail], features[tail], served[tail], 1)
+            # The batch takes the slots of the oldest ``evict`` rows.
+            evict = max(0, self._size + keep - self.window)
+            if evict:
+                oldest = (self._pos - self._size) % self.window
+                old = self._slots(oldest, evict)
+                fresh_sum -= self._feat_ring[old].sum(axis=0)
+                self._tally_labels_locked(self._label_ring[old], -1)
+                self._evict_runs_locked(oldest, evict, added)
+            self._counts += added
+            self._feat_sum += fresh_sum
+            slots = self._slots((self._pos + n - keep) % self.window, keep)
+            self._bin_ring[slots] = cells
+            self._feat_ring[slots] = kept
+            self._label_ring[slots] = served
+            self._tally_labels_locked(served, 1)
+            if keep:
+                self._runs.append([keep, tally])
             self._pos = (self._pos + n) % self.window
             self._size = min(self._size + n, self.window)
             if not np.isfinite(self._feat_sum).all():
@@ -515,17 +549,53 @@ class DriftMonitor:
             registry.observe_many(f"{self.prefix}.confidence",
                                   conf_rows)
 
-    def _tally_locked(self, bins: np.ndarray, features: np.ndarray,
-                      labels: np.ndarray, sign: int) -> None:
-        """Add (``sign=1``) or remove (``sign=-1``) rows from the running
-        window stats (caller holds the lock)."""
-        if not len(bins):
-            return
-        cells = np.bincount((bins + self._bin_offsets).ravel(),
-                            minlength=self._counts.size)
-        self._counts += sign * cells.reshape(self._counts.shape)
-        self._feat_sum += sign * features.sum(axis=0)
+    def _evict_runs_locked(self, oldest: int, count: int,
+                           tally: np.ndarray) -> None:
+        """Take the ``count`` oldest rows, from slot ``oldest`` on, off
+        ``tally`` (shaped as ``_counts``) and the front of the runs.
+
+        A run whose stored tally leaves whole costs no pass over its
+        rows; the other rows are recounted from their ring cells, and
+        a part-evicted run's stored tally keeps describing what stays.
+        """
+        done = 0
+        while done < count:
+            run = self._runs[0]
+            take = min(run[0], count - done)
+            if take == run[0] and run[1] is not None:
+                tally -= run[1]
+            else:
+                cells = self._bin_ring[self._slots(
+                    (oldest + done) % self.window, take)]
+                part = np.bincount(cells.ravel(),
+                                   minlength=self._counts.size
+                                   ).reshape(self._counts.shape)
+                tally -= part
+                if run[1] is not None:
+                    run[1] -= part
+            run[0] -= take
+            if not run[0]:
+                self._runs.popleft()
+            done += take
+
+    def _slots(self, start: int, count: int):
+        """Ring slots ``start, start + 1, ...`` (wrapping) of ``count``
+        rows: a slice where they do not wrap, else an index array."""
+        if start + count <= self.window:
+            return slice(start, start + count)
+        return (start + np.arange(count)) % self.window
+
+    def _tally_labels_locked(self, labels: np.ndarray, sign: int) -> None:
+        """Add (``sign=1``) or remove (``sign=-1``) ring labels from the
+        label tallies; -1 is unlabeled (caller holds the lock)."""
         k = self._label_counts.shape[0]
+        if len(labels) < _SCALAR_LABELS:
+            for label in labels.tolist():
+                if label >= 0:
+                    self._labeled += sign
+                    if label < k:
+                        self._label_counts[label] += sign
+            return
         self._label_counts += sign * np.bincount(
             labels[(labels >= 0) & (labels < k)], minlength=k)
         self._labeled += sign * int(np.count_nonzero(labels >= 0))
@@ -645,6 +715,7 @@ class DriftMonitor:
             self._bin_ring[:] = 0
             self._feat_ring[:] = 0.0
             self._label_ring[:] = -1
+            self._runs.clear()
             self._counts[:] = 0.0
             self._label_counts[:] = 0.0
             self._feat_sum[:] = 0.0

@@ -291,6 +291,27 @@ class TestQuarantine:
             h.sup.revive("nope")
 
 
+class TestStartupProbes:
+    def test_starting_worker_is_probed_within_the_interval(self):
+        """A worker that answers its second probe is up well before a
+        (long) probe interval has passed."""
+        probes = []
+
+        def probe(worker):
+            probes.append(time.monotonic())
+            return {"status": "ok"} if len(probes) > 1 else None
+
+        supervisor = Supervisor("bundle.npz", workers=1,
+                                spawn_fn=lambda worker: FakeProcess(),
+                                probe_fn=probe, probe_interval_s=30.0)
+        try:
+            supervisor.start(wait_ready=True, timeout_s=5.0)
+            assert supervisor.workers[0].state == UP
+            assert probes[1] - probes[0] < 1.0
+        finally:
+            supervisor.stop(grace_s=0.0)
+
+
 class TestChaosSurface:
     def test_kill_worker_needs_live_process(self):
         h = Harness(workers=1)

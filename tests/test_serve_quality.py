@@ -9,6 +9,9 @@ the router, and the serve CLI's ``[alerts]`` / quality config keys.
 """
 
 import json
+import sys
+import threading
+import urllib.error
 import urllib.request
 
 import numpy as np
@@ -24,7 +27,7 @@ from repro.serve.fleet import StaticFleet
 from repro.serve.router import Router
 from repro.telemetry import (MetricsRegistry, load_alert_rules,
                              use_registry)
-from repro.telemetry.quality import QualityBaseline
+from repro.telemetry.quality import DriftMonitor, QualityBaseline
 
 from .conftest import _synthetic_bundle
 
@@ -245,6 +248,120 @@ class TestClassifyOnce:
         want = engine.similarities(engine.encode_features(x))
         np.testing.assert_array_equal(fed[0], want)
         np.testing.assert_array_equal(labels, want.argmax(axis=1))
+
+
+class TestServedFold:
+    """The engine folds every served batch into its drift window after
+    the model answers; 256-row batches of 128 features take the batch
+    tally and the kept-tally evictions."""
+
+    FEATURES = 128
+    ROWS = 256
+
+    @pytest.fixture(scope="class")
+    def wide_bundle(self):
+        return bundle_with_baseline(seed=8, features=self.FEATURES)
+
+    def _batches(self, seed, count=4):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=(self.ROWS + i, self.FEATURES))
+                for i in range(count)]
+
+    @pytest.mark.parametrize("use_packed", [True, False])
+    def test_labels_and_window_match_a_direct_fold(self, wide_bundle,
+                                                   use_packed):
+        plain = InferenceEngine(wide_bundle, build_extractor=False,
+                                use_packed=use_packed, quality=False)
+        engine = InferenceEngine(wide_bundle, build_extractor=False,
+                                 use_packed=use_packed, quality_window=512)
+        ref = DriftMonitor(engine.quality.baseline, window=512,
+                           registry=MetricsRegistry())
+        for x in self._batches(8):
+            want = plain.predict_features(x)
+            np.testing.assert_array_equal(engine.predict_features(x), want)
+            ref.observe(x, labels=want)
+        ran = engine.quality
+        for name in ("_counts", "_bin_ring", "_feat_ring", "_label_ring",
+                     "_label_counts", "_feat_sum"):
+            np.testing.assert_array_equal(getattr(ran, name),
+                                          getattr(ref, name),
+                                          err_msg=name)
+        assert (ran.samples, ran._labeled, ran._pos, ran._size) == \
+            (ref.samples, ref._labeled, ref._pos, ref._size)
+
+    def test_concurrent_callers_and_a_reader(self, wide_bundle):
+        engine = InferenceEngine(wide_bundle, build_extractor=False,
+                                 quality_window=256)
+        errors = []
+        done = threading.Event()
+
+        def send(seed):
+            try:
+                for x in self._batches(seed, count=6):
+                    engine.predict_features(x)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        def read():
+            while not done.is_set():
+                engine.quality.snapshot()
+
+        reader = threading.Thread(target=read)
+        senders = [threading.Thread(target=send, args=(seed,))
+                   for seed in (1, 2, 3)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader.start()
+            for thread in senders:
+                thread.start()
+            for thread in senders:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            reader.join(timeout=60)
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in senders + [reader])
+        assert not errors
+        monitor = engine.quality
+        np.testing.assert_array_equal(monitor._counts.sum(axis=1), 256)
+        assert monitor.samples == 3 * sum(len(x)
+                                          for x in self._batches(0, 6))
+        assert monitor._labeled == 256
+
+    def test_a_raising_monitor_never_fails_serving(self, wide_bundle):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            engine = InferenceEngine(wide_bundle, build_extractor=False)
+            engine.quality.observe = lambda *a, **k: 1 / 0
+            x = self._batches(3, count=1)[0]
+            labels = engine.predict_features(x)
+            assert len(labels) == len(x)
+            assert registry.get("quality.monitor_errors").value == 1
+
+    def test_wrong_width_leaves_the_monitor_untouched(self, wide_bundle):
+        engine = InferenceEngine(wide_bundle, build_extractor=False)
+        wide = np.zeros((self.ROWS, self.FEATURES + 1))
+        with pytest.raises(ValueError):
+            engine.predict_features(wide)
+        with ModelServer(engine, port=0, workers=1) as server:
+            with pytest.raises(urllib.error.HTTPError) as refused:
+                post(server.url + "/predict", {"features": wide.tolist()})
+            assert refused.value.code == 400
+        assert engine.quality.samples == 0
+        assert engine.quality._size == 0
+
+    def test_failed_graph_leaves_the_window_untouched(self, wide_bundle,
+                                                      monkeypatch):
+        engine = InferenceEngine(wide_bundle, build_extractor=False)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("classify failed")
+        monkeypatch.setattr(engine.graph, "run", broken)
+        with pytest.raises(RuntimeError):
+            engine.predict_features(self._batches(4, count=1)[0])
+        assert engine.quality.samples == 0
+        assert engine.quality._size == 0
 
 
 @pytest.fixture

@@ -29,23 +29,25 @@ def _observe_per_row(monitor, features, labels=None):
     update to it.  Only the window state is touched (no gauges).
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    bins = monitor.baseline.bin_indices(features)
+    # The ring holds each row's flat (feature, bin) cell of ``_counts``.
+    cells = monitor.baseline.bin_indices(features) \
+        + np.arange(monitor.baseline.num_features) * monitor.baseline.n_bins
+    counts = monitor._counts.reshape(-1)  # a view
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64).ravel()
-    arange_f = np.arange(monitor.baseline.num_features)
     for i in range(features.shape[0]):
         pos = monitor._pos
         if monitor._size == monitor.window:
-            monitor._counts[arange_f, monitor._bin_ring[pos]] -= 1.0
+            counts[monitor._bin_ring[pos]] -= 1.0
             monitor._feat_sum -= monitor._feat_ring[pos]
             old_label = monitor._label_ring[pos]
             if old_label >= 0:
                 if old_label < monitor._label_counts.shape[0]:
                     monitor._label_counts[old_label] -= 1.0
                 monitor._labeled -= 1
-        monitor._bin_ring[pos] = bins[i]
+        monitor._bin_ring[pos] = cells[i]
         monitor._feat_ring[pos] = features[i]
-        monitor._counts[arange_f, bins[i]] += 1.0
+        counts[cells[i]] += 1.0
         monitor._feat_sum += features[i]
         label = int(labels[i]) if labels is not None \
             and i < labels.shape[0] else -1
@@ -482,17 +484,18 @@ def _batch_plans(draw):
     return window, batches
 
 
+@pytest.fixture(scope="module")
+def tied_baseline():
+    # Integer-valued training data: the decile edges repeat and live
+    # values below are drawn on them, so ``>=`` ties are exercised.
+    rng = _rng(11)
+    return QualityBaseline.from_training(
+        rng.integers(0, 6, size=(400, 5)).astype(np.float64),
+        labels=rng.integers(0, 4, size=400), num_classes=4)
+
+
 class TestVectorizedObserve:
     """``observe`` folds a batch in one update, equal to the row loop."""
-
-    @pytest.fixture(scope="class")
-    def tied_baseline(self):
-        # Integer-valued training data: the decile edges repeat and live
-        # values below are drawn on them, so ``>=`` ties are exercised.
-        rng = _rng(11)
-        return QualityBaseline.from_training(
-            rng.integers(0, 6, size=(400, 5)).astype(np.float64),
-            labels=rng.integers(0, 4, size=400), num_classes=4)
 
     @staticmethod
     def _batch(baseline, n, mode, seed):
@@ -532,3 +535,130 @@ class TestVectorizedObserve:
                 (slow._labeled, slow._pos, slow._size)
             np.testing.assert_allclose(fast._feat_sum, slow._feat_sum,
                                        rtol=1e-9, atol=1e-9)
+
+
+def _assert_recounts(monitor):
+    """The window's running tallies equal a recount of its ring."""
+    size, k = monitor._size, monitor._label_counts.shape[0]
+    cells = monitor._bin_ring[:size].ravel().astype(np.int64)
+    np.testing.assert_array_equal(
+        monitor._counts.ravel(),
+        np.bincount(cells, minlength=monitor._counts.size))
+    labels = monitor._label_ring[:size]
+    np.testing.assert_array_equal(
+        monitor._label_counts,
+        np.bincount(labels[(labels >= 0) & (labels < k)], minlength=k))
+    assert monitor._labeled == int(np.count_nonzero(labels >= 0))
+    assert sum(run[0] for run in monitor._runs) == size
+    with np.errstate(invalid="ignore"):
+        want = monitor._feat_ring[:size].sum(axis=0)
+    np.testing.assert_allclose(monitor._feat_sum, want, rtol=1e-9,
+                               atol=1e-9)
+
+
+@st.composite
+def _fold_plans(draw):
+    """A window and batches ``(rows, label mode, seed, poisoned)``."""
+    window = draw(st.sampled_from([1, 7, 64]))
+    batches = draw(st.lists(
+        st.tuples(st.integers(0, 3 * window + 5),
+                  st.sampled_from(["none", "short", "full"]),
+                  st.integers(0, 2 ** 32 - 1), st.booleans()),
+        min_size=1, max_size=8))
+    return window, batches
+
+
+class TestFoldInvariant:
+    """After every fold the running tallies equal a recount of the ring,
+    whether a leaving batch is subtracted by its kept tally or recounted
+    from its ring cells."""
+
+    @staticmethod
+    def _batch(baseline, n, mode, seed, poisoned):
+        features, labels = TestVectorizedObserve._batch(baseline, n, mode,
+                                                        seed)
+        if poisoned and n:
+            rng = _rng(seed)
+            rows = rng.integers(0, n, size=2)
+            features[rows[0], 0] = np.nan
+            features[rows[1], -1] = rng.choice([np.inf, -np.inf])
+        return features, labels
+
+    @settings(max_examples=60, deadline=None)
+    @given(plan=_fold_plans())
+    def test_tallies_equal_a_recount_after_every_fold(self, tied_baseline,
+                                                      plan):
+        window, batches = plan
+        monitor = DriftMonitor(tied_baseline, window=window, min_samples=1,
+                               registry=MetricsRegistry())
+        for n, mode, seed, poisoned in batches:
+            features, labels = self._batch(tied_baseline, n, mode, seed,
+                                           poisoned)
+            with np.errstate(invalid="ignore"):
+                monitor.observe(features, labels=labels)
+                _assert_recounts(monitor)
+        assert monitor.samples == sum(n for n, *_ in batches)
+
+    def test_reset_drops_the_kept_tallies(self, tied_baseline):
+        monitor = DriftMonitor(tied_baseline, window=32, min_samples=1,
+                               registry=MetricsRegistry())
+        rng = _rng(3)
+        monitor.observe(rng.integers(0, 6, size=(20, 5)).astype(float))
+        monitor.reset()
+        for rows in (20, 20, 3):
+            monitor.observe(rng.integers(0, 6, size=(rows, 5)).astype(float),
+                            labels=rng.integers(0, 4, size=rows))
+            _assert_recounts(monitor)
+
+    def test_nan_training_column_folds_exactly(self):
+        # np.quantile of a column holding NaN is NaN at every edge: every
+        # live value of that feature lands in bin 0.
+        rng = _rng(5)
+        train = rng.normal(size=(200, 3))
+        train[7, 1] = np.nan
+        baseline = QualityBaseline.from_training(train, num_classes=2)
+        assert np.isnan(baseline.bin_edges[1]).all()
+        monitor = DriftMonitor(baseline, window=40, min_samples=1,
+                               registry=MetricsRegistry())
+        for rows in (16, 16, 16, 5):
+            monitor.observe(rng.normal(size=(rows, 3)))
+            _assert_recounts(monitor)
+        assert monitor._counts[1, 0] == 40
+
+
+class TestBinEdges:
+    """A baseline read from a bundle manifest may carry any edges; the
+    window's tallies must stay a recount of its ring whatever they are."""
+
+    @staticmethod
+    def _dict(edges):
+        edges = np.asarray(edges, dtype=np.float64)
+        f, bins = edges.shape[0], edges.shape[1] + 1
+        return {"version": 1, "feature_mean": np.zeros(f).tolist(),
+                "feature_std": np.ones(f).tolist(),
+                "bin_edges": edges.tolist(),
+                "expected": np.full((f, bins), 1.0 / bins).tolist(),
+                "class_priors": [0.5, 0.5]}
+
+    @pytest.mark.parametrize("edges", [
+        [[1.0, 2.0, np.nan]],
+        [[np.nan, np.nan, np.nan]],
+        [[1.0, 1.0, 1.0]],
+        [[-np.inf, 0.0, np.inf]],
+        [[1.0, np.nan, 3.0]],
+        [[np.nan, 1.0, 3.0]],
+        [[3.0, 1.0, 2.0]],
+        [[np.inf, -np.inf, 2.0]],
+    ])
+    def test_any_edges_fold_exactly(self, edges):
+        baseline = QualityBaseline.from_dict(self._dict(edges))
+        monitor = DriftMonitor(baseline, window=24, min_samples=1,
+                               registry=MetricsRegistry())
+        values = np.array([-np.inf, -1.0, 0.0, 1.0, 1.5, 2.0, 5.0,
+                           np.inf, np.nan])
+        rng = _rng(9)
+        with np.errstate(invalid="ignore"):
+            for rows in (12, 12, 12, 2, 30):
+                monitor.observe(rng.choice(values, size=(rows, 1)))
+                _assert_recounts(monitor)
+        assert (monitor._counts >= 0).all()
