@@ -63,9 +63,10 @@ def kd_grid_search(train_hvs: np.ndarray, train_labels: np.ndarray,
             trainer = DistillationTrainer(num_classes, dim, lr=lr,
                                           temperature=temperature,
                                           alpha=alpha)
-            trainer.fit_distilled(train_hvs, train_labels, teacher_logits,
-                                  epochs=epochs, batch_size=batch_size,
-                                  rng=np.random.default_rng(seed))
+            trainer.fit(train_hvs, train_labels, epochs=epochs,
+                        batch_size=batch_size,
+                        rng=np.random.default_rng(seed),
+                        extra_per_sample={"teacher_logits": teacher_logits})
             accuracies[i, j] = trainer.accuracy(test_hvs, test_labels)
             if alpha == 0.0:
                 # α=0 rows are temperature-independent (plain MASS);

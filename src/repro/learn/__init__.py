@@ -6,8 +6,7 @@ end-to-end systems compared in the evaluation
 (:mod:`repro.learn.pipeline`).
 """
 
-from .callbacks import (CheckpointCallback, EarlyStopping, TelemetryCallback,
-                        TrainerCallback)
+from .callbacks import CheckpointCallback, EarlyStopping, TrainerCallback
 from .centroid import train_centroids
 from .distill import DistillationTrainer
 from .manifold import ManifoldLearner
@@ -21,6 +20,5 @@ __all__ = [
     "DistillationTrainer",
     "ManifoldLearner",
     "NSHD", "BaselineHD", "VanillaHD", "FeatureScaler",
-    "TrainerCallback", "TelemetryCallback", "CheckpointCallback",
-    "EarlyStopping",
+    "TrainerCallback", "CheckpointCallback", "EarlyStopping",
 ]

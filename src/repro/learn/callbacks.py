@@ -1,31 +1,34 @@
-"""Trainer callbacks: one hook for telemetry, checkpointing, early stop.
+"""The one epoch loop behind every HD fit, and the hooks it drives.
 
-:class:`MassTrainer.fit` (and therefore the distillation trainer and the
-BaselineHD/VanillaHD pipelines) invokes every registered callback's
-``on_epoch_end(epoch, metrics)`` after each epoch.  ``metrics`` is a
-plain dict carrying at least::
+:func:`run_epochs` is the epoch loop of :meth:`MassTrainer.fit` (and so
+of the distillation trainer) and of the NSHD, BaselineHD and VanillaHD
+pipelines.  It owns the per-epoch shuffle, batching, epoch timing, the
+history, the ``train.*`` epoch metrics and the callback protocol; its
+callers supply only a per-batch body and a per-epoch evaluation.
+
+After each epoch every registered callback receives
+``on_epoch_end(epoch, metrics)``, where ``metrics`` is a plain dict
+carrying at least::
 
     {"epoch": int,            # 0-based epoch just finished
      "train_acc": float,      # accuracy after this epoch's updates
      "epoch_time_s": float,   # wall time of the epoch (tracing clock)
-     "history": dict}         # the trainer's running history (by ref)
+     "history": dict}         # the loop's running history (by ref)
 
-This replaces the ad-hoc ``epoch_callback`` closure that the pipelines
-previously threaded into ``fit`` for checkpointing — checkpoint writes,
-metric publication and future early-stopping all share the same hook.
-The legacy ``epoch_callback`` parameter still works and is invoked after
-the callbacks.
+On resume the history already holds the restored epochs.  Checkpoint
+writes and early stopping ride the same hook.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from ..telemetry import get_registry
-from ..telemetry.metrics import MetricsRegistry
+import numpy as np
 
-__all__ = ["TrainerCallback", "TelemetryCallback", "CheckpointCallback",
-           "EarlyStopping"]
+from ..telemetry import clock, get_registry
+
+__all__ = ["TrainerCallback", "CheckpointCallback", "EarlyStopping",
+           "run_epochs"]
 
 
 class TrainerCallback:
@@ -46,76 +49,103 @@ class TrainerCallback:
         return False
 
 
-class TelemetryCallback(TrainerCallback):
-    """Publish per-epoch trainer metrics into a metrics registry.
+def run_epochs(trainer, rows: Mapping[str, np.ndarray],
+               batch_step: Callable[..., object],
+               evaluate: Callable[[List[object]], Dict[str, float]], *,
+               epochs: int, batch_size: int, rng: np.random.Generator,
+               start_epoch: int = 0,
+               history: Optional[Dict[str, List[float]]] = None,
+               callbacks: Optional[Sequence[TrainerCallback]] = None,
+               initialize: Optional[Callable[[], None]] = None
+               ) -> Dict[str, List[float]]:
+    """Train epochs ``[start_epoch, epochs)``; returns the history.
 
-    Parameters
-    ----------
-    prefix:
-        Metric-name prefix (``{prefix}.epoch``, ``{prefix}.train_acc``,
-        ``{prefix}.epoch_time_s``); lets several trainers in one process
-        publish side by side.
-    registry:
-        Defaults to the process-global registry.
+    ``rows`` are per-sample arrays of one length; any other length
+    raises ``ValueError`` before ``initialize``.  Each epoch draws one
+    ``rng.permutation`` of the rows and calls ``batch_step(**batch)``
+    with every array sliced to the batch; ``evaluate(outputs)`` then
+    receives the batch steps' return values and returns the epoch's
+    numeric metrics (at least ``train_acc``).  ``history`` holds the
+    epochs restored from a checkpoint and is extended, not replaced.
+    ``initialize`` runs once, before any callback or batch.
+
+    Every epoch publishes ``train.epochs``, ``train.epoch``,
+    ``train.epoch_time_s`` and a ``train.<metric>`` gauge per evaluated
+    metric, then calls the callbacks and stops early once any
+    ``should_stop()``.
     """
-
-    def __init__(self, prefix: str = "train",
-                 registry: Optional[MetricsRegistry] = None):
-        self.prefix = prefix
-        self.registry = registry
-
-    def _registry(self) -> MetricsRegistry:
-        return self.registry if self.registry is not None else get_registry()
-
-    def on_epoch_end(self, epoch: int, metrics: Dict[str, object]) -> None:
-        registry = self._registry()
-        registry.inc(f"{self.prefix}.epochs")
-        registry.set_gauge(f"{self.prefix}.epoch", float(epoch))
-        for key, value in metrics.items():
-            if key in ("epoch", "history") or not isinstance(
-                    value, (int, float)):
-                continue
-            if key.endswith("_time_s"):
-                registry.observe(f"{self.prefix}.{key}", float(value))
-            else:
-                registry.set_gauge(f"{self.prefix}.{key}", float(value))
+    if not 0 <= start_epoch <= epochs:
+        raise ValueError(f"start_epoch {start_epoch} outside "
+                         f"[0, {epochs}]")
+    rows = {name: np.asarray(value) for name, value in rows.items()}
+    first = next(iter(rows))
+    num_rows = len(rows[first])
+    for name, value in rows.items():
+        if len(value) != num_rows:
+            raise ValueError(f"{name} has {len(value)} rows; expected "
+                             f"{num_rows}, one per {first} row")
+    if initialize is not None:
+        initialize()
+    history = {key: list(values) for key, values in (history or {}).items()}
+    callbacks = list(callbacks or [])
+    registry = get_registry()
+    for callback in callbacks:
+        callback.on_fit_start(trainer, epochs)
+    for epoch in range(start_epoch, epochs):
+        epoch_start = clock()
+        # A fresh permutation per epoch (rather than in-place shuffling
+        # of a persistent index array) makes each epoch's ordering a pure
+        # function of the RNG state — the property checkpoint resume
+        # relies on for bit-exact continuation.
+        indices = rng.permutation(num_rows)
+        outputs = []
+        for start in range(0, num_rows, batch_size):
+            batch = indices[start:start + batch_size]
+            outputs.append(batch_step(**{name: value[batch]
+                                         for name, value in rows.items()}))
+        scores = evaluate(outputs)
+        epoch_time = clock() - epoch_start
+        for key, value in scores.items():
+            history.setdefault(key, []).append(value)
+            registry.set_gauge(f"train.{key}", float(value))
+        history.setdefault("epoch_time", []).append(epoch_time)
+        registry.inc("train.epochs")
+        registry.set_gauge("train.epoch", float(epoch))
+        registry.observe("train.epoch_time_s", epoch_time)
+        metrics = {"epoch": epoch, **scores, "epoch_time_s": epoch_time,
+                   "history": history}
+        for callback in callbacks:
+            callback.on_epoch_end(epoch, metrics)
+        if any(callback.should_stop() for callback in callbacks):
+            break
+    for callback in callbacks:
+        callback.on_fit_end(history)
+    return history
 
 
 class CheckpointCallback(TrainerCallback):
     """Atomic pipeline checkpoint writes every ``every`` epochs.
 
-    Wraps :meth:`repro.learn.pipeline._HDPipeline.save_checkpoint`; the
-    optional ``history_prefix`` carries epochs restored from a previous
-    checkpoint so the persisted history stays complete across resumes.
+    Wraps :meth:`repro.learn.pipeline._HDPipeline.save_checkpoint` and
+    persists the loop's history, which on resume already starts with the
+    restored epochs.
     """
 
     def __init__(self, pipeline, path: str, every: int = 1,
-                 total_epochs: Optional[int] = None,
-                 history_prefix: Optional[Dict[str, List[float]]] = None):
+                 total_epochs: Optional[int] = None):
         if every < 1:
             raise ValueError("checkpoint interval must be >= 1")
         self.pipeline = pipeline
         self.path = path
         self.every = every
         self.total_epochs = total_epochs
-        self.history_prefix = {key: list(values) for key, values
-                               in (history_prefix or {}).items()}
-
-    def merged_history(self, history: Dict[str, List[float]]
-                       ) -> Dict[str, List[float]]:
-        merged = {key: list(values)
-                  for key, values in self.history_prefix.items()}
-        for key, values in history.items():
-            merged[key] = merged.get(key, []) + list(values)
-        return merged
 
     def on_epoch_end(self, epoch: int, metrics: Dict[str, object]) -> None:
         completed = epoch + 1
         if completed % self.every and completed != self.total_epochs:
             return
-        history = metrics.get("history") or {}
         self.pipeline.save_checkpoint(self.path, completed,
-                                      self.merged_history(history))
+                                      metrics.get("history") or {})
 
 
 class EarlyStopping(TrainerCallback):

@@ -75,16 +75,3 @@ class DistillationTrainer(MassTrainer):
         # commensurate with the one-hot term (see module docstring).
         distilled = (soft_labels - soft_pred) * self.temperature ** 2
         return (1.0 - self.alpha) * mass_update + self.alpha * distilled
-
-    def fit_distilled(self, hypervectors: np.ndarray, labels: np.ndarray,
-                      teacher_logits: np.ndarray, epochs: int = 20,
-                      batch_size: int = 64,
-                      rng: Optional[np.random.Generator] = None,
-                      initialize: bool = True):
-        """Convenience wrapper threading teacher logits through ``fit``."""
-        teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
-        if len(teacher_logits) != len(np.atleast_2d(hypervectors)):
-            raise ValueError("teacher_logits must align with hypervectors")
-        return self.fit(hypervectors, labels, epochs=epochs,
-                        batch_size=batch_size, rng=rng, initialize=initialize,
-                        extra_per_sample={"teacher_logits": teacher_logits})

@@ -18,19 +18,18 @@ the one-hot target — raw bipolar dot products grow with D and would make
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
-                    Sequence)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..data.loader import one_hot
 from ..pipeline.stages import cosine_similarities
-from ..telemetry import clock, get_registry, span
+from ..telemetry import get_registry, span
+from .callbacks import TrainerCallback, run_epochs
 from .centroid import train_centroids
 
 if TYPE_CHECKING:  # avoid an import cycle; the guard is duck-typed
     from ..reliability.guards import NumericsGuard
-    from .callbacks import TrainerCallback
 
 __all__ = ["normalized_similarity", "clip_update_norms", "MassTrainer"]
 
@@ -249,15 +248,17 @@ class MassTrainer:
             initialize: bool = True,
             extra_per_sample: Optional[Dict[str, np.ndarray]] = None,
             start_epoch: int = 0,
-            epoch_callback: Optional[Callable[[int, Dict[str, List[float]]],
-                                              None]] = None,
-            callbacks: Optional[Sequence["TrainerCallback"]] = None
+            callbacks: Optional[Sequence[TrainerCallback]] = None
             ) -> Dict[str, List[float]]:
         """Run retraining epochs; returns per-epoch training accuracy.
 
-        ``extra_per_sample`` carries aligned side information (e.g. teacher
-        logits for the distillation subclass); it is shuffled and batched
-        together with the hypervectors.
+        The epochs run through :func:`repro.learn.callbacks.run_epochs`
+        with :meth:`step` as the batch body and :meth:`accuracy` on all
+        rows as the evaluation.  ``extra_per_sample`` carries aligned side
+        information (e.g. ``teacher_logits`` for the distillation
+        subclass); it is shuffled and batched together with the
+        hypervectors, and an array whose length differs from theirs
+        raises ``ValueError`` before ``class_matrix`` is touched.
 
         ``start_epoch`` supports checkpoint/resume: the loop runs epochs
         ``[start_epoch, epochs)``.  A resumed caller passes
@@ -268,56 +269,21 @@ class MassTrainer:
         instances: after every epoch each receives
         ``on_epoch_end(epoch, metrics)`` with ``{"epoch", "train_acc",
         "epoch_time_s", "history"}`` and is then polled via
-        ``should_stop()``; checkpoint writes, telemetry publication and
-        early stopping all ride this hook.  The legacy
-        ``epoch_callback(epoch, history)`` closure still works and runs
-        after the callbacks.
+        ``should_stop()``.  Every epoch also publishes the ``train.*``
+        epoch metrics.
         """
         hypervectors = np.atleast_2d(hypervectors)
         labels = np.asarray(labels)
-        rng = rng or np.random.default_rng()
-        if not 0 <= start_epoch <= epochs:
-            raise ValueError(f"start_epoch {start_epoch} outside "
-                             f"[0, {epochs}]")
-        if initialize:
-            self.initialize(hypervectors, labels)
-        extra_per_sample = extra_per_sample or {}
-        callbacks = list(callbacks or [])
-
-        history: Dict[str, List[float]] = {"train_acc": [],
-                                           "epoch_time": []}
-        for callback in callbacks:
-            callback.on_fit_start(self, epochs)
-        stop = False
-        for epoch in range(start_epoch, epochs):
-            epoch_start = clock()
-            # A fresh permutation per epoch (rather than in-place shuffling
-            # of a persistent index array) makes each epoch's ordering a
-            # pure function of the RNG state — the property checkpoint
-            # resume relies on for bit-exact continuation.
-            indices = rng.permutation(len(hypervectors))
-            for start in range(0, len(indices), batch_size):
-                batch = indices[start:start + batch_size]
-                kwargs = {key: value[batch]
-                          for key, value in extra_per_sample.items()}
-                self.step(hypervectors[batch], labels[batch], **kwargs)
-            train_acc = self.accuracy(hypervectors, labels)
-            epoch_time = clock() - epoch_start
-            history["train_acc"].append(train_acc)
-            history["epoch_time"].append(epoch_time)
-            metrics = {"epoch": epoch, "train_acc": train_acc,
-                       "epoch_time_s": epoch_time, "history": history}
-            for callback in callbacks:
-                callback.on_epoch_end(epoch, metrics)
-            if epoch_callback is not None:
-                epoch_callback(epoch, history)
-            if any(callback.should_stop() for callback in callbacks):
-                stop = True
-            if stop:
-                break
-        for callback in callbacks:
-            callback.on_fit_end(history)
-        return history
+        rows = {"hypervectors": hypervectors, "labels": labels,
+                **(extra_per_sample or {})}
+        return run_epochs(
+            self, rows, self.step,
+            lambda _: {"train_acc": self.accuracy(hypervectors, labels)},
+            epochs=epochs, batch_size=batch_size,
+            rng=rng or np.random.default_rng(), start_epoch=start_epoch,
+            callbacks=callbacks,
+            initialize=((lambda: self.initialize(hypervectors, labels))
+                        if initialize else None))
 
     # ------------------------------------------------------------------
     def predict(self, hypervectors: np.ndarray) -> np.ndarray:

@@ -41,9 +41,9 @@ from ..nn.serialize import (CheckpointError, load_state_with_manifest,
 from ..pipeline import (ClassifyStage, EncodeStage, ExtractStage,
                         FeatureScaler, FlattenStage, ManifoldReduceStage,
                         ScaleStage, StageGraph)
-from ..telemetry import clock, get_registry, span
+from ..telemetry import span
 from ..utils.rng import derive_rng, fresh_rng, get_rng_state, set_rng_state
-from .callbacks import CheckpointCallback
+from .callbacks import CheckpointCallback, run_epochs
 from .distill import DistillationTrainer
 from .manifold import ManifoldLearner
 from .mass import MassTrainer
@@ -182,61 +182,68 @@ class _HDPipeline:
                    for key, values in meta.get("history", {}).items()}
         return int(meta["epoch"]), history
 
-    def _maybe_resume(self, checkpoint_path: Optional[str], resume: bool
-                      ) -> Tuple[int, Optional[Dict[str, List[float]]]]:
+    def _resume(self, features: np.ndarray,
+                checkpoint_path: Optional[str], resume: bool
+                ) -> Tuple[int, Optional[Dict[str, List[float]]],
+                           np.ndarray]:
         """Resolve resume semantics shared by the three ``fit`` paths.
 
-        Returns ``(start_epoch, saved_history)``; a missing checkpoint
-        under ``resume=True`` silently starts fresh (first run of a
-        to-be-resumed job), while a *corrupt* one raises so the caller
-        can decide how to degrade.
+        Returns ``(start_epoch, saved_history, scaled_features)``.  A
+        missing checkpoint under ``resume=True`` silently starts fresh
+        (first run of a to-be-resumed job), while a *corrupt* one raises
+        so the caller can decide how to degrade.  A restored run keeps the
+        checkpoint's scaler statistics; a fresh one fits them here.
         """
-        if not resume:
-            return 0, None
-        if not checkpoint_path:
-            raise ValueError("resume=True requires checkpoint_path")
-        if not os.path.exists(checkpoint_path):
-            return 0, None
-        epoch, history = self.load_checkpoint(checkpoint_path)
-        return epoch, history
+        start_epoch, history = 0, None
+        if resume:
+            if not checkpoint_path:
+                raise ValueError("resume=True requires checkpoint_path")
+            if os.path.exists(checkpoint_path):
+                start_epoch, history = self.load_checkpoint(checkpoint_path)
+        scaled = (self.scaler.transform(features) if start_epoch > 0
+                  else self.scaler.fit_transform(features))
+        return start_epoch, history, scaled
 
-    def _trainer_fit_checkpointed(
-            self, encoded: np.ndarray, labels: np.ndarray, epochs: int,
-            batch_size: int, start_epoch: int,
-            saved_history: Optional[Dict[str, List[float]]],
-            checkpoint_path: Optional[str], checkpoint_every: int,
-            extra_per_sample: Optional[Dict[str, np.ndarray]] = None,
-            callbacks: Optional[List] = None
-    ) -> Dict[str, List[float]]:
-        """Run ``trainer.fit`` with per-epoch atomic checkpoint writes.
-
-        Checkpointing rides the :class:`repro.learn.callbacks
-        .CheckpointCallback` hook (the ad-hoc ``epoch_callback`` closure
-        this used to build is gone); the callback also merges the history
-        restored from a previous checkpoint into every write so the
-        persisted history stays complete across resumes.  Caller-supplied
-        ``callbacks`` (telemetry, HD diagnostics, early stopping) run
-        before the checkpoint callback each epoch.
-        """
+    def _run_epochs(self, rows: Dict[str, np.ndarray], batch_step,
+                    evaluate, initialize, *, epochs: int, batch_size: int,
+                    start_epoch: int,
+                    history: Optional[Dict[str, List[float]]],
+                    checkpoint_path: Optional[str], checkpoint_every: int,
+                    callbacks: Optional[List]) -> Dict[str, List[float]]:
+        """:func:`repro.learn.callbacks.run_epochs` on the pipeline's
+        shuffle RNG, with a :class:`CheckpointCallback` appended after the
+        caller's ``callbacks`` when ``checkpoint_path`` is set.
+        ``initialize`` is skipped on resume."""
         callbacks = list(callbacks or [])
-        checkpoint_cb = None
         if checkpoint_path:
-            checkpoint_cb = CheckpointCallback(
+            callbacks.append(CheckpointCallback(
                 self, checkpoint_path, every=checkpoint_every,
-                total_epochs=epochs, history_prefix=saved_history)
-            callbacks.append(checkpoint_cb)
-        history = self.trainer.fit(
-            encoded, labels, epochs=epochs, batch_size=batch_size,
-            rng=self._train_rng, initialize=(start_epoch == 0),
-            extra_per_sample=extra_per_sample, start_epoch=start_epoch,
-            callbacks=callbacks)
-        if checkpoint_cb is not None:
-            return checkpoint_cb.merged_history(history)
-        prefix = {key: list(values)
-                  for key, values in (saved_history or {}).items()}
-        for key, values in history.items():
-            prefix[key] = prefix.get(key, []) + list(values)
-        return prefix
+                total_epochs=epochs))
+        return run_epochs(
+            self.trainer, rows, batch_step, evaluate, epochs=epochs,
+            batch_size=batch_size, rng=self._train_rng,
+            start_epoch=start_epoch, history=history, callbacks=callbacks,
+            initialize=initialize if start_epoch == 0 else None)
+
+    def _fit_encoded(self, features: np.ndarray, labels: np.ndarray,
+                     epochs: int, batch_size: int,
+                     checkpoint_path: Optional[str], checkpoint_every: int,
+                     resume: bool, callbacks: Optional[List]
+                     ) -> Dict[str, List[float]]:
+        """BaselineHD/VanillaHD training: scale and encode every row once,
+        then MASS epochs on the fixed hypervectors."""
+        labels = np.asarray(labels)
+        start_epoch, history, scaled = self._resume(
+            features, checkpoint_path, resume)
+        encoded = self.graph.call("encode", scaled)
+        trainer = self.trainer
+        return self._run_epochs(
+            {"hypervectors": encoded, "labels": labels}, trainer.step,
+            lambda _: {"train_acc": trainer.accuracy(encoded, labels)},
+            lambda: trainer.initialize(encoded, labels),
+            epochs=epochs, batch_size=batch_size, start_epoch=start_epoch,
+            history=history, checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every, callbacks=callbacks)
 
 
 class NSHD(_HDPipeline):
@@ -341,9 +348,27 @@ class NSHD(_HDPipeline):
         return float((self.predict_features(raw_features) ==
                       np.asarray(labels)).mean())
 
+    def _train_batch(self, features: np.ndarray, labels: np.ndarray,
+                     **kwargs) -> Optional[float]:
+        """Algorithm 1 on one batch of scaled features; returns the
+        manifold loss, or None when no manifold step ran.
+
+        Reduce and encode the batch, update M from it, then propagate
+        the resulting error direction through the HD encoder into the
+        manifold FC (Sec. V-C).  A batch vetoed by the numerics guard
+        skips both halves.
+        """
+        encoded = self.graph.call("encode", self._reduce_batch(features))
+        if (not self.trainer.step(encoded, labels, **kwargs)
+                or self.manifold is None):
+            return None
+        update = self.trainer.compute_update(encoded, labels, **kwargs)
+        return self.manifold.train_step(features, update, self.encoder,
+                                        self.trainer.class_matrix)
+
     # ------------------------------------------------------------------
     def fit(self, images: np.ndarray, labels: np.ndarray, epochs: int = 20,
-            batch_size: int = 64, verbose: bool = False,
+            batch_size: int = 64,
             callbacks: Optional[List] = None) -> Dict[str, List[float]]:
         """Train class hypervectors (and the manifold FC) jointly.
 
@@ -360,13 +385,12 @@ class NSHD(_HDPipeline):
                 raw_features, after=self.extractor.layer_index)
         return self.fit_features(raw_features, labels, teacher_logits,
                                  epochs=epochs, batch_size=batch_size,
-                                 verbose=verbose, callbacks=callbacks)
+                                 callbacks=callbacks)
 
     def fit_features(self, raw_features: np.ndarray, labels: np.ndarray,
                      teacher_logits: Optional[np.ndarray] = None,
                      epochs: int = 20, batch_size: int = 64,
                      initialize: bool = True,
-                     verbose: bool = False,
                      checkpoint_path: Optional[str] = None,
                      checkpoint_every: int = 1,
                      resume: bool = False,
@@ -387,99 +411,46 @@ class NSHD(_HDPipeline):
         epoch — a run killed mid-way and resumed this way produces the
         *bit-identical* final model of an uninterrupted run.
 
-        ``callbacks`` follow the :class:`repro.learn.callbacks
-        .TrainerCallback` protocol (``on_fit_start`` receives the inner
-        HD trainer so e.g. :class:`repro.telemetry.DiagnosticsCallback`
-        can watch ``class_matrix``); ``should_stop()`` ends training
-        early, mirroring :meth:`MassTrainer.fit`.
+        The epochs run through :func:`repro.learn.callbacks.run_epochs`
+        with :meth:`_train_batch` as the batch body.  ``callbacks`` follow
+        the :class:`repro.learn.callbacks.TrainerCallback` protocol
+        (``on_fit_start`` receives the inner HD trainer so e.g.
+        :class:`repro.telemetry.DiagnosticsCallback` can watch
+        ``class_matrix``); ``should_stop()`` ends training early.
         """
         labels = np.asarray(labels)
         if self.use_distillation and teacher_logits is None:
             raise ValueError("distillation requires teacher_logits")
-        callbacks = list(callbacks or [])
+        start_epoch, history, features = self._resume(
+            raw_features, checkpoint_path, resume)
+        rows = {"features": features, "labels": labels}
+        if self.use_distillation:
+            rows["teacher_logits"] = teacher_logits
 
-        start_epoch, saved_history = self._maybe_resume(checkpoint_path,
-                                                        resume)
-        if start_epoch > 0:
-            # Scaler statistics (and everything else) came from the
-            # checkpoint; do not re-fit or re-initialize.
-            features = self.scaler.transform(raw_features)
-            initialize = False
-        else:
-            features = self.scaler.fit_transform(raw_features)
-
-        # Warm-start the manifold FC as an information-preserving (PCA)
-        # projection of the pooled training features (Sec. IV-C), then
-        # bootstrap M from centroids of the resulting encoding.
-        if initialize:
+        def warm_start() -> None:
+            # Warm-start the manifold FC as an information-preserving
+            # (PCA) projection of the pooled training features (Sec.
+            # IV-C), then bootstrap M from centroids of the resulting
+            # encoding.
             if self.manifold is not None:
                 self.manifold.init_pca(features)
             self.trainer.initialize(self.encode_features(features), labels)
 
-        history: Dict[str, List[float]] = {
-            "train_acc": list((saved_history or {}).get("train_acc", [])),
-            "manifold_loss": list((saved_history or {}).get("manifold_loss",
-                                                            [])),
-            "epoch_time": list((saved_history or {}).get("epoch_time", [])),
-        }
-        registry = get_registry()
-        for callback in callbacks:
-            callback.on_fit_start(self.trainer, epochs)
-        for epoch in range(start_epoch, epochs):
-            epoch_start = clock()
-            # Fresh permutation per epoch: the ordering is a pure function
-            # of the RNG state, which is what lets a restored checkpoint
-            # replay the remaining epochs bit-exactly.
-            indices = self._train_rng.permutation(len(features))
-            epoch_losses = []
-            for start in range(0, len(indices), batch_size):
-                batch = indices[start:start + batch_size]
-                feats_b = features[batch]
-                reduced = self._reduce_batch(feats_b)
-                encoded = self.graph.call("encode", reduced)
-                kwargs = {}
-                if self.use_distillation:
-                    kwargs["teacher_logits"] = teacher_logits[batch]
-                # Algorithm 1: update M from this batch ...
-                applied = self.trainer.step(encoded, labels[batch], **kwargs)
-                # ... then propagate the resulting error direction through
-                # the HD encoder into the manifold FC (Sec. V-C).  A batch
-                # vetoed by the numerics guard skips both halves.
-                if applied and self.manifold is not None:
-                    update = self.trainer.compute_update(
-                        encoded, labels[batch], **kwargs)
-                    loss = self.manifold.train_step(
-                        feats_b, update, self.encoder,
-                        self.trainer.class_matrix)
-                    epoch_losses.append(loss)
+        def evaluate(outputs: List[Optional[float]]) -> Dict[str, float]:
             with span("pipeline.eval"):
-                encoded_all = self.encode_features(features)
-                train_acc = self.trainer.accuracy(encoded_all, labels)
-            epoch_time = clock() - epoch_start
-            history["train_acc"].append(train_acc)
-            history["manifold_loss"].append(
-                float(np.mean(epoch_losses)) if epoch_losses else 0.0)
-            history["epoch_time"].append(epoch_time)
-            registry.inc("train.epochs")
-            registry.set_gauge("train.epoch", float(epoch))
-            registry.set_gauge("train.train_acc", train_acc)
-            registry.observe("train.epoch_time_s", epoch_time)
-            metrics = {"epoch": epoch, "train_acc": train_acc,
-                       "manifold_loss": history["manifold_loss"][-1],
-                       "epoch_time_s": epoch_time, "history": history}
-            for callback in callbacks:
-                callback.on_epoch_end(epoch, metrics)
-            if checkpoint_path and ((epoch + 1) % checkpoint_every == 0
-                                    or epoch + 1 == epochs):
-                self.save_checkpoint(checkpoint_path, epoch + 1, history)
-            if verbose:
-                print(f"NSHD epoch {len(history['train_acc'])}: "
-                      f"train_acc={history['train_acc'][-1]:.3f}")
-            if any(callback.should_stop() for callback in callbacks):
-                break
-        for callback in callbacks:
-            callback.on_fit_end(history)
-        return history
+                train_acc = self.trainer.accuracy(
+                    self.encode_features(features), labels)
+            losses = [loss for loss in outputs if loss is not None]
+            return {"train_acc": train_acc,
+                    "manifold_loss": float(np.mean(losses)) if losses
+                    else 0.0}
+
+        return self._run_epochs(
+            rows, self._train_batch, evaluate,
+            warm_start if initialize else None,
+            epochs=epochs, batch_size=batch_size, start_epoch=start_epoch,
+            history=history, checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every, callbacks=callbacks)
 
 
 class BaselineHD(_HDPipeline):
@@ -539,17 +510,9 @@ class BaselineHD(_HDPipeline):
         Checkpoint/resume and callback semantics match
         :meth:`NSHD.fit_features`.
         """
-        labels = np.asarray(labels)
-        start_epoch, saved_history = self._maybe_resume(checkpoint_path,
-                                                        resume)
-        if start_epoch > 0:
-            scaled = self.scaler.transform(raw_features)
-        else:
-            scaled = self.scaler.fit_transform(raw_features)
-        encoded = self.graph.call("encode", scaled)
-        return self._trainer_fit_checkpointed(
-            encoded, labels, epochs, batch_size, start_epoch, saved_history,
-            checkpoint_path, checkpoint_every, callbacks=callbacks)
+        return self._fit_encoded(raw_features, labels, epochs, batch_size,
+                                 checkpoint_path, checkpoint_every, resume,
+                                 callbacks)
 
 
 class VanillaHD(_HDPipeline):
@@ -581,15 +544,7 @@ class VanillaHD(_HDPipeline):
             batch_size: int = 64, checkpoint_path: Optional[str] = None,
             checkpoint_every: int = 1, resume: bool = False,
             callbacks: Optional[List] = None) -> Dict[str, List[float]]:
-        labels = np.asarray(labels)
         flat = np.asarray(images).reshape(len(images), -1)
-        start_epoch, saved_history = self._maybe_resume(checkpoint_path,
-                                                        resume)
-        if start_epoch > 0:
-            features = self.scaler.transform(flat)
-        else:
-            features = self.scaler.fit_transform(flat)
-        encoded = self.graph.call("encode", features)
-        return self._trainer_fit_checkpointed(
-            encoded, labels, epochs, batch_size, start_epoch, saved_history,
-            checkpoint_path, checkpoint_every, callbacks=callbacks)
+        return self._fit_encoded(flat, labels, epochs, batch_size,
+                                 checkpoint_path, checkpoint_every, resume,
+                                 callbacks)

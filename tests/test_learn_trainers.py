@@ -176,8 +176,8 @@ class TestDistillationTrainer:
         mass = MassTrainer(4, hvs.shape[1], lr=0.1)
         kd = DistillationTrainer(4, hvs.shape[1], lr=0.1, alpha=0.0)
         mass.fit(hvs, labels, epochs=5, rng=np.random.default_rng(0))
-        kd.fit_distilled(hvs, labels, logits, epochs=5,
-                         rng=np.random.default_rng(0))
+        kd.fit(hvs, labels, epochs=5, rng=np.random.default_rng(0),
+               extra_per_sample={"teacher_logits": logits})
         np.testing.assert_allclose(kd.class_matrix, mass.class_matrix)
 
     def test_alpha_positive_requires_teacher(self):
@@ -191,7 +191,22 @@ class TestDistillationTrainer:
         hvs, labels, logits = self.setup_problem()
         kd = DistillationTrainer(4, hvs.shape[1], alpha=0.5)
         with pytest.raises(ValueError):
-            kd.fit_distilled(hvs, labels, logits[:-1], epochs=1)
+            kd.fit(hvs, labels, epochs=1,
+                   extra_per_sample={"teacher_logits": logits[:-1]})
+
+    @pytest.mark.parametrize("teacher_rows", [60, 101])
+    def test_misaligned_teacher_refused_before_any_update(self,
+                                                          teacher_rows):
+        """Too few teacher rows used to update M and then fail mid-epoch
+        with IndexError; too many were silently cut to a prefix."""
+        hvs, labels, _ = make_separable_hvs(per_class=25)  # 100 rows
+        logits = np.zeros((teacher_rows, 4))
+        kd = DistillationTrainer(4, hvs.shape[1], alpha=0.5)
+        before = kd.class_matrix.copy()
+        with pytest.raises(ValueError, match="teacher_logits"):
+            kd.fit(hvs, labels, epochs=1, batch_size=2,
+                   extra_per_sample={"teacher_logits": logits})
+        np.testing.assert_array_equal(kd.class_matrix, before)
 
     def test_distilled_update_follows_teacher(self):
         """With α=1 the update direction tracks teacher probabilities."""
@@ -207,8 +222,8 @@ class TestDistillationTrainer:
         hvs, labels, logits = self.setup_problem(seed=2)
         kd = DistillationTrainer(4, hvs.shape[1], lr=0.1, alpha=0.5,
                                  temperature=14.0)
-        kd.fit_distilled(hvs, labels, logits, epochs=20,
-                         rng=np.random.default_rng(0))
+        kd.fit(hvs, labels, epochs=20, rng=np.random.default_rng(0),
+               extra_per_sample={"teacher_logits": logits})
         assert kd.accuracy(hvs, labels) > 0.9
 
     def test_temperature_softens_teacher_distribution(self):
@@ -244,6 +259,6 @@ class TestDistillationTrainer:
         mass.fit(hvs, noisy, epochs=15, rng=np.random.default_rng(0))
         kd = DistillationTrainer(4, hvs.shape[1], lr=0.05, alpha=0.7,
                                  temperature=4.0)
-        kd.fit_distilled(hvs, noisy, logits, epochs=15,
-                         rng=np.random.default_rng(0))
+        kd.fit(hvs, noisy, epochs=15, rng=np.random.default_rng(0),
+               extra_per_sample={"teacher_logits": logits})
         assert kd.accuracy(hvs, labels) >= mass.accuracy(hvs, labels)

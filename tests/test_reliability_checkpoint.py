@@ -15,7 +15,8 @@ import pytest
 
 from repro import nn
 from repro.data import make_dataset, normalize_images
-from repro.learn import NSHD, BaselineHD, ManifoldLearner, MassTrainer
+from repro.learn import (NSHD, BaselineHD, ManifoldLearner, MassTrainer,
+                         TrainerCallback, VanillaHD)
 from repro.models import create_model
 from repro.nn.serialize import (MANIFEST_KEY, CheckpointError, load_manifest,
                                 load_module, load_state, save_module,
@@ -256,6 +257,58 @@ class TestKillAndResume:
                              checkpoint_path=ckpt, resume=True)
         np.testing.assert_array_equal(resumed.trainer.class_matrix,
                                       ref.trainer.class_matrix)
+
+    def test_vanillahd_resume_is_bit_exact(self, tiny_task, tmp_path):
+        _, x_tr, y_tr = tiny_task
+        ckpt = str(tmp_path / "vanilla.npz")
+
+        def make():
+            return VanillaHD(num_classes=4, dim=256, seed=7)
+
+        ref = make()
+        ref_history = ref.fit(x_tr, y_tr, epochs=3, batch_size=32)
+        make().fit(x_tr, y_tr, epochs=1, batch_size=32,
+                   checkpoint_path=ckpt)
+        resumed = make()
+        history = resumed.fit(x_tr, y_tr, epochs=3, batch_size=32,
+                              checkpoint_path=ckpt, resume=True)
+        np.testing.assert_array_equal(resumed.trainer.class_matrix,
+                                      ref.trainer.class_matrix)
+        assert history["train_acc"] == ref_history["train_acc"]
+
+    @pytest.mark.parametrize("name", ["NSHD", "BaselineHD", "VanillaHD"])
+    def test_resumed_callbacks_see_restored_history(self, name, tiny_task,
+                                                    tmp_path):
+        model, x_tr, y_tr = tiny_task
+        ckpt = str(tmp_path / "resume.npz")
+
+        def fit(epochs, **kwargs):
+            if name == "NSHD":  # NSHD checkpoints from fit_features
+                pipeline = make_nshd(model)
+                return pipeline, pipeline.fit_features(
+                    pipeline.extractor.extract(x_tr), y_tr,
+                    pipeline.teacher.logits(x_tr), epochs=epochs,
+                    batch_size=32, checkpoint_path=ckpt, **kwargs)
+            pipeline = (BaselineHD(model, layer_index=21, dim=256, seed=7)
+                        if name == "BaselineHD"
+                        else VanillaHD(num_classes=4, dim=256, seed=7))
+            return pipeline, pipeline.fit(x_tr, y_tr, epochs=epochs,
+                                          batch_size=32,
+                                          checkpoint_path=ckpt, **kwargs)
+
+        seen = []
+
+        class Recorder(TrainerCallback):
+            def on_epoch_end(self, epoch, metrics):
+                history = metrics["history"]
+                seen.append((epoch, len(history["train_acc"]),
+                             len(history["epoch_time"])))
+
+        fit(1)
+        pipeline, history = fit(3, resume=True, callbacks=[Recorder()])
+        assert seen == [(1, 2, 2), (2, 3, 3)]
+        assert len(history["train_acc"]) == 3
+        assert pipeline.load_checkpoint(ckpt)[1] == history
 
     def test_resume_with_missing_checkpoint_starts_fresh(self, tiny_task,
                                                          tmp_path):

@@ -34,6 +34,16 @@ def test_every_script_imports():
     assert proc.returncode == 0, proc.stderr[-4000:]
 
 
+def test_metric_names_match_the_reference():
+    """``check_metric_names.py`` exits 0: every metric registered under
+    ``src/repro/`` is in the docs/OBSERVABILITY.md reference, and every
+    documented name is registered."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "check_metric_names.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 @pytest.fixture
 def bench_gate(monkeypatch):
     # bench_gate puts src/ and bench/ on sys.path; undo that afterwards.

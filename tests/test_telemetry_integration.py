@@ -4,8 +4,10 @@ telemetry, callbacks drive checkpointing/early-stop, guards count events."""
 import numpy as np
 import pytest
 
-from repro.learn import (CheckpointCallback, EarlyStopping, MassTrainer,
-                         TelemetryCallback, TrainerCallback, VanillaHD)
+from repro.data import make_dataset, normalize_images
+from repro.learn import (NSHD, BaselineHD, CheckpointCallback, EarlyStopping,
+                         MassTrainer, TrainerCallback, VanillaHD)
+from repro.models import create_model
 from repro.reliability import NumericsGuard
 from repro.telemetry import Tracer, get_tracer, set_tracer, use_registry
 
@@ -31,8 +33,7 @@ class TestTrainerTelemetry:
         with use_registry() as registry:
             trainer = MassTrainer(4, 128)
             history = trainer.fit(hvs, labels, epochs=2, batch_size=32,
-                                  rng=np.random.default_rng(1),
-                                  callbacks=[TelemetryCallback()])
+                                  rng=np.random.default_rng(1))
             snapshot = registry.snapshot()
         for name in ("train.batches", "train.samples", "train.epochs",
                      "train.epoch", "train.train_acc",
@@ -89,16 +90,6 @@ class TestTrainerTelemetry:
                                   callbacks=[EarlyStopping(patience=2)])
         assert len(history["train_acc"]) < 10
 
-    def test_legacy_epoch_callback_still_invoked(self, fresh_tracer):
-        seen = []
-        hvs, labels = make_hv_problem()
-        with use_registry():
-            MassTrainer(4, 128).fit(
-                hvs, labels, epochs=2, batch_size=64,
-                rng=np.random.default_rng(0),
-                epoch_callback=lambda epoch, hist: seen.append(epoch))
-        assert seen == [0, 1]
-
 
 class TestGuardTelemetry:
     def test_guard_events_increment_counters(self, fresh_tracer):
@@ -149,29 +140,30 @@ class TestPipelineTelemetry:
         assert saved["train_acc"] == pytest.approx(history["train_acc"])
         assert len(saved["epoch_time"]) == 3
 
-    def test_checkpoint_callback_merges_prefix_history(self, tmp_path):
+    def test_checkpoint_callback_writes_loop_history(self):
         class FakePipeline:
             def __init__(self):
                 self.saved = []
 
             def save_checkpoint(self, path, epoch, history):
-                self.saved.append((path, epoch, history))
+                self.saved.append((path, epoch, dict(history)))
 
         pipeline = FakePipeline()
-        callback = CheckpointCallback(
-            pipeline, "x.ckpt", every=2, total_epochs=3,
-            history_prefix={"train_acc": [0.1]})
-        history = {"train_acc": [0.2], "epoch_time": [0.01]}
+        callback = CheckpointCallback(pipeline, "x.ckpt", every=2,
+                                      total_epochs=3)
+        # On resume the loop's history already starts with the restored
+        # epoch (0.1); the callback writes it as it stands.
+        history = {"train_acc": [0.1, 0.2], "epoch_time": [0.0, 0.01]}
         callback.on_epoch_end(0, {"history": history})  # 1 % 2 → skipped
         assert pipeline.saved == []
         history["train_acc"].append(0.3)
         history["epoch_time"].append(0.02)
         callback.on_epoch_end(1, {"history": history})
         assert len(pipeline.saved) == 1
-        _, epoch, merged = pipeline.saved[0]
+        _, epoch, written = pipeline.saved[0]
         assert epoch == 2
-        assert merged["train_acc"] == [0.1, 0.2, 0.3]
-        assert merged["epoch_time"] == [0.01, 0.02]
+        assert written["train_acc"] == [0.1, 0.2, 0.3]
+        assert written["epoch_time"] == [0.0, 0.01, 0.02]
         # Final epoch always checkpoints even off the `every` grid.
         callback.on_epoch_end(2, {"history": history})
         assert pipeline.saved[-1][1] == 3
@@ -179,3 +171,55 @@ class TestPipelineTelemetry:
     def test_checkpoint_callback_validates_interval(self):
         with pytest.raises(ValueError):
             CheckpointCallback(object(), "x", every=0)
+
+
+@pytest.fixture(scope="module")
+def tiny_task():
+    x_tr, y_tr, _, _ = make_dataset(num_classes=3, num_train=24, num_test=3,
+                                    seed=3)
+    x_tr, _, _ = normalize_images(x_tr)
+    model = create_model("vgg16", num_classes=3, width_mult=0.125, seed=1)
+    model.eval()
+    return model, x_tr, y_tr
+
+
+#: ``fit(model, images, labels, callbacks)`` for 3 epochs of each HD fit.
+FITS = {
+    "MassTrainer": lambda model, x, y, callbacks: MassTrainer(4, 128).fit(
+        *make_hv_problem(n=40), epochs=3, batch_size=16,
+        rng=np.random.default_rng(0), callbacks=callbacks),
+    "NSHD": lambda model, x, y, callbacks: NSHD(
+        model, layer_index=21, dim=128, reduced_features=6, seed=0).fit(
+        x, y, epochs=3, batch_size=16, callbacks=callbacks),
+    "BaselineHD": lambda model, x, y, callbacks: BaselineHD(
+        model, layer_index=21, dim=128, seed=0).fit(
+        x, y, epochs=3, batch_size=16, callbacks=callbacks),
+    "VanillaHD": lambda model, x, y, callbacks: VanillaHD(
+        num_classes=3, dim=128, seed=0).fit(
+        x, y, epochs=3, batch_size=16, callbacks=callbacks),
+}
+
+
+@pytest.mark.parametrize("with_callback", [False, True],
+                         ids=["no_callbacks", "user_callback"])
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_epoch_metrics_counted_once(name, with_callback, tiny_task,
+                                    fresh_tracer):
+    """Every fit publishes each epoch's ``train.*`` metrics exactly once,
+    whether or not the caller passes callbacks."""
+    seen = []
+
+    class Recorder(TrainerCallback):
+        def on_epoch_end(self, epoch, metrics):
+            seen.append(epoch)
+
+    callbacks = [Recorder()] if with_callback else None
+    with use_registry() as registry:
+        history = FITS[name](*tiny_task, callbacks)
+        snapshot = registry.snapshot()
+    assert len(history["train_acc"]) == 3
+    assert snapshot["train.epochs"]["value"] == 3.0
+    assert snapshot["train.epoch"]["value"] == 2.0
+    assert snapshot["train.epoch_time_s"]["count"] == 3
+    assert snapshot["train.train_acc"]["value"] == history["train_acc"][-1]
+    assert seen == ([0, 1, 2] if with_callback else [])
