@@ -6,7 +6,7 @@
 #     (tests/test_online_promotion.py), the HTTP /feedback | /promote |
 #     /onlinez surface and [online] config parsing
 #     (tests/test_serve_feedback.py), and the OnlineHD sparse-update
-#     property tests (tests/test_online_and_sequences.py);
+#     property tests (tests/test_online_hd.py);
 #   * live gate: serve a clustered bundle through the CLI config path,
 #     apply a label shift via /feedback and require recovery to >= 90%
 #     of clean accuracy within budget (with a replay-free forgetting
@@ -28,7 +28,7 @@ fi
 echo "== online check: shadow/promotion/feedback unit tests =="
 python -m pytest -q tests/test_online_shadow.py \
     tests/test_online_promotion.py tests/test_serve_feedback.py \
-    tests/test_online_and_sequences.py
+    tests/test_online_hd.py
 
 echo
 echo "== online check: live gate (recovery / poison / new-class / atomic) =="

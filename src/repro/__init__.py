@@ -27,8 +27,8 @@ Subpackages
 ``repro.reliability``
     Numerics guards, fault injection, graceful degradation.
 ``repro.telemetry``
-    Observability: metrics registry, tracing spans, autograd/HD
-    profiling hooks, exporters and run reports.
+    Observability: metrics registry, tracing spans, exporters, HD
+    diagnostics and streaming drift monitors.
 ``repro.serve``
     Inference serving: frozen model bundles, the fused (bit-packed)
     inference engine, dynamic micro-batching, and the HTTP model server.

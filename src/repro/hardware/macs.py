@@ -38,9 +38,8 @@ def layer_cost(module: nn.Module,
                output_shape: Optional[tuple]) -> LayerCost:
     """MAC/parameter cost of one leaf-module call with a given output shape.
 
-    Shared by the traced Fig. 5 accounting below and the telemetry
-    profiler's per-layer hook (:mod:`repro.telemetry.profiler`), so both
-    report identical numbers for identical shapes.
+    The traced Fig. 5 accounting below costs every
+    :class:`repro.nn.TraceRecord` with it.
     """
     out_shape = tuple(output_shape or ())
     out_elems = int(np.prod(out_shape[1:])) if len(out_shape) > 1 else 0

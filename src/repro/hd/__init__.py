@@ -11,8 +11,6 @@ from .backend import (MemoryLedger, pack_bipolar, pack_signs, packed_dot,
                       popcount, unpack_bipolar)
 from .encoders import (Encoder, IDLevelEncoder, LSHEncoder, NonlinearEncoder,
                        RandomProjectionEncoder)
-from .itemmemory import ItemMemory
-from .sequences import SequenceEncoder
 from .hypervector import (bind, bundle, expected_overlap_std, hard_quantize,
                           is_bipolar, permute, random_bipolar, random_gaussian)
 from .similarity import (classify, cosine_similarity, dot_similarity,
@@ -27,5 +25,4 @@ __all__ = [
     "IDLevelEncoder", "LSHEncoder",
     "pack_signs", "pack_bipolar", "unpack_bipolar", "packed_dot", "popcount",
     "MemoryLedger",
-    "ItemMemory", "SequenceEncoder",
 ]

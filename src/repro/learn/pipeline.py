@@ -414,9 +414,9 @@ class NSHD(_HDPipeline):
         The epochs run through :func:`repro.learn.callbacks.run_epochs`
         with :meth:`_train_batch` as the batch body.  ``callbacks`` follow
         the :class:`repro.learn.callbacks.TrainerCallback` protocol
-        (``on_fit_start`` receives the inner HD trainer so e.g.
-        :class:`repro.telemetry.DiagnosticsCallback` can watch
-        ``class_matrix``); ``should_stop()`` ends training early.
+        (``on_fit_start`` receives the inner HD trainer, so a callback
+        can watch its ``class_matrix``); ``should_stop()`` ends training
+        early.
         """
         labels = np.asarray(labels)
         if self.use_distillation and teacher_logits is None:

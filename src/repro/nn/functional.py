@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, _profiled_op
+from .tensor import Tensor
 
 __all__ = [
     "im2col_indices", "conv2d", "max_pool2d", "avg_pool2d",
@@ -336,17 +336,3 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
             x._accumulate(grad_x)
 
     return Tensor._make(out, (x, gamma, beta), backward)
-
-
-# ----------------------------------------------------------------------
-# Dormant profiling hooks on the heavy non-composite ops.  Composite ops
-# (linear, relu/relu6/silu/sigmoid, softmax, the losses) are built from
-# already-profiled Tensor primitives and stay unwrapped so the
-# profiler's flat op table never double-counts.
-# ----------------------------------------------------------------------
-conv2d = _profiled_op("conv2d", conv2d)
-max_pool2d = _profiled_op("max_pool2d", max_pool2d)
-avg_pool2d = _profiled_op("avg_pool2d", avg_pool2d)
-adaptive_avg_pool2d = _profiled_op("adaptive_avg_pool2d", adaptive_avg_pool2d)
-batch_norm2d = _profiled_op("batch_norm2d", batch_norm2d)
-dropout = _profiled_op("dropout", dropout)

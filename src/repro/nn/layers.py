@@ -13,9 +13,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import functional as F
-from . import tensor as _tensor_mod
 from .init import kaiming_normal, uniform_fan_in
-from .tensor import Tensor, _perf_counter
+from .tensor import Tensor
 
 __all__ = [
     "Parameter", "Module", "Sequential", "Conv2d", "DepthwiseConv2d",
@@ -130,15 +129,7 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        profiler = _tensor_mod._PROFILER
-        if profiler is not None and not self._modules:
-            # Per-layer forward timing for leaf modules.  Containers
-            # delegate to children, which report themselves.
-            start = _perf_counter()
-            out = self.forward(*args, **kwargs)
-            profiler.record_layer(self, _perf_counter() - start, out)
-        else:
-            out = self.forward(*args, **kwargs)
+        out = self.forward(*args, **kwargs)
         if _TRACE_STACK and not self._modules:
             # Only leaf modules are traced; containers delegate to children.
             in_shapes = tuple(a.shape for a in args if isinstance(a, Tensor))

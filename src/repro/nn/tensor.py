@@ -15,61 +15,13 @@ against finite differences in the test suite.
 from __future__ import annotations
 
 import contextlib
-import functools
-import time
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "stack", "concatenate",
-           "set_profiler", "get_profiler"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "stack", "concatenate"]
 
 _GRAD_ENABLED = True
-
-# ----------------------------------------------------------------------
-# Profiling hook.  ``repro.telemetry.Profiler`` installs itself here; the
-# op wrappers below reduce to a single ``is None`` check when no profiler
-# is active, so the dormant hooks cost nothing measurable (asserted by
-# scripts/check_telemetry.sh).
-# ----------------------------------------------------------------------
-_PROFILER = None
-_perf_counter = time.perf_counter
-
-
-def set_profiler(profiler) -> None:
-    """Install (or, with ``None``, remove) the active op profiler.
-
-    Normal code should use :class:`repro.telemetry.Profiler` as a context
-    manager instead of calling this directly.
-    """
-    global _PROFILER
-    _PROFILER = profiler
-
-
-def get_profiler():
-    """Return the currently installed profiler (or ``None``)."""
-    return _PROFILER
-
-
-def _profiled_op(op_name: str, fn: Callable) -> Callable:
-    """Wrap an op so an installed profiler sees its time/shape/cost.
-
-    The disabled path is a single global load + ``None`` check before
-    delegating to the original implementation (kept reachable at
-    ``wrapper.__wrapped__`` for the overhead micro-benchmark).
-    """
-
-    def wrapper(*args, **kwargs):
-        profiler = _PROFILER
-        if profiler is None:
-            return fn(*args, **kwargs)
-        start = _perf_counter()
-        out = fn(*args, **kwargs)
-        profiler.record_op(op_name, _perf_counter() - start, out, args)
-        return out
-
-    functools.update_wrapper(wrapper, fn)
-    return wrapper
 
 
 @contextlib.contextmanager
@@ -566,31 +518,3 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             tensor._accumulate(grad[tuple(index)])
 
     return Tensor._make(data, tensors, backward)
-
-
-# ----------------------------------------------------------------------
-# Install the dormant profiling wrappers on every *primitive* op.
-# Composite ops (mean, var, sqrt, flatten, sign via sign_ste, linear)
-# delegate to primitives and are deliberately left unwrapped so the
-# profiler's flat op table never double-counts.
-# ----------------------------------------------------------------------
-_PROFILED_TENSOR_OPS = {
-    "__add__": "add", "__neg__": "neg", "__sub__": "sub", "__mul__": "mul",
-    "__truediv__": "div", "__pow__": "pow", "__matmul__": "matmul",
-    "exp": "exp", "log": "log", "tanh": "tanh", "sigmoid": "sigmoid",
-    "relu": "relu", "clamp": "clamp", "abs": "abs", "sign_ste": "sign_ste",
-    "sum": "sum", "max": "max", "reshape": "reshape",
-    "transpose": "transpose", "__getitem__": "getitem", "pad2d": "pad2d",
-}
-
-for _method, _op in _PROFILED_TENSOR_OPS.items():
-    setattr(Tensor, _method, _profiled_op(_op, getattr(Tensor, _method)))
-del _method, _op
-
-# Reflected aliases were bound to the unwrapped functions in the class
-# body; re-point them at the wrapped versions.
-Tensor.__radd__ = Tensor.__add__
-Tensor.__rmul__ = Tensor.__mul__
-
-stack = _profiled_op("stack", stack)
-concatenate = _profiled_op("concatenate", concatenate)

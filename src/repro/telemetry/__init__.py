@@ -1,4 +1,4 @@
-"""Telemetry subsystem: metrics, tracing spans, profiling, exporters.
+"""Telemetry subsystem: metrics, tracing spans, exporters, drift monitors.
 
 The observability layer for the NSHD reproduction (zero dependencies
 beyond numpy + stdlib, importable from every other layer):
@@ -13,22 +13,16 @@ beyond numpy + stdlib, importable from every other layer):
   an active request — per-request span records for the
   :mod:`~repro.telemetry.reqtrace` hub (trace contexts, sampling, sinks,
   JSONL export); :func:`clock` is the shared monotonic clock.
-* :mod:`~repro.telemetry.profiler` — :class:`Profiler` hooking the
-  autograd engine for per-op / per-layer forward+backward time and
-  FLOP/MAC estimates; near-zero overhead while disabled.
-* :mod:`~repro.telemetry.exporters` — JSONL event log and
-  Prometheus-style text exposition (plus parsers for round-tripping;
-  NaN/±Inf survive both directions losslessly).
-* :mod:`~repro.telemetry.report` — rendered console/markdown run report
-  with the extract → manifold → encode → similarity → update stage
-  breakdown and the top-k hottest ops.
+* :mod:`~repro.telemetry.exporters` — Prometheus-style text exposition
+  and its parser (every sample, NaN/±Inf included, round-trips
+  bit-exactly), the JSONL reader, and cross-process trace stitching.
 * :mod:`~repro.telemetry.ledger` — provenance of a measurement: git
   state (:func:`git_info`), environment (:func:`env_fingerprint`) and
   config digests (:func:`config_fingerprint`).
-* :mod:`~repro.telemetry.diagnostics` — per-epoch HD model
-  introspection (class-hypervector drift, bipolar saturation fraction,
-  class-confusability matrix, similarity-margin quantiles) via
-  :class:`DiagnosticsCallback` riding the trainer-callback protocol.
+* :mod:`~repro.telemetry.diagnostics` — HD model introspection
+  (class-hypervector drift, bipolar saturation fraction,
+  class-confusability matrix) behind :func:`matrix_health`, which the
+  online promotion gate reads.
 * :mod:`~repro.telemetry.quality` — *streaming* model-quality
   monitors for the serving path: a :class:`QualityBaseline` captured
   at bundle-export time (per-feature sketches, class priors, margin
@@ -40,26 +34,27 @@ beyond numpy + stdlib, importable from every other layer):
   pending→firing→resolved state machine, for-duration debouncing,
   ``alert.state.*`` gauges and the ``/alertz`` endpoint.
 
-Quickstart::
+Quickstart — where a training run's time went, per stage::
 
     from repro import telemetry
 
-    diag = telemetry.DiagnosticsCallback()
-    with telemetry.Profiler() as prof:
-        nshd.fit(x_train, y_train, epochs=5, callbacks=[diag])
-    print(telemetry.render_report(profiler=prof,
-                                  diagnostics=diag.summary()))
-    telemetry.export_jsonl("run.jsonl", profiler=prof)
+    tracer = telemetry.Tracer()
+    previous = telemetry.set_tracer(tracer)
+    try:
+        nshd.fit(x_train, y_train, epochs=5)
+    finally:
+        telemetry.set_tracer(previous)
+    for name, stats in sorted(tracer.aggregate().items()):
+        print(f"{name:<24} {stats['calls']:6d} {stats['self_s']:8.3f}s")
+    print(telemetry.prometheus_text())
 """
 
 from .alerts import (ALERT_KINDS, ALERT_STATES, AlertManager, AlertRule,
                      AlertRuleError, load_alert_rules)
-from .diagnostics import (DiagnosticsCallback, class_drift,
-                          confusability_matrix, confusability_summary,
-                          margin_quantiles, matrix_health,
+from .diagnostics import (class_drift, confusability_matrix,
+                          confusability_summary, matrix_health,
                           saturation_fraction)
-from .exporters import (NONFINITE_KEY, collect_events, decode_non_finite,
-                        encode_non_finite, export_jsonl, export_prometheus,
+from .exporters import (NONFINITE_KEY, decode_non_finite, encode_non_finite,
                         parse_prometheus, prometheus_text, read_jsonl,
                         read_trace_jsonl, render_trace_tree,
                         sanitize_metric_name, stitch_traces)
@@ -70,12 +65,8 @@ from .ledger import config_fingerprint, env_fingerprint, git_info
 from .metrics import (DEFAULT_QUANTILES, BurnRateTracker, Counter, Gauge,
                       Histogram, MetricsRegistry, get_registry,
                       set_registry, use_registry)
-from .profiler import (LayerStat, OpStat, Profiler, disabled_overhead_ratio,
-                       get_active_profiler)
 from .quality import (BASELINE_VERSION, DEFAULT_BINS, DriftMonitor,
                       QualityBaseline, population_stability_index)
-from .report import (diagnostics_section, format_table, render_report,
-                     sparkline, stage_breakdown)
 from .reqtrace import (TRACE_EVENT_TYPE, SpanRecord, TraceContext, TraceHub,
                        TraceJsonlWriter, build_span_tree, get_hub,
                        new_span_id, sample_trace, trace_file_for)
@@ -96,23 +87,16 @@ __all__ = [
     "FlightRecorder", "RequestLog", "get_flight_recorder",
     "get_request_log", "enable_request_tracing", "disable_request_tracing",
     "tracing_env_options",
-    # profiler
-    "OpStat", "LayerStat", "Profiler", "get_active_profiler",
-    "disabled_overhead_ratio",
     # exporters
-    "collect_events", "export_jsonl", "read_jsonl", "prometheus_text",
-    "export_prometheus", "parse_prometheus", "sanitize_metric_name",
-    "encode_non_finite", "decode_non_finite", "NONFINITE_KEY",
-    "read_trace_jsonl", "stitch_traces", "render_trace_tree",
-    # report
-    "format_table", "render_report", "stage_breakdown", "sparkline",
-    "diagnostics_section",
+    "read_jsonl", "prometheus_text", "parse_prometheus",
+    "sanitize_metric_name", "encode_non_finite", "decode_non_finite",
+    "NONFINITE_KEY", "read_trace_jsonl", "stitch_traces",
+    "render_trace_tree",
     # provenance
     "git_info", "env_fingerprint", "config_fingerprint",
     # diagnostics
-    "DiagnosticsCallback", "class_drift", "saturation_fraction",
-    "confusability_matrix", "confusability_summary", "margin_quantiles",
-    "matrix_health",
+    "class_drift", "saturation_fraction", "confusability_matrix",
+    "confusability_summary", "matrix_health",
     # quality (streaming drift monitors)
     "QualityBaseline", "DriftMonitor", "population_stability_index",
     "BASELINE_VERSION", "DEFAULT_BINS",

@@ -1,18 +1,16 @@
-"""Exporters: JSONL event log and Prometheus-style text format.
+"""Exporters: JSONL reading, Prometheus-style text, trace stitching.
 
-Two machine-readable sinks plus parsers for round-tripping them in tests
-and downstream analysis:
-
-* **JSONL** — one JSON object per line; mixes metric snapshots, span-tree
-  nodes and profiler op/layer records, each tagged with a ``type`` field.
-  Append-friendly and greppable, the baseline-capture format every
-  subsequent perf PR diffs against.
-* **Prometheus text exposition** — counters and gauges verbatim, [0]
+* **JSONL** — one JSON object per line, tagged with a ``type`` field:
+  the request-trace files :class:`~repro.telemetry.TraceJsonlWriter`
+  writes.  :func:`read_jsonl` reads any such file back;
+  :func:`read_trace_jsonl` and :func:`stitch_traces` rebuild the
+  cross-process span trees from them.
+* **Prometheus text exposition** — counters and gauges verbatim,
   histograms as Prometheus *summaries* (``name{quantile="0.5"} …`` +
   ``name_sum`` / ``name_count``).  Dotted metric names become
   underscore-separated and get a ``repro_`` prefix.
 
-Both sinks round-trip **non-finite** values losslessly: strict JSON has
+Both formats round-trip **non-finite** values losslessly: strict JSON has
 no NaN/±Inf literal, so :func:`encode_non_finite` maps them to a tagged
 object (``{"__nonfinite__": "nan"}``) that :func:`decode_non_finite`
 restores; the Prometheus text format has native ``NaN`` / ``+Inf`` /
@@ -24,15 +22,12 @@ from __future__ import annotations
 import json
 import math
 import re
-import time
 from typing import Dict, List, Optional
 
 from .metrics import MetricsRegistry, get_registry
 from .reqtrace import TRACE_EVENT_TYPE, build_span_tree
-from .tracing import Tracer, get_tracer
 
-__all__ = ["collect_events", "export_jsonl", "read_jsonl",
-           "prometheus_text", "export_prometheus", "parse_prometheus",
+__all__ = ["read_jsonl", "prometheus_text", "parse_prometheus",
            "sanitize_metric_name", "encode_non_finite", "decode_non_finite",
            "NONFINITE_KEY", "read_trace_jsonl", "stitch_traces",
            "render_trace_tree"]
@@ -94,53 +89,12 @@ def decode_non_finite(value):
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
-def collect_events(registry: Optional[MetricsRegistry] = None,
-                   tracer: Optional[Tracer] = None,
-                   profiler=None,
-                   meta: Optional[Dict[str, object]] = None
-                   ) -> List[Dict[str, object]]:
-    """Gather one run's telemetry into a flat, JSON-serializable list."""
-    events: List[Dict[str, object]] = [{
-        "type": "meta",
-        "timestamp": time.time(),
-        **(meta or {}),
-    }]
-    registry = registry if registry is not None else get_registry()
-    for name, entry in registry.snapshot().items():
-        # "type" stays the event discriminator; the metric kind
-        # (counter/gauge/histogram) moves to "metric_type".
-        event = {"type": "metric", "name": name,
-                 "metric_type": entry["type"]}
-        event.update({k: v for k, v in entry.items() if k != "type"})
-        events.append(event)
-    tracer = tracer if tracer is not None else get_tracer()
-    events.extend(tracer.to_events())
-    if profiler is not None:
-        events.extend(profiler.to_events())
-    return events
-
-
-def export_jsonl(path: str,
-                 registry: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None,
-                 profiler=None,
-                 meta: Optional[Dict[str, object]] = None) -> int:
-    """Write the run's telemetry as JSONL; returns the line count."""
-    events = collect_events(registry, tracer, profiler, meta)
-    with open(path, "w") as handle:
-        for event in events:
-            handle.write(json.dumps(encode_non_finite(event),
-                                    sort_keys=True, allow_nan=False))
-            handle.write("\n")
-    return len(events)
-
-
 def read_jsonl(path: str) -> List[Dict[str, object]]:
     """Parse a JSONL telemetry file back into event dicts.
 
-    Non-finite values written by :func:`export_jsonl` (tagged objects,
-    see :func:`encode_non_finite`) are restored to the original
-    NaN/±Inf floats.
+    Non-finite values written as tagged objects (see
+    :func:`encode_non_finite`) are restored to the original NaN/±Inf
+    floats.
     """
     events = []
     with open(path) as handle:
@@ -160,13 +114,19 @@ def read_jsonl(path: str) -> List[Dict[str, object]]:
 # Prometheus text exposition format
 # ----------------------------------------------------------------------
 def _prom_value(value: object) -> str:
-    """Render a sample value, using Prometheus' native non-finite forms."""
+    """Render a sample value so that ``float()`` reads it back bit-exactly.
+
+    ``repr`` is the shortest round-tripping decimal; an integral value
+    drops its ``.0`` (``1234567``, not ``1.23457e+06``).  Non-finite
+    values use Prometheus' native forms.
+    """
     value = float(value)  # type: ignore[arg-type]
     if math.isnan(value):
         return "NaN"
     if math.isinf(value):
         return "+Inf" if value > 0 else "-Inf"
-    return f"{value:g}"
+    text = repr(value)
+    return text[:-2] if text.endswith(".0") else text
 
 
 def prometheus_text(registry: Optional[MetricsRegistry] = None,
@@ -204,18 +164,9 @@ def prometheus_text(registry: Optional[MetricsRegistry] = None,
                              f'{float(exemplar.get("ts", 0.0)):.3f}')
                 lines.append(line)
             lines.append(f"{metric}_sum {_prom_value(entry.get('sum', 0.0))}")
-            lines.append(f"{metric}_count {entry.get('count', 0):g}")
+            lines.append(
+                f"{metric}_count {_prom_value(entry.get('count', 0))}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def export_prometheus(path: str,
-                      registry: Optional[MetricsRegistry] = None,
-                      prefix: str = "repro") -> str:
-    """Write :func:`prometheus_text` to ``path``; returns the text."""
-    text = prometheus_text(registry, prefix)
-    with open(path, "w") as handle:
-        handle.write(text)
-    return text
 
 
 _SAMPLE_RE = re.compile(

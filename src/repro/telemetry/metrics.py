@@ -1,7 +1,7 @@
 """Process-global metrics: counters, gauges, streaming histograms.
 
 The registry is the numeric backbone of the observability layer: every
-subsystem (guards, trainers, HD encoders, the profiler) publishes into
+subsystem (guards, trainers, HD encoders, the server) publishes into
 one process-global :class:`MetricsRegistry` so a single exporter call can
 snapshot the whole run.  Everything here is numpy + stdlib only — the
 telemetry layer must be importable from every other layer of the code
@@ -499,7 +499,7 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
 
 @contextlib.contextmanager
 def use_registry(registry: Optional[MetricsRegistry] = None):
-    """Scoped registry swap (tests, isolated profiled runs).
+    """Scoped registry swap (tests, isolated measured runs).
 
     Yields the active registry; restores the previous global on exit.
     """

@@ -5,7 +5,7 @@ rates, request traces) cannot see the one failure mode unique to ML
 serving: a bundle that keeps answering **fast and 200** while the input
 distribution has walked away from what it was trained on.  This module
 turns the train-time introspection ideas of
-:mod:`~repro.telemetry.diagnostics` (drift, saturation, margins) into
+:mod:`~repro.telemetry.diagnostics` (drift, saturation) into
 *production* monitors that compare live traffic against a baseline
 frozen at export time:
 

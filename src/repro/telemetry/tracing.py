@@ -17,9 +17,9 @@ package).  Closing the frame feeds two outputs:
           stage.update
             stage.similarity
 
-  Every node knows its *self time* (total minus children), which is what
-  the stage-level breakdown in the run report uses so that nested stages
-  never double-count.
+  Every node knows its *self time* (total minus children);
+  :meth:`Tracer.aggregate` sums it per span name, so nested stages never
+  double-count.
 * a per-request :class:`~repro.telemetry.reqtrace.SpanRecord`, sent to
   the request-trace hub's sinks when the hub is enabled and the thread
   is inside a request (``HUB.trace`` / ``HUB.activate`` frames).
@@ -143,49 +143,6 @@ class Tracer:
             stack.extend(node.children.values())
         return out
 
-    def to_events(self) -> List[Dict[str, object]]:
-        """Flat list of span records (one per tree node) for exporters."""
-        events: List[Dict[str, object]] = []
-        stack = list(self.root.children.values())
-        while stack:
-            node = stack.pop()
-            events.append({
-                "type": "span",
-                "path": node.path,
-                "name": node.name,
-                "calls": node.calls,
-                "total_s": node.total_s,
-                "self_s": node.self_s,
-                "bytes": node.bytes,
-            })
-            stack.extend(node.children.values())
-        events.sort(key=lambda e: e["path"])
-        return events
-
-    def render(self, max_depth: int = 6, min_total_s: float = 0.0) -> str:
-        """ASCII tree of the span hierarchy with times and call counts."""
-        lines = ["span tree (total_s · self_s · calls · bytes)"]
-
-        def emit(node: SpanNode, depth: int) -> None:
-            if depth > max_depth or node.total_s < min_total_s:
-                return
-            indent = "  " * depth
-            lines.append(
-                f"{indent}{node.name:<{max(1, 38 - 2 * depth)}} "
-                f"{node.total_s:9.4f}s {node.self_s:9.4f}s "
-                f"{node.calls:7d} {node.bytes:12d}")
-            children = sorted(node.children.values(),
-                              key=lambda c: -c.total_s)
-            for child in children:
-                emit(child, depth + 1)
-
-        for child in sorted(self.root.children.values(),
-                            key=lambda c: -c.total_s):
-            emit(child, 0)
-        if len(lines) == 1:
-            lines.append("  (no spans recorded)")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         return (f"Tracer(enabled={self.enabled}, "
                 f"top_spans={sorted(self.root.children)})")
@@ -227,7 +184,7 @@ class span:
     aggregate:
         ``False`` leaves the aggregate tree alone: the span is recorded
         only into the active request trace (per-request detail, such as
-        the serving path's stage spans, that the run report's stage
+        the serving path's stage spans, that the aggregate's stage
         accounting must not absorb).
 
     Inside an active request (hub enabled), :attr:`ctx` is the span's

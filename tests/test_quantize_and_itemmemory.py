@@ -1,11 +1,10 @@
-"""Tests for int8 deployment quantization and the associative item memory."""
+"""Tests for int8 deployment quantization."""
 
 import numpy as np
 import pytest
 
 from repro.data import make_dataset, normalize_images
 from repro.hardware import QuantizedNSHD, quantize_symmetric
-from repro.hd import ItemMemory, bind, bundle, random_bipolar
 from repro.learn import NSHD
 from repro.models import create_model, train_cnn
 
@@ -90,79 +89,3 @@ class TestQuantizedNSHD:
         preds = q.predict(x_te[:10])
         assert preds.shape == (10,)
 
-
-class TestItemMemory:
-    def test_add_and_get(self):
-        memory = ItemMemory(64)
-        vector = memory.add_random("apple", np.random.default_rng(0))
-        np.testing.assert_allclose(memory.get("apple"), vector)
-        assert "apple" in memory and len(memory) == 1
-
-    def test_duplicate_name_rejected(self):
-        memory = ItemMemory(32)
-        memory.add_random("x", np.random.default_rng(0))
-        with pytest.raises(KeyError):
-            memory.add("x", np.ones(32))
-
-    def test_unknown_get_raises(self):
-        with pytest.raises(KeyError):
-            ItemMemory(16).get("ghost")
-
-    def test_dimension_validation(self):
-        memory = ItemMemory(16)
-        with pytest.raises(ValueError):
-            memory.add("bad", np.ones(8))
-        with pytest.raises(ValueError):
-            ItemMemory(0)
-
-    def test_cleanup_restores_noisy_item(self):
-        rng = np.random.default_rng(1)
-        memory = ItemMemory(2048)
-        for name in ("red", "green", "blue"):
-            memory.add_random(name, rng)
-        noisy = memory.get("green").copy()
-        flips = rng.choice(2048, size=400, replace=False)
-        noisy[flips] *= -1
-        assert memory.recall(noisy) == "green"
-
-    def test_cleanup_top_k_sorted(self):
-        rng = np.random.default_rng(2)
-        memory = ItemMemory(1024)
-        for i in range(5):
-            memory.add_random(f"item{i}", rng)
-        results = memory.cleanup(memory.get("item3"), top_k=3)
-        assert results[0][0] == "item3"
-        sims = [s for _, s in results]
-        assert sims == sorted(sims, reverse=True)
-
-    def test_cleanup_empty_memory(self):
-        with pytest.raises(RuntimeError):
-            ItemMemory(16).cleanup(np.ones(16))
-
-    def test_packed_backend_matches_dense(self):
-        rng = np.random.default_rng(3)
-        dense = ItemMemory(512)
-        packed = ItemMemory(512, packed=True)
-        for i in range(6):
-            vector = random_bipolar(1, 512, rng)[0]
-            dense.add(f"i{i}", vector)
-            packed.add(f"i{i}", vector)
-        query = dense.get("i2")
-        assert dense.recall(query) == packed.recall(query) == "i2"
-
-    def test_packed_rejects_non_bipolar(self):
-        memory = ItemMemory(16, packed=True)
-        with pytest.raises(ValueError):
-            memory.add("soft", np.full(16, 0.5))
-
-    def test_unbind_then_cleanup(self):
-        """The canonical HD workflow: recover a bound filler via cleanup."""
-        rng = np.random.default_rng(4)
-        memory = ItemMemory(4096)
-        role = memory.add_random("role", rng)
-        for name in ("alice", "bob", "carol"):
-            memory.add_random(name, rng)
-        record = bundle(bind(role, memory.get("bob")),
-                        memory.add_random("noise", rng))
-        recovered = bind(record, role)  # unbind: role is self-inverse
-        assert memory.recall(recovered) == "bob"

@@ -1,5 +1,5 @@
-"""HD diagnostics: drift/saturation/confusability units, callback wiring,
-and the end-to-end smoke-run integration check."""
+"""HD diagnostics: drift/saturation/confusability units, the
+matrix-health view, and the end-to-end smoke-run stage check."""
 
 import json
 import math
@@ -7,12 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.learn import MassTrainer, VanillaHD
-from repro.telemetry import (DiagnosticsCallback, Tracer, class_drift,
-                             confusability_matrix, confusability_summary,
-                             encode_non_finite, get_tracer,
-                             margin_quantiles, saturation_fraction,
-                             set_tracer, stage_breakdown, use_registry)
+from repro.learn import VanillaHD
+from repro.telemetry import (Tracer, class_drift, confusability_matrix,
+                             confusability_summary, get_tracer,
+                             matrix_health, saturation_fraction, set_tracer,
+                             use_registry)
 
 
 @pytest.fixture()
@@ -140,115 +139,33 @@ class TestConfusability:
         json.dumps(safe)
 
 
-class TestMarginQuantiles:
-    def test_empty_when_absent(self):
-        with use_registry():
-            assert margin_quantiles() == {}
+class TestMatrixHealth:
+    def test_same_shape_reference_gives_drift(self):
+        reference = np.ones((3, 8))
+        matrix = reference.copy()
+        matrix[1, :2] = -1.0
+        health = matrix_health(matrix, reference=reference)
+        assert health["classes"] == 3
+        assert health["drift"] == class_drift(reference, matrix)
+        assert health["saturation_fraction"] == saturation_fraction(matrix)
+        assert health["confusability"] == confusability_summary(matrix)
 
-    def test_populated_from_histogram(self):
-        with use_registry() as registry:
-            registry.observe_many("train.similarity_margin",
-                                  [0.1, 0.2, 0.3, 0.4, 0.5])
-            quantiles = margin_quantiles(registry)
-        assert quantiles["count"] == 5
-        assert quantiles["mean"] == pytest.approx(0.3)
-        assert {"p50", "p95", "p99"} <= set(quantiles)
+    def test_grown_matrix_compares_shared_rows(self):
+        reference = np.ones((2, 8))
+        matrix = np.vstack([reference, -np.ones((1, 8))])
+        health = matrix_health(matrix, reference=reference)
+        assert health["classes"] == 3
+        assert health["drift"]["per_class"] == [0.0, 0.0]
 
-    def test_wrong_kind_ignored(self):
-        with use_registry() as registry:
-            registry.set_gauge("train.similarity_margin", 1.0)
-            assert margin_quantiles(registry) == {}
-
-    def test_empty_histogram_returns_empty(self):
-        # A histogram that exists but never sampled any margin must
-        # yield {} rather than NaN quantiles.
-        with use_registry() as registry:
-            registry.histogram("train.similarity_margin")
-            assert margin_quantiles(registry) == {}
-
-
-def make_hv_problem(n=120, dim=128, classes=4, seed=0):
-    rng = np.random.default_rng(seed)
-    prototypes = np.sign(rng.standard_normal((classes, dim)))
-    labels = rng.integers(0, classes, n)
-    noise = np.where(rng.random((n, dim)) < 0.2, -1.0, 1.0)
-    return prototypes[labels] * noise, labels
-
-
-class TestDiagnosticsCallback:
-    def test_records_one_entry_per_epoch(self, fresh_tracer):
-        hvs, labels = make_hv_problem()
-        with use_registry() as registry:
-            diag = DiagnosticsCallback()
-            MassTrainer(4, 128).fit(hvs, labels, epochs=3, batch_size=32,
-                                    rng=np.random.default_rng(1),
-                                    callbacks=[diag])
-            snapshot = registry.snapshot()
-        assert len(diag.records) == 3
-        assert [r["epoch"] for r in diag.records] == [0, 1, 2]
-        first = diag.records[0]
-        # Epoch 0 drift is measured against the pre-fit (zero) matrix.
-        assert first["drift"]["total"] > 0.0
-        assert 0.0 <= first["saturation_fraction"] <= 1.0
-        assert "off_diag_max" in first["confusability"]
-        assert first["margin"]["count"] > 0
-        # Gauges published for dashboards.
-        for name in ("hd.drift_total", "hd.saturation_fraction",
-                     "hd.confusability_max"):
-            assert name in snapshot, name
-
-    def test_drift_shrinks_as_training_converges(self, fresh_tracer):
-        hvs, labels = make_hv_problem()
-        with use_registry():
-            diag = DiagnosticsCallback()
-            MassTrainer(4, 128, lr=0.05).fit(
-                hvs, labels, epochs=5, batch_size=32,
-                rng=np.random.default_rng(1), callbacks=[diag])
-        totals = [r["drift"]["total"] for r in diag.records]
-        # Later-epoch updates are strictly smaller than the initial
-        # zero-to-trained jump.
-        assert totals[-1] < totals[0]
-
-    def test_summary_structure_json_safe(self, fresh_tracer):
-        hvs, labels = make_hv_problem()
-        with use_registry():
-            diag = DiagnosticsCallback()
-            MassTrainer(4, 128).fit(hvs, labels, epochs=2, batch_size=32,
-                                    rng=np.random.default_rng(1),
-                                    callbacks=[diag])
-        summary = diag.summary()
-        assert len(summary["per_epoch"]) == 2
-        final = summary["final"]
-        for key in ("drift_total", "drift_relative", "saturation_fraction",
-                    "confusability", "margin"):
-            assert key in final, key
-        matrix = summary["confusability_matrix"]
-        assert len(matrix) == 4 and len(matrix[0]) == 4
-        assert all(m[i][i] == pytest.approx(1.0)
-                   for i, m in ((i, matrix) for i in range(4)))
-        # Must survive strict-JSON encoding after non-finite tagging.
-        json.dumps(encode_non_finite(summary), allow_nan=False)
-
-    def test_no_matrix_no_records(self, fresh_tracer):
-        diag = DiagnosticsCallback()  # trainer stays None
-        diag.on_fit_start(None, 2)
-        diag.on_epoch_end(0, {})
-        assert diag.records == []
-        assert diag.summary() == {"per_epoch": []}
-
-    def test_works_without_on_fit_start(self, fresh_tracer):
-        with use_registry():
-            trainer = MassTrainer(3, 32)
-            trainer.class_matrix = np.ones((3, 32))
-            diag = DiagnosticsCallback(trainer=trainer)
-            diag.on_epoch_end(0, {"train_acc": 0.5})
-        assert len(diag.records) == 1
-        assert diag.records[0]["train_acc"] == 0.5
+    def test_no_comparable_reference_no_drift(self):
+        assert matrix_health(np.ones((2, 8)))["drift"] is None
+        assert matrix_health(np.ones((2, 8)),
+                             reference=np.ones((2, 4)))["drift"] is None
 
 
 class TestSmokeRunDiagnostics:
     """Acceptance: one smoke pipeline fit records non-empty stage
-    timings and drift diagnostics that survive strict JSON."""
+    timings in the global tracer's aggregate."""
 
     def test_vanillahd_run_records_stages_and_drift(self, fresh_tracer):
         rng = np.random.default_rng(0)
@@ -257,18 +174,12 @@ class TestSmokeRunDiagnostics:
         with use_registry():
             pipeline = VanillaHD(num_classes=3, image_size=8, dim=256,
                                  seed=0)
-            diag = DiagnosticsCallback()
-            pipeline.fit(images, labels, epochs=2, batch_size=32,
-                         callbacks=[diag])
+            pipeline.fit(images, labels, epochs=2, batch_size=32)
 
         # Non-empty stage timings covering the instrumented stages.
-        stages = {row["stage"]: row for row in stage_breakdown(fresh_tracer)}
-        assert {"encode", "similarity", "update"} <= set(stages)
-        assert all(row["self_s"] >= 0.0 for row in stages.values())
-        assert stages["update"]["calls"] >= 1
-        # Drift diagnostics present, populated and JSON-safe.
-        summary = json.loads(json.dumps(encode_non_finite(diag.summary()),
-                                        allow_nan=False))
-        assert len(summary["per_epoch"]) == 2
-        assert summary["final"]["drift_total"] >= 0.0
-        assert 0 <= summary["final"]["saturation_fraction"] <= 1
+        stages = fresh_tracer.aggregate()
+        assert {"stage.encode", "stage.similarity",
+                "stage.update"} <= set(stages)
+        assert all(stages[name]["calls"] >= 1 and stages[name]["self_s"] >= 0
+                   for name in ("stage.encode", "stage.similarity",
+                                "stage.update"))

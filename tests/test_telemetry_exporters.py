@@ -1,17 +1,15 @@
-"""Exporters and reports: JSONL/Prometheus round-trips, markdown report."""
+"""Exporters: JSONL non-finite codec, Prometheus text round-trips."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from repro.telemetry import (MetricsRegistry, Profiler, Tracer,
-                             collect_events, decode_non_finite,
-                             encode_non_finite, export_jsonl,
-                             export_prometheus, format_table,
-                             parse_prometheus, prometheus_text, read_jsonl,
-                             render_report, sanitize_metric_name, span,
-                             stage_breakdown)
+from repro.telemetry import (MetricsRegistry, decode_non_finite,
+                             encode_non_finite, parse_prometheus,
+                             prometheus_text, read_jsonl,
+                             sanitize_metric_name)
 
 
 def make_registry() -> MetricsRegistry:
@@ -21,14 +19,6 @@ def make_registry() -> MetricsRegistry:
     registry.observe_many("train.epoch_time_s", [0.1, 0.2, 0.3, 0.4, 0.5,
                                                  0.6, 0.7])
     return registry
-
-
-def make_tracer() -> Tracer:
-    tracer = Tracer()
-    with span("stage.update", nbytes=64, tracer=tracer):
-        with span("stage.similarity", tracer=tracer):
-            pass
-    return tracer
 
 
 class TestSanitize:
@@ -41,42 +31,22 @@ class TestSanitize:
 
 
 class TestJsonl:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        count = export_jsonl(path, registry=make_registry(),
-                             tracer=make_tracer(),
-                             meta={"run": "test"})
-        events = read_jsonl(path)
-        assert len(events) == count
-        assert events[0]["type"] == "meta"
-        assert events[0]["run"] == "test"
-        by_type = {}
-        for event in events:
-            by_type.setdefault(event["type"], []).append(event)
-        names = {e["name"] for e in by_type["metric"]}
-        assert {"guard.nan_batches", "train.train_acc",
-                "train.epoch_time_s"} <= names
-        counter = next(e for e in by_type["metric"]
-                       if e["name"] == "guard.nan_batches")
-        assert counter["metric_type"] == "counter"
-        assert counter["value"] == 3.0
-        span_paths = {e["path"] for e in by_type["span"]}
-        assert "stage.update/stage.similarity" in span_paths
-
     def test_non_finite_round_trips_losslessly(self, tmp_path):
         registry = MetricsRegistry()
         registry.histogram("empty")  # all-NaN summary
         registry.set_gauge("plus_inf", math.inf)
         registry.set_gauge("minus_inf", -math.inf)
-        path = str(tmp_path / "nan.jsonl")
-        export_jsonl(path, registry=registry, tracer=Tracer())
+        path = tmp_path / "nan.jsonl"
+        with open(path, "w") as handle:
+            for name, entry in registry.snapshot().items():
+                handle.write(json.dumps(
+                    encode_non_finite({"name": name, **entry}),
+                    allow_nan=False) + "\n")
         # The file itself must be strict JSON (no bare NaN literals).
-        import json
         for line in open(path):
             json.loads(line)  # json.loads accepts NaN, so also check text
             assert "NaN" not in line and "Infinity" not in line
-        events = read_jsonl(path)
-        metrics = {e["name"]: e for e in events if e["type"] == "metric"}
+        metrics = {e["name"]: e for e in read_jsonl(str(path))}
         assert math.isnan(metrics["empty"]["mean"])  # restored, not null/0
         assert math.isnan(metrics["empty"]["p50"])
         assert metrics["plus_inf"]["value"] == math.inf
@@ -103,23 +73,10 @@ class TestJsonl:
         with pytest.raises(ValueError, match=":2:"):
             read_jsonl(str(path))
 
-    def test_profiler_events_included(self, tmp_path):
-        from repro.nn import Tensor
-        with Profiler() as prof:
-            a = Tensor(np.ones((4, 4)))
-            _ = a + a
-        events = collect_events(registry=MetricsRegistry(), tracer=Tracer(),
-                                profiler=prof)
-        assert any(e["type"] == "op" and e["name"] == "add" for e in events)
-
 
 class TestPrometheus:
-    def test_round_trip(self, tmp_path):
-        registry = make_registry()
-        path = str(tmp_path / "metrics.prom")
-        text = export_prometheus(path, registry=registry)
-        assert open(path).read() == text
-        parsed = parse_prometheus(text)
+    def test_round_trip(self):
+        parsed = parse_prometheus(prometheus_text(registry=make_registry()))
         counter = parsed["repro_guard_nan_batches"]
         assert counter["type"] == "counter"
         assert counter["samples"][""] == 3.0
@@ -130,6 +87,30 @@ class TestPrometheus:
         assert hist["samples"]["count"] == 7.0
         assert hist["samples"]["sum"] == pytest.approx(2.8)
         assert 'quantile="0.5"' in hist["samples"]
+
+    @pytest.mark.parametrize("value", [1234567, 2 ** 53 - 1, 0.1 + 0.2,
+                                       1e-9])
+    def test_samples_round_trip_bit_exactly(self, value):
+        registry = MetricsRegistry()
+        registry.inc("serve.samples", value)
+        registry.set_gauge("serve.level", value)
+        registry.observe_many("serve.latency_ms", [value] * 3)
+        snapshot = registry.snapshot()
+        parsed = parse_prometheus(prometheus_text(registry=registry))
+        assert parsed["repro_serve_samples"]["samples"][""] == value
+        assert parsed["repro_serve_level"]["samples"][""] == value
+        summary = snapshot["serve.latency_ms"]
+        samples = parsed["repro_serve_latency_ms"]["samples"]
+        assert samples["sum"] == summary["sum"]
+        assert samples["count"] == summary["count"] == 3
+        for q in (50, 95, 99):
+            assert samples[f'quantile="{q / 100:g}"'] == summary[f"p{q}"]
+
+    def test_integral_samples_keep_integer_form(self):
+        registry = MetricsRegistry()
+        registry.inc("serve.samples", 1234567)
+        text = prometheus_text(registry=registry)
+        assert "repro_serve_samples 1234567\n" in text
 
     def test_empty_registry_empty_text(self):
         assert prometheus_text(registry=MetricsRegistry()) == ""
@@ -153,66 +134,6 @@ class TestPrometheus:
     def test_unparseable_sample_raises(self):
         with pytest.raises(ValueError):
             parse_prometheus("!! not a sample line")
-
-
-class TestReport:
-    def test_format_table_alignment(self):
-        table = format_table(["name", "value"], [["a", 1.0], ["bb", 20.5]])
-        lines = table.splitlines()
-        assert len(lines) == 4
-        assert lines[0].startswith("| name")
-        assert "20.5000" in table
-
-    def test_format_table_nan_cell(self):
-        table = format_table(["x"], [[math.nan]])
-        assert "-" in table
-
-    def test_stage_breakdown_rolls_up_non_stage_children(self):
-        tracer = Tracer()
-        with span("stage.encode", tracer=tracer):
-            # Helper span nested inside the stage must not hollow out the
-            # stage's share (it is not a stage itself).
-            with span("hd.encode.RandomProjectionEncoder", tracer=tracer):
-                pass
-        with span("stage.update", tracer=tracer):
-            with span("stage.similarity", tracer=tracer):
-                pass
-        rows = {row["stage"]: row for row in stage_breakdown(tracer)}
-        assert set(rows) == {"encode", "update", "similarity"}
-        encode = rows["encode"]
-        # Stage-relative self time keeps the helper span's time.
-        assert encode["self_s"] == pytest.approx(encode["total_s"])
-        update = rows["update"]
-        assert update["self_s"] <= update["total_s"]
-        assert sum(r["share"] for r in rows.values()) == pytest.approx(1.0)
-
-    def test_stage_breakdown_order(self):
-        tracer = Tracer()
-        for name in ("stage.update", "stage.extract", "stage.zzz"):
-            with span(name, tracer=tracer):
-                pass
-        order = [row["stage"] for row in stage_breakdown(tracer)]
-        assert order == ["extract", "update", "zzz"]
-
-    def test_render_report_sections(self):
-        report = render_report(registry=make_registry(),
-                               tracer=make_tracer(),
-                               title="Unit test report")
-        assert "# Unit test report" in report
-        assert "## Stage-level time breakdown" in report
-        assert "## Metrics" in report
-        assert "## Span tree" in report
-        assert "stage.similarity" in report
-
-    def test_render_report_with_profiler(self):
-        from repro.nn import Tensor
-        with Profiler() as prof:
-            a = Tensor(np.ones((8, 8)))
-            _ = a @ a
-        report = render_report(registry=MetricsRegistry(), tracer=Tracer(),
-                               profiler=prof)
-        assert "hottest autograd ops" in report
-        assert "matmul" in report
 
 
 class TestExemplars:
@@ -273,8 +194,8 @@ class TestExemplars:
         want = {key: summary[f"p{q}"]
                 for key, q in zip(quantiles, ("50", "95", "99"))}
         want.update(sum=summary["sum"], count=summary["count"])
-        # The text form keeps six significant digits.
-        assert entry["samples"] == pytest.approx(want, rel=1e-5)
+        # Every sample reads back bit-exactly.
+        assert entry["samples"] == want
         assert set(entry["exemplars"]) == set(quantiles)
         for key in quantiles:
             assert entry["exemplars"][key]["trace_id"] == self.TRACE_ID

@@ -101,9 +101,10 @@ class TestSpanTree:
                         pass
         finally:
             set_tracer(previous)
-        assert [e["path"] for e in private.to_events()] == [
-            "outer", "outer/inner"]
-        assert [e["path"] for e in global_tracer.to_events()] == ["global"]
+        assert set(private.root.children) == {"outer"}
+        assert set(private.root.children["outer"].children) == {"inner"}
+        assert set(global_tracer.root.children) == {"global"}
+        assert global_tracer.root.children["global"].children == {}
         assert set(private.aggregate()) == {"outer", "inner"}
 
 
@@ -120,26 +121,6 @@ class TestAggregation:
         total = sum(entry["self_s"] for entry in agg.values())
         root_total = sum(c.total_s for c in tracer.root.children.values())
         assert total <= root_total + 1e-9
-
-    def test_to_events_paths_sorted(self):
-        tracer = Tracer()
-        with span("b", tracer=tracer):
-            sleep_span(tracer, "a")
-        sleep_span(tracer, "a")
-        events = tracer.to_events()
-        paths = [e["path"] for e in events]
-        assert paths == sorted(paths)
-        assert {"a", "b", "b/a"} == set(paths)
-        assert all(e["type"] == "span" for e in events)
-
-    def test_render_mentions_spans(self):
-        tracer = Tracer()
-        sleep_span(tracer, "stage.encode")
-        text = tracer.render()
-        assert "stage.encode" in text
-
-    def test_render_empty(self):
-        assert "(no spans recorded)" in Tracer().render()
 
 
 class TestThreading:
