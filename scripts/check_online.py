@@ -58,7 +58,6 @@ from repro.hd.backend import unpack_bipolar  # noqa: E402
 from repro.hd.hypervector import hard_quantize  # noqa: E402
 from repro.serve import InferenceEngine  # noqa: E402
 from repro.serve.__main__ import _parse_args, build_server  # noqa: E402
-from repro.telemetry.quality import QualityBaseline  # noqa: E402
 from repro.utils.rng import fresh_rng  # noqa: E402
 
 # Auto-promoting config: the recovery phase exercises the full loop —
@@ -176,14 +175,10 @@ def clustered_bundle_path(workdir, args, clusters) -> str:
             clusters.sample(label, 64)), engine.dim).mean(axis=0))
         for label in range(args.classes)])
     bundle.arrays["classes"] = classes
-    # Rebuild so the baseline sees the *clustered* class matrix.
-    engine = InferenceEngine(bundle, build_extractor=False)
+    # Captured after the swap, so the baseline sees the *clustered*
+    # class matrix.
     train, _ = clusters.mixed(range(args.classes), 64)
-    sims = np.asarray(engine.similarities(
-        unpack_bipolar(engine.encode_features(train), engine.dim)))
-    bundle.info["quality_baseline"] = QualityBaseline.from_training(
-        train, labels=np.argmax(sims, axis=1),
-        num_classes=args.classes, similarities=sims).to_dict()
+    bundle.capture_baseline(train)
     path = os.path.join(workdir, "bundle.npz")
     bundle.save(path)
     return path

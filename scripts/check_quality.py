@@ -43,10 +43,7 @@ if _SRC not in sys.path:
 from synthetic import synthetic_bundle  # noqa: E402
 
 from repro import telemetry  # noqa: E402
-from repro.hd.backend import unpack_bipolar  # noqa: E402
-from repro.serve import InferenceEngine  # noqa: E402
 from repro.serve.__main__ import _parse_args, build_server  # noqa: E402
-from repro.telemetry.quality import QualityBaseline  # noqa: E402
 from repro.utils.rng import fresh_rng  # noqa: E402
 
 ALERTS_TOML = """\
@@ -88,6 +85,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--dim", type=int, default=512)
     parser.add_argument("--features", type=int, default=32)
     parser.add_argument("--classes", type=int, default=8)
+    parser.add_argument("--reduced", type=int, default=0,
+                        help="serve a bundle with a manifold stage that "
+                             "reduces the features to this many (0: "
+                             "none); its baseline watches the reduce "
+                             "output")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--batch", type=int, default=64,
                         help="rows per /predict request (one drift-"
@@ -127,18 +129,13 @@ def http_json(host, port, method, path, payload=None, timeout=15.0):
 
 
 def baselined_bundle_path(workdir, args) -> str:
-    """Synthetic bundle + a quality baseline computed through its own
-    frozen graph (the same closure ``from_pipeline`` captures)."""
+    """Synthetic bundle + a quality baseline captured through its own
+    frozen graph, as ``from_pipeline`` captures one."""
     bundle = synthetic_bundle(args.dim, args.features, args.classes,
-                              args.seed)
-    engine = InferenceEngine(bundle, build_extractor=False)
+                              args.seed, reduced=args.reduced)
     rng = fresh_rng((args.seed, "check-quality-baseline"))
     train = rng.standard_normal((args.baseline_rows, args.features))
-    sims = np.asarray(engine.similarities(
-        unpack_bipolar(engine.encode_features(train), engine.dim)))
-    bundle.info["quality_baseline"] = QualityBaseline.from_training(
-        train, labels=np.argmax(sims, axis=1),
-        num_classes=args.classes, similarities=sims).to_dict()
+    bundle.capture_baseline(train, sample=args.baseline_rows)
     path = os.path.join(workdir, "bundle.npz")
     bundle.save(path)
     return path
@@ -229,6 +226,9 @@ def main(argv=None) -> int:
         status, drift = http_json(host, port, "GET", "/driftz")
         check(status == 200 and drift.get("enabled"),
               "/driftz live with the bundle's training baseline")
+        tap = drift.get("baseline", {}).get("tap")
+        check(tap == ("reduce" if args.reduced else "input"),
+              f"the baseline watches what the encoder reads (tap={tap})")
         psi = drift.get("feature", {}).get("psi_max", float("inf"))
         check(psi < 0.25,
               f"clean traffic under the PSI threshold "

@@ -14,7 +14,10 @@
 #     request by request);
 #   * the same shift/skew budget at 1024 features and 256-row requests,
 #     the shape of the bench's batch_eval calls (the default run sends
-#     64-row batches of 32 features).
+#     64-row batches of 32 features);
+#   * the same budget on a bundle with a manifold stage (1024 features
+#     pooled and reduced to 100), whose baseline watches the reduce
+#     output, as an NSHD export's does.
 # (see scripts/check_quality.py)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,6 +34,10 @@ python scripts/check_quality.py
 echo
 echo "== quality check: live gate on wide batches (F=1024, 256 rows) =="
 python scripts/check_quality.py --features 1024 --batch 256 --skip-overhead
+
+echo
+echo "== quality check: live gate on a manifold bundle (F=1024 -> 100) =="
+python scripts/check_quality.py --features 1024 --reduced 100 --skip-overhead
 
 echo
 echo "quality checks passed"

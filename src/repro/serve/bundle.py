@@ -54,6 +54,7 @@ from ..pipeline import (ClassifyStage, EncodeStage, ExtractStage,
                         ScaleStage, Stage, StageGraph)
 from ..telemetry import (config_fingerprint, decode_non_finite,
                          encode_non_finite, git_info)
+from ..telemetry.quality import QualityBaseline
 
 __all__ = ["BUNDLE_VERSION", "BUNDLE_SECTION", "BundleError", "ModelBundle"]
 
@@ -117,7 +118,11 @@ class ModelBundle:
             QualityBaseline` — per-feature mean/std/decile sketches,
             class priors, train margin/confidence quantiles — is
             captured into ``info["quality_baseline"]`` so the serving
-            engine can run streaming drift monitors against it.
+            engine can run streaming drift monitors against it (see
+            :meth:`capture_baseline`).  The input is the same either
+            way, but the sketch is taken where the model reads: at the
+            reduce stage's output (the F̂ manifold features) when the
+            pipeline has one, at the raw input otherwise.
         baseline_labels:
             Training labels aligned with ``baseline_features`` (class
             priors).  Defaults to the pipeline's own predictions.
@@ -184,30 +189,31 @@ class ModelBundle:
         else:
             arrays["classes"] = classes
 
+        info["arrays"] = sorted(arrays)
+        bundle = cls(arrays, info)
         # -- training quality baseline (drift-monitor reference) -------
         if baseline_features is not None:
-            info["quality_baseline"] = cls._capture_baseline(
-                graph, pipeline, baseline_features, baseline_labels,
-                sample=baseline_sample, n_bins=baseline_bins)
+            bundle.capture_baseline(baseline_features, baseline_labels,
+                                    sample=baseline_sample,
+                                    n_bins=baseline_bins)
+        return bundle
 
-        info["arrays"] = sorted(arrays)
-        return cls(arrays, info)
+    def capture_baseline(self, features: np.ndarray,
+                         labels: Optional[np.ndarray] = None,
+                         sample: int = 2048, n_bins: int = 10) -> None:
+        """Sketch the training distribution into
+        ``info["quality_baseline"]`` for streaming drift checks.
 
-    @staticmethod
-    def _capture_baseline(graph: StageGraph, pipeline,
-                          features: np.ndarray,
-                          labels: Optional[np.ndarray],
-                          sample: int = 2048,
-                          n_bins: int = 10) -> Dict[str, Any]:
-        """Sketch the training distribution for streaming drift checks.
-
-        Runs the *pre-transform* stage slice (scale → encode) plus the
-        classify stage's raw similarities on a deterministic subsample,
-        so the stored margin/confidence quantiles reflect exactly the
-        closure the bundle ships — not the live training objects.
+        ``features`` are scale-stage inputs.  A deterministic subsample
+        runs through this bundle's own frozen graph: scale → reduce,
+        whose output is sketched (tap ``"reduce"``), then encode →
+        classify, whose similarities give the margin/confidence
+        quantiles and, when ``labels`` is None, the class priors.  A
+        graph without a reduce stage is sketched at the raw input (tap
+        ``"input"``).  So the baseline describes exactly the closure the
+        bundle ships: its quantized or binarized arrays, not the live
+        training objects.
         """
-        from ..telemetry.quality import QualityBaseline
-
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if labels is not None:
             labels = np.asarray(labels).reshape(-1)
@@ -223,13 +229,16 @@ class ModelBundle:
             features = features[idx]
             if labels is not None:
                 labels = labels[idx]
-        encoded = graph.run(features, start="scale", stop="classify")
+        graph = self.build_graph(build_extractor=False)
+        tap = "reduce" if "reduce" in graph else "input"
+        watched = graph.run(features, start="scale", stop="encode")
+        encoded = graph.run(watched, start="encode", stop="classify")
         sims = graph.stage("classify").similarities(encoded)
-        baseline = QualityBaseline.from_training(
-            features, labels=labels,
-            num_classes=int(pipeline.num_classes),
-            similarities=np.asarray(sims), n_bins=n_bins)
-        return baseline.to_dict()
+        self.info["quality_baseline"] = QualityBaseline.from_training(
+            watched if tap == "reduce" else features, labels=labels,
+            num_classes=int(self.info["num_classes"]),
+            similarities=np.asarray(sims), n_bins=n_bins,
+            tap=tap).to_dict()
 
     # ------------------------------------------------------------------
     # Online promotion (shadow → live derivation)
@@ -298,7 +307,6 @@ class ModelBundle:
                 raise BundleError(
                     "class_priors given but the parent bundle carries "
                     "no quality_baseline section")
-            from ..telemetry.quality import QualityBaseline
             baseline = QualityBaseline.from_dict(baseline_dict)
             info["quality_baseline"] = \
                 baseline.with_class_priors(class_priors).to_dict()
@@ -482,6 +490,36 @@ class ModelBundle:
                     f"extractor emits {int(np.prod(shape))} features "
                     f"(shape {list(shape)}) but the scaler standardizes "
                     f"{width}")
+        self._validate_baseline(width)
+
+    def _validate_baseline(self, width: int) -> None:
+        """The ``quality_baseline`` section parses, sketches as many
+        features as its tap emits (the raw ``width``, or the manifold's
+        outputs) and has one prior per class."""
+        section = self.info.get("quality_baseline")
+        if section is None:
+            return
+        try:
+            baseline = QualityBaseline.from_dict(section)
+        except Exception as exc:
+            raise BundleError(
+                f"quality_baseline is malformed: {exc!r}") from exc
+        manifold = self.info.get("manifold")
+        if baseline.tap == "reduce":
+            if manifold is None:
+                raise BundleError(
+                    "quality_baseline is tapped at the reduce output but "
+                    "the bundle has no manifold stage")
+            width = int(manifold["out_features"])
+        if baseline.num_features != width:
+            raise BundleError(
+                f"quality_baseline sketches {baseline.num_features} "
+                f"features but its {baseline.tap!r} tap emits {width}")
+        if baseline.num_classes != int(self.info["num_classes"]):
+            raise BundleError(
+                f"quality_baseline has {baseline.num_classes} class "
+                f"priors but the bundle has "
+                f"{int(self.info['num_classes'])} classes")
 
     @staticmethod
     def _pooled_count(manifold_info: Dict[str, Any]) -> int:

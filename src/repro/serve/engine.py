@@ -14,6 +14,10 @@ serving concerns:
   (``serve.cache.hits`` / ``serve.cache.misses``).  It is keyed by one
   vectorized 64-bit hash per raw feature row and exact: a hit needs the
   stored raw row to equal the query bit for bit;
+* the drift monitor's feed: the rows at the bundle baseline's tap (the
+  raw input, or the reduce stage's output, which the graph's
+  ``scale → reduce`` slice hands to ``encode`` and the LRU stores beside
+  each encoding), the served labels and the classify stage's scores;
 * the ``use_packed`` switch onto a graph that is **packed end to end**
   wherever :func:`repro.pipeline.packed_refusal` allows it: the encode
   stage's :meth:`~repro.pipeline.EncodeStage.packed` copy emits each
@@ -73,19 +77,25 @@ class _EncodedLRU:
     only when that row equals the query word for word: a hash collision
     costs a miss, never a wrong encoding.  Rows with the same NaN bits
     hit.  Raw and encoded rows live in one ``(max_entries, ·)`` array each;
-    the ordered map holds each key's row slot.  A batch takes one lock
-    for its lookups and one for its stores, and leaves the LRU as if its
-    rows were looked up, then stored, one at a time."""
+    the ordered map holds each key's row slot.  With ``keep_taps`` each
+    entry also keeps the row the drift monitor reads (the reduce stage's
+    output), so a hit feeds the monitor what a miss would.  A batch
+    takes one lock for its lookups and one for its stores, and leaves
+    the LRU as if its rows were looked up, then stored, one at a
+    time."""
 
-    def __init__(self, max_entries: int, width: int):
+    def __init__(self, max_entries: int, width: int,
+                 keep_taps: bool = False):
         self.max_entries = int(max_entries)
         self.width = int(width)
+        self.keep_taps = bool(keep_taps)
         rng = np.random.default_rng(_HASH_SEED)
         self._low, self._high = rng.integers(
             0, 2 ** 64, size=(2, self.width), dtype=np.uint64) | np.uint64(1)
         self._slots: "OrderedDict[int, int]" = OrderedDict()
         self._raw: Optional[np.ndarray] = None
         self._rows: Optional[np.ndarray] = None
+        self._taps: Optional[np.ndarray] = None
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -96,9 +106,12 @@ class _EncodedLRU:
                 + (raw >> np.uint64(32)) @ self._high).tolist()
 
     def get_many(self, keys: List[int], raw: np.ndarray
-                 ) -> Tuple[Optional[np.ndarray], List[int]]:
-        """``(encoded, misses)``: an ``(n, ·)`` array holding every hit
-        row (None when nothing hit) and the positions that missed."""
+                 ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray],
+                            List[int]]:
+        """``(encoded, taps, misses)``: ``(n, ·)`` arrays holding every
+        hit row's encoding and, with ``keep_taps``, its tapped row (None
+        when nothing hit, or no taps are kept), and the positions that
+        missed."""
         with self._lock:
             slots = [self._slots.get(key) for key in keys]
             found = [i for i, slot in enumerate(slots) if slot is not None]
@@ -113,21 +126,28 @@ class _EncodedLRU:
             self.hits += len(hit_pos)
             self.misses += len(keys) - len(hit_pos)
             if not hit_pos:
-                return None, list(range(len(keys)))
-            # A copy, taken under the lock.
-            hits = self._rows[[slots[i] for i in hit_pos]]
-        if len(hit_pos) == len(keys):
-            return hits, []
-        hit = np.zeros(len(keys), dtype=bool)
-        hit[hit_pos] = True
-        encoded = np.empty((len(keys), hits.shape[1]), dtype=hits.dtype)
-        encoded[hit] = hits
-        return encoded, np.flatnonzero(~hit).tolist()
+                return None, None, list(range(len(keys)))
+            # Copies, taken under the lock.
+            hit_slots = [slots[i] for i in hit_pos]
+            found = [self._rows[hit_slots]]
+            if self.keep_taps:
+                found.append(self._taps[hit_slots])
+        misses: List[int] = []
+        if len(hit_pos) < len(keys):
+            hit = np.zeros(len(keys), dtype=bool)
+            hit[hit_pos] = True
+            for k, rows in enumerate(found):
+                found[k] = np.empty((len(keys), rows.shape[1]),
+                                    dtype=rows.dtype)
+                found[k][hit] = rows
+            misses = np.flatnonzero(~hit).tolist()
+        return found[0], found[1] if self.keep_taps else None, misses
 
     def put_many(self, keys: List[int], raw: np.ndarray,
-                 rows: np.ndarray) -> None:
-        """Store ``rows[j]`` for raw row ``raw[j]`` under ``keys[j]``, in
-        order."""
+                 rows: np.ndarray, taps: Optional[np.ndarray] = None
+                 ) -> None:
+        """Store ``rows[j]`` (and ``taps[j]``, with ``keep_taps``) for raw
+        row ``raw[j]`` under ``keys[j]``, in order."""
         writes: Dict[int, int] = {}  # slot -> row; a later row wins
         with self._lock:
             if self._rows is None:
@@ -135,6 +155,9 @@ class _EncodedLRU:
                                      dtype=np.uint64)
                 self._rows = np.empty((self.max_entries, rows.shape[1]),
                                       dtype=rows.dtype)
+                if self.keep_taps:
+                    self._taps = np.empty((self.max_entries, taps.shape[1]),
+                                          dtype=taps.dtype)
             for j, key in enumerate(keys):
                 slot = self._slots.pop(key, None)  # re-inserted at the end
                 if slot is None:
@@ -144,13 +167,12 @@ class _EncodedLRU:
                 self._slots[key] = slot
                 writes[slot] = j
             dest = list(writes)
-            if len(writes) == len(keys):
-                self._raw[dest] = raw
-                self._rows[dest] = rows
-            else:
-                src = list(writes.values())
-                self._raw[dest] = raw[src]
-                self._rows[dest] = rows[src]
+            src = (slice(None) if len(writes) == len(keys)
+                   else list(writes.values()))
+            self._raw[dest] = raw[src]
+            self._rows[dest] = rows[src]
+            if self.keep_taps:
+                self._taps[dest] = taps[src]
 
     def info(self) -> Dict[str, int]:
         with self._lock:
@@ -187,7 +209,9 @@ class InferenceEngine:
         auto-enables it when the bundle manifest carries a
         ``quality_baseline`` section (``from_pipeline(...,
         baseline_features=...)`` export).  Forcing it on a bundle
-        without a baseline raises :class:`BundleError`.
+        without a baseline raises :class:`BundleError`.  The monitor
+        reads the rows at the baseline's tap: the reduce stage's output
+        for a baseline captured there, the raw features otherwise.
     quality_window:
         Rolling-window size (rows) for the drift monitor.
     """
@@ -235,16 +259,13 @@ class InferenceEngine:
         self._has_front = isinstance(first, (ExtractStage, FlattenStage))
         names = graph.names
         self._feature_entry = names[1] if self._has_front else names[0]
-        self._classify_name = names[-1]
+        self._encode_name, self._classify_name = names[-2:]
         #: Raw features per row: the input width of the feature-entry
         #: (scale) stage, one μ/σ per feature — F, not the encoder's F̂
         #: when a manifold stage reduces in between.
         self.in_features = len(bundle.arrays["scaler.mean"])
         self.extractor = (first.extractor
                           if isinstance(first, ExtractStage) else None)
-
-        self._cache = (_EncodedLRU(cache_size, self.in_features)
-                       if cache_size > 0 else None)
 
         # -- streaming drift monitor (training baseline in manifest) ---
         baseline_dict = info.get("quality_baseline")
@@ -260,6 +281,14 @@ class InferenceEngine:
             self.quality = DriftMonitor(
                 QualityBaseline.from_dict(baseline_dict),
                 window=quality_window)
+        # The monitor reads the reduce stage's output (validate() checked
+        # the bundle has one) rather than the raw rows.
+        self._watch_reduce = (self.quality is not None
+                              and self.quality.baseline.tap == "reduce")
+
+        self._cache = (_EncodedLRU(cache_size, self.in_features,
+                                   keep_taps=self._watch_reduce)
+                       if cache_size > 0 else None)
 
         if selfcheck and self.use_packed:
             self.selfcheck()
@@ -283,43 +312,57 @@ class InferenceEngine:
         return self._classify.class_matrix
 
     # ------------------------------------------------------------------
-    def encode_features(self, raw_features: np.ndarray) -> np.ndarray:
+    def encode_features(self, raw_features: np.ndarray,
+                        ctx: Optional[Dict[str, np.ndarray]] = None
+                        ) -> np.ndarray:
         """The classify stage's input for ``(n, F)`` raw features.
 
-        Executes the graph's ``scale → (reduce) → encode`` slice; the
-        LRU sits in front of it, keyed per sample.  On a packed engine
-        (:attr:`use_packed`) each row is ``ceil(D/64)`` ``uint64`` sign
-        words, and ``unpack_bipolar(words, engine.dim)`` gives the ±1
-        hypervectors; otherwise each row is the encoder's ``D`` floats.
+        Executes the graph as two slices, ``scale → (reduce)`` and
+        ``encode``; the LRU sits in front of them, keyed per sample.  On
+        a packed engine (:attr:`use_packed`) each row is ``ceil(D/64)``
+        ``uint64`` sign words, and ``unpack_bipolar(words, engine.dim)``
+        gives the ±1 hypervectors; otherwise each row is the encoder's
+        ``D`` floats.  When the drift monitor watches the reduce output
+        and ``ctx`` is given, ``ctx["reduced"]`` receives those
+        ``(n, F̂)`` rows, from the LRU for the rows that hit.
         """
         raw_features = np.atleast_2d(
             np.asarray(raw_features, dtype=np.float64))
         cache = self._cache
         if cache is not None and raw_features.shape[1] != cache.width:
             cache = None  # no stored row can equal these
-        encoded = None  # the rows the LRU had; None when none did
+        encoded = reduced = None  # the rows the LRU had; None when none did
+        misses: List[int] = []
         if cache is not None:
             words = np.ascontiguousarray(raw_features).view(np.uint64)
             keys = cache.keys(words)
-            encoded, misses = cache.get_many(keys, words)
+            encoded, reduced, misses = cache.get_many(keys, words)
             registry = get_registry()
             registry.inc("serve.cache.hits", len(keys) - len(misses))
             registry.inc("serve.cache.misses", len(misses))
-            if encoded is not None and not misses:
-                return encoded
-        fresh_rows = raw_features if encoded is None else raw_features[misses]
-        with span("serve.encode", nbytes=int(fresh_rows.nbytes)):
-            fresh = self.graph.run(fresh_rows, start=self._feature_entry,
-                                   stop=self._classify_name)
-        if cache is not None:
+        if encoded is None or misses:
+            fresh_rows = (raw_features if encoded is None
+                          else raw_features[misses])
+            with span("serve.encode", nbytes=int(fresh_rows.nbytes)):
+                mid = self.graph.run(fresh_rows, start=self._feature_entry,
+                                     stop=self._encode_name)
+                fresh = self.graph.run(mid, start=self._encode_name,
+                                       stop=self._classify_name)
+            taps = mid if self._watch_reduce else None
+            if cache is not None:
+                if encoded is None:
+                    cache.put_many(keys, words, fresh, taps)
+                else:
+                    cache.put_many([keys[i] for i in misses],
+                                   words[misses], fresh, taps)
             if encoded is None:
-                cache.put_many(keys, words, fresh)
+                encoded, reduced = fresh, taps
             else:
-                cache.put_many([keys[i] for i in misses], words[misses],
-                               fresh)
-        if encoded is None:
-            return fresh
-        encoded[misses] = fresh
+                encoded[misses] = fresh
+                if taps is not None:
+                    reduced[misses] = taps
+        if ctx is not None and reduced is not None:
+            ctx["reduced"] = reduced
         return encoded
 
     def similarities(self, encoded: np.ndarray) -> np.ndarray:
@@ -343,25 +386,26 @@ class InferenceEngine:
         registry.inc("serve.requests")
         registry.inc("serve.samples", len(raw_features))
         with span("serve.predict", nbytes=int(raw_features.nbytes)):
-            encoded = self.encode_features(raw_features)
-            # The classify stage leaves the scores it ranked in ctx: the
-            # drift monitor reads those instead of classifying again.
+            # encode_features leaves the reduce output in ctx when the
+            # monitor watches it, and the classify stage the scores it
+            # ranked: the monitor reads those instead of computing again.
             ctx: Dict[str, np.ndarray] = {}
+            encoded = self.encode_features(raw_features, ctx)
             labels = np.asarray(self.graph.run(
                 encoded, start=self._classify_name, ctx=ctx))
             if self.quality is not None and len(labels):
-                self._observe_quality(raw_features, labels, encoded,
-                                      ctx["similarities"])
+                self._observe_quality(ctx.get("reduced", raw_features),
+                                      labels, encoded, ctx["similarities"])
             return labels
 
-    def _observe_quality(self, raw_features: np.ndarray,
+    def _observe_quality(self, watched: np.ndarray,
                          labels: np.ndarray, encoded: np.ndarray,
                          similarities: np.ndarray) -> None:
-        """Feed the drift monitor; a monitor bug must never fail serving."""
+        """Feed the drift monitor the rows at its baseline's tap; a
+        monitor bug must never fail serving."""
         try:
-            with span("serve.quality",
-                      nbytes=int(raw_features.nbytes)):
-                self.quality.observe(raw_features, labels=labels,
+            with span("serve.quality", nbytes=int(watched.nbytes)):
+                self.quality.observe(watched, labels=labels,
                                      similarities=similarities,
                                      encoded=encoded)
         except Exception:

@@ -15,12 +15,16 @@ frozen at export time:
   mean/std and decile bin edges (for PSI), class priors, and train-time
   margin/confidence quantiles.  It rides in the bundle manifest
   (``info["quality_baseline"]``), so every serving process of that
-  bundle agrees on what "normal" looks like without coordination.
+  bundle agrees on what "normal" looks like without coordination.  Its
+  :attr:`~QualityBaseline.tap` names the rows it sketches: the raw
+  scale-stage input (``"input"``), or, for a bundle with a manifold
+  stage, the reduce stage's output (``"reduce"``, the F̂ features the
+  encoder reads).
 * :class:`DriftMonitor` — cheap rolling-window statistics over the live
   request stream, published as ``quality.*`` metrics and served raw on
   the worker's ``/driftz`` endpoint:
 
-  - **feature drift**: windowed PSI per scaler-input feature against
+  - **feature drift**: windowed PSI per tapped feature against
     the baseline decile histogram (the industry-standard population
     stability index; > 0.25 is conventionally "significant shift"),
     plus the z-score of the window mean under the baseline
@@ -47,11 +51,14 @@ evicted rows'.  A batch of at least ``n_bins`` rows keeps its tally, so
 when it leaves the window whole it costs no recount.  The PSI and
 z-score are recomputed from the tallies only when read, or once per
 ``min_samples`` observed rows.  The similarities come from the engine's
-own classify pass, so feeding the monitor costs no second classify.  On
-1024 features, window 512, 10 classes and a 2-vCPU VM, a 256-row
-:meth:`DriftMonitor.observe` costs about 3.6-4.5 ms and a single row
-about 0.07 ms (also on 32 features).  The ``scripts/check_quality.sh``
-gate bounds the serve-P99 overhead at < 5%.
+own classify pass, so feeding the monitor costs no second classify.
+The cost grows with the tapped width.  With window 512, 10 classes,
+labels and no similarity matrix, one BLAS thread and a 2-vCPU VM, a
+256-row :meth:`DriftMonitor.observe` costs about 3.7 ms on 1024 raw
+features and 0.5-0.7 ms on the F̂ = 100 manifold outputs a reduce-tap
+baseline watches; a single row costs about 0.07-0.08 ms and 0.03 ms.
+The ``scripts/check_quality.sh`` gate bounds the serve-P99 overhead at
+< 5%.
 """
 
 from __future__ import annotations
@@ -68,10 +75,15 @@ from .metrics import MetricsRegistry, get_registry
 
 __all__ = ["QualityBaseline", "DriftMonitor",
            "population_stability_index", "BASELINE_VERSION",
-           "DEFAULT_BINS"]
+           "DEFAULT_BINS", "TAPS"]
 
 #: Schema version of the serialized baseline (bundle manifest section).
-BASELINE_VERSION = 1
+#: Version 2 added ``tap``; a version-1 baseline sketches the raw input.
+BASELINE_VERSION = 2
+
+#: Where a baseline is tapped: the raw features the scale stage reads,
+#: or the reduce (manifold) stage's output.
+TAPS = ("input", "reduce")
 
 #: Default number of per-feature quantile bins for the PSI sketch.
 DEFAULT_BINS = 10
@@ -159,9 +171,9 @@ class QualityBaseline:
     Parameters
     ----------
     feature_mean, feature_std:
-        ``(F,)`` per-feature moments of the raw (pre-scaler) training
-        features; ``std`` is floored at a tiny epsilon so z-scores
-        never divide by zero.
+        ``(F,)`` per-feature moments of the training rows at ``tap``;
+        ``std`` is floored at a tiny epsilon so z-scores never divide
+        by zero.
     bin_edges:
         ``(F, n_bins - 1)`` interior quantile edges per feature.  A
         value lands in bin ``sum(value >= edges)``.
@@ -177,12 +189,19 @@ class QualityBaseline:
         similarity pass).
     n_samples:
         Rows the sketch was computed from.
+    tap:
+        The rows the feature sketches describe, one of :data:`TAPS`:
+        ``"input"``, the raw ``(n, F)`` scale-stage input, or
+        ``"reduce"``, the ``(n, F̂)`` manifold output.
     """
 
     def __init__(self, feature_mean, feature_std, bin_edges, expected,
                  class_priors, margin: Optional[Dict[str, float]] = None,
                  confidence: Optional[Dict[str, float]] = None,
-                 n_samples: int = 0):
+                 n_samples: int = 0, tap: str = "input"):
+        if tap not in TAPS:
+            raise ValueError(f"tap {tap!r} is not one of {TAPS}")
+        self.tap = tap
         self.feature_mean = np.asarray(feature_mean, dtype=np.float64)
         self.feature_std = np.clip(
             np.asarray(feature_std, dtype=np.float64), 1e-12, None)
@@ -194,7 +213,17 @@ class QualityBaseline:
         self.margin = dict(margin or {})
         self.confidence = dict(confidence or {})
         self.n_samples = int(n_samples)
-        if self.bin_edges.shape[0] != self.feature_mean.shape[0]:
+        if self.feature_mean.ndim != 1 \
+                or self.feature_std.shape != self.feature_mean.shape:
+            raise ValueError(
+                f"feature_mean {self.feature_mean.shape} and feature_std "
+                f"{self.feature_std.shape} must be 1-D and of one length")
+        if self.class_priors.ndim != 1 or not self.class_priors.size:
+            raise ValueError(
+                f"class_priors has shape {self.class_priors.shape}, want "
+                f"a non-empty 1-D row")
+        if self.bin_edges.ndim != 2 \
+                or self.bin_edges.shape[0] != self.feature_mean.shape[0]:
             raise ValueError(
                 f"bin_edges rows {self.bin_edges.shape[0]} != features "
                 f"{self.feature_mean.shape[0]}")
@@ -232,8 +261,11 @@ class QualityBaseline:
     def from_training(cls, features, labels=None,
                       num_classes: Optional[int] = None,
                       similarities=None,
-                      n_bins: int = DEFAULT_BINS) -> "QualityBaseline":
+                      n_bins: int = DEFAULT_BINS,
+                      tap: str = "input") -> "QualityBaseline":
         """Sketch a training set (and optionally its similarity pass).
+
+        ``features`` are the rows at ``tap`` (see the class docstring).
 
         ``labels`` default to ``argmax(similarities)`` when a
         similarity matrix is given (the priors then describe what the
@@ -279,7 +311,7 @@ class QualityBaseline:
         baseline = cls(mean, std, edges, np.zeros((features.shape[1],
                                                    n_bins)),
                        priors, margin=margin, confidence=confidence,
-                       n_samples=n)
+                       n_samples=n, tap=tap)
         bins = baseline.bin_indices(features)
         expected = np.zeros((features.shape[1], n_bins))
         for b in range(n_bins):
@@ -292,6 +324,7 @@ class QualityBaseline:
         """JSON-serializable form (bundle manifest section)."""
         return {
             "version": BASELINE_VERSION,
+            "tap": self.tap,
             "n_samples": self.n_samples,
             "n_bins": self.n_bins,
             "feature_mean": [float(v) for v in self.feature_mean],
@@ -317,7 +350,8 @@ class QualityBaseline:
             data["feature_mean"], data["feature_std"],
             data["bin_edges"], data["expected"], data["class_priors"],
             margin=data.get("margin"), confidence=data.get("confidence"),
-            n_samples=int(data.get("n_samples", 0)))
+            n_samples=int(data.get("n_samples", 0)),
+            tap=data["tap"] if version >= 2 else "input")
 
     def with_class_priors(self, priors) -> "QualityBaseline":
         """Copy of the baseline with **recomputed** class priors.
@@ -343,11 +377,13 @@ class QualityBaseline:
         return QualityBaseline(
             self.feature_mean, self.feature_std, self.bin_edges,
             self.expected, priors / total, margin=dict(self.margin),
-            confidence=dict(self.confidence), n_samples=self.n_samples)
+            confidence=dict(self.confidence), n_samples=self.n_samples,
+            tap=self.tap)
 
     def describe(self) -> Dict[str, Any]:
         """Summary facts (healthz / driftz headers)."""
         return {"version": BASELINE_VERSION,
+                "tap": self.tap,
                 "n_samples": self.n_samples,
                 "features": self.num_features,
                 "classes": self.num_classes,
@@ -355,7 +391,8 @@ class QualityBaseline:
                 "has_margin": bool(self.margin)}
 
     def __repr__(self) -> str:
-        return (f"QualityBaseline(features={self.num_features}, "
+        return (f"QualityBaseline(tap={self.tap}, "
+                f"features={self.num_features}, "
                 f"classes={self.num_classes}, bins={self.n_bins}, "
                 f"n={self.n_samples})")
 
@@ -364,7 +401,7 @@ class DriftMonitor:
     """Rolling-window drift statistics against a frozen baseline.
 
     Thread-safe; every serving thread calls :meth:`observe` with the
-    raw features (scaler inputs), predicted labels, and optionally the
+    rows at the baseline's tap, predicted labels, and optionally the
     similarity matrix and encoded hypervectors of a batch.  ``observe``
     only tallies the batch into the window.  The headline scalars (the
     PSI and z-score rows below) are recomputed from those tallies and
@@ -452,7 +489,8 @@ class DriftMonitor:
                 encoded=None) -> None:
         """Fold one batch of live traffic into the window.
 
-        ``features`` is the raw ``(n, F)`` scaler input; ``labels`` the
+        ``features`` are the ``(n, F)`` rows at the baseline's
+        :attr:`~QualityBaseline.tap`; ``labels`` the
         served predictions; ``similarities`` the ``(n, k)`` matrix (for
         margin/confidence histograms); ``encoded`` the query
         hypervectors, as floats or as a packed engine's ``uint64`` sign
@@ -705,6 +743,7 @@ class DriftMonitor:
         """Cheap facts for the engine's ``describe()`` / healthz."""
         with self._lock:
             return {"window": self.window,
+                    "tap": self.baseline.tap,
                     "min_samples": self.min_samples,
                     "size": self._size,
                     "samples": self.samples,

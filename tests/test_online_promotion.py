@@ -14,7 +14,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.hd.backend import unpack_bipolar
 from repro.online import OnlineLearner, PromotionController, ShadowModel
 from repro.serve import BundleError, InferenceEngine, ModelBundle
 from repro.telemetry import MetricsRegistry, use_registry
@@ -194,14 +193,8 @@ class TestGates:
 def baselined_bundle(seed=0, classes=4):
     bundle = _synthetic_bundle(dim=DIM, features=FEATURES,
                                classes=classes, seed=seed)
-    engine = InferenceEngine(bundle, build_extractor=False)
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(256, FEATURES))
-    sims = np.asarray(engine.similarities(
-        unpack_bipolar(engine.encode_features(x), engine.dim)))
-    bundle.info["quality_baseline"] = QualityBaseline.from_training(
-        x, labels=np.argmax(sims, axis=1), num_classes=classes,
-        similarities=sims).to_dict()
+    bundle.capture_baseline(
+        np.random.default_rng(seed).normal(size=(256, FEATURES)))
     return bundle
 
 

@@ -9,6 +9,7 @@ the router, and the serve CLI's ``[alerts]`` / quality config keys.
 """
 
 import json
+import os
 import sys
 import threading
 import urllib.error
@@ -18,10 +19,10 @@ import numpy as np
 import pytest
 
 from repro.data import make_dataset
-from repro.hd.backend import unpack_bipolar
 from repro.learn import VanillaHD
 from repro.pipeline import stages
-from repro.serve import BundleError, InferenceEngine, ModelBundle, ModelServer
+from repro.serve import (BundleError, InferenceEngine, ModelBundle,
+                         ModelServer, ReloadError)
 from repro.serve.__main__ import _parse_args, build_server, load_config
 from repro.serve.fleet import StaticFleet
 from repro.serve.router import Router
@@ -30,6 +31,10 @@ from repro.telemetry import (MetricsRegistry, load_alert_rules,
 from repro.telemetry.quality import DriftMonitor, QualityBaseline
 
 from .conftest import _synthetic_bundle
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "fixtures")
+NSHD_BUNDLE = os.path.join(FIXTURES, "golden_nshd_bundle_packed.npz")
 
 
 def get(url, timeout=5.0):
@@ -46,18 +51,29 @@ def post(url, payload, timeout=5.0):
 
 
 def bundle_with_baseline(seed=0, features=16, classes=4, train=512):
-    """Synthetic bundle + a baseline computed through its own engine
-    (the same closure :meth:`ModelBundle._capture_baseline` sketches)."""
+    """Synthetic bundle + a baseline captured through its own graph."""
     bundle = _synthetic_bundle(dim=256, features=features,
                                classes=classes, seed=seed)
-    engine = InferenceEngine(bundle, build_extractor=False)
+    bundle.capture_baseline(
+        np.random.default_rng(seed).normal(size=(train, features)))
+    return bundle
+
+
+def golden_rows(count, seed, key="nshd.raw_features"):
+    """``count`` jittered copies of a golden pipeline's raw features."""
+    with np.load(os.path.join(FIXTURES, "golden_inputs.npz")) as golden:
+        raw = golden[key]
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(train, features))
-    sims = np.asarray(engine.similarities(
-        unpack_bipolar(engine.encode_features(x), engine.dim)))
-    bundle.info["quality_baseline"] = QualityBaseline.from_training(
-        x, labels=np.argmax(sims, axis=1), num_classes=classes,
-        similarities=sims).to_dict()
+    rows = raw[rng.integers(0, len(raw), size=count)]
+    return rows + 0.05 * (raw.std(axis=0) + 1e-3) * rng.standard_normal(
+        rows.shape)
+
+
+def manifold_bundle():
+    """The golden NSHD bundle (1024 raw features, a manifold stage to
+    F̂ = 16) with a baseline captured at its reduce output."""
+    bundle = ModelBundle.load(NSHD_BUNDLE)
+    bundle.capture_baseline(golden_rows(512, seed=0))
     return bundle
 
 
@@ -289,6 +305,42 @@ class TestServedFold:
         assert (ran.samples, ran._labeled, ran._pos, ran._size) == \
             (ref.samples, ref._labeled, ref._pos, ref._size)
 
+    @pytest.mark.parametrize("use_packed", [True, False])
+    def test_lru_hits_feed_the_monitor_what_misses_would(self,
+                                                         use_packed):
+        """On a reduce-tap bundle the LRU keeps each row's reduce output
+        beside its encoding: a stream of repeated rows leaves the same
+        labels and window with the LRU as without it."""
+        bundle = manifold_bundle()
+        engines = [InferenceEngine(bundle, build_extractor=False,
+                                   use_packed=use_packed, cache_size=size,
+                                   quality_window=128)
+                   for size in (256, 0)]
+        pool = golden_rows(40, seed=11)
+        rng = np.random.default_rng(11)
+        batches = [pool[:8], pool[[0, 8, 8, 1, 9, 0]],
+                   pool[rng.integers(0, 40, size=self.ROWS)], pool[[3]],
+                   pool[[3, 3]], pool[10:40], pool[:0], pool[[39, 20]]]
+        for x in batches:
+            cached, uncached = (engine.predict_features(x)
+                                for engine in engines)
+            np.testing.assert_array_equal(cached, uncached)
+        assert engines[0].use_packed is use_packed
+        assert engines[0].cache_info()["hits"] > 100
+        ran, ref = (engine.quality for engine in engines)
+        assert ran.baseline.tap == "reduce"
+        assert ran._feat_ring.shape[1] == 16  # F̂, not the 1024 inputs
+        for name in ("_counts", "_label_counts"):
+            np.testing.assert_array_equal(getattr(ran, name),
+                                          getattr(ref, name),
+                                          err_msg=name)
+        # BLAS reduces a 1-row batch in another order than a row of a
+        # larger one (about 1 ulp apart), so the uncached engine's own
+        # reduce rows depend on their batch; the sums agree to that.
+        np.testing.assert_allclose(ran._feat_sum, ref._feat_sum,
+                                   rtol=1e-13, atol=0)
+        assert ran.samples == ref.samples == sum(map(len, batches))
+
     def test_concurrent_callers_and_a_reader(self, wide_bundle):
         engine = InferenceEngine(wide_bundle, build_extractor=False,
                                  quality_window=256)
@@ -362,6 +414,181 @@ class TestServedFold:
             engine.predict_features(self._batches(4, count=1)[0])
         assert engine.quality.samples == 0
         assert engine.quality._size == 0
+
+
+class TestBaselineTap:
+    """A bundle with a manifold stage is monitored at its reduce output;
+    older baselines and reduce-free graphs at the raw input."""
+
+    def test_manifold_export_watches_the_reduce_output(self):
+        bundle = manifold_bundle()
+        baseline = QualityBaseline.from_dict(
+            bundle.info["quality_baseline"])
+        assert (baseline.tap, baseline.num_features) == ("reduce", 16)
+        engine = InferenceEngine(bundle, build_extractor=False)
+        x = golden_rows(64, seed=1)
+        engine.predict_features(x)
+        want = engine.graph.run(x, start="scale", stop="encode")
+        np.testing.assert_array_equal(engine.quality._feat_sum,
+                                      want.sum(axis=0))
+
+    def test_version_1_baseline_is_observed_at_input_width(self):
+        bundle = ModelBundle.load(NSHD_BUNDLE)
+        data = QualityBaseline.from_training(
+            golden_rows(256, seed=2), num_classes=4).to_dict()
+        data["version"] = 1
+        del data["tap"]
+        bundle.info["quality_baseline"] = data
+        engine = InferenceEngine(bundle, build_extractor=False)
+        assert engine.quality.baseline.tap == "input"
+        assert not engine._cache.keep_taps
+        x = golden_rows(32, seed=3)
+        engine.predict_features(x)
+        engine.predict_features(x)  # LRU hits observe the raw rows too
+        assert engine.quality.samples == 64
+        np.testing.assert_array_equal(engine.quality._feat_sum,
+                                      2 * x.sum(axis=0))
+
+    def test_promotion_keeps_the_tap(self):
+        bundle = manifold_bundle()
+        baseline = QualityBaseline.from_dict(
+            bundle.info["quality_baseline"])
+        assert baseline.with_class_priors([1, 2, 3, 4, 5]).tap == "reduce"
+        grown = np.vstack([bundle.class_matrix(), np.ones((1, 256))])
+        child = bundle.promoted(grown, class_priors=np.full(5, 0.2))
+        back = QualityBaseline.from_dict(child.info["quality_baseline"])
+        assert (back.tap, back.num_features, back.num_classes) \
+            == ("reduce", 16, 5)
+        engine = InferenceEngine(child, build_extractor=False)
+        engine.predict_features(golden_rows(8, seed=4))
+        assert engine.quality.samples == 8
+
+    def test_reduce_free_exports_keep_a_raw_baseline(self, fitted_vanilla):
+        pipeline, x_tr, _ = fitted_vanilla
+        feats = pipeline.graph.run(x_tr, stop="scale")
+        vanilla = QualityBaseline.from_dict(ModelBundle.from_pipeline(
+            pipeline, baseline_features=feats).info["quality_baseline"])
+        assert (vanilla.tap, vanilla.num_features) \
+            == ("input", feats.shape[1])
+        baseline_hd = ModelBundle.load(
+            os.path.join(FIXTURES, "golden_baselinehd_bundle.npz"))
+        baseline_hd.capture_baseline(
+            golden_rows(128, seed=5, key="baselinehd.raw_features"))
+        raw = QualityBaseline.from_dict(
+            baseline_hd.info["quality_baseline"])
+        assert (raw.tap, raw.num_features) == ("input", 1024)
+        assert bundle_with_baseline().info["quality_baseline"]["tap"] \
+            == "input"
+
+    def test_describe_and_driftz_name_the_tap(self):
+        bundle = manifold_bundle()
+        engine = InferenceEngine(bundle, build_extractor=False)
+        assert engine.quality.baseline.describe()["tap"] == "reduce"
+        assert engine.describe()["quality"]["tap"] == "reduce"
+        with ModelServer(engine, port=0, workers=1) as server:
+            post(server.url + "/predict",
+                 {"features": golden_rows(64, seed=6).tolist()})
+            driftz = get(server.url + "/driftz")
+        assert driftz["baseline"]["tap"] == "reduce"
+        assert driftz["baseline"]["features"] == 16
+        assert all(0 <= row["feature"] < 16
+                   for row in driftz["feature"]["top"])
+
+
+def _narrow_baseline(info):
+    info["quality_baseline"] = QualityBaseline.from_training(
+        np.random.default_rng(0).normal(size=(64, 32)),
+        num_classes=info["num_classes"]).to_dict()
+
+
+def _short_priors(info):
+    info["quality_baseline"]["class_priors"] = [0.5, 0.5]
+
+
+def _no_bin_edges(info):
+    del info["quality_baseline"]["bin_edges"]
+
+
+def _future_version(info):
+    info["quality_baseline"]["version"] = 99
+
+
+def _ragged_expected(info):
+    info["quality_baseline"]["expected"][0] = [1.0]
+
+
+
+class TestBaselineValidation:
+    """A ``quality_baseline`` section the engine could not monitor with is
+    a :class:`BundleError`, so ``/reload`` refuses it with a 409."""
+
+    EDITS = {
+        "features but its 'input' tap emits 1024": _narrow_baseline,
+        "2 class priors but the bundle has 4": _short_priors,
+        "malformed.*bin_edges": _no_bin_edges,
+        "malformed.*version 99": _future_version,
+        "malformed: ValueError": _ragged_expected,
+    }
+
+    @staticmethod
+    def _edited(edit):
+        bundle = manifold_bundle()
+        if edit is _narrow_baseline:
+            del bundle.info["quality_baseline"]
+        edit(bundle.info)
+        return bundle
+
+    @pytest.mark.parametrize("match", list(EDITS))
+    def test_validate_refuses(self, match):
+        bundle = self._edited(self.EDITS[match])
+        with pytest.raises(BundleError, match=match):
+            bundle.validate()
+        with pytest.raises(BundleError, match=match):
+            InferenceEngine(bundle, build_extractor=False)
+
+    def test_reduce_tap_needs_a_manifold_stage(self):
+        bundle = bundle_with_baseline()
+        bundle.info["quality_baseline"]["tap"] = "reduce"
+        with pytest.raises(BundleError, match="no manifold stage"):
+            bundle.validate()
+
+    def test_reduce_tap_width_is_the_manifold_output(self):
+        bundle = manifold_bundle()
+        bundle.info["manifold"] = dict(bundle.info["manifold"],
+                                       out_features=8)
+        bundle.info["encoder"] = dict(bundle.info["encoder"],
+                                      in_features=8)
+        bundle.arrays["manifold.weight"] = \
+            bundle.arrays["manifold.weight"][:8]
+        bundle.arrays["manifold.bias"] = bundle.arrays["manifold.bias"][:8]
+        bundle.arrays["encoder.projection"] = \
+            bundle.arrays["encoder.projection"][:8]
+        with pytest.raises(BundleError, match="'reduce' tap emits 8"):
+            bundle.validate()
+
+    @pytest.mark.parametrize("match", list(EDITS)[:3])
+    def test_reload_answers_409_and_keeps_serving(self, tmp_path, match):
+        good = str(tmp_path / "good.npz")
+        manifold_bundle().save(good)
+        bad_bundle = self._edited(self.EDITS[match])
+        bad = str(tmp_path / "bad.npz")
+        bad_bundle.save(bad)
+        options = {"build_extractor": False}
+        engine = InferenceEngine.from_path(good, **options)
+        x = golden_rows(4, seed=7)
+        want = [int(label) for label in engine.predict_features(x)]
+        with ModelServer(engine, port=0, workers=1, bundle_path=good,
+                         engine_options=options) as server:
+            with pytest.raises(urllib.error.HTTPError) as refused:
+                post(server.url + "/reload", {"bundle": bad})
+            assert refused.value.code == 409
+            with pytest.raises(ReloadError):
+                server.reload(bad)
+            assert server.engine is engine
+            assert server.reloads == 0
+            assert post(server.url + "/predict",
+                        {"features": x.tolist()})["labels"] == want
+        assert engine.quality.samples == 8
 
 
 @pytest.fixture
