@@ -53,19 +53,14 @@ import time
 
 import numpy as np
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SRC = os.path.join(REPO_ROOT, "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+from harness import Checks, http_json  # first: puts src/ on sys.path
+from synthetic import synthetic_bundle
 
-from synthetic import synthetic_bundle  # noqa: E402
-
-from repro import telemetry  # noqa: E402
-from repro.serve import InferenceEngine, Router, Supervisor  # noqa: E402
-from repro.telemetry import (disable_request_tracing,  # noqa: E402
-                             enable_request_tracing, get_flight_recorder,
-                             render_trace_tree)
-from repro.utils.rng import fresh_rng  # noqa: E402
+from repro import telemetry
+from repro.serve import InferenceEngine, Router, Supervisor
+from repro.telemetry import (disable_request_tracing, enable_request_tracing,
+                             get_flight_recorder, render_trace_tree)
+from repro.utils.rng import fresh_rng
 
 #: Load-phase names (also the per-phase latency buckets).
 PHASES = ("baseline", "chaos", "recovery")
@@ -231,21 +226,6 @@ def report_traces(traced: dict) -> None:
         print("\nno failed traced requests")
 
 
-def post_worker(url: str, path: str, payload: dict,
-                timeout: float = 10.0):
-    """Direct POST to one worker (bypassing the router) → (status, body)."""
-    host_port = url.split("//", 1)[1]
-    host, port = host_port.rsplit(":", 1)
-    conn = http.client.HTTPConnection(host, int(port), timeout=timeout)
-    try:
-        conn.request("POST", path, json.dumps(payload).encode("utf-8"),
-                     {"Content-Type": "application/json"})
-        response = conn.getresponse()
-        return response.status, json.loads(response.read() or b"{}")
-    finally:
-        conn.close()
-
-
 def wait_until(predicate, timeout_s: float, poll_s: float = 0.1) -> bool:
     deadline = telemetry.clock() + timeout_s
     while telemetry.clock() < deadline:
@@ -268,12 +248,7 @@ def main(argv=None) -> int:
     # recorder (the workers are subprocesses; their spans stay local).
     enable_request_tracing(service="chaos-router", sample_rate=1.0)
 
-    failures: list = []
-
-    def check(condition: bool, label: str) -> None:
-        print(("PASS" if condition else "FAIL") + f"  {label}")
-        if not condition:
-            failures.append(label)
+    check = Checks()
 
     workdir = tempfile.mkdtemp(prefix="chaos_serve_")
     bundle_path = os.path.join(workdir, "bundle.npz")
@@ -313,9 +288,9 @@ def main(argv=None) -> int:
         # -- parity before anything burns: routed == local engine.
         parity = []
         for i in (0, 1, 2, 3):
-            status, payload = post_worker(router.url, "/predict",
-                                          {"features":
-                                           features[i].tolist()})
+            status, payload = http_json(
+                host, port, "POST", "/predict",
+                {"features": features[i].tolist()}, timeout=10.0)
             parity.append(status == 200
                           and payload["labels"] == [expected[i]])
         check(all(parity), "routed answers bit-exact with local engine")
@@ -333,21 +308,21 @@ def main(argv=None) -> int:
         print(f"chaos: SIGKILLed {kill_id} (pid {dead_pid})")
 
         time.sleep(0.5)
-        hang_url = next(w.url for w in supervisor.workers
-                        if w.worker_id == hang_id)
-        status, _ = post_worker(hang_url, "/slow", {"stall_s": 30.0},
-                                timeout=5.0)
+        hang = next(w.address for w in supervisor.workers
+                    if w.worker_id == hang_id)
+        status, _ = http_json(*hang, "POST", "/slow", {"stall_s": 30.0},
+                              timeout=5.0)
         check(status == 200, f"/slow accepted on {hang_id} "
                              f"(chaos endpoint armed)")
         print(f"chaos: wedged {hang_id} via /slow")
 
         time.sleep(0.5)
-        poison_url = next(w.url for w in supervisor.workers
-                          if w.worker_id == poison_id)
+        poison = next(w.address for w in supervisor.workers
+                      if w.worker_id == poison_id)
         before = next(w for w in supervisor.workers
                       if w.worker_id == poison_id).last_probe or {}
-        status, payload = post_worker(poison_url, "/reload",
-                                      {"bundle": torn_path}, timeout=10.0)
+        status, payload = http_json(*poison, "POST", "/reload",
+                                    {"bundle": torn_path}, timeout=10.0)
         check(status == 409 and not payload.get("reloaded", True),
               f"torn bundle reload rejected with 409 on {poison_id}")
         print(f"chaos: torn-bundle reload answered {status} "
@@ -386,9 +361,9 @@ def main(argv=None) -> int:
         check(closes >= 1, f"circuit breaker closed again after "
                            f"recovery (closes={closes})")
 
-        status, payload = post_worker(poison_url, "/predict",
-                                      {"features":
-                                       features[0].tolist()})
+        status, payload = http_json(*poison, "POST", "/predict",
+                                    {"features": features[0].tolist()},
+                                    timeout=10.0)
         check(status == 200 and payload["labels"] == [expected[0]],
               f"{poison_id} still serves the old bundle correctly "
               f"after the poisoned reload")
@@ -452,20 +427,13 @@ def main(argv=None) -> int:
                        "success_rate": success_rate,
                        "restarts": description["restarts"],
                        "breaker_opens": opens,
-                       "failures": failures,
+                       "failures": check.failures,
                        "traces": traced},
                       handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.json_out}")
 
-    if failures:
-        print(f"\nCHAOS SLO FAILED: {len(failures)} assertion(s):",
-              file=sys.stderr)
-        for label in failures:
-            print(f"  - {label}", file=sys.stderr)
-        return 1
-    print("\nchaos SLO held")
-    return 0
+    return check.summary("CHAOS SLO", "chaos SLO held")
 
 
 if __name__ == "__main__":

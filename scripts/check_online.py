@@ -36,8 +36,7 @@ Wired into ``scripts/run_all.sh`` via ``scripts/check_online.sh``.
 """
 
 import argparse
-import http.client
-import json
+import functools
 import os
 import shutil
 import sys
@@ -46,19 +45,15 @@ import threading
 
 import numpy as np
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SRC = os.path.join(REPO_ROOT, "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+from harness import Checks, boot  # first: puts src/ on sys.path
+from harness import http_json as shared_http_json
+from synthetic import synthetic_bundle
 
-from synthetic import synthetic_bundle  # noqa: E402
-
-from repro import telemetry  # noqa: E402
-from repro.hd.backend import unpack_bipolar  # noqa: E402
-from repro.hd.hypervector import hard_quantize  # noqa: E402
-from repro.serve import InferenceEngine  # noqa: E402
-from repro.serve.__main__ import _parse_args, build_server  # noqa: E402
-from repro.utils.rng import fresh_rng  # noqa: E402
+from repro import telemetry
+from repro.hd.backend import unpack_bipolar
+from repro.hd.hypervector import hard_quantize
+from repro.serve import InferenceEngine
+from repro.utils.rng import fresh_rng
 
 # Auto-promoting config: the recovery phase exercises the full loop —
 # feedback → shadow → gates → export → /reload — with no operator.
@@ -116,24 +111,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def http_json(host, port, method, path, payload=None, timeout=30.0):
-    """One request → (status, parsed json body)."""
-    conn = http.client.HTTPConnection(host, int(port), timeout=timeout)
-    try:
-        body = None
-        headers = {}
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        conn.request(method, path, body, headers)
-        response = conn.getresponse()
-        raw = response.read()
-        try:
-            return response.status, json.loads(raw.decode("utf-8"))
-        except ValueError:
-            return response.status, {}
-    finally:
-        conn.close()
+#: The shared client with this gate's 30 s request timeout.
+http_json = functools.partial(shared_http_json, timeout=30.0)
 
 
 class Clusters:
@@ -184,17 +163,6 @@ def clustered_bundle_path(workdir, args, clusters) -> str:
     return path
 
 
-def boot(bundle_path, config_text, workdir, tag):
-    """Serve CLI path: TOML config → built + started ModelServer."""
-    config_path = os.path.join(workdir, f"serve-{tag}.toml")
-    with open(config_path, "w") as handle:
-        handle.write(config_text)
-    server = build_server(_parse_args(
-        [bundle_path, "--config", config_path, "--port", "0"]))
-    server.start()
-    return server
-
-
 def served_accuracy(server, rows, labels) -> float:
     host, port = server.address
     status, body = http_json(host, port, "POST", "/predict",
@@ -221,12 +189,7 @@ def onlinez(server):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    failures = []
-
-    def check(condition, label):
-        print(("PASS" if condition else "FAIL") + f"  {label}")
-        if not condition:
-            failures.append(label)
+    check = Checks()
 
     workdir = tempfile.mkdtemp(prefix="check_online_")
     k = args.classes
@@ -356,8 +319,9 @@ def main(argv=None) -> int:
         server.stop()
         if args.inject_poison:
             print("\n--inject-poison self-check: poisoned stream was "
-                  + ("rejected" if not failures else "NOT rejected"))
-            return 1 if failures else 0
+                  + ("rejected" if not check.failures
+                     else "NOT rejected"))
+            return 1 if check.failures else 0
 
         # -- phase 4: class-incremental arrival ----------------------
         telemetry.get_registry().reset()
@@ -449,14 +413,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    if failures:
-        print(f"\nONLINE GATE FAILED: {len(failures)} assertion(s):",
-              file=sys.stderr)
-        for label in failures:
-            print(f"  - {label}", file=sys.stderr)
-        return 1
-    print("\nonline gate passed")
-    return 0
+    return check.summary("ONLINE GATE", "online gate passed")
 
 
 if __name__ == "__main__":

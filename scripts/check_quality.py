@@ -25,8 +25,6 @@ Wired into ``scripts/run_all.sh`` via ``scripts/check_quality.sh``.
 """
 
 import argparse
-import http.client
-import json
 import os
 import shutil
 import sys
@@ -35,16 +33,11 @@ import time
 
 import numpy as np
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SRC = os.path.join(REPO_ROOT, "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+from harness import Checks, boot, http_json  # first: puts src/ on sys.path
+from synthetic import synthetic_bundle
 
-from synthetic import synthetic_bundle  # noqa: E402
-
-from repro import telemetry  # noqa: E402
-from repro.serve.__main__ import _parse_args, build_server  # noqa: E402
-from repro.utils.rng import fresh_rng  # noqa: E402
+from repro import telemetry
+from repro.utils.rng import fresh_rng
 
 ALERTS_TOML = """\
 [engine]
@@ -108,26 +101,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def http_json(host, port, method, path, payload=None, timeout=15.0):
-    """One request → (status, parsed json body)."""
-    conn = http.client.HTTPConnection(host, int(port), timeout=timeout)
-    try:
-        body = None
-        headers = {}
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        conn.request(method, path, body, headers)
-        response = conn.getresponse()
-        raw = response.read()
-        try:
-            return response.status, json.loads(raw.decode("utf-8"))
-        except ValueError:
-            return response.status, {}
-    finally:
-        conn.close()
-
-
 def baselined_bundle_path(workdir, args) -> str:
     """Synthetic bundle + a quality baseline captured through its own
     frozen graph, as ``from_pipeline`` captures one."""
@@ -139,17 +112,6 @@ def baselined_bundle_path(workdir, args) -> str:
     path = os.path.join(workdir, "bundle.npz")
     bundle.save(path)
     return path
-
-
-def boot(bundle_path, config_text, workdir, tag):
-    """Serve CLI path: TOML config → built + started ModelServer."""
-    config_path = os.path.join(workdir, f"serve-{tag}.toml")
-    with open(config_path, "w") as handle:
-        handle.write(config_text)
-    server = build_server(_parse_args(
-        [bundle_path, "--config", config_path, "--port", "0"]))
-    server.start()
-    return server
 
 
 def drive(server, rows, batch):
@@ -204,12 +166,7 @@ def measure_p99(servers, rows):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    failures = []
-
-    def check(condition, label):
-        print(("PASS" if condition else "FAIL") + f"  {label}")
-        if not condition:
-            failures.append(label)
+    check = Checks()
 
     workdir = tempfile.mkdtemp(prefix="check_quality_")
     try:
@@ -294,14 +251,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    if failures:
-        print(f"\nQUALITY GATE FAILED: {len(failures)} assertion(s):",
-              file=sys.stderr)
-        for label in failures:
-            print(f"  - {label}", file=sys.stderr)
-        return 1
-    print("\nquality gate passed")
-    return 0
+    return check.summary("QUALITY GATE", "quality gate passed")
 
 
 if __name__ == "__main__":

@@ -36,27 +36,21 @@ Wired into ``scripts/run_all.sh`` via ``scripts/check_trace.sh``.
 
 import argparse
 import glob
-import http.client
-import json
 import os
 import shutil
 import sys
 import tempfile
 import time
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SRC = os.path.join(REPO_ROOT, "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+from harness import Checks, http_request  # first: puts src/ on sys.path
+from synthetic import synthetic_bundle
+from trace_overhead import disabled_request_trace_overhead
 
-from synthetic import synthetic_bundle  # noqa: E402
-from trace_overhead import disabled_request_trace_overhead  # noqa: E402
-
-from repro.serve import Router, Supervisor  # noqa: E402
-from repro.telemetry import (disable_request_tracing,  # noqa: E402
-                             enable_request_tracing, read_trace_jsonl,
-                             render_trace_tree, stitch_traces)
-from repro.utils.rng import fresh_rng  # noqa: E402
+from repro.serve import Router, Supervisor
+from repro.telemetry import (disable_request_tracing, enable_request_tracing,
+                             read_trace_jsonl, render_trace_tree,
+                             stitch_traces)
+from repro.utils.rng import fresh_rng
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -79,28 +73,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def http_request(host, port, method, path, payload=None, timeout=15.0):
-    """One request → (status, parsed json body, headers dict)."""
-    conn = http.client.HTTPConnection(host, int(port), timeout=timeout)
-    try:
-        body = None
-        headers = {}
-        if payload is not None:
-            body = payload if isinstance(payload, bytes) \
-                else json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        conn.request(method, path, body, headers)
-        response = conn.getresponse()
-        raw = response.read()
-        try:
-            parsed = json.loads(raw.decode("utf-8")) if raw else {}
-        except ValueError:
-            parsed = {}
-        return response.status, parsed, dict(response.getheaders())
-    finally:
-        conn.close()
-
-
 def span_names(entry) -> set:
     return {str(s.get("name", "")) for s in entry["spans"]}
 
@@ -111,12 +83,7 @@ def spans_named(entry, name):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    failures = []
-
-    def check(condition, label):
-        print(("PASS" if condition else "FAIL") + f"  {label}")
-        if not condition:
-            failures.append(label)
+    check = Checks()
 
     # -- overhead gate first, while the hub is still dormant ----------
     if not args.skip_overhead:
@@ -205,12 +172,9 @@ def main(argv=None) -> int:
               and payload.get("request_id"),
               "router 400 carries X-Trace-Id header and request_id "
               "in the payload")
-        worker_url = next(w.url for w in supervisor.workers
-                          if w.worker_id != "w0")
-        worker_host, worker_port = \
-            worker_url.split("//", 1)[1].rsplit(":", 1)
-        status, payload, headers = http_request(
-            worker_host, worker_port, "GET", "/nope")
+        worker = next(w.address for w in supervisor.workers
+                      if w.worker_id != "w0")
+        status, payload, headers = http_request(*worker, "GET", "/nope")
         check(status == 404 and headers.get("X-Trace-Id"),
               "worker 404 still echoes X-Trace-Id")
 
@@ -328,14 +292,7 @@ def main(argv=None) -> int:
         disable_request_tracing()
         shutil.rmtree(workdir, ignore_errors=True)
 
-    if failures:
-        print(f"\nTRACE GATE FAILED: {len(failures)} assertion(s):",
-              file=sys.stderr)
-        for label in failures:
-            print(f"  - {label}", file=sys.stderr)
-        return 1
-    print("\ntrace gate passed")
-    return 0
+    return check.summary("TRACE GATE", "trace gate passed")
 
 
 if __name__ == "__main__":

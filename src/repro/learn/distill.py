@@ -56,12 +56,11 @@ class DistillationTrainer(MassTrainer):
         self.temperature = temperature
         self.alpha = alpha
 
-    def compute_update(self, hypervectors: np.ndarray, labels: np.ndarray,
-                       teacher_logits: Optional[np.ndarray] = None,
-                       **_unused) -> np.ndarray:
-        """Algorithm 1 lines 3–8 for a batch; returns ``U`` of shape (n, k)."""
-        similarities = self.similarities(hypervectors)
-        self._record_margins(similarities, labels)
+    def update_from_similarities(self, similarities: np.ndarray,
+                                 labels: np.ndarray,
+                                 teacher_logits: Optional[np.ndarray] = None,
+                                 **_unused) -> np.ndarray:
+        """Algorithm 1 lines 4–8 for a batch; returns ``U`` of shape (n, k)."""
         mass_update = one_hot(labels, self.num_classes) - similarities
         if self.alpha == 0.0 or teacher_logits is None:
             if self.alpha > 0.0:

@@ -20,7 +20,9 @@ the HD encoder* into the FC layer:
 The implementation realizes this by building the loss
 ``L = −⟨U, δ(M, Φ_P(Ψ(V)))⟩`` on the autograd tape with
 :meth:`Tensor.sign_ste`; its gradient with respect to the FC output is
-exactly the decoded error hypervector described in the paper.
+exactly the decoded error hypervector described in the paper.  The
+same tape's hypervectors feed the MASS update of M, so a training batch
+runs the forward once (:meth:`ManifoldLearner.train_step`).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from ..telemetry import get_registry, span
 
 if TYPE_CHECKING:  # avoid an import cycle; the guard is duck-typed
     from ..reliability.guards import NumericsGuard
+    from .mass import MassTrainer
 
 __all__ = ["ManifoldLearner"]
 
@@ -131,37 +134,54 @@ class ManifoldLearner:
             return self.forward_tensor(features_flat).data
 
     # ------------------------------------------------------------------
-    def train_step(self, features_flat: np.ndarray, update: np.ndarray,
-                   encoder: RandomProjectionEncoder,
-                   class_matrix: np.ndarray) -> float:
-        """One FC update from decoded class-hypervector errors.
+    def train_step(self, features_flat: np.ndarray, labels: np.ndarray,
+                   trainer: "MassTrainer", encoder: RandomProjectionEncoder,
+                   **update_kwargs) -> Optional[float]:
+        """Algorithm 1 on one batch, with the FC co-trained (Sec. V-C).
+
+        The batch's one forward, Ψ → ``@ P`` → ``sign_ste``, is built on
+        the autograd tape.  The trainer updates M from the tape's
+        hypervectors; the update U against that new M, treated as a
+        constant target, is then backpropagated through the same tape
+        into the FC layer.
 
         Parameters
         ----------
         features_flat:
-            ``(n, F)`` raw extractor features for the batch.
-        update:
-            ``(n, k)`` update matrix U from Algorithm 1 (computed by the
-            HD trainer for this batch, treated as a constant target).
+            ``(n, F)`` scaled extractor features for the batch.
+        labels:
+            ``(n,)`` class labels.
+        trainer:
+            The HD trainer that owns M (its ``step``, ``compute_update``
+            and ``class_matrix``).
         encoder:
             The Φ_P random-projection encoder that follows Ψ.
-        class_matrix:
-            Current class hypervectors M (constant for this step).
+        update_kwargs:
+            Side inputs of the update rule (``teacher_logits``).
 
-        Returns the scalar surrogate loss value.
+        Returns the scalar surrogate loss, or None when the numerics
+        guard vetoes the MASS step or the FC step.
         """
         if encoder.in_features != self.out_features:
             raise ValueError("encoder input size must match manifold output")
-        update = np.atleast_2d(update)
-        registry = get_registry()
-        with span("stage.manifold",
-                  nbytes=int(np.asarray(features_flat).nbytes)):
+        nbytes = int(np.asarray(features_flat).nbytes)
+        with span("stage.manifold", nbytes=nbytes):
             reduced = self.forward_tensor(features_flat)
-            raw = reduced @ Tensor(encoder.projection)
-            encoded = raw.sign_ste()
+        # The encoder's own span and hd.encode.* counters: this `@ P` is
+        # the batch's encode.
+        with span("stage.encode", nbytes=int(reduced.data.nbytes)), \
+                encoder._telemetry_span(reduced.data):
+            encoded = (reduced @ Tensor(encoder.projection)).sign_ste()
+        if not trainer.step(encoded.data, labels, **update_kwargs):
+            return None
+        update = trainer.compute_update(encoded.data, labels,
+                                        **update_kwargs)
+        registry = get_registry()
+        with span("stage.manifold", nbytes=nbytes):
             # δ scaled by 1/D: constant positive factor, irrelevant to the
             # direction of the gradient, keeps magnitudes O(1).
-            sims = (encoded @ Tensor(class_matrix.T)) * (1.0 / encoder.dim)
+            sims = ((encoded @ Tensor(trainer.class_matrix.T))
+                    * (1.0 / encoder.dim))
             loss = -(Tensor(update) * sims).sum() * (1.0 / len(update))
             self.optimizer.zero_grad()
             loss.backward()
@@ -169,11 +189,11 @@ class ManifoldLearner:
                          if p.grad is not None]
             if self.guard is not None and not self.guard.ok(
                     "manifold.step", np.asarray(loss.item()), *gradients):
-                # Veto: drop the poisoned gradients, leave the FC weights
-                # and Adam state untouched, report a neutral loss.
+                # Veto: drop the poisoned gradients and leave the FC
+                # weights and Adam state untouched.
                 self.optimizer.zero_grad()
                 registry.inc("manifold.vetoed_steps")
-                return 0.0
+                return None
             grad_norm = float(np.sqrt(sum(
                 float((g * g).sum()) for g in gradients)))
             registry.observe("manifold.loss", float(loss.item()))
@@ -182,19 +202,6 @@ class ManifoldLearner:
             return float(loss.item())
 
     # ------------------------------------------------------------------
-    def decode_error(self, update: np.ndarray, hypervectors: np.ndarray,
-                     encoder: RandomProjectionEncoder,
-                     lam: float = 1.0) -> np.ndarray:
-        """Explicit HD decoding of the class-wise error hypervectors.
-
-        ``E = λ Uᵀ H`` decoded back to the manifold output space via
-        binding with P and the dot product (paper Sec. V-C).  Exposed for
-        analysis/ablation; :meth:`train_step` realizes the same decoding
-        implicitly through the autograd tape.
-        """
-        error_hvs = lam * np.atleast_2d(update).T @ np.atleast_2d(hypervectors)
-        return encoder.decode(error_hvs)
-
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Serializable learner state: FC weights *and* Adam moments.
 

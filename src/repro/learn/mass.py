@@ -151,16 +151,21 @@ class MassTrainer:
 
     # ------------------------------------------------------------------
     def compute_update(self, hypervectors: np.ndarray, labels: np.ndarray,
-                       **_unused) -> np.ndarray:
-        """The MASS update matrix ``U = one_hot − δ(M, H)``, ``(n, k)``.
+                       **update_kwargs) -> np.ndarray:
+        """The update matrix ``U`` of a batch against the current ``M``,
+        ``(n, k)``."""
+        return self.update_from_similarities(
+            self.similarities(hypervectors), labels, **update_kwargs)
 
-        Subclasses (knowledge distillation) override this hook; the
-        ``M += λ Uᵀ H`` application is shared.
+    def update_from_similarities(self, similarities: np.ndarray,
+                                 labels: np.ndarray,
+                                 **_unused) -> np.ndarray:
+        """The MASS rule ``U = one_hot − δ(M, H)``.
+
+        Subclasses (knowledge distillation, OnlineHD) override this hook;
+        the similarities and the ``M += λ Uᵀ H`` application are shared.
         """
-        targets = one_hot(labels, self.num_classes)
-        similarities = self.similarities(hypervectors)
-        self._record_margins(similarities, labels)
-        return targets - similarities
+        return one_hot(labels, self.num_classes) - similarities
 
     def step(self, hypervectors: np.ndarray, labels: np.ndarray,
              **update_kwargs) -> bool:
@@ -183,8 +188,10 @@ class MassTrainer:
                 if not self.guard.ok("mass.inputs", hypervectors, *extras):
                     registry.inc("train.skipped_batches")
                     return False
-            update = self.compute_update(hypervectors, labels,
-                                         **update_kwargs)
+            similarities = self.similarities(hypervectors)
+            self._record_margins(similarities, labels)
+            update = self.update_from_similarities(similarities, labels,
+                                                   **update_kwargs)
             if self.guard is not None and not self.guard.ok("mass.update",
                                                             update):
                 registry.inc("train.skipped_batches")

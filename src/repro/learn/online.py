@@ -51,11 +51,11 @@ class OnlineHDTrainer(MassTrainer):
         self.reinforce_correct = reinforce_correct
         self.reinforce_rate = float(reinforce_rate)
 
-    def compute_update(self, hypervectors: np.ndarray, labels: np.ndarray,
-                       **_unused) -> np.ndarray:
+    def update_from_similarities(self, similarities: np.ndarray,
+                                 labels: np.ndarray,
+                                 **_unused) -> np.ndarray:
         """Sparse update matrix: at most two nonzero entries per row."""
         labels = np.asarray(labels)
-        similarities = self.similarities(hypervectors)
         predictions = similarities.argmax(axis=1)
         update = np.zeros_like(similarities)
         rows = np.arange(len(labels))

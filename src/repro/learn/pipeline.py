@@ -19,10 +19,11 @@ Since the stage-graph refactor, each pipeline **builds a live
 share weights with the training objects (scaler, manifold learner, MASS
 trainer), so the graph always reflects the current training state.  All
 inference (``encode`` / ``predict`` / ``predict_features``) executes the
-graph; and the training loops run individual stages through the graph
-runner (which owns the ``stage.*`` telemetry spans).  Checkpoints hold
-training state only: the pipeline class that restores one builds its own
-graph, and a serve bundle describes its model through
+graph, and so do the training loops' initialization and evaluation.  An
+NSHD training batch runs reduce → encode once, on the manifold learner's
+autograd tape, because the FC backpropagates through that forward.
+Checkpoints hold training state only: the pipeline class that restores
+one builds its own graph, and a serve bundle describes its model through
 :meth:`repro.serve.ModelBundle.from_pipeline`.
 """
 
@@ -83,6 +84,17 @@ class _HDPipeline:
 
     def accuracy(self, images: np.ndarray, labels: np.ndarray) -> float:
         return float((self.predict(images) == np.asarray(labels)).mean())
+
+    def predict_features(self, raw_features: np.ndarray) -> np.ndarray:
+        """Predict from precomputed extractor features."""
+        encoded = self.graph.run(raw_features, start="scale",
+                                 stop="classify")
+        return np.asarray(self.graph.call("classify", encoded))
+
+    def accuracy_features(self, raw_features: np.ndarray,
+                          labels: np.ndarray) -> float:
+        return float((self.predict_features(raw_features) ==
+                      np.asarray(labels)).mean())
 
     # ------------------------------------------------------------------
     # Checkpoint/resume.  Checkpoints are atomic (temp file + rename) and
@@ -316,19 +328,6 @@ class NSHD(_HDPipeline):
         self.graph = StageGraph(stages, name="nshd")
 
     # ------------------------------------------------------------------
-    def _reduce_batch(self, features: np.ndarray) -> np.ndarray:
-        """Instrumented manifold reduction for the training loop.
-
-        With no manifold learner this is the identity — still wrapped in
-        the historical ``stage.manifold`` span so ablation runs keep the
-        same telemetry shape.
-        """
-        if self.manifold is not None:
-            return self.graph.call("reduce", features)
-        with span("stage.manifold",
-                  nbytes=int(np.asarray(features).nbytes)):
-            return features
-
     @property
     def _encode_start(self) -> str:
         return "reduce" if self.manifold is not None else "encode"
@@ -337,34 +336,23 @@ class NSHD(_HDPipeline):
         return self.graph.run(features_scaled, start=self._encode_start,
                               stop="classify")
 
-    def predict_features(self, raw_features: np.ndarray) -> np.ndarray:
-        """Predict from precomputed extractor features."""
-        encoded = self.graph.run(raw_features, start="scale",
-                                 stop="classify")
-        return np.asarray(self.graph.call("classify", encoded))
-
-    def accuracy_features(self, raw_features: np.ndarray,
-                          labels: np.ndarray) -> float:
-        return float((self.predict_features(raw_features) ==
-                      np.asarray(labels)).mean())
-
     def _train_batch(self, features: np.ndarray, labels: np.ndarray,
                      **kwargs) -> Optional[float]:
         """Algorithm 1 on one batch of scaled features; returns the
         manifold loss, or None when no manifold step ran.
 
-        Reduce and encode the batch, update M from it, then propagate
-        the resulting error direction through the HD encoder into the
-        manifold FC (Sec. V-C).  A batch vetoed by the numerics guard
-        skips both halves.
+        With a manifold, :meth:`ManifoldLearner.train_step` runs the
+        whole batch: one reduce → encode forward on the autograd tape,
+        the update of M from it, and the FC step back through it (Sec.
+        V-C).  Without one, the graph encodes the batch and only M is
+        updated.
         """
-        encoded = self.graph.call("encode", self._reduce_batch(features))
-        if (not self.trainer.step(encoded, labels, **kwargs)
-                or self.manifold is None):
+        if self.manifold is None:
+            self.trainer.step(self.graph.call("encode", features), labels,
+                              **kwargs)
             return None
-        update = self.trainer.compute_update(encoded, labels, **kwargs)
-        return self.manifold.train_step(features, update, self.encoder,
-                                        self.trainer.class_matrix)
+        return self.manifold.train_step(features, labels, self.trainer,
+                                        self.encoder, **kwargs)
 
     # ------------------------------------------------------------------
     def fit(self, images: np.ndarray, labels: np.ndarray, epochs: int = 20,
@@ -476,17 +464,6 @@ class BaselineHD(_HDPipeline):
             EncodeStage(self.encoder),
             ClassifyStage.from_trainer(self.trainer),
         ], name="baselinehd")
-
-    def predict_features(self, raw_features: np.ndarray) -> np.ndarray:
-        """Predict from precomputed extractor features."""
-        encoded = self.graph.run(raw_features, start="scale",
-                                 stop="classify")
-        return np.asarray(self.graph.call("classify", encoded))
-
-    def accuracy_features(self, raw_features: np.ndarray,
-                          labels: np.ndarray) -> float:
-        return float((self.predict_features(raw_features) ==
-                      np.asarray(labels)).mean())
 
     def fit(self, images: np.ndarray, labels: np.ndarray, epochs: int = 20,
             batch_size: int = 64, checkpoint_path: Optional[str] = None,

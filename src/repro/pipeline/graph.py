@@ -15,14 +15,15 @@ executable description of an NSHD-family model:
 * the serving engine is a thin executor around a frozen graph — it calls
   ``run``/``call`` and adds caching/batching, never math.
 
-Telemetry: the graph runner is the single place that emits ``stage.*``
-spans.  Training loops run stages with ``instrument=True`` (preserving
-the historical ``stage.extract`` / ``stage.manifold`` / ``stage.encode``
-/ ``stage.similarity`` span stream the run report's stage breakdown
-keys on); inference/eval paths pass ``instrument=False``, which keeps
-the stage spans out of the aggregate tree (matching the pre-refactor
-behaviour where predict did not emit per-stage spans) but still records
-them into an active request trace.
+Telemetry: the graph runner emits the ``stage.*`` span of every stage
+it runs.  Training loops run stages with ``call`` (preserving the
+historical ``stage.extract`` / ``stage.manifold`` / ``stage.encode``
+span stream; an NSHD training batch runs on the manifold learner's
+autograd tape and opens the same spans itself); inference/eval paths
+pass ``instrument=False``, which keeps the stage spans out of the
+aggregate tree (matching the pre-refactor behaviour where predict did
+not emit per-stage spans) but still records them into an active
+request trace.
 """
 
 from __future__ import annotations

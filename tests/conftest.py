@@ -29,6 +29,22 @@ def numeric_grad(fn, x, eps=1e-6):
     return grad
 
 
+class FixedUpdate:
+    """HD-trainer stand-in for ``ManifoldLearner.train_step``: ``step``
+    leaves M alone and ``compute_update`` returns a given U, so a test
+    can drive the FC step with any update and class matrix."""
+
+    def __init__(self, update, class_matrix):
+        self.update = np.atleast_2d(update)
+        self.class_matrix = class_matrix
+
+    def step(self, hypervectors, labels, **_):
+        return True
+
+    def compute_update(self, hypervectors, labels, **_):
+        return self.update
+
+
 def _synthetic_bundle(dim=512, features=32, classes=6, seed=0,
                       binary=True):
     """Structurally-valid in-memory bundle with random weights.

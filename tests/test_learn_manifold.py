@@ -7,6 +7,8 @@ from repro.hd import RandomProjectionEncoder
 from repro.learn import ManifoldLearner, MassTrainer
 from repro.learn.mass import normalized_similarity
 
+from .conftest import FixedUpdate
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
@@ -107,7 +109,8 @@ class TestErrorDecodingTraining:
         feats = rng(10).normal(size=(8, 64))
         update = rng(11).normal(size=(8, 3))
         m = rng(12).choice([-1.0, 1.0], size=(3, encoder.dim))
-        loss = learner.train_step(feats, update, encoder, m)
+        loss = learner.train_step(feats, np.zeros(8, int),
+                                  FixedUpdate(update, m), encoder)
         assert np.isfinite(loss)
 
     def test_train_step_changes_fc(self):
@@ -116,23 +119,18 @@ class TestErrorDecodingTraining:
         feats = rng(13).normal(size=(8, 64))
         update = rng(14).normal(size=(8, 3))
         m = rng(15).choice([-1.0, 1.0], size=(3, encoder.dim))
-        learner.train_step(feats, update, encoder, m)
+        learner.train_step(feats, np.zeros(8, int), FixedUpdate(update, m),
+                           encoder)
         assert not np.allclose(before, learner.fc.weight.data)
 
     def test_encoder_size_mismatch_rejected(self):
         learner, _ = self.make_setup(f_hat=16)
         wrong_encoder = RandomProjectionEncoder(8, 512, rng(16))
         with pytest.raises(ValueError):
-            learner.train_step(np.zeros((1, 64)), np.zeros((1, 2)),
-                               wrong_encoder, np.zeros((2, 512)))
-
-    def test_decode_error_matches_manual_decoding(self):
-        learner, encoder = self.make_setup()
-        update = rng(17).normal(size=(4, 3))
-        hvs = rng(18).choice([-1.0, 1.0], size=(4, encoder.dim))
-        decoded = learner.decode_error(update, hvs, encoder, lam=0.5)
-        manual = encoder.decode(0.5 * update.T @ hvs)
-        np.testing.assert_allclose(decoded, manual)
+            learner.train_step(np.zeros((1, 64)), np.zeros(1, int),
+                               FixedUpdate(np.zeros((1, 2)),
+                                           np.zeros((2, 512))),
+                               wrong_encoder)
 
     def test_training_improves_class_separation(self):
         """The full loop of Sec. V-C: iterating (MASS update, manifold
@@ -162,10 +160,7 @@ class TestErrorDecodingTraining:
             g.shuffle(order)
             for s in range(0, len(order), 32):
                 batch = order[s:s + 32]
-                encoded = encoder.encode(learner.transform(feats[batch]))
-                trainer.step(encoded, labels[batch])
-                update = trainer.compute_update(encoded, labels[batch])
-                learner.train_step(feats[batch], update, encoder,
-                                   trainer.class_matrix)
+                learner.train_step(feats[batch], labels[batch], trainer,
+                                   encoder)
         assert acc() >= start
         assert acc() > 0.8

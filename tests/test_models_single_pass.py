@@ -1,10 +1,12 @@
-"""The frozen CNN's trunk runs once per training image.
+"""The frozen CNN's trunk runs once per training image, and the manifold
+once per training batch.
 
 The distillation teacher continues from the cut-layer features the
 extractor already produced (``logits(features, after=k)``).  These tests
 hold that path bit-identical to the full pass from the image, at every
 cut of three models, and count the trunk calls of a distilled
-``NSHD.fit``.
+``NSHD.fit``.  They also count the manifold forwards of a distilled fit:
+MASS and the FC step share one forward per batch.
 """
 
 import math
@@ -14,6 +16,8 @@ import pytest
 
 from repro.learn import NSHD
 from repro.models import FeatureExtractor, create_model
+from repro.pipeline import ManifoldReduceStage
+from repro.telemetry import use_registry
 
 #: Feature layers per model (every one is a valid cut).
 NUM_LAYERS = {"vgg16": 31, "mobilenetv2": 19, "efficientnet_b0": 9}
@@ -103,3 +107,50 @@ def test_fit_equals_two_pass_reference(images, labels):
         assert np.array_equal(state[key], ref_state[key]), key
     for key in ("train_acc", "manifold_loss"):  # epoch_time is wall clock
         assert history[key] == expected[key]
+
+
+def test_distilled_fit_runs_one_manifold_forward_per_batch(images, labels,
+                                                           monkeypatch):
+    """A training batch runs the FC once, on the tape it backpropagates
+    through; the graph's reduce stage runs only for the init and eval
+    rows.  Every encoded row is still counted."""
+    model = tiny("vgg16")
+    nshd = NSHD(model, layer_index=21, dim=256, reduced_features=16,
+                seed=0)
+    features = nshd.extractor.extract(images[:100])
+    teacher = model.logits(features, after=21)
+    fc_rows, reduce_rows, per_batch = [], [], []
+
+    reduce = ManifoldReduceStage.__call__
+
+    def counted_reduce(stage, batch, ctx=None):
+        reduce_rows.append(len(batch))
+        return reduce(stage, batch, ctx)
+    monkeypatch.setattr(ManifoldReduceStage, "__call__", counted_reduce)
+
+    fc_forward = nshd.manifold.fc.forward
+
+    def counted_fc(x):
+        fc_rows.append(len(x.data))
+        return fc_forward(x)
+    nshd.manifold.fc.forward = counted_fc
+
+    train_batch = nshd._train_batch
+
+    def counted_batch(**batch):
+        before = len(fc_rows), len(reduce_rows)
+        loss = train_batch(**batch)
+        per_batch.append((len(fc_rows) - before[0],
+                          len(reduce_rows) - before[1]))
+        return loss
+    nshd._train_batch = counted_batch
+
+    with use_registry() as registry:
+        nshd.fit_features(features, labels[:100], teacher, epochs=3,
+                          batch_size=32)
+        encoded = registry.snapshot()["hd.encode.samples"]["value"]
+    batches = 3 * math.ceil(100 / 32)
+    assert per_batch == [(1, 0)] * batches
+    assert sum(fc_rows) == 3 * 100
+    assert sum(reduce_rows) == 100 + 3 * 100  # init + one eval per epoch
+    assert encoded == 100 + 3 * 100 + 3 * 100  # init, eval, batches

@@ -24,6 +24,8 @@ from repro.nn.serialize import (MANIFEST_KEY, CheckpointError, load_manifest,
 from repro.reliability import truncate_file
 from repro.utils.rng import fresh_rng, get_rng_state, set_rng_state
 
+from .conftest import FixedUpdate
+
 
 # ----------------------------------------------------------------------
 # serialize.py: atomicity + integrity
@@ -161,7 +163,9 @@ class TestStateRoundTrips:
         from repro.hd.encoders import RandomProjectionEncoder
         encoder = RandomProjectionEncoder(6, 32, encoder_rng)
         class_matrix = rng.normal(size=(3, 32))
-        learner.train_step(feats, update, encoder, class_matrix)
+        trainer = FixedUpdate(update, class_matrix)
+        labels = np.zeros(20, int)
+        learner.train_step(feats, labels, trainer, encoder)
 
         state = learner.state_dict()
         assert any(key.startswith("optimizer.") for key in state)
@@ -170,8 +174,8 @@ class TestStateRoundTrips:
         clone.load_state_dict(state)
 
         # one more identical step on both must produce identical weights
-        learner.train_step(feats, update, encoder, class_matrix)
-        clone.train_step(feats, update, encoder, class_matrix)
+        learner.train_step(feats, labels, trainer, encoder)
+        clone.train_step(feats, labels, trainer, encoder)
         np.testing.assert_array_equal(clone.fc.weight.data,
                                       learner.fc.weight.data)
         np.testing.assert_array_equal(clone.fc.bias.data,

@@ -8,11 +8,15 @@ none of them may the class-hypervector matrix be corrupted.
 import numpy as np
 import pytest
 
-from repro.learn import DistillationTrainer, ManifoldLearner, MassTrainer
+from repro.learn import (NSHD, DistillationTrainer, ManifoldLearner,
+                         MassTrainer)
 from repro.models import create_model, train_cnn
 from repro.reliability import (BatchCorruptionInjector, NumericsError,
                                NumericsGuard, NumericsWarning)
+from repro.telemetry import use_registry
 from repro.utils.rng import fresh_rng
+
+from .conftest import FixedUpdate
 
 
 def make_batch(num_classes=3, n=24, dim=64, seed=0):
@@ -173,10 +177,41 @@ class TestManifoldGuard:
         class_matrix = rng.normal(size=(3, 32))
         before_w = learner.fc.weight.data.copy()
         update = np.full((20, 3), np.nan)
-        loss = learner.train_step(feats, update, encoder, class_matrix)
-        assert loss == 0.0
+        loss = learner.train_step(feats, np.zeros(20, int),
+                                  FixedUpdate(update, class_matrix), encoder)
+        assert loss is None
         np.testing.assert_array_equal(learner.fc.weight.data, before_w)
         assert guard.batches_skipped == 1
+
+    def test_vetoed_step_is_left_out_of_manifold_loss(self):
+        """A vetoed FC step reports no loss, like a vetoed MASS step: the
+        epoch's ``manifold_loss`` is the mean of the steps that ran."""
+
+        class VetoSecondStep:
+            def __init__(self):
+                self.steps = []  # (loss, ran) per manifold.step
+
+            def ok(self, name, *arrays):
+                if name != "manifold.step":
+                    return True
+                ran = len(self.steps) != 1
+                self.steps.append((float(arrays[0]), ran))
+                return ran
+
+        guard = VetoSecondStep()
+        model = create_model("vgg16", num_classes=3, width_mult=0.125,
+                             seed=0)
+        images = fresh_rng(5).normal(size=(40, 3, 32, 32))
+        labels = np.arange(40) % 3
+        with use_registry() as registry:
+            nshd = NSHD(model, layer_index=21, dim=128, reduced_features=8,
+                        seed=0, guard=guard)
+            history = nshd.fit(images, labels, epochs=1, batch_size=16)
+            vetoed = registry.snapshot()["manifold.vetoed_steps"]["value"]
+        assert [ran for _, ran in guard.steps] == [True, False, True]
+        ran = [loss for loss, ok in guard.steps if ok]
+        assert history["manifold_loss"] == [float(np.mean(ran))]
+        assert vetoed == 1
 
 
 class TestCNNTrainerGuard:

@@ -223,3 +223,29 @@ def test_epoch_metrics_counted_once(name, with_callback, tiny_task,
     assert snapshot["train.epoch_time_s"]["count"] == 3
     assert snapshot["train.train_acc"]["value"] == history["train_acc"][-1]
     assert seen == ([0, 1, 2] if with_callback else [])
+
+
+#: The fits whose similarity-margin histogram is checked per row.
+MARGIN_FITS = {
+    "NSHD-distilled": lambda model: NSHD(
+        model, layer_index=21, dim=128, reduced_features=6, seed=0),
+    "NSHD-MASS": lambda model: NSHD(
+        model, layer_index=21, dim=128, reduced_features=6, seed=0,
+        use_distillation=False),
+    "BaselineHD": lambda model: BaselineHD(
+        model, layer_index=21, dim=128, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARGIN_FITS))
+def test_one_similarity_margin_per_training_row(name, tiny_task,
+                                                fresh_tracer):
+    """``train.similarity_margin`` gets one value per row a training
+    step sees, though NSHD computes U twice per batch."""
+    model, x, y = tiny_task
+    with use_registry() as registry:
+        MARGIN_FITS[name](model).fit(x, y, epochs=3, batch_size=16)
+        snapshot = registry.snapshot()
+    assert snapshot["train.samples"]["value"] == 3 * len(x)
+    assert (snapshot["train.similarity_margin"]["count"]
+            == snapshot["train.samples"]["value"])
