@@ -267,11 +267,11 @@ def main(argv=None) -> int:
     expected = [int(v) for v in reference.predict_features(features)]
 
     supervisor = Supervisor(
-        bundle_path, workers=args.workers, chaos=True,
+        bundle_path, workers=args.workers,
         probe_interval_s=0.1, probe_timeout_s=0.5, hang_probe_limit=3,
         backoff_base_s=0.2, backoff_max_s=2.0,
         crash_loop_threshold=8, crash_loop_window_s=10.0,
-        worker_args=["--cache-size", "64"])
+        worker_args=["--cache-size", "64", "--chaos"])
     router = Router(
         supervisor, port=0, max_attempts=3, retry_backoff_s=0.02,
         request_timeout_s=2.0,

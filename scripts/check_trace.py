@@ -2,7 +2,7 @@
 across processes, and assert the tree is shaped right.
 
 Boots a real 4-worker fleet (each worker a ``python -m repro.serve``
-subprocess armed with ``REPRO_TRACE_DIR``) behind an in-process
+subprocess armed with ``--trace-dir``) behind an in-process
 :class:`~repro.serve.router.Router` with request tracing on, fires
 distinct ``/predict`` requests, then SIGKILLs one worker mid-run —
 the supervisor's probes are deliberately slowed so the dead worker
@@ -114,8 +114,8 @@ def main(argv=None) -> int:
     supervisor = Supervisor(
         bundle_path, workers=args.workers,
         probe_interval_s=5.0, probe_timeout_s=1.0,
-        startup_timeout_s=60.0, trace_dir=trace_dir,
-        worker_args=["--cache-size", "0"])
+        startup_timeout_s=60.0,
+        worker_args=["--cache-size", "0", "--trace-dir", trace_dir])
     router = Router(
         supervisor, port=0, max_attempts=3, retry_backoff_s=0.02,
         request_timeout_s=5.0,

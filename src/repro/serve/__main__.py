@@ -4,8 +4,10 @@ Serves a :class:`~repro.serve.bundle.ModelBundle` over HTTP with the
 stdlib :class:`~repro.serve.server.ModelServer` (micro-batching, load
 shedding, Prometheus metrics, hot reload on ``POST /reload`` / SIGHUP).
 
-Tuning can come from flags or a TOML config file (``--config
-serve.toml``); flags win over the file.  The file maps 1:1 onto the
+Tuning lives in a TOML config file (``--config serve.toml``), every key
+in its section.  The command line carries switches and three deployment
+settings, ``--host``, ``--port`` and ``--cache-size``, which win over
+their ``[server]`` / ``[engine]`` keys.  The file maps 1:1 onto the
 MicroBatcher / LoadShedder / engine knobs::
 
     [server]
@@ -16,7 +18,7 @@ MicroBatcher / LoadShedder / engine knobs::
     max_batch_size = 64
     max_latency_ms = 5.0
     workers = 2
-    high_watermark = 128
+    high_watermark = 128     # 0 disables shedding
     timeout_s = 5.0
 
     [engine]
@@ -44,19 +46,20 @@ MicroBatcher / LoadShedder / engine knobs::
     for_s = 2.0
     severity = "page"
 
-Flat top-level keys (``port = 8000``) are accepted too.  Alert rules
-(threshold / absence / burn-rate predicates over the metrics registry —
-see :mod:`repro.telemetry.alerts`) are evaluated on a background thread
-and exposed at ``GET /alertz`` plus ``alert.state.*`` gauges; in fleet
-mode the ``--config`` file is forwarded to every worker, so the same
-rules run fleet-wide.
+Alert rules (threshold / absence / burn-rate predicates over the metrics
+registry — see :mod:`repro.telemetry.alerts`) are evaluated on a
+background thread and exposed at ``GET /alertz`` plus ``alert.state.*``
+gauges.
 
 ``--fleet N`` switches to the fault-tolerant multi-process mode: a
 :class:`~repro.serve.fleet.Supervisor` spawns N worker processes (each
-one of these CLI invocations on its own port, inheriting the tuning
-flags above) and a :class:`~repro.serve.router.Router` front-end
-consistent-hashes ``/predict`` across the healthy ones with per-worker
-circuit breakers.  See ``docs/FLEET.md``.
+one of these CLI invocations on its own port) and a
+:class:`~repro.serve.router.Router` front-end consistent-hashes
+``/predict`` across the healthy ones with per-worker circuit breakers.
+A worker is configured by its command line alone: the flags this
+invocation set are forwarded (:func:`worker_args_from`), ``--config``
+included, so the same tuning and alert rules run fleet-wide.  See
+``docs/FLEET.md``.
 """
 
 from __future__ import annotations
@@ -67,8 +70,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from ..online.learner import ONLINE_OPTION_KEYS
-from ..telemetry import (enable_request_tracing, load_alert_rules,
-                         tracing_env_options)
+from ..telemetry import enable_request_tracing, load_alert_rules
 from .bundle import BundleError, ModelBundle
 from .engine import EngineSelfCheckError, InferenceEngine
 from .fleet import FleetError, Supervisor
@@ -78,72 +80,57 @@ from .server import ModelServer
 __all__ = ["main", "build_server", "build_fleet", "load_config",
            "worker_args_from", "configure_tracing"]
 
-#: Config keys per section → ModelServer / InferenceEngine kwarg names.
-_SERVER_KEYS = ("host", "port")
-_BATCHER_KEYS = ("max_batch_size", "max_latency_ms", "workers",
-                 "high_watermark", "timeout_s")
-_ENGINE_KEYS = ("cache_size", "build_extractor", "selfcheck", "quality",
-                "quality_window")
-_ALERT_KEYS = ("interval_s", "rules")
-_ONLINE_KEYS = ONLINE_OPTION_KEYS
+#: Config section → its keys (ModelServer / InferenceEngine kwarg names,
+#: the alert-rule table, the OnlineLearner kwargs).
+_SECTIONS = {
+    "server": ("host", "port"),
+    "batcher": ("max_batch_size", "max_latency_ms", "workers",
+                "high_watermark", "timeout_s"),
+    "engine": ("cache_size", "build_extractor", "selfcheck", "quality",
+               "quality_window"),
+    "alerts": ("interval_s", "rules"),
+    "online": ONLINE_OPTION_KEYS,
+}
 
 
 def load_config(path: str) -> Dict[str, Any]:
     """Read a TOML config file into a flat ``{key: value}`` dict.
 
-    Accepts both sectioned (``[server]`` / ``[batcher]`` / ``[engine]``
-    / ``[alerts]`` / ``[online]``) and flat layouts; unknown keys and
-    sections raise so typos fail loudly instead of silently serving
-    with defaults.  The ``[online]`` section lands verbatim as
-    ``online_options`` (the :class:`~repro.online.OnlineLearner` kwargs
-    — enables ``POST /feedback`` continual learning).  The ``[alerts]``
-    section is parsed through
-    :func:`~repro.telemetry.alerts.load_alert_rules` (so a malformed
-    rule also fails at startup) and lands as ``alert_rules`` /
+    Every key sits in its section (``[server]`` / ``[batcher]`` /
+    ``[engine]`` / ``[alerts]`` / ``[online]``); an unknown section or
+    key, or a key outside any section, raises so typos fail loudly
+    instead of silently serving with defaults.  The ``[online]`` section
+    lands verbatim as ``online_options`` (the
+    :class:`~repro.online.OnlineLearner` kwargs — enables ``POST
+    /feedback`` continual learning).  The ``[alerts]`` section is parsed
+    through :func:`~repro.telemetry.alerts.load_alert_rules` (so a
+    malformed rule also fails at startup) and lands as ``alert_rules`` /
     ``alert_interval_s``.
     """
     import tomllib
     with open(path, "rb") as handle:
         raw = tomllib.load(handle)
+    expected = ", ".join(f"[{name}]" for name in _SECTIONS)
     flat: Dict[str, Any] = {}
-    known = set(_SERVER_KEYS) | set(_BATCHER_KEYS) | set(_ENGINE_KEYS)
-    for key, value in raw.items():
-        if key == "alerts":
-            if not isinstance(value, dict):
-                raise ValueError(f"[alerts] must be a table in {path!r}")
-            for sub in value:
-                if sub not in _ALERT_KEYS:
-                    raise ValueError(
-                        f"unknown config key alerts.{sub} in {path!r}")
-            flat["alert_rules"] = load_alert_rules(
-                value.get("rules", []))
-            if "interval_s" in value:
-                flat["alert_interval_s"] = float(value["interval_s"])
-            continue
-        if key == "online":
-            if not isinstance(value, dict):
-                raise ValueError(f"[online] must be a table in {path!r}")
-            for sub in value:
-                if sub not in _ONLINE_KEYS:
-                    raise ValueError(
-                        f"unknown config key online.{sub} in {path!r}")
-            flat["online_options"] = dict(value)
-            continue
-        if isinstance(value, dict):
-            if key not in ("server", "batcher", "engine"):
+    for section, table in raw.items():
+        if not isinstance(table, dict):
+            raise ValueError(f"config key {section!r} in {path!r} is "
+                             f"outside a section; expected {expected}")
+        if section not in _SECTIONS:
+            raise ValueError(f"unknown config section [{section}] in "
+                             f"{path!r}; expected {expected}")
+        for key in table:
+            if key not in _SECTIONS[section]:
                 raise ValueError(
-                    f"unknown config section [{key}] in {path!r}; "
-                    "expected [server], [batcher], [engine], "
-                    "[alerts], or [online]")
-            for sub, subvalue in value.items():
-                if sub not in known:
-                    raise ValueError(
-                        f"unknown config key {key}.{sub} in {path!r}")
-                flat[sub] = subvalue
+                    f"unknown config key {section}.{key} in {path!r}")
+        if section == "alerts":
+            flat["alert_rules"] = load_alert_rules(table.get("rules", []))
+            if "interval_s" in table:
+                flat["alert_interval_s"] = float(table["interval_s"])
+        elif section == "online":
+            flat["online_options"] = dict(table)
         else:
-            if key not in known:
-                raise ValueError(f"unknown config key {key!r} in {path!r}")
-            flat[key] = value
+            flat.update(table)
     return flat
 
 
@@ -154,18 +141,12 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
                     "(/predict, /healthz, /metrics, /reload).")
     parser.add_argument("bundle", help="path to a ModelBundle .npz archive")
     parser.add_argument("--config", default=None,
-                        help="TOML config file (flags override it)")
+                        help="TOML config file (--host, --port and "
+                             "--cache-size override it)")
     parser.add_argument("--host", default=None, help="bind host "
                         "(default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=None,
                         help="bind port (default 8000; 0 = ephemeral)")
-    parser.add_argument("--max-batch-size", type=int, default=None)
-    parser.add_argument("--max-latency-ms", type=float, default=None)
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--high-watermark", type=int, default=None,
-                        help="shedder high watermark (0 disables shedding)")
-    parser.add_argument("--timeout-s", type=float, default=None,
-                        help="per-request deadline inside the batcher")
     parser.add_argument("--cache-size", type=int, default=None,
                         help="encoded-hypervector LRU entries (0 disables)")
     parser.add_argument("--no-packed", action="store_true",
@@ -183,12 +164,10 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
                              "endpoint (tests/chaos harness only)")
     parser.add_argument("--trace", action="store_true",
                         help="enable per-request distributed tracing "
-                             "(flight recorder + /tracez + /requestz); "
-                             "also via REPRO_TRACE=1")
+                             "(flight recorder + /tracez + /requestz)")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
                         help="additionally export sampled trace spans "
-                             "as JSONL under DIR (implies --trace; "
-                             "also via REPRO_TRACE_DIR)")
+                             "as JSONL under DIR (implies --trace)")
     parser.add_argument("--trace-sample", type=float, default=None,
                         metavar="RATE",
                         help="head-sampling rate in [0, 1] for trace "
@@ -198,68 +177,48 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
 
 
 def configure_tracing(args: argparse.Namespace, service: str) -> bool:
-    """Turn on request tracing for this process if flags/env ask for it.
-
-    Flags win over the ``REPRO_TRACE`` / ``REPRO_TRACE_DIR`` /
-    ``REPRO_TRACE_SAMPLE`` environment (which is how a fleet supervisor
-    arms spawned workers).  Returns whether tracing was enabled.
-    """
-    env = tracing_env_options()
-    trace_dir = getattr(args, "trace_dir", None) or env["trace_dir"]
-    enabled = bool(getattr(args, "trace", False)) or env["enabled"] \
-        or trace_dir is not None
-    if not enabled:
+    """Turn on request tracing for this process when ``--trace`` or
+    ``--trace-dir`` asks for it; returns whether tracing was enabled."""
+    if not (args.trace or args.trace_dir):
         return False
-    sample = getattr(args, "trace_sample", None)
-    sample_rate = float(sample) if sample is not None else env["sample_rate"]
-    enable_request_tracing(service=service, sample_rate=sample_rate,
-                           trace_dir=trace_dir)
+    enable_request_tracing(
+        service=service,
+        sample_rate=1.0 if args.trace_sample is None else args.trace_sample,
+        trace_dir=args.trace_dir)
     return True
+
+
+def _deployment(args: argparse.Namespace, config: Dict[str, Any],
+                name: str, default: Any) -> Any:
+    """``--host`` / ``--port`` / ``--cache-size``: the flag wins over
+    the config file."""
+    flag = getattr(args, name)
+    return config.get(name, default) if flag is None else flag
 
 
 def build_server(args: argparse.Namespace) -> ModelServer:
     """Resolve config + flags into a bound (not yet serving) server."""
     config = load_config(args.config) if args.config else {}
-
-    def knob(name: str, default: Any) -> Any:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        return config.get(name, default)
-
     engine_options: Dict[str, Any] = {
-        "cache_size": int(knob("cache_size", 256)),
-    }
+        key: config[key] for key in _SECTIONS["engine"] if key in config}
+    engine_options["cache_size"] = int(
+        _deployment(args, config, "cache_size", 256))
     if args.no_packed:
         engine_options["use_packed"] = False
     if args.no_extractor:
         engine_options["build_extractor"] = False
-    elif "build_extractor" in config:
-        engine_options["build_extractor"] = bool(config["build_extractor"])
-    if "selfcheck" in config:
-        engine_options["selfcheck"] = bool(config["selfcheck"])
-    if "quality" in config:
-        engine_options["quality"] = bool(config["quality"])
-    if "quality_window" in config:
-        engine_options["quality_window"] = int(config["quality_window"])
 
     ModelBundle.verify(args.bundle)
     engine = InferenceEngine.from_path(args.bundle, **engine_options)
-
-    high_watermark = knob("high_watermark", 128)
-    high_watermark = int(high_watermark) if high_watermark else None
     return ModelServer(
         engine,
-        host=str(knob("host", "127.0.0.1")),
-        port=int(knob("port", 8000)),
-        max_batch_size=int(knob("max_batch_size", 32)),
-        max_latency_ms=float(knob("max_latency_ms", 5.0)),
-        workers=int(knob("workers", 2)),
-        high_watermark=high_watermark,
-        timeout_s=float(knob("timeout_s", 5.0)),
+        host=str(_deployment(args, config, "host", "127.0.0.1")),
+        port=int(_deployment(args, config, "port", 8000)),
+        **{key: config[key] for key in _SECTIONS["batcher"]
+           if key in config},
         bundle_path=args.bundle,
         engine_options=engine_options,
-        chaos=True if getattr(args, "chaos", False) else None,
+        chaos=args.chaos,
         alert_rules=config.get("alert_rules"),
         alert_interval_s=float(config.get("alert_interval_s", 1.0)),
         online_options=config.get("online_options"),
@@ -267,31 +226,23 @@ def build_server(args: argparse.Namespace) -> ModelServer:
 
 
 def worker_args_from(args: argparse.Namespace) -> List[str]:
-    """Forward explicitly-set tuning flags to fleet worker processes
-    (each worker is its own ``python -m repro.serve`` invocation)."""
+    """The flags each fleet worker (its own ``python -m repro.serve``
+    invocation) gets besides bundle, host and port: every flag this
+    invocation set, the one channel that configures a worker."""
     out: List[str] = []
     if args.config:
         out += ["--config", args.config]
-    for flag, name in (("--max-batch-size", "max_batch_size"),
-                       ("--max-latency-ms", "max_latency_ms"),
-                       ("--workers", "workers"),
-                       ("--high-watermark", "high_watermark"),
-                       ("--timeout-s", "timeout_s"),
-                       ("--cache-size", "cache_size")):
-        value = getattr(args, name, None)
-        if value is not None:
-            out += [flag, str(value)]
-    if args.no_packed:
-        out.append("--no-packed")
-    if args.no_extractor:
-        out.append("--no-extractor")
-    if args.chaos:
-        out.append("--chaos")
-    if getattr(args, "trace", False):
-        out.append("--trace")
-    if getattr(args, "trace_dir", None):
+    if args.cache_size is not None:
+        out += ["--cache-size", str(args.cache_size)]
+    for flag, on in (("--no-packed", args.no_packed),
+                     ("--no-extractor", args.no_extractor),
+                     ("--chaos", args.chaos),
+                     ("--trace", args.trace)):
+        if on:
+            out.append(flag)
+    if args.trace_dir:
         out += ["--trace-dir", args.trace_dir]
-    if getattr(args, "trace_sample", None) is not None:
+    if args.trace_sample is not None:
         out += ["--trace-sample", str(args.trace_sample)]
     return out
 
@@ -300,21 +251,12 @@ def build_fleet(args: argparse.Namespace) -> Router:
     """Resolve flags into a bound (not yet serving) fleet router."""
     config = load_config(args.config) if args.config else {}
     ModelBundle.verify(args.bundle)  # fail before spawning anything
-    supervisor = Supervisor(
-        args.bundle, workers=int(args.fleet),
-        host=str(args.host if args.host is not None
-                 else config.get("host", "127.0.0.1")),
-        worker_args=worker_args_from(args),
-        chaos=args.chaos,
-        trace_dir=getattr(args, "trace_dir", None),
-        trace_sample=getattr(args, "trace_sample", None),
-    )
+    host = str(_deployment(args, config, "host", "127.0.0.1"))
+    supervisor = Supervisor(args.bundle, workers=int(args.fleet),
+                            host=host, worker_args=worker_args_from(args))
     router = Router(
-        supervisor,
-        host=str(args.host if args.host is not None
-                 else config.get("host", "127.0.0.1")),
-        port=int(args.port if args.port is not None
-                 else config.get("port", 8000)),
+        supervisor, host=host,
+        port=int(_deployment(args, config, "port", 8000)),
         own_fleet=True,
         alert_rules=config.get("alert_rules"),
         alert_interval_s=float(config.get("alert_interval_s", 1.0)),
@@ -330,58 +272,34 @@ def build_fleet(args: argparse.Namespace) -> Router:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
-    if args.fleet:
-        return _main_fleet(args)
-    try:
-        server = build_server(args)
-    except (BundleError, EngineSelfCheckError, OSError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.trace_sample is not None and not 0.0 <= args.trace_sample <= 1.0:
+        # NaN fails the comparison too: it would silently sample nothing.
+        print(f"error: --trace-sample must be in [0, 1], got "
+              f"{args.trace_sample}", file=sys.stderr)
         return 2
-    configure_tracing(args, service=f"worker-{server.address[1]}")
-
-    if args.dry_run:
-        print(json.dumps(server.health(), indent=2, sort_keys=True,
-                         default=str))
-        server.stop()
-        return 0
-
-    host, port = server.address
-    print(f"serving {args.bundle} on http://{host}:{port} "
-          f"(POST /predict, /reload; GET /healthz, /metrics; "
-          f"SIGHUP reloads, SIGTERM drains)")
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-        server.stop()
-    return 0
-
-
-def _main_fleet(args: argparse.Namespace) -> int:
-    configure_tracing(args, service="router")
-    try:
-        router = build_fleet(args)
+        front = build_fleet(args) if args.fleet else build_server(args)
     except (BundleError, EngineSelfCheckError, FleetError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    configure_tracing(args, service="router" if args.fleet
+                      else f"worker-{front.address[1]}")
 
     if args.dry_run:
-        print(json.dumps(router.health(), indent=2, sort_keys=True,
+        print(json.dumps(front.health(), indent=2, sort_keys=True,
                          default=str))
-        router.stop()
+        front.stop()
         return 0
 
-    host, port = router.address
-    print(f"serving {args.bundle} through a {args.fleet}-worker fleet "
-          f"on http://{host}:{port} (POST /predict, /reload; "
-          f"GET /healthz, /metrics; SIGTERM drains)")
+    fleet = f" through a {args.fleet}-worker fleet" if args.fleet else ""
+    reload = "" if args.fleet else "SIGHUP reloads, "
+    print(f"serving {args.bundle}{fleet} on {front.url} (POST /predict, "
+          f"/reload; GET /healthz, /metrics; {reload}SIGTERM drains)")
     try:
-        router.serve_forever()
+        front.serve_forever()  # stops the front end however it exits
     except KeyboardInterrupt:
-        print("shutting down fleet")
-        router.stop()
+        print("shutting down")
     return 0
 
 

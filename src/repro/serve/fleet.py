@@ -7,6 +7,8 @@ crashes, hangs, and poisoned reloads.  :class:`Supervisor` provides it:
 * **Spawn** — N worker processes, each a ``python -m repro.serve``
   instance serving the *same* bundle on its own port (so responses are
   interchangeable across the fleet and a router can hash over them).
+  A worker is configured by its command line alone (``worker_args``);
+  the supervisor adds nothing to its environment but ``PYTHONPATH``.
 * **Probe** — per-worker heartbeats: process liveness
   (``Popen.poll``) plus an HTTP ``/healthz`` probe with a timeout.  A
   worker whose process is alive but whose probe times out
@@ -151,19 +153,11 @@ class Supervisor:
     crash_loop_threshold / crash_loop_window_s:
         K failures in W seconds quarantines the worker.
     worker_args:
-        Extra CLI flags for each worker (batcher/engine tuning).
-    chaos:
-        Arm the workers' ``POST /slow`` fault-injection endpoint
-        (``REPRO_SERVE_CHAOS=1`` in the child environment).
-    trace_dir:
-        Enable request tracing in every spawned worker and point its
-        JSONL span exporter at this directory (``REPRO_TRACE_DIR`` in
-        the child environment) — each worker writes
-        ``trace-<service>-<pid>.jsonl`` there and the cross-process
-        stitcher joins them with the router's file.
-    trace_sample:
-        Worker-side head-sampling rate forwarded as
-        ``REPRO_TRACE_SAMPLE`` (only meaningful with ``trace_dir``).
+        Extra ``python -m repro.serve`` flags for each worker, the one
+        channel that configures it: ``--config`` and ``--cache-size``
+        tuning, ``--chaos`` to arm ``POST /slow``, ``--trace-dir DIR``
+        to export each worker's spans as ``trace-<service>-<pid>.jsonl``
+        for the cross-process stitcher.
     log_dir:
         Per-worker stdout/stderr capture files (default: devnull).
     spawn_fn / probe_fn / clock:
@@ -184,9 +178,6 @@ class Supervisor:
                  crash_loop_threshold: int = 5,
                  crash_loop_window_s: float = 30.0,
                  worker_args: Sequence[str] = (),
-                 chaos: bool = False,
-                 trace_dir: Optional[str] = None,
-                 trace_sample: Optional[float] = None,
                  log_dir: Optional[str] = None,
                  spawn_fn: Optional[Callable[["Worker"], Any]] = None,
                  probe_fn: Optional[
@@ -208,9 +199,6 @@ class Supervisor:
         self.crash_loop_threshold = int(crash_loop_threshold)
         self.crash_loop_window_s = float(crash_loop_window_s)
         self.worker_args = list(worker_args)
-        self.chaos = bool(chaos)
-        self.trace_dir = trace_dir
-        self.trace_sample = trace_sample
         self.log_dir = log_dir
         self._spawn_fn = spawn_fn or self._default_spawn
         self._probe_fn = probe_fn or self._default_probe
@@ -238,13 +226,6 @@ class Supervisor:
         env["PYTHONPATH"] = src_root + (
             os.pathsep + env["PYTHONPATH"]
             if env.get("PYTHONPATH") else "")
-        if self.chaos:
-            env["REPRO_SERVE_CHAOS"] = "1"
-        if self.trace_dir:
-            env["REPRO_TRACE"] = "1"
-            env["REPRO_TRACE_DIR"] = self.trace_dir
-            if self.trace_sample is not None:
-                env["REPRO_TRACE_SAMPLE"] = str(self.trace_sample)
         if self.log_dir:
             os.makedirs(self.log_dir, exist_ok=True)
             handle = open(os.path.join(

@@ -24,22 +24,28 @@ everything they have in common:
 Subclasses answer their own routes through :meth:`JsonHandler.route_get`
 and :meth:`JsonHandler.route_post`, which return a :data:`Response` or
 ``None`` for an unknown path (404).
+
+:class:`FrontEnd` is the process lifecycle both front ends share: bind,
+serve on a background thread or on the caller's, the alert evaluator,
+``SIGTERM`` → drain, stop, the context manager and ``GET /alertz``.
 """
 
 from __future__ import annotations
 
 import json
+import signal
 import sys
+import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..telemetry import (get_flight_recorder, get_registry, get_request_log,
-                         prometheus_text)
+from ..telemetry import (AlertManager, get_flight_recorder, get_registry,
+                         get_request_log, prometheus_text)
 from ..telemetry.reqtrace import TraceContext
 
-__all__ = ["DISCONNECTS", "HTTPServer", "JsonHandler", "MAX_BODY_BYTES",
-           "Query", "Response"]
+__all__ = ["DISCONNECTS", "FrontEnd", "HTTPServer", "JsonHandler",
+           "MAX_BODY_BYTES", "Query", "Response"]
 
 #: Largest request body read (64 MiB): a 1024-feature ``/predict`` of
 #: 1000 rows is about 20 MB of JSON.  Larger bodies answer 413 unread.
@@ -191,6 +197,146 @@ class HTTPServer(ThreadingHTTPServer):
             get_registry().inc("serve.client_disconnect")
             return
         super().handle_error(request, client_address)
+
+
+class FrontEnd:
+    """Listener lifecycle of the model server and the fleet router.
+
+    Binds ``handler`` on ``(host, port)`` at construction (``port=0``
+    picks an ephemeral port), serves on a background thread
+    (:meth:`start`) or on the caller's (:meth:`serve_forever`), runs the
+    alert rules while serving, and stops in one order: stop accepting,
+    close the listener, :meth:`_release` whatever the subclass holds,
+    join the serving thread.  What differs per subclass is a class
+    attribute or a hook, never a branch here.
+    """
+
+    #: Request handler class (a :class:`JsonHandler`) the listener
+    #: dispatches to.
+    handler: type
+    #: Name of the thread :meth:`start` serves on (``-drain`` suffixed
+    #: for the thread :meth:`drain` stops on).
+    thread_name: str
+    #: Counter bumped once per :meth:`drain`.
+    drain_metric: str
+
+    def __init__(self, host: str, port: int,
+                 alert_rules: Optional[list] = None,
+                 alert_interval_s: float = 1.0):
+        self.alerts = (AlertManager(list(alert_rules))
+                       if alert_rules else None)
+        self.alert_interval_s = float(alert_interval_s)
+        self.draining = False
+        self._httpd = HTTPServer((host, port), self.handler, self)
+        self._thread: Optional[threading.Thread] = None
+        self._started = False
+
+    def _release(self) -> None:
+        """Free what the subclass holds once the listener is closed."""
+
+    def _signal_handlers(self) -> Dict[int, Callable[[int, Any], None]]:
+        """Signal → handler map :meth:`install_signal_handlers` sets."""
+        return {signal.SIGTERM: lambda signum, frame: self.drain()}
+
+    # ------------------------------------------------------------------
+    @property
+    def address(self) -> Tuple[str, int]:
+        """Actual ``(host, port)`` after binding (resolves ``port=0``)."""
+        return self._httpd.server_address[:2]
+
+    @property
+    def url(self) -> str:
+        host, port = self.address
+        return f"http://{host}:{port}"
+
+    def alertz(self) -> Dict[str, Any]:
+        """``GET /alertz`` body: evaluate-now + alert states.
+
+        Evaluating on read means the endpoint is accurate even when the
+        background evaluator is not running (tests, one-shot probes).
+        """
+        if self.alerts is None:
+            return {"enabled": False, "rules": [], "firing": []}
+        self.alerts.evaluate()
+        return self.alerts.snapshot()
+
+    # ------------------------------------------------------------------
+    def _begin(self) -> None:
+        if self._started:
+            raise RuntimeError(f"{type(self).__name__} already started")
+        self._started = True
+        if self.alerts is not None:
+            self.alerts.start(self.alert_interval_s)
+
+    def start(self) -> "FrontEnd":
+        """Serve in a background thread; returns self (fluent)."""
+        self._begin()
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, name=self.thread_name,
+            daemon=True)
+        self._thread.start()
+        return self
+
+    def serve_forever(self) -> None:
+        """Serve on the calling thread (CLI entry point), with the
+        signal handlers installed when that is the main thread."""
+        self._begin()
+        self.install_signal_handlers()
+        try:
+            self._httpd.serve_forever()
+        finally:
+            self.stop()
+
+    def install_signal_handlers(self) -> bool:
+        """Install :meth:`_signal_handlers` (main thread only).
+
+        ``SIGTERM`` starts the graceful :meth:`drain`, which is also how
+        a fleet supervisor stops a worker.  Returns whether the handlers
+        were installed.
+        """
+        if threading.current_thread() is not threading.main_thread():
+            return False
+        try:
+            for signum, on_signal in self._signal_handlers().items():
+                signal.signal(signum, on_signal)
+        except (ValueError, OSError, AttributeError):
+            return False
+        return True
+
+    def drain(self) -> None:
+        """Graceful shutdown trigger: signal-safe, returns at once.
+
+        ``shutdown()`` must not run on the thread blocked inside
+        ``serve_forever`` (it would wait for its own loop to exit), so
+        :meth:`stop` runs on a helper thread.
+        """
+        if self.draining:
+            return
+        self.draining = True
+        get_registry().inc(self.drain_metric)
+        threading.Thread(target=self.stop, name=f"{self.thread_name}-drain",
+                         daemon=True).start()
+
+    def stop(self) -> None:
+        """Stop accepting, close the listener, release, join."""
+        self.draining = True
+        if self.alerts is not None:
+            self.alerts.stop()
+        if self._started:
+            # shutdown() synchronizes with a serve_forever loop; calling
+            # it on a never-served listener would block forever.
+            self._httpd.shutdown()
+        self._httpd.server_close()
+        self._release()
+        if self._thread is not None:
+            self._thread.join(timeout=10.0)
+            self._thread = None
+
+    def __enter__(self) -> "FrontEnd":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
 
 
 def _tracez(query: Query) -> Response:

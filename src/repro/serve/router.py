@@ -28,7 +28,8 @@ to the worker processes a :class:`~repro.serve.fleet.Supervisor` (or
   failure.
 * **Graceful drain.**  SIGTERM stops the accept loop, waits for
   in-flight requests, then stops the fleet — no request is abandoned
-  mid-flight.
+  mid-flight.  The listener lifecycle is the one the workers run
+  (:class:`~repro.serve.handler.FrontEnd`).
 
 Endpoints: ``POST /predict`` (routed), ``GET /healthz`` (fleet +
 breaker summary), ``GET /tracez`` + ``/requestz`` (the router's own
@@ -48,23 +49,24 @@ import bisect
 import hashlib
 import http.client
 import json
-import signal
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..reliability.circuit import CircuitBreaker
-from ..telemetry import (AlertManager, BurnRateTracker, clock,
-                         get_registry, get_request_log, span)
+from ..telemetry import (BurnRateTracker, clock, get_registry,
+                         get_request_log, span)
 from ..telemetry.reqtrace import HUB as _HUB
 from ..telemetry.reqtrace import TraceContext
-from .handler import DISCONNECTS, HTTPServer, JsonHandler, Query, Response
+from .handler import DISCONNECTS, FrontEnd, JsonHandler, Query, Response
 
 __all__ = ["Router", "HashRing"]
 
 #: Worker answers worth retrying on a different worker (the request is
 #: idempotent): server errors, shed (503), and deadline (504).
 _RETRYABLE_STATUSES = frozenset({500, 502, 503, 504})
+#: How long a stopping router waits for its in-flight requests.
+_DRAIN_TIMEOUT_S = 10.0
 
 
 class HashRing:
@@ -225,7 +227,7 @@ class _RouterHandler(JsonHandler):
         return status, data, headers
 
 
-class Router:
+class Router(FrontEnd):
     """HTTP front-end routing ``/predict`` across a worker fleet.
 
     Parameters
@@ -267,6 +269,10 @@ class Router:
         Background evaluation period for the alert rules.
     """
 
+    handler = _RouterHandler
+    thread_name = "fleet-router"
+    drain_metric = "fleet.router.drain"
+
     def __init__(self, fleet: Any, host: str = "127.0.0.1", port: int = 0,
                  replicas: int = 64, max_attempts: int = 3,
                  retry_backoff_s: float = 0.05,
@@ -289,10 +295,6 @@ class Router:
         self.slo_latency_ms = float(slo_latency_ms)
         self.slo_availability = BurnRateTracker(objective=slo_objective)
         self.slo_latency = BurnRateTracker(objective=slo_objective)
-        self.alerts = (AlertManager(list(alert_rules))
-                       if alert_rules else None)
-        self.alert_interval_s = float(alert_interval_s)
-        self.draining = False
         self._ring: Optional[HashRing] = None
         self._ring_members: Tuple[str, ...] = ()
         self._clients: Dict[str, _WorkerClient] = {}
@@ -300,9 +302,7 @@ class Router:
         self._state_lock = threading.Lock()
         self._inflight = 0
         self._idle = threading.Condition()
-        self._httpd = HTTPServer((host, port), _RouterHandler, self)
-        self._thread: Optional[threading.Thread] = None
-        self._started = False
+        super().__init__(host, port, alert_rules, alert_interval_s)
 
     # ------------------------------------------------------------------
     # Fleet plumbing
@@ -549,7 +549,7 @@ class Router:
                              "succeeded": succeeded, "failed": failed}
 
     # ------------------------------------------------------------------
-    # Model-quality observability (/driftz, /alertz)
+    # Model-quality observability (/driftz)
     # ------------------------------------------------------------------
     def fleet_driftz(self) -> Dict[str, Any]:
         """``GET /driftz``: per-worker drift snapshots + fleet rollup.
@@ -604,13 +604,6 @@ class Router:
             "workers": workers,
         }
 
-    def alertz(self) -> Dict[str, Any]:
-        """``GET /alertz``: evaluate-now snapshot of the router rules."""
-        if self.alerts is None:
-            return {"enabled": False, "rules": [], "firing": []}
-        self.alerts.evaluate()
-        return self.alerts.snapshot()
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -640,74 +633,13 @@ class Router:
             },
         }
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Lifecycle (the rest is FrontEnd's)
     # ------------------------------------------------------------------
-    def start(self) -> "Router":
-        if self._thread is not None:
-            raise RuntimeError("router already started")
-        self._started = True
-        self._start_alerts()
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="fleet-router",
-            daemon=True)
-        self._thread.start()
-        return self
-
-    def _start_alerts(self) -> None:
-        if self.alerts is not None and self.alerts._thread is None:
-            self.alerts.start(self.alert_interval_s)
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (CLI); SIGTERM/SIGINT drain."""
-        self._started = True
-        self.install_signal_handlers()
-        self._start_alerts()
-        try:
-            self._httpd.serve_forever()
-        finally:
-            self.stop()
-
-    def install_signal_handlers(self) -> bool:
-        if threading.current_thread() is not threading.main_thread():
-            return False
-
-        def _on_term(signum, frame):  # pragma: no cover - signal path
-            self.drain()
-
-        try:
-            signal.signal(signal.SIGTERM, _on_term)
-        except (ValueError, OSError, AttributeError):
-            return False
-        return True
-
-    def drain(self) -> None:
-        """Graceful shutdown trigger (signal-safe, returns at once)."""
-        if self.draining:
-            return
-        self.draining = True
-        get_registry().inc("fleet.router.drain")
-        threading.Thread(target=self.stop, name="fleet-router-drain",
-                         daemon=True).start()
-
-    def stop(self, drain_timeout_s: float = 10.0) -> None:
-        """Stop accepting, flush in-flight requests, stop the fleet."""
-        self.draining = True
-        if self.alerts is not None:
-            self.alerts.stop()
-        if self._started:
-            self._httpd.shutdown()
-        self._httpd.server_close()
-        deadline = clock() + drain_timeout_s
+    def _release(self) -> None:
+        """Wait for in-flight requests, close the worker connection
+        pools, and stop the fleet when the router owns it."""
+        deadline = clock() + _DRAIN_TIMEOUT_S
         with self._idle:
             while self._inflight > 0 and clock() < deadline:
                 self._idle.wait(timeout=max(0.0, deadline - clock()))
@@ -718,15 +650,6 @@ class Router:
             client.close()
         if self.own_fleet:
             self.fleet.stop()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-
-    def __enter__(self) -> "Router":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     def __repr__(self) -> str:
         return (f"Router({self.url}, fleet={len(self._ring_members)} "

@@ -43,37 +43,37 @@ Endpoints
     Fault-injection stall: ``{"stall_s": 2.5}`` wedges ``/predict`` and
     ``/healthz`` for the given duration, simulating a hung worker for
     the chaos harness.  Only routed when the server was built with
-    ``chaos=True`` (or ``REPRO_SERVE_CHAOS=1``); otherwise 404.
+    ``chaos=True`` (the CLI's ``--chaos``); otherwise 404.
 
 ``GET /metrics``, ``/tracez`` and ``/requestz``, one-write responses,
 request-id echo, ``Content-Length`` checks and client-disconnect
-counting come from the handler base shared with the fleet router
+counting come from the handler base shared with the fleet router, and
+the listener lifecycle from :class:`~repro.serve.handler.FrontEnd`
 (:mod:`~repro.serve.handler`).  ``SIGTERM`` triggers a graceful drain:
 stop accepting, answer everything queued in the micro-batcher, then
 exit — the same code path a fleet supervisor uses to stop a worker.
+``SIGHUP`` hot-reloads the bundle.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import signal
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..reliability.degrade import (DeadlineExceededError, LoadShedder,
                                    OverloadShedError)
-from ..telemetry import (AlertManager, clock, get_registry,
-                         get_request_log)
+from ..telemetry import clock, get_registry, get_request_log
 from ..telemetry.reqtrace import HUB as _HUB
 from ..telemetry.reqtrace import TraceContext
 from .batching import MicroBatcher
 from .bundle import BundleError, ModelBundle
 from .engine import EngineSelfCheckError, InferenceEngine
-from .handler import HTTPServer, JsonHandler, Query, Response
+from .handler import FrontEnd, JsonHandler, Query, Response
 
 __all__ = ["ModelServer", "RequestError", "ReloadError"]
 
@@ -314,7 +314,7 @@ def _parse_features(body: bytes, width: int) -> np.ndarray:
     return features
 
 
-class ModelServer:
+class ModelServer(FrontEnd):
     """HTTP front end around an engine + micro-batcher.
 
     Parameters
@@ -341,9 +341,7 @@ class ModelServer:
         current engine's cache capacity with packed auto-selection.
     chaos:
         Route the fault-injection ``POST /slow`` endpoint (never enable
-        outside tests/chaos harnesses).  Defaults to the
-        ``REPRO_SERVE_CHAOS=1`` environment toggle so a fleet
-        supervisor can arm spawned workers.
+        outside tests/chaos harnesses).
     alert_rules:
         Declarative :class:`~repro.telemetry.alerts.AlertRule` list
         evaluated against the metrics registry on a background thread
@@ -363,6 +361,10 @@ class ModelServer:
         config file can keep the section but switch it off).
     """
 
+    handler = _Handler
+    thread_name = "model-server"
+    drain_metric = "serve.drain"
+
     def __init__(self, engine: InferenceEngine, host: str = "127.0.0.1",
                  port: int = 0, max_batch_size: int = 32,
                  max_latency_ms: float = 5.0, workers: int = 2,
@@ -370,17 +372,14 @@ class ModelServer:
                  timeout_s: Optional[float] = 5.0,
                  bundle_path: Optional[str] = None,
                  engine_options: Optional[Dict[str, Any]] = None,
-                 chaos: Optional[bool] = None,
+                 chaos: bool = False,
                  alert_rules: Optional[list] = None,
                  alert_interval_s: float = 1.0,
                  online_options: Optional[Dict[str, Any]] = None):
         self.engine = engine
         self.bundle_path = bundle_path
-        if chaos is None:
-            chaos = os.environ.get("REPRO_SERVE_CHAOS", "") not in ("", "0")
         self.chaos = bool(chaos)
         self._stall_until = 0.0
-        self.draining = False
         if engine_options is None:
             # Test doubles may not implement the full engine surface;
             # fall back to engine defaults on reload in that case.
@@ -391,9 +390,6 @@ class ModelServer:
         self.reloads = 0
         self.last_reload_ts: Optional[float] = None
         self.started_at = time.time()
-        self.alerts = (AlertManager(list(alert_rules))
-                       if alert_rules else None)
-        self.alert_interval_s = float(alert_interval_s)
         self._reload_lock = threading.Lock()
         self.shedder = (LoadShedder(high_watermark)
                         if high_watermark else None)
@@ -418,9 +414,7 @@ class ModelServer:
                 # here would cycle.
                 from ..online import OnlineLearner
                 self.online = OnlineLearner(self, **opts)
-        self._httpd = HTTPServer((host, port), _Handler, self)
-        self._thread: Optional[threading.Thread] = None
-        self._started = False
+        super().__init__(host, port, alert_rules, alert_interval_s)
 
     def _predict_batch(self, features: np.ndarray):
         # Snapshot the engine ONCE per batch: the labels and the
@@ -432,16 +426,6 @@ class ModelServer:
         return labels, engine.bundle.info.get("config_fingerprint")
 
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        """Actual ``(host, port)`` after binding (resolves ``port=0``)."""
-        return self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
     def predict(self, features: np.ndarray) -> list:
         """Route the request through the micro-batcher (blocking).
 
@@ -549,7 +533,7 @@ class ModelServer:
         return payload
 
     # ------------------------------------------------------------------
-    # Model-quality observability (/driftz, /alertz)
+    # Model-quality observability (/driftz)
     # ------------------------------------------------------------------
     def driftz(self) -> Dict[str, Any]:
         """``GET /driftz`` body: the engine's drift-monitor snapshot."""
@@ -557,17 +541,6 @@ class ModelServer:
         if monitor is None:
             return {"enabled": False}
         return monitor.snapshot()
-
-    def alertz(self) -> Dict[str, Any]:
-        """``GET /alertz`` body: evaluate-now + alert states.
-
-        Evaluating on read means the endpoint is accurate even when the
-        background evaluator is not running (tests, one-shot probes).
-        """
-        if self.alerts is None:
-            return {"enabled": False, "rules": [], "firing": []}
-        self.alerts.evaluate()
-        return self.alerts.snapshot()
 
     def onlinez(self) -> Dict[str, Any]:
         """``GET /onlinez`` body: online-learning status + last decision."""
@@ -617,100 +590,25 @@ class ModelServer:
             "engine": engine.describe(),
         }
 
-    def install_signal_handlers(self) -> bool:
-        """Route ``SIGHUP`` → :meth:`reload` and ``SIGTERM`` →
-        :meth:`drain` (main thread only).
+    # ------------------------------------------------------------------
+    # Lifecycle (the rest is FrontEnd's)
+    # ------------------------------------------------------------------
+    def _signal_handlers(self):
+        """``SIGTERM`` → drain, plus ``SIGHUP`` → :meth:`reload`.
 
-        Returns whether the handlers were installed; a failed reload
-        from a signal never propagates (the old engine keeps serving
-        and the rejection is counted in ``serve.reload.rejected``).
-        SIGTERM starts the graceful drain — stop accepting, answer the
-        queued requests, exit 0 — which is also how a fleet supervisor
-        stops a worker.
+        A failed reload from a signal never propagates: the old engine
+        keeps serving and the rejection is counted in
+        ``serve.reload.rejected``.
         """
-        if threading.current_thread() is not threading.main_thread():
-            return False
-
         def _on_hup(signum, frame):  # pragma: no cover - signal path
             try:
                 self.reload()
             except ReloadError:
                 get_registry().inc("serve.reload.rejected")
 
-        def _on_term(signum, frame):  # pragma: no cover - signal path
-            self.drain()
+        return {**super()._signal_handlers(), signal.SIGHUP: _on_hup}
 
-        try:
-            signal.signal(signal.SIGHUP, _on_hup)
-            signal.signal(signal.SIGTERM, _on_term)
-        except (ValueError, OSError, AttributeError):
-            return False
-        return True
-
-    def drain(self) -> None:
-        """Graceful shutdown: stop accepting, flush in-flight, stop.
-
-        Safe to call from a signal handler: ``shutdown()`` must not run
-        on the thread blocked inside ``serve_forever`` (it would
-        deadlock waiting for its own loop to exit), so the actual stop
-        runs on a helper thread and this returns immediately.  The
-        batcher answers everything already queued before the workers
-        exit (see :meth:`MicroBatcher.shutdown`).
-        """
-        if self.draining:
-            return
-        self.draining = True
-        get_registry().inc("serve.drain")
-        threading.Thread(target=self.stop, name="model-server-drain",
-                         daemon=True).start()
-
-    # ------------------------------------------------------------------
-    def start(self) -> "ModelServer":
-        """Serve in a background thread; returns self (fluent)."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._started = True
-        self._start_alerts()
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="model-server",
-            daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (CLI entry point).
-
-        Installs the SIGHUP → :meth:`reload` handler when running on
-        the main thread.
-        """
-        self._started = True
-        self.install_signal_handlers()
-        self._start_alerts()
-        try:
-            self._httpd.serve_forever()
-        finally:
-            self.stop()
-
-    def _start_alerts(self) -> None:
-        if self.alerts is not None and self.alerts._thread is None:
-            self.alerts.start(self.alert_interval_s)
-
-    def stop(self) -> None:
-        """Shut down the HTTP listener and drain the batcher."""
-        if self.alerts is not None:
-            self.alerts.stop()
-        if self._started:
-            # shutdown() synchronizes with a serve_forever loop; calling
-            # it on a never-served listener would block forever.
-            self._httpd.shutdown()
-        self._httpd.server_close()
+    def _release(self) -> None:
+        """Answer everything queued in the micro-batcher, then stop its
+        workers (see :meth:`MicroBatcher.shutdown`)."""
         self.batcher.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-
-    def __enter__(self) -> "ModelServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

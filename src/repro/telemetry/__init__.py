@@ -60,7 +60,7 @@ from .exporters import (NONFINITE_KEY, decode_non_finite, encode_non_finite,
                         sanitize_metric_name, stitch_traces)
 from .flight import (FlightRecorder, RequestLog, disable_request_tracing,
                      enable_request_tracing, get_flight_recorder,
-                     get_request_log, tracing_env_options)
+                     get_request_log)
 from .ledger import config_fingerprint, env_fingerprint, git_info
 from .metrics import (DEFAULT_QUANTILES, BurnRateTracker, Counter, Gauge,
                       Histogram, MetricsRegistry, get_registry,
@@ -86,7 +86,6 @@ __all__ = [
     # flight recorder + request log
     "FlightRecorder", "RequestLog", "get_flight_recorder",
     "get_request_log", "enable_request_tracing", "disable_request_tracing",
-    "tracing_env_options",
     # exporters
     "read_jsonl", "prometheus_text", "parse_prometheus",
     "sanitize_metric_name", "encode_non_finite", "decode_non_finite",

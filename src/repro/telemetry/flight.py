@@ -34,7 +34,7 @@ from .reqtrace import (HUB, SpanRecord, TraceJsonlWriter, build_span_tree,
 
 __all__ = ["FlightRecorder", "RequestLog", "get_flight_recorder",
            "get_request_log", "enable_request_tracing",
-           "disable_request_tracing", "tracing_env_options"]
+           "disable_request_tracing"]
 
 
 class RequestLog:
@@ -316,20 +316,3 @@ def disable_request_tracing() -> None:
         _WRITER.close()
         _WRITER = None
 
-
-def tracing_env_options() -> Dict[str, Any]:
-    """Tracing settings from the environment (fleet workers inherit).
-
-    * ``REPRO_TRACE=1`` — enable request tracing;
-    * ``REPRO_TRACE_DIR=path`` — also export sampled spans as JSONL
-      (implies enable);
-    * ``REPRO_TRACE_SAMPLE=0.1`` — head-sampling rate (default 1.0).
-    """
-    trace_dir = os.environ.get("REPRO_TRACE_DIR") or None
-    enabled = os.environ.get("REPRO_TRACE", "") not in ("", "0")
-    try:
-        sample_rate = float(os.environ.get("REPRO_TRACE_SAMPLE", "1.0"))
-    except ValueError:
-        sample_rate = 1.0
-    return {"enabled": enabled or trace_dir is not None,
-            "trace_dir": trace_dir, "sample_rate": sample_rate}

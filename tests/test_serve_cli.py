@@ -1,13 +1,20 @@
 """CLI entry point: ``python -m repro.serve`` config/flag resolution."""
 
-import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.serve.__main__ import build_server, load_config, main
+from repro.serve.__main__ import (_parse_args, build_server,
+                                  configure_tracing, load_config, main,
+                                  worker_args_from)
+from repro.serve.fleet import Supervisor
+from repro.telemetry import disable_request_tracing
+from repro.telemetry.reqtrace import HUB
 
-from .conftest import _synthetic_bundle
+from .conftest import _synthetic_bundle, http_status
 
 
 @pytest.fixture
@@ -29,11 +36,13 @@ class TestLoadConfig:
                           "max_batch_size": 64, "workers": 3,
                           "cache_size": 128}
 
-    def test_flat_layout(self, tmp_path):
+    def test_flat_layout_rejected(self, tmp_path):
+        # Every key sits in its section; a known key at the top level
+        # is refused, not read.
         path = tmp_path / "serve.toml"
-        path.write_text("port = 8123\nmax_latency_ms = 2.5\n")
-        assert load_config(str(path)) == {"port": 8123,
-                                          "max_latency_ms": 2.5}
+        path.write_text("port = 8123\n[batcher]\nmax_latency_ms = 2.5\n")
+        with pytest.raises(ValueError, match="'port'.*outside a section"):
+            load_config(str(path))
 
     def test_unknown_section_raises(self, tmp_path):
         path = tmp_path / "serve.toml"
@@ -66,7 +75,9 @@ class TestLoadConfig:
 
     def test_unknown_key_raises(self, tmp_path):
         path = tmp_path / "serve.toml"
-        for section, key in (("server", "portt"), ("engine", "use_packed")):
+        # A key is read only in its own section.
+        for section, key in (("server", "portt"), ("engine", "use_packed"),
+                             ("server", "cache_size")):
             path.write_text(f"[{section}]\n{key} = 1\n")
             with pytest.raises(ValueError, match=key):
                 load_config(str(path))
@@ -80,12 +91,9 @@ class TestLoadConfig:
 
 
 def _args(bundle, **overrides):
-    defaults = dict(bundle=bundle, config=None, host=None, port=0,
-                    max_batch_size=None, max_latency_ms=None, workers=None,
-                    high_watermark=None, timeout_s=None, cache_size=None,
-                    no_packed=False, no_extractor=False, dry_run=False)
-    defaults.update(overrides)
-    return argparse.Namespace(**defaults)
+    args = _parse_args([bundle, "--port", "0"])
+    vars(args).update(overrides)
+    return args
 
 
 class TestBuildServer:
@@ -110,6 +118,23 @@ class TestBuildServer:
             assert len(server.batcher._workers) == 4
         finally:
             server.stop()
+
+    def test_environment_arms_nothing(self, bundle_path, monkeypatch):
+        # Chaos and tracing are flags only: variables a shell happens to
+        # export neither route POST /slow nor switch the trace hub on.
+        monkeypatch.setenv("REPRO_SERVE_CHAOS", "1")
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        args = _args(bundle_path)
+        server = build_server(args)
+        try:
+            assert configure_tracing(args, service="worker") is False
+            assert HUB.enabled is False
+            server.start()
+            assert http_status(server.address, "POST", "/slow",
+                               {"stall_s": 0.01}) == 404
+        finally:
+            server.stop()
+            disable_request_tracing()
 
     def test_no_packed_flag(self, bundle_path):
         server = build_server(_args(bundle_path, no_packed=True))
@@ -159,3 +184,62 @@ class TestMain:
         code = main([bundle_path, "--config", str(config), "--dry-run"])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["nan", "-0.1", "1.5"])
+    def test_trace_sample_outside_unit_interval_exits_two(
+            self, bundle_path, rate, capsys):
+        code = main([bundle_path, "--port", "0", "--trace-sample", rate,
+                     "--dry-run"])
+        assert code == 2
+        assert "--trace-sample" in capsys.readouterr().err
+
+    def test_removed_batcher_flags_are_refused(self, bundle_path):
+        # Batcher tuning lives in the [batcher] section only.
+        for flag in ("--max-batch-size", "--max-latency-ms", "--workers",
+                     "--high-watermark", "--timeout-s"):
+            with pytest.raises(SystemExit):
+                _parse_args([bundle_path, flag, "1"])
+
+
+class TestFleetWorkerArgv:
+    def test_flags_reach_workers_on_argv_alone(self, bundle_path,
+                                               tmp_path, monkeypatch):
+        """Each forwarded flag appears once on a worker's command line,
+        and the supervisor exports no ``REPRO_*`` variable."""
+        for key in [key for key in os.environ
+                    if key.startswith("REPRO_")]:
+            monkeypatch.delenv(key)
+        config = tmp_path / "serve.toml"
+        config.write_text("[batcher]\nworkers = 1\n")
+        trace_dir = str(tmp_path / "traces")
+        args = _parse_args([bundle_path, "--fleet", "2", "--chaos",
+                            "--trace-dir", trace_dir,
+                            "--trace-sample", "0.5", "--cache-size", "0",
+                            "--config", str(config)])
+        spawned = []
+
+        def fake_popen(cmd, env=None, **kwargs):
+            spawned.append((cmd, env))
+            return object()
+
+        monkeypatch.setattr(subprocess, "Popen", fake_popen)
+        supervisor = Supervisor(bundle_path, workers=args.fleet,
+                                worker_args=worker_args_from(args))
+        for worker in supervisor.workers:
+            supervisor._default_spawn(worker)
+        assert len(spawned) == 2
+        for (cmd, env), worker in zip(spawned, supervisor.workers):
+            # The command shape the traced bench rewrites.
+            assert cmd[:4] == [sys.executable, "-m", "repro.serve",
+                               bundle_path]
+            for flag, value in (("--chaos", None),
+                                ("--trace-dir", trace_dir),
+                                ("--trace-sample", "0.5"),
+                                ("--cache-size", "0"),
+                                ("--config", str(config)),
+                                ("--port", str(worker.port))):
+                assert cmd.count(flag) == 1, (flag, cmd)
+                if value is not None:
+                    assert cmd[cmd.index(flag) + 1] == value
+            assert "--fleet" not in cmd
+            assert not [key for key in env if key.startswith("REPRO_")]
