@@ -89,7 +89,7 @@ gate = threading.Event()
 
 def slow_predict(batch):
     gate.wait(5.0)
-    return packed.predict_features(batch)
+    return packed.predict_features(batch), None
 
 shed = 0
 with MicroBatcher(slow_predict, max_batch_size=4, max_latency_ms=1.0,

@@ -125,21 +125,6 @@ class QuantizedNSHD:
         return float((self.predict_features(raw_features) ==
                       np.asarray(labels)).mean())
 
-    def payload_arrays(self) -> Dict[str, np.ndarray]:
-        """Checkpoint-ready int8 payloads (FC weight/bias + class HVs).
-
-        The serving bundle (:class:`repro.serve.bundle.ModelBundle`)
-        embeds exactly these arrays when exported with ``quantize_bits``,
-        so the served int8 path and this deployment view share one
-        payload format.
-        """
-        arrays = self.class_matrix.to_arrays("classes")
-        if self.fc_weight is not None:
-            arrays.update(self.fc_weight.to_arrays("manifold.weight"))
-            if self.fc_bias is not None:
-                arrays["manifold.bias"] = self.fc_bias
-        return arrays
-
     def model_bytes(self) -> int:
         """Quantized payload size (FC + class HVs + binary projection)."""
         total = self.class_matrix.nbytes

@@ -1,32 +1,25 @@
 """Similarity metrics between hypervectors and class-hypervector matrices.
 
 The paper's δ(·,·) is the dot-product similarity most often used for
-bipolar hypervectors (Sec. II).  Cosine and normalized Hamming are provided
-for completeness and for the analysis utilities.
+bipolar hypervectors (Sec. II).  :func:`cosine_similarity` is the
+normalized δ that MASS training and every classify stage run;
+normalized Hamming is provided for the analysis utilities.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from ..telemetry import get_registry, span
 from .backend import packed_dot
 
-__all__ = ["dot_similarity", "cosine_similarity", "hamming_similarity",
-           "packed_cosine_similarity", "classify"]
+__all__ = ["dot_similarity", "cosine_similarity", "clamped_norms",
+           "hamming_similarity", "packed_cosine_similarity", "classify"]
 
-
-def _count_queries(class_matrix: np.ndarray, queries: np.ndarray) -> None:
-    """Counter bookkeeping shared by the similarity kernels.
-
-    Follows the Fig. 5 accounting: a k-class similarity sweep over
-    D-dimensional hypervectors costs k·D MACs per query.
-    """
-    n = 1 if queries.ndim == 1 else int(queries.shape[0])
-    k, dim = class_matrix.shape[-2], class_matrix.shape[-1]
-    registry = get_registry()
-    registry.inc("hd.similarity.queries", n)
-    registry.inc("hd.similarity.macs", n * k * dim)
+#: Norms below this count as 1, so a degenerate (near-zero) class or
+#: query hypervector scores ~0 instead of dividing by ~0.
+_NORM_FLOOR = 1e-12
 
 
 def dot_similarity(class_matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -45,29 +38,38 @@ def dot_similarity(class_matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """
     class_matrix = np.asarray(class_matrix, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
-    _count_queries(class_matrix, queries)
-    with span("hd.similarity.dot", nbytes=int(queries.nbytes)):
-        if queries.ndim == 1:
-            return class_matrix @ queries
-        return queries @ class_matrix.T
+    if queries.ndim == 1:
+        return class_matrix @ queries
+    return queries @ class_matrix.T
 
 
-def cosine_similarity(class_matrix: np.ndarray,
-                      queries: np.ndarray) -> np.ndarray:
-    """Cosine similarity between queries and each class hypervector."""
-    class_matrix = np.asarray(class_matrix, dtype=np.float64)
-    queries = np.asarray(queries, dtype=np.float64)
-    _count_queries(class_matrix, queries)
-    with span("hd.similarity.cosine", nbytes=int(queries.nbytes)):
-        class_norms = np.linalg.norm(class_matrix, axis=-1)
-        class_norms = np.where(class_norms == 0, 1.0, class_norms)
-        if queries.ndim == 1:
-            q_norm = np.linalg.norm(queries)
-            q_norm = 1.0 if q_norm == 0 else q_norm
-            return (class_matrix @ queries) / (class_norms * q_norm)
-        q_norms = np.linalg.norm(queries, axis=-1, keepdims=True)
-        q_norms = np.where(q_norms == 0, 1.0, q_norms)
-        return (queries @ class_matrix.T) / (q_norms * class_norms[None, :])
+def clamped_norms(matrix: np.ndarray) -> np.ndarray:
+    """Row norms with the degenerate-norm clamp (``< 1e-12 → 1``)."""
+    norms = np.linalg.norm(matrix, axis=1)
+    return np.where(norms < _NORM_FLOOR, 1.0, norms)
+
+
+def cosine_similarity(class_matrix: np.ndarray, queries: np.ndarray,
+                      class_norms: Optional[np.ndarray] = None
+                      ) -> np.ndarray:
+    """Cosine similarity δ(M, H) — the paper's normalized δ.
+
+    The one implementation training (MASS) and serving (the classify
+    stage) share.  Norms below ``1e-12`` count as 1.  Passing
+    precomputed ``class_norms`` (:func:`clamped_norms`, constant for a
+    frozen model) skips their recomputation without changing a bit of
+    the result.  A ``(D,)`` query gives ``(k,)``, an ``(n, D)`` batch
+    ``(n, k)``.
+    """
+    class_matrix = np.asarray(class_matrix)
+    single = np.ndim(queries) == 1
+    queries = np.atleast_2d(queries)
+    if class_norms is None:
+        class_norms = clamped_norms(class_matrix)
+    query_norms = np.linalg.norm(queries, axis=1, keepdims=True)
+    query_norms = np.where(query_norms < _NORM_FLOOR, 1.0, query_norms)
+    sims = (queries @ class_matrix.T) / (query_norms * class_norms[None, :])
+    return sims[0] if single else sims
 
 
 def hamming_similarity(class_matrix: np.ndarray,
@@ -111,13 +113,7 @@ def packed_cosine_similarity(packed_classes: np.ndarray,
     single = np.asarray(packed_queries).ndim == 1
     queries = np.atleast_2d(np.asarray(packed_queries, dtype=np.uint64))
     classes = np.atleast_2d(np.asarray(packed_classes, dtype=np.uint64))
-    n, k = queries.shape[0], classes.shape[0]
-    registry = get_registry()
-    registry.inc("hd.similarity.queries", n)
-    registry.inc("hd.similarity.packed_bitops", n * k * classes.shape[1])
-    with span("hd.similarity.packed", nbytes=int(queries.nbytes)):
-        dots = packed_dot(queries, classes, dim)
-    sims = dots / dim
+    sims = packed_dot(queries, classes, dim) / dim
     return sims[0] if single else sims
 
 

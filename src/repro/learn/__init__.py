@@ -10,13 +10,13 @@ from .callbacks import CheckpointCallback, EarlyStopping, TrainerCallback
 from .centroid import train_centroids
 from .distill import DistillationTrainer
 from .manifold import ManifoldLearner
-from .mass import MassTrainer, normalized_similarity
+from .mass import MassTrainer
 from .online import OnlineHDTrainer
 from .pipeline import NSHD, BaselineHD, FeatureScaler, VanillaHD
 
 __all__ = [
     "train_centroids",
-    "MassTrainer", "normalized_similarity", "OnlineHDTrainer",
+    "MassTrainer", "OnlineHDTrainer",
     "DistillationTrainer",
     "ManifoldLearner",
     "NSHD", "BaselineHD", "VanillaHD", "FeatureScaler",

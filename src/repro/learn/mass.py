@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..data.loader import one_hot
-from ..pipeline.stages import cosine_similarities
+from ..hd.similarity import cosine_similarity
 from ..telemetry import get_registry, span
 from .callbacks import TrainerCallback, run_epochs
 from .centroid import train_centroids
@@ -31,18 +31,7 @@ from .centroid import train_centroids
 if TYPE_CHECKING:  # avoid an import cycle; the guard is duck-typed
     from ..reliability.guards import NumericsGuard
 
-__all__ = ["normalized_similarity", "clip_update_norms", "MassTrainer"]
-
-
-def normalized_similarity(class_matrix: np.ndarray,
-                          queries: np.ndarray) -> np.ndarray:
-    """Cosine similarity δ(M, H) used by the retraining rules, ``(n, k)``.
-
-    Thin alias for :func:`repro.pipeline.stages.cosine_similarities` —
-    the stage graph owns the one canonical implementation that training
-    and serving share (bit-for-bit).
-    """
-    return cosine_similarities(class_matrix, queries)
+__all__ = ["clip_update_norms", "MassTrainer"]
 
 
 def clip_update_norms(delta: np.ndarray, max_norm: float) -> np.ndarray:
@@ -127,7 +116,8 @@ class MassTrainer:
     def similarities(self, hypervectors: np.ndarray) -> np.ndarray:
         with span("stage.similarity",
                   nbytes=int(np.asarray(hypervectors).nbytes)):
-            return normalized_similarity(self.class_matrix, hypervectors)
+            return cosine_similarity(self.class_matrix,
+                                     np.atleast_2d(hypervectors))
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -39,7 +39,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from ..hd.backend import unpack_bipolar
-from ..learn.mass import normalized_similarity
+from ..hd.similarity import cosine_similarity
 from ..reliability.guards import NumericsGuard
 from ..telemetry import get_registry
 from .promote import PromotionController
@@ -244,7 +244,7 @@ class OnlineLearner:
         counts = np.ones(k)  # Laplace prior: every class representable
         hvs, _ = self.shadow.validation_set()
         if len(hvs):
-            preds = normalized_similarity(matrix, hvs).argmax(axis=1)
+            preds = cosine_similarity(matrix, hvs).argmax(axis=1)
             counts += np.bincount(preds, minlength=k)
         return counts / counts.sum()
 

@@ -36,7 +36,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..learn.mass import MassTrainer, normalized_similarity
+from ..hd.similarity import cosine_similarity
+from ..learn.mass import MassTrainer
 from ..learn.online import OnlineHDTrainer
 from ..reliability.guards import NumericsGuard
 from ..telemetry import clock, get_registry, matrix_health
@@ -317,8 +318,8 @@ class ShadowModel:
             result["shadow_accuracy"] = None
             result["live_accuracy"] = None
             return result
-        shadow_pred = normalized_similarity(shadow, hvs).argmax(axis=1)
-        live_pred = normalized_similarity(live, hvs).argmax(axis=1)
+        shadow_pred = cosine_similarity(shadow, hvs).argmax(axis=1)
+        live_pred = cosine_similarity(live, hvs).argmax(axis=1)
         result["shadow_accuracy"] = float((shadow_pred == labels).mean())
         result["live_accuracy"] = float((live_pred == labels).mean())
         registry = get_registry()

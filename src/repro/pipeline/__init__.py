@@ -17,13 +17,12 @@ from .stages import (ClassifyStage, EncodeStage, ExtractStage,
                      FeatureScaler, FlattenStage, FusedEncodeStage,
                      ManifoldReduceStage, PackedClassifyStage,
                      ScalePoolStage, ScaleStage, Stage, StageError,
-                     clamped_norms, cosine_similarities, encoder_spec,
-                     packed_refusal)
+                     encoder_spec, packed_refusal)
 
 __all__ = [
     "Stage", "StageGraph", "StageError", "FeatureScaler",
     "ExtractStage", "FlattenStage", "ScaleStage", "ManifoldReduceStage",
     "EncodeStage", "FusedEncodeStage", "ScalePoolStage",
     "ClassifyStage", "PackedClassifyStage", "packed_refusal",
-    "cosine_similarities", "clamped_norms", "encoder_spec",
+    "encoder_spec",
 ]

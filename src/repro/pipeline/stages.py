@@ -49,7 +49,8 @@ from ..hd.backend import pack_bipolar, pack_signs
 from ..hd.encoders import (Encoder, NonlinearEncoder,
                            RandomProjectionEncoder)
 from ..hd.hypervector import hard_quantize, is_bipolar
-from ..hd.similarity import packed_cosine_similarity
+from ..hd.similarity import (clamped_norms, cosine_similarity,
+                             packed_cosine_similarity)
 from ..models.extractor import FeatureExtractor
 from ..nn.functional import strided_max_pool
 from ..telemetry import get_registry, span
@@ -59,46 +60,17 @@ __all__ = [
     "ExtractStage", "FlattenStage", "ScaleStage", "ManifoldReduceStage",
     "EncodeStage", "FusedEncodeStage", "ScalePoolStage",
     "ClassifyStage", "PackedClassifyStage", "packed_refusal",
-    "cosine_similarities", "clamped_norms", "encoder_spec",
+    "encoder_spec",
 ]
 
 #: Encoder kinds the encode stages can describe.
 ENCODER_TYPES = ("nonlinear", "random_projection")
 
 _DEGENERATE_STD = 1e-8
-_NORM_FLOOR = 1e-12
 
 
 class StageError(RuntimeError):
     """A stage or stage graph is malformed or misused."""
-
-
-# ----------------------------------------------------------------------
-# Shared math helpers (one implementation, used by train *and* serve)
-# ----------------------------------------------------------------------
-def clamped_norms(matrix: np.ndarray) -> np.ndarray:
-    """Row norms with the trainer's degenerate-norm clamp (``< 1e-12 → 1``)."""
-    norms = np.linalg.norm(matrix, axis=1)
-    return np.where(norms < _NORM_FLOOR, 1.0, norms)
-
-
-def cosine_similarities(class_matrix: np.ndarray, queries: np.ndarray,
-                        class_norms: Optional[np.ndarray] = None
-                        ) -> np.ndarray:
-    """Cosine similarity δ(M, H), ``(n, k)`` — the paper's normalized δ.
-
-    This is the canonical implementation behind both
-    :func:`repro.learn.mass.normalized_similarity` (training) and the
-    serving engine's classifier stage; passing precomputed
-    ``class_norms`` (constant for a frozen model) skips their
-    recomputation without changing a single bit of the result.
-    """
-    queries = np.atleast_2d(queries)
-    if class_norms is None:
-        class_norms = clamped_norms(class_matrix)
-    query_norms = np.linalg.norm(queries, axis=1, keepdims=True)
-    query_norms = np.where(query_norms < _NORM_FLOOR, 1.0, query_norms)
-    return (queries @ class_matrix.T) / (query_norms * class_norms[None, :])
 
 
 # ----------------------------------------------------------------------
@@ -553,9 +525,9 @@ class ClassifyStage(Stage):
 
     Live stages read the (mutating) trainer matrix through a provider
     and recompute the clamped class norms per call — exactly what
-    :func:`~repro.learn.mass.normalized_similarity` does during
-    training.  Frozen stages own an immutable matrix and cache the norms
-    once; the division expression is shared, so both paths agree
+    :class:`~repro.learn.mass.MassTrainer` does during training.  Frozen
+    stages own an immutable matrix and cache the norms once; both run
+    :func:`repro.hd.similarity.cosine_similarity`, so they agree
     bit-for-bit.
     """
 
@@ -575,9 +547,8 @@ class ClassifyStage(Stage):
         return self._matrix_fn()
 
     def similarities(self, encoded: np.ndarray) -> np.ndarray:
-        return cosine_similarities(self.class_matrix,
-                                   np.atleast_2d(encoded),
-                                   class_norms=self._norms)
+        return cosine_similarity(self.class_matrix, np.atleast_2d(encoded),
+                                 class_norms=self._norms)
 
     def __call__(self, batch: np.ndarray, ctx: Optional[dict] = None
                  ) -> np.ndarray:

@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..learn.mass import MassTrainer, normalized_similarity
+from ..hd.similarity import cosine_similarity
+from ..learn.mass import MassTrainer
 from ..utils.tables import format_table
 from .faults import BitFlipInjector
 
@@ -44,7 +45,7 @@ def _corrupted_accuracy(class_matrix: np.ndarray, encoded: np.ndarray,
     if target in ("memory", "both"):
         memory = BitFlipInjector(rate, seed=seed + ("memory",)
                                  ).apply(class_matrix)
-    predictions = normalized_similarity(memory, queries).argmax(axis=1)
+    predictions = cosine_similarity(memory, queries).argmax(axis=1)
     return float((predictions == labels).mean())
 
 

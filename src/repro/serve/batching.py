@@ -33,7 +33,7 @@ import re
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ __all__ = ["MicroBatcher"]
 
 
 class _Request:
-    """One pending sample: features in, (result | error) out.
+    """One pending sample: features in, ``(label, meta)`` | error out.
 
     ``trace_ctx`` (the submitter's request-trace context) rides along so
     the dispatching worker thread can record the queue-wait and batch
@@ -63,7 +63,7 @@ class _Request:
                  trace_ctx: Optional[TraceContext] = None):
         self.features = features
         self.event = threading.Event()
-        self.result: Optional[int] = None
+        self.result: Optional[Tuple[int, Any]] = None
         self.error: Optional[BaseException] = None
         self.deadline = deadline
         self.enqueued_at = clock()
@@ -72,7 +72,7 @@ class _Request:
         self.request_id = (trace_ctx.trace_id if trace_ctx is not None
                            else None)
 
-    def finish(self, result: Optional[int],
+    def finish(self, result: Optional[Tuple[int, Any]],
                error: Optional[BaseException] = None) -> None:
         self.result = result
         self.error = error
@@ -91,12 +91,11 @@ class MicroBatcher:
     Parameters
     ----------
     predict_fn:
-        ``(n, F) -> (n,)`` batch classifier — typically
-        ``engine.predict_features``.  Duck-typed: anything with that
-        signature works.  May instead return ``(labels, meta)``;
-        ``meta`` is then attached to every row's result as
-        ``(label, meta)`` so callers can tell which engine snapshot
-        served the batch.
+        ``(n, F) -> (labels, meta)`` batch classifier: ``(n,)`` labels
+        plus whatever names the engine snapshot that computed them
+        (hot reload swaps engines *between* batches, not within one).
+        Every row's result is ``(label, meta)``.  Any other return
+        fails that batch's requests with :class:`TypeError`.
     max_batch_size:
         Largest batch a worker takes in one bite.
     max_latency_ms:
@@ -117,7 +116,8 @@ class MicroBatcher:
         attached to degradation errors; defaults to ``"default"``.
     """
 
-    def __init__(self, predict_fn: Callable[[np.ndarray], np.ndarray],
+    def __init__(self,
+                 predict_fn: Callable[[np.ndarray], Tuple[np.ndarray, Any]],
                  max_batch_size: int = 32, max_latency_ms: float = 5.0,
                  workers: int = 2, shedder: Optional[LoadShedder] = None,
                  default_timeout_s: Optional[float] = None,
@@ -173,85 +173,33 @@ class MicroBatcher:
         return DeadlineExceededError(message, request_id=request_id,
                                      model=self.model_label)
 
-    def submit(self, features: np.ndarray,
+    def submit(self, rows: np.ndarray,
                timeout_s: Optional[float] = None,
-               trace_ctx: Optional[TraceContext] = None) -> int:
-        """Blocking predict for one sample's ``(F,)`` feature vector.
+               trace_ctx: Optional[TraceContext] = None
+               ) -> List[Tuple[int, Any]]:
+        """Blocking predict for an ``(n, F)`` block or one ``(F,)`` row.
+
+        All rows enter the queue under one lock acquisition, so the
+        workers can coalesce them into full batches (and with rows of
+        other concurrent submitters) at once.  Returns one
+        ``(label, meta)`` pair per row, ``meta`` being what
+        ``predict_fn`` returned beside the labels of that row's batch.
 
         Raises :class:`OverloadShedError` when admission control rejects
-        the request, :class:`DeadlineExceededError` when the deadline
-        passes before a worker answers, and re-raises any engine error.
+        the block, :class:`DeadlineExceededError` when the deadline
+        passes before a worker answers, and re-raises any engine error;
+        the first per-row error is raised after all rows settled.
         ``trace_ctx`` (defaulting to the thread's active request trace)
         lets the dispatching worker record queue/batch spans into the
-        submitter's trace.
+        submitter's trace; all rows share it (one HTTP request → one
+        trace, however the rows get batched).
         """
         registry = get_registry()
         if timeout_s is None:
             timeout_s = self.default_timeout_s
         if trace_ctx is None:
             trace_ctx = _HUB.current()
-        features = np.asarray(features, dtype=np.float64).reshape(-1)
-        deadline = (clock() + timeout_s) if timeout_s is not None else None
-        request = _Request(features, deadline, trace_ctx)
-        with self._cv:
-            if self._stopping:
-                raise RuntimeError("MicroBatcher is shut down")
-            if (self.shedder is not None
-                    and not self.shedder.admit(len(self._queue))):
-                self.stats["shed"] += 1
-                raise self._shed_error(
-                    f"queue depth {len(self._queue)} over high watermark "
-                    f"{self.shedder.high_watermark}",
-                    request_id=request.request_id)
-            self.stats["submitted"] += 1
-            self._queue.append(request)
-            self._cv.notify()
-        registry.inc("serve.batcher.submitted")
-
-        remaining = (deadline - clock()) if deadline is not None else None
-        if not request.event.wait(remaining):
-            # Nobody answered in time; mark it dead so a worker skips it.
-            request.deadline = float("-inf")
-            registry.inc("serve.batcher.deadline_exceeded")
-            with self._cv:
-                self.stats["expired"] += 1
-            raise self._deadline_error(
-                f"request expired after {timeout_s:.3f}s "
-                f"(queue depth {len(self._queue)})",
-                request_id=request.request_id)
-        if request.error is not None:
-            raise request.error
-        result = request.result
-        # Tagged batches (predict_fn returned ``(labels, meta)``) come
-        # back as ``(label, meta)`` tuples — hand them over intact.
-        return result if isinstance(result, tuple) else int(result)
-
-    def submit_many(self, features: np.ndarray,
-                    timeout_s: Optional[float] = None) -> List[int]:
-        """Convenience loop over :meth:`submit` (tests, load generators)."""
-        return [self.submit(row, timeout_s=timeout_s)
-                for row in np.atleast_2d(features)]
-
-    def submit_all(self, features: np.ndarray,
-                   timeout_s: Optional[float] = None,
-                   trace_ctx: Optional[TraceContext] = None) -> List[int]:
-        """Enqueue a whole ``(n, F)`` matrix at once, then collect.
-
-        Unlike :meth:`submit_many` (which blocks per row, serializing an
-        n-sample caller into n single-sample batches), all rows enter
-        the queue under one lock acquisition so the workers can coalesce
-        them into full batches immediately.  This is what the HTTP
-        ``/predict`` handler uses for multi-sample requests.  Raises the
-        first per-row error (shed / deadline / engine failure) after all
-        rows settled.  All rows share one ``trace_ctx`` (one HTTP
-        request → one trace, however the rows get batched).
-        """
-        registry = get_registry()
-        if timeout_s is None:
-            timeout_s = self.default_timeout_s
-        if trace_ctx is None:
-            trace_ctx = _HUB.current()
-        rows = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         deadline = (clock() + timeout_s) if timeout_s is not None else None
         requests = [_Request(row.reshape(-1), deadline, trace_ctx)
                     for row in rows]
@@ -271,11 +219,12 @@ class MicroBatcher:
         registry.inc("serve.batcher.submitted", len(requests))
 
         first_error: Optional[BaseException] = None
-        results: List[int] = []
         for request in requests:
             remaining = ((deadline - clock()) if deadline is not None
                          else None)
             if not request.event.wait(remaining):
+                # Nobody answered in time; mark it dead so a worker
+                # skips it.
                 request.deadline = float("-inf")
                 registry.inc("serve.batcher.deadline_exceeded")
                 with self._cv:
@@ -283,18 +232,11 @@ class MicroBatcher:
                 first_error = first_error or self._deadline_error(
                     f"request expired after {timeout_s:.3f}s",
                     request_id=request.request_id)
-                results.append(-1)
-                continue
-            if request.error is not None:
+            elif request.error is not None:
                 first_error = first_error or request.error
-                results.append(-1)
-            else:
-                result = request.result
-                results.append(result if isinstance(result, tuple)
-                               else int(result))
         if first_error is not None:
             raise first_error
-        return results
+        return [request.result for request in requests]
 
     # ------------------------------------------------------------------
     def _take_batch(self) -> Optional[List[_Request]]:
@@ -390,7 +332,7 @@ class MicroBatcher:
         hub = _HUB
         traced: List[_Request] = []
         if hub.enabled:
-            # One span set per *trace* — a multi-row submit_all puts
+            # One span set per *trace* — a multi-row submit puts
             # several requests with the same context in one batch.
             seen_traces = set()
             for request in live:
@@ -422,15 +364,13 @@ class MicroBatcher:
                     span("serve.batcher.dispatch",
                          nbytes=int(stacked.nbytes), attrs=batch_attrs):
                 result = self.predict_fn(stacked)
-            # ``predict_fn`` may tag its batch: a ``(labels, meta)``
-            # return delivers each row as ``(label, meta)``, letting
-            # callers attribute every answer to the engine snapshot
-            # that actually computed it (hot reload swaps engines
-            # *between* batches, not within one).
-            meta = None
-            if isinstance(result, tuple) and len(result) == 2:
-                result, meta = result
-            labels = np.asarray(result)
+            # Never unpack anything else: a 2-row label array would
+            # unpack as a pair.
+            if not (isinstance(result, tuple) and len(result) == 2):
+                raise TypeError(
+                    f"predict_fn must return (labels, meta), got "
+                    f"{type(result).__name__}")
+            labels, meta = result
         except BaseException as exc:  # surfaced per request
             error_text = f"{type(exc).__name__}: {exc}"
             self._record_follower_dispatch(traced, dispatch_ts,
@@ -451,8 +391,7 @@ class MicroBatcher:
         registry.inc("serve.batcher.batches")
         registry.inc("serve.batcher.completed", len(live))
         for request, label in zip(live, labels):
-            request.finish(int(label) if meta is None
-                           else (int(label), meta))
+            request.finish((int(label), meta))
 
     # ------------------------------------------------------------------
     def shutdown(self, timeout_s: float = 10.0) -> None:

@@ -370,9 +370,8 @@ class InferenceEngine:
         frozen classify stage (unpack a packed engine's
         :meth:`encode_features` words first).
 
-        Bit-exact with :func:`repro.learn.mass.normalized_similarity`
-        (same canonical expression in
-        :func:`repro.pipeline.cosine_similarities`); the clamped class
+        Bit-exact with training's δ: both run
+        :func:`repro.hd.similarity.cosine_similarity`; the clamped class
         norms are cached by the frozen stage — they are constant.
         """
         return self._classify.similarities(encoded)

@@ -360,13 +360,15 @@ def _tracez(query: Query) -> Response:
 def _requestz(query: Query) -> Response:
     """``GET /requestz`` body: the structured request log (newest first).
 
-    ``?limit=N`` bounds the slice, ``?errors=1`` filters to failures,
-    ``?trace_id=<id>`` pulls one request's record.
+    ``?limit=N`` (a non-negative integer, else 400) bounds the slice,
+    ``?errors=1`` filters to failures, ``?trace_id=<id>`` pulls one
+    request's record.
     """
-    try:
-        limit = int(query.get("limit", ["100"])[-1])
-    except ValueError:
-        limit = 100
+    raw_limit = query.get("limit", ["100"])[-1]
+    if not (raw_limit.isascii() and raw_limit.isdigit()):
+        return 400, {"error": f"limit must be a non-negative integer, "
+                              f"got {raw_limit!r}"}
+    limit = int(raw_limit)
     errors_only = query.get("errors", ["0"])[-1] not in ("0", "", "false")
     trace_id = query.get("trace_id", [None])[-1]
     log = get_request_log()

@@ -61,7 +61,7 @@ import json
 import signal
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -146,8 +146,8 @@ class _Handler(JsonHandler):
                 app._maybe_stall()
                 features = _parse_features(body, app.engine.in_features)
                 n_rows = len(features)
-                labels, models = app.predict_tagged(
-                    features, trace_ctx=trace.ctx)
+                labels, models = app.predict(features,
+                                             trace_ctx=trace.ctx)
             except RequestError as exc:
                 registry.inc("serve.http.bad_request")
                 status, payload = 400, {"error": str(exc),
@@ -426,27 +426,22 @@ class ModelServer(FrontEnd):
         return labels, engine.bundle.info.get("config_fingerprint")
 
     # ------------------------------------------------------------------
-    def predict(self, features: np.ndarray) -> list:
+    def predict(self, features: np.ndarray,
+                trace_ctx: Optional[TraceContext] = None
+                ) -> Tuple[List[int], List[Any]]:
         """Route the request through the micro-batcher (blocking).
 
         All rows of a multi-sample request are enqueued atomically so
         the workers can batch them together (and with rows from other
-        concurrent connections).
+        concurrent connections).  Returns ``(labels, models)`` where
+        ``models`` lists the distinct config fingerprints of the engine
+        snapshots that computed the rows (one entry unless a hot reload
+        landed mid-request).  ``trace_ctx`` rides into the batcher so
+        queue/dispatch spans (and shed/deadline request ids) attach to
+        the HTTP request's trace even when called from a non-traced
+        thread.
         """
-        return self.predict_tagged(features)[0]
-
-    def predict_tagged(self, features: np.ndarray,
-                       trace_ctx: Optional[TraceContext] = None) -> tuple:
-        """Like :meth:`predict`, plus the fingerprint(s) that served it.
-
-        Returns ``(labels, models)`` where ``models`` lists the distinct
-        config fingerprints of the engine snapshots that computed the
-        rows (one entry unless a hot reload landed mid-request).
-        ``trace_ctx`` rides into the batcher so queue/dispatch spans
-        (and shed/deadline request ids) attach to the HTTP request's
-        trace even when called from a non-traced thread.
-        """
-        results = self.batcher.submit_all(features, trace_ctx=trace_ctx)
+        results = self.batcher.submit(features, trace_ctx=trace_ctx)
         labels = [label for label, _ in results]
         models = []
         for _, fingerprint in results:

@@ -90,8 +90,8 @@ def confusability_matrix(class_matrix: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity of the class hypervectors, ``(k, k)``.
 
     (Local cosine implementation rather than
-    :func:`repro.learn.mass.normalized_similarity` — the learn package
-    imports telemetry, so telemetry must not import it back.)
+    :func:`repro.hd.similarity.cosine_similarity` — telemetry sits below
+    every other layer, and the hd encoders import it.)
     """
     matrix = np.atleast_2d(np.asarray(class_matrix, dtype=np.float64))
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)

@@ -185,18 +185,6 @@ class SpanRecord:
             event["attrs"] = self.attrs
         return event
 
-    @classmethod
-    def from_event(cls, event: Dict[str, Any]) -> "SpanRecord":
-        return cls(
-            name=str(event["name"]), trace_id=str(event["trace_id"]),
-            span_id=str(event["span_id"]),
-            parent_id=str(event.get("parent_id", "")),
-            service=str(event.get("service", "")),
-            start_ts=float(event.get("start_ts", 0.0)),
-            duration_s=float(event.get("duration_s", 0.0)),
-            status=str(event.get("status", "ok")),
-            error=event.get("error"), attrs=dict(event.get("attrs") or {}))
-
     def __repr__(self) -> str:
         return (f"SpanRecord({self.name}, trace={self.trace_id[:8]}…, "
                 f"{self.duration_s * 1000:.2f}ms, {self.status})")

@@ -5,7 +5,7 @@ import pytest
 
 from repro.hd import RandomProjectionEncoder
 from repro.learn import ManifoldLearner, MassTrainer
-from repro.learn.mass import normalized_similarity
+from repro.hd.similarity import cosine_similarity
 
 from .conftest import FixedUpdate
 
@@ -151,7 +151,7 @@ class TestErrorDecodingTraining:
 
         def acc():
             enc = encoder.encode(learner.transform(feats))
-            return (normalized_similarity(trainer.class_matrix, enc)
+            return (cosine_similarity(trainer.class_matrix, enc)
                     .argmax(axis=1) == labels).mean()
 
         start = acc()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.hd import RandomProjectionEncoder
 from repro.learn import DistillationTrainer, MassTrainer, train_centroids
-from repro.learn.mass import normalized_similarity
+from repro.hd.similarity import cosine_similarity
 
 
 def make_separable_hvs(num_classes=4, per_class=30, dim=512, noise=0.4,
@@ -44,24 +44,24 @@ class TestCentroid:
     def test_centroids_classify_clustered_data(self):
         hvs, labels, _ = make_separable_hvs()
         m = train_centroids(hvs, labels, 4)
-        preds = normalized_similarity(m, hvs).argmax(axis=1)
+        preds = cosine_similarity(m, hvs).argmax(axis=1)
         assert (preds == labels).mean() > 0.9
 
 
 class TestNormalizedSimilarity:
     def test_self_similarity_is_one(self):
         hvs = np.random.default_rng(0).choice([-1.0, 1.0], size=(3, 64))
-        sims = normalized_similarity(hvs, hvs)
+        sims = cosine_similarity(hvs, hvs)
         np.testing.assert_allclose(np.diag(sims), np.ones(3))
 
     def test_bounded(self):
         rng = np.random.default_rng(1)
-        sims = normalized_similarity(rng.normal(size=(4, 32)),
-                                     rng.normal(size=(6, 32)))
+        sims = cosine_similarity(rng.normal(size=(4, 32)),
+                                 rng.normal(size=(6, 32)))
         assert np.all(np.abs(sims) <= 1.0 + 1e-12)
 
     def test_zero_rows_safe(self):
-        sims = normalized_similarity(np.zeros((2, 8)), np.ones((1, 8)))
+        sims = cosine_similarity(np.zeros((2, 8)), np.ones((1, 8)))
         assert np.all(np.isfinite(sims))
 
 

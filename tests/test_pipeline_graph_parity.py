@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hd.encoders import NonlinearEncoder, RandomProjectionEncoder
+from repro.hd.similarity import cosine_similarity
 from repro.learn.manifold import ManifoldLearner
-from repro.learn.mass import normalized_similarity
 from repro.pipeline import (ClassifyStage, EncodeStage, FeatureScaler,
                             FlattenStage, ManifoldReduceStage, ScaleStage,
                             StageGraph)
@@ -82,7 +82,7 @@ class TestStageParityProperties:
         matrix = rng.standard_normal((classes, dim))
         queries = rng.standard_normal((7, dim))
         frozen = ClassifyStage.from_matrix(matrix)
-        want = normalized_similarity(matrix, queries)
+        want = cosine_similarity(matrix, queries)
         # Frozen (cached norms) and live (recomputed norms) must both
         # match the trainer expression bit-for-bit.
         np.testing.assert_array_equal(frozen.similarities(queries), want)
@@ -112,13 +112,13 @@ class TestGraphParityProperties:
     def test_property_graph_run_equals_legacy_composition(
             self, seed, f, dim, classes):
         """graph.run ≡ scaler.transform → encoder.encode → argmax of
-        normalized_similarity — the exact pre-refactor inference path."""
+        cosine_similarity — the exact pre-refactor inference path."""
         graph, scaler, encoder, matrix, rng = self._graph(
             seed, f, dim, classes)
         queries = _features(rng, 6, f)
         legacy_encoded = encoder.encode(scaler.transform(
             np.asarray(queries, dtype=np.float64)))
-        legacy_labels = normalized_similarity(
+        legacy_labels = cosine_similarity(
             matrix, legacy_encoded).argmax(axis=1)
         np.testing.assert_array_equal(
             graph.run(queries, stop="classify"), legacy_encoded)

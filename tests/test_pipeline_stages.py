@@ -5,15 +5,14 @@ import pytest
 
 from repro.hd.backend import pack_bipolar, unpack_bipolar
 from repro.hd.encoders import NonlinearEncoder, RandomProjectionEncoder
-from repro.hd.similarity import classify
+from repro.hd.similarity import classify, clamped_norms, cosine_similarity
 from repro.learn.manifold import ManifoldLearner
-from repro.learn.mass import normalized_similarity
+from repro.learn.mass import MassTrainer
 from repro.pipeline import (ClassifyStage, EncodeStage, FeatureScaler,
                             FlattenStage, FusedEncodeStage,
                             ManifoldReduceStage, PackedClassifyStage,
                             ScalePoolStage, ScaleStage, StageError,
-                            StageGraph, clamped_norms, cosine_similarities,
-                            encoder_spec, packed_refusal)
+                            StageGraph, encoder_spec, packed_refusal)
 from repro.nn.functional import strided_max_pool
 from repro.utils.rng import fresh_rng
 
@@ -36,17 +35,36 @@ class TestSharedMath:
     def test_cosine_matches_trainer_similarity_bitwise(self, rng):
         matrix = rng.standard_normal((5, 64))
         queries = rng.standard_normal((7, 64))
-        ours = cosine_similarities(matrix, queries)
-        theirs = normalized_similarity(matrix, queries)
+        trainer = MassTrainer(5, 64)
+        trainer.class_matrix = matrix
+        ours = cosine_similarity(matrix, queries)
+        theirs = trainer.similarities(queries)
         np.testing.assert_array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("classes", [
+        [[0.0, 0.0, 0.0], [0.5, 1.0, 0.0]],
+        # A class norm below the 1e-12 floor counts as 1, not as itself.
+        [[1e-13, 0.0, 0.0], [0.5, 1.0, 0.0]],
+    ], ids=["zero-row", "subfloor-row"])
+    def test_every_cosine_path_gives_one_label(self, classes):
+        """The reference classifier, the frozen classify stage and the
+        MASS trainer all rank by the one clamped cosine δ."""
+        matrix = np.asarray(classes)
+        queries = np.asarray([[1.0, 0.2, 0.0]])
+        trainer = MassTrainer(2, 3)
+        trainer.class_matrix = matrix
+        want = classify(matrix, queries, metric="cosine")
+        np.testing.assert_array_equal(
+            ClassifyStage.from_matrix(matrix)(queries), want)
+        np.testing.assert_array_equal(trainer.predict(queries), want)
 
     def test_precomputed_norms_change_nothing(self, rng):
         matrix = rng.standard_normal((4, 32))
         queries = rng.standard_normal((3, 32))
         np.testing.assert_array_equal(
-            cosine_similarities(matrix, queries),
-            cosine_similarities(matrix, queries,
-                                class_norms=clamped_norms(matrix)))
+            cosine_similarity(matrix, queries),
+            cosine_similarity(matrix, queries,
+                              class_norms=clamped_norms(matrix)))
 
     @pytest.mark.parametrize("shape", [(3, 4, 4, 4), (2, 3, 5, 7),
                                        (4, 2, 2, 3), (1, 1, 3, 2)])
@@ -181,16 +199,16 @@ class TestEncodeStage:
 
 
 class TestClassifyStage:
-    def test_matches_normalized_similarity(self, rng):
+    def test_matches_cosine_similarity(self, rng):
         matrix = rng.standard_normal((6, 128))
         stage = ClassifyStage.from_matrix(matrix)
         queries = rng.standard_normal((9, 128))
         np.testing.assert_array_equal(
             stage.similarities(queries),
-            normalized_similarity(matrix, queries))
+            cosine_similarity(matrix, queries))
         np.testing.assert_array_equal(
             stage(queries),
-            normalized_similarity(matrix, queries).argmax(axis=1))
+            cosine_similarity(matrix, queries).argmax(axis=1))
 
     def test_live_stage_tracks_trainer_matrix(self, rng):
         class FakeTrainer:
@@ -204,7 +222,7 @@ class TestClassifyStage:
         after = stage.similarities(queries)
         assert not np.array_equal(before, after)
         np.testing.assert_array_equal(
-            after, normalized_similarity(trainer.class_matrix, queries))
+            after, cosine_similarity(trainer.class_matrix, queries))
 
     def test_frozen_caches_norms(self, rng):
         matrix = rng.standard_normal((3, 16))

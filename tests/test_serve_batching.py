@@ -14,7 +14,11 @@ from repro.serve import MicroBatcher
 
 def argmax_fn(batch):
     """Deterministic stand-in classifier: argmax of each row."""
-    return np.asarray(batch).argmax(axis=1)
+    return np.asarray(batch).argmax(axis=1), None
+
+
+def labels_of(results):
+    return [label for label, _ in results]
 
 
 class RecordingFn:
@@ -44,14 +48,14 @@ class TestValidation:
 
 
 class TestCoalescing:
-    def test_submit_all_coalesces_into_batches(self):
+    def test_submit_coalesces_block_into_batches(self):
         fn = RecordingFn()
         rng = np.random.default_rng(0)
         features = rng.standard_normal((64, 8))
         with MicroBatcher(fn, max_batch_size=16, max_latency_ms=50.0,
                           workers=1) as batcher:
-            labels = batcher.submit_all(features)
-        np.testing.assert_array_equal(labels, argmax_fn(features))
+            labels = labels_of(batcher.submit(features))
+        np.testing.assert_array_equal(labels, argmax_fn(features)[0])
         assert max(fn.batch_sizes) > 1, "no coalescing happened"
         assert all(size <= 16 for size in fn.batch_sizes)
         assert batcher.stats["completed"] == 64
@@ -63,7 +67,7 @@ class TestCoalescing:
         with MicroBatcher(fn, max_batch_size=1024, max_latency_ms=5.0,
                           workers=1) as batcher:
             t0 = time.monotonic()
-            label = batcher.submit(np.array([0.0, 3.0, 1.0]))
+            [(label, _)] = batcher.submit(np.array([0.0, 3.0, 1.0]))
             elapsed = time.monotonic() - t0
         assert label == 1
         assert elapsed < 2.0, "latency flush did not fire"
@@ -73,7 +77,7 @@ class TestCoalescing:
         with MicroBatcher(argmax_fn, max_latency_ms=500.0,
                           workers=1) as batcher:
             t0 = time.monotonic()
-            label = batcher.submit(np.array([0.0, 3.0, 1.0]))
+            [(label, _)] = batcher.submit(np.array([0.0, 3.0, 1.0]))
             elapsed = time.monotonic() - t0
         assert label == 1
         assert elapsed < 0.1, f"idle dispatch took {elapsed:.3f}s"
@@ -116,7 +120,7 @@ class TestCoalescing:
             with MicroBatcher(fn, max_batch_size=4, max_latency_ms=500.0,
                               workers=4) as batcher:
                 def submit(i):
-                    results[i] = batcher.submit(features[i])
+                    [(results[i], _)] = batcher.submit(features[i])
                 threads = [threading.Thread(target=submit, args=(i,))
                            for i in range(len(features))]
                 for thread in threads:
@@ -129,7 +133,7 @@ class TestCoalescing:
                 elapsed = time.monotonic() - t0
         finally:
             sys.setswitchinterval(interval)
-        assert results == [int(v) for v in argmax_fn(features)]
+        assert results == [int(v) for v in argmax_fn(features)[0]]
         assert elapsed < 0.1, f"idle dispatch took {elapsed:.3f}s"
 
     def test_concurrent_submits_are_correct(self):
@@ -140,23 +144,16 @@ class TestCoalescing:
         with MicroBatcher(fn, max_batch_size=8, max_latency_ms=5.0,
                           workers=2) as batcher:
             def worker(i):
-                results[i] = batcher.submit(features[i])
+                [(results[i], _)] = batcher.submit(features[i])
             threads = [threading.Thread(target=worker, args=(i,))
                        for i in range(len(features))]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
-        expected = argmax_fn(features)
+        expected, _ = argmax_fn(features)
         for i in range(len(features)):
             assert results[i] == expected[i]
-
-    def test_submit_many_loops(self):
-        with MicroBatcher(argmax_fn, max_latency_ms=1.0) as batcher:
-            rng = np.random.default_rng(2)
-            features = rng.standard_normal((5, 4))
-            labels = batcher.submit_many(features)
-        np.testing.assert_array_equal(labels, argmax_fn(features))
 
 
 class TestDegradation:
@@ -261,7 +258,26 @@ class TestDegradation:
             assert sorted(errors) == [3, 4]
             assert all(isinstance(exc, ValueError)
                        for exc in errors.values()), errors
-            assert batcher.submit(np.array([0.0, 3.0, 1.0])) == 1
+            assert batcher.submit(np.array([0.0, 3.0, 1.0])) == [(1, None)]
+
+    def test_bare_label_return_fails_its_batch_only(self):
+        """``predict_fn`` must return ``(labels, meta)``: a bare label
+        array (whose two rows would unpack as a pair) fails every
+        request of its batch with TypeError, and the next batch is
+        still served."""
+        bare = [True]
+
+        def predict(batch):
+            labels, meta = argmax_fn(batch)
+            return labels if bare[0] else (labels, meta)
+
+        with MicroBatcher(predict, max_batch_size=8, max_latency_ms=1000.0,
+                          workers=1, default_timeout_s=3.0) as batcher:
+            with pytest.raises(TypeError, match=r"\(labels, meta\)"):
+                batcher.submit(np.eye(2))
+            assert batcher.stats["errors"] == 2
+            bare[0] = False
+            assert batcher.submit(np.array([0.0, 3.0, 1.0])) == [(1, None)]
 
     def test_engine_error_propagates_to_submitter(self):
         def broken(batch):
@@ -282,7 +298,8 @@ class TestShutdown:
         features = rng.standard_normal((4, 5))
         results = []
         threads = [threading.Thread(
-            target=lambda row=row: results.append(batcher.submit(row)))
+            target=lambda row=row: results.extend(
+                labels_of(batcher.submit(row))))
             for row in features]
         for t in threads:
             t.start()
@@ -290,7 +307,8 @@ class TestShutdown:
         batcher.shutdown()  # must answer the queued requests, not drop them
         for t in threads:
             t.join(5.0)
-        assert sorted(results) == sorted(int(v) for v in argmax_fn(features))
+        assert sorted(results) == sorted(int(v)
+                                         for v in argmax_fn(features)[0])
 
     def test_submit_after_shutdown_raises(self):
         batcher = MicroBatcher(argmax_fn)

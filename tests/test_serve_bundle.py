@@ -247,7 +247,7 @@ class TestValidateShapes:
                 server.reload(bad)
             assert server.engine is engine
             assert server.reloads == 0
-            assert server.predict(features) == want
+            assert server.predict(features)[0] == want
 
     def test_unbuildable_extractor_is_a_bundle_error(self, tmp_path):
         bundle = ModelBundle.load(NSHD_FLOAT_BUNDLE)

@@ -9,7 +9,7 @@ import pytest
 from repro.data import make_dataset
 from repro.hd.backend import unpack_bipolar
 from repro.learn import VanillaHD
-from repro.learn.mass import normalized_similarity
+from repro.hd.similarity import cosine_similarity
 from repro.serve import (BundleError, EngineSelfCheckError, InferenceEngine,
                          ModelBundle)
 from repro.serve.engine import _EncodedLRU
@@ -132,7 +132,7 @@ class TestFloatPath:
         encoded = rng.standard_normal((16, bundle.info["dim"]))
         np.testing.assert_array_equal(
             engine.similarities(encoded),
-            normalized_similarity(bundle.class_matrix(), encoded))
+            cosine_similarity(bundle.class_matrix(), encoded))
 
     def test_single_sample_matches_batch(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle(), cache_size=0)

@@ -85,9 +85,9 @@ class TestBatcherProperties:
         features = rng.standard_normal((n, 6))
 
         def predict(rows):
-            return np.asarray(rows).argmax(axis=1)
+            return np.asarray(rows).argmax(axis=1), None
 
         with MicroBatcher(predict, max_batch_size=batch,
                           max_latency_ms=1.0, workers=2) as batcher:
-            labels = batcher.submit_all(features)
-        np.testing.assert_array_equal(labels, predict(features))
+            labels = [label for label, _ in batcher.submit(features)]
+        np.testing.assert_array_equal(labels, predict(features)[0])

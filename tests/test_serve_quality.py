@@ -213,7 +213,7 @@ class TestClassifyOnce:
                                  build_extractor=False,
                                  use_packed=use_packed)
         assert engine.use_packed is (use_packed is None)
-        calls = {"cosine_similarities": 0, "packed_cosine_similarity": 0}
+        calls = {"cosine_similarity": 0, "packed_cosine_similarity": 0}
         for name in calls:
             kernel = getattr(stages, name)
 
@@ -225,7 +225,7 @@ class TestClassifyOnce:
         for rows in (64, 1, 3):
             engine.predict_features(rng.normal(size=(rows, 16)))
         ran = ("packed_cosine_similarity" if engine.use_packed
-               else "cosine_similarities")
+               else "cosine_similarity")
         assert calls[ran] == 3
         assert sum(calls.values()) == 3
         assert engine.quality.samples == 68

@@ -71,9 +71,9 @@ class TestReloadMethod:
         _, path_b = bundles
         rng = np.random.default_rng(0)
         features = rng.standard_normal((4, 32))
-        before = server.predict(features)
+        before, _ = server.predict(features)
         server.reload(path_b)
-        after = server.predict(features)
+        after, _ = server.predict(features)
         want = InferenceEngine.from_path(path_b).predict_features(features)
         assert after == [int(v) for v in want]
         # engines differ, so at least the model fingerprint changed

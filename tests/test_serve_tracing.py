@@ -156,6 +156,13 @@ class TestServerTracing:
             host, port, "GET", f"/requestz?trace_id={ids[1]}")
         assert [r["trace_id"] for r in payload["requests"]] == [ids[1]]
 
+    @pytest.mark.parametrize("limit", ["-1", "abc"])
+    def test_requestz_rejects_bad_limit(self, traced, server, limit):
+        host, port = server.address
+        status, payload, _ = http_request(host, port, "GET",
+                                          f"/requestz?limit={limit}")
+        assert status == 400 and "limit" in payload["error"]
+
     def test_probes_not_recorded(self, traced, server):
         host, port = server.address
         before = get_flight_recorder().stats["traces_seen"]
@@ -171,7 +178,7 @@ class TestBatcherErrors:
 
         def stalled(batch):
             gate.wait(5.0)
-            return np.zeros(len(batch), dtype=int)
+            return np.zeros(len(batch), dtype=int), None
 
         registry = get_registry()
         batcher = MicroBatcher(stalled, max_batch_size=4,
@@ -201,7 +208,7 @@ class TestBatcherErrors:
 
         def stalled(batch):
             gate.wait(5.0)
-            return np.zeros(len(batch), dtype=int)
+            return np.zeros(len(batch), dtype=int), None
 
         registry = get_registry()
         batcher = MicroBatcher(stalled, max_batch_size=4,
@@ -330,6 +337,13 @@ class TestRouterTracing:
         assert status == 200
         assert any(r["trace_id"] == trace_id
                    for r in payload["requests"])
+
+    @pytest.mark.parametrize("limit", ["-1", "abc"])
+    def test_router_requestz_rejects_bad_limit(self, traced, routed, limit):
+        host, port = routed.address
+        status, payload, _ = http_request(host, port, "GET",
+                                          f"/requestz?limit={limit}")
+        assert status == 400 and "limit" in payload["error"]
 
 
 class TestBurnRateTracker:
