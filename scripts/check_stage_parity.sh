@@ -12,7 +12,11 @@
 #   * packed round-trip: binarized bundle's XOR-popcount path == its own
 #     float path bit-exactly (same bipolar operands, same ranking), from
 #     raw features and from images, and from images served twice by a
-#     cached packed engine (the second pass all LRU hits).
+#     cached packed engine (the second pass all LRU hits);
+#   * packed encode: the packed engine's sign words (certified float32
+#     GEMM) == pack_signs(encode_raw >= 0) of the float graph's float64
+#     GEMM on every test row, for this NSHD (K = 16) and for a BaselineHD
+#     packed export of the same CNN (K = 1024, the widest error bound).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -28,7 +32,8 @@ import numpy as np
 sys.path.insert(0, "src")
 
 from repro.data import make_dataset, normalize_images  # noqa: E402
-from repro.learn import NSHD  # noqa: E402
+from repro.hd.backend import pack_signs  # noqa: E402
+from repro.learn import NSHD, BaselineHD  # noqa: E402
 from repro.models import create_model, train_cnn  # noqa: E402
 from repro.serve import InferenceEngine, ModelBundle  # noqa: E402
 
@@ -109,6 +114,26 @@ with tempfile.TemporaryDirectory() as tmp:
             cached.cache_info()
     print("packed XOR-popcount path == float path on binarized bundle "
           "(features, images, and images twice through the LRU)")
+
+    # 4. Packed encode: sign words == the float64 GEMM's signs.
+    def assert_packed_words(path, name):
+        engine = InferenceEngine.from_path(path, cache_size=0)
+        assert engine.use_packed, f"{name} bundle is not packed"
+        graph = ModelBundle.load(path).build_graph(build_extractor=False)
+        encoder = graph.stage("encode").encoder
+        want = pack_signs(
+            encoder.encode_raw(graph.run(raw, stop="encode")) >= 0)
+        np.testing.assert_array_equal(engine.encode_features(raw), want)
+        print(f"packed encode words == float64 signs on {len(raw)} rows "
+              f"({name}, K = {encoder.in_features})")
+
+    assert_packed_words(packed_path, "nshd")
+    baseline = BaselineHD(model, layer_index=21, dim=256, seed=0)
+    baseline.fit(x_tr, y_tr, epochs=2)
+    baseline_path = os.path.join(tmp, "parity_baselinehd_packed.npz")
+    ModelBundle.from_pipeline(baseline, config={"gate": "stage_parity"},
+                              binarize=True).save(baseline_path)
+    assert_packed_words(baseline_path, "baselinehd")
 
 print("stage parity: OK")
 EOF

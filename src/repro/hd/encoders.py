@@ -17,15 +17,26 @@ Implements every encoding used in the paper's evaluation:
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 import numpy as np
 
 from ..telemetry import get_registry, span
-from .hypervector import hard_quantize, random_bipolar, random_gaussian
+from .hypervector import (hard_quantize, is_bipolar, random_bipolar,
+                          random_gaussian)
 
 __all__ = ["Encoder", "RandomProjectionEncoder", "NonlinearEncoder",
-           "IDLevelEncoder", "LSHEncoder"]
+           "IDLevelEncoder", "LSHEncoder", "certified_signs",
+           "CERTIFIED_MAX_FEATURES"]
+
+#: Largest inner dimension ``K`` for which :func:`certified_signs`'
+#: ``(K + 2)·2⁻²⁴`` coefficient bounds the float32 error (it needs
+#: ``K²·2⁻²⁴`` well below 2).
+CERTIFIED_MAX_FEATURES = 4096
+
+#: A row whose ℓ₁ norm exceeds this cannot overflow a float32 partial sum.
+_FLOAT32_SAFE_NORM = 2.0 ** 127
 
 
 class Encoder:
@@ -63,6 +74,19 @@ class Encoder:
         """Encode ``(n, F)`` features into ``(n, D)`` hypervectors."""
         raise NotImplementedError
 
+    def signs(self, features: np.ndarray) -> np.ndarray:
+        """The ``(n, D)`` booleans ``encode_raw(features) >= 0``: the bits
+        a packed encode stage stores (NaN reads as ``False``)."""
+        return self.encode_raw(features) >= 0
+
+    def for_signs(self) -> "Encoder":
+        """The encoder a packed encode stage calls :meth:`signs` on.
+
+        Built once, when the stage's packed copy is made, so nothing is
+        prepared lazily under concurrent requests.  ``self`` by default.
+        """
+        return self
+
     def macs_per_sample(self) -> int:
         """Multiply-accumulate operations to encode one sample.
 
@@ -73,12 +97,62 @@ class Encoder:
         raise NotImplementedError
 
 
+def certified_signs(x: np.ndarray, projection: np.ndarray,
+                    projection32: np.ndarray) -> np.ndarray:
+    """``(x @ projection) >= 0`` bit for bit, from a ``float32`` GEMM.
+
+    ``projection`` is a ``(K, D)`` ±1 matrix and ``projection32`` its
+    (exact) ``float32`` cast; ``x`` is ``(n, K)`` float64.  With
+    ``v = float32(x) @ projection32``, entry ``(r, j)`` is certain where
+    ``|v| > τ_r``::
+
+        τ_r = ((K + 2)·2⁻²⁴ + (K + 1)·2⁻⁵³)·‖x_r‖₁ + K·2⁻¹⁴⁹
+
+    rounded up to ``float32``.  The first term bounds the float32 cast
+    and summation error, in any summation order; the second the float64
+    GEMM's, so there both GEMMs have the exact sign (never zero); the
+    third float32 underflow.  Uncertain entries are recomputed in
+    float64, in any order, and accepted where ``|v64| > 2(K + 1)·2⁻⁵³·
+    ‖x_r‖₁``, which again fixes the float64 GEMM's sign.  The call
+    returns ``x @ projection >= 0`` itself when an entry stays
+    undecided (an exact or near-exact tie), when more than 1/256 of the
+    entries are uncertain, or when a row's ℓ₁ norm is not finite or
+    could overflow a float32 sum.
+    """
+    k, d = projection.shape
+    norm1 = np.abs(x).sum(axis=1)
+    if not np.all(norm1 <= _FLOAT32_SAFE_NORM):  # NaN, ±Inf, overflow
+        return x @ projection >= 0
+    tau = ((k + 2) * 2.0 ** -24 + (k + 1) * 2.0 ** -53) * norm1 \
+        + k * 2.0 ** -149
+    tau32 = np.nextafter(tau.astype(np.float32), np.float32(np.inf))
+    v = x.astype(np.float32) @ projection32
+    signs = v >= 0
+    # Rows holding an uncertain entry, then those entries: a row-wise
+    # min and a 1-D nonzero are far cheaper than a 2-D nonzero.
+    near = np.flatnonzero(np.abs(v, out=v).min(axis=1) <= tau32)
+    if len(near):
+        flat = np.flatnonzero(v[near] <= tau32[near, None])
+        if len(flat) > max(64, signs.size >> 8):
+            return x @ projection >= 0
+        rows, cols = near[flat // d], flat % d
+        exact = np.einsum("ij,ji->i", x[rows], projection[:, cols])
+        if np.any(np.abs(exact) <= 2 * (k + 1) * 2.0 ** -53 * norm1[rows]):
+            return x @ projection >= 0
+        signs[rows, cols] = exact >= 0
+    return signs
+
+
 class RandomProjectionEncoder(Encoder):
     """Binary random projection encoding (the paper's Φ_P).
 
     ``H = sign(V_1 ⊗ P_1 ⊕ … ⊕ V_F ⊗ P_F) = sign(V @ P)`` where each row
     ``P_f`` is a random bipolar base hypervector.
     """
+
+    #: ``float32`` copy of the ±1 projection, set by :meth:`for_signs`;
+    #: :meth:`signs` runs the certified float32 GEMM only where it is set.
+    _projection32: Optional[np.ndarray] = None
 
     def __init__(self, in_features: int, dim: int,
                  rng: Optional[np.random.Generator] = None,
@@ -94,11 +168,15 @@ class RandomProjectionEncoder(Encoder):
 
         Used by frozen serving/checkpoint stages: no RNG is touched, the
         stored ``(F, D)`` matrix is adopted verbatim so encodings are
-        bit-identical to the training-time encoder.
+        bit-identical to the training-time encoder.  Φ_P's projection is
+        bipolar; any other matrix raises :class:`ValueError`.
         """
         projection = np.asarray(projection, dtype=np.float64)
         if projection.ndim != 2:
             raise ValueError("projection must be a 2-D (F, D) matrix")
+        if not is_bipolar(projection):
+            raise ValueError("projection must be bipolar: every entry "
+                             "exactly -1 or +1")
         encoder = cls.__new__(cls)
         Encoder.__init__(encoder, int(projection.shape[0]),
                          int(projection.shape[1]))
@@ -115,6 +193,32 @@ class RandomProjectionEncoder(Encoder):
         features = self._check(features)
         with self._telemetry_span(features):
             return features @ self.projection
+
+    def for_signs(self) -> "RandomProjectionEncoder":
+        """A copy whose :meth:`signs` runs on a ``float32`` GEMM.
+
+        ``P`` is exactly ±1, so its ``float32`` cast is exact.  Where
+        :func:`certified_signs`' error bound does not hold — ``P`` is not
+        bipolar, or ``F`` exceeds :data:`CERTIFIED_MAX_FEATURES` — the
+        encoder itself is returned and keeps the float64 GEMM.
+        """
+        if (self.in_features > CERTIFIED_MAX_FEATURES
+                or not is_bipolar(self.projection)):
+            return self
+        encoder = copy.copy(self)
+        encoder._projection32 = self.projection.astype(np.float32)
+        return encoder
+
+    def signs(self, features: np.ndarray) -> np.ndarray:
+        """``encode_raw(features) >= 0`` bit for bit (see
+        :func:`certified_signs`), on the ``float32`` GEMM of a
+        :meth:`for_signs` copy."""
+        if self._projection32 is None:
+            return super().signs(features)
+        features = self._check(features)
+        with self._telemetry_span(features):
+            return certified_signs(features, self.projection,
+                                   self._projection32)
 
     def decode(self, hypervectors: np.ndarray) -> np.ndarray:
         """Approximately invert the projection (paper Sec. V-C).

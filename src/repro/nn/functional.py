@@ -26,17 +26,24 @@ __all__ = [
 ]
 
 
+#: Largest im2col column buffer (bytes) a :func:`conv2d` forward lowers
+#: at once.
+_COLS_BYTES = 4 << 20
+
+
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution/pooling window."""
     return (size + 2 * padding - kernel) // stride + 1
 
 
 def im2col_indices(x: np.ndarray, kernel: int, stride: int,
-                   padding: int) -> Tuple[np.ndarray, int, int]:
+                   padding: int, out: Optional[np.ndarray] = None
+                   ) -> Tuple[np.ndarray, int, int]:
     """Lower an NCHW array into column form for GEMM convolution.
 
     Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N, C * kernel * kernel, out_h * out_w)``.
+    ``(N, C * kernel * kernel, out_h * out_w)``: a new array, or a view
+    of the leading elements of the flat buffer ``out``.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, padding)
@@ -52,9 +59,13 @@ def im2col_indices(x: np.ndarray, kernel: int, stride: int,
         strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
         writeable=False,
     )
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(
-        n, c * kernel * kernel, out_h * out_w)
-    return np.ascontiguousarray(cols), out_h, out_w
+    cols = windows.transpose(0, 1, 4, 5, 2, 3)
+    shape = (n, c * kernel * kernel, out_h * out_w)
+    if out is None:
+        return np.ascontiguousarray(cols.reshape(shape)), out_h, out_w
+    dest = out[:cols.size].reshape(cols.shape)
+    np.copyto(dest, cols)
+    return dest.reshape(shape), out_h, out_w
 
 
 def _col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
@@ -95,20 +106,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             f"weight expects {group_in} input channels per group, input "
             f"provides {c // groups}")
 
-    cols, out_h, out_w = im2col_indices(x.data, kernel, stride, padding)
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
     group_out = out_c // groups
     ck2 = group_in * kernel * kernel
     hw = out_h * out_w
     w_mat = weight.data.reshape(groups, group_out, ck2)
-    # (g, go, ck2) @ (n, g, ck2, hw): one BLAS GEMM per image and group.
-    out = np.matmul(w_mat, cols.reshape(n, groups, ck2, hw))
+    out = np.empty((n, groups, group_out, hw),
+                   dtype=np.result_type(w_mat, x.data))
+    # Lower a chunk of images at a time into one cache-sized column
+    # buffer; each image keeps the same GEMM, so the result does not
+    # depend on the chunking.
+    image_cols = c * kernel * kernel * hw
+    chunk = max(1, min(n, _COLS_BYTES // (image_cols * x.data.itemsize)))
+    buffer = np.empty(chunk * image_cols, dtype=x.data.dtype)
+    for start in range(0, n, chunk):
+        cols, _, _ = im2col_indices(x.data[start:start + chunk], kernel,
+                                    stride, padding, out=buffer)
+        # (g, go, ck2) @ (m, g, ck2, hw): one BLAS GEMM per image and group.
+        np.matmul(w_mat, cols.reshape(-1, groups, ck2, hw),
+                  out=out[start:start + chunk])
     out = out.reshape(n, out_c, out_h, out_w)
     if bias is not None:
         out += bias.data.reshape(1, out_c, 1, 1)
 
     parents = [x, weight] + ([bias] if bias is not None else [])
     x_data = x.data  # retained for the backward; cols are recomputed there
-    del cols  # the k^2-times-larger buffer must not be captured
 
     def backward(grad: np.ndarray) -> None:
         grad_g = grad.reshape(n, groups, group_out, hw)

@@ -31,10 +31,15 @@ graph built by a pipeline always reflects the current training state) or
 **frozen** (owning immutable arrays built from a bundle; frozen
 classifiers cache their clamped class norms, which are constant).
 
-Bit-exactness contract: every stage reproduces the pre-refactor float
-semantics operand-for-operand (same dtypes, same BLAS calls, same
+Bit-exactness contract: every float stage reproduces the pre-refactor
+float semantics operand-for-operand (same dtypes, same BLAS calls, same
 clamping expressions) — the golden fixtures in ``tests/fixtures/``
-enforce this against predictions recorded before the refactor.
+enforce this against predictions recorded before the refactor.  The
+packed copy of a random-projection encode stage is the one stage that
+runs a different GEMM: ``float32``, with every sign its error bound
+cannot decide recomputed in float64
+(:func:`~repro.hd.encoders.certified_signs`), so its words equal
+``pack_signs(encode_raw(x) >= 0)`` of the float64 GEMM bit for bit.
 """
 
 from __future__ import annotations
@@ -313,6 +318,8 @@ class _SignWords:
         between.  Bit ``i`` is set exactly where
         :func:`~repro.hd.hypervector.hard_quantize` gives +1 (NaN
         included), so a packed classify ranks them like the float path.
+        The words are those of the float64 pre-sign values even where
+        the copy computes them otherwise (:meth:`EncodeStage.packed`).
         """
         if not self.quantize:
             raise StageError(
@@ -340,8 +347,19 @@ class EncodeStage(_SignWords, Stage):
     def __call__(self, batch: np.ndarray, ctx: Optional[dict] = None
                  ) -> np.ndarray:
         if self.emits_words:
-            return pack_signs(self.encoder.encode_raw(batch) >= 0)
+            return pack_signs(self.encoder.signs(batch))
         return self.encoder.encode(batch)
+
+    def packed(self) -> "EncodeStage":
+        """The sign-word copy, on the encoder's
+        :meth:`~repro.hd.encoders.Encoder.for_signs` copy: a random
+        projection casts ``P`` to ``float32`` here, once, and its
+        :meth:`~repro.hd.encoders.RandomProjectionEncoder.signs` returns
+        ``encode_raw(x) >= 0`` bit for bit from a certified float32 GEMM.
+        """
+        stage = super().packed()
+        stage.encoder = self.encoder.for_signs()
+        return stage
 
     @property
     def encoder_type(self) -> str:

@@ -414,6 +414,10 @@ class ModelBundle:
                 raise BundleError(
                     f"encoder.projection has shape {shape}, provenance "
                     f"says ({in_features}, {dim})")
+            if not is_bipolar(np.asarray(self.arrays["encoder.projection"])):
+                raise BundleError(
+                    "encoder.projection is not bipolar: a random "
+                    "projection stores only -1 and +1")
         elif enc.get("type") == "nonlinear":
             self._require("encoder.basis", "encoder.phase")
             shape = tuple(self.arrays["encoder.basis"].shape)

@@ -23,8 +23,8 @@ serving concerns:
   stage's :meth:`~repro.pipeline.EncodeStage.packed` copy emits each
   query as ``uint64`` sign words, the LRU stores those words, and the
   XOR-popcount :class:`~repro.pipeline.PackedClassifyStage` scores them;
-* a load-time :meth:`selfcheck` proving the packed stage agrees with the
-  float reference kernels on random probes;
+* a load-time :meth:`selfcheck` proving the packed encode and classify
+  stages agree with the float reference kernels on random probes;
 * request/sample counters and ``serve.*`` spans for the telemetry layer.
 
 Every bundle is served through the same code path:
@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..hd.backend import pack_bipolar
+from ..hd.backend import pack_bipolar, pack_signs
 from ..hd.similarity import classify
 from ..pipeline import (ClassifyStage, ExtractStage, FlattenStage,
                         PackedClassifyStage, StageGraph, packed_refusal)
@@ -435,12 +435,16 @@ class InferenceEngine:
         as the float dot-product :func:`repro.hd.similarity.classify`,
         and (2) the
         frozen cosine classify stage agrees as well (for bipolar class
-        matrices all three rank identically).  Raises
+        matrices all three rank identically).  It then checks (3) the
+        packed encode stage's words equal ``pack_signs(encode_raw(x) >=
+        0)`` on random feature rows plus a planted exact tie, a zero row
+        and a row scaled by 2⁻¹²⁰ (near float32's underflow).  Raises
         :class:`EngineSelfCheckError` on any disagreement.
         """
         if not self.use_packed:
             return True
         rng = fresh_rng((seed, "serve-selfcheck"))
+        self._selfcheck_encode(rng, probes)
         hvs = np.where(rng.random((probes, self.dim)) < 0.5, -1.0, 1.0)
         got = self._packed_stage(pack_bipolar(hvs))
         want_dot = classify(self.class_matrix, hvs, metric="dot")
@@ -454,6 +458,26 @@ class InferenceEngine:
                 f"packed XOR-popcount disagrees with the cosine path on "
                 f"{int((got != want_cos).sum())}/{probes} probes")
         return True
+
+    def _selfcheck_encode(self, rng: np.random.Generator,
+                          probes: int) -> None:
+        """Random rows and one scaled by 2⁻¹²⁰ (near float32's
+        underflow), which the float32 GEMM decides, then a zero row and
+        a planted exact tie, which send their call to the float64 one."""
+        encode = self.graph.stage(self._encode_name)
+        encoder = encode.encoder
+        rows = rng.standard_normal((probes // 4 + 1, encoder.in_features))
+        rows[-1] *= 2.0 ** -120
+        ties = np.zeros((2, encoder.in_features))
+        ties[1, :2] = 1.0  # v = 0 wherever P's first two rows differ
+        for batch in (rows, ties):
+            got = encode(batch)
+            want = pack_signs(encoder.encode_raw(batch) >= 0)
+            if not np.array_equal(got, want):
+                bad = int((got != want).any(axis=1).sum())
+                raise EngineSelfCheckError(
+                    f"packed encode disagrees with sign(encode_raw) on "
+                    f"{bad}/{len(batch)} feature rows")
 
     # ------------------------------------------------------------------
     def cache_info(self) -> Dict[str, int]:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hd import (IDLevelEncoder, LSHEncoder, NonlinearEncoder,
-                      RandomProjectionEncoder)
+                      RandomProjectionEncoder, pack_signs)
+from repro.hd.encoders import CERTIFIED_MAX_FEATURES, certified_signs
+from repro.pipeline import EncodeStage
 
 
 def rng(seed=0):
@@ -84,6 +86,101 @@ class TestRandomProjection:
         enc = RandomProjectionEncoder(features, dim, g)
         v = g.normal(size=(2, features)) + 0.1
         np.testing.assert_allclose(enc.encode(v), enc.encode(3.7 * v))
+
+
+def _sign_probe_rows(g, k, n, scale_exp):
+    """``(n, K)`` rows mixing continuous values, dyadic integers (whose
+    sums are exact, so ties are common), planted exact ties, zeros,
+    ``-0.0``, NaN/±Inf entries and near-cancellations, all scaled by
+    ``2**scale_exp``."""
+    x = g.standard_normal((n, k))
+    for r in range(n):
+        kind = g.integers(7)
+        if kind == 0:
+            x[r] = g.integers(-4, 5, size=k)
+        elif kind == 1 and k >= 2:
+            # Equal features on two P rows, the rest zero: v is exactly
+            # 0 wherever those rows have opposite signs.
+            i, i2 = g.choice(k, size=2, replace=False)
+            x[r] = 0.0
+            x[r, [i, i2]] = g.standard_normal()
+        elif kind == 2:
+            x[r] = 0.0
+        elif kind == 3:
+            x[r, g.integers(k)] = -0.0
+        elif kind == 4:
+            x[r, g.integers(k)] = g.choice([np.nan, np.inf, -np.inf])
+        elif k >= 2:
+            # Near-cancellation: float32 rounds the 2**-30 gap away and
+            # the 2**-40 rest can give v32 the wrong sign.
+            i, i2 = g.choice(k, size=2, replace=False)
+            x[r] *= 2.0 ** -40
+            x[r, i] = 1.0 + g.standard_normal() * 2.0 ** -30
+            x[r, i2] = 1.0
+    return x * 2.0 ** scale_exp
+
+
+class TestCertifiedSigns:
+    """The packed encode's float32 GEMM returns the float64 signs."""
+
+    @given(st.integers(min_value=1, max_value=24),
+           st.integers(min_value=1, max_value=200),
+           st.sampled_from([0, 1, 37]),
+           st.sampled_from([0, 120, -120]),
+           st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_property_signs_equal_float64_signs(self, k, d, n, scale_exp,
+                                                seed):
+        g = np.random.default_rng(seed)
+        encoder = RandomProjectionEncoder(k, d, g)
+        fast = encoder.for_signs()
+        assert fast._projection32 is not None
+        x = _sign_probe_rows(g, k, n, scale_exp)
+        want = encoder.encode_raw(x) >= 0
+        np.testing.assert_array_equal(fast.signs(x), want)
+        words = EncodeStage(encoder).packed()(x)
+        np.testing.assert_array_equal(words, pack_signs(want))
+
+    def test_clear_entries_skip_the_float64_gemm(self):
+        """Entries outside the error bound are decided in float32: a
+        float64 operand that disagrees is never read for them, while a
+        planted exact tie sends the whole call to it."""
+        g = np.random.default_rng(5)
+        encoder = RandomProjectionEncoder(16, 100, g)
+        p, p32 = encoder.projection, encoder.projection.astype(np.float32)
+        x = g.standard_normal((8, 16))
+        np.testing.assert_array_equal(certified_signs(x, -p, p32),
+                                      x @ p >= 0)
+        j = int(np.flatnonzero(p[0] != p[1])[0])
+        x[3] = 0.0
+        x[3, [0, 1]] = 0.5  # v[3, j] == 0 exactly
+        np.testing.assert_array_equal(certified_signs(x, -p, p32),
+                                      x @ -p >= 0)
+        assert (x @ p)[3, j] == 0.0
+
+    @pytest.mark.parametrize("scale", [0.0, 1e39, 1e-300, np.nan])
+    def test_degenerate_rows(self, scale):
+        g = np.random.default_rng(6)
+        encoder = RandomProjectionEncoder(100, 300, g)
+        x = g.standard_normal((4, 100))
+        x[1] *= scale
+        np.testing.assert_array_equal(encoder.for_signs().signs(x),
+                                      encoder.encode_raw(x) >= 0)
+
+    def test_for_signs_keeps_float64_where_the_bound_fails(self):
+        encoder = RandomProjectionEncoder(8, 16, rng(7))
+        encoder.projection = encoder.projection * 0.5
+        assert encoder.for_signs() is encoder
+        wide = RandomProjectionEncoder(CERTIFIED_MAX_FEATURES + 1, 8, rng(8))
+        assert wide.for_signs() is wide
+        assert wide._projection32 is None
+
+    def test_from_arrays_refuses_non_bipolar(self):
+        projection = np.ones((3, 8))
+        projection[1, 2] = 0.5
+        with pytest.raises(ValueError, match="bipolar"):
+            RandomProjectionEncoder.from_arrays(projection)
 
 
 class TestNonlinearEncoder:

@@ -206,6 +206,35 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, expected, rtol=1e-10,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_chunked_lowering_is_bit_exact(self, monkeypatch, groups):
+        """A batch lowered in several column-buffer chunks equals one
+        lowering of the whole batch, and each image lowered alone, bit
+        for bit in the output and the gradients."""
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(7, 4, 6, 6))
+        w = rng.normal(size=(6, 4 // groups, 3, 3))
+        b = rng.normal(size=6)
+
+        def run(images, cols_bytes):
+            monkeypatch.setattr(F, "_COLS_BYTES", cols_bytes)
+            xt = Tensor(images.copy(), requires_grad=True)
+            wt = Tensor(w.copy(), requires_grad=True)
+            bt = Tensor(b.copy(), requires_grad=True)
+            out = F.conv2d(xt, wt, bt, padding=1, groups=groups)
+            (out * out).sum().backward()
+            return out.data, xt.grad, wt.grad, bt.grad
+
+        image_cols = 4 * 9 * 36 * x.itemsize
+        whole = run(x, 1 << 30)
+        chunked = run(x, 2 * image_cols + 1)  # chunks of 2, 2, 2 and 1
+        for got, want in zip(chunked, whole):
+            np.testing.assert_array_equal(got, want)
+        for i in range(len(x)):
+            alone = run(x[i:i + 1], 1 << 30)
+            np.testing.assert_array_equal(alone[0][0], whole[0][i])
+            np.testing.assert_array_equal(alone[1][0], whole[1][i])
+
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError):
             F.conv2d(Tensor(np.zeros((1, 3, 4, 4))),

@@ -142,6 +142,13 @@ class TestValidate:
         with pytest.raises(BundleError, match="not bipolar"):
             bundle.validate()
 
+    def test_non_bipolar_projection_detected(self, synthetic_bundle):
+        bundle = synthetic_bundle()
+        bundle.arrays["encoder.projection"] = \
+            bundle.arrays["encoder.projection"] * 0.5
+        with pytest.raises(BundleError, match="projection is not bipolar"):
+            bundle.validate()
+
     def test_unknown_encoder_type_detected(self, synthetic_bundle):
         bundle = synthetic_bundle()
         bundle.info["encoder"] = {"type": "mystery"}

@@ -8,6 +8,7 @@ import pytest
 
 from repro.data import make_dataset
 from repro.hd.backend import unpack_bipolar
+from repro.hd.encoders import RandomProjectionEncoder
 from repro.learn import VanillaHD
 from repro.hd.similarity import cosine_similarity
 from repro.serve import (BundleError, EngineSelfCheckError, InferenceEngine,
@@ -81,6 +82,21 @@ class TestPackedPath:
         packed.packed_classes = np.roll(packed.packed_classes, 1, axis=0)
         with pytest.raises(EngineSelfCheckError):
             engine.selfcheck()
+
+    def test_selfcheck_catches_wrong_encode_signs(self, synthetic_bundle,
+                                                  monkeypatch):
+        """A packed encode whose signs drift from sign(encode_raw) is
+        refused at load."""
+        right = RandomProjectionEncoder.signs
+
+        def wrong(self, features):
+            signs = right(self, features)
+            signs[0, -1] = ~signs[0, -1]
+            return signs
+
+        monkeypatch.setattr(RandomProjectionEncoder, "signs", wrong)
+        with pytest.raises(EngineSelfCheckError, match="packed encode"):
+            InferenceEngine(synthetic_bundle())
 
     @pytest.mark.parametrize("binary", [True, False])
     def test_legacy_compile_plan_is_ignored(self, synthetic_bundle, binary,

@@ -142,6 +142,23 @@ class TestReloadHTTP:
                    {"features": rng.standard_normal((2, 32)).tolist()})
         assert len(out["labels"]) == 2
 
+    def test_post_reload_non_bipolar_projection_is_409(self, server,
+                                                       tmp_path):
+        bundle = _synthetic_bundle(seed=3, binary=True)
+        projection = bundle.arrays["encoder.projection"].copy()
+        projection[0, 0] = 0.5
+        bundle.arrays["encoder.projection"] = projection
+        bad = str(tmp_path / "half.npz")
+        bundle.save(bad)
+        old_engine = server.engine
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(server.url + "/reload", {"bundle": bad})
+        assert excinfo.value.code == 409
+        body = json.loads(excinfo.value.read())
+        assert body["reloaded"] is False
+        assert "not bipolar" in body["error"]
+        assert server.engine is old_engine
+
     def test_post_reload_invalid_json_is_400(self, server):
         request = urllib.request.Request(
             server.url + "/reload", data=b"{not json",
