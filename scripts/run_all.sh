@@ -40,6 +40,7 @@ bash scripts/check_quality.sh
 # with bit-exact parity for existing classes (see scripts/check_online.sh).
 bash scripts/check_online.sh
 # Docs/dashboards lint: every metric name registered in src/repro/ must
-# be documented in docs/OBSERVABILITY.md (and vice versa).
+# be documented in docs/OBSERVABILITY.md (and vice versa), and read by a
+# gate script, the bench or a test.
 python scripts/check_metric_names.py
 echo "Results tables are under results/, BENCH files under results/bench/"

@@ -176,7 +176,6 @@ class ManifoldLearner:
             return None
         update = trainer.compute_update(encoded.data, labels,
                                         **update_kwargs)
-        registry = get_registry()
         with span("stage.manifold", nbytes=nbytes):
             # δ scaled by 1/D: constant positive factor, irrelevant to the
             # direction of the gradient, keeps magnitudes O(1).
@@ -185,19 +184,15 @@ class ManifoldLearner:
             loss = -(Tensor(update) * sims).sum() * (1.0 / len(update))
             self.optimizer.zero_grad()
             loss.backward()
-            gradients = [p.grad for p in self.fc.parameters()
-                         if p.grad is not None]
             if self.guard is not None and not self.guard.ok(
-                    "manifold.step", np.asarray(loss.item()), *gradients):
+                    "manifold.step", np.asarray(loss.item()),
+                    *[p.grad for p in self.fc.parameters()
+                      if p.grad is not None]):
                 # Veto: drop the poisoned gradients and leave the FC
                 # weights and Adam state untouched.
                 self.optimizer.zero_grad()
-                registry.inc("manifold.vetoed_steps")
+                get_registry().inc("manifold.vetoed_steps")
                 return None
-            grad_norm = float(np.sqrt(sum(
-                float((g * g).sum()) for g in gradients)))
-            registry.observe("manifold.loss", float(loss.item()))
-            registry.observe("manifold.grad_norm", grad_norm)
             self.optimizer.step()
             return float(loss.item())
 

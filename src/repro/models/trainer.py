@@ -21,7 +21,7 @@ from .. import nn
 from ..data import augment_batch, iterate_batches
 from ..nn import Tensor
 from ..nn import functional as F
-from ..telemetry import clock, get_registry, span
+from ..telemetry import clock, span
 from .base import IndexedCNN
 from .registry import create_model
 
@@ -68,7 +68,6 @@ def train_cnn(model: IndexedCNN, x_train: np.ndarray, y_train: np.ndarray,
         raise ValueError(f"unknown optimizer {optimizer!r}")
     schedule = nn.CosineLR(opt, total_epochs=epochs)
 
-    registry = get_registry()
     history: Dict[str, List[float]] = {"loss": [], "train_acc": [],
                                        "val_acc": [], "epoch_time": []}
     for epoch in range(epochs):
@@ -98,9 +97,6 @@ def train_cnn(model: IndexedCNN, x_train: np.ndarray, y_train: np.ndarray,
 
         history["loss"].append(float(np.mean(losses)) if losses else 0.0)
         history["epoch_time"].append(clock() - epoch_start)
-        registry.inc("cnn.epochs")
-        registry.observe("cnn.loss", history["loss"][-1])
-        registry.observe("cnn.epoch_time_s", history["epoch_time"][-1])
         is_last = epoch == epochs - 1
         if is_last or (eval_every and (epoch + 1) % eval_every == 0):
             history["train_acc"].append(model.accuracy(x_train, y_train))

@@ -303,9 +303,7 @@ class OnlineLearner:
         self.promotions += 1
         self._live_fingerprint = self._engine_fingerprint()
         self.shadow.reset_to(self.engine.class_matrix)
-        registry = get_registry()
-        registry.inc("online.promotion.promoted")
-        registry.set_gauge("online.promotion.generation", self.generation)
+        get_registry().inc("online.promotion.promoted")
         decision["promoted"] = True
         decision["bundle_path"] = path
         decision["reload"] = info

@@ -229,7 +229,6 @@ class ShadowModel:
         if self._bucket is not None and not self._bucket.allow():
             with self._lock:
                 self.rate_limited += 1
-            registry.inc("online.feedback.rate_limited")
             return "rate_limited"
         if not self.guard.ok("online.feedback", encoded):
             with self._lock:
@@ -243,8 +242,6 @@ class ShadowModel:
                 self._ring_put(encoded[0], label)
                 self.held_out += 1
                 registry.inc("online.feedback.held_out")
-                registry.set_gauge("online.validation.size",
-                                   self._ring_size)
                 return "held_out"
             before = self.trainer.class_matrix.copy()
             if label >= self.base_classes:
@@ -265,8 +262,6 @@ class ShadowModel:
                                        np.linalg.norm(after[shared:])))
             registry.observe("online.update_norm", moved)
             registry.inc("online.feedback.applied")
-            registry.set_gauge("online.shadow.classes",
-                               self.trainer.num_classes)
             return status
 
     def _ingest_new_class(self, encoded: np.ndarray, label: int) -> str:
@@ -276,11 +271,9 @@ class ShadowModel:
         are untouched — the bit-exact-parity guarantee for pre-existing
         classes that check_online.py asserts.
         """
-        registry = get_registry()
         if label == self.trainer.num_classes:
             self.trainer.add_class(encoded)
             self._new_class_counts[label] = 1
-            registry.inc("online.classes_added")
             return "new_class"
         # Subsequent samples: running centroid accumulation on the row.
         self.trainer.class_matrix[label] += encoded[0]
@@ -322,11 +315,6 @@ class ShadowModel:
         live_pred = cosine_similarity(live, hvs).argmax(axis=1)
         result["shadow_accuracy"] = float((shadow_pred == labels).mean())
         result["live_accuracy"] = float((live_pred == labels).mean())
-        registry = get_registry()
-        registry.set_gauge("online.shadow.accuracy",
-                           result["shadow_accuracy"])
-        registry.set_gauge("online.live.accuracy",
-                           result["live_accuracy"])
         return result
 
     def health(self) -> Dict[str, object]:

@@ -20,10 +20,10 @@ machine Hystrix/resilience4j ship):
   calls are let through.  If they all succeed the breaker **closes**
   (window reset); any failure re-opens it and restarts the timeout.
 
-Every transition increments ``circuit.<name>.<state>`` and updates the
-``circuit.<name>.state`` gauge (0 = closed, 1 = half-open, 2 = open) in
-the telemetry registry, so ``/metrics`` exposes breaker history without
-extra plumbing.  The clock is injectable for deterministic tests.
+Every transition increments ``circuit.<name>.<state>`` in the telemetry
+registry, so ``/metrics`` exposes breaker history; the current state and
+the refusal count are in :meth:`CircuitBreaker.describe` (the router's
+``/healthz``).  The clock is injectable for deterministic tests.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ __all__ = ["CircuitBreaker", "CircuitOpenError",
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
-
-#: Gauge encoding of the state (monotone in severity).
-_STATE_GAUGE = {CLOSED: 0.0, HALF_OPEN: 1.0, OPEN: 2.0}
 
 
 class CircuitOpenError(RuntimeError):
@@ -111,8 +108,6 @@ class CircuitBreaker:
             "successes": 0, "failures": 0, "rejected": 0,
             "opens": 0, "closes": 0,
         }
-        get_registry().set_gauge(f"circuit.{self.name}.state",
-                                 _STATE_GAUGE[CLOSED])
 
     # ------------------------------------------------------------------
     def _transition(self, state: str) -> None:
@@ -120,10 +115,7 @@ class CircuitBreaker:
         if state == self._state:
             return
         self._state = state
-        registry = get_registry()
-        registry.inc(f"circuit.{self.name}.{state}")
-        registry.set_gauge(f"circuit.{self.name}.state",
-                           _STATE_GAUGE[state])
+        get_registry().inc(f"circuit.{self.name}.{state}")
         if state == OPEN:
             self._opened_at = self._clock()
             self._probes_in_flight = 0
@@ -186,7 +178,6 @@ class CircuitBreaker:
                     self._probes_in_flight += 1
                     return True
             self.stats["rejected"] += 1
-        get_registry().inc(f"circuit.{self.name}.rejected")
         return False
 
     def record_success(self) -> None:

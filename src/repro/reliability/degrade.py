@@ -8,9 +8,8 @@ instead of letting every request time out.
 :class:`LoadShedder` implements hysteresis admission control: once queue
 depth crosses ``high_watermark`` new requests are rejected until depth
 falls back to ``low_watermark``, which prevents the shed/admit decision
-from oscillating around a single threshold.  Shed decisions are counted
-in the telemetry registry (``degrade.shed`` / ``degrade.admitted``) so a
-dashboard sees overload before clients do.
+from oscillating around a single threshold.  Its ``stats`` count the
+admitted and shed decisions (served in the worker's ``/healthz``).
 
 :class:`OverloadShedError` and :class:`DeadlineExceededError` are the
 two degradation outcomes the micro-batcher surfaces to callers (mapped
@@ -21,8 +20,6 @@ from __future__ import annotations
 
 import threading
 from typing import Dict, Optional
-
-from ..telemetry import get_registry
 
 __all__ = ["OverloadShedError", "DeadlineExceededError", "LoadShedder"]
 
@@ -92,7 +89,6 @@ class LoadShedder:
         shedding; depth <= low → stop shedding; in between the previous
         regime persists (hysteresis).
         """
-        registry = get_registry()
         with self._lock:
             if self._shedding:
                 if depth <= self.low_watermark:
@@ -104,7 +100,6 @@ class LoadShedder:
                 self.stats["admitted"] += 1
             else:
                 self.stats["shed"] += 1
-        registry.inc("degrade.admitted" if admitted else "degrade.shed")
         return admitted
 
     def reset(self) -> None:

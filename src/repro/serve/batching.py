@@ -173,6 +173,15 @@ class MicroBatcher:
         return DeadlineExceededError(message, request_id=request_id,
                                      model=self.model_label)
 
+    def _expire(self, request: _Request, message: str) -> None:
+        """Answer a queued request whose deadline passed (caller holds
+        ``_cv``).  One its submitter gave up on (deadline ``-inf``) was
+        counted and answered then, so it is dropped silently."""
+        if request.deadline != float("-inf"):
+            self.stats["expired"] += 1
+            request.finish(None, self._deadline_error(
+                message, request_id=request.request_id))
+
     def submit(self, rows: np.ndarray,
                timeout_s: Optional[float] = None,
                trace_ctx: Optional[TraceContext] = None
@@ -194,7 +203,6 @@ class MicroBatcher:
         submitter's trace; all rows share it (one HTTP request → one
         trace, however the rows get batched).
         """
-        registry = get_registry()
         if timeout_s is None:
             timeout_s = self.default_timeout_s
         if trace_ctx is None:
@@ -216,24 +224,26 @@ class MicroBatcher:
             self.stats["submitted"] += len(requests)
             self._queue.extend(requests)
             self._cv.notify_all()
-        registry.inc("serve.batcher.submitted", len(requests))
 
         first_error: Optional[BaseException] = None
         for request in requests:
             remaining = ((deadline - clock()) if deadline is not None
                          else None)
-            if not request.event.wait(remaining):
-                # Nobody answered in time; mark it dead so a worker
-                # skips it.
-                request.deadline = float("-inf")
-                registry.inc("serve.batcher.deadline_exceeded")
+            if request.event.wait(remaining):
+                error = request.error
+            else:
                 with self._cv:
-                    self.stats["expired"] += 1
-                first_error = first_error or self._deadline_error(
+                    # Unless a worker answered since the wait ended, the
+                    # expiry is counted here, once; marked dead, the
+                    # request is then dropped by the worker silently.
+                    answered = request.event.is_set()
+                    if not answered:
+                        request.deadline = float("-inf")
+                        self.stats["expired"] += 1
+                error = request.error if answered else self._deadline_error(
                     f"request expired after {timeout_s:.3f}s",
                     request_id=request.request_id)
-            elif request.error is not None:
-                first_error = first_error or request.error
+            first_error = first_error or error
         if first_error is not None:
             raise first_error
         return [request.result for request in requests]
@@ -253,21 +263,29 @@ class MicroBatcher:
                 # Drop requests that already expired while queued.
                 while self._queue and self._queue[0].deadline is not None \
                         and self._queue[0].deadline <= now:
-                    request = self._queue.popleft()
-                    self.stats["expired"] += 1
-                    request.finish(None, self._deadline_error(
-                        "request expired in queue",
-                        request_id=request.request_id))
+                    self._expire(self._queue.popleft(),
+                                 "request expired in queue")
                 if self._queue:
                     oldest = self._queue[0].enqueued_at
                     if (self._inflight == 0
                             or len(self._queue) >= self.max_batch_size
                             or now - oldest >= self.max_latency_s
                             or self._stopping):
-                        self._inflight += 1
-                        return [self._queue.popleft()
-                                for _ in range(min(len(self._queue),
-                                                   self.max_batch_size))]
+                        batch = []
+                        for _ in range(min(len(self._queue),
+                                           self.max_batch_size)):
+                            request = self._queue.popleft()
+                            if (request.deadline is None
+                                    or request.deadline > now):
+                                batch.append(request)
+                            else:
+                                self._expire(
+                                    request,
+                                    "request expired before dispatch")
+                        if batch:
+                            self._inflight += 1
+                            return batch
+                        continue
                     self._cv.wait(self.max_latency_s - (now - oldest))
                     continue
                 if self._stopping:
@@ -310,17 +328,8 @@ class MicroBatcher:
                     # for whatever queued while this batch ran.
                     self._cv.notify()
 
-    def _run_batch(self, batch: List[_Request]) -> None:
+    def _run_batch(self, live: List[_Request]) -> None:
         registry = get_registry()
-        live = [r for r in batch
-                if r.deadline is None or r.deadline > clock()]
-        for request in batch:
-            if request not in live:
-                request.finish(None, self._deadline_error(
-                    "request expired before dispatch",
-                    request_id=request.request_id))
-        if not live:
-            return
         wait_ms = 1000.0 * (clock() - live[0].enqueued_at)
         registry.observe("serve.batcher.batch_size", float(len(live)))
         registry.observe("serve.batcher.queue_wait_ms", wait_ms)
@@ -378,7 +387,6 @@ class MicroBatcher:
                                            error_text)
             with self._cv:
                 self.stats["errors"] += len(live)
-            registry.inc("serve.batcher.errors", len(live))
             for request in live:
                 request.finish(None, exc)
             return
@@ -388,7 +396,6 @@ class MicroBatcher:
         with self._cv:
             self.stats["batches"] += 1
             self.stats["completed"] += len(live)
-        registry.inc("serve.batcher.batches")
         registry.inc("serve.batcher.completed", len(live))
         for request, label in zip(live, labels):
             request.finish((int(label), meta))

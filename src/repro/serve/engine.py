@@ -25,7 +25,7 @@ serving concerns:
   XOR-popcount :class:`~repro.pipeline.PackedClassifyStage` scores them;
 * a load-time :meth:`selfcheck` proving the packed encode and classify
   stages agree with the float reference kernels on random probes;
-* request/sample counters and ``serve.*`` spans for the telemetry layer.
+* the ``serve.samples`` counter and ``serve.*`` spans for the telemetry layer.
 
 Every bundle is served through the same code path:
 :meth:`ModelBundle.build_graph` builds the frozen stages from the
@@ -382,7 +382,6 @@ class InferenceEngine:
         registry = get_registry()
         raw_features = np.atleast_2d(
             np.asarray(raw_features, dtype=np.float64))
-        registry.inc("serve.requests")
         registry.inc("serve.samples", len(raw_features))
         with span("serve.predict", nbytes=int(raw_features.nbytes)):
             # encode_features leaves the reduce output in ctx when the

@@ -26,10 +26,9 @@ crashes, hangs, and poisoned reloads.  :class:`Supervisor` provides it:
   micro-batcher, see :meth:`ModelServer.drain`), wait ``grace_s``,
   SIGKILL stragglers.
 
-Per-worker gauges/counters land in the telemetry registry
-(``fleet.worker.<id>.up`` / ``.restarts`` / ``.quarantined`` and the
-aggregate ``fleet.workers.up``), so the router's ``/metrics`` exposes
-fleet state with no extra plumbing.
+Per-worker state, restarts and quarantine are served by
+:meth:`Supervisor.describe`, the ``fleet`` block of the router's
+``/healthz``.
 
 ``spawn_fn`` / ``probe_fn`` / ``clock`` are injectable, and
 :meth:`Supervisor.tick` runs one monitor pass synchronously, so the
@@ -51,7 +50,6 @@ import urllib.request
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..telemetry import clock as _default_clock
-from ..telemetry import get_registry
 
 __all__ = ["Supervisor", "StaticFleet", "Worker", "FleetError",
            "free_port"]
@@ -291,7 +289,6 @@ class Supervisor:
         worker.state = STARTING
         worker.started_at = self._clock()
         worker.consecutive_probe_failures = 0
-        self._update_gauges()
 
     def _monitor_loop(self) -> None:
         while not self._stop_event.is_set():
@@ -313,8 +310,6 @@ class Supervisor:
         # the router tolerates the resulting staleness by retrying.
         for worker in list(self.workers):
             self._tick_worker(worker)
-        with self._lock:
-            self._update_gauges()
 
     def _tick_worker(self, worker: Worker) -> None:
         now = self._clock()
@@ -369,20 +364,14 @@ class Supervisor:
 
     def _on_failure(self, worker: Worker, reason: str) -> None:
         now = self._clock()
-        registry = get_registry()
         worker.last_failure_reason = reason
         worker.restarts += 1
         worker.process = None
-        registry.inc(f"fleet.worker.{worker.worker_id}.restarts")
-        registry.inc("fleet.supervisor.failures")
         worker.failure_times = [
             t for t in worker.failure_times
             if now - t <= self.crash_loop_window_s] + [now]
         if len(worker.failure_times) >= self.crash_loop_threshold:
             worker.state = QUARANTINED
-            registry.inc("fleet.supervisor.quarantined")
-            registry.set_gauge(
-                f"fleet.worker.{worker.worker_id}.quarantined", 1.0)
             return
         recent = len(worker.failure_times)
         backoff = min(self.backoff_max_s,
@@ -398,8 +387,6 @@ class Supervisor:
                 raise FleetError(
                     f"{worker_id} is {worker.state}, not quarantined")
             worker.failure_times = []
-            get_registry().set_gauge(
-                f"fleet.worker.{worker_id}.quarantined", 0.0)
             self._spawn(worker)
 
     def stop(self, grace_s: float = 5.0) -> None:
@@ -426,7 +413,6 @@ class Supervisor:
             for worker in self.workers:
                 worker.state = STOPPED
                 worker.process = None
-            self._update_gauges()
         for handle in self._log_handles:
             try:
                 handle.close()
@@ -485,17 +471,6 @@ class Supervisor:
             "restarts": sum(s["restarts"] for s in states),
             "workers": states,
         }
-
-    def _update_gauges(self) -> None:
-        registry = get_registry()
-        up = 0
-        for worker in self.workers:
-            is_up = 1.0 if worker.state == UP else 0.0
-            up += int(is_up)
-            registry.set_gauge(f"fleet.worker.{worker.worker_id}.up",
-                               is_up)
-        registry.set_gauge("fleet.workers.up", float(up))
-        registry.set_gauge("fleet.workers.size", float(len(self.workers)))
 
     def __enter__(self) -> "Supervisor":
         return self.start()

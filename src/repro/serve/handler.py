@@ -65,8 +65,6 @@ class JsonHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
-    #: Counter bumped once per logged request (the stdlib access log).
-    requests_metric = "serve.http.requests"
     server: "HTTPServer"
 
     #: Trace context echoed on every response of the current request
@@ -159,7 +157,6 @@ class JsonHandler(BaseHTTPRequestHandler):
         lines += [f"{name}: {value}" for name, value in
                   (headers or {}).items()]
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        self.log_request(status)
         try:
             self.wfile.write(head + body)
         except DISCONNECTS:
@@ -171,9 +168,9 @@ class JsonHandler(BaseHTTPRequestHandler):
         self.close_connection = True
 
     def log_message(self, format: str, *args: Any) -> None:
-        # Access logs go to the metrics registry, not stderr (tests and
-        # benchmarks would otherwise drown in per-request lines).
-        get_registry().inc(self.requests_metric)
+        # No access log on stderr: tests and benchmarks would drown in
+        # per-request lines, and /requestz keeps the recent requests.
+        pass
 
 
 class HTTPServer(ThreadingHTTPServer):

@@ -34,9 +34,8 @@ to the worker processes a :class:`~repro.serve.fleet.Supervisor` (or
 Endpoints: ``POST /predict`` (routed), ``GET /healthz`` (fleet +
 breaker summary), ``GET /tracez`` + ``/requestz`` (the router's own
 traces and request log), ``GET /metrics`` (Prometheus text of the router
-process registry — which already carries the supervisor's per-worker
-up/restart gauges, the breaker state gauges, and the router's own
-``fleet.router.*`` counters and latency quantiles), ``GET /driftz``
+process registry: the router's own ``fleet.router.*`` fault counters,
+latency quantiles and SLO burn rates), ``GET /driftz``
 (per-worker model-quality drift snapshots + a fleet-wide rollup of the
 worst PSI/z-score), ``GET /alertz`` (the router's own alert-rule
 states), ``POST /reload`` (broadcast to every live worker; any
@@ -168,7 +167,6 @@ class _WorkerClient:
                 if reused:
                     # Stale keep-alive connection, not a worker fault:
                     # one replay on a fresh socket.
-                    get_registry().inc("fleet.router.stale_connections")
                     conn = http.client.HTTPConnection(
                         self.host, self.port, timeout=self.timeout_s)
                     reused = False
@@ -192,8 +190,6 @@ class _WorkerClient:
 
 class _RouterHandler(JsonHandler):
     """Routes requests to the owning :class:`Router`."""
-
-    requests_metric = "fleet.router.http.requests"
 
     def route_get(self, path: str, query: Query) -> Optional[Response]:
         app = self.server.app
@@ -408,7 +404,6 @@ class Router(FrontEnd):
                              trace: Optional[span] = None
                              ) -> Response:
         registry = get_registry()
-        registry.inc("fleet.router.requests")
         request_id = trace.trace_id if trace is not None else None
         root_ctx = trace.ctx if trace is not None else None
         members = self.fleet.all_workers()
@@ -535,15 +530,13 @@ class Router(FrontEnd):
                     "error": f"{type(exc).__name__}: {exc}"}
                 failed += 1
         ok = failed == 0 and bool(results)
-        registry = get_registry()
         if ok:
-            registry.inc("fleet.router.reload.success")
             http_status = 200
         elif partial and succeeded:
-            registry.inc("fleet.router.reload.partial")
+            get_registry().inc("fleet.router.reload.partial")
             http_status = 207
         else:
-            registry.inc("fleet.router.reload.rejected")
+            get_registry().inc("fleet.router.reload.rejected")
             http_status = 409
         return http_status, {"reloaded": ok, "workers": results,
                              "succeeded": succeeded, "failed": failed}
@@ -588,11 +581,6 @@ class Router(FrontEnd):
             pred_psi = max(pred_psi,
                            float(prediction.get("psi") or 0.0))
             samples += int(payload.get("samples") or 0)
-        registry = get_registry()
-        registry.set_gauge("fleet.quality.psi_max", psi_max)
-        registry.set_gauge("fleet.quality.prediction_psi", pred_psi)
-        registry.set_gauge("fleet.quality.workers_reporting",
-                           float(reporting))
         return {
             "enabled": reporting > 0,
             "fleet": {"feature_psi_max": psi_max,

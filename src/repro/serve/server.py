@@ -153,14 +153,12 @@ class _Handler(JsonHandler):
                 status, payload = 400, {"error": str(exc),
                                         "request_id": trace.trace_id}
             except OverloadShedError as exc:
-                registry.inc("serve.http.shed")
                 status, payload = 503, {
                     "error": str(exc), "retryable": True,
                     "request_id": exc.request_id or trace.trace_id,
                     "model": exc.model}
                 headers = {"Retry-After": "1"}
             except DeadlineExceededError as exc:
-                registry.inc("serve.http.deadline")
                 status, payload = 504, {
                     "error": str(exc), "retryable": True,
                     "request_id": exc.request_id or trace.trace_id,
@@ -282,7 +280,6 @@ class _Handler(JsonHandler):
         except (KeyError, TypeError, ValueError,
                 UnicodeDecodeError) as exc:
             return 400, {"error": f'expected {{"stall_s": s}}: {exc}'}
-        get_registry().inc("serve.chaos.stalls")
         app.stall(stall_s)
         return 200, {"stalled_s": stall_s}
 

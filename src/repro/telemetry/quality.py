@@ -411,16 +411,14 @@ class DriftMonitor:
     arrived since the last refresh.  The gauges the alert rules engine
     and Prometheus scrapes read therefore lag the window by fewer than
     ``min_samples`` rows; a batch of ``min_samples`` rows or more
-    refreshes them on its own.  The sample counter, window fill,
-    histograms and saturation gauge are published on every call:
+    refreshes them on its own.  The sample counter, histograms and
+    saturation gauge are published on every call:
 
     ====================================  =============================
     metric                                meaning
     ====================================  =============================
     ``quality.samples``                   counter of observed rows
-    ``quality.window_fill``               window occupancy in [0, 1]
     ``quality.feature.psi_max``           worst per-feature window PSI
-    ``quality.feature.psi_mean``          mean per-feature window PSI
     ``quality.feature.zscore_max``        worst |z| of the window mean
     ``quality.prediction.psi``            predicted-label PSI vs priors
     ``quality.margin`` (histogram)        live top1−top2 margin
@@ -436,7 +434,7 @@ class DriftMonitor:
     def __init__(self, baseline: QualityBaseline, window: int = 512,
                  min_samples: int = 64,
                  registry: Optional[MetricsRegistry] = None,
-                 sat_factor: float = 3.0, prefix: str = "quality"):
+                 sat_factor: float = 3.0):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.baseline = baseline
@@ -444,7 +442,6 @@ class DriftMonitor:
         self.min_samples = max(1, int(min_samples))
         self.registry = registry
         self.sat_factor = float(sat_factor)
-        self.prefix = str(prefix)
         f = baseline.num_features
         self._counts = np.zeros((f, baseline.n_bins), dtype=np.float64)
         # Each row's flat ``_counts`` cell per feature, bin + this offset,
@@ -572,19 +569,16 @@ class DriftMonitor:
             headline = None
             if self._stale >= self.min_samples:
                 headline = self._refresh_locked()
-            size = self._size
 
-        registry.inc(f"{self.prefix}.samples", n)
-        registry.set_gauge(f"{self.prefix}.window_fill",
-                           size / self.window)
+        registry.inc("quality.samples", n)
         if headline is not None:
             self._publish(registry, headline)
         if saturation is not None:
-            registry.set_gauge(f"{self.prefix}.encoded.saturation",
+            registry.set_gauge("quality.encoded.saturation",
                                float(saturation))
         if margin_rows is not None:
-            registry.observe_many(f"{self.prefix}.margin", margin_rows)
-            registry.observe_many(f"{self.prefix}.confidence",
+            registry.observe_many("quality.margin", margin_rows)
+            registry.observe_many("quality.confidence",
                                   conf_rows)
 
     def _evict_runs_locked(self, oldest: int, count: int,
@@ -666,14 +660,12 @@ class DriftMonitor:
 
     def _publish(self, registry: MetricsRegistry,
                  headline: Dict[str, float]) -> None:
-        """Set the four headline gauges from a refresh's scalars."""
-        registry.set_gauge(f"{self.prefix}.feature.psi_max",
+        """Set the three headline gauges from a refresh's scalars."""
+        registry.set_gauge("quality.feature.psi_max",
                            headline["feature_psi_max"])
-        registry.set_gauge(f"{self.prefix}.feature.psi_mean",
-                           headline["feature_psi_mean"])
-        registry.set_gauge(f"{self.prefix}.feature.zscore_max",
+        registry.set_gauge("quality.feature.zscore_max",
                            headline["feature_zscore_max"])
-        registry.set_gauge(f"{self.prefix}.prediction.psi",
+        registry.set_gauge("quality.prediction.psi",
                            headline["prediction_psi"])
 
     # ------------------------------------------------------------------
@@ -700,8 +692,8 @@ class DriftMonitor:
         self._publish(registry, last)
         margins: Dict[str, Any] = {}
         confidences: Dict[str, Any] = {}
-        for name, out in ((f"{self.prefix}.margin", margins),
-                          (f"{self.prefix}.confidence", confidences)):
+        for name, out in (("quality.margin", margins),
+                          ("quality.confidence", confidences)):
             if name in registry:
                 metric = registry.get(name)
                 if getattr(metric, "kind", None) == "histogram" \

@@ -184,15 +184,19 @@ class TestCallAndIntrospection:
         assert breaker.error_rate == pytest.approx(0.25)
 
     def test_transition_metrics_emitted(self):
-        breaker = make_breaker(failure_threshold=1, half_open_probes=1)
+        names = ("circuit.w0.open", "circuit.w0.half_open",
+                 "circuit.w0.closed")
+        registry = get_registry()
+        before = [registry.counter(name).value for name in names]
+        breaker = make_breaker(name="w0", failure_threshold=1,
+                               half_open_probes=1)
         breaker.record_failure()
         breaker.clock.advance(5.1)
         assert breaker.allow()
         breaker.record_success()
-        snapshot = get_registry().snapshot()
-        for state in (OPEN, HALF_OPEN, CLOSED):
-            name = f"circuit.{breaker.name}.{state}"
-            assert snapshot.get(name, {}).get("value", 0) >= 1, name
+        # open → half_open → closed: one transition into each state.
+        assert [registry.counter(name).value - old for name, old
+                in zip(names, before)] == [1, 1, 1]
 
     def test_rejected_probe_counts(self):
         breaker = make_breaker(failure_threshold=1)

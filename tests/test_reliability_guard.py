@@ -40,13 +40,18 @@ class TestGuardCore:
 
     def test_detects_nan_inf_overflow(self):
         guard = NumericsGuard(policy="skip_batch", max_abs=1e6)
-        assert not guard.ok("nan", np.array([1.0, np.nan]))
-        assert not guard.ok("inf", np.array([np.inf, 1.0]))
-        assert not guard.ok("overflow", np.array([1e9]))
+        with use_registry() as registry:
+            assert not guard.ok("nan", np.array([1.0, np.nan]))
+            assert not guard.ok("inf", np.array([np.inf, 1.0]))
+            assert not guard.ok("overflow", np.array([1e9]))
         assert guard.counts["nan"] == 1
         assert guard.counts["inf"] == 1
         assert guard.counts["overflow"] == 1
         assert guard.batches_skipped == 3
+        # One batch of each kind moves its own counter by exactly one.
+        assert registry.counter("guard.nan_batches").value == 1
+        assert registry.counter("guard.inf_batches").value == 1
+        assert registry.counter("guard.overflow_batches").value == 1
 
     def test_integer_arrays_are_exempt(self):
         guard = NumericsGuard(max_abs=10.0)

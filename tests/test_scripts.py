@@ -45,6 +45,72 @@ def test_metric_names_match_the_reference():
 
 
 @pytest.fixture
+def metric_lint(monkeypatch):
+    monkeypatch.setattr(sys, "path", [SCRIPTS] + sys.path)
+    import check_metric_names
+    return check_metric_names
+
+
+def lint_tree(root, code, documented, reader):
+    """A repository tree with one source file, the docs appendix and one
+    test file, for ``check_metric_names.main(root)``."""
+    for part, text in (("src/repro/mod.py", code),
+                       ("tests/test_mod.py", reader),
+                       ("docs/OBSERVABILITY.md",
+                        "## Metric name reference\n\n" + "".join(
+                            f"| `{name}` | counter | - |\n"
+                            for name in documented))):
+        path = root / part
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return str(root)
+
+
+class TestMetricLint:
+    def test_every_literal_of_a_conditional_name_is_registered(
+            self, metric_lint, tmp_path):
+        src = tmp_path / "repro"
+        src.mkdir()
+        (src / "degrade.py").write_text(
+            'registry.inc("degrade.admitted" if admitted '
+            'else "degrade.shed")\n')
+        found = metric_lint.collect_code(str(src))
+        assert sorted(name for name, _ in found) == [
+            "degrade.admitted", "degrade.shed"]
+
+    def test_a_name_nothing_reads_fails_the_lint(self, metric_lint,
+                                                 tmp_path, capsys):
+        code = 'registry.inc("serve.widgets")\n'
+        root = lint_tree(tmp_path, code, ["serve.widgets"],
+                         'assert counter("serve.widgets.extra") == 1\n')
+        assert metric_lint.main(root) == 1
+        assert ("registered but never read: serve.widgets"
+                in capsys.readouterr().err)
+        lint_tree(tmp_path, code, ["serve.widgets"],
+                  'assert counter("serve.widgets") == 1\n')
+        assert metric_lint.main(root) == 0
+
+    def test_the_prometheus_form_is_a_reader(self, metric_lint):
+        code = [("serve.latency_ms", "mod.py:1")]
+        for text in ("repro_serve_latency_ms 3",
+                     'assert "repro_serve_latency_ms_count" in metrics'):
+            assert metric_lint.find_unread(code, text) == []
+        for text in ("repro_serve_latency_ms_max 3",
+                     "serve_latency_ms 3", "repro_serve_latency"):
+            assert metric_lint.find_unread(code, text) == code, text
+
+    def test_an_fstring_name_is_read_by_a_spelled_out_name(
+            self, metric_lint):
+        code = [("serve.batcher.deadline.model.*", "mod.py:1")]
+        assert metric_lint.find_unread(
+            code, 'counter("serve.batcher.deadline.model.default")') == []
+        assert metric_lint.find_unread(
+            code, 'counter(f"serve.batcher.deadline.model.{m}")') == code
+        assert metric_lint.find_unread(
+            code, '"serve.batcher.deadline.model"') == code
+
+
+@pytest.fixture
 def bench_gate(monkeypatch):
     # bench_gate puts src/ and bench/ on sys.path; undo that afterwards.
     monkeypatch.setattr(sys, "path", [SCRIPTS] + sys.path)

@@ -10,6 +10,7 @@ import pytest
 from repro.reliability import (DeadlineExceededError, LoadShedder,
                                OverloadShedError)
 from repro.serve import MicroBatcher
+from repro.telemetry import use_registry
 
 
 def argmax_fn(batch):
@@ -180,6 +181,33 @@ class TestDegradation:
             gate.set()
             filler.join()
             batcher.shutdown()
+
+    def test_one_expired_request_is_counted_once(self):
+        """The submitter that gives up on a queued request answers and
+        counts it; the worker that reaches it later drops it silently."""
+        gate = threading.Event()
+
+        def stalled(batch):
+            gate.wait(5.0)
+            return argmax_fn(batch)
+
+        with use_registry() as registry:
+            batcher = MicroBatcher(stalled, max_batch_size=4,
+                                   max_latency_ms=1.0, workers=1)
+            filler = threading.Thread(
+                target=lambda: batcher.submit(np.ones(3), timeout_s=10.0))
+            try:
+                filler.start()
+                time.sleep(0.05)
+                with pytest.raises(DeadlineExceededError):
+                    batcher.submit(np.ones(3), timeout_s=0.05)
+            finally:
+                gate.set()
+                filler.join()
+                batcher.shutdown()
+        assert batcher.stats["expired"] == 1
+        assert registry.counter(
+            "serve.batcher.deadline.model.default").value == 1
 
     def test_overload_sheds(self):
         gate = threading.Event()

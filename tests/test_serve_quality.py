@@ -243,12 +243,12 @@ class TestClassifyOnce:
                 engine.predict_features(x[:64])
                 engine.predict_features(x[64:])
             summaries[use_packed] = {
-                name: registry.get(f"quality.{name}").summary()
-                for name in ("confidence", "margin")}
+                name: registry.get(name).summary()
+                for name in ("quality.confidence", "quality.margin")}
         for packed, floating in zip(fed[True], fed[False]):
             np.testing.assert_allclose(packed, floating, rtol=0,
                                        atol=1e-12)
-        for name in ("confidence", "margin"):
+        for name in ("quality.confidence", "quality.margin"):
             packed, floating = summaries[True][name], summaries[False][name]
             assert packed["count"] == floating["count"] == 200
             for key in ("mean", "min", "max", "p50", "p95", "p99"):

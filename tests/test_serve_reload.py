@@ -131,9 +131,12 @@ class TestReloadHTTP:
         assert out["reloaded"] is True
 
     def test_post_reload_bad_path_is_409(self, server):
+        rejected = get_registry().counter("serve.reload.rejected")
+        before = rejected.value
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post(server.url + "/reload", {"bundle": "/no/such.npz"})
         assert excinfo.value.code == 409
+        assert rejected.value == before + 1
         body = json.loads(excinfo.value.read())
         assert body["reloaded"] is False
         # old engine still serves
@@ -202,8 +205,11 @@ class TestSignalHandler:
             server.install_signal_handlers()
             handler = signal.getsignal(signal.SIGHUP)
             server.bundle_path = "/vanished/bundle.npz"
+            rejected = get_registry().counter("serve.reload.rejected")
+            before = rejected.value
             handler(signal.SIGHUP, None)  # must not raise
             assert server.reloads == 0
+            assert rejected.value == before + 1
         finally:
             signal.signal(signal.SIGHUP, previous)
 

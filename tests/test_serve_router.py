@@ -34,6 +34,10 @@ def get(url, timeout=10):
         return json.loads(response.read())
 
 
+def counter(name):
+    return get_registry().counter(name).value
+
+
 class TestHashRing:
     def test_deterministic_and_complete(self):
         ring = HashRing(["w0", "w1", "w2"])
@@ -170,11 +174,43 @@ class TestRouting:
         fleet, servers, _ = fleet_servers
         fleet.set_healthy("w0", False)
         fleet.set_healthy("w1", False)
+        before = counter("fleet.router.no_backend")
         with Router(fleet, port=0) as router:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 post(router.url + "/predict", {"features": [0.0] * 32})
             assert excinfo.value.code == 503
             assert excinfo.value.headers.get("Retry-After") == "1"
+        assert counter("fleet.router.no_backend") == before + 1
+
+    def test_every_attempt_failing_counts_each_fault_once(
+            self, synthetic_bundle):
+        """One member refuses the connection and one answers 500: the
+        request spends both attempts, then answers 503."""
+        class FailingEngine:
+            def __init__(self, engine):
+                self.bundle = engine.bundle
+                self.in_features = engine.in_features
+
+            def predict_features(self, features):
+                raise RuntimeError("engine fault")
+
+        names = ("fleet.router.connect_errors",
+                 "fleet.router.upstream_errors", "fleet.router.retries",
+                 "fleet.router.exhausted")
+        engine = FailingEngine(InferenceEngine(synthetic_bundle(seed=56)))
+        with ModelServer(engine, port=0, workers=1) as failing:
+            fleet = StaticFleet([failing.address,
+                                 ("127.0.0.1", free_port())])
+            before = [counter(name) for name in names]
+            with Router(fleet, port=0, max_attempts=2,
+                        retry_backoff_s=0.0) as router:
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    post(router.url + "/predict", {"features": [0.0] * 32})
+                assert excinfo.value.code == 503
+                error = json.loads(excinfo.value.read())["error"]
+                assert error.startswith("no worker answered after 2")
+        assert [counter(name) - old for name, old
+                in zip(names, before)] == [1, 1, 1, 1]
 
     def test_worker_4xx_passes_through_without_retry(self, fleet_servers):
         fleet, servers, _ = fleet_servers
@@ -211,8 +247,8 @@ class TestRouting:
             post(router.url + "/predict", {"features": [0.0] * 32})
             with urllib.request.urlopen(router.url + "/metrics",
                                         timeout=5) as response:
-                metrics = response.read().decode().replace(".", "_")
-            assert "fleet_router_requests" in metrics
+                metrics = response.read().decode()
+            assert "repro_fleet_router_latency_ms_count" in metrics
 
     def test_unknown_route_404(self, fleet_servers):
         fleet, servers, _ = fleet_servers
@@ -317,10 +353,12 @@ class TestBroadcastReload:
 
         rng = np.random.default_rng(55)
         features = rng.standard_normal((10, 32))
+        before = counter("fleet.router.reload.rejected")
         with Router(fleet, port=0) as router:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 post(router.url + "/reload", {"bundle": torn})
             assert excinfo.value.code == 409
+            assert counter("fleet.router.reload.rejected") == before + 1
             out = json.loads(excinfo.value.read())
             assert out["reloaded"] is False
             assert all(entry["status"] == 409
@@ -426,6 +464,18 @@ class TestDrain:
         # The listener is gone: connecting again must fail.
         with pytest.raises(urllib.error.URLError):
             post(url + "/predict", {"features": [0.0] * 32}, timeout=2)
+
+    def test_request_mid_drain_is_rejected_and_counted(self,
+                                                       fleet_servers):
+        fleet, servers, _ = fleet_servers
+        before = counter("fleet.router.draining_rejects")
+        with Router(fleet, port=0) as router:
+            router.draining = True
+            status, payload, headers = router.route_predict(
+                json.dumps({"features": [0.0] * 32}).encode("utf-8"))
+        assert status == 503 and payload["retryable"] is True
+        assert headers == {"Retry-After": "1"}
+        assert counter("fleet.router.draining_rejects") == before + 1
 
     def test_drain_is_idempotent(self, fleet_servers):
         fleet, servers, _ = fleet_servers

@@ -95,9 +95,9 @@ class TestRoutes:
         rng = np.random.default_rng(22)
         post(server.url + "/predict",
              {"features": rng.standard_normal((4, 32)).tolist()})
-        metrics = get(server.url + "/metrics").replace(".", "_")
-        assert "serve_batcher_completed" in metrics
-        assert "serve_batcher_batch_size" in metrics
+        metrics = get(server.url + "/metrics")
+        assert "repro_serve_batcher_completed" in metrics
+        assert "repro_serve_batcher_batch_size_count" in metrics
 
     def test_unknown_route_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -187,6 +187,21 @@ class TestDegradationMapping:
         finally:
             gated.gate.set()
             server.stop()
+
+    def test_engine_failure_maps_to_500(self, synthetic_bundle):
+        class FailingEngine(GatedEngine):
+            def predict_features(self, features):
+                raise RuntimeError("engine fault")
+
+        failing = FailingEngine(InferenceEngine(synthetic_bundle(seed=25)))
+        with ModelServer(failing, port=0, workers=1) as server:
+            before = counter("serve.http.internal_error")
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(server.url + "/predict", {"features": [0.0] * 32})
+            assert excinfo.value.code == 500
+            body = json.loads(excinfo.value.read())
+            assert body["error"] == "RuntimeError: engine fault"
+            assert counter("serve.http.internal_error") == before + 1
 
     def test_deadline_maps_to_504(self, synthetic_bundle):
         gated = GatedEngine(InferenceEngine(synthetic_bundle(seed=24)))

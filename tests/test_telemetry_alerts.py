@@ -234,6 +234,28 @@ class TestAlertManager:
             mgr.stop()
         assert mgr._thread is None
 
+    def test_evaluator_crash_is_counted_and_the_thread_lives(self):
+        import time
+        registry = MetricsRegistry()
+        mgr = AlertManager([rule()], registry=registry)
+        calls = []
+
+        def crash_once():
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise RuntimeError("evaluator bug")
+
+        mgr.evaluate = crash_once
+        mgr.start(interval_s=0.01)
+        try:
+            deadline = time.monotonic() + 2.0
+            while len(calls) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            mgr.stop()
+        assert len(calls) >= 3  # the crash did not end the loop
+        assert registry.counter("alert.evaluator_errors").value == 1
+
     def test_invalid_interval_raises(self):
         mgr = AlertManager([rule()], registry=MetricsRegistry())
         with pytest.raises(ValueError, match="interval"):
