@@ -11,8 +11,8 @@
 #     pipeline.predict, from raw features and from images;
 #   * packed round-trip: binarized bundle's XOR-popcount path == its own
 #     float path bit-exactly (same bipolar operands, same ranking), from
-#     raw features and from images, and from images served twice by a
-#     cached packed engine (the second pass all LRU hits);
+#     raw features and from images, and from images served three times
+#     by a cached packed engine (the third pass all LRU hits);
 #   * packed encode: the packed engine's sign words (certified float32
 #     GEMM) == pack_signs(encode_raw >= 0) of the float graph's float64
 #     GEMM on every test row, for this NSHD (K = 16) and for a BaselineHD
@@ -105,15 +105,16 @@ with tempfile.TemporaryDirectory() as tmp:
                                   floating.predict_features(raw))
     want = floating.predict(x_te)
     np.testing.assert_array_equal(packed.predict(x_te), want)
-    # A cached packed engine serves the images twice: the first pass
-    # fills its LRU with sign words, the second reads every row from it.
+    # A cached packed engine serves the images three times: the first
+    # pass is seen once, the second fills its LRU with sign words, the
+    # third reads every row from it.
     cached = InferenceEngine.from_path(packed_path)
-    for expected_hits in (0, len(x_te)):
+    for expected_hits in (0, 0, len(x_te)):
         np.testing.assert_array_equal(cached.predict(x_te), want)
         assert cached.cache_info()["hits"] == expected_hits, \
             cached.cache_info()
     print("packed XOR-popcount path == float path on binarized bundle "
-          "(features, images, and images twice through the LRU)")
+          "(features, images, and images three times through the LRU)")
 
     # 4. Packed encode: sign words == the float64 GEMM's signs.
     def assert_packed_words(path, name):

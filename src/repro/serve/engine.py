@@ -13,7 +13,10 @@ serving concerns:
   repeated queries skip the projection GEMM entirely
   (``serve.cache.hits`` / ``serve.cache.misses``).  It is keyed by one
   vectorized 64-bit hash per raw feature row and exact: a hit needs the
-  stored raw row to equal the query bit for bit;
+  stored raw row to equal the query bit for bit.  It admits a row on
+  its second sighting: a doorkeeper remembers an 8-word fingerprint of
+  each row seen once, which then costs no key and no store, so a
+  repeated row hits from its third request;
 * the drift monitor's feed: the rows at the bundle baseline's tap (the
   raw input, or the reduce stage's output, which the graph's
   ``scale → reduce`` slice hands to ``encode`` and the LRU stores beside
@@ -36,7 +39,7 @@ fails either is refused with :class:`BundleError` before it serves.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -57,21 +60,39 @@ class EngineSelfCheckError(RuntimeError):
     """The packed fast path disagreed with the reference kernel."""
 
 
-#: Seeds the fixed odd multipliers of the LRU's row hash.
+#: Seeds the fixed odd multipliers of the LRU's row hash and fingerprint.
 _HASH_SEED = 0x5EED_1A55
+
+#: Words of a row its doorkeeper fingerprint reads.
+_PRINT_WORDS = 8
 
 
 class _EncodedLRU:
-    """Thread-safe LRU of encoded rows, exact on the raw feature bytes.
+    """Thread-safe LRU of encoded rows, exact on the raw feature bytes,
+    that stores a row only on its second sighting.
 
-    A row's key is one 64-bit hash, computed for a whole batch at once:
-    a multiply-and-sum, modulo 2**64, of the ``uint64`` view of its
+    A row's full key is one 64-bit hash, computed for a whole batch at
+    once: a multiply-and-sum, modulo 2**64, of the ``uint64`` view of its
     ``width`` raw float64 values with fixed odd multipliers, plus one of
     the words' high 32-bit halves with a second set.  A product moves
     only the bits at and above the multiplied bit, so without the
     second sum a sign bit would reach only the key's top bit, and rows
     differing in an even number of signs (``0.0`` and ``-0.0`` rows, for
     one) would share a key.
+
+    In front of the key sits a doorkeeper.  A row's fingerprint is the
+    same multiply-and-sum over only ``_PRINT_WORDS`` of its words,
+    spread across the row; integer arithmetic, so it does not depend on
+    the batch the row arrives in.  A row whose fingerprint is neither
+    in the doorkeeper nor kept by a stored entry is a miss that is
+    neither keyed nor stored: its fingerprint enters the doorkeeper, a
+    FIFO of at most ``max_entries`` fingerprints.  Any other row is
+    keyed, looked up, and stored on a miss, its slot keeping its
+    fingerprint, so a stored row is looked up however much one-off
+    traffic has flushed the doorkeeper.  A row seen once thus costs a
+    read of a few words, not a full key and a store; a repeated row
+    hits from its third sighting.  A fingerprint collision admits a row
+    early, never serves a wrong encoding.
 
     Each entry keeps its raw row beside its encoding, and a lookup hits
     only when that row equals the query word for word: a hash collision
@@ -80,9 +101,9 @@ class _EncodedLRU:
     the ordered map holds each key's row slot.  With ``keep_taps`` each
     entry also keeps the row the drift monitor reads (the reduce stage's
     output), so a hit feeds the monitor what a miss would.  A batch
-    takes one lock for its lookups and one for its stores, and leaves
-    the LRU as if its rows were looked up, then stored, one at a
-    time."""
+    takes one lock for its admissions and lookups and one for its
+    stores, and leaves the LRU as if its rows were admitted and looked
+    up, then stored, one at a time."""
 
     def __init__(self, max_entries: int, width: int,
                  keep_taps: bool = False):
@@ -92,7 +113,15 @@ class _EncodedLRU:
         rng = np.random.default_rng(_HASH_SEED)
         self._low, self._high = rng.integers(
             0, 2 ** 64, size=(2, self.width), dtype=np.uint64) | np.uint64(1)
+        self._print_cols = np.unique(np.linspace(
+            0, self.width - 1, _PRINT_WORDS).astype(np.intp))
+        self._print_mult = rng.integers(
+            0, 2 ** 64, size=len(self._print_cols),
+            dtype=np.uint64) | np.uint64(1)
         self._slots: "OrderedDict[int, int]" = OrderedDict()
+        self._door: Dict[int, None] = {}  # insertion-ordered FIFO
+        self._stored: "Counter[int]" = Counter()  # fingerprint -> slots
+        self._prints: List[Optional[int]] = [None] * self.max_entries
         self._raw: Optional[np.ndarray] = None
         self._rows: Optional[np.ndarray] = None
         self._taps: Optional[np.ndarray] = None
@@ -100,54 +129,101 @@ class _EncodedLRU:
         self.hits = 0
         self.misses = 0
 
+    def fingerprints(self, raw: np.ndarray) -> List[int]:
+        """One doorkeeper fingerprint per row of an ``(n, width)``
+        ``uint64`` view."""
+        return (raw[:, self._print_cols] @ self._print_mult).tolist()
+
     def keys(self, raw: np.ndarray) -> List[int]:
         """One key per row of an ``(n, width)`` ``uint64`` view."""
         return (raw @ self._low
                 + (raw >> np.uint64(32)) @ self._high).tolist()
 
-    def get_many(self, keys: List[int], raw: np.ndarray
+    def _admit(self, prints: List[int]) -> List[int]:
+        """The positions, in order, of the rows whose fingerprint a
+        stored entry keeps or the doorkeeper holds; every other row's
+        fingerprint enters the doorkeeper.  Called under the lock."""
+        door, stored = self._door, self._stored
+        fresh = dict.fromkeys(prints)
+        if (len(fresh) == len(prints) and stored.keys().isdisjoint(fresh)
+                and door.keys().isdisjoint(fresh)):
+            # Every row a first sighting (one-off traffic): the same
+            # doorkeeper as row by row, in bulk.
+            excess = len(prints) - self.max_entries
+            if excess >= 0:  # the batch alone fills the doorkeeper
+                self._door = (dict.fromkeys(prints[excess:]) if excess
+                              else fresh)
+            else:
+                door.update(fresh)
+                for _ in range(len(door) - self.max_entries):
+                    del door[next(iter(door))]
+            return []
+        admitted = []
+        for i, fp in enumerate(prints):
+            if fp in stored or fp in door:
+                admitted.append(i)
+            else:  # a first sighting
+                door[fp] = None
+                if len(door) > self.max_entries:
+                    del door[next(iter(door))]  # the oldest
+        return admitted
+
+    def get_many(self, raw: np.ndarray
                  ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray],
-                            List[int]]:
-        """``(encoded, taps, misses)``: ``(n, ·)`` arrays holding every
-        hit row's encoding and, with ``keep_taps``, its tapped row (None
-        when nothing hit, or no taps are kept), and the positions that
-        missed."""
+                            List[int], List[Tuple[int, int, int]]]:
+        """``(encoded, taps, misses, stores)`` for an ``(n, width)``
+        ``uint64`` view: ``(n, ·)`` arrays holding every hit row's
+        encoding and, with ``keep_taps``, its tapped row (None when
+        nothing hit, or no taps are kept); the positions that missed;
+        and, for :meth:`put_many`, a ``(position, key, fingerprint)``
+        triple per admitted row that missed."""
+        prints = self.fingerprints(raw)
         with self._lock:
-            slots = [self._slots.get(key) for key in keys]
-            found = [i for i, slot in enumerate(slots) if slot is not None]
-            hit_pos = []
-            if found:
-                same = (self._raw[[slots[i] for i in found]]
-                        == raw[found]).all(axis=1)
-                hit_pos = [i for i, equal in zip(found, same.tolist())
-                           if equal]
-            for i in hit_pos:
-                self._slots.move_to_end(keys[i])
-            self.hits += len(hit_pos)
-            self.misses += len(keys) - len(hit_pos)
-            if not hit_pos:
-                return None, None, list(range(len(keys)))
+            admitted = self._admit(prints)
+            keys: List[int] = []
+            hit_slots: Dict[int, int] = {}  # position -> slot
+            if admitted:
+                keys = self.keys(raw if len(admitted) == len(raw)
+                                 else raw[admitted])
+                slots = [self._slots.get(key) for key in keys]
+                found = [k for k, slot in enumerate(slots)
+                         if slot is not None]
+                if found:
+                    same = (self._raw[[slots[k] for k in found]]
+                            == raw[[admitted[k] for k in found]]).all(axis=1)
+                    for k, equal in zip(found, same.tolist()):
+                        if equal:
+                            hit_slots[admitted[k]] = slots[k]
+                            self._slots.move_to_end(keys[k])
+            self.hits += len(hit_slots)
+            self.misses += len(raw) - len(hit_slots)
+            stores = [(i, key, prints[i]) for i, key in zip(admitted, keys)
+                      if i not in hit_slots]
+            if not hit_slots:
+                return None, None, list(range(len(raw))), stores
             # Copies, taken under the lock.
-            hit_slots = [slots[i] for i in hit_pos]
-            found = [self._rows[hit_slots]]
+            slots = list(hit_slots.values())
+            found = [self._rows[slots]]
             if self.keep_taps:
-                found.append(self._taps[hit_slots])
+                found.append(self._taps[slots])
         misses: List[int] = []
-        if len(hit_pos) < len(keys):
-            hit = np.zeros(len(keys), dtype=bool)
-            hit[hit_pos] = True
+        if len(hit_slots) < len(raw):
+            hit = np.zeros(len(raw), dtype=bool)
+            hit[list(hit_slots)] = True
             for k, rows in enumerate(found):
-                found[k] = np.empty((len(keys), rows.shape[1]),
+                found[k] = np.empty((len(raw), rows.shape[1]),
                                     dtype=rows.dtype)
                 found[k][hit] = rows
             misses = np.flatnonzero(~hit).tolist()
-        return found[0], found[1] if self.keep_taps else None, misses
+        return (found[0], found[1] if self.keep_taps else None, misses,
+                stores)
 
-    def put_many(self, keys: List[int], raw: np.ndarray,
+    def put_many(self, stores: List[Tuple[int, int, int]], raw: np.ndarray,
                  rows: np.ndarray, taps: Optional[np.ndarray] = None
                  ) -> None:
-        """Store ``rows[j]`` (and ``taps[j]``, with ``keep_taps``) for raw
-        row ``raw[j]`` under ``keys[j]``, in order."""
+        """For each ``(i, key, fingerprint)`` of ``stores``, in order,
+        store ``rows[i]`` (and ``taps[i]``, with ``keep_taps``) for raw
+        row ``raw[i]`` under ``key``."""
         writes: Dict[int, int] = {}  # slot -> row; a later row wins
         with self._lock:
             if self._rows is None:
@@ -158,16 +234,23 @@ class _EncodedLRU:
                 if self.keep_taps:
                     self._taps = np.empty((self.max_entries, taps.shape[1]),
                                           dtype=taps.dtype)
-            for j, key in enumerate(keys):
+            for i, key, fp in stores:
                 slot = self._slots.pop(key, None)  # re-inserted at the end
                 if slot is None:
                     slot = len(self._slots)
                     if slot == self.max_entries:  # full: reuse the oldest's
                         slot = self._slots.popitem(last=False)[1]
                 self._slots[key] = slot
-                writes[slot] = j
+                old = self._prints[slot]
+                if old is not None:
+                    self._stored[old] -= 1
+                    if not self._stored[old]:
+                        del self._stored[old]
+                self._prints[slot] = fp
+                self._stored[fp] += 1
+                writes[slot] = i
             dest = list(writes)
-            src = (slice(None) if len(writes) == len(keys)
+            src = (slice(None) if len(writes) == len(raw)
                    else list(writes.values()))
             self._raw[dest] = raw[src]
             self._rows[dest] = rows[src]
@@ -195,7 +278,9 @@ class InferenceEngine:
         :func:`~repro.pipeline.packed_refusal` finds no reason not to.
         True on a graph it refuses raises :class:`BundleError`.
     cache_size:
-        LRU capacity (entries) for encoded rows; 0 disables.
+        LRU capacity (entries) for encoded rows, and the number of
+        first-sighting fingerprints its doorkeeper remembers; 0
+        disables the LRU, and a negative value raises ``ValueError``.
     build_extractor:
         Keep the truncated-CNN ``extract`` stage in the graph so
         :meth:`predict` accepts raw NCHW images.  Disable for servers
@@ -223,6 +308,8 @@ class InferenceEngine:
                  selfcheck: bool = True,
                  quality: Optional[bool] = None,
                  quality_window: int = 512):
+        if cache_size < 0:
+            raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         bundle.validate()
         self.bundle = bundle
         info = bundle.info
@@ -324,21 +411,23 @@ class InferenceEngine:
         gives the ±1 hypervectors; otherwise each row is the encoder's
         ``D`` floats.  When the drift monitor watches the reduce output
         and ``ctx`` is given, ``ctx["reduced"]`` receives those
-        ``(n, F̂)`` rows, from the LRU for the rows that hit.
+        ``(n, F̂)`` rows, from the LRU for the rows that hit.  Rows
+        that are not :attr:`in_features` wide raise ``ValueError``.
         """
         raw_features = np.atleast_2d(
             np.asarray(raw_features, dtype=np.float64))
+        if raw_features.shape[1] != self.in_features:
+            raise ValueError(f"features have {raw_features.shape[1]} "
+                             f"columns, the model takes {self.in_features}")
         cache = self._cache
-        if cache is not None and raw_features.shape[1] != cache.width:
-            cache = None  # no stored row can equal these
         encoded = reduced = None  # the rows the LRU had; None when none did
         misses: List[int] = []
+        stores: List[Tuple[int, int, int]] = []
         if cache is not None:
             words = np.ascontiguousarray(raw_features).view(np.uint64)
-            keys = cache.keys(words)
-            encoded, reduced, misses = cache.get_many(keys, words)
+            encoded, reduced, misses, stores = cache.get_many(words)
             registry = get_registry()
-            registry.inc("serve.cache.hits", len(keys) - len(misses))
+            registry.inc("serve.cache.hits", len(words) - len(misses))
             registry.inc("serve.cache.misses", len(misses))
         if encoded is None or misses:
             fresh_rows = (raw_features if encoded is None
@@ -349,18 +438,14 @@ class InferenceEngine:
                 fresh = self.graph.run(mid, start=self._encode_name,
                                        stop=self._classify_name)
             taps = mid if self._watch_reduce else None
-            if cache is not None:
-                if encoded is None:
-                    cache.put_many(keys, words, fresh, taps)
-                else:
-                    cache.put_many([keys[i] for i in misses],
-                                   words[misses], fresh, taps)
             if encoded is None:
                 encoded, reduced = fresh, taps
             else:
                 encoded[misses] = fresh
                 if taps is not None:
                     reduced[misses] = taps
+            if stores:
+                cache.put_many(stores, words, encoded, reduced)
         if ctx is not None and reduced is not None:
             ctx["reduced"] = reduced
         return encoded

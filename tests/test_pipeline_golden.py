@@ -336,7 +336,8 @@ class TestServedLabels:
         assert engine.use_packed == bool(packed and "use_packed" not in config)
         want = golden[f"{pipeline}.{'packed' if packed else 'engine'}_labels"]
         raw = golden[f"{pipeline}.raw_features"]
-        for _ in range(2):  # cold, then (where cached) every row a hit
+        # Seen once, then stored, then (where cached) every row a hit.
+        for _ in range(3):
             np.testing.assert_array_equal(engine.predict_features(raw), want)
         cached = config.get("cache_size") != 0
         assert engine.cache_info()["hits"] == (len(raw) if cached else 0)

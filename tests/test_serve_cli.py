@@ -185,6 +185,12 @@ class TestMain:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_negative_cache_size_exits_two(self, bundle_path, capsys):
+        code = main([bundle_path, "--port", "0", "--cache-size", "-1",
+                     "--dry-run"])
+        assert code == 2
+        assert "cache_size must be >= 0, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rate", ["nan", "-0.1", "1.5"])
     def test_trace_sample_outside_unit_interval_exits_two(
             self, bundle_path, rate, capsys):

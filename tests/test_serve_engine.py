@@ -1,6 +1,8 @@
 """Inference engine: packed/float agreement, caching, pipeline parity."""
 
 import os
+import sys
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -160,13 +162,28 @@ class TestFloatPath:
 
 
 class TestCache:
+    @pytest.fixture()
+    def keyed(self, monkeypatch):
+        """The row count of every full-key call the LRU makes."""
+        counts = []
+        full_key = _EncodedLRU.keys
+
+        def counting(self, raw):
+            counts.append(len(raw))
+            return full_key(self, raw)
+
+        monkeypatch.setattr(_EncodedLRU, "keys", counting)
+        return counts
+
     def test_repeat_queries_hit_lru(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle(), cache_size=64)
         rng = fresh_rng((4, "engine-cache"))
         features = rng.standard_normal((10, 32))
+        # Seen once, then stored on the second sighting, then read.
         first = engine.predict_features(features)
-        second = engine.predict_features(features)
-        np.testing.assert_array_equal(first, second)
+        for _ in range(2):
+            np.testing.assert_array_equal(engine.predict_features(features),
+                                          first)
         info = engine.cache_info()
         assert info["hits"] >= 10 and info["misses"] >= 10
         assert info["entries"] == 10
@@ -174,81 +191,104 @@ class TestCache:
     def test_lru_eviction_bounds_entries(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle(), cache_size=4)
         rng = fresh_rng((5, "engine-evict"))
-        engine.predict_features(rng.standard_normal((20, 32)))
+        # Each row twice in a row: the second sighting stores it.
+        engine.predict_features(
+            rng.standard_normal((20, 32))[np.repeat(np.arange(20), 2)])
         assert engine.cache_info()["entries"] == 4
+        assert len(engine._cache._door) <= 4
 
     def test_batch_path_matches_the_per_row_loop(self, synthetic_bundle):
         """Partial hits, duplicate rows within a batch and batches larger
-        than the cache leave the same LRU as a lookup-then-store loop
-        over the rows, one at a time (the reference kept below)."""
+        than the cache leave the same LRU as a loop that admits, looks
+        up, then stores the rows one at a time (the reference kept
+        below)."""
 
         class RowLRU:
             def __init__(self, max_entries):
                 self.max_entries = max_entries
-                self.data = OrderedDict()
+                self.data = OrderedDict()  # key -> (fingerprint, value)
+                self.door = OrderedDict()  # fingerprints seen once
                 self.hits = self.misses = 0
 
+            def admit(self, fp):
+                if fp in self.door or any(fp == kept for kept, _ in
+                                          self.data.values()):
+                    return True
+                self.door[fp] = None
+                while len(self.door) > self.max_entries:
+                    self.door.popitem(last=False)
+                return False
+
             def get(self, key):
-                value = self.data.get(key)
-                if value is None:
-                    self.misses += 1
+                entry = self.data.get(key)
+                if entry is None:
                     return None
                 self.data.move_to_end(key)
-                self.hits += 1
-                return value
+                return entry[1]
 
-            def put(self, key, value):
-                self.data[key] = value
+            def put(self, key, fp, value):
+                self.data[key] = (fp, value)
                 self.data.move_to_end(key)
                 while len(self.data) > self.max_entries:
                     self.data.popitem(last=False)
 
-        def row_loop_encode(lru, encode, raw):
+        def row_loop_encode(lru, fingerprint, encode, raw):
             keys = [row.tobytes() for row in raw]  # exact keys
             sample = encode(raw[:1])
             encoded = np.empty((len(raw), sample.shape[1]),
                                dtype=sample.dtype)
-            miss_idx = []
+            miss_idx, prints = [], {}
             for i, key in enumerate(keys):
-                hit = lru.get(key)
-                if hit is None:
-                    miss_idx.append(i)
-                else:
+                # One row at a time: a fingerprint is the row's own.
+                fp = fingerprint(raw[i:i + 1].view(np.uint64))[0]
+                admitted = lru.admit(fp)
+                hit = lru.get(key) if admitted else None
+                if hit is not None:
+                    lru.hits += 1
                     encoded[i] = hit
+                    continue
+                lru.misses += 1
+                miss_idx.append(i)
+                prints[i] = fp if admitted else None  # stored if admitted
             if miss_idx:
                 fresh = encode(raw[miss_idx])
                 for j, i in enumerate(miss_idx):
                     encoded[i] = fresh[j]
-                    lru.put(keys[i], fresh[j].copy())
+                    if prints[i] is not None:
+                        lru.put(keys[i], prints[i], fresh[j].copy())
             return encoded
 
         bundle = synthetic_bundle()
         uncached = InferenceEngine(bundle, cache_size=0)
         rng = fresh_rng((7, "engine-batch-lru"))
-        pool = rng.standard_normal((40, 32))
+        pool = rng.standard_normal((44, 32))
         batches = [pool[:6],
                    pool[[0, 6, 6, 1, 7, 0]],       # hits, in-batch dupes
                    pool[8:30],                      # > cache: self-evicts
                    pool[[29, 3, 28, 8, 9, 29]],
                    pool[30:40][[0, 1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 1]],
-                   pool[[35, 36]], pool[:0]]
+                   pool[[35, 36]], pool[:0],
+                   pool[40:44]]                     # new rows, full door
         for size in (5, 16):
             with use_registry() as registry:
                 engine = InferenceEngine(bundle, cache_size=size)
                 reference = RowLRU(size)
-                for batch in batches:
+                for batch in batches + batches:  # a third sighting hits
                     got = engine.encode_features(batch)
                     want = row_loop_encode(reference,
+                                           engine._cache.fingerprints,
                                            uncached.encode_features, batch)
                     np.testing.assert_array_equal(got, want)
                 cache = engine._cache
                 assert [cache._raw[slot].tobytes()
                         for slot in cache._slots.values()] \
                     == list(reference.data)
-                for key, slot in zip(reference.data,
-                                     cache._slots.values()):
-                    np.testing.assert_array_equal(cache._rows[slot],
-                                                  reference.data[key])
+                for (fp, row), slot in zip(reference.data.values(),
+                                           cache._slots.values()):
+                    assert cache._prints[slot] == fp
+                    np.testing.assert_array_equal(cache._rows[slot], row)
+                assert list(cache._door) == list(reference.door)
+                assert reference.hits > 0
                 assert engine.cache_info() == {
                     "entries": len(reference.data), "hits": reference.hits,
                     "misses": reference.misses, "max_entries": size}
@@ -256,6 +296,55 @@ class TestCache:
                     == reference.hits
                 assert registry.counter("serve.cache.misses").value \
                     == reference.misses
+
+    def test_rows_seen_once_are_neither_keyed_nor_stored(
+            self, synthetic_bundle, keyed):
+        """A unique batch costs no full key and no store; the same batch
+        again is keyed and stored, and a third time every row hits."""
+        bundle = synthetic_bundle()
+        uncached = InferenceEngine(bundle, cache_size=0)
+        engine = InferenceEngine(bundle, cache_size=256)
+        rows = fresh_rng((13, "engine-doorkeeper")).standard_normal(
+            (256, 32))
+        want = uncached.predict_features(rows)
+        for pass_keyed, entries, hits in ((0, 0, 0), (256, 256, 0),
+                                          (256, 256, 256)):
+            keyed.clear()
+            np.testing.assert_array_equal(engine.predict_features(rows),
+                                          want)
+            assert sum(keyed) == pass_keyed
+            info = engine.cache_info()
+            assert (info["entries"], info["hits"]) == (entries, hits)
+        assert info["misses"] == 512
+
+    def test_stored_row_outlives_a_flushed_doorkeeper(self,
+                                                      synthetic_bundle):
+        engine = InferenceEngine(synthetic_bundle(), cache_size=8)
+        rng = fresh_rng((14, "engine-flush"))
+        hot = rng.standard_normal((1, 32))
+        for _ in range(2):
+            engine.predict_features(hot)  # seen, then stored
+        engine.predict_features(rng.standard_normal((80, 32)))
+        assert engine.cache_info()["entries"] == 1
+        before = engine.cache_info()["hits"]
+        engine.predict_features(hot)
+        assert engine.cache_info()["hits"] == before + 1
+
+    def test_colliding_fingerprints_key_every_later_row(
+            self, synthetic_bundle, keyed, monkeypatch):
+        """Every row with one fingerprint: each row after the very first
+        is fully keyed, and the labels stay the uncached engine's."""
+        monkeypatch.setattr(_EncodedLRU, "fingerprints",
+                            lambda self, raw: [7] * len(raw))
+        bundle = synthetic_bundle()
+        uncached = InferenceEngine(bundle, cache_size=0)
+        engine = InferenceEngine(bundle, cache_size=16)
+        pool = fresh_rng((15, "engine-one-print")).standard_normal((24, 32))
+        for batch in (pool[:10], pool[[3, 10, 11, 3]], pool[12:24]):
+            np.testing.assert_array_equal(engine.predict_features(batch),
+                                          uncached.predict_features(batch))
+        assert sum(keyed) == 10 + 4 + 12 - 1
+        assert engine.cache_info()["hits"] == 2
 
     def test_forced_collisions_cost_misses_not_labels(
             self, synthetic_bundle, monkeypatch):
@@ -268,21 +357,26 @@ class TestCache:
         pool = fresh_rng((9, "engine-collide")).standard_normal((8, 32))
         with use_registry() as registry:
             engine = InferenceEngine(bundle, cache_size=16)
-            # (batch, hits): the entry holds the last row stored.
-            for batch, hits in ((pool, 0), (pool, 1), (pool[[3]], 0),
-                                (pool[[3, 3]], 2), (pool[[4, 3]], 1)):
+            # (batch, hits): the first pass is seen once and not stored;
+            # after it the entry holds the last row stored.
+            for batch, hits in ((pool, 0), (pool, 0), (pool, 1),
+                                (pool[[3]], 0), (pool[[3, 3]], 2),
+                                (pool[[4, 3]], 1)):
                 before = engine.cache_info()["hits"]
                 np.testing.assert_array_equal(
                     engine.predict_features(batch),
                     uncached.predict_features(batch))
                 assert engine.cache_info()["hits"] - before == hits
             assert engine.cache_info() == {"entries": 1, "hits": 4,
-                                           "misses": 17, "max_entries": 16}
-            assert registry.counter("serve.cache.misses").value == 17
-        np.testing.assert_array_equal(engine._cache._raw[0],
-                                      pool[4].view(np.uint64))
-        np.testing.assert_array_equal(engine._cache._rows[:1],
+                                           "misses": 25, "max_entries": 16}
+            assert registry.counter("serve.cache.misses").value == 25
+        cache = engine._cache
+        np.testing.assert_array_equal(cache._raw[0], pool[4].view(np.uint64))
+        np.testing.assert_array_equal(cache._rows[:1],
                                       uncached.encode_features(pool[4]))
+        # The one slot keeps the fingerprint of the row it holds.
+        assert dict(cache._stored) == {
+            cache.fingerprints(pool[[4]].view(np.uint64))[0]: 1}
 
     def test_nan_and_duplicate_rows_hit(self, synthetic_bundle):
         bundle = synthetic_bundle()
@@ -293,22 +387,73 @@ class TestCache:
         uncached = InferenceEngine(bundle, cache_size=0)
         engine = InferenceEngine(bundle, cache_size=16)
         want = uncached.predict_features(batch)
-        # In-batch duplicates are looked up before the batch is stored.
-        np.testing.assert_array_equal(engine.predict_features(batch), want)
-        np.testing.assert_array_equal(engine.predict_features(batch), want)
-        assert engine.cache_info() == {"entries": 4, "hits": 6,
-                                       "misses": 6, "max_entries": 16}
+        # An in-batch duplicate is a second sighting, looked up before
+        # the batch is stored: rows 1 and 0 are stored on the first
+        # pass, rows 2 and 3 on the second, and the third pass hits all.
+        for _ in range(3):
+            np.testing.assert_array_equal(engine.predict_features(batch),
+                                          want)
+        assert engine.cache_info() == {"entries": 4, "hits": 10,
+                                       "misses": 8, "max_entries": 16}
 
     def test_signed_zero_rows_are_distinct_keys(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle(), cache_size=16)
         zero = np.zeros((1, 32))
+        # The sign bits cancel in the 8-word fingerprint, so -0 is
+        # admitted on its first sighting; the full key tells them apart.
+        assert engine._cache.fingerprints(zero.view(np.uint64)) \
+            == engine._cache.fingerprints((-zero).view(np.uint64))
         labels = [engine.predict_features(row)
-                  for row in (zero, -zero, zero, -zero)]
+                  for row in (zero, -zero) * 3]
         assert np.signbit(-zero).all()
         for got in labels[1:]:
             np.testing.assert_array_equal(got, labels[0])
-        assert engine.cache_info() == {"entries": 2, "hits": 2,
-                                       "misses": 2, "max_entries": 16}
+        assert engine.cache_info() == {"entries": 2, "hits": 3,
+                                       "misses": 3, "max_entries": 16}
+
+    def test_concurrent_callers_keep_the_lru_consistent(
+            self, synthetic_bundle):
+        """More threads than cores, switching often, over a pool that
+        mixes repeats and one-off rows: every label is right, every row
+        is counted once, and each stored slot's fingerprint is counted
+        exactly once."""
+        bundle = synthetic_bundle()
+        uncached = InferenceEngine(bundle, cache_size=0)
+        engine = InferenceEngine(bundle, cache_size=16)
+        pool = fresh_rng((16, "engine-threads")).standard_normal((48, 32))
+        want = uncached.predict_features(pool)
+        wrong, served = [], []
+
+        def caller(seed):
+            rng = fresh_rng((seed, "engine-thread-rows"))
+            for _ in range(40):
+                pick = rng.integers(0, len(pool), size=int(rng.integers(
+                    1, 9)))
+                if not np.array_equal(engine.predict_features(pool[pick]),
+                                      want[pick]):
+                    wrong.append(pick)
+                served.append(len(pick))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(seed,))
+                       for seed in range(2 * (os.cpu_count() or 1) + 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        info = engine.cache_info()
+        assert info["hits"] + info["misses"] == sum(served)
+        assert info["hits"] > 0
+        cache = engine._cache
+        assert len(cache._door) <= 16 and info["entries"] <= 16
+        kept = [cache._prints[slot] for slot in cache._slots.values()]
+        assert sorted(cache._stored.elements()) == sorted(kept)
 
     def test_cache_disabled(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle(), cache_size=0)

@@ -120,6 +120,14 @@ class TestFeedbackEndpoint:
         assert status == 400
         assert "error" in body
 
+    @pytest.mark.parametrize("width", [FEATURES - 1, FEATURES + 1])
+    def test_wrong_width_error_names_both_widths(self, server, width):
+        status, body, _ = request(server.url + "/feedback",
+                                  {"label": 0, "features": [0.0] * width})
+        assert status == 400
+        assert body["error"] == (f"features have {width} columns, "
+                                 f"the model takes {FEATURES}")
+
     def test_unknown_request_id_is_404(self, server, registry):
         status, body, _ = request(server.url + "/feedback",
                                   {"label": 0, "request_id": "ghost"})

@@ -318,7 +318,10 @@ class TestServedFold:
                    for size in (256, 0)]
         pool = golden_rows(40, seed=11)
         rng = np.random.default_rng(11)
+        # A row is stored on its second sighting and hits from its
+        # third: the second draw of ROWS rows hits nearly throughout.
         batches = [pool[:8], pool[[0, 8, 8, 1, 9, 0]],
+                   pool[rng.integers(0, 40, size=self.ROWS)],
                    pool[rng.integers(0, 40, size=self.ROWS)], pool[[3]],
                    pool[[3, 3]], pool[10:40], pool[:0], pool[[39, 20]]]
         for x in batches:
@@ -443,11 +446,12 @@ class TestBaselineTap:
         assert engine.quality.baseline.tap == "input"
         assert not engine._cache.keep_taps
         x = golden_rows(32, seed=3)
-        engine.predict_features(x)
-        engine.predict_features(x)  # LRU hits observe the raw rows too
-        assert engine.quality.samples == 64
+        for _ in range(3):  # the third pass's LRU hits observe them too
+            engine.predict_features(x)
+        assert engine.cache_info()["hits"] == 32
+        assert engine.quality.samples == 96
         np.testing.assert_array_equal(engine.quality._feat_sum,
-                                      2 * x.sum(axis=0))
+                                      3 * x.sum(axis=0))
 
     def test_promotion_keeps_the_tap(self):
         bundle = manifold_bundle()
@@ -655,7 +659,7 @@ class TestServerEndpoints:
         server, _ = quality_server
         shallow = get(server.url + "/healthz")
         assert "engine_vitals" not in shallow
-        for _ in range(2):  # repeat request → second hits the LRU
+        for _ in range(3):  # seen, stored, then the third hits the LRU
             payload = post(server.url + "/predict",
                            {"features": [[0.5] * 16]})
             assert len(payload["labels"]) == 1
