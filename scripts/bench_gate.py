@@ -5,7 +5,8 @@ subprocess three times untraced, at the fixed seeds :data:`SEEDS` (three
 is ``bench/compare.py``'s ``MIN_RUNS``; the seeds never change, so two
 BENCH files compare like for like), then once with ``--trace 1`` for the
 per-layer breakdown.  It writes ``results/bench/BENCH_<short sha>.json``
-(schema 2, ``docs/BENCH_SCHEMA.md``) and gates every (workload,
+(schema 2, ``docs/BENCH_SCHEMA.md``), with the size of the bench
+fixture's model bundle beside the line counts, and gates every (workload,
 end-to-end metric) against the base, the BENCH file added by the newest
 commit that adds one under ``results/bench/``, with ``bench/compare.py``'s
 verdicts.  ``regressed`` fails the gate and ``unresolved`` is printed.
@@ -34,7 +35,10 @@ for _path in (os.path.join(REPO_ROOT, "src"),
         sys.path.insert(0, _path)
 
 import compare  # noqa: E402  (bench/compare.py)
+import fixture  # noqa: E402  (bench/fixture.py)
+import numpy as np  # noqa: E402
 
+from repro.nn.serialize import MANIFEST_KEY  # noqa: E402
 from repro.telemetry.ledger import env_fingerprint, git_info  # noqa: E402
 
 SCHEMA_VERSION = 2
@@ -67,6 +71,15 @@ def line_counts() -> dict:
                         total += handle.read().count(b"\n")
         counts[top] = total
     return counts
+
+
+def bundle_bytes(path: str) -> dict:
+    """``{file_bytes, array_bytes}`` of a bundle archive: its size on
+    disk, and the bytes of its stored arrays (the manifest excluded)."""
+    with np.load(path) as archive:
+        arrays = sum(archive[name].nbytes for name in archive.files
+                     if name != MANIFEST_KEY)
+    return {"file_bytes": os.path.getsize(path), "array_bytes": int(arrays)}
 
 
 def run_bench(workload: str, seed: int, trace: int, seconds: float,
@@ -179,6 +192,8 @@ def main() -> int:
         "git": git,
         "env": env_fingerprint(),
         "lines": line_counts(),
+        "bundle": bundle_bytes(fixture.load_fixture(
+            REPO_ROOT, fixture.SIZES["full"]).bundle_path),
         "seeds": list(SEEDS),
         "seconds": spec["run_seconds"],
         "runs": runs,
@@ -192,7 +207,7 @@ def main() -> int:
         json.dump(record, handle, indent=1)
         handle.write("\n")
     print(f"\nwrote {path} in {record['wall_s']:.0f} s; lines: "
-          f"{record['lines']}")
+          f"{record['lines']}; bundle: {record['bundle']}")
     if base is not None:
         print(f"base: {base['path']} (commit {base['commit'][:10]})")
     status = print_gate(record["gate"])

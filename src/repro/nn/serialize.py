@@ -19,9 +19,11 @@ checkpoints carry.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
+import zipfile
 import zlib
 from typing import Any, Dict, Optional, Tuple
 
@@ -139,10 +141,17 @@ def _read_archive(path: str) -> Tuple[Dict[str, np.ndarray],
     if not os.path.exists(path):
         raise CheckpointError(f"checkpoint not found: {path!r}")
     try:
-        with np.load(path) as archive:
-            state = {name: archive[name] for name in archive.files}
-    except CheckpointError:
-        raise
+        state = {}
+        with zipfile.ZipFile(path) as archive:
+            for member in archive.infolist():
+                # ``read`` inflates the whole member, so zipfile checks
+                # its CRC-32 (``np.load`` stops at the array's last byte
+                # and skips it).  For the manifest that CRC is the only
+                # check there is.
+                raw = io.BytesIO(archive.read(member))
+                name = member.filename
+                state[name[:-4] if name.endswith(".npy") else name] = \
+                    np.lib.format.read_array(raw, allow_pickle=False)
     except Exception as exc:  # zipfile.BadZipFile, OSError, ValueError, ...
         raise CheckpointError(
             f"cannot read checkpoint {path!r} (truncated or corrupted "

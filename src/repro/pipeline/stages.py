@@ -181,8 +181,11 @@ class ExtractStage(Stage):
         }
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        return {f"model.{key}": np.asarray(value)
-                for key, value in self.extractor.model.state_dict().items()}
+        """The trunk up to the cut, the only layers this stage runs."""
+        cut = self.extractor.layer_index
+        trunk = self.extractor.model.features[:cut + 1]
+        return {f"model.features.{key}": np.asarray(value)
+                for key, value in trunk.state_dict().items()}
 
 
 class ScaleStage(Stage):

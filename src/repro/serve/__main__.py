@@ -208,7 +208,6 @@ def build_server(args: argparse.Namespace) -> ModelServer:
     if args.no_extractor:
         engine_options["build_extractor"] = False
 
-    ModelBundle.verify(args.bundle)
     engine = InferenceEngine.from_path(args.bundle, **engine_options)
     return ModelServer(
         engine,

@@ -2,15 +2,15 @@
 
 A :class:`ModelBundle` is the deployment artifact of a trained pipeline
 (:class:`repro.learn.NSHD` / ``BaselineHD`` / ``VanillaHD``): every array
-inference needs — CNN extractor weights, manifold FC, projection (or
-nonlinear basis), class hypervectors, scaler statistics — captured into a
-single atomic, CRC-verified archive (:mod:`repro.nn.serialize`) together
-with a JSON provenance block (git SHA, config fingerprint, creation
-time) stored as the ``"bundle"`` manifest section.  The block's
-``extractor``, ``manifold`` and ``encoder`` fields are the only
-description of the model's stages: :meth:`ModelBundle.validate` checks
-the arrays against them, and :meth:`ModelBundle.build_graph` builds the
-served stage graph from them.
+inference needs — CNN trunk weights up to the cut, manifold FC,
+projection (or nonlinear basis), class hypervectors, scaler statistics —
+captured into a single atomic, CRC-verified archive
+(:mod:`repro.nn.serialize`) together with a JSON provenance block (git
+SHA, config fingerprint, creation time) stored as the ``"bundle"``
+manifest section.  The block's ``extractor``, ``manifold`` and
+``encoder`` fields are the only description of the model's stages:
+:meth:`ModelBundle.validate` checks the arrays against them, and
+:meth:`ModelBundle.build_graph` builds the served stage graph from them.
 
 Bundles are *frozen*: they carry no optimizer state, no RNG state, no
 training history — exactly the inference closure and nothing else.  Two
@@ -22,6 +22,24 @@ deployment transforms can be applied at export time:
 * ``quantize_bits=8`` stores the manifold FC weights (and, for
   non-binarized bundles, the class matrix) as symmetric int8 payloads —
   the Vitis-AI-style deployment path of :mod:`repro.hardware.quantize`.
+
+Stored layout.  Version 2 (written by :meth:`ModelBundle.save`) holds
+the model the paper's Table II counts:
+
+* only the trunk up to the cut, ``model.features.{0..k}.*`` with ``k``
+  the extractor's ``layer_index``; the teacher's later layers and
+  classifier are not exported;
+* every array the provenance declares ±1 — a random projection's
+  ``encoder.projection``, and ``classes`` when ``binarized`` — as
+  ``np.packbits(a > 0, axis=1)`` under ``<name>.bits`` (``uint8``);
+  ``save`` refuses an array that is not exactly ±1.
+
+:meth:`ModelBundle.load` checks every stored member's CRC, then unpacks
+each ``.bits`` member to the float64 ±1 array under its plain name, so
+everything after ``load`` sees one in-memory layout.  Version 1 stored
+the whole CNN and every array as float; it still loads, and
+:meth:`ModelBundle.build_graph` reads only the trunk of either.  A
+reader refuses a bundle of a newer version by name.
 
 :meth:`ModelBundle.verify` re-reads an archive with CRC enforcement and
 structurally validates the arrays against the provenance block, so a
@@ -38,7 +56,7 @@ from __future__ import annotations
 
 import copy
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +77,14 @@ from ..telemetry.quality import QualityBaseline
 __all__ = ["BUNDLE_VERSION", "BUNDLE_SECTION", "BundleError", "ModelBundle"]
 
 #: Current bundle schema version (bumped on incompatible layout changes).
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
+
+#: Suffix of a stored member holding a ±1 array as packed sign bits.
+_BITS = ".bits"
+
+#: Prefix of the CNN trunk arrays (``model.features.<i>.<param>``), the
+#: names :meth:`ExtractStage.state_arrays` exports.
+_TRUNK = "model.features."
 
 #: Manifest section name carrying the bundle provenance block.
 BUNDLE_SECTION = "bundle"
@@ -67,6 +92,18 @@ BUNDLE_SECTION = "bundle"
 
 class BundleError(RuntimeError):
     """A model bundle is missing, malformed, or incompatible."""
+
+
+def _bipolar_shapes(info: Dict[str, Any]) -> Dict[str, Tuple[int, int]]:
+    """The arrays the provenance declares ±1, with their shapes."""
+    dim = int(info["dim"])
+    shapes = {}
+    enc = info.get("encoder") or {}
+    if enc.get("type") == "random_projection":
+        shapes["encoder.projection"] = (int(enc.get("in_features", 0)), dim)
+    if info.get("binarized"):
+        shapes["classes"] = (int(info["num_classes"]), dim)
+    return shapes
 
 
 class ModelBundle:
@@ -345,12 +382,31 @@ class ModelBundle:
     # Serialization
     # ------------------------------------------------------------------
     def save(self, path: str) -> None:
-        """Atomically write the bundle archive (CRC manifest included)."""
+        """Atomically write the bundle archive (CRC manifest included).
+
+        Writes the version-2 layout: each array the provenance declares
+        ±1 is stored as packed bits under ``<name>.bits``.  An array
+        that is not exactly ±1 is refused with :class:`BundleError`
+        rather than rounded.
+        """
+        arrays = dict(self.arrays)
+        for name in _bipolar_shapes(self.info):
+            if name not in arrays:
+                continue
+            value = np.asarray(arrays.pop(name))
+            if value.ndim != 2 or not is_bipolar(value):
+                raise BundleError(
+                    f"{name} is not a 2-D array of -1 and +1, so it "
+                    "cannot be stored as bits")
+            arrays[name + _BITS] = np.packbits(value > 0, axis=1)
+        # An older bundle is written as this version; a newer one keeps
+        # its number, so a reader that cannot parse it refuses it.
+        version = max(int(self.info["bundle_version"]), BUNDLE_VERSION)
         save_state(
-            self.arrays, path,
-            meta={"kind": "model-bundle",
-                  "bundle_version": int(self.info["bundle_version"])},
-            sections={BUNDLE_SECTION: encode_non_finite(self.info)})
+            arrays, path,
+            meta={"kind": "model-bundle", "bundle_version": version},
+            sections={BUNDLE_SECTION: encode_non_finite(
+                dict(self.info, bundle_version=version))})
 
     @classmethod
     def load(cls, path: str, verify: bool = True) -> "ModelBundle":
@@ -373,7 +429,37 @@ class ModelBundle:
             raise BundleError(
                 f"bundle {path!r} was written by a newer schema "
                 f"(version {version} > supported {BUNDLE_VERSION})")
-        return cls(state, info)
+        return cls(cls._unpack_bits(state, info, path), info)
+
+    @staticmethod
+    def _unpack_bits(state: Dict[str, np.ndarray], info: Dict[str, Any],
+                     path: str) -> Dict[str, np.ndarray]:
+        """Each ``<name>.bits`` member as the float64 ±1 ``<name>``."""
+        members = [key for key in state if key.endswith(_BITS)]
+        if not members:
+            return state
+        try:
+            shapes = _bipolar_shapes(info)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BundleError(
+                f"bundle {path!r} has a malformed provenance block: "
+                f"{exc!r}") from exc
+        for member in members:
+            name = member[:-len(_BITS)]
+            if name not in shapes or name in state:
+                raise BundleError(
+                    f"bundle {path!r} stores {member!r}, but its "
+                    f"provenance declares no bit-packed {name!r}")
+            rows, dim = shapes[name]
+            bits = state.pop(member)
+            want = (rows, (dim + 7) // 8)
+            if bits.dtype != np.uint8 or bits.shape != want:
+                raise BundleError(
+                    f"bundle {path!r} stores {member!r} as {bits.dtype} "
+                    f"{bits.shape}; its provenance says uint8 {want}")
+            signs = np.unpackbits(bits, axis=1, count=dim)
+            state[name] = np.where(signs == 1, 1.0, -1.0)
+        return state
 
     @classmethod
     def verify(cls, path: str) -> Dict[str, Any]:
@@ -453,6 +539,8 @@ class ModelBundle:
                 f"scaler.mean {mean.shape} and scaler.std {std.shape} "
                 f"must be 1-D and of one length")
         width = len(mean)
+        values = {"scaler.mean": mean, "scaler.std": std,
+                  "class matrix": classes}
 
         manifold = info.get("manifold")
         if manifold is not None:
@@ -470,6 +558,9 @@ class ModelBundle:
                 raise BundleError(
                     f"manifold.bias has shape {bias.shape}, provenance "
                     f"says {expected[:1]}")
+            values["manifold weight"] = weight
+            if bias is not None:
+                values["manifold.bias"] = bias
             if expected[0] != in_features:
                 raise BundleError(
                     f"manifold emits {expected[0]} features but the "
@@ -494,7 +585,16 @@ class ModelBundle:
                     f"extractor emits {int(np.prod(shape))} features "
                     f"(shape {list(shape)}) but the scaler standardizes "
                     f"{width}")
+        # Once the shapes agree, the values: a NaN or Inf in any of
+        # these, or a spread that is not > 0, serves one label to all.
+        for name, value in values.items():
+            if not np.isfinite(value).all():
+                raise BundleError(f"{name} holds NaN or Inf")
+        if not np.all(std > 0):
+            raise BundleError("scaler.std must be > 0 in every feature")
         self._validate_baseline(width)
+        # Last, so the checks above name what a missing array breaks.
+        self._require(*info.get("arrays", ()))
 
     def _validate_baseline(self, width: int) -> None:
         """The ``quality_baseline`` section parses, sketches as many
@@ -556,12 +656,6 @@ class ModelBundle:
         bias = self.arrays.get("manifold.bias")
         return None if bias is None else np.asarray(bias, dtype=np.float64)
 
-    def model_state(self) -> Dict[str, np.ndarray]:
-        """The extractor CNN's state dict (``model.`` prefix stripped)."""
-        return {name[len("model."):]: value
-                for name, value in self.arrays.items()
-                if name.startswith("model.")}
-
     # ------------------------------------------------------------------
     # Stage graph
     # ------------------------------------------------------------------
@@ -589,9 +683,15 @@ class ModelBundle:
                     num_classes=int(extractor["num_classes"]),
                     width_mult=float(extractor.get("width_mult", 1.0)),
                     image_size=int(extractor["image_size"]))
-                stage = ExtractStage(
-                    FeatureExtractor(model, int(extractor["layer_index"])))
-                model.load_state_dict(self.model_state())
+                cut = int(extractor["layer_index"])
+                stage = ExtractStage(FeatureExtractor(model, cut))
+                # Only the trunk up to the cut runs.  It reads just its
+                # own keys, so a version-1 bundle's later layers and
+                # classifier are not loaded.
+                model.features[:cut + 1].load_state_dict(
+                    {name[len(_TRUNK):]: value
+                     for name, value in arrays.items()
+                     if name.startswith(_TRUNK)})
                 model.eval()
                 stages.append(stage)
             scaler = FeatureScaler()

@@ -71,7 +71,7 @@ from ..telemetry import clock, get_registry, get_request_log
 from ..telemetry.reqtrace import HUB as _HUB
 from ..telemetry.reqtrace import TraceContext
 from .batching import MicroBatcher
-from .bundle import BundleError, ModelBundle
+from .bundle import BundleError
 from .engine import EngineSelfCheckError, InferenceEngine
 from .handler import FrontEnd, JsonHandler, Query, Response
 
@@ -544,13 +544,14 @@ class ModelServer(FrontEnd):
     # Hot reload
     # ------------------------------------------------------------------
     def reload(self, bundle_path: Optional[str] = None) -> Dict[str, Any]:
-        """Atomically swap in a freshly ``verify()``-ed engine.
+        """Atomically swap in an engine built from a fresh bundle read.
 
-        The new bundle is CRC-verified, structurally validated, and
-        engine-constructed (including the packed-path selfcheck)
-        *before* the swap — any failure raises :class:`ReloadError` and
-        the old engine keeps serving untouched.  Returns a summary dict
-        (also the ``POST /reload`` response body).
+        The new bundle is read once, then CRC-verified, structurally
+        validated and engine-constructed (including the packed-path
+        selfcheck) *before* the swap.  Any failure raises
+        :class:`ReloadError` and the old engine keeps serving
+        untouched.  Returns a summary dict (also the ``POST /reload``
+        response body).
         """
         path = bundle_path or self.bundle_path
         if not path:
@@ -559,7 +560,6 @@ class ModelServer(FrontEnd):
                 "bundle_path= (or POST {\"bundle\": \"path\"})")
         with self._reload_lock:
             try:
-                ModelBundle.verify(path)
                 engine = InferenceEngine.from_path(path,
                                                    **self.engine_options)
             except (BundleError, EngineSelfCheckError, OSError) as exc:

@@ -7,9 +7,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import BUNDLE_VERSION, ModelBundle
+from repro.nn import serialize
+from repro.nn.serialize import save_state
+from repro.serve import BUNDLE_SECTION, BUNDLE_VERSION, ModelBundle
+from repro.serve import bundle as bundle_module
 from repro.serve.handler import JsonHandler
-from repro.telemetry import config_fingerprint, git_info
+from repro.telemetry import config_fingerprint, encode_non_finite, git_info
 from repro.utils.rng import fresh_rng
 
 
@@ -84,6 +87,32 @@ def _synthetic_bundle(dim=512, features=32, classes=6, seed=0,
         "arrays": sorted(arrays),
     }
     return ModelBundle(arrays, info)
+
+
+def save_version_1(bundle, path):
+    """Write ``bundle`` in the version-1 layout, every array as it is
+    held (``ModelBundle.save`` writes version 2, whose bit-packed
+    members cannot hold a projection that is not ±1)."""
+    info = dict(bundle.info, bundle_version=1)
+    save_state(bundle.arrays, path,
+               meta={"kind": "model-bundle", "bundle_version": 1},
+               sections={BUNDLE_SECTION: encode_non_finite(info)})
+
+
+@pytest.fixture
+def bundle_reads(monkeypatch):
+    """The path of every archive read through
+    ``load_state_with_manifest`` from here on."""
+    reads = []
+    original = serialize.load_state_with_manifest
+
+    def counting(path, *args, **kwargs):
+        reads.append(path)
+        return original(path, *args, **kwargs)
+
+    for module in (serialize, bundle_module):
+        monkeypatch.setattr(module, "load_state_with_manifest", counting)
+    return reads
 
 
 @pytest.fixture

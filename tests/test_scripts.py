@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from .conftest import _synthetic_bundle
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = os.path.join(ROOT, "scripts")
 
@@ -131,6 +133,15 @@ def bench_file(latencies, env=None):
 
 
 class TestBenchGate:
+    def test_bundle_bytes_counts_the_file_and_its_arrays(self, bench_gate,
+                                                         tmp_path):
+        path = str(tmp_path / "bundle.npz")
+        _synthetic_bundle(dim=512, features=32, classes=6).save(path)
+        # scaler mean and std as float64, projection and classes as bits
+        assert bench_gate.bundle_bytes(path) == {
+            "file_bytes": os.path.getsize(path),
+            "array_bytes": 2 * 32 * 8 + (32 + 6) * 512 // 8}
+
     def test_a_file_passes_against_itself(self, bench_gate):
         record = bench_file([440.0, 445.0, 450.0])
         section = bench_gate.gate(record, record)

@@ -136,6 +136,13 @@ class TestBuildServer:
             server.stop()
             disable_request_tracing()
 
+    def test_reads_the_bundle_once(self, bundle_path, bundle_reads):
+        server = build_server(_args(bundle_path))
+        try:
+            assert bundle_reads == [bundle_path]
+        finally:
+            server.stop()
+
     def test_no_packed_flag(self, bundle_path):
         server = build_server(_args(bundle_path, no_packed=True))
         try:

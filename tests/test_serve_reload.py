@@ -13,7 +13,7 @@ from repro.serve import (InferenceEngine, ModelBundle, ModelServer,
                          ReloadError)
 from repro.telemetry import get_registry
 
-from .conftest import _synthetic_bundle
+from .conftest import _synthetic_bundle, save_version_1
 
 
 def post(url, payload=None, timeout=30):
@@ -50,6 +50,12 @@ def server(bundles):
 
 
 class TestReloadMethod:
+    def test_reload_reads_the_bundle_once(self, server, bundles,
+                                          bundle_reads):
+        _, path_b = bundles
+        server.reload(path_b)
+        assert bundle_reads == [path_b]
+
     def test_reload_swaps_engine(self, server, bundles):
         _, path_b = bundles
         old_engine = server.engine
@@ -152,7 +158,7 @@ class TestReloadHTTP:
         projection[0, 0] = 0.5
         bundle.arrays["encoder.projection"] = projection
         bad = str(tmp_path / "half.npz")
-        bundle.save(bad)
+        save_version_1(bundle, bad)
         old_engine = server.engine
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post(server.url + "/reload", {"bundle": bad})
