@@ -62,7 +62,6 @@ AUTO_TOML = """\
 build_extractor = false
 
 [online]
-rule = "mass"
 lr = 8.0
 max_update_norm = 8.0
 holdout_every = 4

@@ -5,8 +5,7 @@
 #     (tests/test_online_shadow.py), promotion gates + bundle promotion
 #     (tests/test_online_promotion.py), the HTTP /feedback | /promote |
 #     /onlinez surface and [online] config parsing
-#     (tests/test_serve_feedback.py), and the OnlineHD sparse-update
-#     property tests (tests/test_online_hd.py);
+#     (tests/test_serve_feedback.py);
 #   * live gate: serve a clustered bundle through the CLI config path,
 #     apply a label shift via /feedback and require recovery to >= 90%
 #     of clean accuracy within budget (with a replay-free forgetting
@@ -27,8 +26,7 @@ fi
 
 echo "== online check: shadow/promotion/feedback unit tests =="
 python -m pytest -q tests/test_online_shadow.py \
-    tests/test_online_promotion.py tests/test_serve_feedback.py \
-    tests/test_online_hd.py
+    tests/test_online_promotion.py tests/test_serve_feedback.py
 
 echo
 echo "== online check: live gate (recovery / poison / new-class / atomic) =="

@@ -11,12 +11,11 @@ from .centroid import train_centroids
 from .distill import DistillationTrainer
 from .manifold import ManifoldLearner
 from .mass import MassTrainer
-from .online import OnlineHDTrainer
 from .pipeline import NSHD, BaselineHD, FeatureScaler, VanillaHD
 
 __all__ = [
     "train_centroids",
-    "MassTrainer", "OnlineHDTrainer",
+    "MassTrainer",
     "DistillationTrainer",
     "ManifoldLearner",
     "NSHD", "BaselineHD", "VanillaHD", "FeatureScaler",

@@ -152,7 +152,7 @@ class MassTrainer:
                                  **_unused) -> np.ndarray:
         """The MASS rule ``U = one_hot − δ(M, H)``.
 
-        Subclasses (knowledge distillation, OnlineHD) override this hook;
+        Subclasses (knowledge distillation) override this hook;
         the similarities and the ``M += λ Uᵀ H`` application are shared.
         """
         return one_hot(labels, self.num_classes) - similarities

@@ -3,14 +3,14 @@ gated atomic promotion.
 
 The paper's core economic claim — class hypervectors admit cheap
 one-shot updates — is exactly what makes *learning in production*
-viable: a labelled feedback sample is one guarded MASS/OnlineHD step,
+viable: a labelled feedback sample is one guarded MASS step,
 not a retraining job.  This package closes the repo's train/serve
 split into that loop:
 
 * :class:`~repro.online.shadow.ShadowModel` — a float64 shadow copy of
   the live engine's frozen class-hypervector matrix.  ``POST
   /feedback`` samples update the *shadow* (never the serving matrix)
-  through the existing trainer rules, wrapped in a
+  through the MASS rule, wrapped in a
   :class:`~repro.reliability.NumericsGuard`, bounded per-class update
   norms (:func:`~repro.learn.mass.clip_update_norms`), and a token-
   bucket rate limit.  Every ``holdout_every``-th sample is held back

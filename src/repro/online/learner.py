@@ -43,19 +43,23 @@ from ..hd.similarity import cosine_similarity
 from ..reliability.guards import NumericsGuard
 from ..telemetry import get_registry
 from .promote import PromotionController
-from .shadow import RULES, FeedbackError, ShadowModel
+from .shadow import FeedbackError, ShadowModel
 
 __all__ = ["OnlineLearner"]
 
-# Keys accepted in the [online] config section / online_options dict.
-ONLINE_OPTION_KEYS = (
-    "enabled", "rule", "lr", "max_update_norm", "rate_limit_per_s",
-    "rate_limit_burst", "holdout_every", "validation_capacity",
-    "max_new_classes", "guard_policy", "guard_max_abs", "promote_every",
-    "auto_promote", "export_dir", "remember_requests", "min_feedback",
-    "min_validation", "min_accuracy_gain", "min_shadow_accuracy",
-    "max_confusability_increase", "max_saturation", "max_relative_drift",
-)
+# Keys accepted in the [online] config section / online_options dict,
+# each with the type its value must have.
+ONLINE_OPTION_TYPES = {
+    "enabled": bool, "lr": float, "max_update_norm": float,
+    "rate_limit_per_s": float, "rate_limit_burst": float,
+    "holdout_every": int, "validation_capacity": int,
+    "max_new_classes": int, "guard_policy": str, "guard_max_abs": float,
+    "promote_every": int, "auto_promote": bool, "export_dir": str,
+    "remember_requests": int, "min_feedback": int, "min_validation": int,
+    "min_accuracy_gain": float, "min_shadow_accuracy": float,
+    "max_confusability_increase": float, "max_saturation": float,
+    "max_relative_drift": float,
+}
 
 
 class OnlineLearner:
@@ -65,7 +69,7 @@ class OnlineLearner:
     ``[online]`` config section; every keyword maps 1:1 to a TOML key.
     """
 
-    def __init__(self, server: Any, rule: str = "mass", lr: float = 0.05,
+    def __init__(self, server: Any, lr: float = 0.05,
                  max_update_norm: float = 1.0,
                  rate_limit_per_s: Optional[float] = None,
                  rate_limit_burst: Optional[float] = None,
@@ -82,9 +86,6 @@ class OnlineLearner:
                  max_confusability_increase: float = 0.15,
                  max_saturation: float = 0.15,
                  max_relative_drift: Optional[float] = None):
-        if rule not in RULES:
-            raise ValueError(f"unknown rule {rule!r}; expected one of "
-                             f"{RULES}")
         if promote_every < 0:
             raise ValueError("promote_every must be >= 0")
         if remember_requests < 0:
@@ -98,7 +99,7 @@ class OnlineLearner:
         guard = NumericsGuard(policy=guard_policy, max_abs=guard_max_abs,
                               name="online")
         self.shadow = ShadowModel(
-            self.engine.class_matrix, rule=rule, lr=lr,
+            self.engine.class_matrix, lr=lr,
             max_update_norm=max_update_norm,
             rate_limit_per_s=rate_limit_per_s,
             rate_limit_burst=rate_limit_burst,
@@ -294,8 +295,7 @@ class OnlineLearner:
             matrix, generation=self.generation + 1,
             feedback_count=self.shadow.applied,
             class_priors=priors,
-            extra={"rule": self.shadow.rule,
-                   "classes_added": self.shadow.classes_added})
+            extra={"classes_added": self.shadow.classes_added})
         path = self._export_path()
         child.save(path)
         info = self._server.reload(path)  # the existing atomic hot swap

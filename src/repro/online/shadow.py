@@ -2,10 +2,9 @@
 
 The live :class:`~repro.serve.engine.InferenceEngine` stays frozen; all
 feedback learning happens on a :class:`ShadowModel` — a float64 copy of
-the engine's class matrix driven by the existing trainer rules
-(:class:`~repro.learn.mass.MassTrainer` dense MASS update or the
-:class:`~repro.learn.online.OnlineHDTrainer` sparse two-class rule).
-Every mutation path is defended:
+the engine's class matrix driven by the paper's MASS rule
+(:class:`~repro.learn.mass.MassTrainer`).  Every mutation path is
+defended:
 
 * a :class:`~repro.reliability.NumericsGuard` vets each encoded feedback
   hypervector before it can touch the matrix (and the trainer re-vets
@@ -38,13 +37,10 @@ import numpy as np
 
 from ..hd.similarity import cosine_similarity
 from ..learn.mass import MassTrainer
-from ..learn.online import OnlineHDTrainer
 from ..reliability.guards import NumericsGuard
 from ..telemetry import clock, get_registry, matrix_health
 
-__all__ = ["ShadowModel", "FeedbackError", "RULES"]
-
-RULES = ("mass", "online")
+__all__ = ["ShadowModel", "FeedbackError"]
 
 
 class FeedbackError(ValueError):
@@ -85,12 +81,8 @@ class ShadowModel:
     class_matrix:
         The live engine's class-hypervector matrix ``(k, dim)``; copied,
         never aliased.
-    rule:
-        ``"mass"`` (dense similarity-difference update) or ``"online"``
-        (sparse two-class OnlineHD rule — better retention under label
-        shift since untouched classes never move).
     lr, max_update_norm:
-        Trainer learning rate and the per-class L2 cap on each applied
+        MASS learning rate and the per-class L2 cap on each applied
         update.
     rate_limit_per_s, rate_limit_burst:
         Token-bucket admission for feedback; ``None`` disables limiting.
@@ -107,24 +99,20 @@ class ShadowModel:
         payloads are rejected, not fatal.
     """
 
-    def __init__(self, class_matrix: np.ndarray, rule: str = "mass",
-                 lr: float = 0.05, max_update_norm: float = 1.0,
+    def __init__(self, class_matrix: np.ndarray, lr: float = 0.05,
+                 max_update_norm: float = 1.0,
                  rate_limit_per_s: Optional[float] = None,
                  rate_limit_burst: Optional[float] = None,
                  holdout_every: int = 8, validation_capacity: int = 512,
                  max_new_classes: int = 8,
                  guard: Optional[NumericsGuard] = None,
                  sat_factor: float = 3.0):
-        if rule not in RULES:
-            raise ValueError(f"unknown rule {rule!r}; expected one of "
-                             f"{RULES}")
         if holdout_every < 0:
             raise ValueError("holdout_every must be >= 0")
         if validation_capacity <= 0:
             raise ValueError("validation_capacity must be positive")
         if max_new_classes < 0:
             raise ValueError("max_new_classes must be >= 0")
-        self.rule = rule
         self.lr = float(lr)
         self.max_update_norm = (float(max_update_norm)
                                 if max_update_norm else None)
@@ -146,17 +134,10 @@ class ShadowModel:
         self.base = base.copy()
         self.base_classes = int(base.shape[0])
         self.dim = int(base.shape[1])
-        if self.rule == "online":
-            trainer: MassTrainer = OnlineHDTrainer(
-                self.base_classes, self.dim, lr=self.lr,
-                reinforce_correct=True, guard=self.guard,
-                max_update_norm=self.max_update_norm)
-        else:
-            trainer = MassTrainer(
-                self.base_classes, self.dim, lr=self.lr, guard=self.guard,
-                max_update_norm=self.max_update_norm)
-        trainer.class_matrix = base.copy()
-        self.trainer = trainer
+        self.trainer = MassTrainer(
+            self.base_classes, self.dim, lr=self.lr, guard=self.guard,
+            max_update_norm=self.max_update_norm)
+        self.trainer.class_matrix = base.copy()
         # Per-new-class bundle counts: index -> samples accumulated.
         self._new_class_counts: Dict[int, int] = {}
         self.generation_feedback = 0
@@ -335,7 +316,6 @@ class ShadowModel:
     def status(self) -> Dict[str, object]:
         with self._lock:
             return {
-                "rule": self.rule,
                 "lr": self.lr,
                 "max_update_norm": self.max_update_norm,
                 "rate_limit_per_s": self._rate_limit_per_s,

@@ -5,14 +5,10 @@ stdlib :class:`~repro.serve.server.ModelServer` (micro-batching, load
 shedding, Prometheus metrics, hot reload on ``POST /reload`` / SIGHUP).
 
 Tuning lives in a TOML config file (``--config serve.toml``), every key
-in its section.  The command line carries switches and three deployment
-settings, ``--host``, ``--port`` and ``--cache-size``, which win over
-their ``[server]`` / ``[engine]`` keys.  The file maps 1:1 onto the
-MicroBatcher / LoadShedder / engine knobs::
-
-    [server]
-    host = "0.0.0.0"
-    port = 8000
+in its section.  The command line carries switches and the three
+deployment settings, ``--host``, ``--port`` and ``--cache-size``, which
+the file does not.  The file maps 1:1 onto the MicroBatcher /
+LoadShedder / engine knobs::
 
     [batcher]
     max_batch_size = 64
@@ -22,13 +18,11 @@ MicroBatcher / LoadShedder / engine knobs::
     timeout_s = 5.0
 
     [engine]
-    cache_size = 256
     build_extractor = true
     quality = true           # omit: auto-on when the bundle has a baseline
     quality_window = 512
 
     [online]
-    rule = "online"          # "mass" (dense) or "online" (sparse)
     max_update_norm = 1.0    # per-class L2 cap per feedback sample
     rate_limit_per_s = 50.0  # feedback admission (token bucket)
     holdout_every = 8        # every Nth sample → validation ring
@@ -69,7 +63,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from ..online.learner import ONLINE_OPTION_KEYS
+from ..online.learner import ONLINE_OPTION_TYPES
 from ..telemetry import enable_request_tracing, load_alert_rules
 from .bundle import BundleError, ModelBundle
 from .engine import EngineSelfCheckError, InferenceEngine
@@ -80,32 +74,39 @@ from .server import ModelServer
 __all__ = ["main", "build_server", "build_fleet", "load_config",
            "worker_args_from", "configure_tracing"]
 
-#: Config section → its keys (ModelServer / InferenceEngine kwarg names,
-#: the alert-rule table, the OnlineLearner kwargs).
+#: Config section → {key: the type its value must have} (ModelServer /
+#: InferenceEngine kwarg names, the alert-rule table, the OnlineLearner
+#: kwargs).  A ``float`` key also takes a TOML integer.
 _SECTIONS = {
-    "server": ("host", "port"),
-    "batcher": ("max_batch_size", "max_latency_ms", "workers",
-                "high_watermark", "timeout_s"),
-    "engine": ("cache_size", "build_extractor", "selfcheck", "quality",
-               "quality_window"),
-    "alerts": ("interval_s", "rules"),
-    "online": ONLINE_OPTION_KEYS,
+    "batcher": {"max_batch_size": int, "max_latency_ms": float,
+                "workers": int, "high_watermark": int, "timeout_s": float},
+    "engine": {"build_extractor": bool, "quality": bool,
+               "quality_window": int},
+    "alerts": {"interval_s": float, "rules": list},
+    "online": ONLINE_OPTION_TYPES,
 }
+
+
+def _has_type(value: Any, kind: type) -> bool:
+    """TOML's ``true`` is no integer and ``1`` is a valid float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def load_config(path: str) -> Dict[str, Any]:
     """Read a TOML config file into a flat ``{key: value}`` dict.
 
-    Every key sits in its section (``[server]`` / ``[batcher]`` /
-    ``[engine]`` / ``[alerts]`` / ``[online]``); an unknown section or
-    key, or a key outside any section, raises so typos fail loudly
-    instead of silently serving with defaults.  The ``[online]`` section
-    lands verbatim as ``online_options`` (the
+    Every key sits in its section (``[batcher]`` / ``[engine]`` /
+    ``[alerts]`` / ``[online]``); an unknown section or key, a key
+    outside any section, or a value of the wrong type raises so typos
+    fail loudly instead of silently serving with defaults.  The
+    ``[online]`` section lands verbatim as ``online_options`` (the
     :class:`~repro.online.OnlineLearner` kwargs — enables ``POST
     /feedback`` continual learning).  The ``[alerts]`` section is parsed
     through :func:`~repro.telemetry.alerts.load_alert_rules` (so a
     malformed rule also fails at startup) and lands as ``alert_rules`` /
-    ``alert_interval_s``.
+    ``alert_interval_s``, which must be > 0.
     """
     import tomllib
     with open(path, "rb") as handle:
@@ -119,13 +120,22 @@ def load_config(path: str) -> Dict[str, Any]:
         if section not in _SECTIONS:
             raise ValueError(f"unknown config section [{section}] in "
                              f"{path!r}; expected {expected}")
-        for key in table:
+        for key, value in table.items():
             if key not in _SECTIONS[section]:
                 raise ValueError(
                     f"unknown config key {section}.{key} in {path!r}")
+            kind = _SECTIONS[section][key]
+            if not _has_type(value, kind):
+                raise ValueError(
+                    f"config key {section}.{key} in {path!r} must be "
+                    f"{kind.__name__}, got {value!r}")
         if section == "alerts":
             flat["alert_rules"] = load_alert_rules(table.get("rules", []))
             if "interval_s" in table:
+                if not table["interval_s"] > 0:  # NaN fails it too
+                    raise ValueError(
+                        f"config key alerts.interval_s in {path!r} must "
+                        f"be > 0, got {table['interval_s']!r}")
                 flat["alert_interval_s"] = float(table["interval_s"])
         elif section == "online":
             flat["online_options"] = dict(table)
@@ -141,18 +151,15 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
                     "(/predict, /healthz, /metrics, /reload).")
     parser.add_argument("bundle", help="path to a ModelBundle .npz archive")
     parser.add_argument("--config", default=None,
-                        help="TOML config file (--host, --port and "
-                             "--cache-size override it)")
-    parser.add_argument("--host", default=None, help="bind host "
+                        help="TOML config file ([batcher], [engine], "
+                             "[alerts] and [online] sections)")
+    parser.add_argument("--host", default="127.0.0.1", help="bind host "
                         "(default 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=None,
+    parser.add_argument("--port", type=int, default=8000,
                         help="bind port (default 8000; 0 = ephemeral)")
     parser.add_argument("--cache-size", type=int, default=None,
-                        help="encoded-hypervector LRU entries (0 disables)")
-    parser.add_argument("--no-packed", action="store_true",
-                        help="forbid the bit-packed fast path")
-    parser.add_argument("--no-extractor", action="store_true",
-                        help="serve features only (skip rebuilding the CNN)")
+                        help="encoded-hypervector LRU entries (default "
+                             "256; 0 disables)")
     parser.add_argument("--dry-run", action="store_true",
                         help="build engine+server, print health JSON, exit")
     parser.add_argument("--fleet", type=int, default=0, metavar="N",
@@ -188,38 +195,24 @@ def configure_tracing(args: argparse.Namespace, service: str) -> bool:
     return True
 
 
-def _deployment(args: argparse.Namespace, config: Dict[str, Any],
-                name: str, default: Any) -> Any:
-    """``--host`` / ``--port`` / ``--cache-size``: the flag wins over
-    the config file."""
-    flag = getattr(args, name)
-    return config.get(name, default) if flag is None else flag
-
-
 def build_server(args: argparse.Namespace) -> ModelServer:
     """Resolve config + flags into a bound (not yet serving) server."""
     config = load_config(args.config) if args.config else {}
     engine_options: Dict[str, Any] = {
         key: config[key] for key in _SECTIONS["engine"] if key in config}
-    engine_options["cache_size"] = int(
-        _deployment(args, config, "cache_size", 256))
-    if args.no_packed:
-        engine_options["use_packed"] = False
-    if args.no_extractor:
-        engine_options["build_extractor"] = False
+    if args.cache_size is not None:
+        engine_options["cache_size"] = args.cache_size
 
     engine = InferenceEngine.from_path(args.bundle, **engine_options)
     return ModelServer(
-        engine,
-        host=str(_deployment(args, config, "host", "127.0.0.1")),
-        port=int(_deployment(args, config, "port", 8000)),
+        engine, host=args.host, port=args.port,
         **{key: config[key] for key in _SECTIONS["batcher"]
            if key in config},
         bundle_path=args.bundle,
         engine_options=engine_options,
         chaos=args.chaos,
         alert_rules=config.get("alert_rules"),
-        alert_interval_s=float(config.get("alert_interval_s", 1.0)),
+        alert_interval_s=config.get("alert_interval_s", 1.0),
         online_options=config.get("online_options"),
     )
 
@@ -233,10 +226,7 @@ def worker_args_from(args: argparse.Namespace) -> List[str]:
         out += ["--config", args.config]
     if args.cache_size is not None:
         out += ["--cache-size", str(args.cache_size)]
-    for flag, on in (("--no-packed", args.no_packed),
-                     ("--no-extractor", args.no_extractor),
-                     ("--chaos", args.chaos),
-                     ("--trace", args.trace)):
+    for flag, on in (("--chaos", args.chaos), ("--trace", args.trace)):
         if on:
             out.append(flag)
     if args.trace_dir:
@@ -250,15 +240,13 @@ def build_fleet(args: argparse.Namespace) -> Router:
     """Resolve flags into a bound (not yet serving) fleet router."""
     config = load_config(args.config) if args.config else {}
     ModelBundle.verify(args.bundle)  # fail before spawning anything
-    host = str(_deployment(args, config, "host", "127.0.0.1"))
     supervisor = Supervisor(args.bundle, workers=int(args.fleet),
-                            host=host, worker_args=worker_args_from(args))
+                            host=args.host,
+                            worker_args=worker_args_from(args))
     router = Router(
-        supervisor, host=host,
-        port=int(_deployment(args, config, "port", 8000)),
-        own_fleet=True,
+        supervisor, host=args.host, port=args.port, own_fleet=True,
         alert_rules=config.get("alert_rules"),
-        alert_interval_s=float(config.get("alert_interval_s", 1.0)),
+        alert_interval_s=config.get("alert_interval_s", 1.0),
     )
     supervisor.start(wait_ready=False)
     try:
@@ -271,6 +259,10 @@ def build_fleet(args: argparse.Namespace) -> Router:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
+    if not 0 <= args.port <= 65535:
+        print(f"error: --port must be in [0, 65535], got {args.port}",
+              file=sys.stderr)
+        return 2
     if args.trace_sample is not None and not 0.0 <= args.trace_sample <= 1.0:
         # NaN fails the comparison too: it would silently sample nothing.
         print(f"error: --trace-sample must be in [0, 1], got "

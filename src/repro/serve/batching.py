@@ -109,7 +109,7 @@ class MicroBatcher:
         Optional admission controller; ``None`` admits everything.
     default_timeout_s:
         Per-request deadline used when :meth:`submit` gets no explicit
-        ``timeout_s``; ``None`` means wait forever.
+        ``timeout_s``; ``None`` means wait forever.  Must be > 0.
     model_label:
         Name under which this batcher's shed/deadline rejections are
         counted (``serve.batcher.{shed,deadline}.model.<label>``) and
@@ -128,6 +128,10 @@ class MicroBatcher:
             raise ValueError("max_latency_ms must be >= 0")
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if default_timeout_s is not None and not default_timeout_s > 0:
+            # 0, a negative value or NaN would expire every request.
+            raise ValueError(f"default_timeout_s must be > 0 or None, "
+                             f"got {default_timeout_s}")
         self.predict_fn = predict_fn
         self.max_batch_size = int(max_batch_size)
         self.max_latency_s = float(max_latency_ms) / 1000.0

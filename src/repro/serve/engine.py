@@ -276,7 +276,8 @@ class InferenceEngine:
         classify — (True) or encode to floats and classify with the
         float cosine stage (False); default ``None`` packs exactly where
         :func:`~repro.pipeline.packed_refusal` finds no reason not to.
-        True on a graph it refuses raises :class:`BundleError`.
+        True on a graph it refuses raises :class:`BundleError`.  A
+        packed engine runs :meth:`selfcheck` at construction.
     cache_size:
         LRU capacity (entries) for encoded rows, and the number of
         first-sighting fingerprints its doorkeeper remembers; 0
@@ -285,9 +286,6 @@ class InferenceEngine:
         Keep the truncated-CNN ``extract`` stage in the graph so
         :meth:`predict` accepts raw NCHW images.  Disable for servers
         that only ever receive precomputed features.
-    selfcheck:
-        Run :meth:`selfcheck` at construction when the packed path is
-        active (cheap: a handful of random probes).
     quality:
         Force (True) or forbid (False) the streaming
         :class:`~repro.telemetry.quality.DriftMonitor`; default ``None``
@@ -305,7 +303,6 @@ class InferenceEngine:
                  use_packed: Optional[bool] = None,
                  cache_size: int = 256,
                  build_extractor: bool = True,
-                 selfcheck: bool = True,
                  quality: Optional[bool] = None,
                  quality_window: int = 512):
         if cache_size < 0:
@@ -377,7 +374,7 @@ class InferenceEngine:
                                    keep_taps=self._watch_reduce)
                        if cache_size > 0 else None)
 
-        if selfcheck and self.use_packed:
+        if self.use_packed:
             self.selfcheck()
 
     # ------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.hd import RandomProjectionEncoder
 from repro.learn import DistillationTrainer, MassTrainer, train_centroids
+from repro.learn.mass import clip_update_norms
 from repro.hd.similarity import cosine_similarity
 
 
@@ -154,6 +155,23 @@ class TestMassTrainer:
         queries = m.copy()
         update = trainer.compute_update(queries, np.arange(k))
         np.testing.assert_allclose(update, np.zeros((k, k)), atol=1e-12)
+
+    @given(seed=st.integers(0, 2 ** 16),
+           max_norm=st.floats(0.01, 10.0, allow_nan=False),
+           rows=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_clip_update_norms_bounds_and_identity(self, seed, max_norm,
+                                                   rows):
+        """Clipped rows land on the max-norm ball; rows already under
+        the cap pass through bit-exact."""
+        rng = np.random.default_rng(seed)
+        delta = rng.standard_normal((rows, 32)) * \
+            rng.choice([0.01, 1.0, 100.0], size=(rows, 1))
+        clipped = clip_update_norms(delta, max_norm)
+        norms = np.linalg.norm(clipped, axis=1)
+        assert np.all(norms <= max_norm * (1 + 1e-12))
+        under = np.linalg.norm(delta, axis=1) <= max_norm
+        assert np.array_equal(clipped[under], delta[under])
 
 
 class TestDistillationTrainer:

@@ -42,7 +42,7 @@ def recovered_shadow(seed=1, samples=150):
     """A shadow that learned a 0<->1 label swap on clustered data —
     a scenario where every (lenient) gate should pass."""
     base = make_base(seed=seed)
-    shadow = ShadowModel(base, rule="mass", lr=8.0, max_update_norm=8.0,
+    shadow = ShadowModel(base, lr=8.0, max_update_norm=8.0,
                          holdout_every=4)
     rng = np.random.default_rng(seed + 100)
     swap = {0: 1, 1: 0, 2: 2}
@@ -115,7 +115,7 @@ class TestGates:
         *relative* gain can look positive — the absolute floor must
         still veto."""
         base = make_base(seed=5)
-        shadow = ShadowModel(base, rule="mass", lr=8.0,
+        shadow = ShadowModel(base, lr=8.0,
                              max_update_norm=8.0, holdout_every=4)
         rng = np.random.default_rng(6)
         for _ in range(150):
@@ -204,11 +204,11 @@ class TestBundlePromoted:
                                    classes=4, seed=1)
         matrix = np.asarray(bundle.arrays["classes"]).copy()
         child = bundle.promoted(matrix, generation=3, feedback_count=77,
-                                extra={"rule": "mass"})
+                                extra={"source": "feedback"})
         online = child.info["online"]
         assert online["generation"] == 3
         assert online["feedback_count"] == 77
-        assert online["rule"] == "mass"
+        assert online["source"] == "feedback"
         assert online["classes_added"] == 0
         assert online["parent_fingerprint"] == \
             bundle.info["config_fingerprint"]
@@ -307,7 +307,7 @@ def feature_prototypes(classes=4, seed=0):
 
 
 def learner_on(bundle, tmp_path, **overrides):
-    kwargs = dict(rule="mass", lr=8.0, max_update_norm=8.0,
+    kwargs = dict(lr=8.0, max_update_norm=8.0,
                   holdout_every=4, promote_every=0, auto_promote=False,
                   export_dir=str(tmp_path), min_feedback=16,
                   min_validation=8, min_accuracy_gain=0.01,

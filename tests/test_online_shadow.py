@@ -39,10 +39,6 @@ def sample(base, label, noise=0.4, seed=None, rng=None):
 
 
 class TestConstruction:
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError, match="unknown rule"):
-            ShadowModel(make_base(), rule="sgd")
-
     @pytest.mark.parametrize("kwargs", [
         {"holdout_every": -1},
         {"validation_capacity": 0},
@@ -58,12 +54,6 @@ class TestConstruction:
         shadow.ingest(sample(base, 0, seed=1), 1)  # wrong label → update
         assert np.array_equal(base, make_base())  # caller's array intact
         assert np.array_equal(shadow.base, base)
-
-    def test_both_rules_construct(self):
-        for rule in ("mass", "online"):
-            shadow = ShadowModel(make_base(), rule=rule)
-            assert shadow.rule == rule
-            assert shadow.num_classes == 3
 
 
 class TestIngestStatuses:
@@ -193,7 +183,7 @@ class TestBounds:
     def test_update_norm_capped_per_row(self):
         base = make_base()
         cap = 0.25
-        shadow = ShadowModel(base, rule="mass", lr=50.0,
+        shadow = ShadowModel(base, lr=50.0,
                              max_update_norm=cap, holdout_every=0)
         before = shadow.snapshot()
         shadow.ingest(sample(base, 0, seed=11), 1)  # deliberately wrong
@@ -240,7 +230,7 @@ class TestEvaluation:
         """Swap labels 0<->1 via feedback; on the held-out ring the
         shadow should outscore the stale live matrix."""
         base = make_base(seed=13)
-        shadow = ShadowModel(base, rule="mass", lr=8.0,
+        shadow = ShadowModel(base, lr=8.0,
                              max_update_norm=8.0, holdout_every=4)
         rng = np.random.default_rng(14)
         swap = {0: 1, 1: 0, 2: 2}
@@ -268,7 +258,6 @@ class TestEvaluation:
     def test_status_shape(self):
         shadow = ShadowModel(make_base(), rate_limit_per_s=10.0)
         status = shadow.status()
-        assert status["rule"] == "mass"
         assert status["base_classes"] == 3
         assert status["feedback"] == {"seen": 0, "applied": 0,
                                       "held_out": 0, "rejected": 0,

@@ -47,6 +47,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="workers"):
             MicroBatcher(argmax_fn, workers=0)
 
+    @pytest.mark.parametrize("timeout_s", [0, -1.0, float("nan")])
+    def test_nonpositive_default_timeout_rejected(self, timeout_s):
+        # It would expire every request that names no deadline.
+        with pytest.raises(ValueError, match="default_timeout_s"):
+            MicroBatcher(argmax_fn, default_timeout_s=timeout_s)
+
 
 class TestCoalescing:
     def test_submit_coalesces_block_into_batches(self):

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
+import repro.serve.__main__ as serve_cli
 from repro.serve.__main__ import (_parse_args, build_server,
                                   configure_tracing, load_config, main,
                                   worker_args_from)
@@ -28,13 +30,24 @@ class TestLoadConfig:
     def test_sectioned_layout(self, tmp_path):
         path = tmp_path / "serve.toml"
         path.write_text(
-            '[server]\nhost = "0.0.0.0"\nport = 9000\n'
             "[batcher]\nmax_batch_size = 64\nworkers = 3\n"
-            "[engine]\ncache_size = 128\n")
+            "[engine]\nbuild_extractor = false\n")
         config = load_config(str(path))
-        assert config == {"host": "0.0.0.0", "port": 9000,
-                          "max_batch_size": 64, "workers": 3,
-                          "cache_size": 128}
+        assert config == {"max_batch_size": 64, "workers": 3,
+                          "build_extractor": False}
+
+    def test_docstring_example_loads(self, tmp_path):
+        # The config the module documents is a config it accepts: the
+        # indented block after the docstring's "::".
+        lines = serve_cli.__doc__.split("::\n", 1)[1].splitlines()
+        end = next(i for i, line in enumerate(lines)
+                   if line and not line.startswith(" "))
+        path = tmp_path / "serve.toml"
+        path.write_text(textwrap.dedent("\n".join(lines[:end])))
+        config = load_config(str(path))
+        assert config["max_batch_size"] == 64
+        assert config["online_options"]["promote_every"] == 64
+        assert config["alert_rules"][0].name == "feature-drift"
 
     def test_flat_layout_rejected(self, tmp_path):
         # Every key sits in its section; a known key at the top level
@@ -76,8 +89,8 @@ class TestLoadConfig:
     def test_unknown_key_raises(self, tmp_path):
         path = tmp_path / "serve.toml"
         # A key is read only in its own section.
-        for section, key in (("server", "portt"), ("engine", "use_packed"),
-                             ("server", "cache_size")):
+        for section, key in (("batcher", "portt"), ("engine", "use_packed"),
+                             ("batcher", "build_extractor")):
             path.write_text(f"[{section}]\n{key} = 1\n")
             with pytest.raises(ValueError, match=key):
                 load_config(str(path))
@@ -88,6 +101,39 @@ class TestLoadConfig:
             path.write_text(f"{key} = 1\n")
             with pytest.raises(ValueError, match=key):
                 load_config(str(path))
+
+    @pytest.mark.parametrize("text, name", [
+        ('[server]\nhost = "0.0.0.0"\n', r"\[server\]"),
+        ("[server]\nport = 9000\n", r"\[server\]"),
+        ("[engine]\ncache_size = 64\n", "engine.cache_size"),
+        ("[engine]\nselfcheck = false\n", "engine.selfcheck"),
+        ('[online]\nrule = "mass"\n', "online.rule"),
+    ])
+    def test_removed_settings_are_refused_by_name(self, tmp_path, text,
+                                                  name):
+        # Host, port and cache size are flags only; the packed self-check
+        # always runs; MASS is the one feedback rule.
+        path = tmp_path / "serve.toml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=name):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("text, name", [
+        ("[batcher]\nmax_batch_size = true\n", "batcher.max_batch_size"),
+        ("[engine]\nquality_window = 1.5\n", "engine.quality_window"),
+        ('[online]\nholdout_every = "8"\n', "online.holdout_every"),
+    ])
+    def test_wrongly_typed_value_names_its_key(self, tmp_path, text, name):
+        path = tmp_path / "serve.toml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=name):
+            load_config(str(path))
+
+    def test_integer_accepted_for_a_number(self, tmp_path):
+        path = tmp_path / "serve.toml"
+        path.write_text("[batcher]\nmax_latency_ms = 5\ntimeout_s = 2\n")
+        assert load_config(str(path)) == {"max_latency_ms": 5,
+                                          "timeout_s": 2}
 
 
 def _args(bundle, **overrides):
@@ -106,14 +152,12 @@ class TestBuildServer:
         finally:
             server.stop()
 
-    def test_flags_override_config(self, bundle_path, tmp_path):
+    def test_flag_and_config_file_combine(self, bundle_path, tmp_path):
         config = tmp_path / "serve.toml"
-        config.write_text("[engine]\ncache_size = 64\n"
-                          "[batcher]\nworkers = 4\n")
+        config.write_text("[batcher]\nworkers = 4\n")
         server = build_server(_args(bundle_path, config=str(config),
                                     cache_size=8))
         try:
-            # flag wins over file; file fills the rest
             assert server.engine.cache_info()["max_entries"] == 8
             assert len(server.batcher._workers) == 4
         finally:
@@ -140,13 +184,6 @@ class TestBuildServer:
         server = build_server(_args(bundle_path))
         try:
             assert bundle_reads == [bundle_path]
-        finally:
-            server.stop()
-
-    def test_no_packed_flag(self, bundle_path):
-        server = build_server(_args(bundle_path, no_packed=True))
-        try:
-            assert server.engine.use_packed is False
         finally:
             server.stop()
 
@@ -187,7 +224,7 @@ class TestMain:
     def test_bad_config_key_exits_two(self, bundle_path, tmp_path,
                                       capsys):
         config = tmp_path / "serve.toml"
-        config.write_text("[server]\nbogus = 1\n")
+        config.write_text("[batcher]\nbogus = 1\n")
         code = main([bundle_path, "--config", str(config), "--dry-run"])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
@@ -212,6 +249,50 @@ class TestMain:
                      "--high-watermark", "--timeout-s"):
             with pytest.raises(SystemExit):
                 _parse_args([bundle_path, flag, "1"])
+
+    def test_removed_engine_flags_are_refused(self, bundle_path):
+        # The bundle picks the packed path; [engine] build_extractor is
+        # the one channel for the extractor.
+        for flag in ("--no-packed", "--no-extractor"):
+            with pytest.raises(SystemExit):
+                _parse_args([bundle_path, flag])
+
+    @pytest.mark.parametrize("port", ["70000", "-5"])
+    def test_port_out_of_range_exits_two(self, bundle_path, port, capsys):
+        code = main([bundle_path, "--port", port, "--dry-run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --port") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, name", [
+        ('[batcher]\nworkers = "two"\n', "batcher.workers"),
+        ('[batcher]\nmax_latency_ms = "5"\n', "batcher.max_latency_ms"),
+        ("[batcher]\ntimeout_s = 0\n", "timeout_s"),
+        ("[batcher]\ntimeout_s = -1.0\n", "timeout_s"),
+    ])
+    def test_bad_batcher_value_exits_two(self, bundle_path, tmp_path,
+                                         text, name, capsys):
+        config = tmp_path / "serve.toml"
+        config.write_text(text)
+        code = main([bundle_path, "--port", "0", "--config", str(config),
+                     "--dry-run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("interval, mode", [
+        ("0", []), ("nan", []), ("-1.0", ["--fleet", "2"])])
+    def test_nonpositive_alert_interval_exits_two(self, bundle_path,
+                                                  tmp_path, interval, mode,
+                                                  capsys):
+        # Refused at config load, before a server or a worker starts.
+        config = tmp_path / "serve.toml"
+        config.write_text(f"[alerts]\ninterval_s = {interval}\n")
+        code = main([bundle_path, "--port", "0", "--config", str(config),
+                     "--dry-run", *mode])
+        assert code == 2
+        assert "alerts.interval_s" in capsys.readouterr().err
 
 
 class TestFleetWorkerArgv:

@@ -56,7 +56,7 @@ def online_server(online_options, seed=0, **server_kwargs):
                        **server_kwargs).start()
 
 
-BASE_OPTIONS = {"rule": "mass", "lr": 2.0, "max_update_norm": 2.0,
+BASE_OPTIONS = {"lr": 2.0, "max_update_norm": 2.0,
                 "holdout_every": 8, "auto_promote": False}
 
 
@@ -219,13 +219,12 @@ class TestOnlineConfig:
     def test_online_section_parses(self, tmp_path):
         path = tmp_path / "serve.toml"
         path.write_text(
-            "[online]\nrule = \"online\"\nlr = 0.5\n"
+            "[online]\nlr = 0.5\n"
             "max_update_norm = 2.0\nrate_limit_per_s = 50.0\n"
             "holdout_every = 4\npromote_every = 128\n"
             "auto_promote = false\nmin_shadow_accuracy = 0.7\n")
         config = load_config(str(path))
         options = config["online_options"]
-        assert options["rule"] == "online"
         assert options["promote_every"] == 128
         assert options["min_shadow_accuracy"] == 0.7
 
@@ -247,13 +246,12 @@ class TestOnlineConfig:
                           seed=3).save(bundle_path)
         config = tmp_path / "serve.toml"
         config.write_text("[engine]\nbuild_extractor = false\n"
-                          "[online]\nrule = \"mass\"\nlr = 1.5\n"
+                          "[online]\nlr = 1.5\n"
                           "promote_every = 32\n")
         server = build_server(_parse_args(
             [bundle_path, "--config", str(config), "--port", "0"]))
         try:
             assert server.online is not None
-            assert server.online.shadow.rule == "mass"
             assert server.online.shadow.lr == 1.5
             assert server.online.promote_every == 32
         finally:

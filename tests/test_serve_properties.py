@@ -65,7 +65,7 @@ class TestPackedKernelProperties:
         """Packed and float engines over one bundle never disagree."""
         bundle = _synthetic_bundle(dim=257, features=12, classes=5,
                                    seed=seed)
-        packed = InferenceEngine(bundle, cache_size=0, selfcheck=False)
+        packed = InferenceEngine(bundle, cache_size=0)
         floating = InferenceEngine(bundle, use_packed=False, cache_size=0)
         rng = fresh_rng((seed, "engine-prop"))
         features = rng.standard_normal((32, 12))
