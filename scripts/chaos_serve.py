@@ -246,7 +246,7 @@ def main(argv=None) -> int:
     # Router-side request tracing, in-process: every request gets a
     # trace id echoed in X-Trace-Id and lands in this process's flight
     # recorder (the workers are subprocesses; their spans stay local).
-    enable_request_tracing(service="chaos-router", sample_rate=1.0)
+    enable_request_tracing(service="chaos-router")
 
     check = Checks()
 

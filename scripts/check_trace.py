@@ -121,8 +121,7 @@ def main(argv=None) -> int:
         request_timeout_s=5.0,
         breaker_options={"failure_threshold": 10_000,
                          "min_requests": 10_000})
-    enable_request_tracing(service="check-router", sample_rate=1.0,
-                           trace_dir=trace_dir)
+    enable_request_tracing(service="check-router", trace_dir=trace_dir)
     try:
         supervisor.start()
         router.start()

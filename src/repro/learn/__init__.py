@@ -6,7 +6,7 @@ end-to-end systems compared in the evaluation
 (:mod:`repro.learn.pipeline`).
 """
 
-from .callbacks import CheckpointCallback, EarlyStopping, TrainerCallback
+from .callbacks import CheckpointCallback, TrainerCallback
 from .centroid import train_centroids
 from .distill import DistillationTrainer
 from .manifold import ManifoldLearner
@@ -19,5 +19,5 @@ __all__ = [
     "DistillationTrainer",
     "ManifoldLearner",
     "NSHD", "BaselineHD", "VanillaHD", "FeatureScaler",
-    "TrainerCallback", "CheckpointCallback", "EarlyStopping",
+    "TrainerCallback", "CheckpointCallback",
 ]

@@ -16,7 +16,7 @@ carrying at least::
      "history": dict}         # the loop's running history (by ref)
 
 On resume the history already holds the restored epochs.  Checkpoint
-writes and early stopping ride the same hook.
+writes ride the same hook.
 """
 
 from __future__ import annotations
@@ -27,29 +27,18 @@ import numpy as np
 
 from ..telemetry import clock, get_registry
 
-__all__ = ["TrainerCallback", "CheckpointCallback", "EarlyStopping",
-           "run_epochs"]
+__all__ = ["TrainerCallback", "CheckpointCallback", "run_epochs"]
 
 
 class TrainerCallback:
-    """Base class: override any subset of the hooks."""
-
-    def on_fit_start(self, trainer, total_epochs: int) -> None:
-        """Called once before the first trained epoch."""
+    """Base class of the epoch hook."""
 
     def on_epoch_end(self, epoch: int, metrics: Dict[str, object]) -> None:
         """Called after every epoch with the metrics dict described in
         the module docstring."""
 
-    def on_fit_end(self, history: Dict[str, List[float]]) -> None:
-        """Called once after the last epoch (also when stopped early)."""
 
-    def should_stop(self) -> bool:
-        """Polled after ``on_epoch_end``; return True to end training."""
-        return False
-
-
-def run_epochs(trainer, rows: Mapping[str, np.ndarray],
+def run_epochs(rows: Mapping[str, np.ndarray],
                batch_step: Callable[..., object],
                evaluate: Callable[[List[object]], Dict[str, float]], *,
                epochs: int, batch_size: int, rng: np.random.Generator,
@@ -67,12 +56,11 @@ def run_epochs(trainer, rows: Mapping[str, np.ndarray],
     receives the batch steps' return values and returns the epoch's
     numeric metrics (at least ``train_acc``).  ``history`` holds the
     epochs restored from a checkpoint and is extended, not replaced.
-    ``initialize`` runs once, before any callback or batch.
+    ``initialize`` runs once, before any batch.
 
     Every epoch publishes ``train.epochs``, ``train.epoch``,
     ``train.epoch_time_s`` and a ``train.<metric>`` gauge per evaluated
-    metric, then calls the callbacks and stops early once any
-    ``should_stop()``.
+    metric, then calls the callbacks.
     """
     if not 0 <= start_epoch <= epochs:
         raise ValueError(f"start_epoch {start_epoch} outside "
@@ -89,8 +77,6 @@ def run_epochs(trainer, rows: Mapping[str, np.ndarray],
     history = {key: list(values) for key, values in (history or {}).items()}
     callbacks = list(callbacks or [])
     registry = get_registry()
-    for callback in callbacks:
-        callback.on_fit_start(trainer, epochs)
     for epoch in range(start_epoch, epochs):
         epoch_start = clock()
         # A fresh permutation per epoch (rather than in-place shuffling
@@ -116,10 +102,6 @@ def run_epochs(trainer, rows: Mapping[str, np.ndarray],
                    "history": history}
         for callback in callbacks:
             callback.on_epoch_end(epoch, metrics)
-        if any(callback.should_stop() for callback in callbacks):
-            break
-    for callback in callbacks:
-        callback.on_fit_end(history)
     return history
 
 
@@ -146,44 +128,3 @@ class CheckpointCallback(TrainerCallback):
             return
         self.pipeline.save_checkpoint(self.path, completed,
                                       metrics.get("history") or {})
-
-
-class EarlyStopping(TrainerCallback):
-    """Stop when a monitored metric fails to improve for ``patience``
-    epochs (greater-is-better by default, e.g. ``train_acc``)."""
-
-    def __init__(self, monitor: str = "train_acc", patience: int = 5,
-                 min_delta: float = 0.0, mode: str = "max"):
-        if mode not in ("max", "min"):
-            raise ValueError("mode must be 'max' or 'min'")
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        self.monitor = monitor
-        self.patience = patience
-        self.min_delta = min_delta
-        self.mode = mode
-        self.best: Optional[float] = None
-        self.stale = 0
-        self.stopped_epoch: Optional[int] = None
-
-    def on_fit_start(self, trainer, total_epochs: int) -> None:
-        self.best = None
-        self.stale = 0
-        self.stopped_epoch = None
-
-    def on_epoch_end(self, epoch: int, metrics: Dict[str, object]) -> None:
-        value = metrics.get(self.monitor)
-        if value is None:
-            return
-        value = float(value)
-        sign = 1.0 if self.mode == "max" else -1.0
-        if self.best is None or sign * (value - self.best) > self.min_delta:
-            self.best = value
-            self.stale = 0
-        else:
-            self.stale += 1
-            if self.stale >= self.patience:
-                self.stopped_epoch = epoch
-
-    def should_stop(self) -> bool:
-        return self.stopped_epoch is not None

@@ -43,8 +43,9 @@ def clip_update_norms(delta: np.ndarray, max_norm: float) -> np.ndarray:
     feedback and the class-hypervector matrix: one poisoned sample can
     move each class hypervector at most ``max_norm``.
     """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
+    if not (np.isfinite(max_norm) and max_norm > 0):
+        # NaN and +inf would clip nothing: the cap would be off.
+        raise ValueError(f"max_norm must be finite and > 0, got {max_norm}")
     delta = np.atleast_2d(np.asarray(delta, dtype=np.float64))
     norms = np.linalg.norm(delta, axis=1, keepdims=True)
     scale = np.where(norms > max_norm, max_norm / np.where(
@@ -84,8 +85,10 @@ class MassTrainer:
             raise ValueError("need at least two classes")
         if dim <= 0:
             raise ValueError("dim must be positive")
-        if max_update_norm is not None and max_update_norm <= 0:
-            raise ValueError("max_update_norm must be positive")
+        if max_update_norm is not None and not (
+                np.isfinite(max_update_norm) and max_update_norm > 0):
+            raise ValueError(f"max_update_norm must be finite and > 0 "
+                             f"(None: no cap), got {max_update_norm}")
         self.num_classes = num_classes
         self.dim = dim
         self.lr = lr
@@ -265,16 +268,15 @@ class MassTrainer:
         ``callbacks`` are :class:`repro.learn.callbacks.TrainerCallback`
         instances: after every epoch each receives
         ``on_epoch_end(epoch, metrics)`` with ``{"epoch", "train_acc",
-        "epoch_time_s", "history"}`` and is then polled via
-        ``should_stop()``.  Every epoch also publishes the ``train.*``
-        epoch metrics.
+        "epoch_time_s", "history"}``.  Every epoch also publishes the
+        ``train.*`` epoch metrics.
         """
         hypervectors = np.atleast_2d(hypervectors)
         labels = np.asarray(labels)
         rows = {"hypervectors": hypervectors, "labels": labels,
                 **(extra_per_sample or {})}
         return run_epochs(
-            self, rows, self.step,
+            rows, self.step,
             lambda _: {"train_acc": self.accuracy(hypervectors, labels)},
             epochs=epochs, batch_size=batch_size,
             rng=rng or np.random.default_rng(), start_epoch=start_epoch,

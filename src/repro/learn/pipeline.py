@@ -232,7 +232,7 @@ class _HDPipeline:
                 self, checkpoint_path, every=checkpoint_every,
                 total_epochs=epochs))
         return run_epochs(
-            self.trainer, rows, batch_step, evaluate, epochs=epochs,
+            rows, batch_step, evaluate, epochs=epochs,
             batch_size=batch_size, rng=self._train_rng,
             start_epoch=start_epoch, history=history, callbacks=callbacks,
             initialize=initialize if start_epoch == 0 else None)
@@ -401,10 +401,8 @@ class NSHD(_HDPipeline):
 
         The epochs run through :func:`repro.learn.callbacks.run_epochs`
         with :meth:`_train_batch` as the batch body.  ``callbacks`` follow
-        the :class:`repro.learn.callbacks.TrainerCallback` protocol
-        (``on_fit_start`` receives the inner HD trainer, so a callback
-        can watch its ``class_matrix``); ``should_stop()`` ends training
-        early.
+        the :class:`repro.learn.callbacks.TrainerCallback` protocol:
+        ``on_epoch_end(epoch, metrics)`` after every epoch.
         """
         labels = np.asarray(labels)
         if self.use_distillation and teacher_logits is None:

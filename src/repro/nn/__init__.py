@@ -11,7 +11,7 @@ from .layers import (AdaptiveAvgPool2d, AvgPool2d, BatchNorm2d, Conv2d,
                      DepthwiseConv2d, Dropout, Flatten, Identity, Linear,
                      MaxPool2d, Module, Parameter, ReLU, ReLU6, Sequential,
                      Sigmoid, SiLU, TraceRecord, trace)
-from .optim import SGD, Adam, CosineLR, Optimizer, StepLR
+from .optim import SGD, Adam, CosineLR, Optimizer
 from .serialize import (CheckpointError, load_manifest, load_module,
                         load_state, load_state_with_manifest,
                         manifest_section, save_module, save_state)
@@ -24,7 +24,7 @@ __all__ = [
     "Linear", "BatchNorm2d", "MaxPool2d", "AvgPool2d", "AdaptiveAvgPool2d",
     "ReLU", "ReLU6", "SiLU", "Sigmoid", "Dropout", "Flatten", "Identity",
     "trace", "TraceRecord",
-    "Optimizer", "SGD", "Adam", "StepLR", "CosineLR",
+    "Optimizer", "SGD", "Adam", "CosineLR",
     "save_state", "load_state", "save_module", "load_module",
     "load_manifest", "load_state_with_manifest", "manifest_section",
     "CheckpointError",

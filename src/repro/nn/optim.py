@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam", "StepLR", "CosineLR"]
+__all__ = ["Optimizer", "SGD", "Adam", "CosineLR"]
 
 
 class Optimizer:
@@ -172,22 +172,6 @@ class Adam(Optimizer):
         self._t = int(state["step"])
         self._m = moments_m
         self._v = moments_v
-
-
-class StepLR:
-    """Multiply the optimizer learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch += 1
-        decays = self.epoch // self.step_size
-        self.optimizer.lr = self.base_lr * (self.gamma ** decays)
 
 
 class CosineLR:

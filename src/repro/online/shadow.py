@@ -83,7 +83,8 @@ class ShadowModel:
         never aliased.
     lr, max_update_norm:
         MASS learning rate and the per-class L2 cap on each applied
-        update.
+        update.  Only ``None`` turns the cap off; a number must be
+        finite and > 0.
     rate_limit_per_s, rate_limit_burst:
         Token-bucket admission for feedback; ``None`` disables limiting.
     holdout_every:
@@ -114,8 +115,8 @@ class ShadowModel:
         if max_new_classes < 0:
             raise ValueError("max_new_classes must be >= 0")
         self.lr = float(lr)
-        self.max_update_norm = (float(max_update_norm)
-                                if max_update_norm else None)
+        self.max_update_norm = (None if max_update_norm is None
+                                else float(max_update_norm))
         self.holdout_every = int(holdout_every)
         self.validation_capacity = int(validation_capacity)
         self.max_new_classes = int(max_new_classes)

@@ -4,9 +4,8 @@ Implements the robustness story around the paper's HD pipelines:
 
 * :mod:`~repro.reliability.guards` — numerics guards (NaN/Inf/overflow
   detection with raise/warn/skip policies) hooked into every trainer.
-* :mod:`~repro.reliability.faults` — composable, seeded fault injectors
-  (hypervector bit flips, dropped feature dims, corrupted batches,
-  checkpoint truncation).
+* :mod:`~repro.reliability.faults` — the seeded hypervector bit-flip
+  injector the robustness sweep corrupts queries and item memory with.
 * :mod:`~repro.reliability.report` — the accuracy-vs-bit-flip-rate
   robustness sweep for NSHD / BaselineHD / VanillaHD.
 * :mod:`~repro.reliability.degrade` — serving-side overload
@@ -20,9 +19,7 @@ Implements the robustness story around the paper's HD pipelines:
 from .circuit import CircuitBreaker, CircuitOpenError
 from .degrade import (DeadlineExceededError, LoadShedder,
                       OverloadShedError, ServingDegradedError)
-from .faults import (BatchCorruptionInjector, BitFlipInjector,
-                     CheckpointTruncator, ComposeInjector, FaultInjector,
-                     FeatureDropInjector, flip_bits, truncate_file)
+from .faults import BitFlipInjector, flip_bits
 from .guards import (POLICIES, NumericsError, NumericsGuard,
                      NumericsWarning)
 from .report import (DEFAULT_RATES, bit_flip_curve, bit_flip_sweep,
@@ -30,9 +27,7 @@ from .report import (DEFAULT_RATES, bit_flip_curve, bit_flip_sweep,
 
 __all__ = [
     "POLICIES", "NumericsError", "NumericsGuard", "NumericsWarning",
-    "BatchCorruptionInjector", "BitFlipInjector", "CheckpointTruncator",
-    "ComposeInjector", "FaultInjector", "FeatureDropInjector",
-    "flip_bits", "truncate_file",
+    "BitFlipInjector", "flip_bits",
     "DEFAULT_RATES", "bit_flip_curve", "bit_flip_sweep", "format_sweep",
     "sweep_systems",
     "LoadShedder", "OverloadShedError", "DeadlineExceededError",

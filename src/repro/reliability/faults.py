@@ -1,32 +1,28 @@
-"""Composable fault injectors for robustness experiments.
+"""Seeded bit-flip fault injection for robustness experiments.
 
 The paper's deployment argument rests on the fault tolerance of binary
 hypervectors: flipping a fraction of a hypervector's components degrades
 similarity gracefully instead of catastrophically, which is what makes
-HD classifiers attractive on noisy edge accelerators.  These injectors
-make that claim *testable* — they corrupt hypervectors, features,
-batches, and checkpoint files in controlled, seeded, reproducible ways.
+HD classifiers attractive on noisy edge accelerators.  The injector here
+makes that claim *testable*: it corrupts hypervectors (queries or the
+class item memory) in a controlled, seeded, reproducible way, and the
+robustness sweep of :mod:`repro.reliability.report` is built on it.
 
-Every injector is deterministic given its ``seed``: applying the same
-injector to the same array always produces the same corruption (the
-generator is re-derived per call), so sweeps and property tests are
-exactly reproducible.  Injectors compose with :class:`ComposeInjector`.
+The injector is deterministic given its ``seed``: applying it to the
+same array always produces the same corruption (the generator is
+re-derived per call), so sweeps and property tests are exactly
+reproducible.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from ..utils.rng import fresh_rng
 
-__all__ = [
-    "FaultInjector", "BitFlipInjector", "FeatureDropInjector",
-    "BatchCorruptionInjector", "ComposeInjector", "flip_bits",
-    "truncate_file", "CheckpointTruncator",
-]
+__all__ = ["BitFlipInjector", "flip_bits"]
 
 Seed = Union[int, tuple]
 
@@ -45,35 +41,7 @@ def flip_bits(hypervectors: np.ndarray, rate: float,
     return data
 
 
-class FaultInjector:
-    """Base class: a seeded, deterministic array corruption."""
-
-    #: subclass label mixed into the derived RNG stream
-    name = "fault"
-
-    def __init__(self, seed: Seed = 0):
-        self.seed = seed
-
-    def _rng(self, rng: Optional[np.random.Generator]) -> np.random.Generator:
-        if rng is not None:
-            return rng
-        key = self.seed if isinstance(self.seed, tuple) else (self.seed,)
-        return fresh_rng(tuple(key) + (self.name,))
-
-    def apply(self, array: np.ndarray,
-              rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Return a corrupted copy of ``array`` (never mutates input)."""
-        raise NotImplementedError
-
-    def __call__(self, array: np.ndarray,
-                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        return self.apply(array, rng)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(seed={self.seed!r})"
-
-
-class BitFlipInjector(FaultInjector):
+class BitFlipInjector:
     """Hypervector / item-memory bit flips at rate ``p``.
 
     Properties (enforced by the hypothesis suite): ``rate=0`` is the
@@ -81,153 +49,19 @@ class BitFlipInjector(FaultInjector):
     pure function of ``(seed, array shape)``.
     """
 
-    name = "bitflip"
-
     def __init__(self, rate: float, seed: Seed = 0):
-        super().__init__(seed)
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"flip rate must be in [0, 1], got {rate}")
         self.rate = float(rate)
+        self.seed = seed
 
     def apply(self, array: np.ndarray,
               rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        return flip_bits(array, self.rate, self._rng(rng))
+        """Return a corrupted copy of ``array`` (never mutates input)."""
+        if rng is None:
+            key = self.seed if isinstance(self.seed, tuple) else (self.seed,)
+            rng = fresh_rng(tuple(key) + ("bitflip",))
+        return flip_bits(array, self.rate, rng)
 
     def __repr__(self) -> str:
         return f"BitFlipInjector(rate={self.rate}, seed={self.seed!r})"
-
-
-class FeatureDropInjector(FaultInjector):
-    """Drop (zero or fill) a fraction of feature *dimensions*.
-
-    Models dead sensor channels / dropped projection rows: the same
-    ``round(rate * F)`` columns are zeroed for every sample in the batch.
-    """
-
-    name = "featuredrop"
-
-    def __init__(self, rate: float, seed: Seed = 0, fill: float = 0.0):
-        super().__init__(seed)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"drop rate must be in [0, 1], got {rate}")
-        self.rate = float(rate)
-        self.fill = float(fill)
-
-    def dropped_columns(self, num_features: int,
-                        rng: Optional[np.random.Generator] = None
-                        ) -> np.ndarray:
-        count = int(round(self.rate * num_features))
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(self._rng(rng).choice(num_features, size=count,
-                                             replace=False))
-
-    def apply(self, array: np.ndarray,
-              rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        data = np.array(np.atleast_2d(array), dtype=np.float64, copy=True)
-        columns = self.dropped_columns(data.shape[-1], rng)
-        data[..., columns] = self.fill
-        return data
-
-
-class BatchCorruptionInjector(FaultInjector):
-    """Corrupt a fraction of *samples* in a batch with NaN/Inf/garbage.
-
-    ``mode`` selects the corruption: ``"nan"`` / ``"inf"`` overwrite the
-    selected rows entirely; ``"huge"`` multiplies them by ``magnitude``
-    (a finite overflow that only ``max_abs`` guards catch).
-    """
-
-    name = "batchcorrupt"
-    MODES = ("nan", "inf", "huge")
-
-    def __init__(self, fraction: float, mode: str = "nan", seed: Seed = 0,
-                 magnitude: float = 1e30):
-        super().__init__(seed)
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        if mode not in self.MODES:
-            raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
-        self.fraction = float(fraction)
-        self.mode = mode
-        self.magnitude = float(magnitude)
-
-    def corrupted_rows(self, num_rows: int,
-                       rng: Optional[np.random.Generator] = None
-                       ) -> np.ndarray:
-        return np.flatnonzero(self._rng(rng).random(num_rows) < self.fraction)
-
-    def apply(self, array: np.ndarray,
-              rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        data = np.array(np.atleast_2d(array), dtype=np.float64, copy=True)
-        rows = self.corrupted_rows(len(data), rng)
-        if rows.size == 0:
-            return data
-        if self.mode == "nan":
-            data[rows] = np.nan
-        elif self.mode == "inf":
-            data[rows] = np.inf
-        else:
-            data[rows] = data[rows] * self.magnitude + self.magnitude
-        return data
-
-
-class ComposeInjector(FaultInjector):
-    """Apply a sequence of injectors left-to-right."""
-
-    name = "compose"
-
-    def __init__(self, injectors: Sequence[FaultInjector]):
-        super().__init__(0)
-        self.injectors = list(injectors)
-
-    def apply(self, array: np.ndarray,
-              rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        data = np.array(array, dtype=np.float64, copy=True)
-        for injector in self.injectors:
-            data = injector.apply(data, rng)
-        return data
-
-    def __repr__(self) -> str:
-        return f"ComposeInjector({self.injectors!r})"
-
-
-# ----------------------------------------------------------------------
-# Checkpoint-level faults
-# ----------------------------------------------------------------------
-
-def truncate_file(path: str, keep_fraction: float) -> int:
-    """Simulate a mid-write kill by truncating ``path`` in place.
-
-    Keeps the first ``keep_fraction`` of the file's bytes and returns the
-    new size.  Against the atomic checkpoints of
-    :mod:`repro.nn.serialize`, a *renamed* checkpoint can only be
-    corrupted this way after the fact (e.g. a dying disk) — and loading
-    it must raise :class:`repro.nn.serialize.CheckpointError`.
-    """
-    if not 0.0 <= keep_fraction <= 1.0:
-        raise ValueError(f"keep_fraction must be in [0, 1], "
-                         f"got {keep_fraction}")
-    size = os.path.getsize(path)
-    keep = int(size * keep_fraction)
-    with open(path, "r+b") as handle:
-        handle.truncate(keep)
-    return keep
-
-
-class CheckpointTruncator:
-    """Path-level injector: truncates checkpoint files to a fraction."""
-
-    def __init__(self, keep_fraction: float):
-        if not 0.0 <= keep_fraction <= 1.0:
-            raise ValueError(f"keep_fraction must be in [0, 1], "
-                             f"got {keep_fraction}")
-        self.keep_fraction = float(keep_fraction)
-
-    def apply(self, path: str) -> int:
-        return truncate_file(path, self.keep_fraction)
-
-    __call__ = apply
-
-    def __repr__(self) -> str:
-        return f"CheckpointTruncator(keep_fraction={self.keep_fraction})"

@@ -40,7 +40,7 @@ LoadShedder / engine knobs::
     for_s = 2.0
     severity = "page"
 
-Alert rules (threshold / absence / burn-rate predicates over the metrics
+Alert rules (threshold / absence predicates over the metrics
 registry — see :mod:`repro.telemetry.alerts`) are evaluated on a
 background thread and exposed at ``GET /alertz`` plus ``alert.state.*``
 gauges.
@@ -173,13 +173,8 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
                         help="enable per-request distributed tracing "
                              "(flight recorder + /tracez + /requestz)")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
-                        help="additionally export sampled trace spans "
+                        help="additionally export every trace span "
                              "as JSONL under DIR (implies --trace)")
-    parser.add_argument("--trace-sample", type=float, default=None,
-                        metavar="RATE",
-                        help="head-sampling rate in [0, 1] for trace "
-                             "export (default 1.0; the flight recorder "
-                             "sees every trace regardless)")
     return parser.parse_args(argv)
 
 
@@ -188,10 +183,7 @@ def configure_tracing(args: argparse.Namespace, service: str) -> bool:
     ``--trace-dir`` asks for it; returns whether tracing was enabled."""
     if not (args.trace or args.trace_dir):
         return False
-    enable_request_tracing(
-        service=service,
-        sample_rate=1.0 if args.trace_sample is None else args.trace_sample,
-        trace_dir=args.trace_dir)
+    enable_request_tracing(service=service, trace_dir=args.trace_dir)
     return True
 
 
@@ -231,8 +223,6 @@ def worker_args_from(args: argparse.Namespace) -> List[str]:
             out.append(flag)
     if args.trace_dir:
         out += ["--trace-dir", args.trace_dir]
-    if args.trace_sample is not None:
-        out += ["--trace-sample", str(args.trace_sample)]
     return out
 
 
@@ -262,11 +252,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not 0 <= args.port <= 65535:
         print(f"error: --port must be in [0, 65535], got {args.port}",
               file=sys.stderr)
-        return 2
-    if args.trace_sample is not None and not 0.0 <= args.trace_sample <= 1.0:
-        # NaN fails the comparison too: it would silently sample nothing.
-        print(f"error: --trace-sample must be in [0, 1], got "
-              f"{args.trace_sample}", file=sys.stderr)
         return 2
     try:
         front = build_fleet(args) if args.fleet else build_server(args)

@@ -128,7 +128,7 @@ class JsonHandler(BaseHTTPRequestHandler):
         """Adopt the client's traceparent, or mint a request id."""
         ctx = TraceContext.parse(self.headers.get("traceparent"))
         if ctx is None:
-            ctx = TraceContext.mint(sampled=False)
+            ctx = TraceContext.mint()
         self._trace_ctx = ctx
         return ctx
 

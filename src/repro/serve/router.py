@@ -34,8 +34,8 @@ to the worker processes a :class:`~repro.serve.fleet.Supervisor` (or
 Endpoints: ``POST /predict`` (routed), ``GET /healthz`` (fleet +
 breaker summary), ``GET /tracez`` + ``/requestz`` (the router's own
 traces and request log), ``GET /metrics`` (Prometheus text of the router
-process registry: the router's own ``fleet.router.*`` fault counters,
-latency quantiles and SLO burn rates), ``GET /driftz``
+process registry: the router's own ``fleet.router.*`` fault counters
+and latency quantiles), ``GET /driftz``
 (per-worker model-quality drift snapshots + a fleet-wide rollup of the
 worst PSI/z-score), ``GET /alertz`` (the router's own alert-rule
 states), ``POST /reload`` (broadcast to every live worker; any
@@ -53,8 +53,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..reliability.circuit import CircuitBreaker
-from ..telemetry import (BurnRateTracker, clock, get_registry,
-                         get_request_log, span)
+from ..telemetry import clock, get_registry, get_request_log, span
 from ..telemetry.reqtrace import HUB as _HUB
 from ..telemetry.reqtrace import TraceContext
 from .handler import DISCONNECTS, FrontEnd, JsonHandler, Query, Response
@@ -248,17 +247,10 @@ class Router(FrontEnd):
         :class:`~repro.reliability.CircuitBreaker`.
     own_fleet:
         Stop the fleet when the router stops (CLI mode).
-    slo_objective:
-        Availability/latency success objective for the burn-rate
-        trackers (fraction of requests that must succeed / meet the
-        latency target); exported as ``fleet.slo.*`` gauges.
-    slo_latency_ms:
-        Latency target a request must meet to count as "fast" for the
-        latency SLO.
     alert_rules:
         Declarative :class:`~repro.telemetry.alerts.AlertRule` list
-        evaluated against the *router's* registry (fleet SLO burn
-        gauges, router latency quantiles, worker up/restart gauges) on
+        evaluated against the *router's* registry (router latency
+        quantiles, fault counters, worker up/restart gauges) on
         a background thread while the router runs; exposed at
         ``GET /alertz`` and as ``alert.state.*`` gauges.
     alert_interval_s:
@@ -275,8 +267,6 @@ class Router(FrontEnd):
                  request_timeout_s: float = 10.0,
                  breaker_options: Optional[Dict[str, Any]] = None,
                  own_fleet: bool = False,
-                 slo_objective: float = 0.999,
-                 slo_latency_ms: float = 250.0,
                  alert_rules: Optional[List[Any]] = None,
                  alert_interval_s: float = 1.0):
         if max_attempts < 1:
@@ -288,9 +278,6 @@ class Router(FrontEnd):
         self.request_timeout_s = float(request_timeout_s)
         self.breaker_options = dict(breaker_options or {})
         self.own_fleet = bool(own_fleet)
-        self.slo_latency_ms = float(slo_latency_ms)
-        self.slo_availability = BurnRateTracker(objective=slo_objective)
-        self.slo_latency = BurnRateTracker(objective=slo_objective)
         self._ring: Optional[HashRing] = None
         self._ring_members: Tuple[str, ...] = ()
         self._clients: Dict[str, _WorkerClient] = {}
@@ -351,7 +338,6 @@ class Router(FrontEnd):
         request_id = trace.trace_id if trace is not None else None
         if self.draining:
             registry.inc("fleet.router.draining_rejects")
-            self._record_slo(503, 0.0)
             return (503, {"error": "router is draining", "retryable": True,
                           "request_id": request_id}, {"Retry-After": "1"})
         with self._idle:
@@ -365,7 +351,6 @@ class Router(FrontEnd):
             latency_ms = 1000.0 * (clock() - t0)
             registry.observe("fleet.router.latency_ms", latency_ms,
                              exemplar=request_id)
-            self._record_slo(status, latency_ms)
             if trace is not None:
                 get_request_log().append(
                     path="/predict", status=status, trace_id=request_id,
@@ -375,30 +360,6 @@ class Router(FrontEnd):
                 self._inflight -= 1
                 if self._inflight == 0:
                     self._idle.notify_all()
-
-    def _record_slo(self, status: int, latency_ms: float) -> None:
-        """Feed the burn-rate trackers and refresh the SLO gauges.
-
-        Availability counts any non-5xx answer as success (4xx is the
-        client's fault, not the fleet's); the latency SLO counts
-        successful answers under ``slo_latency_ms``.
-        """
-        registry = get_registry()
-        ok = status < 500
-        self.slo_availability.record(ok)
-        self.slo_latency.record(ok and latency_ms <= self.slo_latency_ms)
-        registry.set_gauge("fleet.slo.availability.burn_fast",
-                           self.slo_availability.burn_rate(
-                               self.slo_availability.fast_window_s))
-        registry.set_gauge("fleet.slo.availability.burn_slow",
-                           self.slo_availability.burn_rate(
-                               self.slo_availability.slow_window_s))
-        registry.set_gauge("fleet.slo.latency.burn_fast",
-                           self.slo_latency.burn_rate(
-                               self.slo_latency.fast_window_s))
-        registry.set_gauge("fleet.slo.latency.burn_slow",
-                           self.slo_latency.burn_rate(
-                               self.slo_latency.slow_window_s))
 
     def _route_predict_inner(self, body: bytes,
                              trace: Optional[span] = None
@@ -614,11 +575,6 @@ class Router(FrontEnd):
             "fleet": fleet,
             "breakers": breakers,
             "inflight": self._inflight,
-            "slo": {
-                "latency_target_ms": self.slo_latency_ms,
-                "availability": self.slo_availability.summary(),
-                "latency": self.slo_latency.summary(),
-            },
         }
 
     # ------------------------------------------------------------------

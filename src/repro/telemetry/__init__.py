@@ -11,8 +11,8 @@ beyond numpy + stdlib, importable from every other layer):
   context manager on one thread-local frame stack, with two outputs: a
   hierarchical aggregate timing tree per :class:`Tracer`, and — inside
   an active request — per-request span records for the
-  :mod:`~repro.telemetry.reqtrace` hub (trace contexts, sampling, sinks,
-  JSONL export); :func:`clock` is the shared monotonic clock.
+  :mod:`~repro.telemetry.reqtrace` hub (trace contexts, sinks, JSONL
+  export); :func:`clock` is the shared monotonic clock.
 * :mod:`~repro.telemetry.exporters` — Prometheus-style text exposition
   and its parser (every sample, NaN/±Inf included, round-trips
   bit-exactly), the JSONL reader, and cross-process trace stitching.
@@ -30,7 +30,7 @@ beyond numpy + stdlib, importable from every other layer):
   feature drift, prediction skew, margin histograms, HV saturation)
   publishing ``quality.*`` metrics behind ``/driftz``.
 * :mod:`~repro.telemetry.alerts` — declarative alert rules
-  (threshold / absence / burn-rate) over the metrics registry with a
+  (threshold / absence) over the metrics registry with a
   pending→firing→resolved state machine, for-duration debouncing,
   ``alert.state.*`` gauges and the ``/alertz`` endpoint.
 
@@ -62,26 +62,26 @@ from .flight import (FlightRecorder, RequestLog, disable_request_tracing,
                      enable_request_tracing, get_flight_recorder,
                      get_request_log)
 from .ledger import config_fingerprint, env_fingerprint, git_info
-from .metrics import (DEFAULT_QUANTILES, BurnRateTracker, Counter, Gauge,
-                      Histogram, MetricsRegistry, get_registry,
-                      set_registry, use_registry)
+from .metrics import (DEFAULT_QUANTILES, Counter, Gauge, Histogram,
+                      MetricsRegistry, get_registry, set_registry,
+                      use_registry)
 from .quality import (BASELINE_VERSION, DEFAULT_BINS, DriftMonitor,
                       QualityBaseline, population_stability_index)
 from .reqtrace import (TRACE_EVENT_TYPE, SpanRecord, TraceContext, TraceHub,
                        TraceJsonlWriter, build_span_tree, get_hub,
-                       new_span_id, sample_trace, trace_file_for)
+                       new_span_id, trace_file_for)
 from .tracing import SpanNode, Tracer, clock, get_tracer, set_tracer, span
 
 __all__ = [
     # metrics
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "BurnRateTracker", "get_registry", "set_registry", "use_registry",
+    "get_registry", "set_registry", "use_registry",
     "DEFAULT_QUANTILES",
     # tracing
     "SpanNode", "Tracer", "span", "get_tracer", "set_tracer", "clock",
     # request tracing
     "TraceContext", "SpanRecord", "TraceHub", "TraceJsonlWriter",
-    "get_hub", "sample_trace", "build_span_tree", "trace_file_for",
+    "get_hub", "build_span_tree", "trace_file_for",
     "new_span_id", "TRACE_EVENT_TYPE",
     # flight recorder + request log
     "FlightRecorder", "RequestLog", "get_flight_recorder",

@@ -13,7 +13,7 @@ side-effect-free sweep, and state is an explicit machine —
 so a one-sample blip never pages (for-duration debouncing) and a
 resolved alert stays visible in ``/alertz`` until the next incident.
 
-Three predicate kinds cover the serving dashboards:
+Two predicate kinds cover the serving dashboards:
 
 * ``threshold`` — compare a metric value (gauge/counter ``value``, or
   any histogram summary field such as ``p99``) against a bound:
@@ -21,11 +21,6 @@ Three predicate kinds cover the serving dashboards:
 * ``absence`` — fire when a metric a healthy process must publish is
   missing from the registry (or has never received a sample): a worker
   that stops reporting ``quality.samples`` is itself an incident.
-* ``burn_rate`` — the multiwindow SLO pattern: fires only when BOTH
-  ``<metric>.burn_fast`` and ``<metric>.burn_slow`` gauges (published
-  by :class:`~repro.telemetry.metrics.BurnRateTracker` users such as
-  the fleet router) exceed the threshold — burning *now* and burning
-  *long enough to matter*.
 
 The manager republishes every rule's state as a Prometheus-visible
 gauge ``alert.state.<rule>`` (0 = inactive/resolved, 1 = pending,
@@ -49,7 +44,7 @@ from .metrics import MetricsRegistry, get_registry
 __all__ = ["AlertRule", "AlertRuleError", "AlertManager",
            "load_alert_rules", "ALERT_KINDS", "ALERT_STATES"]
 
-ALERT_KINDS = ("threshold", "absence", "burn_rate")
+ALERT_KINDS = ("threshold", "absence")
 ALERT_STATES = ("inactive", "pending", "firing", "resolved")
 
 #: ``alert.state.<rule>`` gauge encoding (resolved reads as 0 so a
@@ -72,10 +67,9 @@ class AlertRuleError(ValueError):
 class AlertRule:
     """One declarative alerting rule (pure data; see module docs).
 
-    ``metric`` names the registry metric (for ``burn_rate`` it is the
-    gauge *prefix*, e.g. ``fleet.slo.availability``); ``value_field``
-    selects a histogram summary field (``value``/``mean``/``p50``/
-    ``p95``/``p99``/...); ``for_s`` is the pending dwell before firing.
+    ``metric`` names the registry metric; ``value_field`` selects a
+    histogram summary field (``value``/``mean``/``p50``/``p95``/
+    ``p99``/...); ``for_s`` is the pending dwell before firing.
     """
 
     name: str
@@ -103,9 +97,16 @@ class AlertRule:
             raise AlertRuleError(
                 f"alert rule {self.name!r} has unknown op {self.op!r} "
                 f"(expected one of {sorted(_OPS)})")
-        if self.for_s < 0:
+        # NaN compares false against everything and an infinite dwell
+        # never elapses: either would load a rule that can never fire.
+        if not math.isfinite(self.threshold):
             raise AlertRuleError(
-                f"alert rule {self.name!r} has negative for_s")
+                f"alert rule {self.name!r} needs a finite threshold, "
+                f"got {self.threshold}")
+        if not (math.isfinite(self.for_s) and self.for_s >= 0):
+            raise AlertRuleError(
+                f"alert rule {self.name!r} needs a finite for_s >= 0, "
+                f"got {self.for_s}")
 
     # ------------------------------------------------------------------
     def evaluate(self, registry: MetricsRegistry) -> tuple:
@@ -120,26 +121,15 @@ class AlertRule:
                 return True, None
             count = self._sample_count(registry, self.metric)
             return count == 0, count
-        if self.kind == "burn_rate":
-            fast = self._read(registry, f"{self.metric}.burn_fast")
-            slow = self._read(registry, f"{self.metric}.burn_slow")
-            if fast is None or slow is None:
-                return False, fast
-            compare = _OPS[self.op]
-            return (compare(fast, self.threshold)
-                    and compare(slow, self.threshold)), max(fast, slow)
-        value = self._read(registry, self.metric)
+        value = self._read(registry)
         if value is None or math.isnan(value):
             return False, value
         return _OPS[self.op](value, self.threshold), value
 
-    def _read(self, registry: MetricsRegistry,
-              name: str) -> Optional[float]:
-        if name not in registry:
+    def _read(self, registry: MetricsRegistry) -> Optional[float]:
+        if self.metric not in registry:
             return None
-        summary = registry.get(name).summary()
-        value = summary.get(self.value_field
-                            if self.kind != "burn_rate" else "value")
+        value = registry.get(self.metric).summary().get(self.value_field)
         if not isinstance(value, (int, float)):
             return None
         return float(value)

@@ -1,8 +1,8 @@
 """Flight recorder + structured request log for the serving path.
 
-JSONL trace export answers "show me a *sampled* request"; the flight
-recorder answers the harder production question — "show me the request
-that was slow / failed five seconds ago" — **without** sampling bias:
+JSONL trace export writes every span to disk for offline stitching; the
+flight recorder answers the production question — "show me the request
+that was slow / failed five seconds ago" — from bounded memory:
 
 * :class:`FlightRecorder` buffers every in-flight trace's spans in
   bounded memory and, when the request-root span closes, *retains* the
@@ -278,14 +278,13 @@ def get_request_log() -> RequestLog:
     return _REQUEST_LOG
 
 
-def enable_request_tracing(service: str, sample_rate: float = 1.0,
-                           trace_dir: Optional[str] = None,
+def enable_request_tracing(service: str, trace_dir: Optional[str] = None,
                            reset: bool = True) -> FlightRecorder:
     """Turn on request tracing for this process.
 
-    Configures the hub singleton (service name, sampling), wires the
-    flight recorder as span + trace sink, and — when ``trace_dir`` is
-    given — a per-process JSONL writer for sampled spans.  ``reset``
+    Configures the hub singleton (service name), wires the flight
+    recorder as span + trace sink, and — when ``trace_dir`` is given —
+    a per-process JSONL writer for every span.  ``reset``
     clears previously retained traces and sinks, so repeated calls
     (tests, benchmark phases) never double-register.
     """
@@ -297,7 +296,7 @@ def enable_request_tracing(service: str, sample_rate: float = 1.0,
     hub.clear_sinks()
     if reset:
         _FLIGHT.clear()
-    hub.configure(service=service, sample_rate=sample_rate, enabled=True)
+    hub.configure(service=service, enabled=True)
     hub.add_span_sink(_FLIGHT.on_span)
     hub.add_trace_sink(_FLIGHT.on_trace_end)
     if trace_dir:

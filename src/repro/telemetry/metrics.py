@@ -21,15 +21,13 @@ import contextlib
 import math
 import threading
 import time
-from collections import deque
-from typing import (Callable, Deque, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "BurnRateTracker", "get_registry", "set_registry", "use_registry",
+    "get_registry", "set_registry", "use_registry",
     "DEFAULT_QUANTILES", "ALPHA",
 ]
 
@@ -364,118 +362,6 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return f"MetricsRegistry({len(self._metrics)} metrics)"
-
-
-class BurnRateTracker:
-    """Rolling-window SLO burn rate (error rate ÷ error budget).
-
-    A burn rate of 1.0 means the service is consuming its error budget
-    exactly as fast as the objective allows (e.g. 0.1% errors against a
-    99.9% objective); >1 means the budget is burning down early.  The
-    standard multi-window alerting pattern evaluates a *fast* window
-    (is it burning **now**) and a *slow* window (has it been burning
-    long enough to matter) — both are tracked here over per-second
-    bucketed ring counters, O(window/bucket) memory, thread-safe.
-
-    Parameters
-    ----------
-    objective:
-        Success-rate target in (0, 1), e.g. 0.999; the error budget is
-        ``1 - objective``.
-    fast_window_s / slow_window_s:
-        Evaluation windows (defaults 60s / 600s).
-    bucket_s:
-        Counter bucket granularity.
-    clock:
-        Injectable monotonic clock (tests).
-    """
-
-    def __init__(self, objective: float = 0.999,
-                 fast_window_s: float = 60.0,
-                 slow_window_s: float = 600.0, bucket_s: float = 1.0,
-                 clock: Callable[[], float] = time.monotonic):
-        if not 0.0 < objective < 1.0:
-            raise ValueError("objective must be in (0, 1)")
-        if not 0.0 < fast_window_s <= slow_window_s:
-            raise ValueError("need 0 < fast_window_s <= slow_window_s")
-        if bucket_s <= 0:
-            raise ValueError("bucket_s must be > 0")
-        self.objective = float(objective)
-        self.budget = 1.0 - self.objective
-        self.fast_window_s = float(fast_window_s)
-        self.slow_window_s = float(slow_window_s)
-        self.bucket_s = float(bucket_s)
-        self._clock = clock
-        # Ring of [bucket_index, total, errors], oldest first.
-        self._buckets: Deque[List[float]] = deque()
-        self._lock = threading.Lock()
-
-    def record(self, ok: bool) -> None:
-        idx = int(self._clock() / self.bucket_s)
-        with self._lock:
-            if self._buckets and self._buckets[-1][0] == idx:
-                bucket = self._buckets[-1]
-            else:
-                bucket = [idx, 0, 0]
-                self._buckets.append(bucket)
-            bucket[1] += 1
-            if not ok:
-                bucket[2] += 1
-            self._prune(idx)
-
-    def _prune(self, now_idx: int) -> None:
-        horizon = now_idx - int(self.slow_window_s / self.bucket_s)
-        while self._buckets and self._buckets[0][0] < horizon:
-            self._buckets.popleft()
-
-    def _window(self, window_s: float) -> Tuple[int, int]:
-        now_idx = int(self._clock() / self.bucket_s)
-        horizon = now_idx - int(window_s / self.bucket_s)
-        total = errors = 0
-        for idx, bucket_total, bucket_errors in self._buckets:
-            if idx >= horizon:
-                total += bucket_total
-                errors += bucket_errors
-        return total, errors
-
-    def burn_rate(self, window_s: Optional[float] = None) -> float:
-        """Error rate over the window divided by the error budget.
-
-        Zero when the window saw no traffic (no evidence of burning).
-        """
-        with self._lock:
-            total, errors = self._window(window_s or self.fast_window_s)
-        if total == 0:
-            return 0.0
-        return (errors / total) / self.budget
-
-    def summary(self) -> Dict[str, float]:
-        with self._lock:
-            fast_total, fast_errors = self._window(self.fast_window_s)
-            slow_total, slow_errors = self._window(self.slow_window_s)
-        fast_rate = fast_errors / fast_total if fast_total else 0.0
-        slow_rate = slow_errors / slow_total if slow_total else 0.0
-        return {
-            "objective": self.objective,
-            "fast_window_s": self.fast_window_s,
-            "slow_window_s": self.slow_window_s,
-            "fast_requests": float(fast_total),
-            "slow_requests": float(slow_total),
-            "fast_error_rate": fast_rate,
-            "slow_error_rate": slow_rate,
-            "fast_burn_rate": fast_rate / self.budget,
-            "slow_burn_rate": slow_rate / self.budget,
-        }
-
-    def reset(self) -> None:
-        with self._lock:
-            self._buckets.clear()
-
-    def __repr__(self) -> str:
-        s = self.summary()
-        return (f"BurnRateTracker(objective={self.objective}, "
-                f"fast={s['fast_burn_rate']:.2f}, "
-                f"slow={s['slow_burn_rate']:.2f})")
 
 
 # ----------------------------------------------------------------------

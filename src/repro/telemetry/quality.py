@@ -1,7 +1,7 @@
 """Streaming model-quality telemetry: training baselines + drift monitors.
 
-The serving fleet's latency/availability observability (spans, burn
-rates, request traces) cannot see the one failure mode unique to ML
+The serving fleet's latency/availability observability (spans, latency
+quantiles, request traces) cannot see the one failure mode unique to ML
 serving: a bundle that keeps answering **fast and 200** while the input
 distribution has walked away from what it was trained on.  This module
 turns the train-time introspection ideas of

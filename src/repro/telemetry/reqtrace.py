@@ -10,20 +10,20 @@ the request side around it, the substrate for the serving fleet's
 end-to-end tracing (router → worker → micro-batcher → stage graph):
 
 * :class:`TraceContext` — a W3C ``traceparent``-compatible identity
-  (32-hex trace id, 16-hex span id, sampled flag) that the router mints
+  (32-hex trace id, 16-hex span id) that the router mints
   at the front door and forwards to the routed worker, so one request
   is one trace id end to end, including across failover retries.
 * :class:`SpanRecord` — one *completed* span occurrence with wall-clock
   start (``time.time``, comparable across processes), duration, status,
   and free-form attributes.
-* :class:`TraceHub` — the process-global collector: configuration and
-  sampling, request-root frames (:meth:`TraceHub.trace`) and adopted
+* :class:`TraceHub` — the process-global collector: configuration,
+  request-root frames (:meth:`TraceHub.trace`) and adopted
   contexts (:meth:`TraceHub.activate`, so spans opened on a worker
   thread parent correctly), pluggable span sinks (JSONL writer, flight
   recorder) and trace-end sinks (fired when a request-root span
   closes).
 * :class:`TraceJsonlWriter` — append-only per-process JSONL sink for
-  *sampled* traces; :func:`repro.telemetry.stitch_traces` reassembles
+  every recorded span; :func:`repro.telemetry.stitch_traces` reassembles
   the cross-process span trees from several processes' files.
 
 Everything here is stdlib-only.  The hub is dormant by default: with
@@ -45,7 +45,7 @@ from typing import Any, Callable, ContextManager, Dict, List, Optional
 
 __all__ = [
     "TraceContext", "SpanRecord", "TraceHub", "TraceJsonlWriter",
-    "get_hub", "sample_trace", "build_span_tree", "trace_file_for",
+    "get_hub", "build_span_tree", "trace_file_for",
     "new_span_id", "TRACE_EVENT_TYPE",
 ]
 
@@ -67,42 +67,33 @@ def new_span_id() -> str:
     return _rand_hex(8)
 
 
-def sample_trace(trace_id: str, rate: float) -> bool:
-    """Deterministic head sampling: the same trace id always gets the
-    same verdict, so every process that sees the id agrees without
-    coordination."""
-    if rate >= 1.0:
-        return True
-    if rate <= 0.0:
-        return False
-    return int(trace_id[-8:], 16) / float(0xFFFFFFFF) < rate
-
-
 class TraceContext:
     """W3C trace-context identity of one span position in one trace."""
 
-    __slots__ = ("trace_id", "span_id", "sampled")
+    __slots__ = ("trace_id", "span_id")
 
-    def __init__(self, trace_id: str, span_id: str, sampled: bool = True):
+    def __init__(self, trace_id: str, span_id: str):
         self.trace_id = trace_id
         self.span_id = span_id
-        self.sampled = bool(sampled)
 
     # ------------------------------------------------------------------
     @classmethod
-    def mint(cls, sampled: bool = True) -> "TraceContext":
+    def mint(cls) -> "TraceContext":
         """A brand-new trace (random 128-bit trace id, 64-bit span id)."""
-        return cls(_rand_hex(16), _rand_hex(8), sampled)
+        return cls(_rand_hex(16), _rand_hex(8))
 
     def child(self) -> "TraceContext":
         """Same trace, fresh span id (the propagated parent of a hop)."""
-        return TraceContext(self.trace_id, _rand_hex(8), self.sampled)
+        return TraceContext(self.trace_id, _rand_hex(8))
 
     # ------------------------------------------------------------------
     def to_traceparent(self) -> str:
-        """``00-<trace_id>-<span_id>-<01|00>`` (W3C traceparent)."""
-        return (f"00-{self.trace_id}-{self.span_id}-"
-                f"{'01' if self.sampled else '00'}")
+        """``00-<trace_id>-<span_id>-01`` (W3C traceparent).
+
+        The flags are always ``01``: a traced process records every
+        request, so there is no sampling decision to propagate.
+        """
+        return f"00-{self.trace_id}-{self.span_id}-01"
 
     @classmethod
     def parse(cls, header: Optional[str]) -> Optional["TraceContext"]:
@@ -111,7 +102,8 @@ class TraceContext:
         Malformed headers are *ignored* rather than rejected — a bad
         client header must never fail the request, the receiver just
         mints a fresh trace.  Per the W3C spec, version ``ff`` and
-        all-zero ids are invalid.
+        all-zero ids are invalid.  The flags field must be two hex
+        digits but is not acted on.
         """
         if not header:
             return None
@@ -124,37 +116,32 @@ class TraceContext:
         span_id = match.group("span_id")
         if set(trace_id) == {"0"} or set(span_id) == {"0"}:
             return None
-        sampled = bool(int(match.group("flags"), 16) & 0x01)
-        return cls(trace_id, span_id, sampled)
+        return cls(trace_id, span_id)
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TraceContext)
                 and self.trace_id == other.trace_id
-                and self.span_id == other.span_id
-                and self.sampled == other.sampled)
+                and self.span_id == other.span_id)
 
     def __hash__(self) -> int:
-        return hash((self.trace_id, self.span_id, self.sampled))
+        return hash((self.trace_id, self.span_id))
 
     def __repr__(self) -> str:
-        return (f"TraceContext({self.trace_id[:8]}…/{self.span_id}, "
-                f"sampled={self.sampled})")
+        return f"TraceContext({self.trace_id[:8]}…/{self.span_id})"
 
 
 class SpanRecord:
     """One completed span occurrence (immutable once emitted)."""
 
     __slots__ = ("name", "trace_id", "span_id", "parent_id", "service",
-                 "start_ts", "duration_s", "status", "error", "attrs",
-                 "sampled")
+                 "start_ts", "duration_s", "status", "error", "attrs")
 
     def __init__(self, name: str, trace_id: str, span_id: str,
                  parent_id: str = "", service: str = "",
                  start_ts: float = 0.0, duration_s: float = 0.0,
                  status: str = "ok", error: Optional[str] = None,
-                 attrs: Optional[Dict[str, Any]] = None,
-                 sampled: bool = True):
+                 attrs: Optional[Dict[str, Any]] = None):
         self.name = name
         self.trace_id = trace_id
         self.span_id = span_id
@@ -165,7 +152,6 @@ class SpanRecord:
         self.status = status
         self.error = error
         self.attrs = attrs or {}
-        self.sampled = bool(sampled)
 
     def to_event(self) -> Dict[str, Any]:
         event: Dict[str, Any] = {
@@ -194,14 +180,13 @@ class TraceHub:
     """Process-global request-trace collector (one per process).
 
     Disabled by default; :func:`repro.telemetry.enable_request_tracing`
-    configures the singleton in place (service name, sample rate, sinks)
+    configures the singleton in place (service name, sinks)
     so module-level references cached by hot paths stay valid.
     """
 
     def __init__(self):
         self.enabled = False
         self.service = "proc"
-        self.sample_rate = 1.0
         self._sink_lock = threading.Lock()
         self._span_sinks: List[Callable[[SpanRecord], None]] = []
         self._trace_sinks: List[Callable[[SpanRecord], None]] = []
@@ -210,12 +195,9 @@ class TraceHub:
     # Configuration
     # ------------------------------------------------------------------
     def configure(self, service: Optional[str] = None,
-                  enabled: Optional[bool] = None,
-                  sample_rate: Optional[float] = None) -> "TraceHub":
+                  enabled: Optional[bool] = None) -> "TraceHub":
         if service is not None:
             self.service = str(service)
-        if sample_rate is not None:
-            self.sample_rate = float(sample_rate)
         if enabled is not None:
             self.enabled = bool(enabled)
         return self
@@ -238,7 +220,6 @@ class TraceHub:
         """Back to the dormant default state (tests / run boundaries)."""
         self.enabled = False
         self.service = "proc"
-        self.sample_rate = 1.0
         self.clear_sinks()
 
     # ------------------------------------------------------------------
@@ -265,16 +246,10 @@ class TraceHub:
         """Open a request-root span (fires trace-end sinks on close).
 
         Works with the hub disabled too: the returned span still carries
-        a minted (unsampled, unrecorded) :class:`TraceContext`, so
-        servers can echo a request id unconditionally.
+        a minted (unrecorded) :class:`TraceContext`, so servers can echo
+        a request id unconditionally.
         """
-        if parent is not None:
-            ctx = parent.child()
-            ctx.sampled = ctx.sampled and self.enabled
-        else:
-            ctx = TraceContext.mint()
-            ctx.sampled = (self.enabled
-                           and sample_trace(ctx.trace_id, self.sample_rate))
+        ctx = parent.child() if parent is not None else TraceContext.mint()
         return _tracing._context_frame(
             ctx, name, parent.span_id if parent is not None else "", attrs)
 
@@ -291,7 +266,7 @@ class TraceHub:
             name=name, trace_id=ctx.trace_id, span_id=ctx.span_id,
             parent_id=parent.span_id, service=self.service,
             start_ts=start_ts, duration_s=duration_s, status=status,
-            error=error, attrs=attrs, sampled=ctx.sampled)
+            error=error, attrs=attrs)
         self.emit(record)
         return record
 
@@ -325,8 +300,7 @@ class TraceHub:
 
     def __repr__(self) -> str:
         return (f"TraceHub(service={self.service!r}, "
-                f"enabled={self.enabled}, "
-                f"sample_rate={self.sample_rate})")
+                f"enabled={self.enabled})")
 
 
 # ----------------------------------------------------------------------
@@ -352,23 +326,20 @@ def trace_file_for(trace_dir: str, service: str) -> str:
 
 
 class TraceJsonlWriter:
-    """Span sink appending sampled spans to a JSONL file (thread-safe).
+    """Span sink appending every span to a JSONL file (thread-safe).
 
     One line per completed span, flushed immediately — a crashed worker
     loses at most the span being written, and the stitcher can read the
     file while the process is still serving.
     """
 
-    def __init__(self, path: str, only_sampled: bool = True):
+    def __init__(self, path: str):
         self.path = path
-        self.only_sampled = bool(only_sampled)
         self._lock = threading.Lock()
         self._handle = None
         self.written = 0
 
     def __call__(self, record: SpanRecord) -> None:
-        if self.only_sampled and not record.sampled:
-            return
         line = json.dumps(record.to_event(), sort_keys=True)
         with self._lock:
             if self._handle is None:

@@ -293,8 +293,7 @@ class span:
             parent_id=self.parent_id, service=_HUB.service,
             start_ts=self._start_ts, duration_s=elapsed,
             status=self.status, error=self.error,
-            attrs=dict(self.attrs) if self.attrs else None,
-            sampled=ctx.sampled)
+            attrs=dict(self.attrs) if self.attrs else None)
         _HUB.emit(record)
         if self._ends_trace:
             _HUB._end_trace(record)

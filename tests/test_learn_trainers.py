@@ -173,6 +173,16 @@ class TestMassTrainer:
         under = np.linalg.norm(delta, axis=1) <= max_norm
         assert np.array_equal(clipped[under], delta[under])
 
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0, float("nan"),
+                                          float("inf")])
+    def test_a_cap_that_clips_nothing_is_refused(self, max_norm):
+        # NaN and inf compare false against every norm: no row would
+        # ever be clipped.  None is the one spelling of "no cap".
+        with pytest.raises(ValueError, match="max_norm"):
+            clip_update_norms(np.ones((2, 4)), max_norm)
+        with pytest.raises(ValueError, match="max_update_norm"):
+            MassTrainer(3, 8, max_update_norm=max_norm)
+
 
 class TestDistillationTrainer:
     def setup_problem(self, seed=0):

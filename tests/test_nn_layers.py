@@ -181,15 +181,6 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             nn.SGD([], lr=0.1)
 
-    def test_step_lr_schedule(self):
-        p = nn.Parameter(np.zeros(1))
-        opt = nn.SGD([p], lr=1.0)
-        sched = nn.StepLR(opt, step_size=2, gamma=0.1)
-        sched.step()
-        assert opt.lr == pytest.approx(1.0)
-        sched.step()
-        assert opt.lr == pytest.approx(0.1)
-
     def test_cosine_lr_endpoints(self):
         p = nn.Parameter(np.zeros(1))
         opt = nn.SGD([p], lr=2.0)

@@ -191,6 +191,20 @@ class TestBounds:
         assert moved.max() <= cap * (1 + 1e-9)
         assert moved.max() > 0  # and it did move
 
+    @pytest.mark.parametrize("cap", [0, 0.0, float("nan"), float("inf")])
+    def test_update_cap_must_be_finite_and_positive(self, cap):
+        # Only None turns the clip off.
+        with pytest.raises(ValueError, match="max_update_norm"):
+            ShadowModel(make_base(), max_update_norm=cap)
+
+    def test_unclipped_update_moves_past_the_default_cap(self):
+        base = make_base()
+        shadow = ShadowModel(base, lr=50.0, max_update_norm=None,
+                             holdout_every=0)
+        before = shadow.snapshot()
+        shadow.ingest(sample(base, 0, seed=11), 1)
+        assert np.linalg.norm(shadow.matrix - before, axis=1).max() > 1.0
+
     def test_update_norm_histogram_observed(self, registry):
         base = make_base()
         shadow = ShadowModel(base, holdout_every=0)

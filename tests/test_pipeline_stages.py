@@ -360,7 +360,7 @@ class TestStageGraph:
         hub = get_hub()
         hub.reset()
         request_spans = []
-        hub.configure(service="t", enabled=True, sample_rate=1.0)
+        hub.configure(service="t", enabled=True)
         hub.add_span_sink(request_spans.append)
 
         def run():

@@ -21,7 +21,6 @@ from repro.models import create_model
 from repro.nn.serialize import (MANIFEST_KEY, CheckpointError, load_manifest,
                                 load_module, load_state, save_module,
                                 save_state)
-from repro.reliability import truncate_file
 from repro.utils.rng import fresh_rng, get_rng_state, set_rng_state
 
 from .conftest import FixedUpdate
@@ -75,7 +74,7 @@ class TestIntegrity:
     def test_truncation_detected(self, tmp_path):
         path = str(tmp_path / "ckpt.npz")
         save_state({"w": np.arange(4096.0)}, path)
-        truncate_file(path, 0.6)
+        os.truncate(path, int(os.path.getsize(path) * 0.6))
         with pytest.raises(CheckpointError):
             load_state(path)
 
@@ -337,7 +336,7 @@ class TestKillAndResume:
         pipeline = BaselineHD(model, layer_index=21, dim=128, seed=7)
         pipeline.fit(x_tr, y_tr, epochs=1, batch_size=32,
                      checkpoint_path=ckpt)
-        truncate_file(ckpt, 0.4)
+        os.truncate(ckpt, int(os.path.getsize(ckpt) * 0.4))
         fresh = BaselineHD(model, layer_index=21, dim=128, seed=7)
         with pytest.raises(CheckpointError):
             fresh.fit(x_tr, y_tr, epochs=2, checkpoint_path=ckpt,

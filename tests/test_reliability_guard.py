@@ -11,8 +11,7 @@ import pytest
 from repro.learn import (NSHD, DistillationTrainer, ManifoldLearner,
                          MassTrainer)
 from repro.models import create_model, train_cnn
-from repro.reliability import (BatchCorruptionInjector, NumericsError,
-                               NumericsGuard, NumericsWarning)
+from repro.reliability import NumericsError, NumericsGuard, NumericsWarning
 from repro.telemetry import use_registry
 from repro.utils.rng import fresh_rng
 
@@ -101,8 +100,10 @@ class TestDistillationGuard:
 
     def _poisoned(self):
         hvs, labels, logits = make_batch(seed=1)
-        return BatchCorruptionInjector(0.3, mode="nan",
-                                       seed=2).apply(hvs), labels, logits
+        poisoned = np.array(hvs, dtype=np.float64)
+        poisoned[fresh_rng((2, "batchcorrupt")).random(len(hvs)) < 0.3] = \
+            np.nan
+        return poisoned, labels, logits
 
     def test_raise_policy_aborts_and_preserves_model(self):
         guard = NumericsGuard(policy="raise")

@@ -108,11 +108,15 @@ class TestLoadConfig:
         ("[engine]\ncache_size = 64\n", "engine.cache_size"),
         ("[engine]\nselfcheck = false\n", "engine.selfcheck"),
         ('[online]\nrule = "mass"\n', "online.rule"),
+        ('[[alerts.rules]]\nname = "slo"\nmetric = "fleet.slo.latency"\n'
+         'kind = "burn_rate"\n',
+         r"'burn_rate' \(expected one of \('threshold', 'absence'\)\)"),
     ])
     def test_removed_settings_are_refused_by_name(self, tmp_path, text,
                                                   name):
         # Host, port and cache size are flags only; the packed self-check
-        # always runs; MASS is the one feedback rule.
+        # always runs; MASS is the one feedback rule; no router metric
+        # feeds a burn-rate alert.
         path = tmp_path / "serve.toml"
         path.write_text(text)
         with pytest.raises(ValueError, match=name):
@@ -238,9 +242,12 @@ class TestMain:
     @pytest.mark.parametrize("rate", ["nan", "-0.1", "1.5"])
     def test_trace_sample_outside_unit_interval_exits_two(
             self, bundle_path, rate, capsys):
-        code = main([bundle_path, "--port", "0", "--trace-sample", rate,
-                     "--dry-run"])
-        assert code == 2
+        # There is no --trace-sample any more: a traced process exports
+        # every request it records, so any rate is refused by name.
+        with pytest.raises(SystemExit) as excinfo:
+            main([bundle_path, "--port", "0", "--trace-sample", rate,
+                  "--dry-run"])
+        assert excinfo.value.code == 2
         assert "--trace-sample" in capsys.readouterr().err
 
     def test_removed_batcher_flags_are_refused(self, bundle_path):
@@ -294,6 +301,35 @@ class TestMain:
         assert code == 2
         assert "alerts.interval_s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "0.0", "nan", "inf"])
+    def test_feedback_update_cap_must_be_finite_and_positive(
+            self, bundle_path, tmp_path, cap, capsys):
+        # 0 would mean "no cap" and NaN or inf clip nothing: each would
+        # leave one feedback sample's pull on the model unbounded.
+        config = tmp_path / "serve.toml"
+        config.write_text(f"[online]\nmax_update_norm = {cap}\n")
+        code = main([bundle_path, "--port", "0", "--config", str(config),
+                     "--dry-run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "max_update_norm" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("threshold", "nan"), ("for_s", "nan"), ("for_s", "inf")])
+    def test_alert_rule_that_can_never_fire_exits_two(
+            self, bundle_path, tmp_path, key, value, capsys):
+        config = tmp_path / "serve.toml"
+        config.write_text('[[alerts.rules]]\nname = "drift"\n'
+                          'metric = "quality.feature.psi_max"\n'
+                          f"{key} = {value}\n")
+        code = main([bundle_path, "--port", "0", "--config", str(config),
+                     "--dry-run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert err.count("\n") == 1
+
 
 class TestFleetWorkerArgv:
     def test_flags_reach_workers_on_argv_alone(self, bundle_path,
@@ -307,8 +343,7 @@ class TestFleetWorkerArgv:
         config.write_text("[batcher]\nworkers = 1\n")
         trace_dir = str(tmp_path / "traces")
         args = _parse_args([bundle_path, "--fleet", "2", "--chaos",
-                            "--trace-dir", trace_dir,
-                            "--trace-sample", "0.5", "--cache-size", "0",
+                            "--trace-dir", trace_dir, "--cache-size", "0",
                             "--config", str(config)])
         spawned = []
 
@@ -328,7 +363,6 @@ class TestFleetWorkerArgv:
                                bundle_path]
             for flag, value in (("--chaos", None),
                                 ("--trace-dir", trace_dir),
-                                ("--trace-sample", "0.5"),
                                 ("--cache-size", "0"),
                                 ("--config", str(config)),
                                 ("--port", str(worker.port))):

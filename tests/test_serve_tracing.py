@@ -1,5 +1,5 @@
 """Serving-path tracing: id echo, propagation, batcher/router spans,
-/tracez + /requestz, SLO burn rates."""
+/tracez + /requestz."""
 
 import http.client
 import json
@@ -13,10 +13,10 @@ from repro.reliability import (DeadlineExceededError, LoadShedder,
                                OverloadShedError)
 from repro.serve import (InferenceEngine, MicroBatcher, ModelServer,
                          Router, StaticFleet, free_port)
-from repro.telemetry import (BurnRateTracker, TraceContext,
-                             disable_request_tracing,
+from repro.telemetry import (TraceContext, disable_request_tracing,
                              enable_request_tracing, get_flight_recorder,
-                             get_registry, get_request_log)
+                             get_registry, get_request_log,
+                             read_trace_jsonl)
 
 
 def http_request(host, port, method, path, body=None, headers=None,
@@ -47,7 +47,7 @@ def predict(address, payload, headers=None):
 @pytest.fixture
 def traced():
     """Request tracing on (recorder + request log, no JSONL export)."""
-    enable_request_tracing(service="test-worker", sample_rate=1.0)
+    enable_request_tracing(service="test-worker")
     yield get_flight_recorder()
     disable_request_tracing()
 
@@ -94,6 +94,32 @@ class TestServerTracing:
         root = next(s for s in found["spans"]
                     if s["name"] == "server.request")
         assert root["parent_id"] == upstream.span_id
+
+    def test_unsampled_flag_is_still_recorded_and_exported(
+            self, server, tmp_path):
+        """A caller's ``-00`` flags do not switch recording off: every
+        request a traced worker serves reaches the flight recorder and
+        the JSONL export, and the echoed traceparent carries ``-01``."""
+        recorder = enable_request_tracing(service="test-worker",
+                                          trace_dir=str(tmp_path))
+        try:
+            upstream = TraceContext.mint()
+            header = upstream.to_traceparent()[:-2] + "00"
+            rng = np.random.default_rng(15)
+            status, _, headers = predict(
+                server.address,
+                {"features": rng.standard_normal(32).tolist()},
+                {"traceparent": header})
+            assert status == 200
+            assert headers["X-Trace-Id"] == upstream.trace_id
+            assert headers["traceparent"].endswith("-01")
+            assert recorder.lookup(upstream.trace_id) is not None
+        finally:
+            disable_request_tracing()
+        exported = read_trace_jsonl(*map(str, tmp_path.glob("trace-*")))
+        assert "server.request" in {
+            e["name"] for e in exported
+            if e["trace_id"] == upstream.trace_id}
 
     def test_malformed_traceparent_mints_fresh(self, traced, server):
         rng = np.random.default_rng(9)
@@ -297,7 +323,7 @@ class TestRouterTracing:
                             if s["name"] == "server.request")
         assert request_root["parent_id"] in attempt_ids
 
-    def test_router_error_payloads_and_slo_gauges(self, traced, routed):
+    def test_router_error_payloads(self, traced, routed):
         host, port = routed.address
         status, payload, headers = http_request(
             host, port, "POST", "/predict", b"not json",
@@ -305,23 +331,6 @@ class TestRouterTracing:
         assert status == 400
         assert headers.get("X-Trace-Id")
         assert payload["request_id"] == headers["X-Trace-Id"]
-
-        rng = np.random.default_rng(13)
-        for _ in range(4):
-            predict((host, port),
-                    {"features": rng.standard_normal(32).tolist()})
-        snapshot = get_registry().snapshot()
-        for name in ("fleet.slo.availability.burn_fast",
-                     "fleet.slo.availability.burn_slow",
-                     "fleet.slo.latency.burn_fast",
-                     "fleet.slo.latency.burn_slow"):
-            assert name in snapshot
-        # 400s are the client's fault: availability burn stays 0.
-        assert snapshot["fleet.slo.availability.burn_fast"][
-            "value"] == 0.0
-        health = routed.health()
-        assert health["slo"]["availability"]["objective"] == 0.999
-        assert "fast_burn_rate" in health["slo"]["availability"]
 
     def test_router_tracez_requestz(self, traced, routed):
         host, port = routed.address
@@ -344,27 +353,3 @@ class TestRouterTracing:
         status, payload, _ = http_request(host, port, "GET",
                                           f"/requestz?limit={limit}")
         assert status == 400 and "limit" in payload["error"]
-
-
-class TestBurnRateTracker:
-    def test_burn_math_with_fake_clock(self):
-        now = [1000.0]
-        tracker = BurnRateTracker(objective=0.9, fast_window_s=10.0,
-                                  slow_window_s=60.0,
-                                  clock=lambda: now[0])
-        for i in range(10):
-            tracker.record(ok=i % 2 == 0)  # 50% errors
-        # error rate 0.5 over budget 0.1 → burning 5x too fast.
-        assert tracker.burn_rate(10.0) == pytest.approx(5.0)
-        summary = tracker.summary()
-        assert summary["objective"] == 0.9
-        assert summary["fast_burn_rate"] == pytest.approx(5.0)
-        # Idle window: no traffic is no evidence of burning.
-        now[0] += 120.0
-        assert tracker.burn_rate(10.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BurnRateTracker(objective=1.5)
-        with pytest.raises(ValueError):
-            BurnRateTracker(fast_window_s=100.0, slow_window_s=10.0)

@@ -10,7 +10,7 @@ import pytest
 from repro.telemetry import (FlightRecorder, RequestLog, SpanRecord,
                              TraceContext, TraceJsonlWriter,
                              build_span_tree, get_hub, new_span_id,
-                             read_trace_jsonl, sample_trace, span,
+                             read_trace_jsonl, span,
                              stitch_traces, trace_file_for)
 from repro.telemetry.tracing import _LOCAL
 
@@ -29,7 +29,7 @@ def hub():
 def enabled_hub(hub):
     """Hub enabled with a list-capturing span sink and trace sink."""
     spans, roots = [], []
-    hub.configure(service="test-svc", enabled=True, sample_rate=1.0)
+    hub.configure(service="test-svc", enabled=True)
     hub.add_span_sink(spans.append)
     hub.add_trace_sink(roots.append)
     return hub, spans, roots
@@ -41,17 +41,16 @@ class TestTraceContext:
         assert len(ctx.trace_id) == 32
         assert len(ctx.span_id) == 16
         int(ctx.trace_id, 16), int(ctx.span_id, 16)
-        assert ctx.sampled
         assert ctx.trace_id != TraceContext.mint().trace_id
 
     def test_traceparent_round_trip(self):
-        for sampled in (True, False):
-            ctx = TraceContext.mint(sampled=sampled)
-            header = ctx.to_traceparent()
-            assert header.startswith("00-")
-            assert header.endswith("-01" if sampled else "-00")
-            parsed = TraceContext.parse(header)
-            assert parsed == ctx
+        ctx = TraceContext.mint()
+        header = ctx.to_traceparent()
+        assert header.startswith("00-")
+        assert header.endswith("-01")
+        assert TraceContext.parse(header) == ctx
+        # The flags are validated but not acted on.
+        assert TraceContext.parse(header[:-2] + "00") == ctx
 
     def test_parse_accepts_uppercase_and_whitespace(self):
         ctx = TraceContext.mint()
@@ -71,32 +70,14 @@ class TestTraceContext:
         assert TraceContext.parse(header) is None
 
     def test_child_keeps_trace_id(self):
-        ctx = TraceContext.mint(sampled=False)
+        ctx = TraceContext.mint()
         child = ctx.child()
         assert child.trace_id == ctx.trace_id
         assert child.span_id != ctx.span_id
-        assert child.sampled is False
 
     def test_new_span_id(self):
         assert len(new_span_id()) == 16
         assert new_span_id() != new_span_id()
-
-
-class TestSampling:
-    def test_edges(self):
-        ctx = TraceContext.mint()
-        assert sample_trace(ctx.trace_id, 1.0)
-        assert not sample_trace(ctx.trace_id, 0.0)
-
-    def test_deterministic(self):
-        trace_id = TraceContext.mint().trace_id
-        verdicts = {sample_trace(trace_id, 0.5) for _ in range(10)}
-        assert len(verdicts) == 1
-
-    def test_rate_roughly_proportional(self):
-        ids = [TraceContext.mint().trace_id for _ in range(2000)]
-        hit = sum(sample_trace(t, 0.5) for t in ids)
-        assert 0.4 < hit / len(ids) < 0.6
 
 
 class TestHubLifecycle:
@@ -105,7 +86,6 @@ class TestHubLifecycle:
         hub.add_span_sink(spans.append)
         with hub.trace("req") as trace:
             assert len(trace.trace_id) == 32
-            assert not trace.ctx.sampled
             assert hub.current() is None
         assert spans == []
         assert hub.current() is None
@@ -297,18 +277,18 @@ class TestSpanTree:
 
 
 class TestJsonlWriter:
-    def test_writes_only_sampled_and_flushes(self, tmp_path):
+    def test_writes_every_record_and_flushes(self, tmp_path):
         path = trace_file_for(str(tmp_path), "svc/1")
         assert "trace-svc-1-" in path
         writer = TraceJsonlWriter(path)
-        writer(SpanRecord("keep", "t1", "a" * 16, sampled=True))
-        writer(SpanRecord("drop", "t2", "b" * 16, sampled=False))
+        writer(SpanRecord("first", "t1", "a" * 16))
+        writer(SpanRecord("second", "t2", "b" * 16))
         # Readable while the handle is still open (crash forensics).
         lines = [json.loads(line)
                  for line in open(path).read().splitlines()]
-        assert [e["name"] for e in lines] == ["keep"]
+        assert [e["name"] for e in lines] == ["first", "second"]
         writer.close()
-        assert writer.written == 1
+        assert writer.written == 2
 
     def test_stitch_two_process_files(self, tmp_path):
         """Router file + worker file → one complete stitched tree."""
@@ -408,20 +388,19 @@ class TestFlightRecorder:
         from repro.telemetry import (disable_request_tracing,
                                      enable_request_tracing,
                                      get_flight_recorder)
-        enable_request_tracing(service="t", sample_rate=0.0,
-                               trace_dir=str(tmp_path))
+        enable_request_tracing(service="t", trace_dir=str(tmp_path))
         try:
             with hub.trace("req") as trace:
                 with span("inner", aggregate=False):
                     pass
-            # Sampling gates the JSONL export, NOT the recorder.
+            # The recorder and the JSONL export both see the trace.
             found = get_flight_recorder().lookup(trace.trace_id)
             assert found is not None
             assert {s["name"] for s in found["spans"]} \
                 == {"req", "inner"}
-            assert not list(tmp_path.glob("trace-*.jsonl")) or all(
-                not path.read_text().strip()
-                for path in tmp_path.glob("trace-*.jsonl"))
+            exported = read_trace_jsonl(
+                *map(str, tmp_path.glob("trace-*.jsonl")))
+            assert {e["name"] for e in exported} == {"req", "inner"}
         finally:
             disable_request_tracing()
 
