@@ -58,9 +58,6 @@ from repro.utils.rng import fresh_rng
 # Auto-promoting config: the recovery phase exercises the full loop —
 # feedback → shadow → gates → export → /reload — with no operator.
 AUTO_TOML = """\
-[engine]
-build_extractor = false
-
 [online]
 lr = 8.0
 max_update_norm = 8.0

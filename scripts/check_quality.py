@@ -41,7 +41,6 @@ from repro.utils.rng import fresh_rng
 
 ALERTS_TOML = """\
 [engine]
-build_extractor = false
 quality_window = 256
 
 [alerts]
@@ -66,7 +65,6 @@ description = "prediction distribution vs training class priors"
 
 QUIET_TOML = """\
 [engine]
-build_extractor = false
 quality = false
 """
 

@@ -11,7 +11,6 @@ quantized inference routine so the claim is testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 import numpy as np
 
@@ -33,25 +32,6 @@ class QuantizedTensor:
     @property
     def nbytes(self) -> int:
         return self.q.nbytes
-
-    # -- serialization (model-bundle payloads) -------------------------
-    def to_arrays(self, prefix: str) -> Dict[str, np.ndarray]:
-        """Flatten into checkpoint-ready arrays ``{prefix.q, prefix.scale}``.
-
-        This is the payload format :class:`repro.serve.bundle.ModelBundle`
-        embeds when exporting a quantized (Vitis-AI-style int8) bundle, so
-        the serving engine can ship the exact integer weights the DPU
-        deployment path would.
-        """
-        return {f"{prefix}.q": self.q,
-                f"{prefix}.scale": np.float64(self.scale)}
-
-    @classmethod
-    def from_arrays(cls, arrays: Dict[str, np.ndarray],
-                    prefix: str) -> "QuantizedTensor":
-        """Inverse of :meth:`to_arrays` (KeyError when absent)."""
-        return cls(q=np.asarray(arrays[f"{prefix}.q"]),
-                   scale=float(np.asarray(arrays[f"{prefix}.scale"])))
 
 
 def quantize_symmetric(values: np.ndarray, bits: int = 8

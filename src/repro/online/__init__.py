@@ -20,9 +20,10 @@ split into that loop:
 * :class:`~repro.online.promote.PromotionController` — evaluates the
   shadow against the live matrix on the held-back ring and the
   :mod:`repro.telemetry.diagnostics` matrix-health view (accuracy
-  delta, confusability, saturation, drift, minimum feedback/validation
-  counts).  Every gate must pass; a poisoned feedback stream fails the
-  accuracy-gain and confusability gates and never reaches production.
+  delta, confusability, saturation, minimum feedback/validation
+  counts; drift is reported, not gated).  Every gate must pass; a
+  poisoned feedback stream fails the accuracy-gain and confusability
+  gates and never reaches production.
 * :class:`~repro.online.learner.OnlineLearner` — the server-side
   façade: resolves ``/feedback`` bodies (inline features or a
   remembered ``request_id``), feeds the shadow, and on a passing
@@ -30,8 +31,7 @@ split into that loop:
   bundle (:meth:`~repro.serve.bundle.ModelBundle.promoted`, with
   recomputed quality-baseline class priors) and reuse the existing
   ``/reload`` hot swap, so in-flight ``/predict`` batches finish on
-  whichever engine they started with and the router's ``/reload``
-  fan-out promotes fleet-wide.
+  whichever engine they started with.
 
 Everything is observable under ``online.*`` / ``serve.feedback.*``
 metrics (see docs/OBSERVABILITY.md) and ``GET /onlinez``; the tier-2

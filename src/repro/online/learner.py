@@ -4,11 +4,11 @@ One instance rides a :class:`~repro.serve.server.ModelServer`:
 
 * ``POST /feedback`` bodies land in :meth:`feedback` — either inline
   ``features`` or a ``request_id`` previously returned by ``/predict``
-  (the learner remembers a bounded ring of recent request features, so
-  a client can say "that prediction was actually class 3" without
-  re-uploading the features).  Features are encoded through the *live*
-  engine's frozen encoder and fed to the
-  :class:`~repro.online.shadow.ShadowModel`.
+  (the learner remembers the features of the last
+  :data:`REMEMBER_REQUESTS` single-row requests, so a client can say
+  "that prediction was actually class 3" without re-uploading them).
+  Features are encoded through the *live* engine's frozen encoder and
+  fed to the :class:`~repro.online.shadow.ShadowModel`.
 * Every ``promote_every`` applied samples (and on explicit ``POST
   /promote``) the :class:`~repro.online.promote.PromotionController`
   gates run.  On a pass the learner exports a version-bumped bundle
@@ -18,8 +18,9 @@ One instance rides a :class:`~repro.serve.server.ModelServer`:
   class-incremental growth) and calls the server's existing
   :meth:`~repro.serve.server.ModelServer.reload` — the same verified
   atomic hot swap operators already use, so in-flight ``/predict``
-  batches finish on the engine snapshot they started with and the
-  router's ``/reload`` fan-out promotes the whole fleet.
+  batches finish on the engine snapshot they started with.  The
+  exported bundle reaches a fleet through the router's ``/reload``
+  fan-out.
 * After a successful promotion the shadow is rebased onto the newly
   live matrix and the generation counter bumps.  An *external* reload
   (operator swapped bundles underneath us) is detected by fingerprint
@@ -40,7 +41,6 @@ import numpy as np
 
 from ..hd.backend import unpack_bipolar
 from ..hd.similarity import cosine_similarity
-from ..reliability.guards import NumericsGuard
 from ..telemetry import get_registry
 from .promote import PromotionController
 from .shadow import FeedbackError, ShadowModel
@@ -48,18 +48,18 @@ from .shadow import FeedbackError, ShadowModel
 __all__ = ["OnlineLearner"]
 
 # Keys accepted in the [online] config section / online_options dict,
-# each with the type its value must have.
+# each with the type its value must have: the OnlineLearner kwargs.
 ONLINE_OPTION_TYPES = {
-    "enabled": bool, "lr": float, "max_update_norm": float,
-    "rate_limit_per_s": float, "rate_limit_burst": float,
-    "holdout_every": int, "validation_capacity": int,
-    "max_new_classes": int, "guard_policy": str, "guard_max_abs": float,
-    "promote_every": int, "auto_promote": bool, "export_dir": str,
-    "remember_requests": int, "min_feedback": int, "min_validation": int,
+    "lr": float, "max_update_norm": float, "rate_limit_per_s": float,
+    "holdout_every": int, "promote_every": int, "auto_promote": bool,
+    "export_dir": str, "min_feedback": int, "min_validation": int,
     "min_accuracy_gain": float, "min_shadow_accuracy": float,
     "max_confusability_increase": float, "max_saturation": float,
-    "max_relative_drift": float,
 }
+
+#: How many recent single-row /predict requests feedback can name by
+#: request_id.
+REMEMBER_REQUESTS = 1024
 
 
 class OnlineLearner:
@@ -72,47 +72,32 @@ class OnlineLearner:
     def __init__(self, server: Any, lr: float = 0.05,
                  max_update_norm: float = 1.0,
                  rate_limit_per_s: Optional[float] = None,
-                 rate_limit_burst: Optional[float] = None,
-                 holdout_every: int = 8, validation_capacity: int = 512,
-                 max_new_classes: int = 8,
-                 guard_policy: str = "skip_batch",
-                 guard_max_abs: float = 1e9,
+                 holdout_every: int = 8,
                  promote_every: int = 64, auto_promote: bool = True,
                  export_dir: Optional[str] = None,
-                 remember_requests: int = 1024,
                  min_feedback: int = 64, min_validation: int = 16,
                  min_accuracy_gain: float = 0.01,
                  min_shadow_accuracy: float = 0.5,
                  max_confusability_increase: float = 0.15,
-                 max_saturation: float = 0.15,
-                 max_relative_drift: Optional[float] = None):
+                 max_saturation: float = 0.15):
         if promote_every < 0:
             raise ValueError("promote_every must be >= 0")
-        if remember_requests < 0:
-            raise ValueError("remember_requests must be >= 0")
         self._server = server
         self.promote_every = int(promote_every)
         self.auto_promote = bool(auto_promote)
         self.export_dir = export_dir
-        self.remember_requests = int(remember_requests)
         self.generation = 0
-        guard = NumericsGuard(policy=guard_policy, max_abs=guard_max_abs,
-                              name="online")
         self.shadow = ShadowModel(
             self.engine.class_matrix, lr=lr,
             max_update_norm=max_update_norm,
             rate_limit_per_s=rate_limit_per_s,
-            rate_limit_burst=rate_limit_burst,
-            holdout_every=holdout_every,
-            validation_capacity=validation_capacity,
-            max_new_classes=max_new_classes, guard=guard)
+            holdout_every=holdout_every)
         self.controller = PromotionController(
             min_feedback=min_feedback, min_validation=min_validation,
             min_accuracy_gain=min_accuracy_gain,
             min_shadow_accuracy=min_shadow_accuracy,
             max_confusability_increase=max_confusability_increase,
-            max_saturation=max_saturation,
-            max_relative_drift=max_relative_drift)
+            max_saturation=max_saturation)
         self._live_fingerprint = self._engine_fingerprint()
         self._recent: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self._recent_lock = threading.Lock()
@@ -144,12 +129,12 @@ class OnlineLearner:
         Only single-row requests are retained — feedback carries exactly
         one label, so a multi-row batch is ambiguous.
         """
-        if not self.remember_requests or len(features) != 1:
+        if len(features) != 1:
             return
         with self._recent_lock:
             self._recent[request_id] = np.array(features[0],
                                                 dtype=np.float64)
-            while len(self._recent) > self.remember_requests:
+            while len(self._recent) > REMEMBER_REQUESTS:
                 self._recent.popitem(last=False)
 
     def recall(self, request_id: str) -> Optional[np.ndarray]:

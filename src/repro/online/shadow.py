@@ -30,6 +30,7 @@ bit-exact until ordinary known-class feedback touches them.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Dict, Optional
 
@@ -42,21 +43,26 @@ from ..telemetry import clock, get_registry, matrix_health
 
 __all__ = ["ShadowModel", "FeedbackError"]
 
+#: Held-out samples the validation ring keeps; the oldest is overwritten.
+VALIDATION_CAPACITY = 512
+#: New classes feedback may add per generation.
+MAX_NEW_CLASSES = 8
+
 
 class FeedbackError(ValueError):
     """Raised for malformed feedback (bad label, wrong shape, ...)."""
 
 
 class _TokenBucket:
-    """Minimal thread-safe token bucket (``rate`` tokens/s, burst cap)."""
+    """Minimal thread-safe token bucket: ``rate`` tokens/s, and a burst
+    of ``max(1, rate)`` tokens."""
 
-    def __init__(self, rate_per_s: float, burst: Optional[float] = None):
-        if rate_per_s <= 0:
-            raise ValueError("rate_per_s must be positive")
+    def __init__(self, rate_per_s: float):
+        if not (math.isfinite(rate_per_s) and rate_per_s > 0):
+            raise ValueError(f"rate_limit_per_s must be finite and > 0, "
+                             f"got {rate_per_s!r}")
         self.rate = float(rate_per_s)
-        self.capacity = float(burst) if burst else max(1.0, self.rate)
-        if self.capacity < 1.0:
-            raise ValueError("burst must be >= 1")
+        self.capacity = max(1.0, self.rate)
         self._tokens = self.capacity
         self._stamp = clock()
         self._lock = threading.Lock()
@@ -85,15 +91,14 @@ class ShadowModel:
         MASS learning rate and the per-class L2 cap on each applied
         update.  Only ``None`` turns the cap off; a number must be
         finite and > 0.
-    rate_limit_per_s, rate_limit_burst:
-        Token-bucket admission for feedback; ``None`` disables limiting.
+    rate_limit_per_s:
+        Token-bucket admission for feedback, with a burst of
+        ``max(1, rate)``.  Only ``None`` disables limiting; a number
+        must be finite and > 0.
     holdout_every:
-        Every N-th admitted sample goes to the validation ring instead
-        of the trainer (``0``/``None`` disables holdout).
-    validation_capacity:
-        Ring size; oldest held-out samples are overwritten.
-    max_new_classes:
-        Cap on class-incremental growth per generation.
+        Every N-th admitted sample goes to the validation ring of
+        :data:`VALIDATION_CAPACITY` instead of the trainer (``0``
+        disables holdout).
     guard:
         :class:`~repro.reliability.NumericsGuard` (shared with the
         trainer).  Defaults to ``policy="skip_batch"`` so poisoned
@@ -103,28 +108,18 @@ class ShadowModel:
     def __init__(self, class_matrix: np.ndarray, lr: float = 0.05,
                  max_update_norm: float = 1.0,
                  rate_limit_per_s: Optional[float] = None,
-                 rate_limit_burst: Optional[float] = None,
-                 holdout_every: int = 8, validation_capacity: int = 512,
-                 max_new_classes: int = 8,
-                 guard: Optional[NumericsGuard] = None,
-                 sat_factor: float = 3.0):
+                 holdout_every: int = 8,
+                 guard: Optional[NumericsGuard] = None):
         if holdout_every < 0:
             raise ValueError("holdout_every must be >= 0")
-        if validation_capacity <= 0:
-            raise ValueError("validation_capacity must be positive")
-        if max_new_classes < 0:
-            raise ValueError("max_new_classes must be >= 0")
         self.lr = float(lr)
         self.max_update_norm = (None if max_update_norm is None
                                 else float(max_update_norm))
         self.holdout_every = int(holdout_every)
-        self.validation_capacity = int(validation_capacity)
-        self.max_new_classes = int(max_new_classes)
-        self.sat_factor = float(sat_factor)
         self.guard = guard if guard is not None else NumericsGuard(
             policy="skip_batch", max_abs=1e9, name="online")
-        self._bucket = (_TokenBucket(rate_limit_per_s, rate_limit_burst)
-                        if rate_limit_per_s else None)
+        self._bucket = (None if rate_limit_per_s is None
+                        else _TokenBucket(rate_limit_per_s))
         self._rate_limit_per_s = rate_limit_per_s
         self._lock = threading.RLock()
         self._rebase(np.asarray(class_matrix, dtype=np.float64))
@@ -146,8 +141,8 @@ class ShadowModel:
         self.held_out = 0
         self.rejected = 0
         self.rate_limited = 0
-        self._ring_hvs = np.zeros((self.validation_capacity, self.dim))
-        self._ring_labels = np.full(self.validation_capacity, -1,
+        self._ring_hvs = np.zeros((VALIDATION_CAPACITY, self.dim))
+        self._ring_labels = np.full(VALIDATION_CAPACITY, -1,
                                     dtype=np.int64)
         self._ring_pos = 0
         self._ring_size = 0
@@ -188,7 +183,7 @@ class ShadowModel:
         Returns one of ``"applied"``, ``"new_class"``, ``"held_out"``,
         ``"rate_limited"``, ``"rejected"`` (guard veto).  Raises
         :class:`FeedbackError` for labels outside ``[0, num_classes]``
-        or beyond the ``max_new_classes`` growth budget.
+        or beyond the :data:`MAX_NEW_CLASSES` growth budget.
         """
         registry = get_registry()
         encoded = np.atleast_2d(np.asarray(encoded, dtype=np.float64))
@@ -203,11 +198,10 @@ class ShadowModel:
                 raise FeedbackError(
                     f"label {label} outside [0, {k}] — new classes must "
                     f"arrive densely (next unseen label is {k})")
-            if label == k and self.classes_added >= self.max_new_classes:
+            if label == k and self.classes_added >= MAX_NEW_CLASSES:
                 raise FeedbackError(
                     f"class growth budget exhausted "
-                    f"({self.max_new_classes} new classes this "
-                    f"generation)")
+                    f"({MAX_NEW_CLASSES} new classes this generation)")
         if self._bucket is not None and not self._bucket.allow():
             with self._lock:
                 self.rate_limited += 1
@@ -267,9 +261,8 @@ class ShadowModel:
     def _ring_put(self, hv: np.ndarray, label: int) -> None:
         self._ring_hvs[self._ring_pos] = hv
         self._ring_labels[self._ring_pos] = label
-        self._ring_pos = (self._ring_pos + 1) % self.validation_capacity
-        self._ring_size = min(self._ring_size + 1,
-                              self.validation_capacity)
+        self._ring_pos = (self._ring_pos + 1) % VALIDATION_CAPACITY
+        self._ring_size = min(self._ring_size + 1, VALIDATION_CAPACITY)
 
     def validation_set(self) -> "tuple[np.ndarray, np.ndarray]":
         """Copies of the held-back hypervectors and labels."""
@@ -304,8 +297,7 @@ class ShadowModel:
         with self._lock:
             shadow = self.trainer.class_matrix.copy()
             base = self.base
-        health = matrix_health(shadow, reference=base,
-                               sat_factor=self.sat_factor)
+        health = matrix_health(shadow, reference=base)
         drift = health.get("drift")
         if isinstance(drift, dict):
             relative = drift.get("relative")

@@ -16,7 +16,7 @@ Implements the robustness story around the paper's HD pipelines:
   router wraps around each worker process.
 """
 
-from .circuit import CircuitBreaker, CircuitOpenError
+from .circuit import CircuitBreaker
 from .degrade import (DeadlineExceededError, LoadShedder,
                       OverloadShedError, ServingDegradedError)
 from .faults import BitFlipInjector, flip_bits
@@ -32,5 +32,5 @@ __all__ = [
     "sweep_systems",
     "LoadShedder", "OverloadShedError", "DeadlineExceededError",
     "ServingDegradedError",
-    "CircuitBreaker", "CircuitOpenError",
+    "CircuitBreaker",
 ]

@@ -12,10 +12,9 @@ machine Hystrix/resilience4j ship):
   outcome window; when either ``failure_threshold`` *consecutive*
   failures or an error rate ``>= error_rate_threshold`` over at least
   ``min_requests`` outcomes is reached, the breaker **opens**.
-* **open** — every call is refused instantly (:class:`CircuitOpenError`
-  from :meth:`call`; ``allow()`` returns False) for
-  ``recovery_timeout_s``.  The router uses this to route around the
-  worker without spending a connection attempt on it.
+* **open** — every call is refused instantly (``allow()`` returns
+  False) for ``recovery_timeout_s``.  The router uses this to route
+  around the worker without spending a connection attempt on it.
 * **half-open** — after the timeout, up to ``half_open_probes`` trial
   calls are let through.  If they all succeed the breaker **closes**
   (window reset); any failure re-opens it and restarts the timeout.
@@ -35,17 +34,11 @@ from typing import Callable, Deque, Dict, Optional
 from ..telemetry import clock as _default_clock
 from ..telemetry import get_registry
 
-__all__ = ["CircuitBreaker", "CircuitOpenError",
-           "CLOSED", "OPEN", "HALF_OPEN"]
+__all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
-
-
-class CircuitOpenError(RuntimeError):
-    """Call refused because the breaker is open (fail fast, retryable
-    against a different backend)."""
 
 
 class CircuitBreaker:
@@ -211,25 +204,6 @@ class CircuitBreaker:
                     or (len(self._outcomes) >= self.min_requests
                         and rate >= self.error_rate_threshold)):
                 self._transition(OPEN)
-
-    def call(self, fn: Callable, *args, **kwargs):
-        """Run ``fn`` through the breaker.
-
-        Raises :class:`CircuitOpenError` without calling when the
-        breaker refuses; otherwise records the outcome and re-raises any
-        exception from ``fn``.
-        """
-        if not self.allow():
-            raise CircuitOpenError(
-                f"circuit {self.name!r} is {self._state} "
-                f"(retry in {self.time_until_retry():.2f}s)")
-        try:
-            result = fn(*args, **kwargs)
-        except BaseException:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
 
     # ------------------------------------------------------------------
     def reset(self) -> None:

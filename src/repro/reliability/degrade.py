@@ -55,24 +55,16 @@ class LoadShedder:
     Parameters
     ----------
     high_watermark:
-        Queue depth at (or above) which new requests are shed.
-    low_watermark:
-        Depth at which shedding stops once it started; defaults to
-        ``high_watermark // 2``.  Must be ``<= high_watermark``.
+        Queue depth at (or above) which new requests are shed.  Once
+        shedding started it stops at the low watermark,
+        ``high_watermark // 2``.
     """
 
-    def __init__(self, high_watermark: int,
-                 low_watermark: Optional[int] = None):
+    def __init__(self, high_watermark: int):
         if high_watermark < 1:
             raise ValueError("high_watermark must be >= 1")
-        if low_watermark is None:
-            low_watermark = high_watermark // 2
-        if not 0 <= low_watermark <= high_watermark:
-            raise ValueError(
-                f"low_watermark {low_watermark} must be in "
-                f"[0, {high_watermark}]")
         self.high_watermark = int(high_watermark)
-        self.low_watermark = int(low_watermark)
+        self.low_watermark = self.high_watermark // 2
         self._shedding = False
         self._lock = threading.Lock()
         self.stats: Dict[str, int] = {"admitted": 0, "shed": 0}

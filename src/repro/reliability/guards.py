@@ -44,6 +44,9 @@ __all__ = ["NumericsError", "NumericsWarning", "NumericsGuard", "POLICIES"]
 
 POLICIES = ("raise", "warn", "skip_batch")
 
+#: Violation messages a guard retains in :attr:`NumericsGuard.violations`.
+MAX_LOG = 100
+
 
 class NumericsError(RuntimeError):
     """Raised by a ``policy="raise"`` guard on NaN/Inf/overflow."""
@@ -67,12 +70,10 @@ class NumericsGuard:
     name:
         Label used in error/warning messages (useful when several guards
         watch different pipelines).
-    max_log:
-        How many violation messages to retain in :attr:`violations`.
     """
 
     def __init__(self, policy: str = "raise", max_abs: float = 1e12,
-                 name: str = "NumericsGuard", max_log: int = 100):
+                 name: str = "NumericsGuard"):
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, "
                              f"got {policy!r}")
@@ -81,7 +82,6 @@ class NumericsGuard:
         self.policy = policy
         self.max_abs = float(max_abs)
         self.name = name
-        self.max_log = int(max_log)
         self.checks = 0
         self.batches_skipped = 0
         self.counts: Dict[str, int] = {"nan": 0, "inf": 0, "overflow": 0}
@@ -115,7 +115,7 @@ class NumericsGuard:
         return None
 
     def _handle(self, message: str) -> bool:
-        if len(self.violations) < self.max_log:
+        if len(self.violations) < MAX_LOG:
             self.violations.append(message)
         get_registry().inc("guard.violations")
         if self.policy == "raise":

@@ -18,7 +18,6 @@ LoadShedder / engine knobs::
     timeout_s = 5.0
 
     [engine]
-    build_extractor = true
     quality = true           # omit: auto-on when the bundle has a baseline
     quality_window = 512
 
@@ -80,8 +79,7 @@ __all__ = ["main", "build_server", "build_fleet", "load_config",
 _SECTIONS = {
     "batcher": {"max_batch_size": int, "max_latency_ms": float,
                 "workers": int, "high_watermark": int, "timeout_s": float},
-    "engine": {"build_extractor": bool, "quality": bool,
-               "quality_window": int},
+    "engine": {"quality": bool, "quality_window": int},
     "alerts": {"interval_s": float, "rules": list},
     "online": ONLINE_OPTION_TYPES,
 }
@@ -195,7 +193,9 @@ def build_server(args: argparse.Namespace) -> ModelServer:
     if args.cache_size is not None:
         engine_options["cache_size"] = args.cache_size
 
-    engine = InferenceEngine.from_path(args.bundle, **engine_options)
+    # Requests carry features, so a worker never builds the CNN trunk.
+    engine = InferenceEngine.from_path(args.bundle, build_extractor=False,
+                                       **engine_options)
     return ModelServer(
         engine, host=args.host, port=args.port,
         **{key: config[key] for key in _SECTIONS["batcher"]

@@ -13,15 +13,10 @@ manifest section.  The block's ``extractor``, ``manifold`` and
 :meth:`ModelBundle.build_graph` builds the served stage graph from them.
 
 Bundles are *frozen*: they carry no optimizer state, no RNG state, no
-training history — exactly the inference closure and nothing else.  Two
-deployment transforms can be applied at export time:
-
-* ``binarize=True`` hard-quantizes the class hypervectors to bipolar
-  form, enabling the engine's bit-packed XOR-popcount fast path
-  (Schmuck-style dense binary HD inference).
-* ``quantize_bits=8`` stores the manifold FC weights (and, for
-  non-binarized bundles, the class matrix) as symmetric int8 payloads —
-  the Vitis-AI-style deployment path of :mod:`repro.hardware.quantize`.
+training history — exactly the inference closure and nothing else.
+``binarize=True`` at export time hard-quantizes the class hypervectors
+to bipolar form, enabling the engine's bit-packed XOR-popcount fast path
+(Schmuck-style dense binary HD inference).
 
 Stored layout.  Version 2 (written by :meth:`ModelBundle.save`) holds
 the model the paper's Table II counts:
@@ -60,7 +55,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..hardware.quantize import QuantizedTensor, quantize_symmetric
 from ..hd.encoders import NonlinearEncoder, RandomProjectionEncoder
 from ..hd.hypervector import hard_quantize, is_bipolar
 from ..models.extractor import FeatureExtractor
@@ -125,7 +119,6 @@ class ModelBundle:
     @classmethod
     def from_pipeline(cls, pipeline, config: Optional[Dict[str, Any]] = None,
                       binarize: bool = False,
-                      quantize_bits: Optional[int] = None,
                       baseline_features: Optional[np.ndarray] = None,
                       baseline_labels: Optional[np.ndarray] = None,
                       baseline_sample: int = 2048,
@@ -144,10 +137,6 @@ class ModelBundle:
             time.  This is what unlocks the engine's bit-packed
             XOR-popcount path; for an already-bipolar class matrix it is
             a no-op.
-        quantize_bits:
-            When set (e.g. 8), store the manifold FC weight — and the
-            class matrix, unless ``binarize`` already made it 1-bit — as
-            symmetric integer payloads (``*.q`` / ``*.scale`` arrays).
         baseline_features:
             Training features at the *scale-stage input* (the same
             representation :meth:`InferenceEngine.predict_features`
@@ -200,7 +189,6 @@ class ModelBundle:
             "config": dict(config or {}),
             "config_fingerprint": config_fingerprint(dict(config or {})),
             "binarized": bool(binarize),
-            "quantize_bits": int(quantize_bits) if quantize_bits else None,
             "encoder": graph.stage("encode").spec(),
         }
         if "extract" in graph:
@@ -211,20 +199,8 @@ class ModelBundle:
         info["manifold"] = (graph.stage("reduce").spec()
                             if "reduce" in graph else None)
 
-        # -- deployment transforms (quantize / binarize) ---------------
-        if "reduce" in graph and quantize_bits:
-            weight = arrays.pop("manifold.weight")
-            arrays.update(quantize_symmetric(
-                weight, quantize_bits).to_arrays("manifold.weight"))
-
         classes = np.asarray(arrays.pop("classes"), dtype=np.float64)
-        if binarize:
-            arrays["classes"] = hard_quantize(classes)
-        elif quantize_bits:
-            arrays.update(quantize_symmetric(
-                classes, quantize_bits).to_arrays("classes"))
-        else:
-            arrays["classes"] = classes
+        arrays["classes"] = hard_quantize(classes) if binarize else classes
 
         info["arrays"] = sorted(arrays)
         bundle = cls(arrays, info)
@@ -248,8 +224,8 @@ class ModelBundle:
         quantiles and, when ``labels`` is None, the class priors.  A
         graph without a reduce stage is sketched at the raw input (tap
         ``"input"``).  So the baseline describes exactly the closure the
-        bundle ships: its quantized or binarized arrays, not the live
-        training objects.
+        bundle ships, binarized classes included, not the live training
+        objects.
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if labels is not None:
@@ -330,10 +306,6 @@ class ModelBundle:
             classes = hard_quantize(classes)
 
         arrays = dict(self.arrays)
-        # Drop any int8-quantized class payload: the promoted matrix is
-        # stored as the authoritative float (or re-binarized) array.
-        arrays.pop("classes.q", None)
-        arrays.pop("classes.scale", None)
         arrays["classes"] = classes
         info = copy.deepcopy(self.info)
         info["num_classes"] = int(classes.shape[0])
@@ -634,23 +606,16 @@ class ModelBundle:
 
     # -- accessors ------------------------------------------------------
     def class_matrix(self) -> np.ndarray:
-        """Float class-hypervector matrix (dequantized when int8)."""
-        if "classes" in self.arrays:
-            return np.asarray(self.arrays["classes"], dtype=np.float64)
-        if "classes.q" in self.arrays:
-            return QuantizedTensor.from_arrays(
-                self.arrays, "classes").dequantize()
-        raise BundleError("bundle has no class-hypervector payload")
+        """Float class-hypervector matrix."""
+        if "classes" not in self.arrays:
+            raise BundleError("bundle has no class-hypervector payload")
+        return np.asarray(self.arrays["classes"], dtype=np.float64)
 
     def manifold_weight(self) -> np.ndarray:
-        """Float manifold FC weight (dequantized when int8)."""
-        if "manifold.weight" in self.arrays:
-            return np.asarray(self.arrays["manifold.weight"],
-                              dtype=np.float64)
-        if "manifold.weight.q" in self.arrays:
-            return QuantizedTensor.from_arrays(
-                self.arrays, "manifold.weight").dequantize()
-        raise BundleError("bundle has no manifold weight payload")
+        """Float manifold FC weight."""
+        if "manifold.weight" not in self.arrays:
+            raise BundleError("bundle has no manifold weight payload")
+        return np.asarray(self.arrays["manifold.weight"], dtype=np.float64)
 
     def manifold_bias(self) -> Optional[np.ndarray]:
         bias = self.arrays.get("manifold.bias")
@@ -664,12 +629,10 @@ class ModelBundle:
 
         Built from the provenance fields :meth:`validate` checks: extract
         (or flatten), scale, reduce when ``info["manifold"]`` is set,
-        encode, and a frozen classify stage.  Quantized payloads (int8
-        class matrix / manifold weight) are dequantized into the float
-        arrays the stages expect; with ``build_extractor=False`` the
-        (expensive to rebuild) CNN extract stage is dropped so the graph
-        starts at the feature interface.  Any failure raises
-        :class:`BundleError`.
+        encode, and a frozen classify stage.  With
+        ``build_extractor=False`` the (expensive to rebuild) CNN extract
+        stage is dropped so the graph starts at the feature interface.
+        Any failure raises :class:`BundleError`.
         """
         info, arrays = self.info, self.arrays
         try:
@@ -744,8 +707,7 @@ class ModelBundle:
             f"classes={info['num_classes']}",
             f"config_fingerprint={info['config_fingerprint']} "
             f"git={info.get('git', {}).get('short_sha', 'unknown')}",
-            f"binarized={info.get('binarized')} "
-            f"quantize_bits={info.get('quantize_bits')}",
+            f"binarized={info.get('binarized')}",
             f"arrays={len(self.arrays)} payload={self.nbytes()} B",
         ]
         return lines

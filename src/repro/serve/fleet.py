@@ -132,9 +132,7 @@ class Supervisor:
     workers:
         Fleet size.
     host:
-        Bind host for the workers.
-    ports:
-        Explicit worker ports; default allocates free ones.
+        Bind host for the workers; each gets a free port.
     probe_interval_s / probe_timeout_s:
         Heartbeat cadence and per-probe timeout.  While a worker is
         starting, the fleet is probed every 50 ms when the interval is
@@ -155,9 +153,8 @@ class Supervisor:
         channel that configures it: ``--config`` and ``--cache-size``
         tuning, ``--chaos`` to arm ``POST /slow``, ``--trace-dir DIR``
         to export each worker's spans as ``trace-<service>-<pid>.jsonl``
-        for the cross-process stitcher.
-    log_dir:
-        Per-worker stdout/stderr capture files (default: devnull).
+        for the cross-process stitcher.  A worker's stdout and stderr
+        go to devnull.
     spawn_fn / probe_fn / clock:
         Injection points for unit tests — ``spawn_fn(worker)`` returns
         a Popen-shaped object, ``probe_fn(worker)`` returns the parsed
@@ -166,7 +163,6 @@ class Supervisor:
 
     def __init__(self, bundle_path: str, workers: int = 4,
                  host: str = "127.0.0.1",
-                 ports: Optional[Sequence[int]] = None,
                  probe_interval_s: float = 0.25,
                  probe_timeout_s: float = 1.0,
                  hang_probe_limit: int = 3,
@@ -176,7 +172,6 @@ class Supervisor:
                  crash_loop_threshold: int = 5,
                  crash_loop_window_s: float = 30.0,
                  worker_args: Sequence[str] = (),
-                 log_dir: Optional[str] = None,
                  spawn_fn: Optional[Callable[["Worker"], Any]] = None,
                  probe_fn: Optional[
                      Callable[["Worker"],
@@ -184,8 +179,6 @@ class Supervisor:
                  clock: Optional[Callable[[], float]] = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if ports is not None and len(ports) != workers:
-            raise ValueError(f"need {workers} ports, got {len(ports)}")
         self.bundle_path = bundle_path
         self.host = host
         self.probe_interval_s = float(probe_interval_s)
@@ -197,18 +190,14 @@ class Supervisor:
         self.crash_loop_threshold = int(crash_loop_threshold)
         self.crash_loop_window_s = float(crash_loop_window_s)
         self.worker_args = list(worker_args)
-        self.log_dir = log_dir
         self._spawn_fn = spawn_fn or self._default_spawn
         self._probe_fn = probe_fn or self._default_probe
         self._clock = clock if clock is not None else _default_clock
-        ports = list(ports) if ports is not None else [
-            free_port(host) for _ in range(workers)]
         self.workers: List[Worker] = [
-            Worker(f"w{i}", host, ports[i]) for i in range(workers)]
+            Worker(f"w{i}", host, free_port(host)) for i in range(workers)]
         self._lock = threading.RLock()
         self._stop_event = threading.Event()
         self._monitor: Optional[threading.Thread] = None
-        self._log_handles: List[Any] = []
 
     # ------------------------------------------------------------------
     # Spawning and probing (default implementations)
@@ -224,15 +213,7 @@ class Supervisor:
         env["PYTHONPATH"] = src_root + (
             os.pathsep + env["PYTHONPATH"]
             if env.get("PYTHONPATH") else "")
-        if self.log_dir:
-            os.makedirs(self.log_dir, exist_ok=True)
-            handle = open(os.path.join(
-                self.log_dir, f"{worker.worker_id}.log"), "ab")
-            self._log_handles.append(handle)
-            out = handle
-        else:
-            out = subprocess.DEVNULL
-        return subprocess.Popen(cmd, env=env, stdout=out,
+        return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.STDOUT)
 
     def _default_probe(self, worker: Worker) -> Optional[Dict[str, Any]]:
@@ -413,12 +394,6 @@ class Supervisor:
             for worker in self.workers:
                 worker.state = STOPPED
                 worker.process = None
-        for handle in self._log_handles:
-            try:
-                handle.close()
-            except Exception:
-                pass
-        self._log_handles = []
 
     # ------------------------------------------------------------------
     # Chaos / introspection surface

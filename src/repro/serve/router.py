@@ -65,24 +65,25 @@ __all__ = ["Router", "HashRing"]
 _RETRYABLE_STATUSES = frozenset({500, 502, 503, 504})
 #: How long a stopping router waits for its in-flight requests.
 _DRAIN_TIMEOUT_S = 10.0
+#: Virtual ring points per worker.
+_REPLICAS = 64
+#: Idle keep-alive connections kept per worker.
+_POOL_SIZE = 16
 
 
 class HashRing:
     """Consistent hash ring over worker ids (sha1 points).
 
-    ``replicas`` virtual points per worker smooth the key distribution;
+    ``_REPLICAS`` virtual points per worker smooth the key distribution;
     :meth:`ordered` yields every distinct worker starting from the
     request digest's position, which doubles as the retry order.
     """
 
-    def __init__(self, worker_ids: List[str], replicas: int = 64):
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.replicas = int(replicas)
+    def __init__(self, worker_ids: List[str]):
         self.worker_ids = list(worker_ids)
         points: List[Tuple[int, str]] = []
         for worker_id in self.worker_ids:
-            for replica in range(self.replicas):
+            for replica in range(_REPLICAS):
                 digest = hashlib.sha1(
                     f"{worker_id}#{replica}".encode()).digest()
                 points.append((int.from_bytes(digest[:8], "big"),
@@ -121,12 +122,10 @@ class _WorkerClient:
     router decides whether to retry elsewhere.
     """
 
-    def __init__(self, host: str, port: int, timeout_s: float = 10.0,
-                 pool_size: int = 16):
+    def __init__(self, host: str, port: int, timeout_s: float = 10.0):
         self.host = host
         self.port = int(port)
         self.timeout_s = float(timeout_s)
-        self.pool_size = int(pool_size)
         self._pool: List[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
 
@@ -139,7 +138,7 @@ class _WorkerClient:
 
     def _checkin(self, conn: http.client.HTTPConnection) -> None:
         with self._lock:
-            if len(self._pool) < self.pool_size:
+            if len(self._pool) < _POOL_SIZE:
                 self._pool.append(conn)
                 return
         conn.close()
@@ -234,8 +233,6 @@ class Router(FrontEnd):
         ``stop``).
     host, port:
         Bind address (``port=0`` → ephemeral, tests).
-    replicas:
-        Virtual ring points per worker.
     max_attempts:
         Upper bound on workers tried per request (including the first).
     retry_backoff_s:
@@ -262,7 +259,7 @@ class Router(FrontEnd):
     drain_metric = "fleet.router.drain"
 
     def __init__(self, fleet: Any, host: str = "127.0.0.1", port: int = 0,
-                 replicas: int = 64, max_attempts: int = 3,
+                 max_attempts: int = 3,
                  retry_backoff_s: float = 0.05,
                  request_timeout_s: float = 10.0,
                  breaker_options: Optional[Dict[str, Any]] = None,
@@ -272,7 +269,6 @@ class Router(FrontEnd):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.fleet = fleet
-        self.replicas = int(replicas)
         self.max_attempts = int(max_attempts)
         self.retry_backoff_s = float(retry_backoff_s)
         self.request_timeout_s = float(request_timeout_s)
@@ -295,7 +291,7 @@ class Router(FrontEnd):
         ids = tuple(worker_id for worker_id, _ in members)
         with self._state_lock:
             if self._ring is None or ids != self._ring_members:
-                self._ring = HashRing(list(ids), replicas=self.replicas)
+                self._ring = HashRing(list(ids))
                 self._ring_members = ids
             return self._ring
 
@@ -441,33 +437,13 @@ class Router(FrontEnd):
                          ) -> Tuple[int, Dict[str, Any]]:
         """``POST /reload`` fan-out to every healthy worker.
 
-        By default answers 200 only when *every* reached worker accepted
-        the reload; any 409/connection failure yields 409 with
+        Answers 200 only when *every* reached worker accepted the
+        reload; any refusal (a worker's 400 for a malformed body, its 409
+        for a bad bundle) or connection failure yields 409 with
         per-worker outcomes (workers that already swapped keep the new
-        bundle — the caller decides whether to retry or roll back).
-
-        A JSON body with ``"partial": "allow"`` switches to
-        best-effort semantics: as long as *at least one* worker accepts,
-        the fan-out answers **207** (Multi-Status) with the same
-        per-worker breakdown, and only an all-workers failure is a 409.
-        This is what a rolling online-learning promotion wants — a
-        single wedged worker should not veto the fleet; it catches up on
-        its next reload.  The ``partial`` key is stripped before
-        forwarding (workers would reject an unknown key).
+        bundle — the caller decides whether to retry or roll back).  The
+        body is forwarded verbatim.
         """
-        partial = False
-        if body.strip():
-            try:
-                payload = json.loads(body.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                payload = None  # let the workers produce the 400
-            if isinstance(payload, dict) and "partial" in payload:
-                mode = payload.pop("partial")
-                if mode not in ("allow", "deny"):
-                    return 400, {"error": f"partial must be 'allow' or "
-                                          f"'deny', got {mode!r}"}
-                partial = mode == "allow"
-                body = json.dumps(payload).encode("utf-8")
         results: Dict[str, Any] = {}
         succeeded = failed = 0
         for worker_id, address in self.fleet.healthy_workers():
@@ -491,15 +467,9 @@ class Router(FrontEnd):
                     "error": f"{type(exc).__name__}: {exc}"}
                 failed += 1
         ok = failed == 0 and bool(results)
-        if ok:
-            http_status = 200
-        elif partial and succeeded:
-            get_registry().inc("fleet.router.reload.partial")
-            http_status = 207
-        else:
+        if not ok:
             get_registry().inc("fleet.router.reload.rejected")
-            http_status = 409
-        return http_status, {"reloaded": ok, "workers": results,
+        return 200 if ok else 409, {"reloaded": ok, "workers": results,
                              "succeeded": succeeded, "failed": failed}
 
     # ------------------------------------------------------------------

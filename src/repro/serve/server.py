@@ -185,7 +185,9 @@ class _Handler(JsonHandler):
             registry.observe("serve.latency_ms", latency_ms,
                              exemplar=trace.trace_id)
             trace.annotate(status=status, rows=n_rows)
-            if error_text is not None:
+            # A client's 4xx is logged, not kept as a server error: the
+            # flight recorder's error ring is for this worker's faults.
+            if status >= 500:
                 trace.set_error(error_text)
             get_request_log().append(
                 path="/predict", status=status, trace_id=trace.trace_id,
@@ -198,8 +200,10 @@ class _Handler(JsonHandler):
 
         An optional JSON body ``{"bundle": "path.npz"}`` points the
         server at a *new* artifact; otherwise the configured
-        ``bundle_path`` is re-read.  A torn, invalid, or incompatible
-        bundle returns **409** and the old engine keeps serving.
+        ``bundle_path`` is re-read.  Any other key, or a path that is
+        not a string, is a **400** and nothing is reloaded.  A torn,
+        invalid, or incompatible bundle returns **409** and the old
+        engine keeps serving.
         """
         registry = get_registry()
         try:
@@ -210,9 +214,12 @@ class _Handler(JsonHandler):
                 except (ValueError, UnicodeDecodeError) as exc:
                     raise RequestError(
                         f"reload body is not valid JSON: {exc}") from exc
-                if not isinstance(payload, dict):
+                if not (isinstance(payload, dict)
+                        and set(payload) <= {"bundle"}
+                        and isinstance(payload.get("bundle", ""), str)):
                     raise RequestError(
-                        'reload body must be {"bundle": "path"}')
+                        'reload body must be {"bundle": "path"}, got '
+                        f"{json.dumps(payload)[:200]}")
                 path = payload.get("bundle")
             info = app.reload(path)
         except RequestError as exc:
@@ -353,9 +360,7 @@ class ModelServer(FrontEnd):
         ``POST /feedback`` guarded shadow-model updates, ``GET
         /onlinez``, and gated atomic promotion through ``POST
         /promote`` / auto-promotion.  ``None`` (the default) disables
-        online learning entirely; ``{}`` enables it with defaults.  An
-        ``enabled = false`` key inside the dict also disables it (so a
-        config file can keep the section but switch it off).
+        online learning entirely; ``{}`` enables it with defaults.
     """
 
     handler = _Handler
@@ -404,13 +409,11 @@ class ModelServer(FrontEnd):
             model_label=model_label)
         self.online = None
         if online_options is not None:
-            opts = dict(online_options)
-            if opts.pop("enabled", True):
-                # Imported lazily: repro.online imports serve.bundle
-                # types through the learner, so a module-level import
-                # here would cycle.
-                from ..online import OnlineLearner
-                self.online = OnlineLearner(self, **opts)
+            # Imported lazily: repro.online imports serve.bundle types
+            # through the learner, so a module-level import here would
+            # cycle.
+            from ..online import OnlineLearner
+            self.online = OnlineLearner(self, **online_options)
         super().__init__(host, port, alert_rules, alert_interval_s)
 
     def _predict_batch(self, features: np.ndarray):
@@ -485,7 +488,6 @@ class ModelServer(FrontEnd):
                 "pipeline": info.get("pipeline"),
                 "path": self.bundle_path,
             },
-            "bundle_path": self.bundle_path,
             "reloads": self.reloads,
             "batcher": {"depth": self.batcher.depth,
                         **self.batcher.stats},
@@ -548,9 +550,10 @@ class ModelServer(FrontEnd):
 
         The new bundle is read once, then CRC-verified, structurally
         validated and engine-constructed (including the packed-path
-        selfcheck) *before* the swap.  Any failure raises
-        :class:`ReloadError` and the old engine keeps serving
-        untouched.  Returns a summary dict (also the ``POST /reload``
+        selfcheck) *before* the swap.  The engine starts at the feature
+        interface: requests carry features, so no CNN trunk is built.
+        Any failure raises :class:`ReloadError` and the old engine keeps
+        serving untouched.  Returns a summary dict (also the ``POST /reload``
         response body).
         """
         path = bundle_path or self.bundle_path
@@ -560,8 +563,8 @@ class ModelServer(FrontEnd):
                 "bundle_path= (or POST {\"bundle\": \"path\"})")
         with self._reload_lock:
             try:
-                engine = InferenceEngine.from_path(path,
-                                                   **self.engine_options)
+                engine = InferenceEngine.from_path(
+                    path, build_extractor=False, **self.engine_options)
             except (BundleError, EngineSelfCheckError, OSError) as exc:
                 raise ReloadError(
                     f"reload of {path!r} rejected "

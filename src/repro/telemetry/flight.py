@@ -36,6 +36,11 @@ __all__ = ["FlightRecorder", "RequestLog", "get_flight_recorder",
            "get_request_log", "enable_request_tracing",
            "disable_request_tracing"]
 
+#: In-flight traces a recorder buffers; the oldest is dropped first.
+MAX_ACTIVE = 1024
+#: Spans buffered per trace; later ones are counted and dropped.
+MAX_SPANS_PER_TRACE = 256
+
 
 class RequestLog:
     """Bounded ring of structured per-request records (thread-safe).
@@ -88,17 +93,15 @@ class FlightRecorder:
 
     Plugs into the hub as both a span sink (buffer in-flight spans by
     trace id) and a trace sink (decide retention when the root closes).
-    All bounds are hard: at most ``max_active`` in-flight traces are
-    buffered (oldest dropped first), at most ``max_spans_per_trace``
-    spans each, at most ``slowest`` + ``errors`` retained traces.
+    All bounds are hard: at most :data:`MAX_ACTIVE` in-flight traces
+    are buffered (oldest dropped first), at most
+    :data:`MAX_SPANS_PER_TRACE` spans each, at most ``slowest`` +
+    ``errors`` retained traces.
     """
 
-    def __init__(self, slowest: int = 16, errors: int = 64,
-                 max_active: int = 1024, max_spans_per_trace: int = 256):
+    def __init__(self, slowest: int = 16, errors: int = 64):
         self.slowest = int(slowest)
         self.errors = int(errors)
-        self.max_active = int(max_active)
-        self.max_spans_per_trace = int(max_spans_per_trace)
         self._lock = threading.Lock()
         self._active: "Dict[str, List[SpanRecord]]" = {}
         # Min-heap of (duration, seq, trace_id): the fastest retained
@@ -120,14 +123,14 @@ class FlightRecorder:
             self.stats["spans_seen"] += 1
             spans = self._active.get(record.trace_id)
             if spans is None:
-                if len(self._active) >= self.max_active:
+                if len(self._active) >= MAX_ACTIVE:
                     # Drop the oldest in-flight trace (dict is
                     # insertion-ordered) — likely leaked or huge.
                     oldest = next(iter(self._active))
                     del self._active[oldest]
                     self.stats["active_dropped"] += 1
                 spans = self._active[record.trace_id] = []
-            if len(spans) < self.max_spans_per_trace:
+            if len(spans) < MAX_SPANS_PER_TRACE:
                 spans.append(record)
             else:
                 self.stats["spans_dropped"] += 1
@@ -237,9 +240,8 @@ class FlightRecorder:
         return {"retained": entries, "active_traces": active,
                 "stats": stats,
                 "limits": {"slowest": self.slowest, "errors": self.errors,
-                           "max_active": self.max_active,
-                           "max_spans_per_trace":
-                               self.max_spans_per_trace}}
+                           "max_active": MAX_ACTIVE,
+                           "max_spans_per_trace": MAX_SPANS_PER_TRACE}}
 
     def retained_ids(self) -> List[str]:
         with self._lock:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.online import FeedbackError, ShadowModel
-from repro.online.shadow import _TokenBucket
+from repro.online import shadow as shadow_module
+from repro.online.shadow import MAX_NEW_CLASSES, _TokenBucket
 from repro.reliability.guards import NumericsGuard
 from repro.telemetry import MetricsRegistry, use_registry
 
@@ -38,14 +39,24 @@ def sample(base, label, noise=0.4, seed=None, rng=None):
     return hv[None, :]
 
 
+@pytest.fixture
+def frozen_clock(monkeypatch):
+    """Stop the token bucket's clock: no tokens refill mid-test."""
+    monkeypatch.setattr(shadow_module, "clock", lambda: 0.0)
+
+
 class TestConstruction:
+    # Only None turns rate limiting off: 0 used to, and NaN or inf
+    # admitted every sample, so each would silently drop the defense.
     @pytest.mark.parametrize("kwargs", [
         {"holdout_every": -1},
-        {"validation_capacity": 0},
-        {"max_new_classes": -1},
+        {"rate_limit_per_s": 0.0},
+        {"rate_limit_per_s": float("nan")},
+        {"rate_limit_per_s": float("inf")},
+        {"rate_limit_per_s": -1.0},
     ])
     def test_bad_parameters_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             ShadowModel(make_base(), **kwargs)
 
     def test_base_is_copied_not_aliased(self):
@@ -82,20 +93,19 @@ class TestIngestStatuses:
         assert shadow.held_out == 0
         assert shadow.validation_set()[1].size == 0
 
-    def test_ring_wraps_at_capacity(self):
+    def test_ring_wraps_at_capacity(self, monkeypatch):
+        monkeypatch.setattr(shadow_module, "VALIDATION_CAPACITY", 4)
         base = make_base()
-        shadow = ShadowModel(base, holdout_every=1,
-                             validation_capacity=4)
+        shadow = ShadowModel(base, holdout_every=1)
         for i in range(10):
             shadow.ingest(sample(base, i % 3, seed=i), i % 3)
         hvs, labels = shadow.validation_set()
         assert len(labels) == 4  # bounded, oldest overwritten
 
-    def test_rate_limited(self):
+    def test_rate_limited(self, frozen_clock):
         base = make_base()
-        shadow = ShadowModel(base, holdout_every=0,
-                             rate_limit_per_s=0.001,
-                             rate_limit_burst=2)
+        # The burst is max(1, rate): two samples, then nothing refills.
+        shadow = ShadowModel(base, holdout_every=0, rate_limit_per_s=2.0)
         statuses = [shadow.ingest(sample(base, 0, seed=i), 0)
                     for i in range(4)]
         assert statuses[:2] == ["applied", "applied"]
@@ -137,15 +147,27 @@ class TestLabelValidation:
 
     def test_growth_budget_enforced(self):
         base = make_base()
-        shadow = ShadowModel(base, max_new_classes=1, holdout_every=0)
-        assert shadow.ingest(sample(base, 0, seed=6), 3) == "new_class"
+        shadow = ShadowModel(base, holdout_every=0)
+        for label in range(3, 3 + MAX_NEW_CLASSES):
+            assert shadow.ingest(sample(base, 0, seed=label),
+                                 label) == "new_class"
         with pytest.raises(FeedbackError, match="budget"):
-            shadow.ingest(sample(base, 0, seed=7), 4)
+            shadow.ingest(sample(base, 0, seed=7), 3 + MAX_NEW_CLASSES)
 
     def test_growth_disabled(self):
-        shadow = ShadowModel(make_base(), max_new_classes=0)
-        with pytest.raises(FeedbackError, match="budget"):
-            shadow.ingest(sample(shadow.base, 0, seed=8), 3)
+        # An exhausted budget disables growth for the rest of the
+        # generation; a rebase starts a new one.
+        base = make_base()
+        shadow = ShadowModel(base, holdout_every=0)
+        for label in range(3, 3 + MAX_NEW_CLASSES):
+            shadow.ingest(sample(base, 0, seed=label), label)
+        grown = shadow.snapshot()
+        for _ in range(2):
+            with pytest.raises(FeedbackError, match="budget"):
+                shadow.ingest(sample(base, 0, seed=8), grown.shape[0])
+        shadow.reset_to(grown)
+        assert shadow.ingest(sample(base, 0, seed=9),
+                             grown.shape[0]) == "new_class"
 
 
 class TestClassIncremental:
@@ -279,16 +301,17 @@ class TestEvaluation:
 
 
 class TestTokenBucket:
-    def test_burst_then_deny(self):
-        bucket = _TokenBucket(rate_per_s=0.001, burst=3)
+    def test_burst_then_deny(self, frozen_clock):
+        bucket = _TokenBucket(rate_per_s=3.0)
         assert [bucket.allow() for _ in range(4)] == \
             [True, True, True, False]
+        slow = _TokenBucket(rate_per_s=0.001)  # burst is at least 1
+        assert [slow.allow() for _ in range(2)] == [True, False]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            _TokenBucket(rate_per_s=0.0)
-        with pytest.raises(ValueError):
-            _TokenBucket(rate_per_s=5.0, burst=0.5)
+        for rate in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rate_limit_per_s"):
+                _TokenBucket(rate_per_s=rate)
 
     def test_guard_counts_surface_in_status(self):
         guard = NumericsGuard(policy="skip_batch", name="online")

@@ -21,13 +21,11 @@ import numpy as np
 import pytest
 
 from repro.data import make_dataset, normalize_images
-from repro.hardware.quantize import QuantizedTensor
 from repro.learn import NSHD, BaselineHD, VanillaHD
 from repro.models import create_model
 from repro.nn.serialize import (load_manifest, load_state,
                                 load_state_with_manifest, manifest_section,
                                 save_state)
-from repro.pipeline import ClassifyStage, ManifoldReduceStage, StageGraph
 from repro.serve import InferenceEngine, ModelBundle
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -269,30 +267,6 @@ class TestNewBundles:
         raw = golden[f"{name}.raw_features"]
         np.testing.assert_array_equal(engine.predict_features(raw),
                                       golden[f"{name}.packed_labels"])
-
-    @pytest.mark.parametrize("name", PIPELINES)
-    def test_int8_bundle_round_trip(self, refit, golden, tmp_path, name):
-        pipeline = refit[name]
-        path = str(tmp_path / f"{name}_int8.npz")
-        ModelBundle.from_pipeline(pipeline, quantize_bits=8).save(path)
-        bundle = ModelBundle.load(path)
-        assert "classes.q" in bundle.arrays
-        engine = InferenceEngine(bundle, cache_size=0)
-        # Reference: the live graph with the int8 weights dequantized.
-        swap = {"classify": ClassifyStage.from_matrix(
-            QuantizedTensor.from_arrays(bundle.arrays,
-                                        "classes").dequantize())}
-        if "reduce" in pipeline.graph:
-            live = pipeline.graph.stage("reduce")
-            weight = QuantizedTensor.from_arrays(
-                bundle.arrays, "manifold.weight").dequantize()
-            swap["reduce"] = ManifoldReduceStage(
-                live.feature_shape, live.out_features, live.pooling,
-                weight_fn=lambda: weight, bias_fn=lambda: live.bias)
-        reference = StageGraph([swap.get(stage.name, stage)
-                                for stage in pipeline.graph])
-        np.testing.assert_array_equal(engine.predict(golden["x_te"]),
-                                      reference.run(golden["x_te"]))
 
     @pytest.mark.parametrize("stored", sorted(STORED_TOPOLOGIES))
     @pytest.mark.parametrize("name", BUNDLES)

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.reliability import CircuitBreaker, CircuitOpenError
+from repro.reliability import CircuitBreaker
 from repro.reliability.circuit import CLOSED, HALF_OPEN, OPEN
 from repro.telemetry import get_registry
 
@@ -141,21 +141,6 @@ class TestOpenAndHalfOpen:
 
 
 class TestCallAndIntrospection:
-    def test_call_wraps_outcomes(self):
-        breaker = make_breaker(failure_threshold=2)
-        assert breaker.call(lambda: 42) == 42
-        with pytest.raises(ValueError):
-            breaker.call(self._boom)
-        with pytest.raises(ValueError):
-            breaker.call(self._boom)
-        assert breaker.state == OPEN
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: 42)
-
-    @staticmethod
-    def _boom():
-        raise ValueError("nope")
-
     def test_reset_restores_closed(self):
         breaker = make_breaker(failure_threshold=1)
         breaker.record_failure()

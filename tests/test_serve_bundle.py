@@ -67,17 +67,22 @@ class TestExport:
         assert set(np.unique(bundle.arrays["classes"])) <= {-1.0, 1.0}
         bundle.validate()
 
-    def test_quantize_bits_stores_int_payload(self, fitted_vanilla):
-        pipeline = fitted_vanilla[0]
-        bundle = ModelBundle.from_pipeline(pipeline, quantize_bits=8)
-        assert "classes" not in bundle.arrays
-        assert "classes.q" in bundle.arrays and "classes.scale" in \
-            bundle.arrays
-        reference = np.asarray(pipeline.trainer.class_matrix)
-        scale = np.abs(reference).max() / 127.0
-        np.testing.assert_allclose(bundle.class_matrix(), reference,
-                                   atol=scale)
-        bundle.validate()
+    def test_int8_class_payload_is_refused(self, fitted_vanilla,
+                                           tmp_path):
+        # One stored form: a class matrix held only as an int8 payload
+        # (the removed quantized export) is not a servable bundle.
+        bundle = ModelBundle.from_pipeline(fitted_vanilla[0])
+        classes = bundle.arrays.pop("classes")
+        scale = np.abs(classes).max() / 127.0
+        bundle.arrays["classes.q"] = np.round(classes / scale).astype(
+            np.int8)
+        bundle.arrays["classes.scale"] = np.float64(scale)
+        with pytest.raises(BundleError, match="class-hypervector"):
+            bundle.validate()
+        path = str(tmp_path / "int8.npz")
+        bundle.save(path)
+        with pytest.raises(BundleError, match="class-hypervector"):
+            ModelBundle.verify(path)
 
 
 class TestRoundTrip:

@@ -1,5 +1,6 @@
 """CLI entry point: ``python -m repro.serve`` config/flag resolution."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import textwrap
 import pytest
 
 import repro.serve.__main__ as serve_cli
+from repro.online import OnlineLearner
+from repro.online.learner import ONLINE_OPTION_TYPES
 from repro.serve.__main__ import (_parse_args, build_server,
                                   configure_tracing, load_config, main,
                                   worker_args_from)
@@ -17,6 +20,9 @@ from repro.telemetry import disable_request_tracing
 from repro.telemetry.reqtrace import HUB
 
 from .conftest import _synthetic_bundle, http_status
+
+GOLDEN_BUNDLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "fixtures", "golden_nshd_bundle_packed.npz")
 
 
 @pytest.fixture
@@ -31,10 +37,15 @@ class TestLoadConfig:
         path = tmp_path / "serve.toml"
         path.write_text(
             "[batcher]\nmax_batch_size = 64\nworkers = 3\n"
-            "[engine]\nbuild_extractor = false\n")
+            "[engine]\nquality_window = 64\n")
         config = load_config(str(path))
         assert config == {"max_batch_size": 64, "workers": 3,
-                          "build_extractor": False}
+                          "quality_window": 64}
+
+    def test_online_keys_are_the_learner_keywords(self):
+        # The [online] section is OnlineLearner's signature, key for key.
+        keywords = set(inspect.signature(OnlineLearner).parameters)
+        assert set(ONLINE_OPTION_TYPES) == keywords - {"server"}
 
     def test_docstring_example_loads(self, tmp_path):
         # The config the module documents is a config it accepts: the
@@ -184,6 +195,18 @@ class TestBuildServer:
             server.stop()
             disable_request_tracing()
 
+    def test_worker_never_builds_the_cnn_trunk(self):
+        # Requests carry features: neither the first engine nor a
+        # reloaded one runs the extractor the bundle ships.
+        server = build_server(_args(GOLDEN_BUNDLE))
+        try:
+            assert server.engine.extractor is None
+            server.reload()
+            assert server.engine.extractor is None
+            assert "extract" not in server.engine.graph.names
+        finally:
+            server.stop()
+
     def test_reads_the_bundle_once(self, bundle_path, bundle_reads):
         server = build_server(_args(bundle_path))
         try:
@@ -258,8 +281,8 @@ class TestMain:
                 _parse_args([bundle_path, flag, "1"])
 
     def test_removed_engine_flags_are_refused(self, bundle_path):
-        # The bundle picks the packed path; [engine] build_extractor is
-        # the one channel for the extractor.
+        # The bundle picks the packed path; a worker never builds the
+        # extractor.
         for flag in ("--no-packed", "--no-extractor"):
             with pytest.raises(SystemExit):
                 _parse_args([bundle_path, flag])
@@ -314,6 +337,42 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "max_update_norm" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("rate", ["0", "0.0", "nan", "inf", "-2.0"])
+    def test_feedback_rate_limit_must_be_finite_and_positive(
+            self, bundle_path, tmp_path, rate, capsys):
+        # Leaving the key out is the only way to turn the flood defense
+        # off: 0 used to, and NaN or inf admitted every sample.
+        config = tmp_path / "serve.toml"
+        config.write_text(f"[online]\nrate_limit_per_s = {rate}\n")
+        code = main([bundle_path, "--port", "0", "--config", str(config),
+                     "--dry-run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rate_limit_per_s" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("engine", "build_extractor", "false"),
+        ("online", "enabled", "false"),
+        ("online", "rate_limit_burst", "4.0"),
+        ("online", "validation_capacity", "512"),
+        ("online", "max_new_classes", "8"),
+        ("online", "guard_policy", '"skip_batch"'),
+        ("online", "guard_max_abs", "1e9"),
+        ("online", "remember_requests", "1024"),
+        ("online", "max_relative_drift", "0.5"),
+    ])
+    def test_removed_config_key_exits_two(self, bundle_path, tmp_path,
+                                          section, key, value, capsys):
+        # Each of these held one value in every caller; it is a constant
+        # now, and a config that still sets it is refused by name.
+        config = tmp_path / "serve.toml"
+        config.write_text(f"[{section}]\n{key} = {value}\n")
+        code = main([bundle_path, "--port", "0", "--config", str(config),
+                     "--dry-run"])
+        assert code == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("threshold", "nan"), ("for_s", "nan"), ("for_s", "inf")])

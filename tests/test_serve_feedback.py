@@ -3,7 +3,7 @@
 Covers ``POST /feedback`` (features and request_id paths, every error
 status), ``POST /promote``, ``GET /onlinez``, the disabled-by-default
 behavior, and the serve CLI's ``[online]`` config section (parsing,
-unknown-key rejection, ``enabled = false``, build_server wiring).
+unknown-key rejection, off without the section, build_server wiring).
 """
 
 import json
@@ -13,6 +13,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.reliability.guards import NumericsGuard
 from repro.serve import InferenceEngine, ModelServer
 from repro.serve.__main__ import _parse_args, build_server, load_config
 from repro.telemetry import MetricsRegistry, use_registry
@@ -185,8 +186,7 @@ class TestFeedbackEndpoint:
 class TestThrottlingAndGuards:
     def test_rate_limited_is_429_with_retry_after(self):
         server = online_server(dict(BASE_OPTIONS,
-                                    rate_limit_per_s=0.001,
-                                    rate_limit_burst=1))
+                                    rate_limit_per_s=0.001))
         try:
             payload = {"label": 0, "features": [0.5] * FEATURES}
             first, _, _ = request(server.url + "/feedback", payload)
@@ -202,7 +202,9 @@ class TestThrottlingAndGuards:
     def test_guard_rejection_is_422(self, registry):
         # Encoded hypervectors are +-1; a 0.5 magnitude cap trips the
         # numerics guard on every sample.
-        server = online_server(dict(BASE_OPTIONS, guard_max_abs=0.5))
+        server = online_server(dict(BASE_OPTIONS))
+        server.online.shadow.guard = NumericsGuard(
+            policy="skip_batch", max_abs=0.5, name="online")
         try:
             status, body, _ = request(
                 server.url + "/feedback",
@@ -245,9 +247,7 @@ class TestOnlineConfig:
         _synthetic_bundle(dim=256, features=FEATURES,
                           seed=3).save(bundle_path)
         config = tmp_path / "serve.toml"
-        config.write_text("[engine]\nbuild_extractor = false\n"
-                          "[online]\nlr = 1.5\n"
-                          "promote_every = 32\n")
+        config.write_text("[online]\nlr = 1.5\npromote_every = 32\n")
         server = build_server(_parse_args(
             [bundle_path, "--config", str(config), "--port", "0"]))
         try:
@@ -257,13 +257,12 @@ class TestOnlineConfig:
         finally:
             server.stop()
 
-    def test_enabled_false_disables(self, tmp_path):
+    def test_no_online_section_disables(self, tmp_path):
         bundle_path = str(tmp_path / "bundle.npz")
         _synthetic_bundle(dim=256, features=FEATURES,
                           seed=4).save(bundle_path)
         config = tmp_path / "serve.toml"
-        config.write_text("[engine]\nbuild_extractor = false\n"
-                          "[online]\nenabled = false\n")
+        config.write_text("[batcher]\nworkers = 1\n")
         server = build_server(_parse_args(
             [bundle_path, "--config", str(config), "--port", "0"]))
         try:

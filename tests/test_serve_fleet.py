@@ -334,8 +334,6 @@ class TestValidationAndHelpers:
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
             Supervisor("bundle.npz", workers=0)
-        with pytest.raises(ValueError):
-            Supervisor("bundle.npz", workers=2, ports=[8000])
 
     def test_free_port_is_bindable_int(self):
         port = free_port()

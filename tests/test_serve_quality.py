@@ -577,12 +577,11 @@ class TestBaselineValidation:
         bad_bundle = self._edited(self.EDITS[match])
         bad = str(tmp_path / "bad.npz")
         bad_bundle.save(bad)
-        options = {"build_extractor": False}
-        engine = InferenceEngine.from_path(good, **options)
+        engine = InferenceEngine.from_path(good, build_extractor=False)
         x = golden_rows(4, seed=7)
         want = [int(label) for label in engine.predict_features(x)]
-        with ModelServer(engine, port=0, workers=1, bundle_path=good,
-                         engine_options=options) as server:
+        with ModelServer(engine, port=0, workers=1,
+                         bundle_path=good) as server:
             with pytest.raises(urllib.error.HTTPError) as refused:
                 post(server.url + "/reload", {"bundle": bad})
             assert refused.value.code == 409
@@ -677,9 +676,7 @@ class TestServerEndpoints:
         bundle_with_baseline(seed=7).save(path)
         engine = InferenceEngine.from_path(path, build_extractor=False)
         with ModelServer(engine, port=0, workers=1,
-                         bundle_path=path,
-                         engine_options={"build_extractor": False}
-                         ) as server:
+                         bundle_path=path) as server:
             assert server.last_reload_ts is None
             server.reload()
             assert server.last_reload_ts is not None
@@ -773,7 +770,7 @@ class TestCliConfig:
         bundle_with_baseline(seed=3).save(bundle_path)
         config = tmp_path / "serve.toml"
         config.write_text(
-            "[engine]\nquality_window = 96\nbuild_extractor = false\n"
+            "[engine]\nquality_window = 96\n"
             "[alerts]\ninterval_s = 0.25\n"
             '[[alerts.rules]]\nname = "drift"\n'
             'metric = "quality.feature.psi_max"\nthreshold = 0.25\n')
@@ -792,8 +789,7 @@ class TestCliConfig:
         bundle_path = str(tmp_path / "bundle.npz")
         bundle_with_baseline(seed=3).save(bundle_path)
         config = tmp_path / "serve.toml"
-        config.write_text("[engine]\nquality = false\n"
-                          "build_extractor = false\n")
+        config.write_text("[engine]\nquality = false\n")
         server = build_server(_parse_args(
             [bundle_path, "--config", str(config), "--port", "0"]))
         try:

@@ -130,7 +130,8 @@ class TestReloadHTTP:
         assert out["engine"]["packed"] is True
         health = get(server.url + "/healthz")
         assert health["reloads"] == 1
-        assert health["bundle_path"] == path_b
+        assert health["bundle"]["path"] == path_b
+        assert "bundle_path" not in health
 
     def test_post_reload_empty_body_rereads_configured_path(self, server):
         out = post(server.url + "/reload")
@@ -180,6 +181,25 @@ class TestReloadHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post(server.url + "/reload", ["not", "a", "dict"])
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("body", [
+        {"bundel": "b"}, {"bundle": "b", "partial": "allow"},
+        {"bundle": 5}])
+    def test_post_reload_other_keys_are_400_and_nothing_reloads(
+            self, server, bundles, body):
+        # A mistyped key must not fall back to re-reading the configured
+        # bundle and answer 200 as if the requested one were served.
+        _, path_b = bundles
+        body = {key: path_b if value == "b" else value
+                for key, value in body.items()}
+        old_engine = server.engine
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(server.url + "/reload", body)
+        assert excinfo.value.code == 400
+        assert "bundle" in json.loads(excinfo.value.read())["error"]
+        assert server.engine is old_engine
+        assert server.reloads == 0
+        assert server.bundle_path == bundles[0]
 
     def test_reload_metrics_counted(self, server, bundles):
         _, path_b = bundles

@@ -74,10 +74,6 @@ class TestHashRing:
         order = ring.ordered(b"payload")
         assert len(order) == len(set(order)) == 3
 
-    def test_replicas_validated(self):
-        with pytest.raises(ValueError):
-            HashRing(["w0"], replicas=0)
-
 
 @pytest.fixture
 def fleet_servers(synthetic_bundle):
@@ -372,39 +368,6 @@ class TestBroadcastReload:
                           engine.predict_features(features)]
         assert all(server.reloads == 0 for server in servers)
 
-    def test_partial_allow_answers_207_when_one_worker_down(
-            self, fleet_servers, synthetic_bundle, tmp_path):
-        """A wedged worker must not veto a best-effort fleet promotion:
-        ``"partial": "allow"`` turns the mixed outcome into 207 with
-        the per-worker breakdown."""
-        fleet, servers, _ = fleet_servers
-        mixed = StaticFleet([servers[0].address, servers[1].address,
-                             ("127.0.0.1", free_port())])
-        path = str(tmp_path / "next.npz")
-        synthetic_bundle(seed=51).save(path)
-        registry = get_registry()
-        before = (registry.snapshot().get("fleet.router.reload.partial")
-                  or {}).get("value", 0)
-        with Router(mixed, port=0) as router:
-            request = urllib.request.Request(
-                router.url + "/reload",
-                data=json.dumps({"bundle": path,
-                                 "partial": "allow"}).encode("utf-8"),
-                headers={"Content-Type": "application/json"})
-            with urllib.request.urlopen(request, timeout=30) as response:
-                assert response.status == 207  # 2xx: urllib won't raise
-                out = json.loads(response.read())
-        assert out["reloaded"] is False
-        assert out["succeeded"] == 2
-        assert out["failed"] == 1
-        statuses = sorted((entry["status"] or 0)
-                          for entry in out["workers"].values())
-        assert statuses == [0, 200, 200]
-        assert all(server.reloads == 1 for server in servers)
-        after = (registry.snapshot().get("fleet.router.reload.partial")
-                 or {}).get("value", 0)
-        assert after == before + 1
-
     def test_default_mode_still_409_when_one_worker_down(
             self, fleet_servers, synthetic_bundle, tmp_path):
         fleet, servers, _ = fleet_servers
@@ -417,41 +380,26 @@ class TestBroadcastReload:
                 post(router.url + "/reload", {"bundle": path})
             assert excinfo.value.code == 409
 
-    def test_partial_allow_all_failed_is_still_409(
-            self, synthetic_bundle, tmp_path):
-        dead = StaticFleet([("127.0.0.1", free_port())])
+    def test_unknown_key_is_refused_by_every_worker(
+            self, fleet_servers, synthetic_bundle, tmp_path):
+        """The body is forwarded verbatim: each worker answers 400 to a
+        key it does not know, so the fan-out is a 409 and nothing
+        reloads."""
+        fleet, servers, _ = fleet_servers
         path = str(tmp_path / "next.npz")
         synthetic_bundle(seed=51).save(path)
-        with Router(dead, port=0) as router:
+        before = counter("fleet.router.reload.rejected")
+        with Router(fleet, port=0) as router:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 post(router.url + "/reload",
                      {"bundle": path, "partial": "allow"})
             assert excinfo.value.code == 409
-
-    def test_invalid_partial_value_is_400(self, fleet_servers,
-                                          synthetic_bundle, tmp_path):
-        fleet, servers, _ = fleet_servers
-        path = str(tmp_path / "next.npz")
-        synthetic_bundle(seed=51).save(path)
-        with Router(fleet, port=0) as router:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                post(router.url + "/reload",
-                     {"bundle": path, "partial": "maybe"})
-            assert excinfo.value.code == 400
+            out = json.loads(excinfo.value.read())
+        assert out["reloaded"] is False
+        assert [entry["status"] for entry in out["workers"].values()] \
+            == [400] * len(servers)
+        assert counter("fleet.router.reload.rejected") == before + 1
         assert all(server.reloads == 0 for server in servers)
-
-    def test_partial_key_not_forwarded_to_workers(
-            self, fleet_servers, synthetic_bundle, tmp_path):
-        """Workers reject unknown /reload keys, so a 200 here proves
-        the router stripped ``partial`` before fanning out."""
-        fleet, servers, _ = fleet_servers
-        path = str(tmp_path / "next.npz")
-        synthetic_bundle(seed=51).save(path)
-        with Router(fleet, port=0) as router:
-            out = post(router.url + "/reload",
-                       {"bundle": path, "partial": "deny"})
-        assert out["reloaded"] is True
-        assert all(server.reloads == 1 for server in servers)
 
 
 class TestDrain:

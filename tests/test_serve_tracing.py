@@ -144,6 +144,36 @@ class TestServerTracing:
         assert headers.get("X-Trace-Id")
         assert payload["request_id"] == headers["X-Trace-Id"]
 
+    def test_client_errors_do_not_evict_a_server_error(
+            self, traced, server, monkeypatch):
+        """A 4xx is the client's fault: it stays in /requestz but is not
+        an error trace, so a flood of malformed bodies cannot push a
+        worker's 500 out of /tracez's error ring."""
+        host, port = server.address
+
+        def broken(features):
+            raise RuntimeError("engine down")
+
+        monkeypatch.setattr(server.engine, "predict_features", broken)
+        status, _, headers = predict(server.address,
+                                     {"features": [0.0] * 32})
+        assert status == 500
+        failed = headers["X-Trace-Id"]
+        monkeypatch.undo()
+        flood = traced.errors + 6
+        for _ in range(flood):
+            status, _, _ = http_request(
+                host, port, "POST", "/predict", b"not json",
+                {"Content-Type": "application/json"})
+            assert status == 400
+        status, payload, _ = http_request(host, port, "GET",
+                                          f"/tracez?trace_id={failed}")
+        assert status == 200 and "error" in payload["retained_for"]
+        status, payload, _ = http_request(
+            host, port, "GET", f"/requestz?limit={flood + 1}")
+        assert [r["status"] for r in payload["requests"]].count(400) \
+            == flood
+
     def test_ids_echo_even_with_tracing_disabled(self, server):
         rng = np.random.default_rng(10)
         status, payload, headers = predict(
