@@ -154,33 +154,40 @@ class RandomProjectionEncoder(Encoder):
     #: :meth:`signs` runs the certified float32 GEMM only where it is set.
     _projection32: Optional[np.ndarray] = None
 
+    #: The projection array known to be ±1 since construction;
+    #: :meth:`for_signs` checks any other array assigned to ``projection``.
+    _bipolar: Optional[np.ndarray] = None
+
     def __init__(self, in_features: int, dim: int,
                  rng: Optional[np.random.Generator] = None,
                  quantize: bool = True):
         super().__init__(in_features, dim)
-        self.projection = random_bipolar(in_features, dim, rng)
+        self.projection = self._bipolar = random_bipolar(in_features, dim,
+                                                         rng)
         self.quantize = quantize
 
     @classmethod
-    def from_arrays(cls, projection: np.ndarray,
-                    quantize: bool = True) -> "RandomProjectionEncoder":
+    def from_arrays(cls, projection: np.ndarray, quantize: bool = True,
+                    checked: bool = False) -> "RandomProjectionEncoder":
         """Rebuild an encoder around a stored projection matrix.
 
         Used by frozen serving/checkpoint stages: no RNG is touched, the
         stored ``(F, D)`` matrix is adopted verbatim so encodings are
         bit-identical to the training-time encoder.  Φ_P's projection is
-        bipolar; any other matrix raises :class:`ValueError`.
+        bipolar; any other matrix raises :class:`ValueError`, unless
+        ``checked`` says the caller has verified that already
+        (:meth:`repro.serve.ModelBundle.validate`).
         """
         projection = np.asarray(projection, dtype=np.float64)
         if projection.ndim != 2:
             raise ValueError("projection must be a 2-D (F, D) matrix")
-        if not is_bipolar(projection):
+        if not checked and not is_bipolar(projection):
             raise ValueError("projection must be bipolar: every entry "
                              "exactly -1 or +1")
         encoder = cls.__new__(cls)
         Encoder.__init__(encoder, int(projection.shape[0]),
                          int(projection.shape[1]))
-        encoder.projection = projection
+        encoder.projection = encoder._bipolar = projection
         encoder.quantize = bool(quantize)
         return encoder
 
@@ -202,8 +209,9 @@ class RandomProjectionEncoder(Encoder):
         bipolar, or ``F`` exceeds :data:`CERTIFIED_MAX_FEATURES` — the
         encoder itself is returned and keeps the float64 GEMM.
         """
-        if (self.in_features > CERTIFIED_MAX_FEATURES
-                or not is_bipolar(self.projection)):
+        if self.in_features > CERTIFIED_MAX_FEATURES or (
+                self.projection is not self._bipolar
+                and not is_bipolar(self.projection)):
             return self
         encoder = copy.copy(self)
         encoder._projection32 = self.projection.astype(np.float32)

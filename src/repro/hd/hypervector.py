@@ -88,8 +88,13 @@ def hard_quantize(hv: np.ndarray) -> np.ndarray:
 
 
 def is_bipolar(hv: np.ndarray) -> bool:
-    """Whether every component is exactly -1 or +1."""
-    return bool(np.all(np.abs(hv) == 1.0))
+    """Whether every component is exactly -1 or +1.
+
+    Compares into booleans only: a float ``abs`` copy of a projection
+    took longer than the comparisons.
+    """
+    hv = np.asarray(hv)
+    return bool(np.all((hv == 1.0) | (hv == -1.0)))
 
 
 def expected_overlap_std(dim: int) -> float:

@@ -11,7 +11,8 @@ from .blocks import ConvBNAct, InvertedResidual, SqueezeExcite
 from .efficientnet import EfficientNet, EfficientNetB0, EfficientNetB7
 from .extractor import FeatureExtractor, TeacherModel, soften_logits
 from .mobilenet import MobileNetV2
-from .registry import MODEL_REGISTRY, create_model, paper_cut_layers
+from .registry import (MODEL_REGISTRY, create_model, load_trunk,
+                       paper_cut_layers)
 from .trainer import cached_model, default_cache_dir, train_cnn
 from .vgg import VGG16
 
@@ -20,7 +21,7 @@ __all__ = [
     "ConvBNAct", "SqueezeExcite", "InvertedResidual",
     "VGG16", "MobileNetV2", "EfficientNet", "EfficientNetB0",
     "EfficientNetB7",
-    "MODEL_REGISTRY", "create_model", "paper_cut_layers",
+    "MODEL_REGISTRY", "create_model", "load_trunk", "paper_cut_layers",
     "FeatureExtractor", "TeacherModel", "soften_logits",
     "train_cnn", "cached_model", "default_cache_dir",
 ]

@@ -8,8 +8,7 @@ extractor can be cut at any index, exactly as NSHD does.
 
 from __future__ import annotations
 
-import functools
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -49,6 +48,7 @@ class IndexedCNN(nn.Module):
         self.features = nn.Sequential()
         self.head = nn.Sequential(nn.AdaptiveAvgPool2d(1), nn.Flatten())
         self.classifier = nn.Sequential()
+        self._feature_shapes: Dict[int, Tuple[int, int, int]] = {}
 
     # ------------------------------------------------------------------
     def num_feature_layers(self) -> int:
@@ -92,16 +92,19 @@ class IndexedCNN(nn.Module):
                 outputs[index] = x
         return outputs
 
-    @functools.lru_cache(maxsize=None)
     def feature_shape(self, layer_index: int) -> Tuple[int, int, int]:
-        """(C, H, W) of the trunk output at ``layer_index`` (dry run)."""
-        was_training = self.training
-        self.eval()
-        with nn.no_grad():
-            dummy = Tensor(np.zeros((1, 3, self.image_size, self.image_size)))
-            out = self.features_at(dummy, layer_index)
-        self.train(was_training)
-        return tuple(out.shape[1:])
+        """(C, H, W) of the trunk output at ``layer_index`` (dry run,
+        once per model and index)."""
+        if layer_index not in self._feature_shapes:
+            was_training = self.training
+            self.eval()
+            with nn.no_grad():
+                dummy = Tensor(np.zeros((1, 3, self.image_size,
+                                         self.image_size)))
+                out = self.features_at(dummy, layer_index)
+            self.train(was_training)
+            self._feature_shapes[layer_index] = tuple(out.shape[1:])
+        return self._feature_shapes[layer_index]
 
     def feature_count(self, layer_index: int) -> int:
         """Flattened feature count F at ``layer_index`` (paper Sec. IV-B)."""

@@ -6,7 +6,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["kaiming_normal", "xavier_uniform", "uniform_fan_in"]
+__all__ = ["kaiming_normal", "xavier_uniform", "uniform_fan_in", "UNFILLED"]
+
+#: Pass as a layer's (or a model's) ``rng`` when stored weights are
+#: loaded into it right after construction: no initializer runs and
+#: nothing is drawn; the weights start at zero.
+UNFILLED = object()
 
 
 def kaiming_normal(shape: Tuple[int, ...], fan_in: int,

@@ -13,7 +13,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import functional as F
-from .init import kaiming_normal, uniform_fan_in
+from .init import UNFILLED, kaiming_normal, uniform_fan_in
 from .tensor import Tensor
 
 __all__ = [
@@ -217,7 +217,8 @@ class Conv2d(Module):
         self.groups = groups
         fan_in = (in_channels // groups) * kernel_size * kernel_size
         shape = (out_channels, in_channels // groups, kernel_size, kernel_size)
-        self.weight = Parameter(kaiming_normal(shape, fan_in, rng))
+        self.weight = Parameter(np.zeros(shape) if rng is UNFILLED
+                                else kaiming_normal(shape, fan_in, rng))
         self.bias = Parameter(np.zeros(out_channels)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -243,8 +244,9 @@ class Linear(Module):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(
-            uniform_fan_in((out_features, in_features), in_features, rng))
+        shape = (out_features, in_features)
+        self.weight = Parameter(np.zeros(shape) if rng is UNFILLED
+                                else uniform_fan_in(shape, in_features, rng))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:

@@ -1,4 +1,10 @@
-"""Save/load module state dicts as compressed npz archives.
+"""Save/load module state dicts as npz archives.
+
+Members are written ``ZIP_STORED``: the arrays are float weights and
+packed bits, which deflate shrinks by only a few percent, while
+inflating them was about half of a load.  Zip readers handle stored and
+deflated members alike, so archives of either form load here and in
+older builds.
 
 Checkpoints are written **atomically** — serialized to a temporary file in
 the destination directory, fsync'ed, then moved into place with
@@ -25,7 +31,7 @@ import os
 import tempfile
 import zipfile
 import zlib
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -50,8 +56,7 @@ class CheckpointError(RuntimeError):
 
 def _array_crc(array: np.ndarray) -> int:
     """CRC32 of an array's raw little-endian bytes (shape/dtype-agnostic)."""
-    contiguous = np.ascontiguousarray(array)
-    return zlib.crc32(contiguous.tobytes()) & 0xFFFFFFFF
+    return zlib.crc32(np.ascontiguousarray(array)) & 0xFFFFFFFF
 
 
 def _build_manifest(state: Dict[str, np.ndarray],
@@ -123,7 +128,7 @@ def save_state(state: Dict[str, np.ndarray], path: str,
         prefix=os.path.basename(path) + ".tmp-", dir=directory)
     try:
         with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **arrays, **{MANIFEST_KEY: payload})
+            np.savez(handle, **arrays, **{MANIFEST_KEY: payload})
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
@@ -135,8 +140,12 @@ def save_state(state: Dict[str, np.ndarray], path: str,
         raise
 
 
-def _read_archive(path: str) -> Tuple[Dict[str, np.ndarray],
-                                      Optional[Dict[str, Any]]]:
+#: A ``json.loads`` ``object_hook``, applied while the manifest parses.
+ObjectHook = Optional[Callable[[Dict[str, Any]], Any]]
+
+
+def _read_archive(path: str, object_hook: ObjectHook = None
+                  ) -> Tuple[Dict[str, np.ndarray], Optional[Dict[str, Any]]]:
     """Read (state, manifest-or-None), wrapping IO/zip failures."""
     if not os.path.exists(path):
         raise CheckpointError(f"checkpoint not found: {path!r}")
@@ -160,7 +169,8 @@ def _read_archive(path: str) -> Tuple[Dict[str, np.ndarray],
     payload = state.pop(MANIFEST_KEY, None)
     if payload is not None:
         try:
-            manifest = json.loads(payload.tobytes().decode("utf-8"))
+            manifest = json.loads(payload.tobytes().decode("utf-8"),
+                                  object_hook=object_hook)
         except (ValueError, UnicodeDecodeError) as exc:
             raise CheckpointError(
                 f"checkpoint {path!r} has an unreadable manifest: {exc}"
@@ -194,11 +204,18 @@ def _verify(state: Dict[str, np.ndarray], manifest: Dict[str, Any],
             f"{sorted(corrupt)} — the file is corrupted")
 
 
-def load_state_with_manifest(path: str, verify: bool = True
+def load_state_with_manifest(path: str, verify: bool = True,
+                             object_hook: ObjectHook = None
                              ) -> Tuple[Dict[str, np.ndarray],
                                         Optional[Dict[str, Any]]]:
-    """Read ``(state, manifest)``; ``manifest`` is None for legacy files."""
-    state, manifest = _read_archive(path)
+    """Read ``(state, manifest)``; ``manifest`` is None for legacy files.
+
+    ``object_hook`` is handed to ``json.loads`` for the manifest, so a
+    section's own encoding (a bundle's non-finite tags) is decoded in
+    the one parse; a hook that raises ``ValueError`` makes the manifest
+    unreadable (:class:`CheckpointError`).
+    """
+    state, manifest = _read_archive(path, object_hook)
     if verify and manifest is not None:
         _verify(state, manifest, path)
     return state, manifest

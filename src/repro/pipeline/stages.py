@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from ..hd.backend import pack_bipolar, pack_signs
+from ..hd.backend import pack_signs
 from ..hd.encoders import (Encoder, NonlinearEncoder,
                            RandomProjectionEncoder)
 from ..hd.hypervector import hard_quantize, is_bipolar
@@ -560,12 +560,23 @@ class ClassifyStage(Stage):
         self._matrix_fn = matrix_fn
         self.frozen = bool(frozen)
         self._norms: Optional[np.ndarray] = None
+        self._bipolar: Optional[bool] = None
         if self.frozen:
             self._norms = clamped_norms(self.class_matrix)
 
     @property
     def class_matrix(self) -> np.ndarray:
         return self._matrix_fn()
+
+    @property
+    def bipolar(self) -> bool:
+        """Whether every class-matrix entry is -1 or +1; a frozen stage
+        checks once."""
+        if not self.frozen:
+            return is_bipolar(self.class_matrix)
+        if self._bipolar is None:
+            self._bipolar = is_bipolar(self.class_matrix)
+        return self._bipolar
 
     def similarities(self, encoded: np.ndarray) -> np.ndarray:
         return cosine_similarity(self.class_matrix, np.atleast_2d(encoded),
@@ -589,11 +600,15 @@ class ClassifyStage(Stage):
         return cls(lambda: trainer.class_matrix, frozen=False, name=name)
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, name: str = "classify"
-                    ) -> "ClassifyStage":
-        """Frozen stage with cached clamped class norms."""
+    def from_matrix(cls, matrix: np.ndarray, name: str = "classify",
+                    bipolar: Optional[bool] = None) -> "ClassifyStage":
+        """Frozen stage with cached clamped class norms.  ``bipolar`` is
+        :attr:`bipolar` when the caller has checked it already (a
+        validated binarized bundle); None checks on first use."""
         matrix = np.asarray(matrix, dtype=np.float64)
-        return cls(lambda: matrix, frozen=True, name=name)
+        stage = cls(lambda: matrix, frozen=True, name=name)
+        stage._bipolar = bipolar
+        return stage
 
 
 class PackedClassifyStage(Stage):
@@ -631,17 +646,14 @@ class PackedClassifyStage(Stage):
         return np.asarray(sims.argmax(axis=1))
 
     @classmethod
-    def from_class_matrix(cls, matrix: np.ndarray,
-                          name: str = "classify_packed"
-                          ) -> "PackedClassifyStage":
-        matrix = np.asarray(matrix, dtype=np.float64)
-        return cls(pack_bipolar(matrix), matrix.shape[1], name=name)
-
-    @classmethod
     def from_classify(cls, stage: ClassifyStage,
                       name: str = "classify_packed"
                       ) -> "PackedClassifyStage":
-        return cls.from_class_matrix(stage.class_matrix, name=name)
+        if not stage.bipolar:
+            raise ValueError("packed classify requires a class matrix "
+                             "of -1 and +1")
+        matrix = stage.class_matrix
+        return cls(pack_signs(matrix > 0), matrix.shape[1], name=name)
 
 
 def packed_refusal(stages: Sequence[Stage]) -> Optional[str]:
@@ -656,7 +668,7 @@ def packed_refusal(stages: Sequence[Stage]) -> Optional[str]:
     if not (isinstance(classify, ClassifyStage) and classify.frozen):
         return (f"packed classify needs a frozen classify stage; the "
                 f"graph ends in {classify!r}")
-    if not is_bipolar(np.asarray(classify.class_matrix)):
+    if not classify.bipolar:
         return ("packed classify requires a bipolar class matrix — "
                 "export the bundle with binarize=True")
     encode = stages[-2] if len(stages) > 1 else None

@@ -58,14 +58,14 @@ import numpy as np
 from ..hd.encoders import NonlinearEncoder, RandomProjectionEncoder
 from ..hd.hypervector import hard_quantize, is_bipolar
 from ..models.extractor import FeatureExtractor
-from ..models.registry import create_model
+from ..models.registry import load_trunk
 from ..nn.serialize import (CheckpointError, load_state_with_manifest,
                             manifest_section, save_state)
 from ..pipeline import (ClassifyStage, EncodeStage, ExtractStage,
                         FeatureScaler, FlattenStage, ManifoldReduceStage,
                         ScaleStage, Stage, StageGraph)
-from ..telemetry import (config_fingerprint, decode_non_finite,
-                         encode_non_finite, git_info)
+from ..telemetry import (config_fingerprint, encode_non_finite, git_info,
+                         non_finite_hook)
 from ..telemetry.quality import QualityBaseline
 
 __all__ = ["BUNDLE_VERSION", "BUNDLE_SECTION", "BundleError", "ModelBundle"]
@@ -384,15 +384,15 @@ class ModelBundle:
     def load(cls, path: str, verify: bool = True) -> "ModelBundle":
         """Read a bundle; raises :class:`BundleError` on any mismatch."""
         try:
-            state, manifest = load_state_with_manifest(path, verify=verify)
+            state, manifest = load_state_with_manifest(
+                path, verify=verify, object_hook=non_finite_hook)
         except CheckpointError as exc:
             raise BundleError(str(exc)) from exc
-        section = manifest_section(manifest, BUNDLE_SECTION)
-        if section is None:
+        info = manifest_section(manifest, BUNDLE_SECTION)
+        if info is None:
             raise BundleError(
                 f"{path!r} is not a model bundle (no {BUNDLE_SECTION!r} "
                 "manifest section) — it may be a training checkpoint")
-        info = decode_non_finite(section)
         version = info.get("bundle_version")
         if not isinstance(version, int) or version < 1:
             raise BundleError(
@@ -429,8 +429,8 @@ class ModelBundle:
                 raise BundleError(
                     f"bundle {path!r} stores {member!r} as {bits.dtype} "
                     f"{bits.shape}; its provenance says uint8 {want}")
-            signs = np.unpackbits(bits, axis=1, count=dim)
-            state[name] = np.where(signs == 1, 1.0, -1.0)
+            signs = state[name] = np.unpackbits(bits, axis=1, count=dim) * 2.0
+            signs -= 1.0
         return state
 
     @classmethod
@@ -456,8 +456,13 @@ class ModelBundle:
                 f"bundle is missing required arrays {missing} for "
                 f"pipeline {self.info.get('pipeline')!r}")
 
-    def validate(self) -> None:
-        """Check that arrays exist and agree with the provenance block."""
+    def validate(self) -> Optional[QualityBaseline]:
+        """Check that arrays exist and agree with the provenance block.
+
+        Each check runs once per array.  Returns the parsed drift
+        baseline (None when the bundle has none), so that a caller does
+        not parse it again.
+        """
         info = self.info
         dim = int(info["dim"])
         num_classes = int(info["num_classes"])
@@ -564,17 +569,21 @@ class ModelBundle:
                 raise BundleError(f"{name} holds NaN or Inf")
         if not np.all(std > 0):
             raise BundleError("scaler.std must be > 0 in every feature")
-        self._validate_baseline(width)
+        baseline = self._validate_baseline(width)
         # Last, so the checks above name what a missing array breaks.
         self._require(*info.get("arrays", ()))
+        return baseline
 
-    def _validate_baseline(self, width: int) -> None:
+    def _validate_baseline(self, width: int) -> Optional[QualityBaseline]:
         """The ``quality_baseline`` section parses, sketches as many
         features as its tap emits (the raw ``width``, or the manifold's
-        outputs) and has one prior per class."""
+        outputs), has one prior per class and holds finite numbers
+        only; its priors are >= 0 with positive mass.  A NaN in a
+        sketch would leave the drift monitor reading NaN or 0 forever,
+        so no alert on it could fire."""
         section = self.info.get("quality_baseline")
         if section is None:
-            return
+            return None
         try:
             baseline = QualityBaseline.from_dict(section)
         except Exception as exc:
@@ -596,6 +605,26 @@ class ModelBundle:
                 f"quality_baseline has {baseline.num_classes} class "
                 f"priors but the bundle has "
                 f"{int(self.info['num_classes'])} classes")
+        values = {"feature_mean": baseline.feature_mean,
+                  "feature_std": baseline.feature_std,
+                  "bin_edges": baseline.bin_edges,
+                  "expected": baseline.expected,
+                  "class_priors": baseline.class_priors,
+                  "margin": list(baseline.margin.values()),
+                  "confidence": list(baseline.confidence.values())}
+        for name, value in values.items():
+            try:
+                finite = np.isfinite(np.asarray(value, np.float64)).all()
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise BundleError(
+                    f"quality_baseline {name} is not all finite numbers")
+        priors = baseline.class_priors
+        if (priors < 0).any() or not priors.sum() > 0:
+            raise BundleError("quality_baseline class_priors must be >= 0 "
+                              "and have positive mass")
+        return baseline
 
     @staticmethod
     def _pooled_count(manifold_info: Dict[str, Any]) -> int:
@@ -629,10 +658,13 @@ class ModelBundle:
 
         Built from the provenance fields :meth:`validate` checks: extract
         (or flatten), scale, reduce when ``info["manifold"]`` is set,
-        encode, and a frozen classify stage.  With
-        ``build_extractor=False`` the (expensive to rebuild) CNN extract
-        stage is dropped so the graph starts at the feature interface.
-        Any failure raises :class:`BundleError`.
+        encode, and a frozen classify stage.  The extract stage holds
+        only the trunk up to the cut, filled from the stored arrays
+        with no random draw (:func:`~repro.models.load_trunk`).  With
+        ``build_extractor=False`` it is dropped, so the graph starts at
+        the feature interface.  Build on a bundle :meth:`validate`
+        accepted: its ±1 checks are not repeated here.  Any failure
+        raises :class:`BundleError`.
         """
         info, arrays = self.info, self.arrays
         try:
@@ -641,22 +673,18 @@ class ModelBundle:
             if extractor is None:
                 stages.append(FlattenStage())
             elif build_extractor:
-                model = create_model(
-                    extractor["model"],
+                # A version-1 bundle's later layers and classifier are
+                # among these arrays; the trunk reads only its own keys.
+                cut = int(extractor["layer_index"])
+                model = load_trunk(
+                    extractor["model"], cut,
+                    {name[len(_TRUNK):]: value
+                     for name, value in arrays.items()
+                     if name.startswith(_TRUNK)},
                     num_classes=int(extractor["num_classes"]),
                     width_mult=float(extractor.get("width_mult", 1.0)),
                     image_size=int(extractor["image_size"]))
-                cut = int(extractor["layer_index"])
-                stage = ExtractStage(FeatureExtractor(model, cut))
-                # Only the trunk up to the cut runs.  It reads just its
-                # own keys, so a version-1 bundle's later layers and
-                # classifier are not loaded.
-                model.features[:cut + 1].load_state_dict(
-                    {name[len(_TRUNK):]: value
-                     for name, value in arrays.items()
-                     if name.startswith(_TRUNK)})
-                model.eval()
-                stages.append(stage)
+                stages.append(ExtractStage(FeatureExtractor(model, cut)))
             scaler = FeatureScaler()
             scaler.mean = np.asarray(arrays["scaler.mean"], dtype=np.float64)
             scaler.std = np.asarray(arrays["scaler.std"], dtype=np.float64)
@@ -672,7 +700,8 @@ class ModelBundle:
             quantize = bool(enc.get("quantize", True))
             if enc["type"] == "random_projection":
                 encoder = RandomProjectionEncoder.from_arrays(
-                    arrays["encoder.projection"], quantize=quantize)
+                    arrays["encoder.projection"], quantize=quantize,
+                    checked=True)
             elif enc["type"] == "nonlinear":
                 encoder = NonlinearEncoder.from_arrays(
                     arrays["encoder.basis"], arrays["encoder.phase"],
@@ -680,7 +709,9 @@ class ModelBundle:
             else:
                 raise BundleError(f"unknown encoder type {enc['type']!r}")
             stages.append(EncodeStage(encoder))
-            stages.append(ClassifyStage.from_matrix(self.class_matrix()))
+            stages.append(ClassifyStage.from_matrix(
+                self.class_matrix(),
+                bipolar=True if info.get("binarized") else None))
             return StageGraph(
                 stages, name=str(info.get("pipeline", "bundle")).lower())
         except BundleError:

@@ -49,7 +49,7 @@ from ..hd.similarity import classify
 from ..pipeline import (ClassifyStage, ExtractStage, FlattenStage,
                         PackedClassifyStage, StageGraph, packed_refusal)
 from ..telemetry import get_registry, span
-from ..telemetry.quality import DriftMonitor, QualityBaseline
+from ..telemetry.quality import DriftMonitor
 from ..utils.rng import fresh_rng
 from .bundle import BundleError, ModelBundle
 
@@ -307,7 +307,7 @@ class InferenceEngine:
                  quality_window: int = 512):
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
-        bundle.validate()
+        baseline = bundle.validate()
         self.bundle = bundle
         info = bundle.info
         self.dim = int(info["dim"])
@@ -352,19 +352,16 @@ class InferenceEngine:
                           if isinstance(first, ExtractStage) else None)
 
         # -- streaming drift monitor (training baseline in manifest) ---
-        baseline_dict = info.get("quality_baseline")
         if quality is None:
-            quality = baseline_dict is not None
-        if quality and baseline_dict is None:
+            quality = baseline is not None
+        if quality and baseline is None:
             raise BundleError(
                 "quality=True but the bundle carries no quality_baseline "
                 "section — re-export it with "
                 "ModelBundle.from_pipeline(..., baseline_features=...)")
         self.quality: Optional[DriftMonitor] = None
         if quality:
-            self.quality = DriftMonitor(
-                QualityBaseline.from_dict(baseline_dict),
-                window=quality_window)
+            self.quality = DriftMonitor(baseline, window=quality_window)
         # The monitor reads the reduce stage's output (validate() checked
         # the bundle has one) rather than the raw rows.
         self._watch_reduce = (self.quality is not None

@@ -245,10 +245,13 @@ class Supervisor:
             self.wait_ready(timeout_s)
         return self
 
-    def wait_ready(self, timeout_s: Optional[float] = None,
-                   min_up: Optional[int] = None) -> None:
-        """Block until ``min_up`` (default: all non-quarantined)
-        workers are up; :class:`FleetError` on timeout."""
+    def wait_ready(self, timeout_s: Optional[float] = None) -> None:
+        """Block until every worker that is not quarantined is up.
+
+        Raises :class:`FleetError` on timeout, or as soon as every
+        worker is quarantined (a config every worker refuses crash-loops
+        them all), naming each worker's last failure.
+        """
         timeout_s = (self.startup_timeout_s if timeout_s is None
                      else timeout_s)
         deadline = self._clock() + timeout_s
@@ -256,14 +259,21 @@ class Supervisor:
             with self._lock:
                 up = sum(w.state == UP for w in self.workers)
                 alive = sum(w.state != QUARANTINED for w in self.workers)
-            need = alive if min_up is None else min(min_up, alive)
-            if need and up >= need:
+            if not alive:
+                raise FleetError(
+                    f"every worker is quarantined: {self._failures()}")
+            if up >= alive:
                 return
             if self._clock() >= deadline:
-                raise FleetError(
-                    f"fleet not ready after {timeout_s:.1f}s: "
-                    f"{[w.describe() for w in self.workers]}")
+                raise FleetError(f"fleet not ready after {timeout_s:.1f}s: "
+                                 f"{self._failures()}")
             self._stop_event.wait(0.05)
+
+    def _failures(self) -> str:
+        with self._lock:
+            return "; ".join(f"{w.worker_id} {w.state} (last failure: "
+                             f"{w.last_failure_reason or 'none'})"
+                             for w in self.workers)
 
     def _spawn(self, worker: Worker) -> None:
         worker.process = self._spawn_fn(worker)

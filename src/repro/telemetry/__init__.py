@@ -54,7 +54,7 @@ from .alerts import (ALERT_KINDS, ALERT_STATES, AlertManager, AlertRule,
 from .diagnostics import (class_drift, confusability_matrix,
                           confusability_summary, matrix_health,
                           saturation_fraction)
-from .exporters import (NONFINITE_KEY, decode_non_finite, encode_non_finite,
+from .exporters import (NONFINITE_KEY, encode_non_finite, non_finite_hook,
                         parse_prometheus, prometheus_text, read_jsonl,
                         read_trace_jsonl, render_trace_tree,
                         sanitize_metric_name, stitch_traces)
@@ -88,7 +88,7 @@ __all__ = [
     "get_request_log", "enable_request_tracing", "disable_request_tracing",
     # exporters
     "read_jsonl", "prometheus_text", "parse_prometheus",
-    "sanitize_metric_name", "encode_non_finite", "decode_non_finite",
+    "sanitize_metric_name", "encode_non_finite", "non_finite_hook",
     "NONFINITE_KEY", "read_trace_jsonl", "stitch_traces",
     "render_trace_tree",
     # provenance

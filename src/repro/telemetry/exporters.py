@@ -12,9 +12,10 @@
 
 Both formats round-trip **non-finite** values losslessly: strict JSON has
 no NaN/±Inf literal, so :func:`encode_non_finite` maps them to a tagged
-object (``{"__nonfinite__": "nan"}``) that :func:`decode_non_finite`
-restores; the Prometheus text format has native ``NaN`` / ``+Inf`` /
-``-Inf`` sample values, which are emitted and parsed verbatim.
+object (``{"__nonfinite__": "nan"}``) that :func:`non_finite_hook`
+restores while the JSON is parsed; the Prometheus text format has
+native ``NaN`` / ``+Inf`` / ``-Inf`` sample values, which are emitted
+and parsed verbatim.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .metrics import MetricsRegistry, get_registry
 from .reqtrace import TRACE_EVENT_TYPE, build_span_tree
 
 __all__ = ["read_jsonl", "prometheus_text", "parse_prometheus",
-           "sanitize_metric_name", "encode_non_finite", "decode_non_finite",
+           "sanitize_metric_name", "encode_non_finite", "non_finite_hook",
            "NONFINITE_KEY", "read_trace_jsonl", "stitch_traces",
            "render_trace_tree"]
 
@@ -52,7 +53,7 @@ def encode_non_finite(value):
     ``nan → {"__nonfinite__": "nan"}``, ``inf → {"__nonfinite__": "inf"}``,
     ``-inf → {"__nonfinite__": "-inf"}``.  Containers (dict/list/tuple)
     are walked; everything else passes through untouched.  The inverse is
-    :func:`decode_non_finite`; together they make ``json.dumps(...,
+    :func:`non_finite_hook`; together they make ``json.dumps(...,
     allow_nan=False)`` safe without losing the sentinel semantics (an
     all-NaN histogram quantile must stay NaN, not become ``null`` or 0).
     """
@@ -69,21 +70,19 @@ def encode_non_finite(value):
     return value
 
 
-def decode_non_finite(value):
-    """Inverse of :func:`encode_non_finite` (recursive)."""
-    if isinstance(value, dict):
-        if set(value) == {NONFINITE_KEY}:
-            tag = value[NONFINITE_KEY]
-            try:
-                return _NONFINITE_ENCODE[tag]
-            except KeyError:
-                raise ValueError(
-                    f"unknown non-finite tag {tag!r} "
-                    f"(expected one of {sorted(_NONFINITE_ENCODE)})") from None
-        return {key: decode_non_finite(val) for key, val in value.items()}
-    if isinstance(value, list):
-        return [decode_non_finite(item) for item in value]
-    return value
+def non_finite_hook(obj: Dict[str, object]):
+    """``json.loads`` ``object_hook`` that decodes the tags of
+    :func:`encode_non_finite` while the document is parsed: a tagged
+    object becomes its float, any other object passes through."""
+    if len(obj) == 1 and NONFINITE_KEY in obj:
+        tag = obj[NONFINITE_KEY]
+        try:
+            return _NONFINITE_ENCODE[tag]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"unknown non-finite tag {tag!r} "
+                f"(expected one of {sorted(_NONFINITE_ENCODE)})") from None
+    return obj
 
 
 # ----------------------------------------------------------------------
@@ -103,7 +102,7 @@ def read_jsonl(path: str) -> List[Dict[str, object]]:
             if not line:
                 continue
             try:
-                events.append(decode_non_finite(json.loads(line)))
+                events.append(json.loads(line, object_hook=non_finite_hook))
             except json.JSONDecodeError as exc:
                 raise ValueError(
                     f"{path}:{line_no}: invalid JSONL line: {exc}") from exc

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.models import (MODEL_REGISTRY, FeatureExtractor, TeacherModel,
-                          create_model, paper_cut_layers, scale_channels,
-                          soften_logits)
+                          create_model, load_trunk, paper_cut_layers,
+                          scale_channels, soften_logits)
 from repro.models.blocks import ConvBNAct, InvertedResidual, SqueezeExcite
 from repro.nn import Tensor, no_grad
 
@@ -47,6 +47,23 @@ class TestRegistry:
         b = create_model("vgg16", **TINY)
         x = np.random.default_rng(0).normal(size=(2, 3, 32, 32))
         np.testing.assert_allclose(a.logits(x), b.logits(x))
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_load_trunk_runs_the_stored_layers_to_the_cut(self, name,
+                                                         tiny_models):
+        model = tiny_models[name]
+        cut = model.paper_layers[0] if name != "vgg16" else 21
+        trunk = load_trunk(name, cut, model.features[:cut + 1].state_dict(),
+                           num_classes=TINY["num_classes"],
+                           width_mult=TINY["width_mult"])
+        assert trunk.num_feature_layers() == cut + 1
+        assert len(trunk.classifier) == 0 and not trunk.training
+        x = np.random.default_rng(1).normal(size=(2, 3, 32, 32))
+        want = FeatureExtractor(model, cut).extract(x)
+        np.testing.assert_array_equal(
+            FeatureExtractor(trunk, cut).extract(x), want)
+        with pytest.raises(ValueError, match="out of range"):
+            load_trunk(name, model.num_feature_layers(), {})
 
     def test_scale_channels(self):
         assert scale_channels(64, 1.0) == 64

@@ -236,7 +236,8 @@ class TestPackedClassifyStage:
     def test_matches_float_dot_on_bipolar(self, rng):
         matrix = np.where(rng.random((5, 256)) < 0.5, -1.0, 1.0)
         queries = np.where(rng.random((16, 256)) < 0.5, -1.0, 1.0)
-        stage = PackedClassifyStage.from_class_matrix(matrix)
+        stage = PackedClassifyStage.from_classify(
+            ClassifyStage.from_matrix(matrix))
         np.testing.assert_array_equal(stage(pack_bipolar(queries)),
                                       classify(matrix, queries,
                                                metric="dot"))
@@ -244,7 +245,8 @@ class TestPackedClassifyStage:
     def test_refuses_float_queries(self, rng):
         # It reads sign words only: a ±1 float matrix is not repacked.
         matrix = np.where(rng.random((3, 64)) < 0.5, -1.0, 1.0)
-        stage = PackedClassifyStage.from_class_matrix(matrix)
+        stage = PackedClassifyStage.from_classify(
+            ClassifyStage.from_matrix(matrix))
         with pytest.raises(StageError, match="uint64"):
             stage(matrix)
 

@@ -9,6 +9,7 @@ statistics, the shuffle RNG, and the epoch counter).
 """
 
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -47,6 +48,17 @@ class TestAtomicSave:
         manifest = load_manifest(path)
         assert manifest["meta"] == {"epoch": 3, "note": "hi"}
         assert manifest["format_version"] == 1
+
+    def test_members_are_stored(self, tmp_path):
+        # Float weights and packed bits barely deflate, and inflating
+        # them was most of a load.
+        path = str(tmp_path / "ckpt.npz")
+        save_state({"w": np.linspace(0, 1, 4096), "b": np.zeros(3)}, path)
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert sorted(m.filename for m in members) \
+            == sorted(["w.npy", "b.npy", MANIFEST_KEY + ".npy"])
+        assert {m.compress_type for m in members} == {zipfile.ZIP_STORED}
 
     def test_reserved_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="reserved"):

@@ -1,7 +1,9 @@
 """Model bundles: export from pipelines, round-trip, verification."""
 
+import gc
 import os
 import struct
+import weakref
 import zipfile
 
 import numpy as np
@@ -11,6 +13,8 @@ from repro.data import make_dataset, normalize_images
 from repro.hardware import nshd_size_bytes
 from repro.learn import NSHD, VanillaHD
 from repro.models import create_model
+from repro.nn import init as nn_init
+from repro.nn import layers as nn_layers
 from repro.nn.serialize import (MANIFEST_KEY, load_manifest, manifest_section,
                                 save_state)
 from repro.serve import (BUNDLE_SECTION, BUNDLE_VERSION, BundleError,
@@ -427,6 +431,68 @@ class TestStoredLayout:
             ModelBundle.load(fresh_path)
 
 
+def _deflated_copy(path, out):
+    """``path`` with every member deflated, as the builds before stored
+    members wrote the same bundle."""
+    with zipfile.ZipFile(path) as source, \
+            zipfile.ZipFile(out, "w", zipfile.ZIP_DEFLATED) as target:
+        for member in source.infolist():
+            target.writestr(member.filename, source.read(member))
+
+
+class TestEngineBuild:
+    """``from_path`` builds only what serving runs, from the archive."""
+
+    def test_extract_stage_is_the_stored_trunk_with_no_draws(
+            self, fresh_nshd, fresh_path, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("a random initializer ran")
+
+        for module in (nn_init, nn_layers):
+            monkeypatch.setattr(module, "kaiming_normal", draw)
+            monkeypatch.setattr(module, "uniform_fan_in", draw)
+        _, nshd, _, images = fresh_nshd
+        engine = InferenceEngine.from_path(fresh_path, cache_size=0)
+        model = engine.extractor.model
+        assert model.num_feature_layers() == CUT + 1
+        assert len(model.classifier) == 0
+        np.testing.assert_array_equal(engine.extractor.extract(images),
+                                      nshd.extractor.extract(images))
+
+    def test_a_dropped_engine_frees_its_cnn(self, fresh_path):
+        engine = InferenceEngine.from_path(fresh_path, cache_size=0)
+        model = weakref.ref(engine.extractor.model)
+        del engine
+        gc.collect()
+        assert model() is None
+
+    def test_deflated_copy_serves_the_same(self, fresh_nshd, fresh_path,
+                                           tmp_path):
+        deflated = str(tmp_path / "deflated.npz")
+        _deflated_copy(fresh_path, deflated)
+        assert os.path.getsize(deflated) < os.path.getsize(fresh_path)
+        stored = ModelBundle.load(fresh_path)
+        older = ModelBundle.load(deflated)
+        assert older.info == stored.info
+        for name, value in stored.arrays.items():
+            assert older.arrays[name].tobytes() == value.tobytes()
+        images = fresh_nshd[3]
+        want = InferenceEngine.from_path(fresh_path, cache_size=0)
+        got = InferenceEngine.from_path(deflated, cache_size=0)
+        np.testing.assert_array_equal(got.predict(images),
+                                      want.predict(images))
+
+    def test_unknown_non_finite_tag_is_a_bundle_error(self, tmp_path):
+        bundle = _synthetic_bundle(seed=3)
+        path = str(tmp_path / "tagged.npz")
+        bundle.save(path)
+        section = manifest_section(load_manifest(path), BUNDLE_SECTION)
+        section["note"] = {"__nonfinite__": "weird"}
+        save_state(_members(path), path, sections={BUNDLE_SECTION: section})
+        with pytest.raises(BundleError, match="non-finite tag"):
+            ModelBundle.load(path)
+
+
 class TestLegacyBundles:
     """Version-1 golden bundles store the whole CNN and float ±1
     arrays; loaded and saved again they are version 2 and serve the
@@ -459,6 +525,18 @@ class TestLegacyBundles:
         np.testing.assert_array_equal(engine.predict_features(raw), want)
         np.testing.assert_array_equal(engine.predict(images), want)
 
+    @pytest.mark.parametrize("name", [
+        "nshd_bundle", "nshd_bundle_packed", "baselinehd_bundle",
+        "baselinehd_bundle_packed", "vanillahd_bundle"])
+    def test_deflated_golden_archive_verifies(self, name):
+        # Written by a build that deflated its members; this build
+        # writes them stored and must still read these.
+        path = os.path.join(FIXTURES, f"golden_{name}.npz")
+        with zipfile.ZipFile(path) as archive:
+            assert {m.compress_type for m in archive.infolist()} \
+                == {zipfile.ZIP_DEFLATED}
+        assert ModelBundle.verify(path)["bundle_version"] == 1
+
 
 # ----------------------------------------------------------------------
 # Damaged bundles are refused, never served
@@ -481,7 +559,8 @@ def _assert_reload_refused(server, path):
 
 
 def _member_span(path, member):
-    """``(start, end)`` file offsets of a member's compressed bytes."""
+    """``(start, end)`` file offsets of a member's bytes as written
+    (stored, or deflated in an older archive)."""
     with zipfile.ZipFile(path) as archive:
         info = archive.getinfo(member + ".npy")
     with open(path, "rb") as handle:
@@ -501,11 +580,12 @@ def _truncated(keep):
 
 
 def _flipped(member, at):
-    """Flip one byte ``at`` a fraction of the member's compressed bytes.
+    """Flip one byte ``at`` a fraction of the member's bytes.
 
-    The fractions stop short of the stream's tail: its last bytes hold
-    the deflate end-of-block code, and a flip there can leave every
-    decoded byte, and so both CRC-32s, unchanged.
+    A stored member's bytes are the ``.npy`` file itself, so every flip
+    changes what is read.  The fractions stop short of the tail, as a
+    deflated member's last bytes hold the end-of-block code, where a
+    flip can leave every decoded byte, and so both CRC-32s, unchanged.
     """
     def damage(path, bundle, out):
         start, end = _member_span(path, member)
@@ -578,7 +658,7 @@ class TestDamagedBundle:
         bundle.save(path)
         start, end = _member_span(path, MANIFEST_KEY)
         served = []
-        for position in range(start, end - 4):
+        for position in range(start, end):
             _flip_byte(path, bad, position)
             try:
                 ModelBundle.verify(bad)

@@ -312,6 +312,36 @@ class TestStartupProbes:
             supervisor.stop(grace_s=0.0)
 
 
+class TestWaitReady:
+    def test_fails_fast_once_every_worker_is_quarantined(self):
+        """Workers that refuse their config exit at start: once all are
+        quarantined, nothing is left to wait for, so the wait ends well
+        before ``startup_timeout_s`` and names each failure."""
+        def spawn(worker):
+            process = FakeProcess()
+            process.exit(2)
+            return process
+
+        supervisor = Supervisor("bundle.npz", workers=2, spawn_fn=spawn,
+                                probe_fn=lambda worker: None,
+                                probe_interval_s=0.01,
+                                startup_timeout_s=5.0,
+                                backoff_base_s=0.01, backoff_max_s=0.01,
+                                crash_loop_threshold=2)
+        began = time.monotonic()
+        try:
+            with pytest.raises(FleetError) as refused:
+                supervisor.start(wait_ready=True)
+        finally:
+            supervisor.stop(grace_s=0.0)
+        assert time.monotonic() - began < 2.5
+        message = str(refused.value)
+        assert message.startswith("every worker is quarantined")
+        for worker_id in ("w0", "w1"):
+            assert (f"{worker_id} quarantined (last failure: exited with "
+                    f"code 2)") in message
+
+
 class TestChaosSurface:
     def test_kill_worker_needs_live_process(self):
         h = Harness(workers=1)

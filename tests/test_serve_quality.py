@@ -9,6 +9,7 @@ the router, and the serve CLI's ``[alerts]`` / quality config keys.
 """
 
 import json
+import math
 import os
 import sys
 import threading
@@ -521,6 +522,26 @@ def _ragged_expected(info):
     info["quality_baseline"]["expected"][0] = [1.0]
 
 
+def _non_finite(field, value=math.nan):
+    """Put ``value`` into the first number of a baseline field (a list,
+    a list of rows, or a quantile dict)."""
+    def edit(info):
+        values = info["quality_baseline"][field]
+        if isinstance(values, dict):
+            values["p50"] = value
+            return
+        if isinstance(values[0], list):
+            values = values[0]
+        values[0] = value
+    return edit
+
+
+def _priors(*values):
+    def edit(info):
+        info["quality_baseline"]["class_priors"] = list(values)
+    return edit
+
+
 
 class TestBaselineValidation:
     """A ``quality_baseline`` section the engine could not monitor with is
@@ -532,6 +553,16 @@ class TestBaselineValidation:
         "malformed.*bin_edges": _no_bin_edges,
         "malformed.*version 99": _future_version,
         "malformed: ValueError": _ragged_expected,
+        "feature_mean is not all finite": _non_finite("feature_mean"),
+        "feature_std is not all finite": _non_finite("feature_std"),
+        "bin_edges is not all finite": _non_finite("bin_edges"),
+        "expected is not all finite": _non_finite("expected", math.inf),
+        "class_priors is not all finite": _non_finite("class_priors"),
+        "margin is not all finite": _non_finite("margin", -math.inf),
+        "confidence is not all finite": _non_finite("confidence", "high"),
+        "class_priors must be >= 0": _priors(-0.5, 0.5, 0.5, 0.5),
+        "class_priors must be >= 0 and have positive mass":
+            _priors(0.0, 0.0, 0.0, 0.0),
     }
 
     @staticmethod
@@ -570,7 +601,8 @@ class TestBaselineValidation:
         with pytest.raises(BundleError, match="'reduce' tap emits 8"):
             bundle.validate()
 
-    @pytest.mark.parametrize("match", list(EDITS)[:3])
+    @pytest.mark.parametrize(
+        "match", list(EDITS)[:3] + ["feature_mean is not all finite"])
     def test_reload_answers_409_and_keeps_serving(self, tmp_path, match):
         good = str(tmp_path / "good.npz")
         manifold_bundle().save(good)

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.telemetry import (MetricsRegistry, decode_non_finite,
-                             encode_non_finite, parse_prometheus,
+from repro.telemetry import (MetricsRegistry, encode_non_finite,
+                             non_finite_hook, parse_prometheus,
                              prometheus_text, read_jsonl,
                              sanitize_metric_name)
 
@@ -57,7 +57,8 @@ class TestJsonl:
                     "d": "text", "e": 3}
         encoded = encode_non_finite(original)
         assert encoded["a"] == {"__nonfinite__": "nan"}
-        decoded = decode_non_finite(encoded)
+        decoded = json.loads(json.dumps(encoded, allow_nan=False),
+                             object_hook=non_finite_hook)
         assert math.isnan(decoded["a"])
         assert decoded["b"][1] == math.inf
         assert decoded["b"][2]["c"] == -math.inf
@@ -65,7 +66,8 @@ class TestJsonl:
 
     def test_decode_rejects_unknown_tag(self):
         with pytest.raises(ValueError, match="non-finite tag"):
-            decode_non_finite({"__nonfinite__": "weird"})
+            json.loads('{"a": [{"__nonfinite__": "weird"}]}',
+                       object_hook=non_finite_hook)
 
     def test_bad_line_raises_with_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
