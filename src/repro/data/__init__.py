@@ -2,16 +2,17 @@
 
 The procedural :class:`SyntheticCIFAR` benchmark stands in for
 CIFAR-10/100 (see DESIGN.md §1 for the substitution rationale).
+
+The exports are lazy (:mod:`repro._lazy`), so a name's submodule is
+imported only when the name is read: serving never generates data.
 """
 
-from .augment import (add_gaussian_noise, augment_batch, random_crop,
-                      random_horizontal_flip)
-from .loader import iterate_batches, normalize_images, one_hot, train_val_split
-from .synthetic import ClassPrototype, SyntheticCIFAR, make_dataset
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SyntheticCIFAR", "ClassPrototype", "make_dataset",
-    "iterate_batches", "normalize_images", "train_val_split", "one_hot",
-    "random_horizontal_flip", "random_crop", "add_gaussian_noise",
-    "augment_batch",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "synthetic": ["SyntheticCIFAR", "ClassPrototype", "make_dataset"],
+    "loader": ["iterate_batches", "normalize_images", "train_val_split",
+               "one_hot"],
+    "augment": ["random_horizontal_flip", "random_crop",
+                "add_gaussian_noise", "augment_batch"],
+})

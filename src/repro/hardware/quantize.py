@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.functional import strided_max_pool
+from ..nn.windows import strided_max_pool
 
 __all__ = ["QuantizedTensor", "quantize_symmetric", "QuantizedNSHD"]
 

@@ -6,8 +6,9 @@ followed by ``np.matmul``: one BLAS GEMM per image and group, in the
 forward and in both backward products.  That is the lowering most
 deep-learning frameworks (and the DPU cost model in ``repro.hardware``)
 assume.  Max pooling takes the elementwise max of strided views
-(:func:`strided_max_pool`, shared with the serving stages); only its
-backward builds the im2col windows to find each window's first maximum.
+(:func:`~repro.nn.windows.strided_max_pool`, shared with the serving
+stages); only its backward builds the im2col windows to find each
+window's first maximum.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .tensor import Tensor
+from .windows import conv_output_size, strided_max_pool
 
 __all__ = [
     "im2col_indices", "conv2d", "max_pool2d", "avg_pool2d",
@@ -29,11 +31,6 @@ __all__ = [
 #: Largest im2col column buffer (bytes) a :func:`conv2d` forward lowers
 #: at once.
 _COLS_BYTES = 4 << 20
-
-
-def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
-    """Spatial output size of a convolution/pooling window."""
-    return (size + 2 * padding - kernel) // stride + 1
 
 
 def im2col_indices(x: np.ndarray, kernel: int, stride: int,
@@ -154,26 +151,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             x._accumulate(_col2im(grad_cols, x.shape, kernel, stride, padding))
 
     return Tensor._make(out, parents, backward)
-
-
-def strided_max_pool(x: np.ndarray, kernel: int = 2,
-                     stride: Optional[int] = None) -> np.ndarray:
-    """Unpadded max-pool of an ``(n, c, h, w)`` array.
-
-    The elementwise max of the ``kernel²`` strided phase views: the same
-    values as the max over each im2col window, NaN included, without
-    materializing the windows.  Windows that do not fit are dropped, so
-    the default 2×2 / stride-2 pool crops odd H/W to even.
-    """
-    stride = kernel if stride is None else stride
-    out_h = conv_output_size(x.shape[2], kernel, stride, 0)
-    out_w = conv_output_size(x.shape[3], kernel, stride, 0)
-    views = [x[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride]
-             for i in range(kernel) for j in range(kernel)]
-    out = views[0].copy()
-    for view in views[1:]:
-        np.maximum(out, view, out=out)
-    return out
 
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None,

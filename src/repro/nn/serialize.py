@@ -31,11 +31,12 @@ import os
 import tempfile
 import zipfile
 import zlib
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .layers import Module
+if TYPE_CHECKING:
+    from .layers import Module
 
 __all__ = [
     "save_state", "load_state", "load_state_with_manifest", "load_manifest",

@@ -47,16 +47,6 @@ from .shadow import FeedbackError, ShadowModel
 
 __all__ = ["OnlineLearner"]
 
-# Keys accepted in the [online] config section / online_options dict,
-# each with the type its value must have: the OnlineLearner kwargs.
-ONLINE_OPTION_TYPES = {
-    "lr": float, "max_update_norm": float, "rate_limit_per_s": float,
-    "holdout_every": int, "promote_every": int, "auto_promote": bool,
-    "export_dir": str, "min_feedback": int, "min_validation": int,
-    "min_accuracy_gain": float, "min_shadow_accuracy": float,
-    "max_confusability_increase": float, "max_saturation": float,
-}
-
 #: How many recent single-row /predict requests feedback can name by
 #: request_id.
 REMEMBER_REQUESTS = 1024

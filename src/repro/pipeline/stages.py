@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -56,9 +56,11 @@ from ..hd.encoders import (Encoder, NonlinearEncoder,
 from ..hd.hypervector import hard_quantize, is_bipolar
 from ..hd.similarity import (clamped_norms, cosine_similarity,
                              packed_cosine_similarity)
-from ..models.extractor import FeatureExtractor
-from ..nn.functional import strided_max_pool
+from ..nn.windows import strided_max_pool
 from ..telemetry import get_registry, span
+
+if TYPE_CHECKING:
+    from ..models.extractor import FeatureExtractor
 
 __all__ = [
     "Stage", "StageError", "FeatureScaler",
@@ -213,7 +215,7 @@ class ManifoldReduceStage(Stage):
 
     Numerically identical to ``F.max_pool2d(kernel=2)`` + ``F.linear``
     on the same operands (both pool through
-    :func:`~repro.nn.functional.strided_max_pool`, then the same
+    :func:`~repro.nn.windows.strided_max_pool`, then the same
     ``pooled @ Wᵀ + b`` BLAS call) — proven bit-exact against the
     autograd path by the golden fixtures and the engine-parity tests.
 

@@ -14,23 +14,21 @@ Implements the robustness story around the paper's HD pipelines:
 * :mod:`~repro.reliability.circuit` — :class:`CircuitBreaker`, the
   per-dependency closed → open → half-open state machine the fleet
   router wraps around each worker process.
+
+The exports are lazy (:mod:`repro._lazy`): the serving modules use the
+breaker and the shedder, and must not import the robustness sweep and
+the training code it drives.
 """
 
-from .circuit import CircuitBreaker
-from .degrade import (DeadlineExceededError, LoadShedder,
-                      OverloadShedError, ServingDegradedError)
-from .faults import BitFlipInjector, flip_bits
-from .guards import (POLICIES, NumericsError, NumericsGuard,
-                     NumericsWarning)
-from .report import (DEFAULT_RATES, bit_flip_curve, bit_flip_sweep,
-                     format_sweep, sweep_systems)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "POLICIES", "NumericsError", "NumericsGuard", "NumericsWarning",
-    "BitFlipInjector", "flip_bits",
-    "DEFAULT_RATES", "bit_flip_curve", "bit_flip_sweep", "format_sweep",
-    "sweep_systems",
-    "LoadShedder", "OverloadShedError", "DeadlineExceededError",
-    "ServingDegradedError",
-    "CircuitBreaker",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "guards": ["POLICIES", "NumericsError", "NumericsGuard",
+               "NumericsWarning"],
+    "faults": ["BitFlipInjector", "flip_bits"],
+    "report": ["DEFAULT_RATES", "bit_flip_curve", "bit_flip_sweep",
+               "format_sweep", "sweep_systems"],
+    "degrade": ["LoadShedder", "OverloadShedError", "DeadlineExceededError",
+                "ServingDegradedError"],
+    "circuit": ["CircuitBreaker"],
+})

@@ -30,20 +30,21 @@ Quickstart::
     engine = InferenceEngine.from_path(path)       # selfchecks packed path
     with ModelServer(engine, port=0) as server:
         print(server.url)                          # POST /predict
+
+The exports are lazy (:mod:`repro._lazy`): a worker process never reads
+the fleet or router names and so never imports them, and a router never
+imports the engine, batcher or server.
 """
 
-from .batching import MicroBatcher
-from .bundle import BUNDLE_SECTION, BUNDLE_VERSION, BundleError, ModelBundle
-from .engine import EngineSelfCheckError, InferenceEngine
-from .fleet import FleetError, StaticFleet, Supervisor, Worker, free_port
-from .router import HashRing, Router
-from .server import ModelServer, ReloadError, RequestError
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BUNDLE_VERSION", "BUNDLE_SECTION", "BundleError", "ModelBundle",
-    "InferenceEngine", "EngineSelfCheckError",
-    "MicroBatcher",
-    "ModelServer", "ReloadError", "RequestError",
-    "Supervisor", "StaticFleet", "Worker", "FleetError", "free_port",
-    "Router", "HashRing",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bundle": ["BUNDLE_VERSION", "BUNDLE_SECTION", "BundleError",
+               "ModelBundle"],
+    "engine": ["InferenceEngine", "EngineSelfCheckError"],
+    "batching": ["MicroBatcher"],
+    "server": ["ModelServer", "ReloadError", "RequestError"],
+    "fleet": ["Supervisor", "StaticFleet", "Worker", "FleetError",
+              "free_port"],
+    "router": ["Router", "HashRing"],
+})

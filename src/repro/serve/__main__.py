@@ -53,35 +53,47 @@ A worker is configured by its command line alone: the flags this
 invocation set are forwarded (:func:`worker_args_from`), ``--config``
 included, so the same tuning and alert rules run fleet-wide.  See
 ``docs/FLEET.md``.
+
+A process imports only the side it runs: the engine and server in
+:func:`build_server`, the supervisor and router in :func:`build_fleet`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..online.learner import ONLINE_OPTION_TYPES
 from ..telemetry import enable_request_tracing, load_alert_rules
 from .bundle import BundleError, ModelBundle
-from .engine import EngineSelfCheckError, InferenceEngine
-from .fleet import FleetError, Supervisor
-from .router import Router
-from .server import ModelServer
+
+if TYPE_CHECKING:
+    from .router import Router
+    from .server import ModelServer
 
 __all__ = ["main", "build_server", "build_fleet", "load_config",
            "worker_args_from", "configure_tracing"]
 
 #: Config section → {key: the type its value must have} (ModelServer /
 #: InferenceEngine kwarg names, the alert-rule table, the OnlineLearner
-#: kwargs).  A ``float`` key also takes a TOML integer.
+#: kwargs).  A ``float`` key also takes a TOML integer.  The table lives
+#: here, not with the learner, so a router checks a file's ``[online]``
+#: keys without importing the online-learning code.
 _SECTIONS = {
     "batcher": {"max_batch_size": int, "max_latency_ms": float,
                 "workers": int, "high_watermark": int, "timeout_s": float},
     "engine": {"quality": bool, "quality_window": int},
     "alerts": {"interval_s": float, "rules": list},
-    "online": ONLINE_OPTION_TYPES,
+    "online": {"lr": float, "max_update_norm": float,
+               "rate_limit_per_s": float, "holdout_every": int,
+               "promote_every": int, "auto_promote": bool,
+               "export_dir": str, "min_feedback": int,
+               "min_validation": int, "min_accuracy_gain": float,
+               "min_shadow_accuracy": float,
+               "max_confusability_increase": float,
+               "max_saturation": float},
 }
 
 
@@ -187,6 +199,9 @@ def configure_tracing(args: argparse.Namespace, service: str) -> bool:
 
 def build_server(args: argparse.Namespace) -> ModelServer:
     """Resolve config + flags into a bound (not yet serving) server."""
+    from .engine import InferenceEngine
+    from .server import ModelServer
+
     config = load_config(args.config) if args.config else {}
     engine_options: Dict[str, Any] = {
         key: config[key] for key in _SECTIONS["engine"] if key in config}
@@ -228,6 +243,9 @@ def worker_args_from(args: argparse.Namespace) -> List[str]:
 
 def build_fleet(args: argparse.Namespace) -> Router:
     """Resolve flags into a bound (not yet serving) fleet router."""
+    from .fleet import FleetError, Supervisor
+    from .router import Router
+
     config = load_config(args.config) if args.config else {}
     ModelBundle.verify(args.bundle)  # fail before spawning anything
     supervisor = Supervisor(args.bundle, workers=int(args.fleet),
@@ -253,10 +271,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: --port must be in [0, 65535], got {args.port}",
               file=sys.stderr)
         return 2
+    if args.trace_dir:
+        # Before anything binds or spawns: a worker would only die on it.
+        try:
+            os.makedirs(args.trace_dir, exist_ok=True)
+            if not os.access(args.trace_dir, os.W_OK | os.X_OK):
+                raise PermissionError("not writable")
+        except OSError as exc:
+            print(f"error: --trace-dir {args.trace_dir!r}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
+    if args.fleet:
+        from .fleet import FleetError as StartError
+    else:
+        from .engine import EngineSelfCheckError as StartError
     try:
         front = build_fleet(args) if args.fleet else build_server(args)
-    except (BundleError, EngineSelfCheckError, FleetError, OSError,
-            ValueError) as exc:
+    except (BundleError, StartError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     configure_tracing(args, service="router" if args.fleet

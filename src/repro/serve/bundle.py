@@ -57,15 +57,12 @@ import numpy as np
 
 from ..hd.encoders import NonlinearEncoder, RandomProjectionEncoder
 from ..hd.hypervector import hard_quantize, is_bipolar
-from ..models.extractor import FeatureExtractor
-from ..models.registry import load_trunk
 from ..nn.serialize import (CheckpointError, load_state_with_manifest,
                             manifest_section, save_state)
 from ..pipeline import (ClassifyStage, EncodeStage, ExtractStage,
                         FeatureScaler, FlattenStage, ManifoldReduceStage,
                         ScaleStage, Stage, StageGraph)
-from ..telemetry import (config_fingerprint, encode_non_finite, git_info,
-                         non_finite_hook)
+from ..telemetry import encode_non_finite, non_finite_hook
 from ..telemetry.quality import QualityBaseline
 
 __all__ = ["BUNDLE_VERSION", "BUNDLE_SECTION", "BundleError", "ModelBundle"]
@@ -173,6 +170,9 @@ class ModelBundle:
             raise BundleError(
                 "pipeline has no StageGraph — bundle export requires a "
                 "graph-building pipeline (NSHD / BaselineHD / VanillaHD)")
+
+        # The provenance helpers run at export and promotion only.
+        from ..telemetry.ledger import config_fingerprint, git_info
 
         # The graph's per-stage arrays (historical flat key names) are
         # the payload, and its extract, reduce and encode stages describe
@@ -287,6 +287,8 @@ class ModelBundle:
         **mandatory** — refusing to export is better than exporting a
         baseline that always fires.
         """
+        from ..telemetry.ledger import config_fingerprint
+
         classes = np.atleast_2d(np.asarray(class_matrix,
                                            dtype=np.float64))
         parent_k = int(self.info["num_classes"])
@@ -673,6 +675,10 @@ class ModelBundle:
             if extractor is None:
                 stages.append(FlattenStage())
             elif build_extractor:
+                # Imported here: a serving worker never builds a trunk.
+                from ..models.extractor import FeatureExtractor
+                from ..models.registry import load_trunk
+
                 # A version-1 bundle's later layers and classifier are
                 # among these arrays; the trunk reads only its own keys.
                 cut = int(extractor["layer_index"])

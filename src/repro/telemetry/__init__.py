@@ -47,8 +47,12 @@ Quickstart — where a training run's time went, per stage::
     for name, stats in sorted(tracer.aggregate().items()):
         print(f"{name:<24} {stats['calls']:6d} {stats['self_s']:8.3f}s")
     print(telemetry.prometheus_text())
+
+The provenance names are lazy (:mod:`repro._lazy`): the ledger imports
+``subprocess`` and ``platform``, which a serving worker never uses.
 """
 
+from .._lazy import lazy_exports
 from .alerts import (ALERT_KINDS, ALERT_STATES, AlertManager, AlertRule,
                      AlertRuleError, load_alert_rules)
 from .diagnostics import (class_drift, confusability_matrix,
@@ -61,7 +65,6 @@ from .exporters import (NONFINITE_KEY, encode_non_finite, non_finite_hook,
 from .flight import (FlightRecorder, RequestLog, disable_request_tracing,
                      enable_request_tracing, get_flight_recorder,
                      get_request_log)
-from .ledger import config_fingerprint, env_fingerprint, git_info
 from .metrics import (DEFAULT_QUANTILES, Counter, Gauge, Histogram,
                       MetricsRegistry, get_registry, set_registry,
                       use_registry)
@@ -71,6 +74,9 @@ from .reqtrace import (TRACE_EVENT_TYPE, SpanRecord, TraceContext, TraceHub,
                        TraceJsonlWriter, build_span_tree, get_hub,
                        new_span_id, trace_file_for)
 from .tracing import SpanNode, Tracer, clock, get_tracer, set_tracer, span
+
+_, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ledger": ["git_info", "env_fingerprint", "config_fingerprint"]})
 
 __all__ = [
     # metrics

@@ -11,7 +11,6 @@ import pytest
 
 import repro.serve.__main__ as serve_cli
 from repro.online import OnlineLearner
-from repro.online.learner import ONLINE_OPTION_TYPES
 from repro.serve.__main__ import (_parse_args, build_server,
                                   configure_tracing, load_config, main,
                                   worker_args_from)
@@ -45,7 +44,7 @@ class TestLoadConfig:
     def test_online_keys_are_the_learner_keywords(self):
         # The [online] section is OnlineLearner's signature, key for key.
         keywords = set(inspect.signature(OnlineLearner).parameters)
-        assert set(ONLINE_OPTION_TYPES) == keywords - {"server"}
+        assert set(serve_cli._SECTIONS["online"]) == keywords - {"server"}
 
     def test_docstring_example_loads(self, tmp_path):
         # The config the module documents is a config it accepts: the
@@ -293,6 +292,26 @@ class TestMain:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --port") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fleet", [[], ["--fleet", "2"]],
+                             ids=["single", "fleet"])
+    def test_unusable_trace_dir_exits_two_before_starting(
+            self, bundle_path, tmp_path, monkeypatch, capsys, fleet):
+        # A directory under a regular file cannot be created.  Neither a
+        # server nor a fleet is built: nothing binds, nothing spawns.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+
+        def refuse(args):
+            raise AssertionError("started before checking --trace-dir")
+
+        monkeypatch.setattr(serve_cli, "build_server", refuse)
+        monkeypatch.setattr(serve_cli, "build_fleet", refuse)
+        code = main([bundle_path, "--port", "0", *fleet,
+                     "--trace-dir", str(blocker / "traces")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --trace-dir") and err.count("\n") == 1
 
     @pytest.mark.parametrize("text, name", [
         ('[batcher]\nworkers = "two"\n', "batcher.workers"),
