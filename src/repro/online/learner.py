@@ -41,6 +41,7 @@ import numpy as np
 
 from ..hd.backend import unpack_bipolar
 from ..hd.similarity import cosine_similarity
+from ..serve.handler import json_floats
 from ..telemetry import get_registry
 from .promote import PromotionController
 from .shadow import FeedbackError, ShadowModel
@@ -161,7 +162,7 @@ class OnlineLearner:
                 return 404, {"error": f"request_id {request_id!r} not in "
                                       f"the recent-request window"}
         try:
-            row = np.asarray(features, dtype=np.float64)
+            row = json_floats(features)
         except (TypeError, ValueError) as exc:
             return 400, {"error": f"features are not numeric: {exc}"}
         row = np.atleast_2d(row)

@@ -45,8 +45,9 @@ background thread and exposed at ``GET /alertz`` plus ``alert.state.*``
 gauges.
 
 ``--fleet N`` switches to the fault-tolerant multi-process mode: a
-:class:`~repro.serve.fleet.Supervisor` spawns N worker processes (each
-one of these CLI invocations on its own port) and a
+:class:`~repro.serve.fleet.Supervisor` keeps N worker processes (each
+one of these CLI invocations on its own port; the first ones forked
+from this process, restarts exec'd, see :func:`build_fleet`) and a
 :class:`~repro.serve.router.Router` front-end consistent-hashes
 ``/predict`` across the healthy ones with per-worker circuit breakers.
 A worker is configured by its command line alone: the flags this
@@ -64,12 +65,14 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+import threading
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from ..telemetry import enable_request_tracing, load_alert_rules
 from .bundle import BundleError, ModelBundle
 
 if TYPE_CHECKING:
+    from .fleet import Worker
     from .router import Router
     from .server import ModelServer
 
@@ -241,9 +244,40 @@ def worker_args_from(args: argparse.Namespace) -> List[str]:
     return out
 
 
-def build_fleet(args: argparse.Namespace) -> Router:
-    """Resolve flags into a bound (not yet serving) fleet router."""
-    from .fleet import FleetError, Supervisor
+def _may_fork() -> bool:
+    """Whether fleet workers may start as forks of this process: on
+    Linux only (elsewhere fork without exec is unsafe for several system
+    libraries), and only while no other thread runs, since a thread's
+    locks would be copied held into the child."""
+    return (sys.platform.startswith("linux")
+            and threading.active_count() == 1)
+
+
+def _become_worker(args: argparse.Namespace, worker: Worker) -> ModelServer:
+    """In a forked child: build the server that ``python -m repro.serve
+    BUNDLE --host H --port P`` plus the forwarded flags would build.
+    Its output goes where an exec'd worker's does, to devnull."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.dup2(devnull, 2)
+    os.close(devnull)
+    args.fleet, args.dry_run = 0, False
+    args.host, args.port = worker.host, worker.port
+    return build_server(args)
+
+
+def build_fleet(args: argparse.Namespace) -> Union[Router, ModelServer]:
+    """Resolve flags into a bound (not yet serving) fleet router.
+
+    The first workers are forks of this process when :func:`_may_fork`
+    allows, so none repeats the interpreter and numpy start this process
+    has paid; the supervisor execs every later restart, since by then
+    the router runs threads.  In each forked child this returns that
+    worker's server instead (``args`` rewritten to describe it), which
+    :func:`main` serves as a single server: ``main`` returns in the
+    child too when the worker stops.
+    """
+    from .fleet import ForkedProcess, Supervisor
     from .router import Router
 
     config = load_config(args.config) if args.config else {}
@@ -251,18 +285,41 @@ def build_fleet(args: argparse.Namespace) -> Router:
     supervisor = Supervisor(args.bundle, workers=int(args.fleet),
                             host=args.host,
                             worker_args=worker_args_from(args))
-    router = Router(
-        supervisor, host=args.host, port=args.port, own_fleet=True,
-        alert_rules=config.get("alert_rules"),
-        alert_interval_s=config.get("alert_interval_s", 1.0),
-    )
-    supervisor.start(wait_ready=False)
+    first: List[ForkedProcess] = []
+    if _may_fork():
+        sys.stdout.flush()  # else a child would inherit unwritten output
+        sys.stderr.flush()
+        for worker in supervisor.workers:
+            try:
+                pid = os.fork()
+            except OSError:
+                break  # this slot and the rest start by exec
+            if pid == 0:
+                return _become_worker(args, worker)
+            first.append(ForkedProcess(pid))
     try:
+        supervisor.start(wait_ready=False, first=first)
+        router = Router(
+            supervisor, host=args.host, port=args.port, own_fleet=True,
+            alert_rules=config.get("alert_rules"),
+            alert_interval_s=config.get("alert_interval_s", 1.0),
+        )
         supervisor.wait_ready()
-    except FleetError:
-        supervisor.stop()
+    except BaseException:
+        supervisor.stop()  # no worker outlives a failed start
         raise
     return router
+
+
+def _start_errors(args: argparse.Namespace) -> Tuple[type, ...]:
+    """What a start may fail with besides a traceback.  Evaluated when
+    the failure is caught: a forked fleet worker clears ``args.fleet``
+    before it builds its server, and fails as a single server does."""
+    if args.fleet:
+        from .fleet import FleetError as error
+    else:
+        from .engine import EngineSelfCheckError as error
+    return (BundleError, error, OSError, ValueError)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -281,13 +338,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: --trace-dir {args.trace_dir!r}: "
                   f"{exc.strerror or exc}", file=sys.stderr)
             return 2
-    if args.fleet:
-        from .fleet import FleetError as StartError
-    else:
-        from .engine import EngineSelfCheckError as StartError
     try:
         front = build_fleet(args) if args.fleet else build_server(args)
-    except (BundleError, StartError, OSError, ValueError) as exc:
+    except _start_errors(args) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     configure_tracing(args, service="router" if args.fleet

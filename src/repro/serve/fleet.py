@@ -9,8 +9,11 @@ crashes, hangs, and poisoned reloads.  :class:`Supervisor` provides it:
   interchangeable across the fleet and a router can hash over them).
   A worker is configured by its command line alone (``worker_args``);
   the supervisor adds nothing to its environment but ``PYTHONPATH``.
-* **Probe** — per-worker heartbeats: process liveness
-  (``Popen.poll``) plus an HTTP ``/healthz`` probe with a timeout.  A
+  The CLI may hand :meth:`Supervisor.start` a first generation it
+  forked itself (:class:`ForkedProcess` handles); every restart is
+  spawned as a new interpreter.
+* **Probe** — per-worker heartbeats: process liveness (the handle's
+  ``poll``) plus an HTTP ``/healthz`` probe with a timeout.  A
   worker whose process is alive but whose probe times out
   ``hang_probe_limit`` times in a row is *hung* — it is SIGKILLed and
   treated like a crash (this is what the chaos harness's ``/slow``
@@ -46,13 +49,14 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.request
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..telemetry import clock as _default_clock
 
 __all__ = ["Supervisor", "StaticFleet", "Worker", "FleetError",
-           "free_port"]
+           "ForkedProcess", "free_port"]
 
 #: Worker lifecycle states.
 STARTING = "starting"
@@ -79,6 +83,50 @@ def free_port(host: str = "127.0.0.1") -> int:
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
         sock.bind((host, 0))
         return sock.getsockname()[1]
+
+
+class ForkedProcess:
+    """Popen-shaped handle on a worker this process forked.
+
+    ``poll`` and ``wait`` reap the child with ``os.waitpid`` and report
+    its exit as :class:`subprocess.Popen` does (``-N`` for signal N).
+    ``send_signal`` and ``kill`` are ``os.kill`` under the same lock, and
+    do nothing once the child is reaped, so a reused pid is never hit.
+    """
+
+    def __init__(self, pid: int):
+        self.pid = pid
+        self.returncode: Optional[int] = None
+        self._lock = threading.Lock()
+
+    def _reap(self) -> Optional[int]:
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def poll(self) -> Optional[int]:
+        with self._lock:
+            return self._reap()
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise subprocess.TimeoutExpired(f"pid {self.pid}", timeout)
+            time.sleep(delay)
+            delay = min(2 * delay, 0.05)
+        return self.returncode
+
+    def send_signal(self, signum: int) -> None:
+        with self._lock:
+            if self._reap() is None:
+                os.kill(self.pid, signum)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
 
 
 class Worker:
@@ -159,6 +207,13 @@ class Supervisor:
         Injection points for unit tests — ``spawn_fn(worker)`` returns
         a Popen-shaped object, ``probe_fn(worker)`` returns the parsed
         ``/healthz`` payload or ``None``.
+
+    The default ``spawn_fn`` starts a new interpreter, which is safe
+    from any process.  ``python -m repro.serve --fleet N`` forks its
+    first generation instead, before any thread or socket exists, and
+    passes the handles to :meth:`start`.  Restarts come while the
+    router runs threads, so they are spawned, as is every worker of a
+    supervisor built in-process.
     """
 
     def __init__(self, bundle_path: str, workers: int = 4,
@@ -229,13 +284,21 @@ class Supervisor:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self, wait_ready: bool = True,
-              timeout_s: Optional[float] = None) -> "Supervisor":
+              timeout_s: Optional[float] = None,
+              first: Sequence[Any] = ()) -> "Supervisor":
         """Spawn the fleet and begin monitoring; optionally block until
-        every worker answered its first probe."""
+        every worker answered its first probe.
+
+        ``first`` holds Popen-shaped handles on processes already
+        started for the first ``len(first)`` worker slots (the CLI
+        forks them); those slots are not spawned.  Restarts always go
+        through ``spawn_fn``.
+        """
         with self._lock:
-            for worker in self.workers:
+            for i, worker in enumerate(self.workers):
                 if worker.state == STOPPED:
-                    self._spawn(worker)
+                    self._spawn(worker, first[i] if i < len(first)
+                                else None)
         self._stop_event.clear()
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="fleet-supervisor",
@@ -275,8 +338,9 @@ class Supervisor:
                              f"{w.last_failure_reason or 'none'})"
                              for w in self.workers)
 
-    def _spawn(self, worker: Worker) -> None:
-        worker.process = self._spawn_fn(worker)
+    def _spawn(self, worker: Worker, process: Any = None) -> None:
+        worker.process = (process if process is not None
+                          else self._spawn_fn(worker))
         worker.state = STARTING
         worker.started_at = self._clock()
         worker.consecutive_probe_failures = 0

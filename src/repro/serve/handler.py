@@ -15,6 +15,8 @@ everything they have in common:
 * **Request bodies.**  ``Content-Length`` is parsed once, here; a
   non-numeric or negative value answers 400, and one above
   :data:`MAX_BODY_BYTES` answers 413, without reading the body.
+  Feature arrays in a body decode through :func:`json_floats`, which
+  takes only JSON numbers.
 * **Read-only observability routes.**  ``GET /metrics``, ``/tracez``
   and ``/requestz`` read process-global state and are answered the same
   way in every process.
@@ -40,12 +42,14 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..telemetry import (AlertManager, get_flight_recorder, get_registry,
                          get_request_log, prometheus_text)
 from ..telemetry.reqtrace import TraceContext
 
 __all__ = ["DISCONNECTS", "FrontEnd", "HTTPServer", "JsonHandler",
-           "MAX_BODY_BYTES", "Query", "Response"]
+           "MAX_BODY_BYTES", "Query", "Response", "json_floats"]
 
 #: Largest request body read (64 MiB): a 1024-feature ``/predict`` of
 #: 1000 rows is about 20 MB of JSON.  Larger bodies answer 413 unread.
@@ -58,6 +62,34 @@ DISCONNECTS = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
 #: payload is a JSON-able dict or an already encoded JSON body.
 Response = Tuple[Any, ...]
 Query = Dict[str, List[str]]
+
+#: JSON's names for the values ``json.loads`` gives besides numbers and
+#: arrays.
+_JSON_TYPES = {bool: "boolean", str: "string", type(None): "null",
+               dict: "object"}
+
+
+def json_floats(value: Any) -> np.ndarray:
+    """A decoded JSON array of numbers as a float64 array.
+
+    Every JSON number, integer or not, converts as
+    ``np.asarray(value, dtype=np.float64)`` would convert it.  A boolean,
+    string, null or object raises :class:`ValueError` naming its type,
+    where that conversion would read it as 1.0/0.0, parse the string or
+    give NaN.  A boolean among numbers is promoted to a number by numpy
+    before it can be seen, and passes.
+    """
+    array = np.asarray(value)
+    kind = array.dtype.kind
+    if kind in "iuf":
+        return array.astype(np.float64, copy=False)
+    if kind == "O":  # integers beyond 64 bits, or a non-number inside
+        for item in array.flat:
+            if type(item) not in (int, float):
+                raise ValueError(f"got a JSON "
+                                 f"{_JSON_TYPES.get(type(item), 'value')}")
+        return np.asarray(value, dtype=np.float64)
+    raise ValueError(f"got a JSON {'boolean' if kind == 'b' else 'string'}")
 
 
 class JsonHandler(BaseHTTPRequestHandler):

@@ -73,7 +73,7 @@ from ..telemetry.reqtrace import TraceContext
 from .batching import MicroBatcher
 from .bundle import BundleError
 from .engine import EngineSelfCheckError, InferenceEngine
-from .handler import FrontEnd, JsonHandler, Query, Response
+from .handler import FrontEnd, JsonHandler, Query, Response, json_floats
 
 __all__ = ["ModelServer", "RequestError", "ReloadError"]
 
@@ -301,7 +301,7 @@ def _parse_features(body: bytes, width: int) -> np.ndarray:
     if not isinstance(payload, dict) or "features" not in payload:
         raise RequestError('request body must be {"features": [...]}')
     try:
-        features = np.asarray(payload["features"], dtype=np.float64)
+        features = json_floats(payload["features"])
     except (TypeError, ValueError) as exc:
         raise RequestError(f"features are not numeric: {exc}") from exc
     if features.ndim == 1:

@@ -313,6 +313,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: --trace-dir") and err.count("\n") == 1
 
+    def test_forked_worker_start_failure_exits_two(self, bundle_path,
+                                                   monkeypatch, capsys):
+        # A forked fleet worker clears args.fleet, then builds its server
+        # inside build_fleet: a failed self-check is a start error there
+        # too, as in an exec'd worker, not a traceback.
+        from repro.serve.engine import EngineSelfCheckError
+
+        def forked_worker(args):
+            args.fleet = 0
+            raise EngineSelfCheckError("selfcheck failed")
+
+        monkeypatch.setattr(serve_cli, "build_fleet", forked_worker)
+        code = main([bundle_path, "--port", "0", "--fleet", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: selfcheck failed\n"
+
     @pytest.mark.parametrize("text, name", [
         ('[batcher]\nworkers = "two"\n', "batcher.workers"),
         ('[batcher]\nmax_latency_ms = "5"\n', "batcher.max_latency_ms"),

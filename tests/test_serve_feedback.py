@@ -121,6 +121,17 @@ class TestFeedbackEndpoint:
         assert status == 400
         assert "error" in body
 
+    @pytest.mark.parametrize("value, kind", [
+        (True, "boolean"), ("1.5", "string"), (None, "null"),
+        ({"x": 1.0}, "object")])
+    def test_non_number_features_are_400_naming_the_type(
+            self, server, registry, value, kind):
+        status, body, _ = request(server.url + "/feedback",
+                                  {"label": 0, "features": [value] * FEATURES})
+        assert status == 400
+        assert body["error"] == f"features are not numeric: got a JSON {kind}"
+        assert registry.counter("online.feedback.applied").value == 0
+
     @pytest.mark.parametrize("width", [FEATURES - 1, FEATURES + 1])
     def test_wrong_width_error_names_both_widths(self, server, width):
         status, body, _ = request(server.url + "/feedback",

@@ -1,13 +1,27 @@
 """Fleet supervisor: backoff, quarantine, hang detection, real workers."""
 
 import json
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
+import textwrap
 import time
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.serve import FleetError, StaticFleet, Supervisor, free_port
-from repro.serve.fleet import BACKOFF, QUARANTINED, STARTING, STOPPED, UP
+from repro.serve.fleet import (BACKOFF, QUARANTINED, STARTING, STOPPED, UP,
+                               ForkedProcess)
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+FIXTURES = os.path.join(HERE, "fixtures")
+GOLDEN_BUNDLE = os.path.join(FIXTURES, "golden_nshd_bundle_packed.npz")
 
 
 class FakeClock:
@@ -418,3 +432,224 @@ class TestRealSubprocessFleet:
         finally:
             supervisor.stop()
         assert all(w.state == STOPPED for w in supervisor.workers)
+
+
+class TestForkedProcess:
+    """The Popen-shaped handle on a forked first-generation worker."""
+
+    @staticmethod
+    def child(code):
+        return ForkedProcess(os.posix_spawn(
+            sys.executable, [sys.executable, "-c", code], os.environ))
+
+    def test_exit_code_is_reaped_once(self):
+        process = self.child("import sys; sys.exit(3)")
+        assert process.wait(timeout=30.0) == 3
+        assert process.poll() == 3
+        process.kill()  # reaped: no signal goes to a reused pid
+
+    def test_signal_exit_reads_like_popen(self):
+        process = self.child("import time; time.sleep(60)")
+        assert process.poll() is None
+        with pytest.raises(subprocess.TimeoutExpired):
+            process.wait(timeout=0.05)
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=30.0) == -signal.SIGTERM
+        process = self.child("import time; time.sleep(60)")
+        process.kill()
+        assert process.wait(timeout=30.0) == -signal.SIGKILL
+
+
+#: Runs ``python -m repro.serve`` on sys.argv[2:] with ``os.fork``
+#: wrapped: for each fork the parent appends ``<threads> <child pid>``,
+#: the thread count at the fork, to the file named by sys.argv[1].
+FORK_RECORDER = textwrap.dedent("""\
+    import os, runpy, sys, threading
+    log, real_fork = sys.argv.pop(1), os.fork
+
+    def fork():
+        threads = threading.active_count()
+        pid = real_fork()
+        if pid:
+            with open(log, "a") as handle:
+                handle.write(f"{threads} {pid}\\n")
+        return pid
+
+    os.fork = fork
+    sys.argv = ["repro.serve", *sys.argv[1:]]
+    runpy.run_module("repro.serve", run_name="__main__")
+    """)
+
+
+def serve_cli(*args, recorder=None):
+    """Start ``python -m repro.serve ARGS``, through the fork recorder
+    when ``recorder`` names its log file."""
+    cmd = ([sys.executable, "-c", FORK_RECORDER, recorder] if recorder
+           else [sys.executable, "-m", "repro.serve"])
+    return subprocess.Popen([*cmd, *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=SRC))
+
+
+def forks(log):
+    """``[(threads, pid)]`` per fork the recorder saw."""
+    with open(log) as handle:
+        return [tuple(map(int, line.split())) for line in handle]
+
+
+def fetch(url, payload=None):
+    data = None if payload is None else json.dumps(payload).encode()
+    with urllib.request.urlopen(urllib.request.Request(
+            url, data, {"Content-Type": "application/json"}),
+            timeout=10.0) as response:
+        body = response.read()
+    return body if url.endswith("/metrics") else json.loads(body)
+
+
+def wait_for(check, timeout_s=60.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        try:
+            found = check()
+        except OSError:
+            found = None
+        if found:
+            return found
+        time.sleep(0.05)
+    raise AssertionError("condition not met in time")
+
+
+def cmdline(pid):
+    with open(f"/proc/{pid}/cmdline", "rb") as handle:
+        return handle.read().split(b"\0")
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def surface(url, row):
+    """What a worker shows after one /predict: its /healthz key paths
+    and its /metrics sample names."""
+    fetch(url + "/predict", {"features": [row]})
+
+    def paths(value, prefix=""):
+        if not isinstance(value, dict):
+            return {prefix}
+        return {path for key, item in value.items()
+                for path in paths(item, f"{prefix}/{key}")}
+
+    names = {re.split(r"[{ ]", line)[0] for line in
+             fetch(url + "/metrics").decode().splitlines()
+             if line and not line.startswith("#")}
+    return paths(fetch(url + "/healthz")), names
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the CLI forks its first workers on Linux only")
+class TestForkedFirstGeneration:
+    """``python -m repro.serve BUNDLE --fleet 2`` forks its first two
+    workers.  The tests share one fleet; the last one stops it."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self, tmp_path_factory):
+        log = str(tmp_path_factory.mktemp("forks") / "forks.log")
+        port = free_port()
+        router = serve_cli(GOLDEN_BUNDLE, "--port", str(port), "--fleet",
+                           "2", recorder=log)
+        url = f"http://127.0.0.1:{port}"
+        try:
+            wait_for(lambda: fetch(url + "/healthz")["fleet"]["up"] == 2)
+            yield {"router": router, "url": url, "log": log}
+        finally:
+            if router.poll() is None:
+                router.terminate()
+                router.communicate(timeout=30.0)
+
+    @staticmethod
+    def workers(fleet):
+        return {worker["id"]: worker for worker in
+                fetch(fleet["url"] + "/healthz")["fleet"]["workers"]}
+
+    def test_each_fork_happens_while_one_thread_runs(self, fleet):
+        recorded = forks(fleet["log"])
+        assert [threads for threads, _ in recorded] == [1, 1]
+        pids = [worker["pid"] for worker in self.workers(fleet).values()]
+        assert sorted(pids) == sorted(pid for _, pid in recorded)
+        # A forked worker still runs the router's command line.
+        router = cmdline(fleet["router"].pid)
+        assert all(cmdline(pid) == router for pid in pids)
+
+    def test_forked_worker_shows_what_an_exec_worker_shows(self, fleet):
+        row = [0.25] * 1024
+        port = free_port()
+        plain = serve_cli(GOLDEN_BUNDLE, "--port", str(port))
+        try:
+            url = f"http://127.0.0.1:{port}"
+            wait_for(lambda: fetch(url + "/healthz")["status"] == "ok")
+            expected = surface(url, row)
+        finally:
+            plain.terminate()
+            plain.communicate(timeout=30.0)
+        for worker in self.workers(fleet).values():
+            assert surface(worker["url"], row) == expected
+
+    def test_killed_worker_restarts_by_exec_and_labels_stay_exact(
+            self, fleet):
+        victim = self.workers(fleet)["w0"]
+        os.kill(victim["pid"], signal.SIGKILL)
+
+        def restarted():
+            worker = self.workers(fleet)["w0"]
+            return (worker if worker["restarts"] == 1
+                    and worker["state"] == "up" else None)
+
+        back = wait_for(restarted)
+        assert back["last_failure"] == "exited with code -9"
+        assert back["pid"] != victim["pid"]
+        port = victim["url"].rsplit(":", 1)[1].encode()
+        assert cmdline(back["pid"])[1:5] == [b"-m", b"repro.serve",
+                                             GOLDEN_BUNDLE.encode(),
+                                             b"--host"]
+        assert port in cmdline(back["pid"])
+        with np.load(os.path.join(FIXTURES, "golden_inputs.npz")) as golden:
+            raw = golden["nshd.raw_features"]
+            reference = golden["nshd.packed_labels"].tolist()
+        labels = []
+        for start in range(0, len(raw), 8):
+            labels += fetch(fleet["url"] + "/predict", {
+                "features": raw[start:start + 8].tolist()})["labels"]
+        assert labels == reference
+
+    def test_drain_leaves_only_the_routers_serving_line(self, fleet):
+        pids = [worker["pid"] for worker in self.workers(fleet).values()]
+        fleet["router"].terminate()
+        out, _ = fleet["router"].communicate(timeout=60.0)
+        assert fleet["router"].returncode == 0
+        [line] = out.splitlines()
+        assert line.startswith("serving ")
+        assert "through a 2-worker fleet" in line
+        assert not [pid for pid in pids if alive(pid)]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the CLI forks its first workers on Linux only")
+def test_failed_start_leaves_no_forked_worker(tmp_path):
+    """A router that cannot bind stops the workers it forked."""
+    log = str(tmp_path / "forks.log")
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        router = serve_cli(GOLDEN_BUNDLE, "--port", str(port), "--fleet",
+                           "2", recorder=log)
+        _, err = router.communicate(timeout=60.0)
+    assert router.returncode == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    recorded = forks(log)
+    assert len(recorded) == 2
+    assert not [pid for _, pid in recorded if alive(pid)]

@@ -115,6 +115,27 @@ class TestRoutes:
             post(server.url + "/predict", payload)
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("value, kind", [
+        (True, "boolean"), ("1.5", "string"), (None, "null"),
+        ({"x": 1.0}, "object")])
+    def test_non_number_features_are_400_naming_the_type(
+            self, server, value, kind):
+        # A plain float64 conversion reads true as 1.0, parses "1.5" and
+        # turns null into NaN; none of them is a feature value.
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(server.url + "/predict", {"features": [[value] * 32]})
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"] == (
+            f"features are not numeric: got a JSON {kind}")
+
+    def test_every_json_number_converts_as_float64(self, server):
+        # Integers, including ones beyond 64 bits, mix with floats.
+        rows = [[1] * 32, [2 ** 64] + [0.5] * 31, [-(2 ** 63), 7.0] * 16]
+        out = post(server.url + "/predict", {"features": rows})
+        expected = server.engine.predict_features(
+            np.asarray(rows, dtype=np.float64))
+        assert out["labels"] == [int(v) for v in expected]
+
     def test_wrong_width_is_400_with_request_id(self, server):
         before = counter("serve.http.bad_request")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
