@@ -11,8 +11,7 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "synthetic": ["SyntheticCIFAR", "ClassPrototype", "make_dataset"],
-    "loader": ["iterate_batches", "normalize_images", "train_val_split",
-               "one_hot"],
+    "loader": ["iterate_batches", "normalize_images", "one_hot"],
     "augment": ["random_horizontal_flip", "random_crop",
                 "add_gaussian_noise", "augment_batch"],
 })

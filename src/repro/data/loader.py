@@ -6,8 +6,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["iterate_batches", "normalize_images", "train_val_split",
-           "one_hot"]
+__all__ = ["iterate_batches", "normalize_images", "one_hot"]
 
 
 def _check_nchw(images: np.ndarray, where: str) -> np.ndarray:
@@ -105,18 +104,6 @@ def iterate_batches(x: np.ndarray, y: np.ndarray, batch_size: int,
     for start in range(0, len(x), batch_size):
         batch = indices[start:start + batch_size]
         yield x[batch], y[batch]
-
-
-def train_val_split(x: np.ndarray, y: np.ndarray, val_fraction: float,
-                    rng: Optional[np.random.Generator] = None):
-    """Shuffle and split into train/validation parts."""
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError("val_fraction must be in (0, 1)")
-    indices = np.arange(len(x))
-    (rng or np.random.default_rng()).shuffle(indices)
-    cut = int(round(len(x) * (1.0 - val_fraction)))
-    train_idx, val_idx = indices[:cut], indices[cut:]
-    return x[train_idx], y[train_idx], x[val_idx], y[val_idx]
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .models.base import IndexedCNN
 __all__ = [
     "DatasetConfig", "DATASETS", "TEACHER_EPOCHS", "MODEL_WIDTHS",
     "MODEL_NAMES", "HD_DIM", "REDUCED_FEATURES", "load_dataset",
-    "get_teacher", "teacher_suite",
+    "get_teacher",
 ]
 
 MODEL_NAMES = ("vgg16", "mobilenetv2", "efficientnet_b0", "efficientnet_b7")
@@ -121,13 +121,6 @@ def get_teacher(model_name: str, dataset_key: str = "s10",
         width_mult=MODEL_WIDTHS[model_name],
         epochs=epochs, batch_size=64, lr=2e-3,
         seed=cfg.seed, dataset_tag=cfg.tag, verbose=verbose)
-
-
-def teacher_suite(dataset_key: str = "s10", verbose: bool = False
-                  ) -> Dict[str, IndexedCNN]:
-    """All four pretrained teachers for a dataset config."""
-    return {name: get_teacher(name, dataset_key, verbose)
-            for name in MODEL_NAMES}
 
 
 def _feature_cache_path(model_name: str, dataset_key: str) -> str:

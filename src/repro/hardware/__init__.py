@@ -6,9 +6,8 @@ models fed by exact layer shapes; see DESIGN.md §1 for the substitution
 rationale.
 """
 
-from .energy import (XAVIER_ENERGY, EnergyModel, baselinehd_inference_energy,
-                     cnn_inference_energy, energy_improvement,
-                     nshd_inference_energy)
+from .energy import (XAVIER_ENERGY, EnergyModel, cnn_inference_energy,
+                     energy_improvement, nshd_inference_energy)
 from .fpga import ZCU104_DPU, DPUConfig, DPUModel, ResourceUsage
 from .quantize import QuantizedNSHD, QuantizedTensor, quantize_symmetric
 from .macs import (LayerCost, baselinehd_macs, count_parameters,
@@ -24,8 +23,7 @@ __all__ = [
     "SizeBreakdown", "cnn_size_bytes", "nshd_size_bytes",
     "baselinehd_size_bytes",
     "EnergyModel", "XAVIER_ENERGY", "cnn_inference_energy",
-    "nshd_inference_energy", "baselinehd_inference_energy",
-    "energy_improvement",
+    "nshd_inference_energy", "energy_improvement",
     "ResourceUsage", "DPUConfig", "ZCU104_DPU", "DPUModel",
     "QuantizedTensor", "quantize_symmetric", "QuantizedNSHD",
 ]

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..models.base import IndexedCNN
-from .macs import (baselinehd_macs, count_parameters, model_macs, nshd_macs)
+from .macs import count_parameters, model_macs, nshd_macs
 
 __all__ = ["EnergyModel", "XAVIER_ENERGY", "cnn_inference_energy",
-           "nshd_inference_energy", "baselinehd_inference_energy",
-           "energy_improvement"]
+           "nshd_inference_energy", "energy_improvement"]
 
 
 @dataclass(frozen=True)
@@ -121,21 +120,6 @@ def nshd_inference_energy(model: IndexedCNN, layer_index: int, dim: int,
         trunk_params=count_parameters(model, layer_index),
         manifold_params=manifold_params,
         projection_bits=reduced_features * dim,
-        class_hv_values=num_classes * dim,
-        energy=energy)
-
-
-def baselinehd_inference_energy(model: IndexedCNN, layer_index: int,
-                                dim: int, num_classes: int,
-                                energy: EnergyModel = XAVIER_ENERGY
-                                ) -> Dict[str, float]:
-    """Per-inference energy (pJ) of BaselineHD (full-F projection)."""
-    stages = baselinehd_macs(model, layer_index, dim, num_classes)
-    return _hd_energy(
-        stages,
-        trunk_params=count_parameters(model, layer_index),
-        manifold_params=0,
-        projection_bits=model.feature_count(layer_index) * dim,
         class_hv_values=num_classes * dim,
         energy=energy)
 

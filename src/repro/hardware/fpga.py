@@ -10,7 +10,8 @@ ops (Sec. VI-B).  This module is the analytic stand-in:
   counts used everywhere else, with per-stage utilization factors that
   encode the DPU's well-known behaviour (dense convs near peak, depthwise
   and GEMM memory-bound, binary HD ops benefiting from 8-bit packing);
-* FPS and energy-per-inference follow directly, feeding Figs. 6 and 10.
+* FPS follows directly from the cycles and the clock, feeding Figs. 6
+  and 10.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from ..models.base import IndexedCNN
-from .macs import baselinehd_macs, model_macs, nshd_macs
+from .macs import model_macs, nshd_macs
 
 __all__ = ["ResourceUsage", "DPUConfig", "ZCU104_DPU", "DPUModel"]
 
@@ -83,7 +84,7 @@ _STAGE_EFFICIENCY = {
 }
 
 class DPUModel:
-    """Cycle/FPS/energy estimator for models mapped onto the DPU."""
+    """Cycle/FPS estimator for models mapped onto the DPU."""
 
     def __init__(self, config: DPUConfig = ZCU104_DPU):
         self.config = config
@@ -107,14 +108,6 @@ class DPUModel:
                    for name in ("trunk", "manifold", "encode",
                                 "similarity")) + self.config.overhead_cycles
 
-    def baselinehd_cycles(self, model: IndexedCNN, layer_index: int,
-                          dim: int, num_classes: int) -> float:
-        """Per-inference cycles of BaselineHD (full-F encode) on the DPU."""
-        stages = baselinehd_macs(model, layer_index, dim, num_classes)
-        return sum(self._stage_cycles(stages[name], name)
-                   for name in ("trunk", "encode", "similarity")) + \
-            self.config.overhead_cycles
-
     # ------------------------------------------------------------------
     def fps(self, cycles: float) -> float:
         """Frames per second at the configured clock (Fig. 6's metric)."""
@@ -122,14 +115,6 @@ class DPUModel:
             raise ValueError("cycles must be positive")
         return self.config.frequency_hz / cycles
 
-    def latency_s(self, cycles: float) -> float:
-        return cycles / self.config.frequency_hz
-
-    def energy_j(self, cycles: float) -> float:
-        """Per-inference energy: board power × latency."""
-        return self.config.power_w * self.latency_s(cycles)
-
-    # ------------------------------------------------------------------
     def cnn_fps(self, model: IndexedCNN) -> float:
         return self.fps(self.cnn_cycles(model))
 

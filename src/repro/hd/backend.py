@@ -1,24 +1,19 @@
-"""Bit-packed binary hypervector kernels and a memory-traffic ledger.
+"""Bit-packed binary hypervector kernels.
 
 The paper's GPGPU implementation (Sec. VI-A) exploits the binary nature of
 hypervectors: bipolar vectors are stored one bit per component in CUDA
 constant memory and similarity reduces to popcount arithmetic with no
 multiplications.  This module is the CPU realization of the same idea —
 bipolar {-1,+1} vectors are packed into ``uint64`` words and dot products
-are computed as ``D - 2·popcount(xor)`` — plus a ledger that reproduces
-the paper's memory-footprint accounting (binary constant-memory storage vs
-float global-memory storage).
+are computed as ``D - 2·popcount(xor)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
-
 import numpy as np
 
 __all__ = ["pack_signs", "pack_bipolar", "unpack_bipolar", "packed_dot",
-           "popcount", "MemoryLedger"]
+           "popcount"]
 
 _WORD_BITS = 64
 
@@ -94,60 +89,3 @@ def packed_dot(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     diff = popcount(a[:, None, :] ^ b[None, :, :]).sum(axis=-1)
     return dim - 2 * diff.astype(np.int64)
 
-
-@dataclass
-class MemoryLedger:
-    """Track bytes stored/moved per GPU memory region.
-
-    Regions mirror the paper's CUDA mapping (Sec. VI-A): binary
-    hypervectors live in ``constant`` memory (1 bit/component), activations
-    and floats are staged through ``shared`` memory, and bulk tensors live
-    in ``global`` (GDDR) memory.
-    """
-
-    stored_bytes: Dict[str, int] = field(default_factory=dict)
-    traffic_bytes: Dict[str, int] = field(default_factory=dict)
-
-    _REGIONS = ("constant", "shared", "global")
-
-    def _check_region(self, region: str) -> None:
-        if region not in self._REGIONS:
-            raise ValueError(
-                f"unknown region {region!r}; expected one of {self._REGIONS}")
-
-    def store(self, region: str, num_bytes: int) -> None:
-        """Record a resident allocation in ``region``."""
-        self._check_region(region)
-        if num_bytes < 0:
-            raise ValueError("byte counts must be non-negative")
-        self.stored_bytes[region] = self.stored_bytes.get(region, 0) + num_bytes
-
-    def move(self, region: str, num_bytes: int) -> None:
-        """Record data movement through ``region``."""
-        self._check_region(region)
-        if num_bytes < 0:
-            raise ValueError("byte counts must be non-negative")
-        self.traffic_bytes[region] = (self.traffic_bytes.get(region, 0)
-                                      + num_bytes)
-
-    def store_binary_hypervectors(self, count: int, dim: int) -> None:
-        """Store ``count`` binary HVs of dimension ``dim`` in constant memory."""
-        self.store("constant", count * ((dim + 7) // 8))
-
-    def store_float_hypervectors(self, count: int, dim: int,
-                                 bytes_per_value: int = 4) -> None:
-        """Store ``count`` float HVs in global memory (the naive layout)."""
-        self.store("global", count * dim * bytes_per_value)
-
-    def total_stored(self) -> int:
-        return sum(self.stored_bytes.values())
-
-    def total_traffic(self) -> int:
-        return sum(self.traffic_bytes.values())
-
-    def footprint_reduction_vs_float(self, count: int, dim: int,
-                                     bytes_per_value: int = 4) -> float:
-        """Fractional footprint saving of binary vs float storage."""
-        binary = count * ((dim + 7) // 8)
-        dense = count * dim * bytes_per_value
-        return 1.0 - binary / dense

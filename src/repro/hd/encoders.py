@@ -10,9 +10,6 @@ Implements every encoding used in the paper's evaluation:
   ~40%/~20% accuracy on CIFAR-10/100 raw pixels).
 * :class:`IDLevelEncoder` — the classic record-based (ID × level) encoding
   from the early HD literature, included for ablations.
-* :class:`LSHEncoder` — random-hyperplane locality-sensitive hashing, the
-  feature-reduction strategy of prior work [9] that the manifold learner
-  replaces.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from .hypervector import (hard_quantize, is_bipolar, random_bipolar,
                           random_gaussian)
 
 __all__ = ["Encoder", "RandomProjectionEncoder", "NonlinearEncoder",
-           "IDLevelEncoder", "LSHEncoder", "certified_signs",
+           "IDLevelEncoder", "certified_signs",
            "CERTIFIED_MAX_FEATURES"]
 
 #: Largest inner dimension ``K`` for which :func:`certified_signs`'
@@ -243,10 +240,6 @@ class RandomProjectionEncoder(Encoder):
     def macs_per_sample(self) -> int:
         return self.in_features * self.dim
 
-    def parameter_count(self) -> int:
-        """Size of the projection item memory (F × D)."""
-        return self.in_features * self.dim
-
 
 class NonlinearEncoder(Encoder):
     """Non-linear (kernel-trick) encoding from [6] / OnlineHD.
@@ -349,26 +342,3 @@ class IDLevelEncoder(Encoder):
     def macs_per_sample(self) -> int:
         return self.in_features * self.dim
 
-
-class LSHEncoder(Encoder):
-    """Random-hyperplane LSH feature reduction (prior work [9]).
-
-    Maps ``F`` real features to ``dim`` sign bits via Gaussian hyperplanes.
-    Prior work uses this to shrink CNN features before HD encoding; the
-    paper's critique (Sec. II) is that LSH cannot use radically small
-    bucket sizes without destroying similarity structure, which the
-    learned manifold layer avoids.
-    """
-
-    def __init__(self, in_features: int, dim: int,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__(in_features, dim)
-        self.hyperplanes = random_gaussian(in_features, dim, rng)
-
-    def encode(self, features: np.ndarray) -> np.ndarray:
-        features = self._check(features)
-        with self._telemetry_span(features):
-            return hard_quantize(features @ self.hyperplanes)
-
-    def macs_per_sample(self) -> int:
-        return self.in_features * self.dim

@@ -1,4 +1,4 @@
-"""Hypervector algebra: creation, binding, bundling, permutation.
+"""Hypervector algebra: creation, binding, bundling, quantization.
 
 Hypervectors here follow the bipolar convention used by the NSHD paper and
 most of the HD-computing literature ([2], [4], [12]): components are drawn
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "random_bipolar", "random_gaussian", "bind", "bundle", "permute",
+    "random_bipolar", "random_gaussian", "bind", "bundle",
     "hard_quantize", "is_bipolar", "expected_overlap_std",
 ]
 
@@ -69,11 +69,6 @@ def bundle(*hvs: np.ndarray, axis: int = 0) -> np.ndarray:
     for hv in hvs[1:]:
         total = total + hv
     return total
-
-
-def permute(hv: np.ndarray, shifts: int = 1) -> np.ndarray:
-    """Cyclically permute the hypervector dimension (sequence binding)."""
-    return np.roll(hv, shifts, axis=-1)
 
 
 def hard_quantize(hv: np.ndarray) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 The paper's δ(·,·) is the dot-product similarity most often used for
 bipolar hypervectors (Sec. II).  :func:`cosine_similarity` is the
-normalized δ that MASS training and every classify stage run;
-normalized Hamming is provided for the analysis utilities.
+normalized δ that MASS training and every classify stage run.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 from .backend import packed_dot
 
 __all__ = ["dot_similarity", "cosine_similarity", "clamped_norms",
-           "hamming_similarity", "packed_cosine_similarity", "classify"]
+           "packed_cosine_similarity", "classify"]
 
 #: Norms below this count as 1, so a degenerate (near-zero) class or
 #: query hypervector scores ~0 instead of dividing by ~0.
@@ -72,16 +71,6 @@ def cosine_similarity(class_matrix: np.ndarray, queries: np.ndarray,
     return sims[0] if single else sims
 
 
-def hamming_similarity(class_matrix: np.ndarray,
-                       queries: np.ndarray) -> np.ndarray:
-    """Fraction of matching components for bipolar hypervectors (in [0,1])."""
-    class_matrix = np.asarray(class_matrix)
-    queries = np.asarray(queries)
-    dim = class_matrix.shape[-1]
-    dots = dot_similarity(np.sign(class_matrix), np.sign(queries))
-    return (dots / dim + 1.0) / 2.0
-
-
 def packed_cosine_similarity(packed_classes: np.ndarray,
                              packed_queries: np.ndarray,
                              dim: int) -> np.ndarray:
@@ -117,23 +106,14 @@ def packed_cosine_similarity(packed_classes: np.ndarray,
     return sims[0] if single else sims
 
 
-def classify(class_matrix: np.ndarray, queries: np.ndarray,
-             metric: str = "dot") -> np.ndarray:
+def classify(class_matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Inference: ``argmax_k δ(C_k, H)`` for each query.
 
     This is the paper's inference procedure (Sec. III): compute the query
     hypervector's similarity against all class hypervectors and pick the
-    most similar class.  On bipolar hypervectors the argmax of
-    :func:`packed_cosine_similarity` over the bit-packed operands ranks
-    like ``"dot"`` (ties break to the lowest class index in both).
+    most similar class by :func:`dot_similarity`.  On bipolar
+    hypervectors the argmax of :func:`packed_cosine_similarity` over the
+    bit-packed operands ranks the same (ties break to the lowest class
+    index in both).
     """
-    metrics = {
-        "dot": dot_similarity,
-        "cosine": cosine_similarity,
-        "hamming": hamming_similarity,
-    }
-    if metric not in metrics:
-        raise ValueError(f"unknown metric {metric!r}; expected one of "
-                         f"{sorted(metrics)}")
-    sims = metrics[metric](class_matrix, queries)
-    return np.asarray(sims.argmax(axis=-1))
+    return np.asarray(dot_similarity(class_matrix, queries).argmax(axis=-1))

@@ -226,11 +226,6 @@ class ManifoldLearner:
         self.optimizer.load_state_dict(opt_state)
 
     # ------------------------------------------------------------------
-    def parameter_count(self) -> int:
-        """FC learning parameters (the pooling has none)."""
-        return self.fc.weight.size + (self.fc.bias.size
-                                      if self.fc.bias is not None else 0)
-
     def macs_per_sample(self) -> int:
         """MACs for one Ψ forward: just the FC GEMM (pooling is compares)."""
         return self.pooled_features * self.out_features

@@ -2,7 +2,7 @@
 
 The paper takes its feature extractors "off-the-shelf and pretrained"
 (Sec. IV-A).  In this offline reproduction the pretraining happens here:
-a plain supervised loop (cross-entropy, Adam/SGD, CIFAR-style
+a plain supervised loop (cross-entropy, Adam, CIFAR-style
 augmentation) over the synthetic dataset.  ``cached_model`` memoizes
 trained weights on disk keyed by the full configuration so that the many
 benchmarks sharing a teacher never retrain it.
@@ -41,17 +41,13 @@ def default_cache_dir() -> str:
 
 def train_cnn(model: IndexedCNN, x_train: np.ndarray, y_train: np.ndarray,
               epochs: int = 10, batch_size: int = 32, lr: float = 1e-3,
-              optimizer: str = "adam", weight_decay: float = 0.0,
-              augment: bool = True, x_val: Optional[np.ndarray] = None,
-              y_val: Optional[np.ndarray] = None, seed: int = 0,
-              eval_every: int = 0, verbose: bool = False,
+              augment: bool = True, seed: int = 0, verbose: bool = False,
               guard: Optional["NumericsGuard"] = None
               ) -> Dict[str, List[float]]:
-    """Train ``model`` in place; returns per-epoch loss/accuracy history.
+    """Train ``model`` in place with Adam; returns per-epoch loss history.
 
-    ``eval_every`` controls how often train/val accuracy are measured
-    (0 = only after the final epoch; full-dataset inference per epoch is
-    a significant fraction of CPU training time).
+    Train accuracy is measured once, after the final epoch (full-dataset
+    inference per epoch is a significant fraction of CPU training time).
 
     ``guard`` (a :class:`repro.reliability.NumericsGuard`) vets each
     batch *before* the forward pass — keeping NaN inputs away from the
@@ -59,17 +55,11 @@ def train_cnn(model: IndexedCNN, x_train: np.ndarray, y_train: np.ndarray,
     backward pass, skipping the optimizer step for poisoned batches.
     """
     rng = np.random.default_rng(seed)
-    if optimizer == "adam":
-        opt = nn.Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
-    elif optimizer == "sgd":
-        opt = nn.SGD(model.parameters(), lr=lr, momentum=0.9,
-                     weight_decay=weight_decay)
-    else:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
+    opt = nn.Adam(model.parameters(), lr=lr)
     schedule = nn.CosineLR(opt, total_epochs=epochs)
 
     history: Dict[str, List[float]] = {"loss": [], "train_acc": [],
-                                       "val_acc": [], "epoch_time": []}
+                                       "epoch_time": []}
     for epoch in range(epochs):
         epoch_start = clock()
         model.train()
@@ -98,19 +88,13 @@ def train_cnn(model: IndexedCNN, x_train: np.ndarray, y_train: np.ndarray,
         history["loss"].append(float(np.mean(losses)) if losses else 0.0)
         history["epoch_time"].append(clock() - epoch_start)
         is_last = epoch == epochs - 1
-        if is_last or (eval_every and (epoch + 1) % eval_every == 0):
+        if is_last:
             history["train_acc"].append(model.accuracy(x_train, y_train))
-            if x_val is not None:
-                history["val_acc"].append(model.accuracy(x_val, y_val))
-            if verbose:
-                val = (f" val_acc={history['val_acc'][-1]:.3f}"
-                       if x_val is not None else "")
-                print(f"epoch {epoch + 1}/{epochs}: "
-                      f"loss={history['loss'][-1]:.4f} "
-                      f"train_acc={history['train_acc'][-1]:.3f}{val}")
-        elif verbose:
+        if verbose:
+            acc = (f" train_acc={history['train_acc'][-1]:.3f}"
+                   if is_last else "")
             print(f"epoch {epoch + 1}/{epochs}: "
-                  f"loss={history['loss'][-1]:.4f}")
+                  f"loss={history['loss'][-1]:.4f}{acc}")
     return history
 
 

@@ -13,15 +13,13 @@ the autograd tensor, the layers or the optimizers.
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "tensor": ["Tensor", "no_grad", "is_grad_enabled", "stack",
-               "concatenate"],
+    "tensor": ["Tensor", "no_grad", "stack", "concatenate"],
     "functional": ["functional"],
-    "layers": ["Module", "Parameter", "Sequential", "Conv2d",
-               "DepthwiseConv2d", "Linear", "BatchNorm2d", "MaxPool2d",
-               "AvgPool2d", "AdaptiveAvgPool2d", "ReLU", "ReLU6", "SiLU",
-               "Sigmoid", "Dropout", "Flatten", "Identity", "trace",
-               "TraceRecord"],
-    "optim": ["Optimizer", "SGD", "Adam", "CosineLR"],
+    "layers": ["Module", "Parameter", "Sequential", "Conv2d", "Linear",
+               "BatchNorm2d", "MaxPool2d", "AdaptiveAvgPool2d", "ReLU",
+               "ReLU6", "SiLU", "Sigmoid", "Dropout", "Flatten", "Identity",
+               "trace", "TraceRecord"],
+    "optim": ["Optimizer", "Adam", "CosineLR"],
     "serialize": ["save_state", "load_state", "save_module", "load_module",
                   "load_manifest", "load_state_with_manifest",
                   "manifest_section", "CheckpointError"],

@@ -21,10 +21,9 @@ from .tensor import Tensor
 from .windows import conv_output_size, strided_max_pool
 
 __all__ = [
-    "im2col_indices", "conv2d", "max_pool2d", "avg_pool2d",
-    "adaptive_avg_pool2d", "linear", "relu", "relu6", "silu", "sigmoid",
-    "softmax", "log_softmax", "cross_entropy", "kl_div_with_logits",
-    "dropout", "batch_norm2d", "conv_output_size", "strided_max_pool",
+    "im2col_indices", "conv2d", "max_pool2d", "adaptive_avg_pool2d",
+    "linear", "relu", "relu6", "silu", "sigmoid", "softmax", "log_softmax",
+    "cross_entropy", "dropout", "batch_norm2d", "conv_output_size", "strided_max_pool",
 ]
 
 
@@ -178,27 +177,6 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None,
     return Tensor._make(out, (x,), backward)
 
 
-def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None,
-               padding: int = 0) -> Tensor:
-    """Average pooling over an NCHW tensor."""
-    stride = kernel if stride is None else stride
-    n, c, h, w = x.shape
-    cols, out_h, out_w = im2col_indices(
-        x.data.reshape(n * c, 1, h, w), kernel, stride, padding)
-    out = cols.mean(axis=1).reshape(n, c, out_h, out_w)
-    cols_shape = cols.shape
-    del cols  # the backward only needs the column-buffer shape
-
-    def backward(grad: np.ndarray) -> None:
-        grad_flat = grad.reshape(n * c, 1, out_h * out_w)
-        grad_cols = np.broadcast_to(grad_flat / (kernel * kernel),
-                                    cols_shape).copy()
-        grad_x = _col2im(grad_cols, (n * c, 1, h, w), kernel, stride, padding)
-        x._accumulate(grad_x.reshape(x.shape))
-
-    return Tensor._make(out, (x,), backward)
-
-
 def adaptive_avg_pool2d(x: Tensor, output_size: int = 1) -> Tensor:
     """Adaptive average pooling (only ``output_size == 1`` is needed)."""
     if output_size != 1:
@@ -256,23 +234,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     log_probs = log_softmax(logits, axis=-1)
     picked = log_probs[np.arange(len(labels)), labels]
     return -picked.mean()
-
-
-def kl_div_with_logits(student_logits: Tensor, teacher_logits: np.ndarray,
-                       temperature: float = 1.0) -> Tensor:
-    """Hinton-style distillation loss ``T^2 * KL(teacher || student)``.
-
-    Used as a reference implementation when validating the HD distillation
-    update rule against a gradient-based student.
-    """
-    teacher = np.asarray(teacher_logits, dtype=np.float64) / temperature
-    teacher = teacher - teacher.max(axis=-1, keepdims=True)
-    teacher_probs = np.exp(teacher)
-    teacher_probs /= teacher_probs.sum(axis=-1, keepdims=True)
-    student_log_probs = log_softmax(student_logits * (1.0 / temperature),
-                                    axis=-1)
-    loss = -(Tensor(teacher_probs) * student_log_probs).sum(axis=-1).mean()
-    return loss * (temperature ** 2)
 
 
 def dropout(x: Tensor, p: float, training: bool,

@@ -6,7 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["kaiming_normal", "xavier_uniform", "uniform_fan_in", "UNFILLED"]
+__all__ = ["kaiming_normal", "uniform_fan_in", "UNFILLED"]
 
 #: Pass as a layer's (or a model's) ``rng`` when stored weights are
 #: loaded into it right after construction: no initializer runs and
@@ -20,14 +20,6 @@ def kaiming_normal(shape: Tuple[int, ...], fan_in: int,
     rng = rng or np.random.default_rng()
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape: Tuple[int, ...], fan_in: int, fan_out: int,
-                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Glorot-uniform initialization."""
-    rng = rng or np.random.default_rng()
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def uniform_fan_in(shape: Tuple[int, ...], fan_in: int,

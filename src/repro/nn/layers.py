@@ -17,8 +17,8 @@ from .init import UNFILLED, kaiming_normal, uniform_fan_in
 from .tensor import Tensor
 
 __all__ = [
-    "Parameter", "Module", "Sequential", "Conv2d", "DepthwiseConv2d",
-    "Linear", "BatchNorm2d", "MaxPool2d", "AvgPool2d", "AdaptiveAvgPool2d",
+    "Parameter", "Module", "Sequential", "Conv2d", "Linear", "BatchNorm2d",
+    "MaxPool2d", "AdaptiveAvgPool2d",
     "ReLU", "ReLU6", "SiLU", "Sigmoid", "Dropout", "Flatten", "Identity",
     "trace", "TraceRecord",
 ]
@@ -226,16 +226,6 @@ class Conv2d(Module):
                         padding=self.padding, groups=self.groups)
 
 
-class DepthwiseConv2d(Conv2d):
-    """Depthwise convolution (groups == channels)."""
-
-    def __init__(self, channels: int, kernel_size: int, stride: int = 1,
-                 padding: int = 0, bias: bool = False,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__(channels, channels, kernel_size, stride=stride,
-                         padding=padding, groups=channels, bias=bias, rng=rng)
-
-
 class Linear(Module):
     """Fully-connected layer ``y = x W^T + b``."""
 
@@ -283,18 +273,6 @@ class MaxPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.max_pool2d(x, self.kernel_size, self.stride, self.padding)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int = 2, stride: Optional[int] = None,
-                 padding: int = 0):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = kernel_size if stride is None else stride
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride, self.padding)
 
 
 class AdaptiveAvgPool2d(Module):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam", "CosineLR"]
+__all__ = ["Optimizer", "Adam", "CosineLR"]
 
 
 class Optimizer:
@@ -58,63 +58,14 @@ class Optimizer:
         return value
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with momentum and weight decay."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float,
-                 momentum: float = 0.0, weight_decay: float = 0.0,
-                 nesterov: bool = False):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.nesterov = nesterov
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for param in self.params:
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                vel = self._velocity.get(id(param))
-                if vel is None:
-                    vel = np.zeros_like(param.data)
-                vel = self.momentum * vel + grad
-                self._velocity[id(param)] = vel
-                grad = grad + self.momentum * vel if self.nesterov else vel
-            param.data -= self.lr * grad
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        out: Dict[str, np.ndarray] = {}
-        for index, param in enumerate(self.params):
-            velocity = self._velocity.get(id(param))
-            if velocity is not None:
-                out[f"velocity.{index}"] = velocity.copy()
-        return out
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        velocity: Dict[int, np.ndarray] = {}
-        for key, value in state.items():
-            if not key.startswith("velocity."):
-                raise ValueError(f"unknown SGD state key {key!r}")
-            index = int(key.rsplit(".", 1)[1])
-            velocity[id(self.params[index])] = \
-                self._slot_from_state(key, value)
-        self._velocity = velocity
-
-
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba)."""
 
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+                 betas=(0.9, 0.999), eps: float = 1e-8):
         super().__init__(params, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
         self._t = 0
@@ -127,8 +78,6 @@ class Adam(Optimizer):
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             m = self._m.get(id(param))
             v = self._v.get(id(param))
             if m is None:

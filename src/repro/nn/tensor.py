@@ -19,7 +19,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "stack", "concatenate"]
+__all__ = ["Tensor", "no_grad", "stack", "concatenate"]
 
 _GRAD_ENABLED = True
 
@@ -38,11 +38,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record gradient information."""
-    return _GRAD_ENABLED
 
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
@@ -128,10 +123,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.item())
-
-    def detach(self) -> "Tensor":
-        """Return a view of this tensor cut off from the autograd tape."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -311,14 +302,6 @@ class Tensor:
     def sqrt(self) -> "Tensor":
         return self ** 0.5
 
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - data ** 2))
-
-        return Tensor._make(data, (self,), backward)
-
     def sigmoid(self) -> "Tensor":
         data = 1.0 / (1.0 + np.exp(-self.data))
 
@@ -460,21 +443,6 @@ class Tensor:
             full = np.zeros_like(self.data)
             np.add.at(full, index, grad)
             self._accumulate(full)
-
-        return Tensor._make(data, (self,), backward)
-
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two axes of an NCHW tensor."""
-        if padding == 0:
-            return self
-        p = padding
-        pads = [(0, 0)] * (self.ndim - 2) + [(p, p), (p, p)]
-        data = np.pad(self.data, pads)
-
-        def backward(grad: np.ndarray) -> None:
-            slices = tuple([slice(None)] * (self.ndim - 2) +
-                           [slice(p, -p), slice(p, -p)])
-            self._accumulate(grad[slices])
 
         return Tensor._make(data, (self,), backward)
 

@@ -20,10 +20,9 @@ it runs.  Training loops run stages with ``call`` (preserving the
 historical ``stage.extract`` / ``stage.manifold`` / ``stage.encode``
 span stream; an NSHD training batch runs on the manifold learner's
 autograd tape and opens the same spans itself); inference/eval paths
-pass ``instrument=False``, which keeps the stage spans out of the
-aggregate tree (matching the pre-refactor behaviour where predict did
-not emit per-stage spans) but still records them into an active
-request trace.
+use ``run``, which keeps the stage spans out of the aggregate tree
+(matching the pre-refactor behaviour where predict did not emit
+per-stage spans) but still records them into an active request trace.
 """
 
 from __future__ import annotations
@@ -114,22 +113,20 @@ class StageGraph:
             return stage(batch, ctx)
 
     def run(self, batch: np.ndarray, start: Optional[str] = None,
-            stop: Optional[str] = None, ctx: Optional[dict] = None,
-            instrument: bool = False) -> np.ndarray:
+            stop: Optional[str] = None, ctx: Optional[dict] = None
+            ) -> np.ndarray:
         """Execute stages ``[start, stop)`` (``stop`` exclusive) in order.
 
-        Each stage runs in its ``stage.*`` span.  ``instrument`` decides
-        only whether that span also enters the aggregate tree: the
-        default ``False`` matches the historical inference paths, which
-        did not emit per-stage spans (keeping the run report's stage
-        accounting comparable across the refactor).  Inside an active
-        request trace, the span is recorded into the request either way,
-        once.
+        Each stage runs in its ``stage.*`` span, which stays out of the
+        aggregate tree: the historical inference paths did not emit
+        per-stage spans (keeping the run report's stage accounting
+        comparable across the refactor).  Inside an active request
+        trace, the span is recorded into the request, once.
         """
         out = batch
         for stage in self._slice(start, stop):
             with span(stage.span_name, nbytes=int(np.asarray(out).nbytes),
-                      aggregate=instrument):
+                      aggregate=False):
                 out = stage(out, ctx)
         return out
 

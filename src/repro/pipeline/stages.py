@@ -367,10 +367,6 @@ class EncodeStage(_SignWords, Stage):
         return stage
 
     @property
-    def encoder_type(self) -> str:
-        return encoder_spec(self.encoder)["type"]
-
-    @property
     def quantize(self) -> bool:
         return bool(self.encoder.quantize)
 
@@ -436,10 +432,6 @@ class FusedEncodeStage(_SignWords, Stage):
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[1])
-
-    @property
-    def encoder_type(self) -> str:
-        return self.kind
 
     def __call__(self, batch: np.ndarray, ctx: Optional[dict] = None
                  ) -> np.ndarray:

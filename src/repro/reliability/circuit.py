@@ -137,22 +137,6 @@ class CircuitBreaker:
             self._maybe_half_open()
             return self._state
 
-    @property
-    def error_rate(self) -> float:
-        """Failure fraction of the rolling window (0.0 when empty)."""
-        with self._lock:
-            if not self._outcomes:
-                return 0.0
-            return 1.0 - sum(self._outcomes) / len(self._outcomes)
-
-    def time_until_retry(self) -> float:
-        """Seconds until an open breaker admits a probe (0 otherwise)."""
-        with self._lock:
-            if self._state != OPEN or self._opened_at is None:
-                return 0.0
-            return max(0.0, self.recovery_timeout_s
-                       - (self._clock() - self._opened_at))
-
     # ------------------------------------------------------------------
     def allow(self) -> bool:
         """Admission decision for one call.

@@ -148,16 +148,6 @@ class NumericsGuard:
                    + "; ".join(problems))
         return self._handle(message)
 
-    def assert_finite(self, tag: str, *arrays) -> None:
-        """Like :meth:`ok` but always raises on violation (any policy)."""
-        self.checks += 1
-        for index, array in enumerate(arrays):
-            description = self._describe(array)
-            if description is not None:
-                raise NumericsError(
-                    f"{self.name}: numerics violation at {tag!r} — "
-                    f"array {index}: {description}")
-
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Clear all counters and the violation log."""

@@ -726,12 +726,6 @@ class ModelBundle:
             raise BundleError(
                 f"bundle stage graph could not be built: {exc!r}") from exc
 
-    @property
-    def binary_classes(self) -> bool:
-        """Whether the stored class matrix is strictly bipolar ±1."""
-        return ("classes" in self.arrays
-                and is_bipolar(np.asarray(self.arrays["classes"])))
-
     def nbytes(self) -> int:
         """Total payload size of all arrays in bytes."""
         return int(sum(np.asarray(a).nbytes for a in self.arrays.values()))

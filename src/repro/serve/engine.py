@@ -405,11 +405,15 @@ class InferenceEngine:
         gives the ±1 hypervectors; otherwise each row is the encoder's
         ``D`` floats.  When the drift monitor watches the reduce output
         and ``ctx`` is given, ``ctx["reduced"]`` receives those
-        ``(n, F̂)`` rows, from the LRU for the rows that hit.  Rows
-        that are not :attr:`in_features` wide raise ``ValueError``.
+        ``(n, F̂)`` rows, from the LRU for the rows that hit.  An input
+        of more than 2 dimensions, or rows that are not
+        :attr:`in_features` wide, raise ``ValueError``.
         """
         raw_features = np.atleast_2d(
             np.asarray(raw_features, dtype=np.float64))
+        if raw_features.ndim > 2:
+            raise ValueError(f"features must be an (n, F) matrix, got "
+                             f"shape {raw_features.shape}")
         if raw_features.shape[1] != self.in_features:
             raise ValueError(f"features have {raw_features.shape[1]} "
                              f"columns, the model takes {self.in_features}")
@@ -525,7 +529,7 @@ class InferenceEngine:
         self._selfcheck_encode(rng, probes)
         hvs = np.where(rng.random((probes, self.dim)) < 0.5, -1.0, 1.0)
         got = self._packed_stage(pack_bipolar(hvs))
-        want_dot = classify(self.class_matrix, hvs, metric="dot")
+        want_dot = classify(self.class_matrix, hvs)
         want_cos = np.asarray(self._classify(hvs))
         if not np.array_equal(got, want_dot):
             raise EngineSelfCheckError(

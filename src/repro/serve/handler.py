@@ -15,8 +15,8 @@ everything they have in common:
 * **Request bodies.**  ``Content-Length`` is parsed once, here; a
   non-numeric or negative value answers 400, and one above
   :data:`MAX_BODY_BYTES` answers 413, without reading the body.
-  Feature arrays in a body decode through :func:`json_floats`, which
-  takes only JSON numbers.
+  Feature arrays in a body decode through :func:`json_floats` and
+  :func:`refuse_json_booleans`, which together take only JSON numbers.
 * **Read-only observability routes.**  ``GET /metrics``, ``/tracez``
   and ``/requestz`` read process-global state and are answered the same
   way in every process.
@@ -49,7 +49,8 @@ from ..telemetry import (AlertManager, get_flight_recorder, get_registry,
 from ..telemetry.reqtrace import TraceContext
 
 __all__ = ["DISCONNECTS", "FrontEnd", "HTTPServer", "JsonHandler",
-           "MAX_BODY_BYTES", "Query", "Response", "json_floats"]
+           "MAX_BODY_BYTES", "Query", "Response", "json_floats",
+           "refuse_json_booleans"]
 
 #: Largest request body read (64 MiB): a 1024-feature ``/predict`` of
 #: 1000 rows is about 20 MB of JSON.  Larger bodies answer 413 unread.
@@ -77,7 +78,7 @@ def json_floats(value: Any) -> np.ndarray:
     string, null or object raises :class:`ValueError` naming its type,
     where that conversion would read it as 1.0/0.0, parse the string or
     give NaN.  A boolean among numbers is promoted to a number by numpy
-    before it can be seen, and passes.
+    before it can be seen: :func:`refuse_json_booleans` catches it.
     """
     array = np.asarray(value)
     kind = array.dtype.kind
@@ -90,6 +91,24 @@ def json_floats(value: Any) -> np.ndarray:
                                  f"{_JSON_TYPES.get(type(item), 'value')}")
         return np.asarray(value, dtype=np.float64)
     raise ValueError(f"got a JSON {'boolean' if kind == 'b' else 'string'}")
+
+
+def refuse_json_booleans(body: bytes, value: Any) -> None:
+    """Raise :class:`ValueError` if ``value``, decoded from the JSON
+    ``body``, holds a boolean at any depth of its arrays.
+
+    Looks only when ``body`` spells ``true`` or ``false``, so an
+    all-number body costs one bytes search.
+    """
+    if b"true" not in body and b"false" not in body:
+        return
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is bool:
+            raise ValueError("got a JSON boolean")
+        if type(item) is list:
+            stack.extend(item)
 
 
 class JsonHandler(BaseHTTPRequestHandler):

@@ -73,7 +73,8 @@ from ..telemetry.reqtrace import TraceContext
 from .batching import MicroBatcher
 from .bundle import BundleError
 from .engine import EngineSelfCheckError, InferenceEngine
-from .handler import FrontEnd, JsonHandler, Query, Response, json_floats
+from .handler import (FrontEnd, JsonHandler, Query, Response, json_floats,
+                      refuse_json_booleans)
 
 __all__ = ["ModelServer", "RequestError", "ReloadError"]
 
@@ -253,6 +254,11 @@ class _Handler(JsonHandler):
             registry.inc("serve.feedback.bad_request")
             return 400, {"error": f"invalid feedback body: {exc}"}
         try:
+            refuse_json_booleans(body, payload.get("features"))
+        except ValueError as exc:
+            registry.inc("serve.feedback.bad_request")
+            return 400, {"error": f"features are not numeric: {exc}"}
+        try:
             status, answer = app.online.feedback(payload)
         except Exception as exc:  # defensive: keep the worker alive
             registry.inc("serve.http.internal_error")
@@ -302,6 +308,7 @@ def _parse_features(body: bytes, width: int) -> np.ndarray:
         raise RequestError('request body must be {"features": [...]}')
     try:
         features = json_floats(payload["features"])
+        refuse_json_booleans(body, payload["features"])
     except (TypeError, ValueError) as exc:
         raise RequestError(f"features are not numeric: {exc}") from exc
     if features.ndim == 1:

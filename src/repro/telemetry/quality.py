@@ -40,8 +40,8 @@ frozen at export time:
   - **encoded-HV saturation**: :func:`~repro.telemetry.diagnostics.
     saturation_fraction` of each encoded query batch — input overflow
     or a broken scaler shows up as dimensions hogging magnitude.  A
-    packed engine's batches are bipolar sign words, whose saturation
-    follows from ``sat_factor`` alone, with no pass over the rows.
+    packed engine's batches are bipolar sign words: every entry sits at
+    the RMS, so their saturation is 0.0 with no pass over the rows.
 
 Everything is numpy + stdlib and O(window) memory.  A batch enters the
 window in one vectorized update: one compare against the decile edges
@@ -433,15 +433,13 @@ class DriftMonitor:
 
     def __init__(self, baseline: QualityBaseline, window: int = 512,
                  min_samples: int = 64,
-                 registry: Optional[MetricsRegistry] = None,
-                 sat_factor: float = 3.0):
+                 registry: Optional[MetricsRegistry] = None):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.baseline = baseline
         self.window = int(window)
         self.min_samples = max(1, int(min_samples))
         self.registry = registry
-        self.sat_factor = float(sat_factor)
         f = baseline.num_features
         self._counts = np.zeros((f, baseline.n_bins), dtype=np.float64)
         # Each row's flat ``_counts`` cell per feature, bin + this offset,
@@ -530,13 +528,10 @@ class DriftMonitor:
         saturation = None
         if encoded is not None:
             encoded = np.asarray(encoded)
-            if encoded.dtype == np.uint64:
-                # Packed sign words: every entry is ±1, at the RMS, so
-                # none or all of them exceed sat_factor × RMS.
-                saturation = (0.0 if self.sat_factor >= 1 or not encoded.size
-                              else 1.0)
-            else:
-                saturation = saturation_fraction(encoded, self.sat_factor)
+            # Packed sign words: every entry is ±1, at the RMS, so none
+            # exceeds saturation_fraction's 3 × RMS.
+            saturation = (0.0 if encoded.dtype == np.uint64
+                          else saturation_fraction(encoded))
 
         with self._lock:
             # The batch takes the slots of the oldest ``evict`` rows.
@@ -740,26 +735,6 @@ class DriftMonitor:
                     "size": self._size,
                     "samples": self.samples,
                     "baseline_samples": self.baseline.n_samples}
-
-    def reset(self) -> None:
-        with self._lock:
-            self._bin_ring[:] = 0
-            self._feat_ring[:] = 0.0
-            self._label_ring[:] = -1
-            self._runs.clear()
-            self._counts[:] = 0.0
-            self._label_counts[:] = 0.0
-            self._feat_sum[:] = 0.0
-            self._feature_psi[:] = 0.0
-            self._pos = 0
-            self._size = 0
-            self._labeled = 0
-            self._stale = math.inf
-            self.samples = 0
-            self._last = {"feature_psi_max": 0.0,
-                          "feature_psi_mean": 0.0,
-                          "feature_zscore_max": 0.0,
-                          "prediction_psi": 0.0, "saturation": 0.0}
 
     def __repr__(self) -> str:
         return (f"DriftMonitor(window={self.window}, size={self._size}, "

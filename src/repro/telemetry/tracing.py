@@ -84,18 +84,6 @@ class SpanNode:
             node = node.parent
         return "/".join(reversed(parts))
 
-    def as_dict(self) -> Dict[str, object]:
-        """Recursive plain-dict form (JSON-friendly)."""
-        return {
-            "name": self.name,
-            "calls": self.calls,
-            "total_s": self.total_s,
-            "self_s": self.self_s,
-            "bytes": self.bytes,
-            "children": [child.as_dict()
-                         for child in self.children.values()],
-        }
-
     def __repr__(self) -> str:
         return (f"SpanNode({self.path or '<root>'}, calls={self.calls}, "
                 f"total={self.total_s:.4f}s)")

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from repro.data import (SyntheticCIFAR, add_gaussian_noise, augment_batch,
                         iterate_batches, make_dataset, normalize_images,
-                        one_hot, random_crop, random_horizontal_flip,
-                        train_val_split)
+                        one_hot, random_crop, random_horizontal_flip)
 
 
 class TestSyntheticCIFAR:
@@ -180,19 +179,6 @@ class TestLoader:
         x = np.ones((2, 3, 4, 4))
         with pytest.raises(ValueError, match="mean/std"):
             normalize_images(x, mean=np.zeros(2), std=np.ones(3))
-
-    def test_train_val_split_sizes(self):
-        x = np.arange(100)[:, None].astype(float)
-        y = np.arange(100)
-        x_tr, y_tr, x_val, y_val = train_val_split(
-            x, y, 0.2, rng=np.random.default_rng(0))
-        assert len(x_tr) == 80 and len(x_val) == 20
-        assert sorted(np.concatenate([y_tr, y_val]).tolist()) == \
-            list(range(100))
-
-    def test_train_val_split_validation(self):
-        with pytest.raises(ValueError):
-            train_val_split(np.zeros((4, 1)), np.zeros(4), 1.5)
 
     def test_one_hot(self):
         out = one_hot(np.array([0, 2, 1]), 3)

@@ -4,22 +4,16 @@ import numpy as np
 import pytest
 
 from repro.hardware import (ZCU104_DPU, DPUConfig, DPUModel, EnergyModel,
-                            ResourceUsage, baselinehd_inference_energy,
-                            baselinehd_size_bytes, cnn_inference_energy,
-                            cnn_size_bytes, energy_improvement,
-                            nshd_inference_energy, nshd_size_bytes)
+                            ResourceUsage, baselinehd_size_bytes,
+                            cnn_inference_energy, cnn_size_bytes,
+                            energy_improvement, nshd_inference_energy,
+                            nshd_size_bytes)
 from repro.models import create_model
 
 
 @pytest.fixture(scope="module")
 def vgg():
     return create_model("vgg16", num_classes=10, width_mult=0.125, seed=0)
-
-
-@pytest.fixture(scope="module")
-def mobilenet():
-    return create_model("mobilenetv2", num_classes=10, width_mult=0.125,
-                        seed=0)
 
 
 class TestEnergyModel:
@@ -48,15 +42,6 @@ class TestEnergyModel:
         early = nshd_inference_energy(vgg, 15, 3000, 64, 10)["total"]
         late = nshd_inference_energy(vgg, 29, 3000, 64, 10)["total"]
         assert energy_improvement(cnn, early) > energy_improvement(cnn, late)
-
-    def test_nshd_compute_cheaper_than_baselinehd(self, vgg):
-        """The manifold learner cuts compute energy vs the full-F encode
-        (the energy counterpart of Fig. 5's MAC comparison).  Total energy
-        additionally includes weight traffic, which the paper compares via
-        model size (Table II), not Joules."""
-        nshd = nshd_inference_energy(vgg, 27, 3000, 64, 10)["compute"]
-        base = baselinehd_inference_energy(vgg, 27, 3000, 10)["compute"]
-        assert nshd < base
 
     def test_improvement_bounds(self):
         assert energy_improvement(100.0, 36.0) == pytest.approx(0.64)
@@ -102,18 +87,6 @@ class TestDPU:
         fps = [dpu.nshd_fps(vgg, 27, d, 64, 10)
                for d in (1000, 3000, 10000)]
         assert fps[0] > fps[1] > fps[2]
-
-    def test_nshd_cycles_below_baseline(self, mobilenet):
-        dpu = DPUModel()
-        nshd = dpu.nshd_cycles(mobilenet, 14, 3000, 64, 10)
-        base = dpu.baselinehd_cycles(mobilenet, 14, 3000, 10)
-        assert nshd < base
-
-    def test_energy_is_power_times_latency(self):
-        dpu = DPUModel()
-        cycles = 2e6
-        assert dpu.energy_j(cycles) == pytest.approx(
-            4.427 * cycles / 200e6)
 
     def test_custom_config(self):
         config = DPUConfig(frequency_hz=100e6, power_w=2.0,

@@ -29,8 +29,8 @@ class TestTraceCosts:
         assert sum(c.macs for c in costs) == 4 * 8 * 8 * 27
 
     def test_depthwise_conv_macs(self):
-        conv = nn.DepthwiseConv2d(3, 3, padding=1,
-                                  rng=np.random.default_rng(0))
+        conv = nn.Conv2d(3, 3, 3, padding=1, groups=3, bias=False,
+                         rng=np.random.default_rng(0))
         costs = trace_costs(lambda x: conv(x), image_size=8)
         # groups == channels: 1 input channel per output
         assert sum(c.macs for c in costs) == 3 * 8 * 8 * 9

@@ -1,12 +1,12 @@
-"""Tests for the bit-packed binary backend and memory ledger."""
+"""Tests for the bit-packed binary backend."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hd import (MemoryLedger, dot_similarity, pack_bipolar, pack_signs,
-                      packed_dot, popcount, random_bipolar, unpack_bipolar)
+from repro.hd import (dot_similarity, pack_bipolar, pack_signs, packed_dot,
+                      popcount, random_bipolar, unpack_bipolar)
 
 
 class TestPacking:
@@ -109,38 +109,3 @@ class TestPopcount:
         words = np.arange(12, dtype=np.uint64).reshape(3, 4)
         assert popcount(words).shape == (3, 4)
 
-
-class TestMemoryLedger:
-    def test_binary_storage_accounting(self):
-        ledger = MemoryLedger()
-        ledger.store_binary_hypervectors(count=100, dim=3000)
-        assert ledger.stored_bytes["constant"] == 100 * 375
-
-    def test_float_storage_accounting(self):
-        ledger = MemoryLedger()
-        ledger.store_float_hypervectors(count=100, dim=3000)
-        assert ledger.stored_bytes["global"] == 100 * 3000 * 4
-
-    def test_footprint_reduction(self):
-        ledger = MemoryLedger()
-        # 1 bit vs 32 bits per component = 31/32 reduction
-        assert ledger.footprint_reduction_vs_float(10, 64) == pytest.approx(
-            1 - 1 / 32)
-
-    def test_traffic_accumulates(self):
-        ledger = MemoryLedger()
-        ledger.move("global", 100)
-        ledger.move("global", 50)
-        ledger.move("shared", 10)
-        assert ledger.traffic_bytes["global"] == 150
-        assert ledger.total_traffic() == 160
-
-    def test_region_validation(self):
-        ledger = MemoryLedger()
-        with pytest.raises(ValueError):
-            ledger.store("texture", 1)
-
-    def test_negative_bytes_rejected(self):
-        ledger = MemoryLedger()
-        with pytest.raises(ValueError):
-            ledger.move("global", -1)

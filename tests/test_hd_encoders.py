@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hd import (IDLevelEncoder, LSHEncoder, NonlinearEncoder,
+from repro.hd import (IDLevelEncoder, NonlinearEncoder,
                       RandomProjectionEncoder, pack_signs)
 from repro.hd.encoders import CERTIFIED_MAX_FEATURES, certified_signs
 from repro.pipeline import EncodeStage
@@ -69,7 +69,6 @@ class TestRandomProjection:
     def test_macs_per_sample(self):
         enc = RandomProjectionEncoder(100, 3000)
         assert enc.macs_per_sample() == 300_000
-        assert enc.parameter_count() == 300_000
 
     def test_deterministic_given_rng(self):
         a = RandomProjectionEncoder(8, 32, rng(42))
@@ -232,22 +231,3 @@ class TestIDLevelEncoder:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             IDLevelEncoder(4, 64, value_range=(1.0, 0.0))
-
-
-class TestLSHEncoder:
-    def test_output_bipolar_and_shape(self):
-        enc = LSHEncoder(100, 20, rng(27))
-        out = enc.encode(rng(28).normal(size=(7, 100)))
-        assert out.shape == (7, 20)
-        assert set(np.unique(out)) <= {-1.0, 1.0}
-
-    def test_preserves_angular_locality(self):
-        enc = LSHEncoder(50, 2048, rng(29))
-        base = rng(30).normal(size=50)
-        near = base + 0.05 * rng(31).normal(size=50)
-        far = rng(32).normal(size=50)
-        h = enc.encode(np.stack([base, near, far]))
-        assert np.dot(h[0], h[1]) > np.dot(h[0], h[2])
-
-    def test_macs(self):
-        assert LSHEncoder(50, 100).macs_per_sample() == 5000

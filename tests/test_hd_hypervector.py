@@ -75,15 +75,6 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             hd.bundle()
 
-    def test_permute_roundtrip(self):
-        a = hd.random_bipolar(1, 64, rng(7))[0]
-        np.testing.assert_allclose(hd.permute(hd.permute(a, 3), -3), a)
-
-    def test_permute_decorrelates(self):
-        dim = 8192
-        a = hd.random_bipolar(1, dim, rng(8))[0]
-        assert abs(np.dot(a, hd.permute(a))) < 4 * np.sqrt(dim)
-
     def test_hard_quantize(self):
         np.testing.assert_allclose(hd.hard_quantize(np.array([-0.2, 0.0, 3.0])),
                                    [-1.0, 1.0, 1.0])
@@ -124,15 +115,6 @@ class TestAlgebra:
         right = hd.bundle(hd.bind(a, b), hd.bind(a, c))
         np.testing.assert_allclose(left, right)
 
-    @given(st.integers(min_value=1, max_value=32),
-           st.integers(min_value=0, max_value=2 ** 31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_property_permute_preserves_norm(self, shift, seed):
-        g = np.random.default_rng(seed)
-        a = g.normal(size=64)
-        assert np.linalg.norm(hd.permute(a, shift)) == pytest.approx(
-            np.linalg.norm(a))
-
 
 class TestSimilarity:
     def test_dot_single_query(self):
@@ -164,15 +146,6 @@ class TestSimilarity:
         sims = hd.cosine_similarity(m, q)
         assert np.all(np.isfinite(sims))
 
-    def test_hamming_identical_is_one(self):
-        a = hd.random_bipolar(2, 64, rng(12))
-        sims = hd.hamming_similarity(a, a)
-        np.testing.assert_allclose(np.diag(sims), [1.0, 1.0])
-
-    def test_hamming_opposite_is_zero(self):
-        a = hd.random_bipolar(1, 64, rng(13))
-        np.testing.assert_allclose(hd.hamming_similarity(a, -a), [[0.0]])
-
     def test_classify_picks_most_similar(self):
         classes = hd.random_bipolar(5, 2048, rng(14))
         noisy = classes.copy()
@@ -181,19 +154,15 @@ class TestSimilarity:
         preds = hd.classify(classes, noisy)
         np.testing.assert_array_equal(preds, np.arange(5))
 
-    def test_classify_metric_validation(self):
-        with pytest.raises(ValueError):
-            hd.classify(np.eye(2), np.ones(2), metric="euclid")
-
     @given(st.integers(min_value=2, max_value=10),
            st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_property_classify_consistent_across_metrics_for_bipolar(
             self, k, seed):
-        """For same-norm bipolar vectors, dot and hamming rank identically."""
+        """For same-norm bipolar vectors, dot and cosine rank identically."""
         g = np.random.default_rng(seed)
         classes = hd.random_bipolar(k, 256, g)
         queries = hd.random_bipolar(5, 256, g)
         np.testing.assert_array_equal(
-            hd.classify(classes, queries, metric="dot"),
-            hd.classify(classes, queries, metric="hamming"))
+            hd.classify(classes, queries),
+            hd.cosine_similarity(classes, queries).argmax(axis=-1))

@@ -320,16 +320,6 @@ class TestPooling:
                 expected[:, :, r, q] += grad[:, :, i, j]
         np.testing.assert_array_equal(t.grad, expected)
 
-    def test_avg_pool_forward(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = F.avg_pool2d(Tensor(x), kernel=2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_gradient(self):
-        t = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
-        F.avg_pool2d(t, 2).sum().backward()
-        np.testing.assert_allclose(t.grad, np.full((1, 1, 4, 4), 0.25))
-
     def test_global_avg_pool(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 3, 4, 4))
@@ -388,22 +378,6 @@ class TestActivationsAndLosses:
         probs /= probs.sum(axis=1, keepdims=True)
         onehot = np.eye(5)[labels]
         np.testing.assert_allclose(t.grad, (probs - onehot) / 4, rtol=1e-8)
-
-    def test_kl_distillation_zero_when_matching(self):
-        logits = np.array([[1.0, 2.0, 3.0]])
-        student = Tensor(logits.copy(), requires_grad=True)
-        loss = F.kl_div_with_logits(student, logits, temperature=2.0)
-        # cross-entropy of a distribution with itself equals its entropy;
-        # gradient wrt student logits must vanish.
-        loss.backward()
-        np.testing.assert_allclose(student.grad, np.zeros((1, 3)), atol=1e-10)
-
-    def test_kl_distillation_pulls_toward_teacher(self):
-        student = Tensor(np.array([[0.0, 0.0]]), requires_grad=True)
-        teacher = np.array([[5.0, 0.0]])
-        F.kl_div_with_logits(student, teacher, temperature=1.0).backward()
-        assert student.grad[0, 0] < 0  # increase logit of teacher-favored class
-        assert student.grad[0, 1] > 0
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.ones((10,)))

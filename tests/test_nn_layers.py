@@ -92,7 +92,7 @@ class TestLayers:
         assert out.shape == (2, 8, 4, 4)
 
     def test_depthwise_layer(self):
-        conv = nn.DepthwiseConv2d(6, 3, padding=1)
+        conv = nn.Conv2d(6, 6, 3, padding=1, groups=6, bias=False)
         out = conv(Tensor(np.zeros((1, 6, 4, 4))))
         assert out.shape == (1, 6, 4, 4)
         assert conv.weight.shape == (6, 1, 3, 3)
@@ -123,7 +123,6 @@ class TestLayers:
     def test_pool_layers(self):
         x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
         assert nn.MaxPool2d(2)(x).shape == (1, 1, 2, 2)
-        assert nn.AvgPool2d(2)(x).shape == (1, 1, 2, 2)
         assert nn.AdaptiveAvgPool2d()(x).shape == (1, 1, 1, 1)
 
     def test_activation_layers(self):
@@ -140,34 +139,6 @@ class TestOptimizers:
     def quadratic_loss(self, param):
         return ((param - Tensor(np.array([1.0, -2.0]))) ** 2).sum()
 
-    def test_sgd_converges_on_quadratic(self):
-        p = nn.Parameter(np.zeros(2))
-        opt = nn.SGD([p], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            self.quadratic_loss(p).backward()
-            opt.step()
-        np.testing.assert_allclose(p.data, [1.0, -2.0], atol=1e-4)
-
-    def test_sgd_momentum_faster_than_plain(self):
-        def run(momentum):
-            p = nn.Parameter(np.zeros(2))
-            opt = nn.SGD([p], lr=0.01, momentum=momentum)
-            for _ in range(50):
-                opt.zero_grad()
-                self.quadratic_loss(p).backward()
-                opt.step()
-            return float(self.quadratic_loss(p).item())
-        assert run(0.9) < run(0.0)
-
-    def test_sgd_weight_decay_shrinks(self):
-        p = nn.Parameter(np.array([10.0]))
-        opt = nn.SGD([p], lr=0.1, weight_decay=1.0)
-        opt.zero_grad()
-        (p * 0).sum().backward()
-        opt.step()
-        assert abs(p.data[0]) < 10.0
-
     def test_adam_converges(self):
         p = nn.Parameter(np.zeros(2))
         opt = nn.Adam([p], lr=0.1)
@@ -179,11 +150,11 @@ class TestOptimizers:
 
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
-            nn.SGD([], lr=0.1)
+            nn.Adam([], lr=0.1)
 
     def test_cosine_lr_endpoints(self):
         p = nn.Parameter(np.zeros(1))
-        opt = nn.SGD([p], lr=2.0)
+        opt = nn.Adam([p], lr=2.0)
         sched = nn.CosineLR(opt, total_epochs=10)
         for _ in range(10):
             sched.step()

@@ -24,11 +24,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             Tensor([1.0, 2.0]).backward()
 
-    def test_detach_breaks_tape(self):
-        x = Tensor([2.0], requires_grad=True)
-        y = (x * 3).detach()
-        assert not y.requires_grad
-
     def test_repr_mentions_grad(self):
         assert "requires_grad" in repr(Tensor([1.0], requires_grad=True))
 
@@ -87,9 +82,6 @@ class TestArithmeticGradients:
 
     def test_log(self):
         self.check(lambda a: a.log(), (4,), positive=True)
-
-    def test_tanh(self):
-        self.check(lambda a: a.tanh(), (3,))
 
     def test_sigmoid(self):
         self.check(lambda a: a.sigmoid(), (3,))
@@ -183,13 +175,6 @@ class TestShapeOps:
         t = Tensor(np.arange(4.0), requires_grad=True)
         t[np.array([0, 0, 2])].sum().backward()
         np.testing.assert_allclose(t.grad, [2.0, 0.0, 1.0, 0.0])
-
-    def test_pad2d(self):
-        t = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
-        padded = t.pad2d(1)
-        assert padded.shape == (1, 1, 4, 4)
-        padded.sum().backward()
-        np.testing.assert_allclose(t.grad, np.ones((1, 1, 2, 2)))
 
     def test_stack_gradient(self):
         a = Tensor([1.0, 2.0], requires_grad=True)

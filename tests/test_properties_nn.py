@@ -28,8 +28,8 @@ class TestConvShapes:
     @given(st.integers(min_value=1, max_value=8))
     @settings(max_examples=10, deadline=None)
     def test_property_depthwise_preserves_channels(self, channels):
-        conv = nn.DepthwiseConv2d(channels, 3, padding=1,
-                                  rng=np.random.default_rng(0))
+        conv = nn.Conv2d(channels, channels, 3, padding=1, groups=channels,
+                         bias=False, rng=np.random.default_rng(0))
         out = conv(Tensor(np.zeros((1, channels, 4, 4))))
         assert out.shape[1] == channels
 

@@ -1,9 +1,12 @@
 """The gate scripts: every one imports, and the benchmark gate's verdicts."""
 
+import ast
 import copy
 import os
+import re
 import subprocess
 import sys
+from collections import defaultdict
 
 import pytest
 
@@ -110,6 +113,124 @@ class TestMetricLint:
             code, 'counter(f"serve.batcher.deadline.model.{m}")') == code
         assert metric_lint.find_unread(
             code, '"serve.batcher.deadline.model"') == code
+
+
+#: Where a definition under ``src/repro/`` may be named by its callers.
+CALLER_DIRS = ("src", "scripts", "bench", "benchmarks", "examples")
+
+#: Definitions the caller lint lets stand with no caller outside tests/.
+UNCALLED_ALLOWED = {
+    "JsonHandler.do_GET": "http.server hook, called by the stdlib",
+    "JsonHandler.do_POST": "http.server hook, called by the stdlib",
+    "JsonHandler.log_message": "http.server hook, called by the stdlib",
+    "HTTPServer.handle_error": "socketserver hook, called by the stdlib",
+    "use_registry": "test seam: a fresh metrics registry for one block",
+    "StaticFleet.set_healthy": "test seam: flips a router test's worker",
+    "population_stability_index":
+        "reference the drift tests check the windowed PSI against",
+    "expected_overlap_std":
+        "reference the hypervector statistics tests compare against",
+    "QuantizedNSHD": "backs the paper's Sec. VI-B int8 deployment claim",
+    "QuantizedTensor.dequantize": "part of QuantizedNSHD's int8 claim",
+    "QuantizedNSHD.model_bytes": "part of QuantizedNSHD's int8 claim",
+}
+
+
+def _naming_lines(path):
+    """The lines of a ``.py`` or ``.sh`` file that can name a definition.
+
+    Imports, ``__all__`` and ``lazy_exports`` tables only re-export a
+    name, so a Python file's are blanked; a ``def``/``class`` keyword
+    with its name is a definition, not a use, and goes everywhere."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    lines = text.splitlines()
+    if path.endswith(".py"):
+        for node in ast.walk(ast.parse(text)):
+            exports = isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.Assign) and (
+                    any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)
+                    or getattr(getattr(node.value, "func", None), "id",
+                               None) == "lazy_exports"))
+            if exports:
+                for index in range(node.lineno - 1, node.end_lineno):
+                    lines[index] = ""
+    return [re.sub(r"\b(?:def|class)\s+\w+", "", line) for line in lines]
+
+
+def uncalled_definitions(root):
+    """``{qualname: "path:line"}`` of every top-level function or class,
+    and every public method, under ``src/repro/`` whose name occurs in no
+    ``.py`` or ``.sh`` file of :data:`CALLER_DIRS` outside the lines of
+    its own definition."""
+    definitions = []
+    uses = defaultdict(list)
+    for top in CALLER_DIRS:
+        for folder, subdirs, files in os.walk(os.path.join(root, top)):
+            subdirs[:] = sorted(d for d in subdirs if d != "__pycache__")
+            for name in sorted(files):
+                if not name.endswith((".py", ".sh")):
+                    continue
+                path = os.path.join(folder, name)
+                for lineno, line in enumerate(_naming_lines(path), 1):
+                    for word in re.findall(r"\w+", line):
+                        uses[word].append((path, lineno))
+                if name.endswith(".py") and path.startswith(
+                        os.path.join(root, "src", "repro")):
+                    with open(path, encoding="utf-8") as handle:
+                        tree = ast.parse(handle.read())
+                    for node in tree.body:
+                        if not isinstance(node, (ast.FunctionDef,
+                                                 ast.ClassDef)):
+                            continue
+                        definitions.append((node.name, node, path))
+                        if isinstance(node, ast.ClassDef):
+                            definitions.extend(
+                                (f"{node.name}.{sub.name}", sub, path)
+                                for sub in node.body
+                                if isinstance(sub, ast.FunctionDef)
+                                and not sub.name.startswith("_"))
+    uncalled = {}
+    for qualname, node, path in definitions:
+        if not any(where != path
+                   or not node.lineno <= lineno <= node.end_lineno
+                   for where, lineno in uses[node.name]):
+            uncalled[qualname] = (f"{os.path.relpath(path, root)}:"
+                                  f"{node.lineno}")
+    return uncalled
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    """A function, class or public method under ``src/repro/`` that only
+    tests call is deleted with its tests, or allowlisted with a reason;
+    an allowlist entry that gained a caller is dropped."""
+    uncalled = uncalled_definitions(ROOT)
+    unlisted = {name: where for name, where in uncalled.items()
+                if name not in UNCALLED_ALLOWED}
+    assert not unlisted, f"named only by tests: {unlisted}"
+    stale = sorted(set(UNCALLED_ALLOWED) - set(uncalled))
+    assert not stale, f"allowlisted but called outside the tests: {stale}"
+
+
+def test_the_caller_lint_sees_only_uses(tmp_path):
+    for part, text in (
+            ("src/repro/mod.py",
+             "__all__ = ['helper', 'Unused', 'Kept']\n"
+             "def helper(x):\n    return helper(x - 1)\n\n"
+             "class Unused:\n    pass\n\n"
+             "class Kept:\n    def run(self):\n        pass\n"
+             "    def _private(self):\n        pass\n"),
+            ("src/repro/__init__.py", "from .mod import helper, Unused\n"),
+            ("scripts/go.sh", "python -c 'Kept().run()'\n"),
+            ("tests/test_mod.py", "from repro.mod import helper\n"
+                                  "helper(1)\n")):
+        path = tmp_path / part
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert uncalled_definitions(str(tmp_path)) == {
+        "helper": os.path.join("src", "repro", "mod.py") + ":2",
+        "Unused": os.path.join("src", "repro", "mod.py") + ":5"}
 
 
 @pytest.fixture

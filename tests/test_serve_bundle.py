@@ -11,6 +11,7 @@ import pytest
 
 from repro.data import make_dataset, normalize_images
 from repro.hardware import nshd_size_bytes
+from repro.hd import is_bipolar
 from repro.learn import NSHD, VanillaHD
 from repro.models import create_model
 from repro.nn import init as nn_init
@@ -67,8 +68,7 @@ class TestExport:
         pipeline = fitted_vanilla[0]
         bundle = ModelBundle.from_pipeline(pipeline, binarize=True)
         assert bundle.info["binarized"]
-        assert bundle.binary_classes
-        assert set(np.unique(bundle.arrays["classes"])) <= {-1.0, 1.0}
+        assert is_bipolar(bundle.arrays["classes"])
         bundle.validate()
 
     def test_int8_class_payload_is_refused(self, fitted_vanilla,

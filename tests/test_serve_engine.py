@@ -1,6 +1,7 @@
 """Inference engine: packed/float agreement, caching, pipeline parity."""
 
 import os
+import re
 import sys
 import threading
 from collections import OrderedDict
@@ -518,6 +519,24 @@ class TestFromPath:
         features = rng.standard_normal((12, 32))
         np.testing.assert_array_equal(engine.predict_features(features),
                                       reference.predict_features(features))
+
+
+class TestInputShape:
+    @pytest.mark.parametrize("use_packed", [None, False])
+    @pytest.mark.parametrize("shape", [(2, 1, 32), (1, 2, 1, 32)],
+                             ids=["3-d", "4-d"])
+    def test_more_than_two_dimensions_is_refused(self, synthetic_bundle,
+                                                 use_packed, shape):
+        """A stack of feature rows is not an ``(n, F)`` matrix: both
+        entry points name the shape instead of miscounting columns."""
+        engine = InferenceEngine(synthetic_bundle(), use_packed=use_packed)
+        features = np.zeros(shape)
+        want = (r"features must be an \(n, F\) matrix, got shape "
+                + re.escape(str(shape)))
+        with pytest.raises(ValueError, match=want):
+            engine.encode_features(features)
+        with pytest.raises(ValueError, match=want):
+            engine.predict_features(features)
 
 
 class TestEmptyBatch:

@@ -132,6 +132,19 @@ class TestFeedbackEndpoint:
         assert body["error"] == f"features are not numeric: got a JSON {kind}"
         assert registry.counter("online.feedback.applied").value == 0
 
+    @pytest.mark.parametrize("row", [
+        [True] + [0.5] * (FEATURES - 1), [0.5] * (FEATURES - 1) + [False]],
+        ids=["true-first", "false-last"])
+    def test_a_boolean_among_numbers_is_400(self, server, registry, row):
+        """The row is not applied: the shadow does not learn 1.0/0.0."""
+        status, body, _ = request(server.url + "/feedback",
+                                  {"label": 0, "features": row})
+        assert status == 400
+        assert body["error"] == ("features are not numeric: "
+                                 "got a JSON boolean")
+        assert registry.counter("online.feedback.applied").value == 0
+        assert registry.counter("serve.feedback.bad_request").value == 1
+
     @pytest.mark.parametrize("width", [FEATURES - 1, FEATURES + 1])
     def test_wrong_width_error_names_both_widths(self, server, width):
         status, body, _ = request(server.url + "/feedback",

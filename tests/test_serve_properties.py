@@ -42,7 +42,7 @@ class TestPackedKernelProperties:
         sims = packed_cosine_similarity(pack_bipolar(class_matrix),
                                         pack_bipolar(hvs), dim)
         got = sims.argmax(axis=-1)
-        want = classify(class_matrix, hvs, metric="dot")
+        want = classify(class_matrix, hvs)
         np.testing.assert_array_equal(got, want)
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1),

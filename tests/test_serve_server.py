@@ -128,6 +128,25 @@ class TestRoutes:
         assert json.loads(excinfo.value.read())["error"] == (
             f"features are not numeric: got a JSON {kind}")
 
+    @pytest.mark.parametrize("row", [
+        [True] + [0.5] * 31, [0.5] * 31 + [False], [1] * 31 + [True]],
+        ids=["true-among-floats", "false-among-floats", "true-among-ints"])
+    def test_a_boolean_among_numbers_is_400(self, server, row):
+        # numpy promotes a boolean among numbers to 1.0/0.0 before a
+        # dtype check can see it.
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(server.url + "/predict", {"features": [[0.0] * 32, row]})
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"] == (
+            "features are not numeric: got a JSON boolean")
+
+    def test_true_outside_the_features_is_served(self, server):
+        rows = [[0.5] * 32]
+        out = post(server.url + "/predict",
+                   {"features": rows, "note": "true", "flag": False})
+        expected = server.engine.predict_features(np.asarray(rows))
+        assert out["labels"] == [int(v) for v in expected]
+
     def test_every_json_number_converts_as_float64(self, server):
         # Integers, including ones beyond 64 bits, mix with floats.
         rows = [[1] * 32, [2 ** 64] + [0.5] * 31, [-(2 ** 63), 7.0] * 16]

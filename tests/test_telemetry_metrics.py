@@ -32,11 +32,12 @@ class TestCounterGauge:
         counter.reset()
         assert counter.value == 0.0
 
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_set_inc(self):
         gauge = Gauge("g")
         gauge.set(10.0)
         gauge.inc(2.0)
-        gauge.dec(5.0)
+        assert gauge.value == pytest.approx(12.0)
+        gauge.inc(-5.0)
         assert gauge.value == pytest.approx(7.0)
 
     def test_counter_thread_safety(self):

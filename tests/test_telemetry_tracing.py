@@ -151,13 +151,10 @@ class TestThreading:
             assert node.calls == 100
             assert node.children["inner"].calls == 100
 
-    def test_span_node_repr_and_dict(self):
+    def test_span_node_repr(self):
         root = SpanNode("<root>")
         node = root.child("x")
         node.calls = 1
         node.total_s = 0.5
-        data = node.as_dict()
-        assert data["name"] == "x"
-        assert data["children"] == []
         assert "x" in repr(node)
         assert "<root>" in repr(root)
