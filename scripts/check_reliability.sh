@@ -27,7 +27,9 @@ python -W error::RuntimeWarning -m pytest \
     tests/test_reliability_guard.py \
     tests/test_reliability_report.py \
     tests/test_learn_trainers.py \
-    tests/test_data.py -q
+    tests/test_data.py \
+    tests/test_telemetry_quality.py \
+    tests/test_serve_quality.py -q
 
 echo
 echo "reliability checks passed"

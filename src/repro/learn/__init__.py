@@ -18,5 +18,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "distill": ["DistillationTrainer"],
     "manifold": ["ManifoldLearner"],
     "pipeline": ["NSHD", "BaselineHD", "VanillaHD", "FeatureScaler"],
-    "callbacks": ["TrainerCallback", "CheckpointCallback"],
 })

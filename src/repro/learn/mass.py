@@ -18,14 +18,14 @@ the one-hot target — raw bipolar dot products grow with D and would make
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from ..data.loader import one_hot
 from ..hd.similarity import cosine_similarity
 from ..telemetry import get_registry, span
-from .callbacks import TrainerCallback, run_epochs
+from .epochs import run_epochs
 from .centroid import train_centroids
 
 if TYPE_CHECKING:  # avoid an import cycle; the guard is duck-typed
@@ -245,31 +245,19 @@ class MassTrainer:
     def fit(self, hypervectors: np.ndarray, labels: np.ndarray,
             epochs: int = 20, batch_size: int = 64,
             rng: Optional[np.random.Generator] = None,
-            initialize: bool = True,
-            extra_per_sample: Optional[Dict[str, np.ndarray]] = None,
-            start_epoch: int = 0,
-            callbacks: Optional[Sequence[TrainerCallback]] = None
+            extra_per_sample: Optional[Dict[str, np.ndarray]] = None
             ) -> Dict[str, List[float]]:
-        """Run retraining epochs; returns per-epoch training accuracy.
+        """Initialize from the rows, then run retraining epochs; returns
+        the history (per-epoch training accuracy and epoch time).
 
-        The epochs run through :func:`repro.learn.callbacks.run_epochs`
+        The epochs run through :func:`repro.learn.epochs.run_epochs`
         with :meth:`step` as the batch body and :meth:`accuracy` on all
-        rows as the evaluation.  ``extra_per_sample`` carries aligned side
+        rows as the evaluation; every epoch publishes the ``train.*``
+        epoch metrics.  ``extra_per_sample`` carries aligned side
         information (e.g. ``teacher_logits`` for the distillation
         subclass); it is shuffled and batched together with the
         hypervectors, and an array whose length differs from theirs
         raises ``ValueError`` before ``class_matrix`` is touched.
-
-        ``start_epoch`` supports checkpoint/resume: the loop runs epochs
-        ``[start_epoch, epochs)``.  A resumed caller passes
-        ``initialize=False`` and a shuffle ``rng`` restored to the killed
-        run's state for bit-exact continuation.
-
-        ``callbacks`` are :class:`repro.learn.callbacks.TrainerCallback`
-        instances: after every epoch each receives
-        ``on_epoch_end(epoch, metrics)`` with ``{"epoch", "train_acc",
-        "epoch_time_s", "history"}``.  Every epoch also publishes the
-        ``train.*`` epoch metrics.
         """
         hypervectors = np.atleast_2d(hypervectors)
         labels = np.asarray(labels)
@@ -279,10 +267,8 @@ class MassTrainer:
             rows, self.step,
             lambda _: {"train_acc": self.accuracy(hypervectors, labels)},
             epochs=epochs, batch_size=batch_size,
-            rng=rng or np.random.default_rng(), start_epoch=start_epoch,
-            callbacks=callbacks,
-            initialize=((lambda: self.initialize(hypervectors, labels))
-                        if initialize else None))
+            rng=rng or np.random.default_rng(),
+            initialize=lambda: self.initialize(hypervectors, labels))
 
     # ------------------------------------------------------------------
     def predict(self, hypervectors: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from ..pipeline import (ClassifyStage, EncodeStage, ExtractStage,
                         ScaleStage, StageGraph)
 from ..telemetry import span
 from ..utils.rng import derive_rng, fresh_rng, get_rng_state, set_rng_state
-from .callbacks import CheckpointCallback, run_epochs
+from .epochs import run_epochs
 from .distill import DistillationTrainer
 from .manifold import ManifoldLearner
 from .mass import MassTrainer
@@ -57,6 +57,12 @@ __all__ = ["FeatureScaler", "NSHD", "BaselineHD", "VanillaHD",
 
 #: Version tag written into pipeline checkpoint manifests.
 CHECKPOINT_VERSION = 1
+
+#: MASS learning rate of every pipeline's class hypervectors.
+HD_LR = 0.05
+
+#: Bandwidth of VanillaHD's nonlinear (random Fourier) encoder basis.
+VANILLA_BANDWIDTH = 0.01
 
 
 class _HDPipeline:
@@ -220,28 +226,38 @@ class _HDPipeline:
                     evaluate, initialize, *, epochs: int, batch_size: int,
                     start_epoch: int,
                     history: Optional[Dict[str, List[float]]],
-                    checkpoint_path: Optional[str], checkpoint_every: int,
-                    callbacks: Optional[List]) -> Dict[str, List[float]]:
-        """:func:`repro.learn.callbacks.run_epochs` on the pipeline's
-        shuffle RNG, with a :class:`CheckpointCallback` appended after the
-        caller's ``callbacks`` when ``checkpoint_path`` is set.
-        ``initialize`` is skipped on resume."""
-        callbacks = list(callbacks or [])
+                    checkpoint_path: Optional[str], checkpoint_every: int
+                    ) -> Dict[str, List[float]]:
+        """:func:`repro.learn.epochs.run_epochs` on the pipeline's
+        shuffle RNG; ``initialize`` is skipped on resume.
+
+        With ``checkpoint_path`` set, the epochs run up to each multiple
+        of ``checkpoint_every`` and to ``epochs`` in turn, and a
+        checkpoint of the state and history so far is written after
+        each of those stretches.
+        """
+        if checkpoint_path and checkpoint_every < 1:
+            raise ValueError("checkpoint interval must be >= 1")
+        stops = [epochs]
         if checkpoint_path:
-            callbacks.append(CheckpointCallback(
-                self, checkpoint_path, every=checkpoint_every,
-                total_epochs=epochs))
-        return run_epochs(
-            rows, batch_step, evaluate, epochs=epochs,
-            batch_size=batch_size, rng=self._train_rng,
-            start_epoch=start_epoch, history=history, callbacks=callbacks,
-            initialize=initialize if start_epoch == 0 else None)
+            stops[:0] = range((start_epoch // checkpoint_every + 1)
+                              * checkpoint_every, epochs, checkpoint_every)
+        epoch = start_epoch
+        for stop in stops:
+            history = run_epochs(
+                rows, batch_step, evaluate, epochs=stop,
+                batch_size=batch_size, rng=self._train_rng,
+                start_epoch=epoch, history=history,
+                initialize=initialize if epoch == 0 else None)
+            if checkpoint_path and stop > epoch:
+                self.save_checkpoint(checkpoint_path, stop, history)
+            epoch = stop
+        return history
 
     def _fit_encoded(self, features: np.ndarray, labels: np.ndarray,
                      epochs: int, batch_size: int,
                      checkpoint_path: Optional[str], checkpoint_every: int,
-                     resume: bool, callbacks: Optional[List]
-                     ) -> Dict[str, List[float]]:
+                     resume: bool) -> Dict[str, List[float]]:
         """BaselineHD/VanillaHD training: scale and encode every row once,
         then MASS epochs on the fixed hypervectors."""
         labels = np.asarray(labels)
@@ -255,7 +271,7 @@ class _HDPipeline:
             lambda: trainer.initialize(encoded, labels),
             epochs=epochs, batch_size=batch_size, start_epoch=start_epoch,
             history=history, checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every, callbacks=callbacks)
+            checkpoint_every=checkpoint_every)
 
 
 class NSHD(_HDPipeline):
@@ -285,7 +301,7 @@ class NSHD(_HDPipeline):
 
     def __init__(self, model: IndexedCNN, layer_index: int, dim: int = 3000,
                  reduced_features: int = 100, temperature: float = 14.0,
-                 alpha: float = 0.3, hd_lr: float = 0.05,
+                 alpha: float = 0.3,
                  manifold_lr: float = 1e-3, use_manifold: bool = True,
                  use_distillation: bool = True, seed: int = 0,
                  guard: Optional["NumericsGuard"] = None):
@@ -314,10 +330,10 @@ class NSHD(_HDPipeline):
 
         if use_distillation:
             self.trainer: MassTrainer = DistillationTrainer(
-                self.num_classes, dim, lr=hd_lr, temperature=temperature,
+                self.num_classes, dim, lr=HD_LR, temperature=temperature,
                 alpha=alpha, guard=guard)
         else:
-            self.trainer = MassTrainer(self.num_classes, dim, lr=hd_lr,
+            self.trainer = MassTrainer(self.num_classes, dim, lr=HD_LR,
                                        guard=guard)
 
         stages = [ExtractStage(self.extractor), ScaleStage(self.scaler)]
@@ -356,8 +372,7 @@ class NSHD(_HDPipeline):
 
     # ------------------------------------------------------------------
     def fit(self, images: np.ndarray, labels: np.ndarray, epochs: int = 20,
-            batch_size: int = 64,
-            callbacks: Optional[List] = None) -> Dict[str, List[float]]:
+            batch_size: int = 64) -> Dict[str, List[float]]:
         """Train class hypervectors (and the manifold FC) jointly.
 
         The frozen CNN runs exactly once per image: the extractor runs
@@ -372,8 +387,7 @@ class NSHD(_HDPipeline):
             teacher_logits = self.teacher.logits(
                 raw_features, after=self.extractor.layer_index)
         return self.fit_features(raw_features, labels, teacher_logits,
-                                 epochs=epochs, batch_size=batch_size,
-                                 callbacks=callbacks)
+                                 epochs=epochs, batch_size=batch_size)
 
     def fit_features(self, raw_features: np.ndarray, labels: np.ndarray,
                      teacher_logits: Optional[np.ndarray] = None,
@@ -381,9 +395,7 @@ class NSHD(_HDPipeline):
                      initialize: bool = True,
                      checkpoint_path: Optional[str] = None,
                      checkpoint_every: int = 1,
-                     resume: bool = False,
-                     callbacks: Optional[List] = None
-                     ) -> Dict[str, List[float]]:
+                     resume: bool = False) -> Dict[str, List[float]]:
         """Like :meth:`fit` but on precomputed extractor features.
 
         Lets callers (benchmarks, multi-system comparisons) run the frozen
@@ -399,10 +411,8 @@ class NSHD(_HDPipeline):
         epoch — a run killed mid-way and resumed this way produces the
         *bit-identical* final model of an uninterrupted run.
 
-        The epochs run through :func:`repro.learn.callbacks.run_epochs`
-        with :meth:`_train_batch` as the batch body.  ``callbacks`` follow
-        the :class:`repro.learn.callbacks.TrainerCallback` protocol:
-        ``on_epoch_end(epoch, metrics)`` after every epoch.
+        The epochs run through :func:`repro.learn.epochs.run_epochs`
+        with :meth:`_train_batch` as the batch body.
         """
         labels = np.asarray(labels)
         if self.use_distillation and teacher_logits is None:
@@ -436,14 +446,14 @@ class NSHD(_HDPipeline):
             warm_start if initialize else None,
             epochs=epochs, batch_size=batch_size, start_epoch=start_epoch,
             history=history, checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every, callbacks=callbacks)
+            checkpoint_every=checkpoint_every)
 
 
 class BaselineHD(_HDPipeline):
     """Prior-work pipeline [9]: extractor + full-width projection + MASS."""
 
     def __init__(self, model: IndexedCNN, layer_index: int, dim: int = 3000,
-                 hd_lr: float = 0.05, seed: int = 0,
+                 seed: int = 0,
                  guard: Optional["NumericsGuard"] = None):
         root = fresh_rng((seed, "baselinehd"))
         self.extractor = FeatureExtractor(model, layer_index)
@@ -453,7 +463,7 @@ class BaselineHD(_HDPipeline):
         self.guard = guard
         self.encoder = RandomProjectionEncoder(
             self.extractor.num_features, dim, derive_rng(root, "projection"))
-        self.trainer = MassTrainer(self.num_classes, dim, lr=hd_lr,
+        self.trainer = MassTrainer(self.num_classes, dim, lr=HD_LR,
                                    guard=guard)
         self._train_rng = derive_rng(root, "train")
         self.graph = StageGraph([
@@ -465,37 +475,33 @@ class BaselineHD(_HDPipeline):
 
     def fit(self, images: np.ndarray, labels: np.ndarray, epochs: int = 20,
             batch_size: int = 64, checkpoint_path: Optional[str] = None,
-            checkpoint_every: int = 1, resume: bool = False,
-            callbacks: Optional[List] = None) -> Dict[str, List[float]]:
+            checkpoint_every: int = 1, resume: bool = False
+            ) -> Dict[str, List[float]]:
         raw_features = self.graph.call("extract", images)
         return self.fit_features(raw_features, labels,
                                  epochs=epochs, batch_size=batch_size,
                                  checkpoint_path=checkpoint_path,
                                  checkpoint_every=checkpoint_every,
-                                 resume=resume, callbacks=callbacks)
+                                 resume=resume)
 
     def fit_features(self, raw_features: np.ndarray, labels: np.ndarray,
                      epochs: int = 20, batch_size: int = 64,
                      checkpoint_path: Optional[str] = None,
-                     checkpoint_every: int = 1, resume: bool = False,
-                     callbacks: Optional[List] = None
+                     checkpoint_every: int = 1, resume: bool = False
                      ) -> Dict[str, List[float]]:
         """Like :meth:`fit` but on precomputed extractor features.
 
-        Checkpoint/resume and callback semantics match
-        :meth:`NSHD.fit_features`.
+        Checkpoint/resume semantics match :meth:`NSHD.fit_features`.
         """
         return self._fit_encoded(raw_features, labels, epochs, batch_size,
-                                 checkpoint_path, checkpoint_every, resume,
-                                 callbacks)
+                                 checkpoint_path, checkpoint_every, resume)
 
 
 class VanillaHD(_HDPipeline):
     """Standalone HD learning on raw pixels (nonlinear encoding [6])."""
 
     def __init__(self, num_classes: int, image_size: int = 32,
-                 dim: int = 3000, hd_lr: float = 0.05,
-                 bandwidth: float = 0.01, seed: int = 0,
+                 dim: int = 3000, seed: int = 0,
                  guard: Optional["NumericsGuard"] = None):
         root = fresh_rng((seed, "vanillahd"))
         self.num_classes = num_classes
@@ -505,8 +511,8 @@ class VanillaHD(_HDPipeline):
         self.guard = guard
         self.encoder = NonlinearEncoder(self.num_features, dim,
                                         derive_rng(root, "basis"),
-                                        bandwidth=bandwidth)
-        self.trainer = MassTrainer(num_classes, dim, lr=hd_lr, guard=guard)
+                                        bandwidth=VANILLA_BANDWIDTH)
+        self.trainer = MassTrainer(num_classes, dim, lr=HD_LR, guard=guard)
         self._train_rng = derive_rng(root, "train")
         self.graph = StageGraph([
             FlattenStage(),
@@ -517,9 +523,8 @@ class VanillaHD(_HDPipeline):
 
     def fit(self, images: np.ndarray, labels: np.ndarray, epochs: int = 20,
             batch_size: int = 64, checkpoint_path: Optional[str] = None,
-            checkpoint_every: int = 1, resume: bool = False,
-            callbacks: Optional[List] = None) -> Dict[str, List[float]]:
+            checkpoint_every: int = 1, resume: bool = False
+            ) -> Dict[str, List[float]]:
         flat = np.asarray(images).reshape(len(images), -1)
         return self._fit_encoded(flat, labels, epochs, batch_size,
-                                 checkpoint_path, checkpoint_every, resume,
-                                 callbacks)
+                                 checkpoint_path, checkpoint_every, resume)

@@ -99,8 +99,7 @@ class StageGraph:
                 f"stages: {self.names}")
         return self._index[name]
 
-    def call(self, name: str, batch: np.ndarray,
-             ctx: Optional[dict] = None) -> np.ndarray:
+    def call(self, name: str, batch: np.ndarray) -> np.ndarray:
         """Run a single stage *with* its telemetry span.
 
         This is what training loops use for per-batch stage execution —
@@ -110,7 +109,7 @@ class StageGraph:
         stage = self.stage(name)
         with span(stage.span_name,
                   nbytes=int(np.asarray(batch).nbytes)):
-            return stage(batch, ctx)
+            return stage(batch)
 
     def run(self, batch: np.ndarray, start: Optional[str] = None,
             stop: Optional[str] = None, ctx: Optional[dict] = None

@@ -405,15 +405,16 @@ class MicroBatcher:
             request.finish((int(label), meta))
 
     # ------------------------------------------------------------------
-    def shutdown(self, timeout_s: float = 10.0) -> None:
-        """Drain the queue, answer every pending request, stop workers."""
+    def shutdown(self) -> None:
+        """Drain the queue, answer every pending request, stop workers
+        (waiting up to 10 s for each)."""
         with self._cv:
             if self._stopping:
                 return
             self._stopping = True
             self._cv.notify_all()
         for thread in self._workers:
-            thread.join(timeout_s)
+            thread.join(10.0)
         self._stopped.set()
 
     def __enter__(self) -> "MicroBatcher":

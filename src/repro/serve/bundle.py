@@ -118,8 +118,7 @@ class ModelBundle:
                       binarize: bool = False,
                       baseline_features: Optional[np.ndarray] = None,
                       baseline_labels: Optional[np.ndarray] = None,
-                      baseline_sample: int = 2048,
-                      baseline_bins: int = 10) -> "ModelBundle":
+                      baseline_sample: int = 2048) -> "ModelBundle":
         """Capture a trained pipeline's inference closure.
 
         Parameters
@@ -151,9 +150,9 @@ class ModelBundle:
             priors).  Defaults to the pipeline's own predictions.
         baseline_sample:
             Deterministic (evenly spaced) subsample cap applied to the
-            baseline rows; the sketches only need O(1k) rows.
-        baseline_bins:
-            Number of PSI bins in the per-feature sketches.
+            baseline rows; the sketches only need O(1k) rows.  Each
+            feature is sketched in :data:`~repro.telemetry.quality.
+            DEFAULT_BINS` PSI bins.
         """
         scaler = getattr(pipeline, "scaler", None)
         if scaler is None or scaler.mean is None:
@@ -207,13 +206,12 @@ class ModelBundle:
         # -- training quality baseline (drift-monitor reference) -------
         if baseline_features is not None:
             bundle.capture_baseline(baseline_features, baseline_labels,
-                                    sample=baseline_sample,
-                                    n_bins=baseline_bins)
+                                    sample=baseline_sample)
         return bundle
 
     def capture_baseline(self, features: np.ndarray,
                          labels: Optional[np.ndarray] = None,
-                         sample: int = 2048, n_bins: int = 10) -> None:
+                         sample: int = 2048) -> None:
         """Sketch the training distribution into
         ``info["quality_baseline"]`` for streaming drift checks.
 
@@ -250,8 +248,7 @@ class ModelBundle:
         self.info["quality_baseline"] = QualityBaseline.from_training(
             watched if tap == "reduce" else features, labels=labels,
             num_classes=int(self.info["num_classes"]),
-            similarities=np.asarray(sims), n_bins=n_bins,
-            tap=tap).to_dict()
+            similarities=np.asarray(sims), tap=tap).to_dict()
 
     # ------------------------------------------------------------------
     # Online promotion (shadow → live derivation)

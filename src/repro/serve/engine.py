@@ -66,6 +66,10 @@ _HASH_SEED = 0x5EED_1A55
 #: Words of a row its doorkeeper fingerprint reads.
 _PRINT_WORDS = 8
 
+#: Random bipolar probe hypervectors :meth:`InferenceEngine.selfcheck`
+#: classifies (and a quarter as many feature rows it encodes).
+_SELFCHECK_PROBES = 32
+
 
 class _EncodedLRU:
     """Thread-safe LRU of encoded rows, exact on the raw feature bytes,
@@ -508,7 +512,7 @@ class InferenceEngine:
                       == np.asarray(labels)).mean())
 
     # ------------------------------------------------------------------
-    def selfcheck(self, probes: int = 32, seed: int = 0) -> bool:
+    def selfcheck(self) -> bool:
         """Prove the packed path agrees with the reference kernels.
 
         Draws random bipolar probe hypervectors and checks (1) the
@@ -525,8 +529,9 @@ class InferenceEngine:
         """
         if not self.use_packed:
             return True
-        rng = fresh_rng((seed, "serve-selfcheck"))
-        self._selfcheck_encode(rng, probes)
+        probes = _SELFCHECK_PROBES
+        rng = fresh_rng((0, "serve-selfcheck"))
+        self._selfcheck_encode(rng)
         hvs = np.where(rng.random((probes, self.dim)) < 0.5, -1.0, 1.0)
         got = self._packed_stage(pack_bipolar(hvs))
         want_dot = classify(self.class_matrix, hvs)
@@ -541,14 +546,14 @@ class InferenceEngine:
                 f"{int((got != want_cos).sum())}/{probes} probes")
         return True
 
-    def _selfcheck_encode(self, rng: np.random.Generator,
-                          probes: int) -> None:
+    def _selfcheck_encode(self, rng: np.random.Generator) -> None:
         """Random rows and one scaled by 2⁻¹²⁰ (near float32's
         underflow), which the float32 GEMM decides, then a zero row and
         a planted exact tie, which send their call to the float64 one."""
         encode = self.graph.stage(self._encode_name)
         encoder = encode.encoder
-        rows = rng.standard_normal((probes // 4 + 1, encoder.in_features))
+        rows = rng.standard_normal((_SELFCHECK_PROBES // 4 + 1,
+                                    encoder.in_features))
         rows[-1] *= 2.0 ** -120
         ties = np.zeros((2, encoder.in_features))
         ties[1, :2] = 1.0  # v = 0 wherever P's first two rows differ

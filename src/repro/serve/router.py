@@ -144,10 +144,9 @@ class _WorkerClient:
         conn.close()
 
     def request(self, method: str, path: str, body: bytes = b"",
-                content_type: str = "application/json",
                 headers: Optional[Dict[str, str]] = None
                 ) -> Tuple[int, bytes]:
-        send_headers = {"Content-Type": content_type}
+        send_headers = {"Content-Type": "application/json"}
         if headers:
             send_headers.update(headers)
         conn, reused = self._checkout()

@@ -217,22 +217,23 @@ class AlertManager:
     Call :meth:`evaluate` on demand (the ``/alertz`` handler does) or
     :meth:`start` a background evaluator thread (the model server
     does).  Transition events are returned from :meth:`evaluate` and
-    kept in a bounded recent-history ring for the snapshot.
+    kept in a bounded recent-history ring (the last
+    :data:`HISTORY` events) for the snapshot.
     """
 
+    #: Transition events the snapshot keeps.
+    HISTORY = 64
+
     def __init__(self, rules: List[AlertRule],
-                 registry: Optional[MetricsRegistry] = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 history: int = 64):
+                 registry: Optional[MetricsRegistry] = None):
         names = [rule.name for rule in rules]
         if len(names) != len(set(names)):
             raise AlertRuleError("duplicate alert rule names")
         self.rules = list(rules)
         self.registry = registry
-        self._clock = clock
+        self._clock = time.monotonic
         self._states = {rule.name: _RuleState(rule) for rule in rules}
         self._history: List[Dict[str, Any]] = []
-        self._history_cap = int(history)
         self.evaluations = 0
         self.last_evaluated_at: Optional[float] = None
         self._lock = threading.Lock()
@@ -289,8 +290,8 @@ class AlertManager:
                 registry.set_gauge(f"alert.state.{status.rule.name}",
                                    _STATE_GAUGE[status.state])
             self._history.extend(transitions)
-            if len(self._history) > self._history_cap:
-                self._history = self._history[-self._history_cap:]
+            if len(self._history) > self.HISTORY:
+                self._history = self._history[-self.HISTORY:]
         return transitions
 
     # ------------------------------------------------------------------

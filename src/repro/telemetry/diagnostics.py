@@ -125,8 +125,8 @@ def confusability_summary(class_matrix: np.ndarray) -> Dict[str, object]:
 
 
 def matrix_health(matrix: np.ndarray,
-                  reference: Optional[np.ndarray] = None,
-                  sat_factor: float = 3.0) -> Dict[str, object]:
+                  reference: Optional[np.ndarray] = None
+                  ) -> Dict[str, object]:
     """One-call health view of a class-hypervector matrix.
 
     Bundles the three matrix-level diagnostics the online promotion
@@ -139,7 +139,7 @@ def matrix_health(matrix: np.ndarray,
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     health: Dict[str, object] = {
-        "saturation_fraction": saturation_fraction(matrix, sat_factor),
+        "saturation_fraction": saturation_fraction(matrix),
         "confusability": confusability_summary(matrix),
         "classes": int(matrix.shape[0]),
     }

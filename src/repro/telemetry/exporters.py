@@ -128,8 +128,7 @@ def _prom_value(value: object) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def prometheus_text(registry: Optional[MetricsRegistry] = None,
-                    prefix: str = "repro") -> str:
+def prometheus_text(registry: Optional[MetricsRegistry] = None) -> str:
     """Render the registry in the Prometheus text exposition format.
 
     Non-finite values are emitted with the format's native ``NaN`` /
@@ -140,7 +139,7 @@ def prometheus_text(registry: Optional[MetricsRegistry] = None,
     registry = registry if registry is not None else get_registry()
     lines: List[str] = []
     for name, entry in registry.snapshot().items():
-        metric = sanitize_metric_name(name, prefix)
+        metric = sanitize_metric_name(name)
         kind = entry["type"]
         if kind in ("counter", "gauge"):
             lines.append(f"# TYPE {metric} {kind}")
@@ -285,13 +284,13 @@ def stitch_traces(events: List[Dict[str, object]]
     return out
 
 
-def render_trace_tree(roots: List[Dict[str, object]],
-                      max_depth: int = 12) -> str:
-    """ASCII rendering of stitched span trees (debugging / reports)."""
+def render_trace_tree(roots: List[Dict[str, object]]) -> str:
+    """ASCII rendering of stitched span trees (debugging / reports),
+    12 levels deep at most."""
     lines: List[str] = []
 
     def emit(node: Dict[str, object], depth: int) -> None:
-        if depth > max_depth:
+        if depth > 12:
             return
         span_event = node["span"]
         name = span_event.get("name", "?")

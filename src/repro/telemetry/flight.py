@@ -280,15 +280,15 @@ def get_request_log() -> RequestLog:
     return _REQUEST_LOG
 
 
-def enable_request_tracing(service: str, trace_dir: Optional[str] = None,
-                           reset: bool = True) -> FlightRecorder:
+def enable_request_tracing(service: str,
+                           trace_dir: Optional[str] = None) -> FlightRecorder:
     """Turn on request tracing for this process.
 
     Configures the hub singleton (service name), wires the flight
     recorder as span + trace sink, and — when ``trace_dir`` is given —
-    a per-process JSONL writer for every span.  ``reset``
-    clears previously retained traces and sinks, so repeated calls
-    (tests, benchmark phases) never double-register.
+    a per-process JSONL writer for every span.  It clears previously
+    retained traces and sinks, so repeated calls (tests, benchmark
+    phases) never double-register.
     """
     global _WRITER
     hub = HUB
@@ -296,8 +296,7 @@ def enable_request_tracing(service: str, trace_dir: Optional[str] = None,
         _WRITER.close()
         _WRITER = None
     hub.clear_sinks()
-    if reset:
-        _FLIGHT.clear()
+    _FLIGHT.clear()
     hub.configure(service=service, enabled=True)
     hub.add_span_sink(_FLIGHT.on_span)
     hub.add_trace_sink(_FLIGHT.on_trace_end)

@@ -43,30 +43,29 @@ frozen at export time:
     packed engine's batches are bipolar sign words: every entry sits at
     the RMS, so their saturation is 0.0 with no pass over the rows.
 
-Everything is numpy + stdlib and O(window) memory.  A batch enters the
-window in one vectorized update: one compare against the decile edges
-bins its rows, the ring stores each row's flat ``(feature, bin)`` cells,
-and ``_counts`` moves once by the batch's ``np.bincount`` minus the
-evicted rows'.  A batch of at least ``n_bins`` rows keeps its tally, so
-when it leaves the window whole it costs no recount.  The PSI and
-z-score are recomputed from the tallies only when read, or once per
-``min_samples`` observed rows.  The similarities come from the engine's
-own classify pass, so feeding the monitor costs no second classify.
-The cost grows with the tapped width.  With window 512, 10 classes,
-labels and no similarity matrix, one BLAS thread and a 2-vCPU VM, a
-256-row :meth:`DriftMonitor.observe` costs about 3.7 ms on 1024 raw
-features and 0.5-0.7 ms on the F̂ = 100 manifold outputs a reduce-tap
-baseline watches; a single row costs about 0.07-0.08 ms and 0.03 ms.
-The ``scripts/check_quality.sh`` gate bounds the serve-P99 overhead at
-< 5%.
+Everything is numpy + stdlib and O(window) memory.  The window is three
+ring buffers and nothing else: ``observe`` bins a batch with one compare
+against the decile edges and writes each row's flat ``(feature, bin)``
+cells, features and served label into the rings.  The PSI and z-score
+are recounted from the rings only when read, or once per
+``min_samples`` observed rows: one ``np.bincount`` of the cells, one sum
+of the features and one ``np.bincount`` of the labels, window × F cells
+in all (about 0.1 ms at 512 × 100).  The similarities come from the
+engine's own classify pass, so feeding the monitor costs no second
+classify.  The cost grows with the tapped width and the window.  With
+window 512, 10 classes, labels and no similarity matrix, one BLAS
+thread and a 2-vCPU VM, a 256-row :meth:`DriftMonitor.observe` (which
+also refreshes) costs about 5 ms on 1024 raw features and 0.35-0.45 ms
+on the F̂ = 100 manifold outputs a reduce-tap baseline watches; a
+single row costs about 0.02 ms.  The ``scripts/check_quality.sh`` gate
+bounds the serve-P99 overhead at < 5%.
 """
 
 from __future__ import annotations
 
-import collections
 import math
 import threading
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -87,10 +86,6 @@ TAPS = ("input", "reduce")
 
 #: Default number of per-feature quantile bins for the PSI sketch.
 DEFAULT_BINS = 10
-
-#: Label tallies of fewer rows loop in Python: below this the NumPy
-#: calls' fixed cost exceeds the loop.
-_SCALAR_LABELS = 16
 
 
 def population_stability_index(expected, actual,
@@ -231,10 +226,11 @@ class QualityBaseline:
             raise ValueError(
                 f"expected has shape {self.expected.shape}, want "
                 f"({self.num_features}, {self.n_bins})")
-        # Edges as (n_bins - 1, F) rows: bin_indices compares whole
-        # contiguous feature rows at a time, and the count runs over the
-        # middle axis; a short trailing edge axis is about 6x slower.
-        self._edge_rows = np.ascontiguousarray(self.bin_edges.T)
+        # Edges as (n_bins - 1, 1, F): bin_indices compares whole
+        # contiguous feature rows at a time and counts over the leading
+        # axis, adding row blocks; counting over the middle axis is about
+        # 1.9x slower for 256 rows, and a trailing edge axis about 6x.
+        self._edge_rows = np.ascontiguousarray(self.bin_edges.T)[:, None]
 
     # ------------------------------------------------------------------
     @property
@@ -253,8 +249,7 @@ class QualityBaseline:
         """Per-feature bin index of each row: ``(n, F)`` int16 in
         ``[0, n_bins)``.  NaN compares false everywhere (bin 0)."""
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return (features[:, None, :] >= self._edge_rows).sum(
-            axis=1, dtype=np.int16)
+        return (features >= self._edge_rows).sum(axis=0, dtype=np.int16)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -402,16 +397,18 @@ class DriftMonitor:
 
     Thread-safe; every serving thread calls :meth:`observe` with the
     rows at the baseline's tap, predicted labels, and optionally the
-    similarity matrix and encoded hypervectors of a batch.  ``observe``
-    only tallies the batch into the window.  The headline scalars (the
-    PSI and z-score rows below) are recomputed from those tallies and
-    republished as ``quality.*`` gauges when something reads them —
-    :meth:`snapshot` (``/driftz``) and :meth:`top_features` are always
-    current — and by ``observe`` once at least ``min_samples`` rows have
-    arrived since the last refresh.  The gauges the alert rules engine
-    and Prometheus scrapes read therefore lag the window by fewer than
-    ``min_samples`` rows; a batch of ``min_samples`` rows or more
-    refreshes them on its own.  The sample counter, histograms and
+    similarity matrix and encoded hypervectors of a batch.  The window
+    is its three rings — each row's bin cells, features and served
+    label — and ``observe`` only writes the batch into them.  The
+    headline scalars (the PSI and z-score rows below) are recounted
+    from the rings and republished as ``quality.*`` gauges when
+    something reads them — :meth:`snapshot` (``/driftz``) and
+    :meth:`top_features` are always current — and by ``observe`` once
+    at least ``min_samples`` rows have arrived since the last refresh.
+    A refresh recounts window × F cells.  The gauges the alert rules
+    engine and Prometheus scrapes read therefore lag the window by
+    fewer than ``min_samples`` rows; a batch of ``min_samples`` rows or
+    more refreshes them on its own.  The sample counter, histograms and
     saturation gauge are published on every call:
 
     ====================================  =============================
@@ -428,43 +425,33 @@ class DriftMonitor:
 
     The PSI and z-score gauges stay 0 until ``min_samples`` rows are in
     the window, so a cold start cannot fire a drift alert off three
-    requests.
+    requests.  A window smaller than ``min_samples`` could never leave
+    that state, so it is refused.
     """
 
     def __init__(self, baseline: QualityBaseline, window: int = 512,
                  min_samples: int = 64,
                  registry: Optional[MetricsRegistry] = None):
-        if window < 1:
-            raise ValueError("window must be >= 1")
         self.baseline = baseline
         self.window = int(window)
         self.min_samples = max(1, int(min_samples))
+        if self.window < self.min_samples:
+            raise ValueError(
+                f"drift window {self.window} is smaller than min_samples "
+                f"{self.min_samples}: its statistics would stay 0")
         self.registry = registry
         f = baseline.num_features
-        self._counts = np.zeros((f, baseline.n_bins), dtype=np.float64)
-        # Each row's flat ``_counts`` cell per feature, bin + this offset,
-        # so evicting a row is a bincount of its stored cells.
-        cell = np.int16 if self._counts.size <= 2 ** 15 else np.int32
+        self._expected = _proportions(baseline.expected)
+        self._priors = _proportions(baseline.class_priors[None])
+        # Each row's flat (feature, bin) cell, bin + this offset, so a
+        # refresh counts every cell of the window in one bincount.
+        cell = np.int16 if f * baseline.n_bins <= 2 ** 15 else np.int32
         self._bin_offsets = (np.arange(f) * baseline.n_bins).astype(cell)
         self._bin_ring = np.zeros((self.window, f), dtype=cell)
         self._feat_ring = np.zeros((self.window, f), dtype=np.float64)
         self._label_ring = np.full(self.window, -1, dtype=np.int64)
-        # The window's rows as one run per batch, oldest first:
-        # ``[rows, tally]``, the tally (as in ``_counts``) kept for runs
-        # of at least n_bins rows, so they leave without a recount.  At
-        # most window / n_bins + 1 runs keep one, so the tallies take
-        # about a quarter of ``_feat_ring``'s memory at most (half for
-        # windows of 2**15 rows or more).
-        self._runs: Deque[list] = collections.deque()
-        self._tally_dtype = np.int16 if self.window < 2 ** 15 else np.int32
-        self._expected = _proportions(baseline.expected)
-        self._priors = _proportions(baseline.class_priors[None])
-        self._label_counts = np.zeros(baseline.num_classes,
-                                      dtype=np.float64)
-        self._feat_sum = np.zeros(f, dtype=np.float64)
         self._pos = 0
         self._size = 0
-        self._labeled = 0
         # Rows observed since the last refresh; infinite until the first,
         # so the first batch publishes the (cold-start zero) gauges.
         self._stale = math.inf
@@ -472,7 +459,6 @@ class DriftMonitor:
         self._last = {"feature_psi_max": 0.0, "feature_psi_mean": 0.0,
                       "feature_zscore_max": 0.0, "prediction_psi": 0.0,
                       "saturation": 0.0}
-        self._feature_psi = np.zeros(f, dtype=np.float64)
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -482,7 +468,7 @@ class DriftMonitor:
 
     def observe(self, features, labels=None, similarities=None,
                 encoded=None) -> None:
-        """Fold one batch of live traffic into the window.
+        """Write one batch of live traffic into the window.
 
         ``features`` are the ``(n, F)`` rows at the baseline's
         :attr:`~QualityBaseline.tap`; ``labels`` the
@@ -502,24 +488,16 @@ class DriftMonitor:
                 f"features have {features.shape[1]} columns, baseline "
                 f"sketch has {self.baseline.num_features}")
         # Only the last ``keep`` rows survive the batch; earlier ones
-        # would be written and overwritten within this call, so they
-        # never touch the running stats.
+        # would be written and overwritten within this call.
         keep = min(n, self.window)
         kept = features[n - keep:]
         cells = self.baseline.bin_indices(kept).astype(
             self._bin_ring.dtype, copy=False)
         cells += self._bin_offsets
-        added = np.bincount(cells.ravel(), minlength=self._counts.size
-                            ).reshape(self._counts.shape)
-        # A batch of n_bins rows or more keeps its tally, to leave the
-        # window without a recount.
-        tally = (added.astype(self._tally_dtype)
-                 if keep >= self._counts.shape[1] else None)
         served = np.full(keep, -1, dtype=np.int64)
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64).ravel()[n - keep:n]
             served[:labels.shape[0]] = labels
-        fresh_sum = kept.sum(axis=0)
         registry = self._registry()
 
         margin_rows = conf_rows = None
@@ -534,36 +512,19 @@ class DriftMonitor:
                           else saturation_fraction(encoded))
 
         with self._lock:
-            # The batch takes the slots of the oldest ``evict`` rows.
-            evict = max(0, self._size + keep - self.window)
-            if evict:
-                oldest = (self._pos - self._size) % self.window
-                old = self._slots(oldest, evict)
-                fresh_sum -= self._feat_ring[old].sum(axis=0)
-                self._tally_labels_locked(self._label_ring[old], -1)
-                self._evict_runs_locked(oldest, evict, added)
-            self._counts += added
-            self._feat_sum += fresh_sum
             slots = self._slots((self._pos + n - keep) % self.window, keep)
             self._bin_ring[slots] = cells
             self._feat_ring[slots] = kept
             self._label_ring[slots] = served
-            self._tally_labels_locked(served, 1)
-            if keep:
-                self._runs.append([keep, tally])
             self._pos = (self._pos + n) % self.window
             self._size = min(self._size + n, self.window)
-            if not np.isfinite(self._feat_sum).all():
-                # NaN − NaN is NaN, so evicting a non-finite row cannot
-                # clean the running sum; rebuild it from the window.
-                self._feat_sum = self._feat_ring[:self._size].sum(axis=0)
             self.samples += n
             if saturation is not None:
                 self._last["saturation"] = float(saturation)
             self._stale += n
             headline = None
             if self._stale >= self.min_samples:
-                headline = self._refresh_locked()
+                headline = self._refresh_locked()[0]
 
         registry.inc("quality.samples", n)
         if headline is not None:
@@ -576,35 +537,6 @@ class DriftMonitor:
             registry.observe_many("quality.confidence",
                                   conf_rows)
 
-    def _evict_runs_locked(self, oldest: int, count: int,
-                           tally: np.ndarray) -> None:
-        """Take the ``count`` oldest rows, from slot ``oldest`` on, off
-        ``tally`` (shaped as ``_counts``) and the front of the runs.
-
-        A run whose stored tally leaves whole costs no pass over its
-        rows; the other rows are recounted from their ring cells, and
-        a part-evicted run's stored tally keeps describing what stays.
-        """
-        done = 0
-        while done < count:
-            run = self._runs[0]
-            take = min(run[0], count - done)
-            if take == run[0] and run[1] is not None:
-                tally -= run[1]
-            else:
-                cells = self._bin_ring[self._slots(
-                    (oldest + done) % self.window, take)]
-                part = np.bincount(cells.ravel(),
-                                   minlength=self._counts.size
-                                   ).reshape(self._counts.shape)
-                tally -= part
-                if run[1] is not None:
-                    run[1] -= part
-            run[0] -= take
-            if not run[0]:
-                self._runs.popleft()
-            done += take
-
     def _slots(self, start: int, count: int):
         """Ring slots ``start, start + 1, ...`` (wrapping) of ``count``
         rows: a slice where they do not wrap, else an index array."""
@@ -612,46 +544,40 @@ class DriftMonitor:
             return slice(start, start + count)
         return (start + np.arange(count)) % self.window
 
-    def _tally_labels_locked(self, labels: np.ndarray, sign: int) -> None:
-        """Add (``sign=1``) or remove (``sign=-1``) ring labels from the
-        label tallies; -1 is unlabeled (caller holds the lock)."""
-        k = self._label_counts.shape[0]
-        if len(labels) < _SCALAR_LABELS:
-            for label in labels.tolist():
-                if label >= 0:
-                    self._labeled += sign
-                    if label < k:
-                        self._label_counts[label] += sign
-            return
-        self._label_counts += sign * np.bincount(
-            labels[(labels >= 0) & (labels < k)], minlength=k)
-        self._labeled += sign * int(np.count_nonzero(labels >= 0))
+    def _refresh_locked(self) -> tuple:
+        """Recount the window from its rings and recompute the headline
+        scalars.  Returns ``(a copy of the scalars, per-feature PSI,
+        label counts, labeled rows)`` (caller holds the lock).
 
-    def _refresh_locked(self) -> Dict[str, float]:
-        """Recompute the headline scalars from the window tallies and
-        return a copy of them (caller holds the lock)."""
+        Until the ring fills, the window is its first ``_size`` slots.
+        """
         self._stale = 0
-        if self._size < self.min_samples:
-            self._feature_psi[:] = 0.0
-            self._last.update(feature_psi_max=0.0, feature_psi_mean=0.0,
-                              feature_zscore_max=0.0,
-                              prediction_psi=0.0)
-            return dict(self._last)
-        psi = _psi_rows(self._expected, _proportions(self._counts))
-        self._feature_psi = psi
-        win_mean = self._feat_sum / self._size
-        z = (win_mean - self.baseline.feature_mean) \
-            / (self.baseline.feature_std / math.sqrt(self._size))
-        pred_psi = 0.0
-        if self._labeled >= self.min_samples:
-            pred_psi = _psi_rows(
-                self._priors, _proportions(self._label_counts[None]))[0]
+        size = self._size
+        k = self.baseline.num_classes
+        labels = self._label_ring[:size]
+        label_counts = np.bincount(labels[(labels >= 0) & (labels < k)],
+                                   minlength=k)
+        labeled = int(np.count_nonzero(labels >= 0))
+        psi = np.zeros(self.baseline.num_features)
+        zscore = pred_psi = 0.0
+        if size >= self.min_samples:
+            shape = self.baseline.expected.shape
+            counts = np.bincount(self._bin_ring[:size].ravel(),
+                                 minlength=shape[0] * shape[1])
+            psi = _psi_rows(self._expected,
+                            _proportions(counts.reshape(shape)))
+            win_mean = self._feat_ring[:size].sum(axis=0) / size
+            z = (win_mean - self.baseline.feature_mean) \
+                / (self.baseline.feature_std / math.sqrt(size))
+            zscore = float(np.abs(z).max()) if z.size else 0.0
+            if labeled >= self.min_samples:
+                pred_psi = float(_psi_rows(
+                    self._priors, _proportions(label_counts[None]))[0])
         self._last.update(
             feature_psi_max=float(psi.max()) if psi.size else 0.0,
             feature_psi_mean=float(psi.mean()) if psi.size else 0.0,
-            feature_zscore_max=float(np.abs(z).max()) if z.size else 0.0,
-            prediction_psi=float(pred_psi))
-        return dict(self._last)
+            feature_zscore_max=zscore, prediction_psi=pred_psi)
+        return dict(self._last), psi, label_counts, labeled
 
     def _publish(self, registry: MetricsRegistry,
                  headline: Dict[str, float]) -> None:
@@ -669,19 +595,15 @@ class DriftMonitor:
     def top_features(self, k: int = 5) -> List[Dict[str, float]]:
         """The ``k`` features with the worst window PSI (descending)."""
         with self._lock:
-            last = self._refresh_locked()
-            psi = self._feature_psi.copy()
+            last, psi, _, _ = self._refresh_locked()
         self._publish(self._registry(), last)
         return _top_features(psi, k)
 
     def snapshot(self) -> Dict[str, Any]:
         """``/driftz`` payload: window stats + baseline facts."""
         with self._lock:
-            last = self._refresh_locked()
-            psi = self._feature_psi.copy()
+            last, psi, label_counts, labeled = self._refresh_locked()
             size = self._size
-            labeled = self._labeled
-            label_counts = self._label_counts.copy()
             samples = self.samples
         registry = self._registry()
         self._publish(registry, last)

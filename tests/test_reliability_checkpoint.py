@@ -17,7 +17,7 @@ import pytest
 from repro import nn
 from repro.data import make_dataset, normalize_images
 from repro.learn import (NSHD, BaselineHD, ManifoldLearner, MassTrainer,
-                         TrainerCallback, VanillaHD)
+                         VanillaHD)
 from repro.models import create_model
 from repro.nn.serialize import (MANIFEST_KEY, CheckpointError, load_manifest,
                                 load_module, load_state, save_module,
@@ -292,37 +292,43 @@ class TestKillAndResume:
         assert history["train_acc"] == ref_history["train_acc"]
 
     @pytest.mark.parametrize("name", ["NSHD", "BaselineHD", "VanillaHD"])
-    def test_resumed_callbacks_see_restored_history(self, name, tiny_task,
-                                                    tmp_path):
+    def test_resumed_history_order(self, name, tiny_task, tmp_path):
+        """Each checkpoint of a resumed fit, and the history it returns,
+        hold the restored epoch followed by the new ones, in order."""
         model, x_tr, y_tr = tiny_task
         ckpt = str(tmp_path / "resume.npz")
 
-        def fit(epochs, **kwargs):
+        def fit(epochs, saved, **kwargs):
+            pipeline = (make_nshd(model) if name == "NSHD"
+                        else BaselineHD(model, layer_index=21, dim=256,
+                                        seed=7) if name == "BaselineHD"
+                        else VanillaHD(num_classes=4, dim=256, seed=7))
+            save = pipeline.save_checkpoint
+
+            def spy(path, epoch, history):
+                saved.append((epoch, list(history["train_acc"]),
+                              len(history["epoch_time"])))
+                save(path, epoch, history)
+            pipeline.save_checkpoint = spy
             if name == "NSHD":  # NSHD checkpoints from fit_features
-                pipeline = make_nshd(model)
                 return pipeline, pipeline.fit_features(
                     pipeline.extractor.extract(x_tr), y_tr,
                     pipeline.teacher.logits(x_tr), epochs=epochs,
                     batch_size=32, checkpoint_path=ckpt, **kwargs)
-            pipeline = (BaselineHD(model, layer_index=21, dim=256, seed=7)
-                        if name == "BaselineHD"
-                        else VanillaHD(num_classes=4, dim=256, seed=7))
             return pipeline, pipeline.fit(x_tr, y_tr, epochs=epochs,
                                           batch_size=32,
                                           checkpoint_path=ckpt, **kwargs)
 
-        seen = []
-
-        class Recorder(TrainerCallback):
-            def on_epoch_end(self, epoch, metrics):
-                history = metrics["history"]
-                seen.append((epoch, len(history["train_acc"]),
-                             len(history["epoch_time"])))
-
-        fit(1)
-        pipeline, history = fit(3, resume=True, callbacks=[Recorder()])
-        assert seen == [(1, 2, 2), (2, 3, 3)]
-        assert len(history["train_acc"]) == 3
+        first, resumed = [], []
+        _, history = fit(1, first)
+        pipeline, history = fit(3, resumed, resume=True)
+        assert [entry[0] for entry in first + resumed] == [1, 2, 3]
+        restored = first[0][1]
+        assert history["train_acc"][:1] == restored
+        assert [(epoch, acc[:epoch], count)
+                for epoch, acc, count in resumed] \
+            == [(2, history["train_acc"][:2], 2),
+                (3, history["train_acc"], 3)]
         assert pipeline.load_checkpoint(ckpt)[1] == history
 
     def test_resume_with_missing_checkpoint_starts_fresh(self, tiny_task,

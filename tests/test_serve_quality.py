@@ -24,7 +24,8 @@ from repro.learn import VanillaHD
 from repro.pipeline import stages
 from repro.serve import (BundleError, InferenceEngine, ModelBundle,
                          ModelServer, ReloadError)
-from repro.serve.__main__ import _parse_args, build_server, load_config
+from repro.serve.__main__ import (_parse_args, build_server, load_config,
+                                  main)
 from repro.serve.fleet import StaticFleet
 from repro.serve.router import Router
 from repro.telemetry import (MetricsRegistry, load_alert_rules,
@@ -268,9 +269,8 @@ class TestClassifyOnce:
 
 
 class TestServedFold:
-    """The engine folds every served batch into its drift window after
-    the model answers; 256-row batches of 128 features take the batch
-    tally and the kept-tally evictions."""
+    """The engine writes every served batch into its drift window after
+    the model answers; 256-row batches of 128 features wrap the rings."""
 
     FEATURES = 128
     ROWS = 256
@@ -298,13 +298,15 @@ class TestServedFold:
             np.testing.assert_array_equal(engine.predict_features(x), want)
             ref.observe(x, labels=want)
         ran = engine.quality
-        for name in ("_counts", "_bin_ring", "_feat_ring", "_label_ring",
-                     "_label_counts", "_feat_sum"):
+        for name in ("_bin_ring", "_feat_ring", "_label_ring"):
             np.testing.assert_array_equal(getattr(ran, name),
                                           getattr(ref, name),
                                           err_msg=name)
-        assert (ran.samples, ran._labeled, ran._pos, ran._size) == \
-            (ref.samples, ref._labeled, ref._pos, ref._size)
+        assert (ran.samples, ran._pos, ran._size) == \
+            (ref.samples, ref._pos, ref._size)
+        got, want = ran.snapshot(), ref.snapshot()
+        for key in ("window", "feature", "prediction"):
+            assert got[key] == want[key], key
 
     @pytest.mark.parametrize("use_packed", [True, False])
     def test_lru_hits_feed_the_monitor_what_misses_would(self,
@@ -334,14 +336,20 @@ class TestServedFold:
         ran, ref = (engine.quality for engine in engines)
         assert ran.baseline.tap == "reduce"
         assert ran._feat_ring.shape[1] == 16  # F̂, not the 1024 inputs
-        for name in ("_counts", "_label_counts"):
+        for name in ("_bin_ring", "_label_ring"):
             np.testing.assert_array_equal(getattr(ran, name),
                                           getattr(ref, name),
                                           err_msg=name)
+        got, want = ran.snapshot(), ref.snapshot()
+        assert got["window"] == want["window"]
+        assert got["prediction"] == want["prediction"]
+        for key in ("psi_max", "psi_mean", "top"):
+            assert got["feature"][key] == want["feature"][key], key
         # BLAS reduces a 1-row batch in another order than a row of a
         # larger one (about 1 ulp apart), so the uncached engine's own
         # reduce rows depend on their batch; the sums agree to that.
-        np.testing.assert_allclose(ran._feat_sum, ref._feat_sum,
+        np.testing.assert_allclose(ran._feat_ring.sum(axis=0),
+                                   ref._feat_ring.sum(axis=0),
                                    rtol=1e-13, atol=0)
         assert ran.samples == ref.samples == sum(map(len, batches))
 
@@ -380,10 +388,14 @@ class TestServedFold:
         assert not any(t.is_alive() for t in senders + [reader])
         assert not errors
         monitor = engine.quality
-        np.testing.assert_array_equal(monitor._counts.sum(axis=1), 256)
+        sent = {tuple(row) for seed in (1, 2, 3)
+                for x in self._batches(seed, count=6) for row in x}
+        held = {tuple(row) for row in monitor._feat_ring}
+        assert len(held) == 256 and held <= sent
         assert monitor.samples == 3 * sum(len(x)
                                           for x in self._batches(0, 6))
-        assert monitor._labeled == 256
+        window = monitor.snapshot()["window"]
+        assert (window["size"], window["labeled"]) == (256, 256)
 
     def test_a_raising_monitor_never_fails_serving(self, wide_bundle):
         registry = MetricsRegistry()
@@ -433,8 +445,7 @@ class TestBaselineTap:
         x = golden_rows(64, seed=1)
         engine.predict_features(x)
         want = engine.graph.run(x, start="scale", stop="encode")
-        np.testing.assert_array_equal(engine.quality._feat_sum,
-                                      want.sum(axis=0))
+        np.testing.assert_array_equal(engine.quality._feat_ring[:64], want)
 
     def test_version_1_baseline_is_observed_at_input_width(self):
         bundle = ModelBundle.load(NSHD_BUNDLE)
@@ -451,8 +462,8 @@ class TestBaselineTap:
             engine.predict_features(x)
         assert engine.cache_info()["hits"] == 32
         assert engine.quality.samples == 96
-        np.testing.assert_array_equal(engine.quality._feat_sum,
-                                      3 * x.sum(axis=0))
+        np.testing.assert_array_equal(engine.quality._feat_ring[:96],
+                                      np.vstack([x] * 3))
 
     def test_promotion_keeps_the_tap(self):
         bundle = manifold_bundle()
@@ -816,6 +827,18 @@ class TestCliConfig:
             assert server.alert_interval_s == 0.25
         finally:
             server.stop()
+
+    def test_window_below_min_samples_exits_two(self, tmp_path, capsys):
+        bundle_path = str(tmp_path / "bundle.npz")
+        bundle_with_baseline(seed=3).save(bundle_path)
+        config = tmp_path / "serve.toml"
+        config.write_text("[engine]\nquality_window = 32\n")
+        code = main([bundle_path, "--config", str(config), "--port", "0",
+                     "--dry-run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "min_samples" in err
+        assert err.count("\n") == 1
 
     def test_quality_opt_out_via_config(self, tmp_path):
         bundle_path = str(tmp_path / "bundle.npz")

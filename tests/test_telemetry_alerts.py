@@ -203,7 +203,7 @@ class TestAlertManager:
     def test_transition_history_is_bounded(self):
         registry = MetricsRegistry()
         mgr, now = manager([rule(threshold=1.0)], registry)
-        mgr._history_cap = 4
+        mgr.HISTORY = 4
         for i in range(10):
             registry.set_gauge("m", 2.0 if i % 2 == 0 else 0.0)
             now["t"] = float(i)

@@ -1,12 +1,11 @@
 """Integration: the instrumented trainers/pipelines emit the expected
-telemetry, callbacks drive checkpointing, guards count events."""
+telemetry, the epoch loop drives checkpointing, guards count events."""
 
 import numpy as np
 import pytest
 
 from repro.data import make_dataset, normalize_images
-from repro.learn import (NSHD, BaselineHD, CheckpointCallback, MassTrainer,
-                         TrainerCallback, VanillaHD)
+from repro.learn import NSHD, BaselineHD, MassTrainer, VanillaHD
 from repro.models import create_model
 from repro.reliability import NumericsGuard
 from repro.telemetry import Tracer, get_tracer, set_tracer, use_registry
@@ -57,21 +56,28 @@ class TestTrainerTelemetry:
         assert "stage.similarity" in agg
         assert agg["stage.update"]["calls"] == 4
 
-    def test_callback_hooks_fire_in_order(self, fresh_tracer):
-        events = []
-
-        class Recorder(TrainerCallback):
-            def on_epoch_end(self, epoch, metrics):
-                events.append((epoch, metrics["train_acc"]))
-                assert metrics["history"]["train_acc"]
-                assert metrics["epoch_time_s"] >= 0.0
-
+    def test_epochs_publish_in_order(self, fresh_tracer):
+        """Each epoch publishes its number and accuracy after the one
+        before, and the history holds them in that order."""
+        published = []
         hvs, labels = make_hv_problem()
-        with use_registry():
+        with use_registry() as registry:
+            set_gauge = registry.set_gauge
+
+            def spy(name, value):
+                if name in ("train.epoch", "train.train_acc"):
+                    published.append((name, value))
+                set_gauge(name, value)
+            registry.set_gauge = spy
             history = MassTrainer(4, 128).fit(
                 hvs, labels, epochs=2, batch_size=64,
-                rng=np.random.default_rng(0), callbacks=[Recorder()])
-        assert events == list(enumerate(history["train_acc"]))
+                rng=np.random.default_rng(0))
+        assert published == [("train.train_acc", history["train_acc"][0]),
+                             ("train.epoch", 0.0),
+                             ("train.train_acc", history["train_acc"][1]),
+                             ("train.epoch", 1.0)]
+        assert len(history["epoch_time"]) == 2
+        assert all(t >= 0.0 for t in history["epoch_time"])
 
 
 class TestGuardTelemetry:
@@ -116,44 +122,56 @@ class TestPipelineTelemetry:
         assert snapshot["hd.encode.macs"]["value"] > 0
         assert "train.similarity_margin" in snapshot
         # Satellite: the pipeline history carries per-epoch timings and
-        # the checkpoint (written via CheckpointCallback) persists them.
+        # the checkpoint persists them.
         assert len(history["epoch_time"]) == 3
         completed, saved = pipeline.load_checkpoint(ckpt)
         assert completed == 3
         assert saved["train_acc"] == pytest.approx(history["train_acc"])
         assert len(saved["epoch_time"]) == 3
 
-    def test_checkpoint_callback_writes_loop_history(self):
-        class FakePipeline:
-            def __init__(self):
-                self.saved = []
+    @staticmethod
+    def _checkpointed_fit(tmp_path, epochs, saved, **kwargs):
+        """A small VanillaHD fit checkpointing every 2 epochs; appends
+        ``(epoch, history)`` of each checkpoint it writes to ``saved``."""
+        rng = np.random.default_rng(0)
+        pipeline = VanillaHD(num_classes=3, image_size=8, dim=128, seed=0)
+        save = pipeline.save_checkpoint
 
-            def save_checkpoint(self, path, epoch, history):
-                self.saved.append((path, epoch, dict(history)))
+        def spy(path, epoch, history):
+            saved.append((epoch, {key: list(values)
+                                  for key, values in history.items()}))
+            save(path, epoch, history)
+        pipeline.save_checkpoint = spy
+        return pipeline.fit(rng.normal(size=(40, 3, 8, 8)),
+                            rng.integers(0, 3, 40), epochs=epochs,
+                            batch_size=16, checkpoint_every=2,
+                            checkpoint_path=str(tmp_path / "v.ckpt"),
+                            **kwargs)
 
-        pipeline = FakePipeline()
-        callback = CheckpointCallback(pipeline, "x.ckpt", every=2,
-                                      total_epochs=3)
+    def test_checkpoints_write_the_loop_history(self, tmp_path):
+        # A fresh run checkpoints on the ``every`` grid and at its last
+        # epoch even off the grid.
+        saved = []
+        history = self._checkpointed_fit(tmp_path, 3, saved)
+        assert [epoch for epoch, _ in saved] == [2, 3]
+        assert saved[0][1]["train_acc"] == history["train_acc"][:2]
+        assert saved[-1][1] == history
         # On resume the loop's history already starts with the restored
-        # epoch (0.1); the callback writes it as it stands.
-        history = {"train_acc": [0.1, 0.2], "epoch_time": [0.0, 0.01]}
-        callback.on_epoch_end(0, {"history": history})  # 1 % 2 → skipped
-        assert pipeline.saved == []
-        history["train_acc"].append(0.3)
-        history["epoch_time"].append(0.02)
-        callback.on_epoch_end(1, {"history": history})
-        assert len(pipeline.saved) == 1
-        _, epoch, written = pipeline.saved[0]
-        assert epoch == 2
-        assert written["train_acc"] == [0.1, 0.2, 0.3]
-        assert written["epoch_time"] == [0.0, 0.01, 0.02]
-        # Final epoch always checkpoints even off the `every` grid.
-        callback.on_epoch_end(2, {"history": history})
-        assert pipeline.saved[-1][1] == 3
+        # epochs; each checkpoint writes it as it stands.
+        resumed = []
+        history = self._checkpointed_fit(tmp_path, 5, resumed, resume=True)
+        assert [epoch for epoch, _ in resumed] == [4, 5]
+        assert resumed[0][1]["train_acc"][:3] == saved[-1][1]["train_acc"]
+        assert len(resumed[0][1]["epoch_time"]) == 4
+        assert resumed[-1][1] == history
 
-    def test_checkpoint_callback_validates_interval(self):
-        with pytest.raises(ValueError):
-            CheckpointCallback(object(), "x", every=0)
+    def test_checkpoint_interval_is_validated(self, tmp_path):
+        with pytest.raises(ValueError, match="interval"):
+            VanillaHD(num_classes=3, image_size=8, dim=128).fit(
+                np.random.default_rng(0).normal(size=(4, 3, 8, 8)),
+                np.arange(4) % 3, epochs=1,
+                checkpoint_path=str(tmp_path / "x.ckpt"),
+                checkpoint_every=0)
 
 
 @pytest.fixture(scope="module")
@@ -166,20 +184,20 @@ def tiny_task():
     return model, x_tr, y_tr
 
 
-#: ``fit(model, images, labels, callbacks)`` for 3 epochs of each HD fit.
+#: ``fit(model, images, labels)`` for 3 epochs of each HD fit.
 FITS = {
-    "MassTrainer": lambda model, x, y, callbacks: MassTrainer(4, 128).fit(
+    "MassTrainer": lambda model, x, y: MassTrainer(4, 128).fit(
         *make_hv_problem(n=40), epochs=3, batch_size=16,
-        rng=np.random.default_rng(0), callbacks=callbacks),
-    "NSHD": lambda model, x, y, callbacks: NSHD(
+        rng=np.random.default_rng(0)),
+    "NSHD": lambda model, x, y: NSHD(
         model, layer_index=21, dim=128, reduced_features=6, seed=0).fit(
-        x, y, epochs=3, batch_size=16, callbacks=callbacks),
-    "BaselineHD": lambda model, x, y, callbacks: BaselineHD(
+        x, y, epochs=3, batch_size=16),
+    "BaselineHD": lambda model, x, y: BaselineHD(
         model, layer_index=21, dim=128, seed=0).fit(
-        x, y, epochs=3, batch_size=16, callbacks=callbacks),
-    "VanillaHD": lambda model, x, y, callbacks: VanillaHD(
+        x, y, epochs=3, batch_size=16),
+    "VanillaHD": lambda model, x, y: VanillaHD(
         num_classes=3, dim=128, seed=0).fit(
-        x, y, epochs=3, batch_size=16, callbacks=callbacks),
+        x, y, epochs=3, batch_size=16),
 }
 
 
@@ -189,16 +207,20 @@ FITS = {
 def test_epoch_metrics_counted_once(name, with_callback, tiny_task,
                                     fresh_tracer):
     """Every fit publishes each epoch's ``train.*`` metrics exactly once,
-    whether or not the caller passes callbacks."""
+    whether or not the caller hooks each epoch.  Fits take no callbacks;
+    a caller hooks an epoch where it is published, on the registry's
+    ``train.epoch`` gauge."""
     seen = []
-
-    class Recorder(TrainerCallback):
-        def on_epoch_end(self, epoch, metrics):
-            seen.append(epoch)
-
-    callbacks = [Recorder()] if with_callback else None
     with use_registry() as registry:
-        history = FITS[name](*tiny_task, callbacks)
+        if with_callback:
+            set_gauge = registry.set_gauge
+
+            def on_epoch_end(name, value):
+                if name == "train.epoch":
+                    seen.append(int(value))
+                set_gauge(name, value)
+            registry.set_gauge = on_epoch_end
+        history = FITS[name](*tiny_task)
         snapshot = registry.snapshot()
     assert len(history["train_acc"]) == 3
     assert snapshot["train.epochs"]["value"] == 3.0

@@ -21,46 +21,6 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def _observe_per_row(monitor, features, labels=None):
-    """Reference window update: fold a batch in one row at a time.
-
-    This is the ring update ``DriftMonitor.observe`` performed before it
-    was vectorized; the equivalence property below holds the batch
-    update to it.  Only the window state is touched (no gauges).
-    """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    # The ring holds each row's flat (feature, bin) cell of ``_counts``.
-    cells = monitor.baseline.bin_indices(features) \
-        + np.arange(monitor.baseline.num_features) * monitor.baseline.n_bins
-    counts = monitor._counts.reshape(-1)  # a view
-    if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64).ravel()
-    for i in range(features.shape[0]):
-        pos = monitor._pos
-        if monitor._size == monitor.window:
-            counts[monitor._bin_ring[pos]] -= 1.0
-            monitor._feat_sum -= monitor._feat_ring[pos]
-            old_label = monitor._label_ring[pos]
-            if old_label >= 0:
-                if old_label < monitor._label_counts.shape[0]:
-                    monitor._label_counts[old_label] -= 1.0
-                monitor._labeled -= 1
-        monitor._bin_ring[pos] = cells[i]
-        monitor._feat_ring[pos] = features[i]
-        counts[cells[i]] += 1.0
-        monitor._feat_sum += features[i]
-        label = int(labels[i]) if labels is not None \
-            and i < labels.shape[0] else -1
-        monitor._label_ring[pos] = label
-        if label >= 0:
-            if label < monitor._label_counts.shape[0]:
-                monitor._label_counts[label] += 1.0
-            monitor._labeled += 1
-        monitor._pos = (pos + 1) % monitor.window
-        if monitor._size < monitor.window:
-            monitor._size += 1
-
-
 @pytest.fixture()
 def baseline():
     rng = _rng(3)
@@ -289,6 +249,14 @@ class TestDriftMonitor:
             assert registry.get("quality.encoded.saturation").value == want
         assert monitor.snapshot()["saturation"] == want
 
+    def test_window_smaller_than_min_samples_is_refused(self, baseline):
+        # Such a window never holds min_samples rows, so its PSI and
+        # z-score would read 0 on any stream.
+        with pytest.raises(ValueError, match="min_samples 64"):
+            DriftMonitor(baseline, window=32)
+        with pytest.raises(ValueError, match="min_samples"):
+            DriftMonitor(baseline, window=15, min_samples=16)
+
     def test_feature_count_mismatch_raises(self, baseline):
         monitor, _ = self._monitor(baseline)
         with pytest.raises(ValueError, match="columns"):
@@ -428,12 +396,15 @@ class TestRefreshOnRead:
         assert shifted < 256
 
     def test_concurrent_observe_and_read(self, baseline):
-        """Threads observing single rows while others read: no row is
-        lost from the tallies, and a last read publishes what it saw."""
+        """Threads observing single rows while others read: the window
+        holds the last rows, each with its own label, and a last read
+        publishes what it saw."""
         registry = MetricsRegistry()
         monitor = DriftMonitor(baseline, window=self.WINDOW,
                                min_samples=self.MIN, registry=registry)
         rows = self._drifting_rows(4 * 150, seed=12)
+        label_of = {tuple(row): i % 4 for k in range(4)
+                    for i, row in enumerate(rows[k::4])}
 
         def feed(part):
             for i, row in enumerate(part):
@@ -454,24 +425,74 @@ class TestRefreshOnRead:
             sys.setswitchinterval(switch)
         assert not any(thread.is_alive() for thread in threads)
         assert monitor.samples == 600
-        np.testing.assert_array_equal(monitor._counts.sum(axis=1),
-                                      self.WINDOW)
-        assert monitor._labeled == self.WINDOW
+        held = [tuple(row) for row in monitor._feat_ring]
+        assert len(set(held)) == self.WINDOW
+        assert monitor._label_ring.tolist() == [label_of[row]
+                                                for row in held]
+        _assert_window(monitor, registry, monitor._feat_ring,
+                       monitor._label_ring.tolist())
         snap = monitor.snapshot()
+        assert snap["window"]["labeled"] == self.WINDOW
         assert registry.get("quality.feature.psi_max").value == \
             snap["feature"]["psi_max"]
 
 
-@st.composite
-def _batch_plans(draw):
-    """A window size and a sequence of (rows, label mode, seed) batches."""
-    window = draw(st.sampled_from([1, 7, 64, 100]))
-    batches = draw(st.lists(
-        st.tuples(st.integers(0, 3 * window + 5),
-                  st.sampled_from(["none", "short", "full"]),
-                  st.integers(0, 2 ** 32 - 1)),
-        min_size=1, max_size=6))
-    return window, batches
+def _reference_window(baseline, rows, labels, min_samples):
+    """What ``snapshot()`` reports for a window of ``rows`` served
+    ``labels`` (-1 unlabeled), counted anew: bins by the
+    broadcast compare, PSI from the public function one feature at a
+    time, labels of ``k`` or more left out of the label window."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(
+        -1, baseline.num_features)
+    served = [label for label in labels if label >= 0]
+    counts = [served.count(c) for c in range(baseline.num_classes)]
+    total = sum(counts)
+    psi = np.zeros(baseline.num_features)
+    zscore = prediction_psi = 0.0
+    if len(rows) >= min_samples:
+        bins = (rows[:, :, None] >= baseline.bin_edges[None]).sum(axis=2)
+        psi = np.array([population_stability_index(
+            baseline.expected[f],
+            np.bincount(bins[:, f], minlength=baseline.n_bins))
+            for f in range(baseline.num_features)])
+        z = (rows.mean(axis=0) - baseline.feature_mean) \
+            / (baseline.feature_std / np.sqrt(len(rows)))
+        zscore = float(np.abs(z).max())
+        if len(served) >= min_samples:
+            prediction_psi = population_stability_index(
+                baseline.class_priors, counts)
+    return {"size": len(rows), "labeled": len(served),
+            "label_window": [c / total if total else 0.0 for c in counts],
+            "psi": {f: float(v) for f, v in enumerate(psi) if v > 0.0},
+            "psi_max": float(psi.max()), "psi_mean": float(psi.mean()),
+            "zscore_max": zscore, "prediction_psi": prediction_psi}
+
+
+def _assert_window(monitor, registry, rows, labels):
+    """``monitor.snapshot()`` equals :func:`_reference_window` over
+    ``rows``: the PSI rows, prediction PSI and label window exactly, the
+    z-score (a sum in another order) to 1e-12 relative."""
+    want = _reference_window(monitor.baseline, rows, labels,
+                             monitor.min_samples)
+    snap = monitor.snapshot()
+    window, feature = snap["window"], snap["feature"]
+    assert (window["size"], window["labeled"]) == \
+        (want["size"], want["labeled"])
+    assert snap["prediction"]["window"] == want["label_window"]
+    assert snap["prediction"]["psi"] == want["prediction_psi"]
+    assert (feature["psi_max"], feature["psi_mean"]) == \
+        (want["psi_max"], want["psi_mean"])
+    assert feature["zscore_max"] == pytest.approx(
+        want["zscore_max"], rel=1e-12, abs=0, nan_ok=True)
+    assert [row["psi"] for row in feature["top"]] == \
+        sorted(want["psi"].values(), reverse=True)[:5]
+    everything = monitor.top_features(monitor.baseline.num_features)
+    assert {row["feature"]: row["psi"] for row in everything} \
+        == want["psi"]
+    assert registry.get("quality.feature.psi_max").value == \
+        want["psi_max"]
+    assert registry.get("quality.prediction.psi").value == \
+        want["prediction_psi"]
 
 
 @pytest.fixture(scope="module")
@@ -484,130 +505,133 @@ def tied_baseline():
         labels=rng.integers(0, 4, size=400), num_classes=4)
 
 
-class TestVectorizedObserve:
-    """``observe`` folds a batch in one update, equal to the row loop."""
-
-    @staticmethod
-    def _batch(baseline, n, mode, seed):
-        rng = _rng(seed)
-        f = baseline.num_features
-        on_edge = baseline.bin_edges[np.arange(f),
-                                     rng.integers(0, baseline.n_bins - 1,
-                                                  size=(n, f))]
-        features = np.where(rng.random((n, f)) < 0.5, on_edge,
-                            rng.normal(2.5, 2.0, size=(n, f)))
-        # Labels include -1 (unlabeled) and >= k (outside the priors).
-        labels = rng.integers(-1, baseline.num_classes + 2, size=n)
-        if mode == "none":
-            labels = None
-        elif mode == "short":
-            labels = labels[:int(rng.integers(0, n + 1))]
-        return features, labels
-
-    @settings(max_examples=60, deadline=None)
-    @given(plan=_batch_plans())
-    def test_batch_update_equals_per_row_loop(self, tied_baseline, plan):
-        window, batches = plan
-        fast = DriftMonitor(tied_baseline, window=window, min_samples=1,
-                            registry=MetricsRegistry())
-        slow = DriftMonitor(tied_baseline, window=window, min_samples=1,
-                            registry=MetricsRegistry())
-        for n, mode, seed in batches:
-            features, labels = self._batch(tied_baseline, n, mode, seed)
-            fast.observe(features, labels=labels)
-            _observe_per_row(slow, features, labels=labels)
-            for name in ("_counts", "_bin_ring", "_feat_ring",
-                         "_label_ring", "_label_counts"):
-                np.testing.assert_array_equal(getattr(fast, name),
-                                              getattr(slow, name),
-                                              err_msg=name)
-            assert (fast._labeled, fast._pos, fast._size) == \
-                (slow._labeled, slow._pos, slow._size)
-            np.testing.assert_allclose(fast._feat_sum, slow._feat_sum,
-                                       rtol=1e-9, atol=1e-9)
-
-
-def _assert_recounts(monitor):
-    """The window's running tallies equal a recount of its ring."""
-    size, k = monitor._size, monitor._label_counts.shape[0]
-    cells = monitor._bin_ring[:size].ravel().astype(np.int64)
-    np.testing.assert_array_equal(
-        monitor._counts.ravel(),
-        np.bincount(cells, minlength=monitor._counts.size))
-    labels = monitor._label_ring[:size]
-    np.testing.assert_array_equal(
-        monitor._label_counts,
-        np.bincount(labels[(labels >= 0) & (labels < k)], minlength=k))
-    assert monitor._labeled == int(np.count_nonzero(labels >= 0))
-    assert sum(run[0] for run in monitor._runs) == size
-    with np.errstate(invalid="ignore"):
-        want = monitor._feat_ring[:size].sum(axis=0)
-    np.testing.assert_allclose(monitor._feat_sum, want, rtol=1e-9,
-                               atol=1e-9)
+def _live_batch(baseline, n, mode, seed, poisoned):
+    """``n`` live rows, half of their values on a decile edge, and their
+    labels: none, a prefix of the rows, or all of them, drawn from -1
+    (unlabeled) to k + 1 (outside the priors).  A poisoned batch holds a
+    NaN and a +Inf and a -Inf in one column."""
+    rng = _rng(seed)
+    f = baseline.num_features
+    on_edge = baseline.bin_edges[np.arange(f),
+                                 rng.integers(0, baseline.n_bins - 1,
+                                              size=(n, f))]
+    features = np.where(rng.random((n, f)) < 0.5, on_edge,
+                        rng.normal(2.5, 2.0, size=(n, f)))
+    if poisoned and n:
+        rows = rng.integers(0, n, size=3)
+        features[rows[0], 0] = np.nan
+        features[rows[1], -1] = np.inf
+        features[rows[2], -1] = -np.inf
+    labels = rng.integers(-1, baseline.num_classes + 2, size=n)
+    if mode == "none":
+        return features, None
+    if mode == "short":
+        labels = labels[:int(rng.integers(0, n + 1))]
+    return features, labels
 
 
 @st.composite
-def _fold_plans(draw):
-    """A window and batches ``(rows, label mode, seed, poisoned)``."""
-    window = draw(st.sampled_from([1, 7, 64]))
+def _window_plans(draw):
+    """A window, its ``min_samples``, and batches ``(rows, label mode,
+    seed, poisoned)``, some longer than the window."""
+    window = draw(st.sampled_from([1, 7, 64, 100]))
+    min_samples = draw(st.integers(1, window))
     batches = draw(st.lists(
         st.tuples(st.integers(0, 3 * window + 5),
                   st.sampled_from(["none", "short", "full"]),
-                  st.integers(0, 2 ** 32 - 1), st.booleans()),
+                  st.integers(0, 2 ** 32 - 1),
+                  st.sampled_from([False, False, True])),
         min_size=1, max_size=8))
-    return window, batches
+    return window, min_samples, batches
+
+
+class TestVectorizedObserve:
+    """``observe`` writes a batch in one update, equal to observing its
+    rows one at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(plan=_window_plans())
+    def test_batch_update_equals_per_row_loop(self, tied_baseline, plan):
+        window, min_samples, batches = plan
+        fast = DriftMonitor(tied_baseline, window=window,
+                            min_samples=min_samples,
+                            registry=MetricsRegistry())
+        slow = DriftMonitor(tied_baseline, window=window,
+                            min_samples=min_samples,
+                            registry=MetricsRegistry())
+        for n, mode, seed, poisoned in batches:
+            features, served = _live_batch(tied_baseline, n, mode, seed,
+                                           poisoned)
+            with np.errstate(invalid="ignore"):
+                fast.observe(features, labels=served)
+                for i in range(n):
+                    label = None if served is None or i >= len(served) \
+                        else served[i:i + 1]
+                    slow.observe(features[i:i + 1], labels=label)
+                for name in ("_bin_ring", "_feat_ring", "_label_ring"):
+                    np.testing.assert_array_equal(getattr(fast, name),
+                                                  getattr(slow, name),
+                                                  err_msg=name)
+                assert (fast._pos, fast._size, fast.samples) == \
+                    (slow._pos, slow._size, slow.samples)
+                np.testing.assert_equal(fast.snapshot(), slow.snapshot())
 
 
 class TestFoldInvariant:
-    """After every fold the running tallies equal a recount of the ring,
-    whether a leaving batch is subtracted by its kept tally or recounted
-    from its ring cells."""
+    """After every batch the monitor's tallies equal a fresh count over
+    the last ``window`` rows, and a training column holding NaN has NaN
+    at every decile edge."""
 
-    @staticmethod
-    def _batch(baseline, n, mode, seed, poisoned):
-        features, labels = TestVectorizedObserve._batch(baseline, n, mode,
-                                                        seed)
-        if poisoned and n:
-            rng = _rng(seed)
-            rows = rng.integers(0, n, size=2)
-            features[rows[0], 0] = np.nan
-            features[rows[1], -1] = rng.choice([np.inf, -np.inf])
-        return features, labels
-
-    @settings(max_examples=60, deadline=None)
-    @given(plan=_fold_plans())
+    @settings(max_examples=80, deadline=None)
+    @given(plan=_window_plans())
     def test_tallies_equal_a_recount_after_every_fold(self, tied_baseline,
                                                       plan):
-        window, batches = plan
-        monitor = DriftMonitor(tied_baseline, window=window, min_samples=1,
-                               registry=MetricsRegistry())
+        # The last ``window`` rows are kept in a plain list here.
+        window, min_samples, batches = plan
+        registry = MetricsRegistry()
+        monitor = DriftMonitor(tied_baseline, window=window,
+                               min_samples=min_samples, registry=registry)
+        rows, labels = [], []
         for n, mode, seed, poisoned in batches:
-            features, labels = self._batch(tied_baseline, n, mode, seed,
+            features, served = _live_batch(tied_baseline, n, mode, seed,
                                            poisoned)
+            padded = [-1] * n
+            if served is not None:
+                padded[:len(served)] = served.tolist()
+            # +Inf and -Inf in one column of the window sum to NaN.
             with np.errstate(invalid="ignore"):
-                monitor.observe(features, labels=labels)
-                _assert_recounts(monitor)
+                monitor.observe(features, labels=served)
+                rows = (rows + list(features))[-window:]
+                labels = (labels + padded)[-window:]
+                _assert_window(monitor, registry, rows, labels)
         assert monitor.samples == sum(n for n, *_ in batches)
 
     def test_nan_training_column_folds_exactly(self):
-        # np.quantile of a column holding NaN is NaN at every edge: every
-        # live value of that feature lands in bin 0.
+        # Every live value of that feature lands in bin 0, as every
+        # training value did: the feature shows no shift.
         rng = _rng(5)
         train = rng.normal(size=(200, 3))
         train[7, 1] = np.nan
         baseline = QualityBaseline.from_training(train, num_classes=2)
         assert np.isnan(baseline.bin_edges[1]).all()
+        registry = MetricsRegistry()
         monitor = DriftMonitor(baseline, window=40, min_samples=1,
-                               registry=MetricsRegistry())
-        for rows in (16, 16, 16, 5):
-            monitor.observe(rng.normal(size=(rows, 3)))
-            _assert_recounts(monitor)
-        assert monitor._counts[1, 0] == 40
+                               registry=registry)
+        rows = []
+        for count in (16, 16, 16, 5):
+            batch = rng.normal(size=(count, 3))
+            monitor.observe(batch)
+            rows = (rows + list(batch))[-40:]
+            _assert_window(monitor, registry, rows, [-1] * len(rows))
+        # Feature 1's cells are (1, bin 0), flat index n_bins.
+        assert (monitor._bin_ring[:, 1] == baseline.n_bins).all()
+        assert 1 not in {row["feature"] for row in monitor.top_features(3)}
 
 
 class TestBinEdges:
     """A baseline read from a bundle manifest may carry any edges; the
-    window's tallies must stay a recount of its ring whatever they are."""
+    window's statistics must stay a recount of its rows whatever they
+    are."""
 
     @staticmethod
     def _dict(edges):
@@ -631,13 +655,16 @@ class TestBinEdges:
     ])
     def test_any_edges_fold_exactly(self, edges):
         baseline = QualityBaseline.from_dict(self._dict(edges))
+        registry = MetricsRegistry()
         monitor = DriftMonitor(baseline, window=24, min_samples=1,
-                               registry=MetricsRegistry())
+                               registry=registry)
         values = np.array([-np.inf, -1.0, 0.0, 1.0, 1.5, 2.0, 5.0,
                            np.inf, np.nan])
         rng = _rng(9)
+        rows = []
         with np.errstate(invalid="ignore"):
-            for rows in (12, 12, 12, 2, 30):
-                monitor.observe(rng.choice(values, size=(rows, 1)))
-                _assert_recounts(monitor)
-        assert (monitor._counts >= 0).all()
+            for count in (12, 12, 12, 2, 30):
+                batch = rng.choice(values, size=(count, 1))
+                monitor.observe(batch)
+                rows = (rows + list(batch))[-24:]
+                _assert_window(monitor, registry, rows, [-1] * len(rows))
