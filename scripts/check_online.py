@@ -36,20 +36,15 @@ Wired into ``scripts/run_all.sh`` via ``scripts/check_online.sh``.
 """
 
 import argparse
-import functools
 import os
-import shutil
 import sys
-import tempfile
-import threading
 
 import numpy as np
 
-from harness import Checks, boot  # first: puts src/ on sys.path
-from harness import http_json as shared_http_json
+from harness import (Checks, LoadGenerator,  # first: puts src/ on sys.path
+                     http_json, scratch_dir, server_phase)
 from synthetic import synthetic_bundle
 
-from repro import telemetry
 from repro.hd.backend import unpack_bipolar
 from repro.hd.hypervector import hard_quantize
 from repro.serve import InferenceEngine
@@ -105,10 +100,6 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="self-check: run ONLY the poison phase and "
                              "require it to be rejected")
     return parser.parse_args(argv)
-
-
-#: The shared client with this gate's 30 s request timeout.
-http_json = functools.partial(shared_http_json, timeout=30.0)
 
 
 class Clusters:
@@ -187,9 +178,8 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     check = Checks()
 
-    workdir = tempfile.mkdtemp(prefix="check_online_")
     k = args.classes
-    try:
+    with scratch_dir("check_online_") as workdir:
         clusters = Clusters(args)
         bundle_path = clustered_bundle_path(workdir, args, clusters)
         eval_rows, eval_labels = clusters.mixed(range(k), args.eval_rows)
@@ -203,116 +193,114 @@ def main(argv=None) -> int:
 
         if not args.inject_poison:
             # -- phase 1: clean reference accuracy -------------------
-            telemetry.get_registry().reset()
-            server = boot(bundle_path, AUTO_TOML, workdir, "recover")
-            print(f"online-learning worker up at {server.url}")
-            clean_acc = served_accuracy(server, eval_rows, eval_labels)
-            check(clean_acc >= 0.95,
-                  f"clustered bundle serves its own distribution "
-                  f"(clean accuracy {clean_acc:.3f} >= 0.95)")
+            with server_phase(bundle_path, AUTO_TOML, workdir,
+                              "recover") as server:
+                print(f"online-learning worker up at {server.url}")
+                clean_acc = served_accuracy(server, eval_rows, eval_labels)
+                check(clean_acc >= 0.95,
+                      f"clustered bundle serves its own distribution "
+                      f"(clean accuracy {clean_acc:.3f} >= 0.95)")
 
-            # feedback can reference a served request by id
-            host, port = server.address
-            status, body = http_json(
-                host, port, "POST", "/predict",
-                {"features": [clusters.sample(2, 1)[0].tolist()]})
-            status, fb = http_json(
-                host, port, "POST", "/feedback",
-                {"request_id": body["request_id"], "label": 2})
-            check(status == 200 and fb["status"] in ("applied",
-                                                     "held_out"),
-                  f"feedback by request_id resolves remembered "
-                  f"features (status={fb.get('status')})")
+                # feedback can reference a served request by id
+                host, port = server.address
+                status, body = http_json(
+                    host, port, "POST", "/predict",
+                    {"features": [clusters.sample(2, 1)[0].tolist()]})
+                status, fb = http_json(
+                    host, port, "POST", "/feedback",
+                    {"request_id": body["request_id"], "label": 2})
+                check(status == 200 and fb["status"] in ("applied",
+                                                         "held_out"),
+                      f"feedback by request_id resolves remembered "
+                      f"features (status={fb.get('status')})")
 
-            # -- phase 2: label-shift recovery via feedback ----------
-            pre_acc = served_accuracy(server, eval_rows, shifted_labels)
-            check(pre_acc < 0.8,
-                  f"label shift actually hurts the live model "
-                  f"(shifted accuracy {pre_acc:.3f} < 0.8)")
-            floor = args.recovery_floor * clean_acc
-            sent = 0
-            recovered_at = None
-            curve = []  # (feedback_sent, generation, overall, untouched)
-            last_gen = 0
-            while sent < args.feedback_budget:
-                true = int(sent % k)
-                row = clusters.sample(true, 1)[0]
-                status, body = send_feedback(server, row,
-                                             shift.get(true, true))
-                if status not in (200, 429):
-                    raise SystemExit(f"/feedback answered {status}: "
-                                     f"{body}")
-                sent += 1
-                gen = body.get("generation", last_gen)
-                # Checkpoint on every promotion and every 25 samples —
-                # served accuracy only moves on promotion, so the fixed
-                # checkpoints chart the pre-promotion plateau.
-                if gen != last_gen or sent % 25 == 0:
-                    last_gen = gen
-                    overall = served_accuracy(server, eval_rows,
-                                              shifted_labels)
-                    retained = served_accuracy(
-                        server, eval_rows[untouched],
-                        shifted_labels[untouched])
-                    curve.append({"feedback": sent, "generation": gen,
-                                  "accuracy": overall,
-                                  "untouched_accuracy": retained})
-                    if overall >= floor and recovered_at is None:
-                        recovered_at = sent
-                        break
-            post_acc = served_accuracy(server, eval_rows, shifted_labels)
-            check(recovered_at is not None and post_acc >= floor,
-                  f"feedback recovers >= {args.recovery_floor:.0%} of "
-                  f"clean accuracy within {args.feedback_budget} "
-                  f"samples (acc {post_acc:.3f} vs floor {floor:.3f}, "
-                  f"recovered at {recovered_at})")
-            retained = served_accuracy(server, eval_rows[untouched],
-                                       shifted_labels[untouched])
-            check(retained >= floor,
-                  f"untouched classes are not forgotten (replay-free "
-                  f"retention {retained:.3f} >= {floor:.3f})")
-            status_body = onlinez(server)
-            check(status_body["generation"] >= 1
-                  and status_body["promotions"] >= 1,
-                  f"recovery went through real promotions "
-                  f"(generation={status_body['generation']})")
-            print("forgetting curve (checkpoints + promotions):")
-            for point in curve:
-                print(f"  after {point['feedback']:4d} feedback "
-                      f"(gen {point['generation']}): overall "
-                      f"{point['accuracy']:.3f}, untouched "
-                      f"{point['untouched_accuracy']:.3f}")
-            server.stop()
+                # -- phase 2: label-shift recovery via feedback ------
+                pre_acc = served_accuracy(server, eval_rows, shifted_labels)
+                check(pre_acc < 0.8,
+                      f"label shift actually hurts the live model "
+                      f"(shifted accuracy {pre_acc:.3f} < 0.8)")
+                floor = args.recovery_floor * clean_acc
+                sent = 0
+                recovered_at = None
+                curve = []  # (feedback_sent, generation, overall, untouched)
+                last_gen = 0
+                while sent < args.feedback_budget:
+                    true = int(sent % k)
+                    row = clusters.sample(true, 1)[0]
+                    status, body = send_feedback(server, row,
+                                                 shift.get(true, true))
+                    if status not in (200, 429):
+                        raise SystemExit(f"/feedback answered {status}: "
+                                         f"{body}")
+                    sent += 1
+                    gen = body.get("generation", last_gen)
+                    # Checkpoint on every promotion and every 25 samples —
+                    # served accuracy only moves on promotion, so the fixed
+                    # checkpoints chart the pre-promotion plateau.
+                    if gen != last_gen or sent % 25 == 0:
+                        last_gen = gen
+                        overall = served_accuracy(server, eval_rows,
+                                                  shifted_labels)
+                        retained = served_accuracy(
+                            server, eval_rows[untouched],
+                            shifted_labels[untouched])
+                        curve.append({"feedback": sent, "generation": gen,
+                                      "accuracy": overall,
+                                      "untouched_accuracy": retained})
+                        if overall >= floor and recovered_at is None:
+                            recovered_at = sent
+                            break
+                post_acc = served_accuracy(server, eval_rows, shifted_labels)
+                check(recovered_at is not None and post_acc >= floor,
+                      f"feedback recovers >= {args.recovery_floor:.0%} of "
+                      f"clean accuracy within {args.feedback_budget} "
+                      f"samples (acc {post_acc:.3f} vs floor {floor:.3f}, "
+                      f"recovered at {recovered_at})")
+                retained = served_accuracy(server, eval_rows[untouched],
+                                           shifted_labels[untouched])
+                check(retained >= floor,
+                      f"untouched classes are not forgotten (replay-free "
+                      f"retention {retained:.3f} >= {floor:.3f})")
+                status_body = onlinez(server)
+                check(status_body["generation"] >= 1
+                      and status_body["promotions"] >= 1,
+                      f"recovery went through real promotions "
+                      f"(generation={status_body['generation']})")
+                print("forgetting curve (checkpoints + promotions):")
+                for point in curve:
+                    print(f"  after {point['feedback']:4d} feedback "
+                          f"(gen {point['generation']}): overall "
+                          f"{point['accuracy']:.3f}, untouched "
+                          f"{point['untouched_accuracy']:.3f}")
 
         # -- phase 3: poisoned stream must never promote -------------
-        telemetry.get_registry().reset()
-        server = boot(bundle_path, MANUAL_TOML, workdir, "poison")
-        host, port = server.address
-        before_fp = server.engine.bundle.info["config_fingerprint"]
-        rng = fresh_rng((args.seed, "check-online-poison"))
-        rejections = 0
-        for round_no in range(args.poison_rounds):
-            for _ in range(80):
-                true = int(rng.integers(0, k))
-                wrong = int((true + 1 + rng.integers(0, k - 1)) % k)
-                status, body = send_feedback(
-                    server, clusters.sample(true, 1)[0], wrong)
-                if status not in (200, 422, 429):
-                    raise SystemExit(f"/feedback answered {status}: "
-                                     f"{body}")
-            status, decision = http_json(host, port, "POST", "/promote")
-            if status != 200:
-                raise SystemExit(f"/promote answered {status}")
-            if not decision["promote"]:
-                rejections += 1
-        after_fp = server.engine.bundle.info["config_fingerprint"]
-        check(rejections == args.poison_rounds,
-              f"poisoned feedback rejected on all "
-              f"{args.poison_rounds} promote attempts "
-              f"(reasons={decision['reasons']})")
-        check(before_fp == after_fp and onlinez(server)["generation"] == 0,
-              "live model fingerprint untouched by the poison stream")
-        server.stop()
+        with server_phase(bundle_path, MANUAL_TOML, workdir,
+                          "poison") as server:
+            host, port = server.address
+            before_fp = server.engine.bundle.info["config_fingerprint"]
+            rng = fresh_rng((args.seed, "check-online-poison"))
+            rejections = 0
+            for round_no in range(args.poison_rounds):
+                for _ in range(80):
+                    true = int(rng.integers(0, k))
+                    wrong = int((true + 1 + rng.integers(0, k - 1)) % k)
+                    status, body = send_feedback(
+                        server, clusters.sample(true, 1)[0], wrong)
+                    if status not in (200, 422, 429):
+                        raise SystemExit(f"/feedback answered {status}: "
+                                         f"{body}")
+                status, decision = http_json(host, port, "POST", "/promote")
+                if status != 200:
+                    raise SystemExit(f"/promote answered {status}")
+                if not decision["promote"]:
+                    rejections += 1
+            after_fp = server.engine.bundle.info["config_fingerprint"]
+            check(rejections == args.poison_rounds,
+                  f"poisoned feedback rejected on all "
+                  f"{args.poison_rounds} promote attempts "
+                  f"(reasons={decision['reasons']})")
+            check(before_fp == after_fp and onlinez(server)["generation"] == 0,
+                  "live model fingerprint untouched by the poison stream")
         if args.inject_poison:
             print("\n--inject-poison self-check: poisoned stream was "
                   + ("rejected" if not check.failures
@@ -320,94 +308,84 @@ def main(argv=None) -> int:
             return 1 if check.failures else 0
 
         # -- phase 4: class-incremental arrival ----------------------
-        telemetry.get_registry().reset()
-        server = boot(bundle_path, MANUAL_TOML, workdir, "newclass")
-        host, port = server.address
-        old_rows = np.array(server.engine.class_matrix, copy=True)
-        for _ in range(120):
-            status, body = send_feedback(
-                server, clusters.sample(k, 1)[0], k)
-            if status not in (200, 429):
-                raise SystemExit(f"/feedback answered {status}: {body}")
-        status, decision = http_json(host, port, "POST", "/promote")
-        check(status == 200 and decision.get("promoted"),
-              f"new-class feedback promotes "
-              f"(reasons={decision.get('reasons')})")
-        new_matrix = np.asarray(server.engine.class_matrix)
-        check(new_matrix.shape[0] == k + 1,
-              f"promoted model grew to {k + 1} classes "
-              f"(got {new_matrix.shape[0]})")
-        check(np.array_equal(new_matrix[:k], old_rows),
-              "pre-existing class hypervectors are bit-exact after "
-              "class-incremental promotion")
-        new_eval = clusters.sample(k, args.eval_rows)
-        new_acc = served_accuracy(server, new_eval,
-                                  [k] * len(new_eval))
-        check(new_acc >= 0.95,
-              f"the new class is served without retraining "
-              f"(accuracy {new_acc:.3f} >= 0.95)")
-        old_acc = served_accuracy(server, eval_rows, eval_labels)
-        check(old_acc >= 0.95,
-              f"old classes still serve accurately "
-              f"(accuracy {old_acc:.3f} >= 0.95)")
-        priors = (server.engine.bundle.info["quality_baseline"]
-                  ["class_priors"])
-        check(len(priors) == k + 1,
-              f"promoted baseline priors cover the new class "
-              f"({len(priors)} == {k + 1}) so /driftz skew cannot "
-              f"permanently fire")
-        server.stop()
+        with server_phase(bundle_path, MANUAL_TOML, workdir,
+                          "newclass") as server:
+            host, port = server.address
+            old_rows = np.array(server.engine.class_matrix, copy=True)
+            for _ in range(120):
+                status, body = send_feedback(
+                    server, clusters.sample(k, 1)[0], k)
+                if status not in (200, 429):
+                    raise SystemExit(f"/feedback answered {status}: {body}")
+            status, decision = http_json(host, port, "POST", "/promote")
+            check(status == 200 and decision.get("promoted"),
+                  f"new-class feedback promotes "
+                  f"(reasons={decision.get('reasons')})")
+            new_matrix = np.asarray(server.engine.class_matrix)
+            check(new_matrix.shape[0] == k + 1,
+                  f"promoted model grew to {k + 1} classes "
+                  f"(got {new_matrix.shape[0]})")
+            check(np.array_equal(new_matrix[:k], old_rows),
+                  "pre-existing class hypervectors are bit-exact after "
+                  "class-incremental promotion")
+            new_eval = clusters.sample(k, args.eval_rows)
+            new_acc = served_accuracy(server, new_eval,
+                                      [k] * len(new_eval))
+            check(new_acc >= 0.95,
+                  f"the new class is served without retraining "
+                  f"(accuracy {new_acc:.3f} >= 0.95)")
+            old_acc = served_accuracy(server, eval_rows, eval_labels)
+            check(old_acc >= 0.95,
+                  f"old classes still serve accurately "
+                  f"(accuracy {old_acc:.3f} >= 0.95)")
+            priors = (server.engine.bundle.info["quality_baseline"]
+                      ["class_priors"])
+            check(len(priors) == k + 1,
+                  f"promoted baseline priors cover the new class "
+                  f"({len(priors)} == {k + 1}) so /driftz skew cannot "
+                  f"permanently fire")
 
         # -- phase 5: atomic promotion under concurrent load ---------
-        telemetry.get_registry().reset()
-        server = boot(bundle_path, MANUAL_TOML, workdir, "atomic")
-        host, port = server.address
-        old_fp = server.engine.bundle.info["config_fingerprint"]
-        for sent in range(200):  # build a promotable shadow
-            true = int(sent % k)
-            status, _ = send_feedback(server, clusters.sample(true, 1)[0],
-                                      shift.get(true, true))
-            if status not in (200, 429):
-                raise SystemExit(f"/feedback answered {status}")
-        torn, statuses, fingerprints = [], [], set()
-
-        def hammer():
-            rng_local = np.random.default_rng()
-            for _ in range(args.load_requests):
-                label = int(rng_local.integers(0, k))
-                row = clusters.centers[label] + args.noise * \
-                    rng_local.standard_normal(args.features)
-                status, body = http_json(
-                    host, port, "POST", "/predict",
-                    {"features": [row.tolist()]}, timeout=30.0)
-                statuses.append(status)
-                if status != 200 or "labels" not in body \
-                        or len(body["labels"]) != 1:
-                    torn.append((status, body))
+        with server_phase(bundle_path, MANUAL_TOML, workdir,
+                          "atomic") as server:
+            host, port = server.address
+            old_fp = server.engine.bundle.info["config_fingerprint"]
+            for sent in range(200):  # build a promotable shadow
+                true = int(sent % k)
+                status, _ = send_feedback(server, clusters.sample(true, 1)[0],
+                                          shift.get(true, true))
+                if status not in (200, 429):
+                    raise SystemExit(f"/feedback answered {status}")
+            rng = fresh_rng((args.seed, "check-online-load"))
+            labels = rng.integers(0, k, args.load_threads
+                                  * args.load_requests)
+            rows = clusters.centers[labels] + args.noise * \
+                rng.standard_normal((len(labels), args.features))
+            load = LoadGenerator(host, port,
+                                 [{"features": [row.tolist()]}
+                                  for row in rows],
+                                 args.load_threads,
+                                 requests=args.load_requests).start()
+            status, decision = http_json(host, port, "POST", "/promote",
+                                         timeout=60.0)
+            promoted = status == 200 and decision.get("promoted", False)
+            load.join()
+            new_fp = server.engine.bundle.info["config_fingerprint"]
+            check(promoted, f"promotion landed during the load "
+                            f"(reasons={decision.get('reasons')})")
+            torn, fingerprints = [], set()
+            for response in load.responses:
+                if response.status != 200 \
+                        or len(response.body.get("labels", ())) != 1:
+                    torn.append((response.status, response.body))
                 else:
-                    fingerprints.add(body["model"])
-
-        threads = [threading.Thread(target=hammer)
-                   for _ in range(args.load_threads)]
-        for thread in threads:
-            thread.start()
-        status, decision = http_json(host, port, "POST", "/promote",
-                                     timeout=60.0)
-        promoted = status == 200 and decision.get("promoted", False)
-        for thread in threads:
-            thread.join()
-        new_fp = server.engine.bundle.info["config_fingerprint"]
-        check(promoted, f"promotion landed during the load "
-                        f"(reasons={decision.get('reasons')})")
-        check(not torn and all(s == 200 for s in statuses),
-              f"zero torn responses across {len(statuses)} concurrent "
-              f"/predict calls (bad={torn[:3]})")
-        check(fingerprints <= {old_fp, new_fp},
-              f"every response fingerprint is exactly the old or new "
-              f"model ({len(fingerprints)} distinct)")
-        server.stop()
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+                    fingerprints.add(response.body["model"])
+            check(not torn,
+                  f"zero torn responses across {len(load.responses)} "
+                  f"concurrent /predict calls (bad={torn[:3]})")
+            check(fingerprints <= {old_fp, new_fp},
+                  f"every response fingerprint is exactly the old or new "
+                  f"model ({len(fingerprints)} distinct)")
 
     return check.summary("ONLINE GATE", "online gate passed")
 

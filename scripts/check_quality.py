@@ -26,17 +26,15 @@ Wired into ``scripts/run_all.sh`` via ``scripts/check_quality.sh``.
 
 import argparse
 import os
-import shutil
 import sys
-import tempfile
 import time
 
 import numpy as np
 
-from harness import Checks, boot, http_json  # first: puts src/ on sys.path
+from harness import (Checks, http_json,  # first: puts src/ on sys.path
+                     scratch_dir, server_phase)
 from synthetic import synthetic_bundle
 
-from repro import telemetry
 from repro.utils.rng import fresh_rng
 
 ALERTS_TOML = """\
@@ -166,69 +164,66 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     check = Checks()
 
-    workdir = tempfile.mkdtemp(prefix="check_quality_")
-    try:
+    with scratch_dir("check_quality_") as workdir:
         bundle_path = baselined_bundle_path(workdir, args)
         rng = fresh_rng((args.seed, "check-quality-load"))
         clean = lambda n: rng.standard_normal((n, args.features))  # noqa: E731
 
         # -- phase 1: clean traffic stays quiet ----------------------
-        telemetry.get_registry().reset()
-        server = boot(bundle_path, ALERTS_TOML, workdir, "drift")
-        host, port = server.address
-        print(f"quality-monitored worker up at {server.url}")
-        drive(server, clean(4 * args.batch), args.batch)
-        status, drift = http_json(host, port, "GET", "/driftz")
-        check(status == 200 and drift.get("enabled"),
-              "/driftz live with the bundle's training baseline")
-        tap = drift.get("baseline", {}).get("tap")
-        check(tap == ("reduce" if args.reduced else "input"),
-              f"the baseline watches what the encoder reads (tap={tap})")
-        psi = drift.get("feature", {}).get("psi_max", float("inf"))
-        check(psi < 0.25,
-              f"clean traffic under the PSI threshold "
-              f"(psi_max={psi:.3f} < 0.25)")
-        check(firing(server) == [],
-              "no alerts firing on clean traffic")
+        with server_phase(bundle_path, ALERTS_TOML, workdir,
+                          "drift") as server:
+            host, port = server.address
+            print(f"quality-monitored worker up at {server.url}")
+            drive(server, clean(4 * args.batch), args.batch)
+            status, drift = http_json(host, port, "GET", "/driftz")
+            check(status == 200 and drift.get("enabled"),
+                  "/driftz live with the bundle's training baseline")
+            tap = drift.get("baseline", {}).get("tap")
+            check(tap == ("reduce" if args.reduced else "input"),
+                  f"the baseline watches what the encoder reads "
+                  f"(tap={tap})")
+            psi = drift.get("feature", {}).get("psi_max", float("inf"))
+            check(psi < 0.25,
+                  f"clean traffic under the PSI threshold "
+                  f"(psi_max={psi:.3f} < 0.25)")
+            check(firing(server) == [],
+                  "no alerts firing on clean traffic")
 
-        # -- phase 2: covariate shift → feature-drift fires ----------
-        shifted = lambda: 3.0 + 2.0 * clean(args.batch)  # noqa: E731
-        detect = requests_to_firing(server, shifted, "feature-drift",
-                                    args.budget, args.batch)
-        check(detect is not None,
-              f"covariate shift drives feature-drift to firing within "
-              f"{args.budget} requests (took {detect})")
-        status, drift = http_json(host, port, "GET", "/driftz")
-        top = drift.get("feature", {}).get("top", [])
-        check(bool(top), f"/driftz names the drifting features "
-                         f"(top={top[:3]})")
-        server.stop()
+            # -- phase 2: covariate shift → feature-drift fires ------
+            shifted = lambda: 3.0 + 2.0 * clean(args.batch)  # noqa: E731
+            detect = requests_to_firing(server, shifted, "feature-drift",
+                                        args.budget, args.batch)
+            check(detect is not None,
+                  f"covariate shift drives feature-drift to firing "
+                  f"within {args.budget} requests (took {detect})")
+            status, drift = http_json(host, port, "GET", "/driftz")
+            top = drift.get("feature", {}).get("top", [])
+            check(bool(top), f"/driftz names the drifting features "
+                             f"(top={top[:3]})")
 
         # -- phase 3: label skew → prediction-skew fires -------------
-        telemetry.get_registry().reset()
-        server = boot(bundle_path, ALERTS_TOML, workdir, "skew")
-        host, port = server.address
-        pinned = clean(1)[0]  # near-duplicates → one predicted class
-        skewed = lambda: pinned + 0.01 * clean(args.batch)  # noqa: E731
-        detect = requests_to_firing(server, skewed, "prediction-skew",
-                                    args.budget, args.batch)
-        check(detect is not None,
-              f"label skew drives prediction-skew to firing within "
-              f"{args.budget} requests (took {detect})")
-        status, alerts = http_json(host, port, "GET", "/alertz")
-        states = {row["rule"]["name"]: row["state"]
-                  for row in alerts.get("rules", [])}
-        check(states.get("prediction-skew") == "firing",
-              f"/alertz reports the state machine (states={states})")
-        server.stop()
-        server = None
+        with server_phase(bundle_path, ALERTS_TOML, workdir,
+                          "skew") as server:
+            host, port = server.address
+            pinned = clean(1)[0]  # near-duplicates → one predicted class
+            skewed = lambda: pinned + 0.01 * clean(args.batch)  # noqa: E731
+            detect = requests_to_firing(server, skewed, "prediction-skew",
+                                        args.budget, args.batch)
+            check(detect is not None,
+                  f"label skew drives prediction-skew to firing within "
+                  f"{args.budget} requests (took {detect})")
+            status, alerts = http_json(host, port, "GET", "/alertz")
+            states = {row["rule"]["name"]: row["state"]
+                      for row in alerts.get("rules", [])}
+            check(states.get("prediction-skew") == "firing",
+                  f"/alertz reports the state machine (states={states})")
 
         # -- phase 4: monitors must be effectively free --------------
         if not args.skip_overhead:
-            telemetry.get_registry().reset()
-            on = boot(bundle_path, ALERTS_TOML, workdir, "on")
-            off = boot(bundle_path, QUIET_TOML, workdir, "off")
-            try:
+            with server_phase(bundle_path, ALERTS_TOML, workdir,
+                              "on") as on, \
+                    server_phase(bundle_path, QUIET_TOML, workdir,
+                                 "off") as off:
                 rows = clean(args.overhead_requests)
                 measure_p99([on, off], rows[:50])  # warm both paths
                 ratios = []
@@ -243,11 +238,6 @@ def main(argv=None) -> int:
                       f"{p99_on * 1e3:.2f}ms off={p99_off * 1e3:.2f}ms;"
                       f" runs: "
                       f"{', '.join(f'{r[0]:.4f}' for r in ratios)})")
-            finally:
-                on.stop()
-                off.stop()
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
 
     return check.summary("QUALITY GATE", "quality gate passed")
 

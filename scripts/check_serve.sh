@@ -15,15 +15,12 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== serve check: HTTP round-trip on an ephemeral port =="
 python - <<'EOF'
-import json
 import sys
-import urllib.error
-import urllib.request
 
 import numpy as np
 
-sys.path.insert(0, "src")
 sys.path.insert(0, "scripts")
+from harness import http_json  # noqa: E402  (first: puts src/ on sys.path)
 from synthetic import synthetic_bundle  # noqa: E402
 
 from repro.serve import InferenceEngine, ModelServer  # noqa: E402
@@ -37,45 +34,39 @@ assert packed.use_packed and not floating.use_packed
 rng = np.random.default_rng(7)
 features = rng.standard_normal((96, 64))
 
-def post(url, payload, timeout=30):
-    req = urllib.request.Request(
-        url, data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"})
-    with urllib.request.urlopen(req, timeout=timeout) as response:
-        return json.loads(response.read())
-
 with ModelServer(packed, port=0, max_batch_size=32,
                  max_latency_ms=2.0, workers=2) as server:
-    url = server.url
+    host, port = server.address
     # Bounded burst: several multi-sample posts.
     served = []
     for start in range(0, len(features), 16):
-        out = post(url + "/predict",
-                   {"features": features[start:start + 16].tolist()})
+        status, out = http_json(
+            host, port, "POST", "/predict",
+            {"features": features[start:start + 16].tolist()})
+        assert status == 200, f"/predict answered {status}"
         served.extend(out["labels"])
     assert len(served) == len(features), "dropped requests"
     reference = [int(v) for v in floating.predict_features(features)]
     assert served == reference, "served packed path != float reference"
     print(f"served {len(served)} predictions, packed == float reference")
 
-    health = json.loads(urllib.request.urlopen(
-        url + "/healthz", timeout=10).read())
+    status, health = http_json(host, port, "GET", "/healthz")
+    assert status == 200
     assert health["status"] == "ok" and health["engine"]["packed"]
     assert health["batcher"]["completed"] >= len(features)
     print(f"healthz ok: {health['batcher']['completed']} completed, "
           f"{health['batcher']['batches']} batches")
 
-    metrics = urllib.request.urlopen(url + "/metrics",
-                                     timeout=10).read().decode()
+    status, metrics = http_json(host, port, "GET", "/metrics")
+    assert status == 200
     assert "serve_batcher_completed" in metrics.replace(".", "_"), \
         "batcher counters missing from /metrics"
     print("metrics endpoint exposes batcher counters")
 
     # Malformed request -> 400, not a crash.
-    try:
-        post(url + "/predict", {"features": "nope"})
-    except urllib.error.HTTPError as exc:
-        assert exc.code == 400, f"expected 400, got {exc.code}"
+    status, _ = http_json(host, port, "POST", "/predict",
+                          {"features": "nope"})
+    assert status == 400, f"expected 400, got {status}"
     print("malformed request correctly rejected with 400")
 
 # Overload shedding: watermark 1 with a stalled single worker.

@@ -270,8 +270,7 @@ class OnlineLearner:
         child = self.engine.bundle.promoted(
             matrix, generation=self.generation + 1,
             feedback_count=self.shadow.applied,
-            class_priors=priors,
-            extra={"classes_added": self.shadow.classes_added})
+            class_priors=priors)
         path = self._export_path()
         child.save(path)
         info = self._server.reload(path)  # the existing atomic hot swap

@@ -134,8 +134,6 @@ class ShadowModel:
             self.base_classes, self.dim, lr=self.lr, guard=self.guard,
             max_update_norm=self.max_update_norm)
         self.trainer.class_matrix = base.copy()
-        # Per-new-class bundle counts: index -> samples accumulated.
-        self._new_class_counts: Dict[int, int] = {}
         self.generation_feedback = 0
         self.applied = 0
         self.held_out = 0
@@ -249,12 +247,9 @@ class ShadowModel:
         """
         if label == self.trainer.num_classes:
             self.trainer.add_class(encoded)
-            self._new_class_counts[label] = 1
             return "new_class"
         # Subsequent samples: running centroid accumulation on the row.
         self.trainer.class_matrix[label] += encoded[0]
-        self._new_class_counts[label] = \
-            self._new_class_counts.get(label, 0) + 1
         return "applied"
 
     # -- validation ring -----------------------------------------------

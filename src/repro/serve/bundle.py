@@ -256,8 +256,7 @@ class ModelBundle:
     def promoted(self, class_matrix: np.ndarray,
                  generation: int = 1,
                  feedback_count: int = 0,
-                 class_priors: Optional[np.ndarray] = None,
-                 extra: Optional[Dict[str, Any]] = None) -> "ModelBundle":
+                 class_priors: Optional[np.ndarray] = None) -> "ModelBundle":
         """Derive a version-bumped child bundle with a new class matrix.
 
         The online-learning promotion path: everything except the class
@@ -334,8 +333,6 @@ class ModelBundle:
             "promoted_at": float(time.time()),
             "classes_added": int(classes.shape[0] - parent_k),
         }
-        if extra:
-            online.update(dict(extra))
         info["online"] = online
         info["created_at"] = float(time.time())
         info["config_fingerprint"] = config_fingerprint({

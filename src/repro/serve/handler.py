@@ -77,8 +77,10 @@ def json_floats(value: Any) -> np.ndarray:
     ``np.asarray(value, dtype=np.float64)`` would convert it.  A boolean,
     string, null or object raises :class:`ValueError` naming its type,
     where that conversion would read it as 1.0/0.0, parse the string or
-    give NaN.  A boolean among numbers is promoted to a number by numpy
-    before it can be seen: :func:`refuse_json_booleans` catches it.
+    give NaN; so does an integer too large for float64, where that
+    conversion raises :class:`OverflowError`.  A boolean among numbers
+    is promoted to a number by numpy before it can be seen:
+    :func:`refuse_json_booleans` catches it.
     """
     array = np.asarray(value)
     kind = array.dtype.kind
@@ -89,6 +91,13 @@ def json_floats(value: Any) -> np.ndarray:
             if type(item) not in (int, float):
                 raise ValueError(f"got a JSON "
                                  f"{_JSON_TYPES.get(type(item), 'value')}")
+            try:
+                float(item)
+            except OverflowError:
+                digits = str(item)
+                raise ValueError(f"got the JSON number {digits[:20]}... "
+                                 f"({len(digits)} digits), too large "
+                                 f"for float64") from None
         return np.asarray(value, dtype=np.float64)
     raise ValueError(f"got a JSON {'boolean' if kind == 'b' else 'string'}")
 

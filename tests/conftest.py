@@ -3,6 +3,8 @@
 import http.client
 import json
 import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from repro.nn.serialize import save_state
 from repro.serve import BUNDLE_SECTION, BUNDLE_VERSION, ModelBundle
 from repro.serve import bundle as bundle_module
 from repro.serve.handler import JsonHandler
-from repro.telemetry import config_fingerprint, encode_non_finite, git_info
+from repro.telemetry import (config_fingerprint, encode_non_finite,
+                             get_registry, git_info)
 from repro.utils.rng import fresh_rng
 
 
@@ -216,3 +219,73 @@ def http_status(address, method, path, payload=None):
         return response.status
     finally:
         conn.close()
+
+
+def _open(url, payload, timeout, headers=None):
+    """urlopen ``url``: a POST of ``payload`` (JSON, or bytes as they
+    are) when it is given, else a GET."""
+    data, send = None, {}
+    if payload is not None:
+        data = payload if isinstance(payload, bytes) \
+            else json.dumps(payload).encode("utf-8")
+        send["Content-Type"] = "application/json"
+    send.update(headers or {})
+    return urllib.request.urlopen(urllib.request.Request(url, data, send),
+                                  timeout=timeout)
+
+
+def _parse(raw):
+    try:
+        return json.loads(raw) if raw else {}
+    except ValueError:
+        return {}
+
+
+def request(url, payload=None, timeout=10.0, headers=None):
+    """``(status, body, headers)`` of one request; a 4xx/5xx is
+    returned, not raised.  The body is parsed JSON, ``{}`` when it is
+    empty or not JSON."""
+    try:
+        with _open(url, payload, timeout, headers) as response:
+            return (response.status, _parse(response.read()),
+                    dict(response.headers))
+    except urllib.error.HTTPError as exc:
+        return exc.code, _parse(exc.read()), dict(exc.headers)
+
+
+def post(url, payload=None, timeout=30.0):
+    """Parsed JSON answer to a POST of ``payload`` (an empty body when
+    it is None); a 4xx/5xx raises :class:`urllib.error.HTTPError`."""
+    with _open(url, b"" if payload is None else payload,
+               timeout) as response:
+        return json.loads(response.read())
+
+
+def get(url, timeout=10.0, text=False):
+    """Parsed JSON answer to a GET, or its text when ``text``; a
+    4xx/5xx raises :class:`urllib.error.HTTPError`."""
+    with _open(url, None, timeout) as response:
+        raw = response.read()
+    return raw.decode("utf-8") if text else json.loads(raw)
+
+
+def counter(name):
+    """Value of the global registry's metric ``name`` (0 if unset)."""
+    entry = get_registry().snapshot().get(name) or {}
+    return float(entry.get("value", 0.0))
+
+
+def wait_for(predicate, timeout_s=5.0, errors=()):
+    """Poll ``predicate`` until it returns something truthy and return
+    that; fail after ``timeout_s``.  A raised ``errors`` counts as not
+    yet."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        try:
+            found = predicate()
+        except errors:
+            found = None
+        if found:
+            return found
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)

@@ -197,12 +197,10 @@ class TestBundlePromoted:
         bundle = _synthetic_bundle(dim=DIM, features=FEATURES,
                                    classes=4, seed=1)
         matrix = np.asarray(bundle.arrays["classes"]).copy()
-        child = bundle.promoted(matrix, generation=3, feedback_count=77,
-                                extra={"source": "feedback"})
+        child = bundle.promoted(matrix, generation=3, feedback_count=77)
         online = child.info["online"]
         assert online["generation"] == 3
         assert online["feedback_count"] == 77
-        assert online["source"] == "feedback"
         assert online["classes_added"] == 0
         assert online["parent_fingerprint"] == \
             bundle.info["config_fingerprint"]

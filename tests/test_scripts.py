@@ -1,16 +1,20 @@
-"""The gate scripts: every one imports, and the benchmark gate's verdicts."""
+"""The gate scripts: every one imports, the benchmark gate's verdicts,
+and the harness the live gates share."""
 
 import ast
 import copy
 import os
 import re
+import socket
 import subprocess
 import sys
 from collections import defaultdict
 
 import pytest
 
-from .conftest import _synthetic_bundle
+from repro.telemetry import get_registry
+
+from .conftest import _synthetic_bundle, counter, wait_for
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = os.path.join(ROOT, "scripts")
@@ -290,3 +294,70 @@ class TestBenchGate:
         section = bench_gate.gate(base, bench_file([900.0] * 3))
         assert section["skipped"] and section["rows"] == []
         assert bench_gate.print_gate(section) == 0
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    monkeypatch.setattr(sys, "path", [SCRIPTS] + sys.path)
+    import harness
+    return harness
+
+
+@pytest.fixture
+def bundle_path(tmp_path):
+    path = str(tmp_path / "bundle.npz")
+    _synthetic_bundle(seed=3).save(path)
+    return path
+
+
+class TestHarness:
+    """The live gates' load generator and serve-CLI server phase,
+    against an in-process server on a synthetic bundle."""
+
+    def test_load_generator_counts_each_phase_with_trace_ids(
+            self, harness, bundle_path, tmp_path):
+        with harness.server_phase(bundle_path, "", str(tmp_path),
+                                  "load") as server:
+            row = [[0.25] * 32]
+            label = server.engine.predict_features(row).tolist()
+            # Client 0 always sends the row, client 1 the bad body.
+            load = harness.LoadGenerator(
+                *server.address, [{"features": row}, b"not json"],
+                clients=2, phase="first")
+            with load:
+                wait_for(lambda: len(load.responses) >= 10)
+                load.phase = "second"
+                wait_for(lambda: sum(r.phase == "second"
+                                     for r in load.responses) >= 10)
+        summary = load.summary(["first", "second", "unused"])
+        for phase in ("first", "second"):
+            responses = [r for r in load.responses if r.phase == phase]
+            assert summary[phase]["ok"] == sum(r.status == 200
+                                               for r in responses) > 0
+            assert summary[phase]["fail"] == sum(r.status == 400
+                                                 for r in responses) > 0
+            assert summary[phase]["p99_ms"] > 0.0
+        assert summary["unused"] == {"ok": 0, "fail": 0, "p50_ms": 0.0,
+                                     "p95_ms": 0.0, "p99_ms": 0.0}
+        for response in load.responses:
+            assert response.trace_id \
+                and response.body["request_id"] == response.trace_id
+            if response.status == 200:
+                assert response.body["labels"] == label
+
+    def test_server_phase_stops_the_server_when_a_check_raises(
+            self, harness, bundle_path):
+        get_registry().inc("harness.stale")
+        with pytest.raises(RuntimeError, match="check failed"):
+            with harness.scratch_dir("harness_") as workdir, \
+                    harness.server_phase(bundle_path, "", workdir,
+                                         "raise") as server:
+                assert counter("harness.stale") == 0
+                address = server.address
+                status, health = harness.http_json(*address, "GET",
+                                                   "/healthz")
+                assert status == 200 and health["status"] == "ok"
+                raise RuntimeError("check failed")
+        assert not os.path.exists(workdir)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=1).close()

@@ -1,6 +1,5 @@
 """Fleet supervisor: backoff, quarantine, hang detection, real workers."""
 
-import json
 import os
 import re
 import signal
@@ -9,7 +8,6 @@ import subprocess
 import sys
 import textwrap
 import time
-import urllib.request
 
 import numpy as np
 import pytest
@@ -17,6 +15,8 @@ import pytest
 from repro.serve import FleetError, StaticFleet, Supervisor, free_port
 from repro.serve.fleet import (BACKOFF, QUARANTINED, STARTING, STOPPED, UP,
                                ForkedProcess)
+
+from .conftest import get, post, wait_for
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
@@ -411,9 +411,7 @@ class TestRealSubprocessFleet:
 
             # Workers answer /healthz with the bundle identity.
             worker = supervisor.workers[0]
-            with urllib.request.urlopen(worker.url + "/healthz",
-                                        timeout=5.0) as response:
-                health = json.loads(response.read())
+            health = get(worker.url + "/healthz")
             assert health["status"] == "ok"
             assert health["bundle"]["path"] == bundle_path
 
@@ -421,12 +419,9 @@ class TestRealSubprocessFleet:
             # Health is eventually consistent (the monitor notices the
             # exit on its next tick), so poll for restart + recovery.
             supervisor.kill_worker("w0")
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if (supervisor._worker("w0").restarts >= 1
-                        and len(supervisor.healthy_workers()) == 2):
-                    break
-                time.sleep(0.05)
+            wait_for(lambda: supervisor._worker("w0").restarts >= 1
+                     and len(supervisor.healthy_workers()) == 2,
+                     timeout_s=30.0)
             assert supervisor._worker("w0").restarts >= 1
             assert len(supervisor.healthy_workers()) == 2
         finally:
@@ -497,28 +492,6 @@ def forks(log):
         return [tuple(map(int, line.split())) for line in handle]
 
 
-def fetch(url, payload=None):
-    data = None if payload is None else json.dumps(payload).encode()
-    with urllib.request.urlopen(urllib.request.Request(
-            url, data, {"Content-Type": "application/json"}),
-            timeout=10.0) as response:
-        body = response.read()
-    return body if url.endswith("/metrics") else json.loads(body)
-
-
-def wait_for(check, timeout_s=60.0):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        try:
-            found = check()
-        except OSError:
-            found = None
-        if found:
-            return found
-        time.sleep(0.05)
-    raise AssertionError("condition not met in time")
-
-
 def cmdline(pid):
     with open(f"/proc/{pid}/cmdline", "rb") as handle:
         return handle.read().split(b"\0")
@@ -535,7 +508,7 @@ def alive(pid):
 def surface(url, row):
     """What a worker shows after one /predict: its /healthz key paths
     and its /metrics sample names."""
-    fetch(url + "/predict", {"features": [row]})
+    post(url + "/predict", {"features": [row]})
 
     def paths(value, prefix=""):
         if not isinstance(value, dict):
@@ -544,9 +517,9 @@ def surface(url, row):
                 for path in paths(item, f"{prefix}/{key}")}
 
     names = {re.split(r"[{ ]", line)[0] for line in
-             fetch(url + "/metrics").decode().splitlines()
+             get(url + "/metrics", text=True).splitlines()
              if line and not line.startswith("#")}
-    return paths(fetch(url + "/healthz")), names
+    return paths(get(url + "/healthz")), names
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -563,7 +536,8 @@ class TestForkedFirstGeneration:
                            "2", recorder=log)
         url = f"http://127.0.0.1:{port}"
         try:
-            wait_for(lambda: fetch(url + "/healthz")["fleet"]["up"] == 2)
+            wait_for(lambda: get(url + "/healthz")["fleet"]["up"] == 2,
+                     timeout_s=60.0, errors=OSError)
             yield {"router": router, "url": url, "log": log}
         finally:
             if router.poll() is None:
@@ -573,7 +547,7 @@ class TestForkedFirstGeneration:
     @staticmethod
     def workers(fleet):
         return {worker["id"]: worker for worker in
-                fetch(fleet["url"] + "/healthz")["fleet"]["workers"]}
+                get(fleet["url"] + "/healthz")["fleet"]["workers"]}
 
     def test_each_fork_happens_while_one_thread_runs(self, fleet):
         recorded = forks(fleet["log"])
@@ -590,7 +564,8 @@ class TestForkedFirstGeneration:
         plain = serve_cli(GOLDEN_BUNDLE, "--port", str(port))
         try:
             url = f"http://127.0.0.1:{port}"
-            wait_for(lambda: fetch(url + "/healthz")["status"] == "ok")
+            wait_for(lambda: get(url + "/healthz")["status"] == "ok",
+                     timeout_s=60.0, errors=OSError)
             expected = surface(url, row)
         finally:
             plain.terminate()
@@ -608,7 +583,7 @@ class TestForkedFirstGeneration:
             return (worker if worker["restarts"] == 1
                     and worker["state"] == "up" else None)
 
-        back = wait_for(restarted)
+        back = wait_for(restarted, timeout_s=60.0, errors=OSError)
         assert back["last_failure"] == "exited with code -9"
         assert back["pid"] != victim["pid"]
         port = victim["url"].rsplit(":", 1)[1].encode()
@@ -621,7 +596,7 @@ class TestForkedFirstGeneration:
             reference = golden["nshd.packed_labels"].tolist()
         labels = []
         for start in range(0, len(raw), 8):
-            labels += fetch(fleet["url"] + "/predict", {
+            labels += post(fleet["url"] + "/predict", {
                 "features": raw[start:start + 8].tolist()})["labels"]
         assert labels == reference
 

@@ -8,9 +8,8 @@ import time
 import pytest
 
 from repro.serve import InferenceEngine, ModelServer, Router, StaticFleet
-from repro.telemetry import get_registry
 
-from .conftest import _synthetic_bundle
+from .conftest import _synthetic_bundle, counter
 
 
 def _server(port=0):
@@ -32,11 +31,6 @@ def _accepts(address):
     except OSError:
         return False
     return True
-
-
-def _counter(name):
-    entry = get_registry().snapshot().get(name) or {}
-    return float(entry.get("value", 0.0))
 
 
 @front_ends
@@ -72,13 +66,13 @@ def test_context_manager_releases_the_port(make):
 def test_drain_returns_at_once_is_idempotent_and_closes(make, metric):
     front = make().start()
     address = front.address
-    before = _counter(metric)
+    before = counter(metric)
     t0 = time.monotonic()
     front.drain()
     front.drain()
     assert time.monotonic() - t0 < 0.5
     assert front.draining
-    assert _counter(metric) == before + 1
+    assert counter(metric) == before + 1
     deadline = time.monotonic() + 10.0
     while _accepts(address) and time.monotonic() < deadline:
         time.sleep(0.05)

@@ -8,13 +8,11 @@ endpoints, deep-health engine vitals, fleet-wide drift aggregation on
 the router, and the serve CLI's ``[alerts]`` / quality config keys.
 """
 
-import json
 import math
 import os
 import sys
 import threading
 import urllib.error
-import urllib.request
 
 import numpy as np
 import pytest
@@ -32,24 +30,11 @@ from repro.telemetry import (MetricsRegistry, load_alert_rules,
                              use_registry)
 from repro.telemetry.quality import DriftMonitor, QualityBaseline
 
-from .conftest import _synthetic_bundle
+from .conftest import _synthetic_bundle, get, post
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures")
 NSHD_BUNDLE = os.path.join(FIXTURES, "golden_nshd_bundle_packed.npz")
-
-
-def get(url, timeout=5.0):
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        return json.loads(response.read())
-
-
-def post(url, payload, timeout=5.0):
-    request = urllib.request.Request(
-        url, json.dumps(payload).encode("utf-8"),
-        {"Content-Type": "application/json"})
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read())
 
 
 def bundle_with_baseline(seed=0, features=16, classes=4, train=512):

@@ -4,7 +4,6 @@ import json
 import signal
 import threading
 import urllib.error
-import urllib.request
 
 import numpy as np
 import pytest
@@ -13,21 +12,7 @@ from repro.serve import (InferenceEngine, ModelBundle, ModelServer,
                          ReloadError)
 from repro.telemetry import get_registry
 
-from .conftest import _synthetic_bundle, save_version_1
-
-
-def post(url, payload=None, timeout=30):
-    data = (b"" if payload is None
-            else json.dumps(payload).encode("utf-8"))
-    request = urllib.request.Request(
-        url, data=data, headers={"Content-Type": "application/json"})
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read())
-
-
-def get(url, timeout=10):
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        return json.loads(response.read())
+from .conftest import _synthetic_bundle, get, post, save_version_1
 
 
 @pytest.fixture
@@ -170,11 +155,8 @@ class TestReloadHTTP:
         assert server.engine is old_engine
 
     def test_post_reload_invalid_json_is_400(self, server):
-        request = urllib.request.Request(
-            server.url + "/reload", data=b"{not json",
-            headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
+            post(server.url + "/reload", b"{not json")
         assert excinfo.value.code == 400
 
     def test_post_reload_non_dict_body_is_400(self, server):

@@ -4,7 +4,6 @@ import json
 import os
 import statistics
 import urllib.error
-import urllib.request
 
 import numpy as np
 import pytest
@@ -14,28 +13,12 @@ from repro.serve import (HashRing, InferenceEngine, ModelServer, Router,
 from repro.serve.handler import MAX_BODY_BYTES
 from repro.telemetry import get_registry
 
-from .conftest import (http_status, keepalive_predict_ms,
-                       post_with_content_length, whole_response_status)
+from .conftest import (counter, get, http_status, keepalive_predict_ms,
+                       post, post_with_content_length, request,
+                       whole_response_status)
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures")
-
-
-def post(url, payload, timeout=30):
-    request = urllib.request.Request(
-        url, data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"})
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read())
-
-
-def get(url, timeout=10):
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        return json.loads(response.read())
-
-
-def counter(name):
-    return get_registry().counter(name).value
 
 
 class TestHashRing:
@@ -109,10 +92,8 @@ class TestRouting:
         with Router(fleet, port=0) as router:
             for row in rng.standard_normal((40, 32)):
                 post(router.url + "/predict", {"features": row.tolist()})
-            counts = [json.loads(
-                urllib.request.urlopen(server.url + "/healthz",
-                                       timeout=5).read()
-            )["batcher"]["completed"] for server in servers]
+            counts = [get(server.url + "/healthz")["batcher"]["completed"]
+                      for server in servers]
         assert all(count > 0 for count in counts), counts
 
     def test_retry_routes_around_dead_worker(self, fleet_servers):
@@ -156,15 +137,10 @@ class TestRouting:
             assert breaker["stats"]["opens"] >= 1
             # Once open, further requests skip the dead worker without
             # spending a connection attempt on it.
-            skips_before = (get_registry().snapshot()
-                            .get("fleet.router.breaker_skips")
-                            or {}).get("value", 0)
+            skips_before = counter("fleet.router.breaker_skips")
             for row in rng.standard_normal((20, 32)):
                 post(router.url + "/predict", {"features": row.tolist()})
-            skips_after = (get_registry().snapshot()
-                           .get("fleet.router.breaker_skips")
-                           or {}).get("value", 0)
-            assert skips_after > skips_before
+            assert counter("fleet.router.breaker_skips") > skips_before
 
     def test_no_healthy_worker_is_503(self, fleet_servers):
         fleet, servers, _ = fleet_servers
@@ -224,6 +200,27 @@ class TestRouting:
                 post(router.url + "/predict", {"features": [[0.0] * 31]})
             assert excinfo.value.code == 400
 
+    def test_integer_beyond_float64_is_400_and_opens_no_breaker(
+            self, fleet_servers):
+        """A feature float64 cannot hold is the client's error on every
+        worker: no upstream error is counted, so no breaker opens and
+        a valid request is still served."""
+        fleet, servers, engine = fleet_servers
+        row = [int("9" * 400)] + [0.0] * 31
+        before = counter("fleet.router.upstream_errors")
+        with Router(fleet, port=0) as router:
+            for _ in range(6):
+                status, _, _ = request(router.url + "/predict",
+                                       {"features": [row]})
+                assert status == 400
+            breakers = get(router.url + "/healthz")["breakers"]
+            out = post(router.url + "/predict", {"features": [[0.0] * 32]})
+        assert counter("fleet.router.upstream_errors") == before
+        assert breakers and all(b["state"] == "closed"
+                                for b in breakers.values())
+        assert out["labels"] == [int(v) for v in
+                                 engine.predict_features(np.zeros((1, 32)))]
+
     def test_health_status_degraded_and_down(self, fleet_servers):
         fleet, servers, _ = fleet_servers
         with Router(fleet, port=0) as router:
@@ -241,9 +238,7 @@ class TestRouting:
         fleet, servers, _ = fleet_servers
         with Router(fleet, port=0) as router:
             post(router.url + "/predict", {"features": [0.0] * 32})
-            with urllib.request.urlopen(router.url + "/metrics",
-                                        timeout=5) as response:
-                metrics = response.read().decode()
+            metrics = get(router.url + "/metrics", text=True)
             assert "repro_fleet_router_latency_ms_count" in metrics
 
     def test_unknown_route_404(self, fleet_servers):

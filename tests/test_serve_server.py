@@ -8,7 +8,6 @@ import struct
 import threading
 import time
 import urllib.error
-import urllib.request
 
 import numpy as np
 import pytest
@@ -17,31 +16,13 @@ from repro.data import make_dataset
 from repro.learn import VanillaHD
 from repro.serve import InferenceEngine, ModelBundle, ModelServer
 from repro.serve.handler import MAX_BODY_BYTES
-from repro.telemetry import get_registry
 
-from .conftest import (http_status, keepalive_predict_ms,
-                       post_with_content_length, whole_response_status)
+from .conftest import (counter, get, http_status, keepalive_predict_ms,
+                       post, post_with_content_length, wait_for,
+                       whole_response_status)
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures")
-
-
-def counter(name):
-    entry = get_registry().snapshot().get(name) or {}
-    return float(entry.get("value", 0.0))
-
-
-def post(url, payload, timeout=30):
-    request = urllib.request.Request(
-        url, data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"})
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read())
-
-
-def get(url, timeout=10):
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        return response.read().decode("utf-8")
 
 
 class GatedEngine:
@@ -85,7 +66,7 @@ class TestRoutes:
         assert single["labels"] == expected[:1]
 
     def test_healthz(self, server):
-        health = json.loads(get(server.url + "/healthz"))
+        health = get(server.url + "/healthz")
         assert health["status"] == "ok"
         assert health["engine"]["packed"]
         assert "depth" in health["batcher"]
@@ -95,7 +76,7 @@ class TestRoutes:
         rng = np.random.default_rng(22)
         post(server.url + "/predict",
              {"features": rng.standard_normal((4, 32)).tolist()})
-        metrics = get(server.url + "/metrics")
+        metrics = get(server.url + "/metrics", text=True)
         assert "repro_serve_batcher_completed" in metrics
         assert "repro_serve_batcher_batch_size_count" in metrics
 
@@ -109,6 +90,7 @@ class TestRoutes:
         {"wrong_key": [[1.0]]},
         {"features": []},
         {"features": [[1.0, float("nan")] + [0.0] * 30]},
+        {"features": [[int("9" * 400)] + [0.0] * 31]},  # beyond float64
     ])
     def test_malformed_request_400(self, server, payload):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -184,11 +166,8 @@ class TestRoutes:
             assert excinfo.value.code == 400
 
     def test_invalid_json_400(self, server):
-        request = urllib.request.Request(
-            server.url + "/predict", data=b"{not json",
-            headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
+            post(server.url + "/predict", b"{not json")
         assert excinfo.value.code == 400
 
 
@@ -222,7 +201,7 @@ class TestDegradationMapping:
             for t in threads:
                 t.join()
             assert 503 in codes, f"no shed response in {codes}"
-            health = json.loads(get(server.url + "/healthz"))
+            health = get(server.url + "/healthz")
             assert health["shedder"]["shed"] >= 1
         finally:
             gated.gate.set()
@@ -257,13 +236,6 @@ class TestDegradationMapping:
         finally:
             gated.gate.set()
             server.stop()
-
-
-def wait_for(predicate, timeout_s=5.0):
-    deadline = time.monotonic() + timeout_s
-    while not predicate():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.005)
 
 
 class TestWire:
@@ -382,7 +354,7 @@ class TestHealthzIdentity:
         bundle.save(path)
         engine = InferenceEngine(bundle)
         with ModelServer(engine, port=0, bundle_path=path) as server:
-            health = json.loads(get(server.url + "/healthz"))
+            health = get(server.url + "/healthz")
         assert health["mode"] == "packed"
         assert health["bundle"]["fingerprint"] == bundle.info[
             "config_fingerprint"]
@@ -395,13 +367,13 @@ class TestHealthzIdentity:
         engine = InferenceEngine(synthetic_bundle(seed=62, binary=False))
         assert not engine.use_packed
         with ModelServer(engine, port=0) as server:
-            health = json.loads(get(server.url + "/healthz"))
+            health = get(server.url + "/healthz")
         assert health["mode"] == "float"
 
     def test_deep_health_runs_selfcheck(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle(seed=63))
         with ModelServer(engine, port=0) as server:
-            health = json.loads(get(server.url + "/healthz?deep=1"))
+            health = get(server.url + "/healthz?deep=1")
         assert health["selfcheck"] == "ok"
         assert health["status"] == "ok"
 
@@ -410,7 +382,7 @@ class TestHealthzIdentity:
             InferenceEngine(synthetic_bundle(seed=64)))
         with ModelServer(engine, port=0) as server:
             # Shallow stays 200 (probe traffic must not run the check)…
-            health = json.loads(get(server.url + "/healthz"))
+            health = get(server.url + "/healthz")
             assert health["status"] == "ok"
             # …deep runs it and degrades the answer to 500.
             with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -435,7 +407,7 @@ class TestChaosEndpoint:
             out = post(server.url + "/slow", {"stall_s": 0.5})
             assert out["stalled_s"] == 0.5
             t0 = time.monotonic()
-            health = json.loads(get(server.url + "/healthz"))
+            health = get(server.url + "/healthz")
             assert time.monotonic() - t0 >= 0.3  # probe was wedged
             assert health["status"] == "ok"  # …but answers once unstuck
 

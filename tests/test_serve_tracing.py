@@ -1,8 +1,6 @@
 """Serving-path tracing: id echo, propagation, batcher/router spans,
 /tracez + /requestz."""
 
-import http.client
-import json
 import threading
 import time
 
@@ -15,33 +13,9 @@ from repro.serve import (InferenceEngine, MicroBatcher, ModelServer,
                          Router, StaticFleet, free_port)
 from repro.telemetry import (TraceContext, disable_request_tracing,
                              enable_request_tracing, get_flight_recorder,
-                             get_registry, get_request_log,
-                             read_trace_jsonl)
+                             get_registry, read_trace_jsonl)
 
-
-def http_request(host, port, method, path, body=None, headers=None,
-                 timeout=30.0):
-    """(status, parsed json, response headers) without raising on 4xx."""
-    conn = http.client.HTTPConnection(host, int(port), timeout=timeout)
-    try:
-        conn.request(method, path, body, headers or {})
-        response = conn.getresponse()
-        raw = response.read()
-        try:
-            parsed = json.loads(raw.decode("utf-8")) if raw else {}
-        except ValueError:
-            parsed = {}
-        return response.status, parsed, dict(response.getheaders())
-    finally:
-        conn.close()
-
-
-def predict(address, payload, headers=None):
-    body = json.dumps(payload).encode("utf-8")
-    send = {"Content-Type": "application/json"}
-    send.update(headers or {})
-    return http_request(address[0], address[1], "POST", "/predict",
-                        body, send)
+from .conftest import request
 
 
 @pytest.fixture
@@ -63,8 +37,9 @@ def server(synthetic_bundle):
 class TestServerTracing:
     def test_predict_traced_end_to_end(self, traced, server):
         rng = np.random.default_rng(7)
-        status, payload, headers = predict(
-            server.address, {"features": rng.standard_normal(32).tolist()})
+        status, payload, headers = request(
+            server.url + "/predict",
+            {"features": rng.standard_normal(32).tolist()})
         assert status == 200
         trace_id = headers.get("X-Trace-Id")
         assert trace_id and len(trace_id) == 32
@@ -84,10 +59,10 @@ class TestServerTracing:
     def test_client_traceparent_propagates(self, traced, server):
         upstream = TraceContext.mint()
         rng = np.random.default_rng(8)
-        status, payload, headers = predict(
-            server.address,
+        status, payload, headers = request(
+            server.url + "/predict",
             {"features": rng.standard_normal(32).tolist()},
-            {"traceparent": upstream.to_traceparent()})
+            headers={"traceparent": upstream.to_traceparent()})
         assert status == 200
         assert headers["X-Trace-Id"] == upstream.trace_id
         found = traced.lookup(upstream.trace_id)
@@ -106,10 +81,10 @@ class TestServerTracing:
             upstream = TraceContext.mint()
             header = upstream.to_traceparent()[:-2] + "00"
             rng = np.random.default_rng(15)
-            status, _, headers = predict(
-                server.address,
+            status, _, headers = request(
+                server.url + "/predict",
                 {"features": rng.standard_normal(32).tolist()},
-                {"traceparent": header})
+                headers={"traceparent": header})
             assert status == 200
             assert headers["X-Trace-Id"] == upstream.trace_id
             assert headers["traceparent"].endswith("-01")
@@ -123,23 +98,21 @@ class TestServerTracing:
 
     def test_malformed_traceparent_mints_fresh(self, traced, server):
         rng = np.random.default_rng(9)
-        status, _, headers = predict(
-            server.address,
+        status, _, headers = request(
+            server.url + "/predict",
             {"features": rng.standard_normal(32).tolist()},
-            {"traceparent": "zz-not-a-traceparent"})
+            headers={"traceparent": "zz-not-a-traceparent"})
         assert status == 200
         trace_id = headers["X-Trace-Id"]
         assert len(trace_id) == 32
         int(trace_id, 16)
 
     def test_error_responses_echo_trace_id(self, traced, server):
-        host, port = server.address
-        status, _, headers = http_request(host, port, "GET", "/nope")
+        url = server.url
+        status, _, headers = request(url + "/nope")
         assert status == 404
         assert headers.get("X-Trace-Id")
-        status, payload, headers = http_request(
-            host, port, "POST", "/predict", b"not json",
-            {"Content-Type": "application/json"})
+        status, payload, headers = request(url + "/predict", b"not json")
         assert status == 400
         assert headers.get("X-Trace-Id")
         assert payload["request_id"] == headers["X-Trace-Id"]
@@ -149,80 +122,72 @@ class TestServerTracing:
         """A 4xx is the client's fault: it stays in /requestz but is not
         an error trace, so a flood of malformed bodies cannot push a
         worker's 500 out of /tracez's error ring."""
-        host, port = server.address
+        url = server.url
 
         def broken(features):
             raise RuntimeError("engine down")
 
         monkeypatch.setattr(server.engine, "predict_features", broken)
-        status, _, headers = predict(server.address,
+        status, _, headers = request(url + "/predict",
                                      {"features": [0.0] * 32})
         assert status == 500
         failed = headers["X-Trace-Id"]
         monkeypatch.undo()
         flood = traced.errors + 6
         for _ in range(flood):
-            status, _, _ = http_request(
-                host, port, "POST", "/predict", b"not json",
-                {"Content-Type": "application/json"})
+            status, _, _ = request(url + "/predict", b"not json")
             assert status == 400
-        status, payload, _ = http_request(host, port, "GET",
-                                          f"/tracez?trace_id={failed}")
+        status, payload, _ = request(url + f"/tracez?trace_id={failed}")
         assert status == 200 and "error" in payload["retained_for"]
-        status, payload, _ = http_request(
-            host, port, "GET", f"/requestz?limit={flood + 1}")
+        status, payload, _ = request(url + f"/requestz?limit={flood + 1}")
         assert [r["status"] for r in payload["requests"]].count(400) \
             == flood
 
     def test_ids_echo_even_with_tracing_disabled(self, server):
         rng = np.random.default_rng(10)
-        status, payload, headers = predict(
-            server.address, {"features": rng.standard_normal(32).tolist()})
+        status, payload, headers = request(
+            server.url + "/predict",
+            {"features": rng.standard_normal(32).tolist()})
         assert status == 200
         assert headers.get("X-Trace-Id")
         assert payload["request_id"] == headers["X-Trace-Id"]
 
     def test_tracez_and_requestz_endpoints(self, traced, server):
-        host, port = server.address
+        url = server.url
         rng = np.random.default_rng(11)
         ids = []
         for _ in range(3):
-            _, _, headers = predict(
-                server.address,
+            _, _, headers = request(
+                server.url + "/predict",
                 {"features": rng.standard_normal(32).tolist()})
             ids.append(headers["X-Trace-Id"])
 
-        status, payload, _ = http_request(host, port, "GET", "/tracez")
+        status, payload, _ = request(url + "/tracez")
         assert status == 200
         assert {t["trace_id"] for t in payload["retained"]} >= set(ids)
-        status, payload, _ = http_request(
-            host, port, "GET", f"/tracez?trace_id={ids[0]}")
+        status, payload, _ = request(url + f"/tracez?trace_id={ids[0]}")
         assert status == 200 and payload["trace_id"] == ids[0]
-        status, payload, _ = http_request(
-            host, port, "GET", "/tracez?trace_id=" + "f" * 32)
+        status, payload, _ = request(url + "/tracez?trace_id=" + "f" * 32)
         assert status == 404 and "retained" in payload
 
-        status, payload, _ = http_request(host, port, "GET",
-                                          "/requestz?limit=2")
+        status, payload, _ = request(url + "/requestz?limit=2")
         assert status == 200
         assert payload["appended"] >= 3
         assert len(payload["requests"]) == 2
         assert all(r["trace_id"] for r in payload["requests"])
-        status, payload, _ = http_request(
-            host, port, "GET", f"/requestz?trace_id={ids[1]}")
+        status, payload, _ = request(url + f"/requestz?trace_id={ids[1]}")
         assert [r["trace_id"] for r in payload["requests"]] == [ids[1]]
 
     @pytest.mark.parametrize("limit", ["-1", "abc"])
     def test_requestz_rejects_bad_limit(self, traced, server, limit):
-        host, port = server.address
-        status, payload, _ = http_request(host, port, "GET",
-                                          f"/requestz?limit={limit}")
+        url = server.url
+        status, payload, _ = request(url + f"/requestz?limit={limit}")
         assert status == 400 and "limit" in payload["error"]
 
     def test_probes_not_recorded(self, traced, server):
-        host, port = server.address
+        url = server.url
         before = get_flight_recorder().stats["traces_seen"]
-        status, _, headers = http_request(host, port, "GET", "/healthz")
+        status, _, headers = request(url + "/healthz")
         assert status == 200
         assert headers.get("X-Trace-Id")  # echo yes, record no
         assert get_flight_recorder().stats["traces_seen"] == before
@@ -323,11 +288,11 @@ def routed(synthetic_bundle):
 class TestRouterTracing:
     def test_failover_retry_recorded(self, traced, routed):
         rng = np.random.default_rng(12)
-        host, port = routed.address
+        url = routed.url
         retried = None
         for _ in range(16):
-            status, payload, headers = predict(
-                (host, port),
+            status, payload, headers = request(
+                routed.url + "/predict",
                 {"features": rng.standard_normal(32).tolist()})
             assert status == 200
             trace_id = headers["X-Trace-Id"]
@@ -354,32 +319,28 @@ class TestRouterTracing:
         assert request_root["parent_id"] in attempt_ids
 
     def test_router_error_payloads(self, traced, routed):
-        host, port = routed.address
-        status, payload, headers = http_request(
-            host, port, "POST", "/predict", b"not json",
-            {"Content-Type": "application/json"})
+        url = routed.url
+        status, payload, headers = request(url + "/predict", b"not json")
         assert status == 400
         assert headers.get("X-Trace-Id")
         assert payload["request_id"] == headers["X-Trace-Id"]
 
     def test_router_tracez_requestz(self, traced, routed):
-        host, port = routed.address
+        url = routed.url
         rng = np.random.default_rng(14)
-        _, _, headers = predict(
-            (host, port), {"features": rng.standard_normal(32).tolist()})
+        _, _, headers = request(
+            url + "/predict", {"features": rng.standard_normal(32).tolist()})
         trace_id = headers["X-Trace-Id"]
-        status, payload, _ = http_request(
-            host, port, "GET", f"/tracez?trace_id={trace_id}")
+        status, payload, _ = request(url + f"/tracez?trace_id={trace_id}")
         assert status == 200
         assert payload["trace_id"] == trace_id
-        status, payload, _ = http_request(host, port, "GET", "/requestz")
+        status, payload, _ = request(url + "/requestz")
         assert status == 200
         assert any(r["trace_id"] == trace_id
                    for r in payload["requests"])
 
     @pytest.mark.parametrize("limit", ["-1", "abc"])
     def test_router_requestz_rejects_bad_limit(self, traced, routed, limit):
-        host, port = routed.address
-        status, payload, _ = http_request(host, port, "GET",
-                                          f"/requestz?limit={limit}")
+        url = routed.url
+        status, payload, _ = request(url + f"/requestz?limit={limit}")
         assert status == 400 and "limit" in payload["error"]
